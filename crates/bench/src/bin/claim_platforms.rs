@@ -149,8 +149,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (ctrl_nl, _) = synthesize_hw(&ctrl, Encoding::Binary)?;
         let mut board = Board::new(BoardConfig::default());
         board.add_cpu("producer", &prog).unwrap();
-        board.place_netlist(&cons_nl);
-        board.place_netlist(&ctrl_nl);
+        board.place_netlist(&cons_nl)?;
+        board.place_netlist(&ctrl_nl)?;
         board.run_for_ns(4_000_000)?;
         let sum = board
             .fabric()

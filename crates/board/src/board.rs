@@ -223,9 +223,16 @@ impl Board {
         &self.fabric
     }
 
-    /// Places a synthesized netlist into the fabric.
-    pub fn place_netlist(&mut self, netlist: &cosma_synth::Netlist) {
-        self.fabric.place(netlist, &mut self.bank);
+    /// Places a synthesized netlist into the fabric (see
+    /// [`Fabric::place`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoardError::Setup`] if one of its wires already exists,
+    /// or is needed twice by the netlist, with another width. The board
+    /// is then left unchanged.
+    pub fn place_netlist(&mut self, netlist: &cosma_synth::Netlist) -> Result<(), BoardError> {
+        self.fabric.place(netlist, &mut self.bank)
     }
 
     /// Attaches a peripheral.
@@ -302,9 +309,10 @@ impl Board {
     ///
     /// # Errors
     ///
-    /// Propagates [`Board::add_cpu`] setup errors. Programs installed
-    /// before the failing one remain installed (each individual
-    /// `add_cpu` is atomic); no netlists are placed on error.
+    /// Propagates [`Board::add_cpu`] and [`Board::place_netlist`] setup
+    /// errors. Programs installed before the failing one remain installed
+    /// (each individual `add_cpu` is atomic); every netlist is checked
+    /// before any is placed, so no netlists are placed on error.
     pub fn install_synthesis(
         &mut self,
         synth: &cosma_synth::SystemSynthesis,
@@ -314,8 +322,9 @@ impl Board {
             .iter()
             .map(|(name, program)| self.add_cpu(name, program))
             .collect::<Result<_, _>>()?;
+        Fabric::check_widths(&synth.netlists, &self.bank)?;
         for nl in &synth.netlists {
-            self.place_netlist(nl);
+            self.place_netlist(nl)?;
         }
         Ok(ids)
     }
@@ -539,7 +548,7 @@ mod tests {
 
         let mut board = Board::new(BoardConfig::default());
         let cpu = board.add_cpu("waiter", &prog).unwrap();
-        board.place_netlist(&nl);
+        board.place_netlist(&nl).unwrap();
         board.run_for_ns(50_000).unwrap(); // 50 us: hundreds of fabric ticks
         assert_eq!(board.bank().read_named("DONE_FLAG"), Some(1));
         assert!(board.fabric_ticks() >= 9);
@@ -602,6 +611,68 @@ mod tests {
         let err = board.add_cpu("w", &prog).unwrap_err();
         assert!(matches!(err, BoardError::Setup(_)));
         assert!(err.to_string().contains("duplicate"));
+    }
+
+    /// A netlist reading an 8-bit wire `X` (and driving `Y`).
+    fn narrow_reader(name: &str) -> Netlist {
+        let mut nl = Netlist::new(name);
+        let (_, x) = nl.input("X", 8);
+        let we = nl.constant(1, 1);
+        nl.mark_output("Y__out", x);
+        nl.mark_output("Y__we", we);
+        nl
+    }
+
+    #[test]
+    fn netlist_wire_width_clash_is_setup_error() {
+        let mut board = Board::new(BoardConfig::default());
+        board.bank_mut().add("X", 16, 0);
+        let err = board.place_netlist(&narrow_reader("r")).unwrap_err();
+        assert!(matches!(err, BoardError::Setup(_)));
+        assert!(err.to_string().contains("wire X"), "{err}");
+        assert_eq!(board.bank().len(), 1, "no wire declared");
+        assert_eq!(board.fabric().instance_count(), 0);
+
+        // A drive clashing with the netlist's own input is caught too.
+        let mut nl = Netlist::new("self_clash");
+        let (_, z) = nl.input("Z", 8);
+        let wide = nl.resize(z, 16);
+        let we = nl.constant(1, 1);
+        nl.mark_output("Z__out", wide);
+        nl.mark_output("Z__we", we);
+        assert!(matches!(
+            board.place_netlist(&nl),
+            Err(BoardError::Setup(_))
+        ));
+        assert_eq!(board.bank().len(), 1);
+    }
+
+    #[test]
+    fn install_synthesis_places_no_netlist_on_clash() {
+        // Each netlist fits the bank alone; together they disagree on Y.
+        let mut wide = Netlist::new("wide");
+        let c = wide.constant(1, 16);
+        let we = wide.constant(1, 1);
+        wide.mark_output("Y__out", c);
+        wide.mark_output("Y__we", we);
+        let synth = cosma_synth::SystemSynthesis {
+            programs: vec![("writer".into(), {
+                let m = writer_module();
+                compile_sw(&m, &IoMap::for_module(0x300, &m)).unwrap()
+            })],
+            netlists: vec![narrow_reader("r"), wide],
+            reports: vec![],
+            io: IoMap::new(0x300),
+        };
+        let mut board = Board::new(BoardConfig::default());
+        let err = board.install_synthesis(&synth).unwrap_err();
+        assert!(err.to_string().contains("netlist wide"), "{err}");
+        assert_eq!(board.fabric().instance_count(), 0);
+        assert_eq!(board.bank().index("X"), None, "no netlist wire declared");
+        assert!(
+            board.bank().index("W").is_some(),
+            "the program stays installed"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! co-simulation and board runs comparable.
 
 use crate::plant::MotorModel;
-use cosma_board::{Peripheral, WireBank};
+use cosma_board::{Peripheral, SlotId, WireBank};
 use cosma_core::{Bit, Value};
 use cosma_cosim::TraceLog;
 use cosma_sim::{ClockControl, Edge, ProcessId, SignalId, Simulator};
@@ -104,9 +104,22 @@ impl MotorCosim {
 /// The board adapter: a fabric peripheral over wire-bank slots named
 /// `<instance>_PULSE_CMD`, `<instance>_PULSE_STROBE`,
 /// `<instance>_PULSE_ACK` and `<instance>_SAMPLED_POS`.
+///
+/// The slots are looked up once, in the bank of the first tick. A wire
+/// missing then reads 0 and ignores writes.
 pub struct MotorPeripheral {
     motor: SharedMotor,
     prefix: String,
+    slots: Option<MotorSlots>,
+}
+
+/// The `motor_link` slots of a [`MotorPeripheral`]; `None` = missing.
+#[derive(Clone, Copy)]
+struct MotorSlots {
+    cmd: Option<SlotId>,
+    strobe: Option<SlotId>,
+    ack: Option<SlotId>,
+    sampled: Option<SlotId>,
 }
 
 impl std::fmt::Debug for MotorPeripheral {
@@ -123,27 +136,46 @@ impl MotorPeripheral {
         MotorPeripheral {
             motor,
             prefix: prefix.into(),
+            slots: None,
         }
+    }
+}
+
+fn read(bank: &WireBank, slot: Option<SlotId>) -> u64 {
+    slot.map_or(0, |id| bank.read(id))
+}
+
+fn write(bank: &mut WireBank, slot: Option<SlotId>, value: u64) {
+    if let Some(id) = slot {
+        bank.write(id, value);
     }
 }
 
 impl Peripheral for MotorPeripheral {
     fn tick(&mut self, bank: &mut WireBank, trace: &mut TraceLog, now_fs: u64) {
-        let name = |w: &str| format!("{}_{w}", self.prefix);
-        let strobe = bank.read_named(&name("PULSE_STROBE")).unwrap_or(0) & 1;
-        let ack = bank.read_named(&name("PULSE_ACK")).unwrap_or(0) & 1;
+        let prefix = &self.prefix;
+        let slots = *self.slots.get_or_insert_with(|| {
+            let slot = |w: &str| bank.index(&format!("{prefix}_{w}"));
+            MotorSlots {
+                cmd: slot("PULSE_CMD"),
+                strobe: slot("PULSE_STROBE"),
+                ack: slot("PULSE_ACK"),
+                sampled: slot("SAMPLED_POS"),
+            }
+        });
+        let strobe = read(bank, slots.strobe) & 1;
+        let ack = read(bank, slots.ack) & 1;
         let mut motor = self.motor.borrow_mut();
         if strobe == 1 && ack == 0 {
-            let raw = bank.read_named(&name("PULSE_CMD")).unwrap_or(0);
-            let n = i64::from(raw as u16 as i16);
+            let n = i64::from(read(bank, slots.cmd) as u16 as i16);
             motor.command_pulses(n);
-            bank.write_named(&name("PULSE_ACK"), 1);
+            write(bank, slots.ack, 1);
             trace.record(now_fs, "motor", "pulse", vec![Value::Int(n)]);
         } else if strobe == 0 && ack == 1 {
-            bank.write_named(&name("PULSE_ACK"), 0);
+            write(bank, slots.ack, 0);
         }
         motor.tick();
-        bank.write_named(&name("SAMPLED_POS"), motor.sampled() as u64 & 0xFFFF);
+        write(bank, slots.sampled, motor.sampled() as u64 & 0xFFFF);
     }
 }
 
@@ -180,6 +212,27 @@ mod tests {
         }
         assert_eq!(motor.borrow().position(), 3);
         assert_eq!(bank.read_named("mlink_SAMPLED_POS"), Some(3));
+    }
+
+    #[test]
+    fn peripheral_missing_wires_read_zero_and_ignore_writes() {
+        let motor = shared_motor(2);
+        let mut p = MotorPeripheral::new(motor.clone(), "mlink");
+        let mut bank = WireBank::new();
+        bank.add("mlink_PULSE_CMD", 16, 3);
+        bank.add("mlink_PULSE_STROBE", 1, 1);
+        let mut trace = TraceLog::new();
+        // No ACK wire: it reads 0, so every tick takes the batch again.
+        p.tick(&mut bank, &mut trace, 0);
+        p.tick(&mut bank, &mut trace, 1);
+        assert_eq!(trace.with_label("pulse").count(), 2);
+        assert_eq!(bank.len(), 2, "writes to missing wires declare nothing");
+        // Slots are looked up on the first tick only.
+        bank.add("mlink_PULSE_ACK", 1, 0);
+        p.tick(&mut bank, &mut trace, 2);
+        assert_eq!(bank.read_named("mlink_PULSE_ACK"), Some(0));
+        assert_eq!(trace.with_label("pulse").count(), 3);
+        assert_eq!(motor.borrow().position(), 6, "two steps per tick");
     }
 
     #[test]

@@ -230,7 +230,9 @@ pub fn build_board(
         .add_cpu("distribution", &program)
         .expect("fresh board accepts its first CPU");
     for nl in &netlists {
-        board.place_netlist(nl);
+        board
+            .place_netlist(nl)
+            .expect("Speed Control netlists and the Distribution program agree on wire widths");
     }
     let motor = shared_motor(cfg.motor_speed);
     board.attach(Box::new(MotorPeripheral::new(motor.clone(), "mlink")));
@@ -286,6 +288,22 @@ mod tests {
         assert_eq!(log.with_label("send_pos").count(), cfg.segments as usize);
         assert_eq!(log.with_label("done").count(), 1);
         assert!(!sys.reports.is_empty());
+    }
+
+    #[test]
+    fn board_fabric_skips_most_settled_steps() {
+        // Speed Control mostly waits on unchanged wires; a change that
+        // defeats the fabric's settled-step skip would fail here first.
+        let cfg = MotorConfig::default();
+        let mut sys = build_board(&cfg, BoardConfig::default(), Encoding::Binary).unwrap();
+        assert!(sys.run_to_completion(100_000, 4_000).unwrap());
+        let fabric = sys.board.fabric();
+        let steps = fabric.ticks() * fabric.instance_count() as u64;
+        let evaluated = fabric.evaluations();
+        assert!(
+            4 * evaluated < steps,
+            "evaluated {evaluated} of {steps} instance-steps"
+        );
     }
 
     #[test]

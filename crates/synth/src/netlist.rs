@@ -369,7 +369,10 @@ impl Netlist {
         NetlistSim {
             reg_values: self.regs.iter().map(|r| r.init).collect(),
             node_values: vec![0; self.nodes.len()],
+            inputs: vec![0; self.inputs.len()],
+            settled: false,
             cycles: 0,
+            evaluations: 0,
             netlist: self.clone(),
         }
     }
@@ -481,7 +484,12 @@ pub struct NetlistSim {
     netlist: Netlist,
     reg_values: Vec<u64>,
     node_values: Vec<u64>,
+    /// Masked inputs of the last evaluated step.
+    inputs: Vec<u64>,
+    /// Whether the last evaluated step left every register unchanged.
+    settled: bool,
     cycles: u64,
+    evaluations: u64,
 }
 
 impl NetlistSim {
@@ -491,17 +499,36 @@ impl NetlistSim {
         &self.netlist
     }
 
-    /// Evaluates one clock cycle with the given input values (by input
+    /// Runs one clock cycle with the given input values (by input
     /// declaration order; missing inputs read 0).
+    ///
+    /// A step is skipped, only advancing [`cycles`](NetlistSim::cycles),
+    /// when the last evaluated step left every register unchanged and the
+    /// masked inputs equal that step's. The skip is exact: node values
+    /// are a function of the masked inputs and the registers, so
+    /// evaluating would reproduce the current node values and registers
+    /// bit for bit. [`set_reg`](NetlistSim::set_reg) ends the settled
+    /// state.
     pub fn step(&mut self, inputs: &[u64]) {
         let nl = &self.netlist;
+        self.cycles += 1;
+        let mut same_inputs = true;
+        for (i, (held, (_, width))) in self.inputs.iter_mut().zip(&nl.inputs).enumerate() {
+            let v = inputs.get(i).copied().unwrap_or(0) & mask(*width);
+            if *held != v {
+                *held = v;
+                same_inputs = false;
+            }
+        }
+        if self.settled && same_inputs {
+            return;
+        }
+        self.evaluations += 1;
         for (i, def) in nl.nodes.iter().enumerate() {
             let w = def.width;
             let v = match &def.node {
                 Node::Const(c) => *c,
-                Node::Input(id) => {
-                    inputs.get(id.index()).copied().unwrap_or(0) & mask(nl.inputs[id.index()].1)
-                }
+                Node::Input(id) => self.inputs[id.index()],
                 Node::ReadReg(r) => self.reg_values[r.index()],
                 Node::Resize(a) => self.node_values[a.index()],
                 Node::Not(a) => !self.node_values[a.index()],
@@ -554,12 +581,15 @@ impl NetlistSim {
             self.node_values[i] = v & mask(w);
         }
         // Clock edge: registers load next values simultaneously.
+        let mut settled = true;
         for (i, reg) in nl.regs.iter().enumerate() {
             if let Some(next) = reg.next {
-                self.reg_values[i] = self.node_values[next.index()] & mask(reg.width);
+                let v = self.node_values[next.index()] & mask(reg.width);
+                settled &= v == self.reg_values[i];
+                self.reg_values[i] = v;
             }
         }
-        self.cycles += 1;
+        self.settled = settled;
     }
 
     /// Current register value.
@@ -580,16 +610,24 @@ impl NetlistSim {
         self.netlist.output(name).map(|n| self.node_value(n))
     }
 
-    /// Forces a register value (reset/test).
+    /// Forces a register value (reset/test). The next step evaluates.
     pub fn set_reg(&mut self, r: RegId, v: u64) {
         let w = self.netlist.regs[r.index()].width;
         self.reg_values[r.index()] = v & mask(w);
+        self.settled = false;
     }
 
-    /// Cycles executed.
+    /// Cycles executed, skipped steps included.
     #[must_use]
     pub fn cycles(&self) -> u64 {
         self.cycles
+    }
+
+    /// Steps actually evaluated; `cycles() - evaluations()` were skipped
+    /// as settled.
+    #[must_use]
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations
     }
 }
 
@@ -615,6 +653,44 @@ mod tests {
         }
         assert_eq!(sim.reg_value(r), 2); // 10 mod 8
         assert_eq!(sim.cycles(), 10);
+        assert_eq!(sim.evaluations(), 10, "a counter never settles");
+    }
+
+    #[test]
+    fn settled_steps_are_skipped_until_inputs_or_registers_change() {
+        // Y = X + R, where R holds its value.
+        let mut n = Netlist::new("hold");
+        let (_, x) = n.input("X", 8);
+        let r = n.reg("R", 8, 0);
+        let cur = n.read_reg(r);
+        n.set_reg_next(r, cur);
+        let y = n.bin(Op::Add, x, cur);
+        n.mark_output("Y", y);
+        let mut sim = n.simulator();
+        for _ in 0..3 {
+            sim.step(&[3]);
+        }
+        assert_eq!(sim.output_value("Y"), Some(3));
+        assert_eq!((sim.cycles(), sim.evaluations()), (3, 1));
+        // Inputs compare after masking: 0x103 is 3 on an 8-bit input.
+        sim.step(&[0x103]);
+        assert_eq!((sim.cycles(), sim.evaluations()), (4, 1));
+
+        sim.set_reg(r, 4);
+        sim.step(&[3]);
+        assert_eq!(
+            sim.output_value("Y"),
+            Some(7),
+            "set_reg ends the settled state"
+        );
+        assert_eq!((sim.cycles(), sim.evaluations()), (5, 2));
+        sim.step(&[3]);
+        assert_eq!((sim.cycles(), sim.evaluations()), (6, 2));
+
+        sim.step(&[5]);
+        assert_eq!(sim.output_value("Y"), Some(9));
+        assert_eq!(sim.reg_value(r), 4);
+        assert_eq!((sim.cycles(), sim.evaluations()), (7, 3));
     }
 
     #[test]

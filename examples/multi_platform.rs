@@ -130,8 +130,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut board = Board::new(BoardConfig::default());
     let cpu = board.add_cpu("producer", &prog).unwrap();
-    board.place_netlist(&cons_nl);
-    board.place_netlist(&ctrl_nl);
+    board.place_netlist(&cons_nl)?;
+    board.place_netlist(&ctrl_nl)?;
     board.run_for_ns(3_000_000)?;
     // The consumer's SUM lives in a fabric register.
     let sum3 = board

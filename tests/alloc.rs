@@ -15,6 +15,9 @@
 //! * adjacent relays share links, so commit-phase divergences occur and
 //!   the pooled fallback re-execution path is measured too.
 //!
+//! A further gate pins the board's warm FPGA fabric (the motor's Speed
+//! Control netlists and its peripheral) to zero allocations per tick.
+//!
 //! Run with: `cargo test --features count-allocs --test alloc`
 #![cfg(feature = "count-allocs")]
 
@@ -192,5 +195,68 @@ fn warm_multi_rate_ring_cycles_do_not_allocate() {
     assert_eq!(
         grew, 0,
         "warm multi-rate ring cycles must not allocate, saw {grew} allocations"
+    );
+}
+
+#[test]
+fn warm_fabric_ticks_do_not_allocate() {
+    use cosma::board::{Fabric, Peripheral, WireBank};
+    use cosma::cosim::TraceLog;
+    use cosma::motor::{
+        core_module, motor_link_unit, position_module, shared_motor, swhw_link_unit, timer_module,
+        MotorConfig, MotorPeripheral,
+    };
+    use cosma::synth::{flatten_module, synthesize_hw, Encoding};
+
+    let _serial = GATE.lock().unwrap();
+    // The motor's three Speed Control netlists and its peripheral, as
+    // the board wires them, ticked without the CPU. Poking the data
+    // wire of the constraints mailbox (its flag stays low) changes an
+    // input without starting a transfer: the netlists reading it
+    // evaluate once and settle again, so the window mixes settled and
+    // evaluated steps and the motor records no `pulse` entries.
+    let cfg = MotorConfig::default();
+    let units = [
+        ("swhw".to_string(), swhw_link_unit()),
+        ("mlink".to_string(), motor_link_unit()),
+    ]
+    .into_iter()
+    .collect();
+    let mut bank = WireBank::new();
+    let mut fabric = Fabric::new();
+    for module in [position_module(&cfg), core_module(), timer_module(&cfg)] {
+        let flat = flatten_module(&module, &units).expect("flattens");
+        let (nl, _) = synthesize_hw(&flat, Encoding::Binary).expect("synthesizes");
+        fabric.place(&nl, &mut bank).expect("widths agree");
+    }
+    let mut motor = MotorPeripheral::new(shared_motor(cfg.motor_speed), "mlink");
+    let mut trace = TraceLog::new();
+    let poked = bank
+        .index("swhw_CTL_REG")
+        .expect("constraints mailbox wire");
+    let mut run = |bank: &mut WireBank, fabric: &mut Fabric, trace: &mut TraceLog| {
+        for t in 0..2_000u64 {
+            if t % 16 == 0 {
+                bank.write(poked, t / 16);
+            }
+            fabric.tick(bank);
+            motor.tick(bank, trace, t);
+        }
+    };
+    run(&mut bank, &mut fabric, &mut trace);
+    let (evaluated, entries) = (fabric.evaluations(), trace.len());
+    let before = allocs();
+    run(&mut bank, &mut fabric, &mut trace);
+    let grew = allocs() - before;
+    let evaluated = fabric.evaluations() - evaluated;
+    let steps = 2_000 * fabric.instance_count() as u64;
+    assert_eq!(trace.len(), entries, "no pulse entries in the window");
+    assert!(
+        evaluated > 0 && evaluated < steps,
+        "both settled and evaluated steps: {evaluated} of {steps} evaluated"
+    );
+    assert_eq!(
+        grew, 0,
+        "warm fabric ticks must not allocate, saw {grew} allocations"
     );
 }

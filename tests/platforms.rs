@@ -117,7 +117,7 @@ fn dual_processor_board() {
     board.add_cpu("cpu_a", &prog_a).unwrap();
     board.add_cpu("cpu_b", &prog_b).unwrap();
     for nl in [&nl_ca, &nl_cb, &nl_ctrl_a, &nl_ctrl_b] {
-        board.place_netlist(nl);
+        board.place_netlist(nl).expect("widths agree");
     }
     board.run_for_ns(5_000_000).expect("runs");
 
@@ -163,8 +163,8 @@ fn wait_state_storm_does_not_break_protocols() {
     };
     let mut board = Board::new(cfg);
     board.add_cpu("prod", &prog).unwrap();
-    board.place_netlist(&nl_c);
-    board.place_netlist(&nl_ctrl);
+    board.place_netlist(&nl_c).expect("widths agree");
+    board.place_netlist(&nl_ctrl).expect("widths agree");
     board.run_for_ns(30_000_000).expect("runs");
     let sum = board
         .fabric()

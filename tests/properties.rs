@@ -153,7 +153,10 @@ proptest! {
     #[test]
     fn random_datapaths_synthesize_equivalently(
         e in arb_expr(3),
-        inputs in proptest::collection::vec((-500i64..500, -500i64..500), 1..12),
+        // Each input pair is held for 1-4 cycles, so the netlist
+        // simulator's settled-step skip is checked against the
+        // interpreter too.
+        inputs in proptest::collection::vec((-500i64..500, -500i64..500, 1usize..5), 1..12),
     ) {
         let mut b = ModuleBuilder::new("dp", ModuleKind::Hardware);
         let _x = b.port("X", PortDir::In, Type::INT16);
@@ -173,13 +176,22 @@ proptest! {
         env.add_var(Type::INT16, Value::Int(0));
         let mut exec = FsmExec::new(m.fsm());
         let reg = nl.find_reg("ACC").unwrap();
-        for (x, y) in inputs {
+        for (x, y, hold) in inputs {
             env.set_port(cosma::core::ids::PortId::new(0), Value::Int(x));
             env.set_port(cosma::core::ids::PortId::new(1), Value::Int(y));
-            exec.step(m.fsm(), &mut env).unwrap();
-            sim.step(&[x as u64 & 0xFFFF, y as u64 & 0xFFFF]);
-            let expect = env.var(acc).to_bus_word(16);
-            prop_assert_eq!(sim.reg_value(reg), expect, "inputs ({}, {})", x, y);
+            for cycle in 0..hold {
+                exec.step(m.fsm(), &mut env).unwrap();
+                sim.step(&[x as u64 & 0xFFFF, y as u64 & 0xFFFF]);
+                let expect = env.var(acc).to_bus_word(16);
+                prop_assert_eq!(
+                    sim.reg_value(reg),
+                    expect,
+                    "inputs ({}, {}), held cycle {}",
+                    x,
+                    y,
+                    cycle
+                );
+            }
         }
     }
 }
