@@ -1,26 +1,18 @@
 //! `cosim_bench` — the machine-readable co-simulation benchmark runner.
 //!
 //! Runs the `cosim_step` many-unit scenarios (pipeline and starved
-//! topologies, legacy vs sharded scheduling, sequential vs threaded
-//! step phase, length-only vs payload-beat bus timing) and writes
-//! per-scenario timings to `BENCH_cosim.json` as a flat array of
-//! `{scenario, n, parallelism, threads, bus_timing, ns_per_run, p50_ns,
-//! p99_ns, runs}` records, so CI can track the backplane's performance
-//! trajectory across PRs. The `step_scaling` rows sweep the worker
-//! count over a wide unparked pipeline (the allocation-free step
-//! phase's target regime) and assert nonzero scratch-arena reuse.
-//!
-//! The `parallelism` column compares [`Parallelism::Off`] against
-//! `Threads(4)` on the same scenario. NOTE: the threaded step phase
-//! needs real cores to win — on a single-CPU host (CI containers) the
-//! workers time-slice one core and the row documents the overhead
-//! instead. The host's available parallelism is printed alongside.
+//! topologies, the legacy oracle vs the production sharded scheduler,
+//! length-only vs payload-beat bus timing) and writes per-scenario
+//! timings to `BENCH_cosim.json` as a flat array of `{scenario, n,
+//! bus_timing, ns_per_run, p50_ns, p99_ns, runs}` records, so CI can
+//! track the backplane's performance trajectory across PRs. The
+//! `step_scaling` row runs a wide unparked pipeline, so the module
+//! driver steps every module on every cycle.
 //!
 //! The `bus_timing` column tracks the cost of cycle-accurate payload
 //! beats (`payload_beats` rows) against the length-only fast path, and
-//! the `batched_heavy` rows pit the deferred scheduler's `BatchedLink`
-//! queue-op journal against immediate call application on a
-//! batched-heavy workload — the journal must hold parity or better.
+//! the `batched_heavy` row times a star of producers funneling deep
+//! value streams into one hub over batched links.
 //!
 //! The `beat_storm` rows are the timer-wheel stress case: every unit of
 //! a ring streams `PayloadBeats` bursts concurrently, so the kernel's
@@ -54,20 +46,16 @@
 //! the default sweep matches the criterion bench (N = 16/64/256).
 
 use cosma_cosim::scenario::{build_scenario, LinkKind, Scenario, ScenarioSpec, Topology};
-use cosma_cosim::{BusTiming, CosimConfig, Parallelism, SchedulingConfig};
+use cosma_cosim::{BusTiming, CosimConfig, SchedulingConfig};
 use cosma_sim::Duration;
 use std::time::Instant;
 
 /// Bump when row fields change meaning or shape.
-const SCHEMA_VERSION: u32 = 3;
+const SCHEMA_VERSION: u32 = 4;
 
 struct Record {
     scenario: &'static str,
     n: usize,
-    parallelism: &'static str,
-    /// Explicit worker count for the `step_scaling` sweep rows; `None`
-    /// for the scenarios where `parallelism` already says it all.
-    threads: Option<usize>,
     bus_timing: &'static str,
     /// Time-queue backend under test: `Some("wheel" | "heap")` for the
     /// `beat_storm` ablation rows, `None` elsewhere (implicitly the
@@ -86,16 +74,27 @@ struct Record {
     runs: u32,
 }
 
-/// Short git revision of the working tree, for row provenance.
-fn git_rev() -> String {
+/// Runs `git` with `args`, returning its trimmed stdout on success.
+fn git(args: &[&str]) -> Option<String> {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(args)
         .output()
         .ok()
         .filter(|o| o.status.success())
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Short git revision of the working tree, for row provenance, with a
+/// `-dirty` suffix when tracked files differ from it (the rows then
+/// measure uncommitted code).
+fn git_rev() -> String {
+    match git(&["rev-parse", "--short", "HEAD"]).filter(|s| !s.is_empty()) {
+        Some(rev) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+            Some(st) if !st.is_empty() => format!("{rev}-dirty"),
+            _ => rev,
+        },
+        None => "unknown".to_string(),
+    }
 }
 
 fn timing_label(link: &LinkKind) -> &'static str {
@@ -109,17 +108,6 @@ fn timing_label(link: &LinkKind) -> &'static str {
             timing: BusTiming::PayloadBeats,
             ..
         } => "payload_beats",
-    }
-}
-
-/// Splits a scheduling config into the JSON `parallelism` label and the
-/// explicit `threads` count, so every threaded row names its worker
-/// count the same way the `step_scaling` sweep does ("threads" +
-/// `threads: N`) instead of baking the count into the label.
-fn parallelism_fields(cfg: &SchedulingConfig) -> (&'static str, Option<usize>) {
-    match cfg.parallelism {
-        Parallelism::Off => ("off", None),
-        Parallelism::Threads(n) => ("threads", Some(n)),
     }
 }
 
@@ -145,12 +133,9 @@ fn scenario(
 /// Times `runs` fresh builds of one scenario, excluding setup, and
 /// returns the mean/p50/p99 wall-clock nanoseconds per `sim_us` µs
 /// simulated run.
-#[allow(clippy::too_many_arguments)]
 fn measure(
     name: &'static str,
     n: usize,
-    parallelism: &'static str,
-    threads: Option<usize>,
     bus_timing: &'static str,
     runs: u32,
     sim_us: u64,
@@ -171,14 +156,12 @@ fn measure(
     let p50_ns = samples[samples.len() / 2];
     let p99_ns = samples[(samples.len() * 99 / 100).min(samples.len() - 1)];
     println!(
-        "{name:<24} N={n:<4} par={parallelism:<8} bus={bus_timing:<13} {ns_per_run:>12} ns/run  \
+        "{name:<24} N={n:<4} bus={bus_timing:<13} {ns_per_run:>12} ns/run  \
          p50={p50_ns} p99={p99_ns}  ({runs} runs)"
     );
     Record {
         scenario: name,
         n,
-        parallelism,
-        threads,
         bus_timing,
         queue: None,
         variant: None,
@@ -273,8 +256,6 @@ fn main() {
         records.push(measure(
             "many_units_per_unit",
             n,
-            "off",
-            None,
             timing_label(&LinkKind::Handshake),
             runs,
             200,
@@ -288,27 +269,8 @@ fn main() {
             },
         ));
         records.push(measure(
-            "many_units_immediate",
-            n,
-            "off",
-            None,
-            timing_label(&batched),
-            runs,
-            200,
-            || {
-                scenario(
-                    n,
-                    Topology::Pipeline,
-                    SchedulingConfig::immediate(),
-                    batched,
-                )
-            },
-        ));
-        records.push(measure(
             "many_units_sharded",
             n,
-            "off",
-            None,
             timing_label(&batched),
             runs,
             200,
@@ -319,34 +281,14 @@ fn main() {
         records.push(measure(
             "many_units_sharded",
             n,
-            "off",
-            None,
             timing_label(&beats),
             runs,
             200,
             || scenario(n, Topology::Pipeline, SchedulingConfig::sharded(), beats),
         ));
-        // The threaded step phase on the same scenario. On multi-core
-        // hosts large stepping sets fan out across the persistent
-        // worker pool; on a single-CPU host this row documents the
-        // coordination overhead instead (workers time-slice one core).
-        let threaded = SchedulingConfig::sharded().with_threads(4);
-        let (par, threads) = parallelism_fields(&threaded);
-        records.push(measure(
-            "many_units_sharded",
-            n,
-            par,
-            threads,
-            timing_label(&batched),
-            runs,
-            200,
-            move || scenario(n, Topology::Pipeline, threaded, batched),
-        ));
         records.push(measure(
             "blocked_per_unit",
             n,
-            "off",
-            None,
             timing_label(&LinkKind::Handshake),
             runs,
             200,
@@ -362,8 +304,6 @@ fn main() {
         records.push(measure(
             "blocked_sharded",
             n,
-            "off",
-            None,
             timing_label(&LinkKind::Handshake),
             runs,
             200,
@@ -378,11 +318,9 @@ fn main() {
         ));
     }
 
-    // Batched-heavy journal parity: a star of producers funneling a
-    // deep value stream into one hub over batched links — the workload
-    // where commit-phase batched calls dominate. The deferred
-    // scheduler's queue-op journal must hold parity or better against
-    // immediate call application.
+    // Batched-heavy: a star of producers funneling a deep value stream
+    // into one hub over batched links, so batched service calls
+    // dominate the run.
     {
         let heavy = LinkKind::Batched {
             max_batch: 16,
@@ -390,38 +328,25 @@ fn main() {
             timing: BusTiming::LengthOnly,
         };
         let n = if quick { 8 } else { 16 };
-        let build = move |scheduling| {
-            build_scenario(&ScenarioSpec {
-                units: n,
-                topology: Topology::Star,
-                values_per_link: 16,
-                link: heavy,
-                config: CosimConfig::default(),
-                scheduling,
-                trace: false,
-                domains: Default::default(),
-            })
-            .expect("scenario builds")
-        };
         records.push(measure(
-            "batched_heavy_immediate",
+            "batched_heavy",
             n,
-            "off",
-            None,
             timing_label(&heavy),
             runs,
             200,
-            move || build(SchedulingConfig::immediate()),
-        ));
-        records.push(measure(
-            "batched_heavy_deferred",
-            n,
-            "off",
-            None,
-            timing_label(&heavy),
-            runs,
-            200,
-            move || build(SchedulingConfig::sharded()),
+            move || {
+                build_scenario(&ScenarioSpec {
+                    units: n,
+                    topology: Topology::Star,
+                    values_per_link: 16,
+                    link: heavy,
+                    config: CosimConfig::default(),
+                    scheduling: SchedulingConfig::sharded(),
+                    trace: false,
+                    domains: Default::default(),
+                })
+                .expect("scenario builds")
+            },
         ));
     }
 
@@ -451,16 +376,14 @@ fn main() {
             let p50_ns = samples[samples.len() / 2];
             let p99_ns = samples[(samples.len() * 99 / 100).min(samples.len() - 1)];
             println!(
-                "{:<24} N={n:<4} par={:<8} bus={:<13} {ns_per_run:>12} ns/run  \
+                "{:<24} N={n:<4} bus={:<13} {ns_per_run:>12} ns/run  \
                  p50={p50_ns} p99={p99_ns}  ({runs} runs, {queue})",
-                "beat_storm", "off", "payload_beats",
+                "beat_storm", "payload_beats",
             );
             pair.push(p50_ns);
             records.push(Record {
                 scenario: "beat_storm",
                 n,
-                parallelism: "off",
-                threads: None,
                 bus_timing: "payload_beats",
                 queue: Some(queue),
                 variant: None,
@@ -503,8 +426,6 @@ fn main() {
         records.push(measure(
             "trace_heavy",
             n,
-            "off",
-            None,
             timing_label(&batched),
             runs,
             200,
@@ -529,56 +450,23 @@ fn main() {
         ));
     }
 
-    // Thread-scaling sweep: a wide pipeline with parking off, so the
-    // whole module set speculates every cycle — the allocation-free
-    // step phase's target regime. `threads = 1` is the direct
-    // (non-speculative) baseline; on multi-core hosts the higher rows
-    // should beat it, on a single-CPU host they document the
-    // work-stealing overhead. The first threads >= 2 run doubles as the
-    // scratch-arena smoke gate: ScratchStats must report shell reuse,
-    // or speculation has silently fallen back to allocating.
+    // Step scaling: a wide pipeline with parking off, so the module
+    // driver steps the whole module set every cycle — the scheduler's
+    // per-activation cost at scale.
     {
-        let (sn, thread_counts, sruns): (usize, &[usize], u32) = if quick {
-            (256, &[1, 2], 2)
-        } else {
-            (1024, &[1, 2, 4, 8], 3)
+        let (sn, sruns): (usize, u32) = if quick { (256, 2) } else { (1024, 3) };
+        let cfg = SchedulingConfig {
+            park_blocked: false,
+            ..SchedulingConfig::sharded()
         };
-        let mut reuse_checked = false;
-        for &t in thread_counts {
-            let cfg = SchedulingConfig {
-                park_blocked: false,
-                ..SchedulingConfig::sharded().with_threads(t)
-            };
-            records.push(measure(
-                "step_scaling",
-                sn,
-                if t == 1 { "off" } else { "threads" },
-                Some(t),
-                timing_label(&batched),
-                sruns,
-                50,
-                move || scenario(sn, Topology::Pipeline, cfg, batched),
-            ));
-            if t >= 2 && !reuse_checked {
-                reuse_checked = true;
-                let mut s = scenario(sn, Topology::Pipeline, cfg, batched);
-                s.cosim.run_for(Duration::from_us(50)).expect("runs");
-                let stats = s.cosim.shard_stats();
-                assert!(
-                    stats.scratch.arena_reuses > 0,
-                    "speculative step phase must recycle scratch shells: {:?}",
-                    stats.scratch
-                );
-                println!(
-                    "arena check: {} acquires, {} reuses, {} chunks, {} steals, {} B high water",
-                    stats.scratch.arena_acquires,
-                    stats.scratch.arena_reuses,
-                    stats.scratch.chunks,
-                    stats.scratch.steals,
-                    stats.scratch.bytes_high_water
-                );
-            }
-        }
+        records.push(measure(
+            "step_scaling",
+            sn,
+            timing_label(&batched),
+            sruns,
+            50,
+            move || scenario(sn, Topology::Pipeline, cfg, batched),
+        ));
     }
 
     // Checkpoint/restore vs re-run-from-zero: branching a what-if off a
@@ -637,15 +525,13 @@ fn main() {
             ("snapshot_rerun", rerun_mean, rerun_p50, rerun_p99),
         ] {
             println!(
-                "{name:<24} N={n:<4} par=off      bus={:<13} {mean:>12} ns/run  \
+                "{name:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
                  p50={p50} p99={p99}  ({runs} runs)",
                 timing_label(&batched)
             );
             records.push(Record {
                 scenario: name,
                 n,
-                parallelism: "off",
-                threads: None,
                 bus_timing: timing_label(&batched),
                 queue: None,
                 variant: None,
@@ -708,7 +594,7 @@ fn main() {
                 .collect();
             let (mean, p50, p99) = summarize3(samples);
             println!(
-                "{:<24} N={n:<4} par=off      bus={:<13} {mean:>12} ns/run  \
+                "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
                  p50={p50} p99={p99}  ({runs} runs, {variant})",
                 "multi_rate",
                 timing_label(&batched)
@@ -717,8 +603,6 @@ fn main() {
             records.push(Record {
                 scenario: "multi_rate",
                 n,
-                parallelism: "off",
-                threads: None,
                 bus_timing: timing_label(&batched),
                 queue: None,
                 variant: Some(variant),
@@ -805,7 +689,7 @@ fn main() {
         ] {
             let (mean, p50, p99) = summarize3(samples);
             println!(
-                "{:<24} N={n:<4} par=off      bus={:<13} {mean:>12} ns/run  \
+                "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
                  p50={p50} p99={p99}  ({runs} runs, {variant}, rollback rate {:.3})",
                 "partitioned",
                 timing_label(&batched),
@@ -814,8 +698,6 @@ fn main() {
             records.push(Record {
                 scenario: "partitioned",
                 n,
-                parallelism: "off",
-                threads: None,
                 bus_timing: timing_label(&batched),
                 queue: None,
                 variant: Some(variant),
@@ -852,9 +734,6 @@ fn main() {
         .as_deref()
         .map_or_else(|| "null".to_string(), |t| format!("\"{t}\""));
     for (i, r) in records.iter().enumerate() {
-        let threads = r
-            .threads
-            .map_or_else(|| "null".to_string(), |t| t.to_string());
         let queue = r
             .queue
             .map_or_else(|| "null".to_string(), |q| format!("\"{q}\""));
@@ -865,16 +744,14 @@ fn main() {
             .rollback_rate
             .map_or_else(|| "null".to_string(), |x| format!("{x:.6}"));
         json.push_str(&format!(
-            "  {{\"schema\": {}, \"scenario\": \"{}\", \"n\": {}, \"parallelism\": \"{}\", \
-             \"threads\": {}, \"bus_timing\": \"{}\", \"queue\": {}, \"variant\": {}, \
+            "  {{\"schema\": {}, \"scenario\": \"{}\", \"n\": {}, \
+             \"bus_timing\": \"{}\", \"queue\": {}, \"variant\": {}, \
              \"rollback_rate\": {}, \"ns_per_run\": {}, \
              \"p50_ns\": {}, \"p99_ns\": {}, \"runs\": {}, \"git_rev\": \"{}\", \"cpus\": {}, \
              \"timestamp\": {}}}{}\n",
             SCHEMA_VERSION,
             r.scenario,
             r.n,
-            r.parallelism,
-            threads,
             r.bus_timing,
             queue,
             variant,

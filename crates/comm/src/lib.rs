@@ -40,7 +40,6 @@ pub use native::{
     FifoChannel, Mailbox, NativeServiceDesc, NativeUnit, NativeUnitState, SharedMemory,
 };
 pub use runtime::{
-    CallerId, FsmUnitRuntime, FsmUnitState, LocalWires, PeekScratch, PeekedCall, ReadWires,
-    ServiceStats, UnitStats, WireStore,
+    CallerId, FsmUnitRuntime, FsmUnitState, LocalWires, ServiceStats, UnitStats, WireStore,
 };
 pub use standalone::StandaloneUnit;

@@ -12,9 +12,7 @@
 
 use cosma_core::comm::{CommUnitSpec, ServiceSpec, SERVICE_DONE_VAR, SERVICE_RESULT_VAR};
 use cosma_core::ids::{PortId, VarId};
-use cosma_core::{
-    DeferredCall, Env, EvalError, FsmExec, ReadEnv, ServiceCall, ServiceOutcome, Value, Variable,
-};
+use cosma_core::{Env, EvalError, FsmExec, ReadEnv, ServiceCall, ServiceOutcome, Value, Variable};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -91,151 +89,6 @@ pub trait WireStore {
         let _ = (w, start_cycles, stride_cycles, values);
         Ok(false)
     }
-}
-
-/// A read-only view of a unit's wires: what a *speculative* call
-/// ([`FsmUnitRuntime::peek_call`]) is allowed to see. Two-phase
-/// schedulers implement this over their cycle-start signal snapshot;
-/// writes performed by the peeked protocol step are counted and
-/// discarded (they are re-issued for real at commit time).
-pub trait ReadWires {
-    /// Reads a wire.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown wire ids.
-    fn read_wire(&self, w: PortId) -> Result<Value, EvalError>;
-}
-
-impl ReadWires for LocalWires {
-    fn read_wire(&self, w: PortId) -> Result<Value, EvalError> {
-        WireStore::read_wire(self, w)
-    }
-}
-
-/// WireStore adapter for peeks: reads delegate to a [`ReadWires`] view,
-/// writes are captured instead of applied. Under delta-cycle semantics
-/// a protocol step never observes its own writes within the activation,
-/// so capturing them is exact — they are re-issued for real if the peek
-/// is committed ([`FsmUnitRuntime::commit_peeked`]).
-struct PeekWires<'a> {
-    inner: &'a dyn ReadWires,
-    writes: Vec<(PortId, Value)>,
-}
-
-impl WireStore for PeekWires<'_> {
-    fn read_wire(&self, w: PortId) -> Result<Value, EvalError> {
-        self.inner.read_wire(w)
-    }
-    fn write_wire(&mut self, w: PortId, v: Value) -> Result<(), EvalError> {
-        self.writes.push((w, v));
-        Ok(())
-    }
-}
-
-/// Reusable buffer pools for the speculative peek path
-/// ([`FsmUnitRuntime::peek_call_scratch`] /
-/// [`FsmUnitRuntime::commit_peeked_reclaim`]). A two-phase scheduler
-/// keeps one per worker arena: peeked session clones borrow their
-/// locals vector and wire-write capture vector from the pools, and the
-/// commit (or an abandoned peek, via [`PeekScratch::reclaim`]) hands
-/// them back — so steady-state speculation peeks without heap
-/// allocation however many calls it evaluates.
-#[derive(Debug, Default)]
-pub struct PeekScratch {
-    /// Pooled local-variable vectors for peeked session clones.
-    locals: Vec<Vec<Value>>,
-    /// Pooled wire-write capture vectors for [`PeekWires`].
-    writes: Vec<Vec<(PortId, Value)>>,
-}
-
-impl PeekScratch {
-    fn take_locals(&mut self) -> Vec<Value> {
-        self.locals.pop().unwrap_or_default()
-    }
-
-    fn take_writes(&mut self) -> Vec<(PortId, Value)> {
-        self.writes.pop().unwrap_or_default()
-    }
-
-    fn put_locals(&mut self, mut v: Vec<Value>) {
-        v.clear();
-        self.locals.push(v);
-    }
-
-    fn put_writes(&mut self, mut v: Vec<(PortId, Value)>) {
-        v.clear();
-        self.writes.push(v);
-    }
-
-    /// Reclaims the buffers a no-longer-needed peek still owns (e.g. a
-    /// speculative result abandoned on divergence or fallback), so the
-    /// next peek reuses them instead of allocating.
-    pub fn reclaim(&mut self, peeked: PeekedCall) {
-        if let Some(PeekDelta::Session(delta)) = peeked.delta {
-            self.put_locals(delta.post.locals);
-            self.put_writes(delta.writes);
-        }
-    }
-
-    /// Approximate bytes retained across the pools (capacity-based),
-    /// for arena high-water accounting.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let locals: usize = self
-            .locals
-            .iter()
-            .map(|v| v.capacity() * std::mem::size_of::<Value>())
-            .sum();
-        let writes: usize = self
-            .writes
-            .iter()
-            .map(|v| v.capacity() * std::mem::size_of::<(PortId, Value)>())
-            .sum();
-        locals + writes
-    }
-}
-
-/// The buffered effects a peek computed, kept so a validated commit can
-/// *install* them instead of re-running the call.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum PeekDelta {
-    /// An FSM-unit protocol step ([`FsmUnitRuntime::peek_call`]).
-    Session(SessionDelta),
-    /// A batched-link queue operation ([`crate::BatchedLink::peek_call`]).
-    Queue(crate::batch::QueueDelta),
-}
-
-/// The session effects a peek computed, kept so a validated commit can
-/// *install* them instead of re-running the protocol step.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SessionDelta {
-    /// Pre-step fingerprint: the peeked session's state and step count.
-    /// Sessions are caller-private and step counts are monotone, so an
-    /// unchanged fingerprint proves the session is exactly as peeked.
-    pre_state: cosma_core::ids::StateId,
-    pre_steps: u64,
-    /// Post-step session (before any completion reset).
-    post: Session,
-    /// Wire writes the protocol step performed, in order.
-    writes: Vec<(PortId, Value)>,
-}
-
-/// Result of a speculative service-call step ([`FsmUnitRuntime::peek_call`],
-/// [`crate::BatchedLink::peek_call`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PeekedCall {
-    /// The outcome the real call would produce against the current
-    /// committed unit state.
-    pub outcome: ServiceOutcome,
-    /// Whether the call would be a provable no-op (pending outcome,
-    /// nothing written) — the caller-parking signal, mirroring
-    /// [`FsmUnitRuntime::last_call_stable`].
-    pub stable: bool,
-    /// Buffered call effects — a session delta for FSM-unit peeks, a
-    /// queue-op journal entry for batched-link peeks — so the commit
-    /// can install them without re-dispatching the call.
-    pub(crate) delta: Option<PeekDelta>,
 }
 
 /// Plain in-memory wires initialized from a unit spec; writes are
@@ -325,10 +178,9 @@ impl FsmUnitState {
 
 /// One protocol-FSM activation of a service session against `wires`.
 /// Returns the outcome plus whether the step was a provable no-op (no
-/// wire writes, no local writes, same protocol state). Shared by the
-/// mutating [`FsmUnitRuntime::call`] and the speculative
-/// [`FsmUnitRuntime::peek_call`]. Does **not** reset completed sessions
-/// or touch statistics — that is the caller's business.
+/// wire writes, no local writes, same protocol state). Does **not**
+/// reset completed sessions or touch statistics — that is
+/// [`FsmUnitRuntime::call`]'s business.
 fn step_session(
     svc: &ServiceSpec,
     session: &mut Session,
@@ -676,218 +528,6 @@ impl FsmUnitRuntime {
                 .extend(svc.locals().iter().map(|v| v.init().clone()));
         }
         Ok(outcome)
-    }
-
-    /// Speculative (read-only) variant of [`FsmUnitRuntime::call`]: steps
-    /// a *clone* of the caller's session against a read-only wire view,
-    /// answering the outcome the real call would produce — without
-    /// touching the runtime, the session, the wires or the statistics.
-    ///
-    /// Because sessions are caller-private and wire writes are
-    /// delta-delayed (never observed within the same activation), the
-    /// peeked outcome is exact whenever the session is stepped at most
-    /// once per activation; a two-phase scheduler validates it again at
-    /// commit time regardless.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FsmUnitRuntime::call`].
-    pub fn peek_call(
-        &self,
-        caller: CallerId,
-        service: &str,
-        args: &[Value],
-        wires: &dyn ReadWires,
-    ) -> Result<PeekedCall, EvalError> {
-        self.peek_call_scratch(caller, service, args, wires, &mut PeekScratch::default())
-    }
-
-    /// [`FsmUnitRuntime::peek_call`] with caller-owned buffer pools: the
-    /// session clone's locals and the wire-write capture vector come
-    /// from `scratch` instead of fresh allocations, and return there
-    /// when the peek is committed ([`FsmUnitRuntime::commit_peeked_reclaim`])
-    /// or abandoned ([`PeekScratch::reclaim`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FsmUnitRuntime::call`].
-    pub fn peek_call_scratch(
-        &self,
-        caller: CallerId,
-        service: &str,
-        args: &[Value],
-        wires: &dyn ReadWires,
-        scratch: &mut PeekScratch,
-    ) -> Result<PeekedCall, EvalError> {
-        let Some(idx) = self.resolve(service) else {
-            return Err(EvalError::Service(format!(
-                "unit {} has no service {service}",
-                self.spec.name()
-            )));
-        };
-        let svc = &self.spec.services()[idx];
-        if svc.args().len() != args.len() {
-            return Err(EvalError::Service(format!(
-                "service {service} expects {} argument(s), got {}",
-                svc.args().len(),
-                args.len()
-            )));
-        }
-        let key = (caller, Arc::clone(&self.interned[idx]));
-        let mut locals = scratch.take_locals();
-        let mut session = match self.sessions.get(&key) {
-            Some(s) => {
-                locals.extend_from_slice(&s.locals);
-                Session {
-                    exec: s.exec.clone(),
-                    locals,
-                }
-            }
-            None => {
-                locals.extend(svc.locals().iter().map(|v| v.init().clone()));
-                Session {
-                    exec: FsmExec::new(svc.fsm()),
-                    locals,
-                }
-            }
-        };
-        let pre_state = session.exec.current();
-        let pre_steps = session.exec.steps();
-        let mut pw = PeekWires {
-            inner: wires,
-            writes: scratch.take_writes(),
-        };
-        let (outcome, stable) = step_session(svc, &mut session, args, &mut pw)?;
-        Ok(PeekedCall {
-            outcome,
-            stable,
-            delta: Some(PeekDelta::Session(SessionDelta {
-                pre_state,
-                pre_steps,
-                post: session,
-                writes: pw.writes,
-            })),
-        })
-    }
-
-    /// Commits a [`FsmUnitRuntime::peek_call`] result without re-running
-    /// the protocol step: validates that the caller's session is still
-    /// exactly as peeked (state + monotone step count — sessions are
-    /// caller-private, so this only fails when the same module stepped
-    /// the same session twice in one activation), then installs the
-    /// peeked post-session, re-issues the captured wire writes, and
-    /// performs the call bookkeeping `call` would have performed.
-    ///
-    /// Returns `false` (having changed nothing) when the fingerprint no
-    /// longer matches or the peek carries no delta — the caller must
-    /// fall back to a full [`FsmUnitRuntime::call`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates wire-store errors from re-issuing the captured writes.
-    pub fn commit_peeked(
-        &mut self,
-        caller: CallerId,
-        service: &str,
-        peeked: PeekedCall,
-        wires: &mut dyn WireStore,
-    ) -> Result<bool, EvalError> {
-        self.commit_peeked_reclaim(caller, service, peeked, wires, &mut PeekScratch::default())
-    }
-
-    /// [`FsmUnitRuntime::commit_peeked`] with buffer reclamation: every
-    /// pooled vector the peek borrowed — the captured writes after
-    /// re-issue, the displaced old session's locals, the post-session's
-    /// locals on a rejected fingerprint — is handed back to `scratch`
-    /// for the next peek, and completion resets reuse the session's
-    /// locals buffer in place.
-    ///
-    /// # Errors
-    ///
-    /// Propagates wire-store errors from re-issuing the captured writes.
-    pub fn commit_peeked_reclaim(
-        &mut self,
-        caller: CallerId,
-        service: &str,
-        peeked: PeekedCall,
-        wires: &mut dyn WireStore,
-        scratch: &mut PeekScratch,
-    ) -> Result<bool, EvalError> {
-        let Some(PeekDelta::Session(mut delta)) = peeked.delta else {
-            return Ok(false);
-        };
-        let Some(idx) = self.resolve(service) else {
-            scratch.put_locals(delta.post.locals);
-            scratch.put_writes(delta.writes);
-            return Ok(false);
-        };
-        let spec = Arc::clone(&self.spec);
-        let svc = &spec.services()[idx];
-        let key = (caller, Arc::clone(&self.interned[idx]));
-        let unchanged = match self.sessions.get(&key) {
-            Some(s) => s.exec.current() == delta.pre_state && s.exec.steps() == delta.pre_steps,
-            None => delta.pre_steps == 0 && delta.pre_state == svc.fsm().initial(),
-        };
-        if !unchanged {
-            scratch.put_locals(delta.post.locals);
-            scratch.put_writes(delta.writes);
-            return Ok(false);
-        }
-        for (w, v) in delta.writes.drain(..) {
-            wires.write_wire(w, v)?;
-        }
-        scratch.put_writes(delta.writes);
-        let mut session = delta.post;
-        if peeked.outcome.done {
-            // Reset the session for the next transaction, like `call`,
-            // reusing the pooled locals buffer in place.
-            session.exec = FsmExec::new(svc.fsm());
-            session.locals.clear();
-            session
-                .locals
-                .extend(svc.locals().iter().map(|v| v.init().clone()));
-        }
-        if let Some(old) = self.sessions.insert(key, session) {
-            scratch.put_locals(old.locals);
-        }
-        self.last_call_stable = peeked.stable;
-        let stats = self.stats.service_mut(svc.name());
-        stats.calls += 1;
-        if peeked.outcome.done {
-            stats.completions += 1;
-        }
-        Ok(true)
-    }
-
-    /// Standalone commit entry point of the two-phase model: applies a
-    /// module's buffered call records to this unit, in the order given.
-    /// Callers are responsible for the deterministic global ordering —
-    /// records must arrive sorted by `(module id, call index)` so the
-    /// commit reproduces exactly the mutation order of the
-    /// immediate-application path. (The co-simulation backplane commits
-    /// through the same [`FsmUnitRuntime::call`]/
-    /// [`FsmUnitRuntime::commit_peeked`] dispatch one record at a time,
-    /// interleaving per-call outcome validation that this batch
-    /// interface cannot express.)
-    ///
-    /// Returns the actual outcome of every applied call, for validation
-    /// against the outcomes speculated during the step phase.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FsmUnitRuntime::call`]; a malformed record (unknown
-    /// service, arity mismatch) surfaces as a typed
-    /// [`EvalError::Service`], never a panic.
-    pub fn apply_calls(
-        &mut self,
-        caller: CallerId,
-        calls: &[DeferredCall],
-        wires: &mut dyn WireStore,
-    ) -> Result<Vec<ServiceOutcome>, EvalError> {
-        calls
-            .iter()
-            .map(|c| self.call(caller, &c.service, &c.args, wires))
-            .collect()
     }
 
     /// Runs one controller activation (no-op for controller-less units).
@@ -1271,87 +911,6 @@ mod tests {
         assert!(put.contains(&spec.wire_id("ACK").unwrap()));
         assert!(put.contains(&spec.wire_id("B_FULL").unwrap()));
         assert!(unit.completion_signals("bogus").is_empty());
-    }
-
-    #[test]
-    fn peek_answers_the_outcome_the_real_call_produces() {
-        // Against every reachable session state of the handshake, peek
-        // then call must agree — and the peek must not mutate anything.
-        let spec = handshake_unit("hs", Type::INT16);
-        let mut unit = FsmUnitRuntime::new(spec.clone());
-        let mut wires = LocalWires::new(&spec);
-        let p = CallerId(1);
-        let c = CallerId(2);
-        for step in 0..30 {
-            let peeked_put = unit
-                .peek_call(p, "put", &[Value::Int(step)], &wires)
-                .unwrap();
-            let real_put = unit
-                .call(p, "put", &[Value::Int(step)], &mut wires)
-                .unwrap();
-            assert_eq!(peeked_put.outcome, real_put, "put step {step}");
-            assert_eq!(
-                peeked_put.stable,
-                unit.last_call_stable(),
-                "put step {step}"
-            );
-            let peeked_get = unit.peek_call(c, "get", &[], &wires).unwrap();
-            let real_get = unit.call(c, "get", &[], &mut wires).unwrap();
-            assert_eq!(peeked_get.outcome, real_get, "get step {step}");
-            assert_eq!(
-                peeked_get.stable,
-                unit.last_call_stable(),
-                "get step {step}"
-            );
-            unit.step_controller(&mut wires).unwrap();
-        }
-    }
-
-    #[test]
-    fn peek_is_read_only() {
-        let spec = handshake_unit("hs", Type::INT16);
-        let unit = FsmUnitRuntime::new(spec.clone());
-        let wires = LocalWires::new(&spec);
-        // Peeks create no sessions, bump no stats, write no wires.
-        unit.peek_call(CallerId(1), "put", &[Value::Int(1)], &wires)
-            .unwrap();
-        unit.peek_call(CallerId(2), "get", &[], &wires).unwrap();
-        assert_eq!(unit.sessions.len(), 0);
-        assert!(unit.stats().services.is_empty());
-        // Malformed peeks surface as typed errors, like real calls.
-        assert!(unit.peek_call(CallerId(1), "bogus", &[], &wires).is_err());
-        assert!(unit.peek_call(CallerId(1), "put", &[], &wires).is_err());
-    }
-
-    #[test]
-    fn apply_calls_replays_in_order() {
-        use cosma_core::DeferredCall;
-        let spec = handshake_unit("hs", Type::INT16);
-        let mut unit = FsmUnitRuntime::new(spec.clone());
-        let mut wires = LocalWires::new(&spec);
-        let record = |service: &str, args: Vec<Value>| DeferredCall {
-            binding: cosma_core::ids::BindingId::new(0),
-            service: service.into(),
-            args,
-            outcome: ServiceOutcome::pending(),
-        };
-        let outs = unit
-            .apply_calls(
-                CallerId(1),
-                &[
-                    record("put", vec![Value::Int(9)]),
-                    record("put", vec![Value::Int(9)]),
-                ],
-                &mut wires,
-            )
-            .unwrap();
-        assert_eq!(outs.len(), 2);
-        assert_eq!(unit.stats().services["put"].calls, 2);
-        // A malformed record is a typed error, not a panic.
-        let err = unit
-            .apply_calls(CallerId(1), &[record("nope", vec![])], &mut wires)
-            .unwrap_err();
-        assert!(err.to_string().contains("no service"));
     }
 
     #[test]

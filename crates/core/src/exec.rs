@@ -82,16 +82,6 @@ pub trait Env: ReadEnv {
         args: &[Value],
     ) -> Result<ServiceOutcome, EvalError>;
 
-    /// Whether [`exec_stmt`] should record every executed service call as
-    /// a [`DeferredCall`] in [`StepEffects::calls`]. Default `false`:
-    /// immediate-application environments pay nothing for the recording
-    /// machinery. Two-phase (step/commit) schedulers return `true` so the
-    /// activation's call stream — with the outcomes the environment
-    /// answered — can be replayed against the real units at commit time.
-    fn record_calls(&self) -> bool {
-        false
-    }
-
     /// Receives a diagnostic trace record. Default: ignored.
     fn trace(&mut self, _label: &str, _values: &[Value]) {}
 
@@ -121,38 +111,15 @@ pub struct PendingCall {
     pub service: std::sync::Arc<str>,
 }
 
-/// One service call executed during an activation, recorded (only when
-/// [`Env::record_calls`] is `true`) with its evaluated arguments and the
-/// outcome the environment answered.
-///
-/// This is the delta a two-phase scheduler buffers during its *step*
-/// phase: the step runs against a snapshot and records what it called;
-/// the *commit* phase then replays the records against the real units in
-/// deterministic `(module, call index)` order and validates that the
-/// answered outcomes still hold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeferredCall {
-    /// The module binding the call went through.
-    pub binding: crate::ids::BindingId,
-    /// The service name (refcounted share of the call statement's name).
-    pub service: std::sync::Arc<str>,
-    /// The evaluated argument values.
-    pub args: Vec<Value>,
-    /// The outcome the environment answered during the step.
-    pub outcome: ServiceOutcome,
-}
-
 /// Side effects of executing statements ([`exec_stmt`]), accumulated
 /// across one activation.
 ///
 /// The struct doubles as a reusable scratch arena: a scheduler that
-/// keeps one `StepEffects` per worker and steps through
-/// [`FsmExec::step_with`] pays zero steady-state heap allocation for
-/// call-argument vectors and trace-value buffers — [`exec_stmt`] draws
-/// them from the internal pools, and [`StepEffects::recycle`] returns
-/// them after the effects have been consumed. Equality ignores the
-/// pools: two effects with the same calls/pending are equal however
-/// their arenas differ.
+/// keeps one `StepEffects` and steps through [`FsmExec::step_with`]
+/// pays zero steady-state heap allocation for call arguments and trace
+/// values — [`exec_stmt`] evaluates them into reusable buffers, and
+/// [`StepEffects::recycle`] clears the effects while keeping the
+/// buffers. Equality ignores the buffers.
 #[derive(Debug, Clone, Default)]
 pub struct StepEffects {
     /// Number of service-call statements executed.
@@ -161,15 +128,10 @@ pub struct StepEffects {
     /// for activations whose calls all completed — `Vec::new` does not
     /// allocate, so unblocked activations pay nothing).
     pub pending: Vec<PendingCall>,
-    /// Every executed call with its evaluated arguments and answered
-    /// outcome, in execution order — recorded only when
-    /// [`Env::record_calls`] is `true`, empty (and allocation-free)
-    /// otherwise.
-    pub calls: Vec<DeferredCall>,
-    /// Recycled call-argument vectors ([`DeferredCall::args`] buffers
-    /// given back by [`StepEffects::recycle`]); [`exec_stmt`] pops one
-    /// per call statement instead of allocating.
-    args_pool: Vec<Vec<Value>>,
+    /// Reusable evaluation buffer for call arguments. One suffices:
+    /// argument expressions only read the environment, so no call can
+    /// start while another call's arguments are being evaluated.
+    args: Vec<Value>,
     /// Reusable evaluation buffer for trace-statement values, cleared
     /// (not dropped) between trace statements.
     trace_vals: Vec<Value>,
@@ -177,46 +139,23 @@ pub struct StepEffects {
 
 impl PartialEq for StepEffects {
     fn eq(&self, other: &Self) -> bool {
-        self.service_calls == other.service_calls
-            && self.pending == other.pending
-            && self.calls == other.calls
+        self.service_calls == other.service_calls && self.pending == other.pending
     }
 }
 
 impl StepEffects {
     /// Clears the activation-visible effects while *keeping* the heap
-    /// buffers: recorded calls hand their argument vectors back to the
-    /// internal pool, so the next activation through
-    /// [`FsmExec::step_with`] reuses them instead of allocating. The
-    /// scratch-arena reset of the two-phase scheduler's steady state.
+    /// buffers, so the next activation through [`FsmExec::step_with`]
+    /// reuses them instead of allocating.
     pub fn recycle(&mut self) {
         self.service_calls = 0;
         self.pending.clear();
-        for mut dc in self.calls.drain(..) {
-            dc.args.clear();
-            self.args_pool.push(std::mem::take(&mut dc.args));
-        }
-    }
-
-    /// Rough heap footprint of the effects and their pools, in bytes —
-    /// feeds the scheduler's arena high-water statistics.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let vecs = self
-            .args_pool
-            .iter()
-            .map(|v| v.capacity() * std::mem::size_of::<Value>())
-            .sum::<usize>();
-        self.pending.capacity() * std::mem::size_of::<PendingCall>()
-            + self.calls.capacity() * std::mem::size_of::<DeferredCall>()
-            + self.trace_vals.capacity() * std::mem::size_of::<Value>()
-            + vecs
     }
 }
 
 /// The state-transition outcome of one activation through
-/// [`FsmExec::step_with`] — the [`StepReport`] minus the call stream,
-/// which stays in the caller's [`StepEffects`] arena.
+/// [`FsmExec::step_with`] — the [`StepReport`] minus the effects, which
+/// stay in the caller's [`StepEffects`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepMeta {
     /// State at the start of the activation.
@@ -225,18 +164,6 @@ pub struct StepMeta {
     pub to: StateId,
     /// Whether a transition fired (self-loop transitions count).
     pub transitioned: bool,
-}
-
-/// A placeholder at state 0 — lets reusable result shells derive
-/// `Default`; always overwritten before being read.
-impl Default for StepMeta {
-    fn default() -> Self {
-        StepMeta {
-            from: StateId::new(0),
-            to: StateId::new(0),
-            transitioned: false,
-        }
-    }
 }
 
 /// Report of a single FSM activation.
@@ -254,9 +181,6 @@ pub struct StepReport {
     /// Service calls left pending by this activation — what the FSM is
     /// blocked on, if anything.
     pub pending: Vec<PendingCall>,
-    /// The activation's full call stream (see [`StepEffects::calls`]);
-    /// empty unless the environment opted into recording.
-    pub calls: Vec<DeferredCall>,
 }
 
 /// Execution state of one FSM instance: just the current state, as all
@@ -292,18 +216,6 @@ pub struct FsmExec {
     steps: u64,
 }
 
-/// A placeholder executor at state 0 — lets reusable result shells
-/// derive `Default`; always overwritten (via [`FsmExec::new`] or
-/// assignment) before driving an FSM.
-impl Default for FsmExec {
-    fn default() -> Self {
-        FsmExec {
-            current: StateId::new(0),
-            steps: 0,
-        }
-    }
-}
-
 impl FsmExec {
     /// Creates an executor positioned at the FSM's initial state.
     #[must_use]
@@ -331,17 +243,6 @@ impl FsmExec {
         self.current = state;
     }
 
-    /// Reconstructs an executor from captured state — the restore side
-    /// of checkpointing. Unlike [`FsmExec::jump_to`] this also restores
-    /// the activation count, so a restored executor is bit-identical
-    /// (`PartialEq`) to the one that was captured: commit-time
-    /// fingerprints that compare `(current, steps)` keep working across
-    /// a snapshot/restore boundary.
-    #[must_use]
-    pub fn restored(current: StateId, steps: u64) -> Self {
-        FsmExec { current, steps }
-    }
-
     /// Performs one activation: execute the current state's actions, then
     /// take the first enabled transition (if any).
     ///
@@ -358,12 +259,11 @@ impl FsmExec {
             transitioned: meta.transitioned,
             service_calls: effects.service_calls,
             pending: std::mem::take(&mut effects.pending),
-            calls: std::mem::take(&mut effects.calls),
         })
     }
 
-    /// Allocation-free variant of [`FsmExec::step`]: accumulates the call
-    /// stream into a caller-owned [`StepEffects`] arena instead of
+    /// Allocation-free variant of [`FsmExec::step`]: accumulates the
+    /// effects into a caller-owned [`StepEffects`] arena instead of
     /// building a fresh [`StepReport`]. A scheduler that recycles the
     /// arena between activations ([`StepEffects::recycle`]) pays no
     /// steady-state heap allocation for the effects bookkeeping.
@@ -474,15 +374,12 @@ pub fn exec_stmt(
         }
         Stmt::Call(call) => {
             effects.service_calls += 1;
-            // Argument vectors come from the effects' recycle pool, so a
-            // scheduler that recycles its arena steps without a malloc
-            // per call statement.
-            let mut args = effects.args_pool.pop().unwrap_or_default();
-            args.reserve(call.args.len());
+            effects.args.clear();
             for a in &call.args {
-                args.push(a.eval(env)?);
+                let v = a.eval(env)?;
+                effects.args.push(v);
             }
-            let outcome = env.call_service(call, &args)?;
+            let outcome = env.call_service(call, &effects.args)?;
             if let Some(done_var) = call.done {
                 env.write_var(done_var, Value::Bool(outcome.done))?;
             }
@@ -495,17 +392,6 @@ pub fn exec_stmt(
                     binding: call.binding,
                     service: call.service.clone(),
                 });
-            }
-            if env.record_calls() {
-                effects.calls.push(DeferredCall {
-                    binding: call.binding,
-                    service: call.service.clone(),
-                    args,
-                    outcome,
-                });
-            } else {
-                args.clear();
-                effects.args_pool.push(args);
             }
             Ok(())
         }
@@ -968,15 +854,16 @@ mod tests {
     }
 
     #[test]
-    fn calls_recorded_only_on_opt_in() {
-        // An environment that answers every call "done with 7" and can
-        // toggle recording: the call stream must be captured, with
-        // evaluated args and the answered outcome, only when opted in.
-        struct AnsweringEnv {
+    fn call_arguments_reach_the_environment_evaluated() {
+        // An environment that records the arguments of every call and
+        // answers "done with 7": each call must see exactly its own
+        // evaluated arguments, even though the effects arena reuses one
+        // argument buffer across calls.
+        struct RecordingEnv {
             inner: MapEnv,
-            record: bool,
+            seen: Vec<Vec<Value>>,
         }
-        impl ReadEnv for AnsweringEnv {
+        impl ReadEnv for RecordingEnv {
             fn read_var(&self, v: VarId) -> Result<Value, EvalError> {
                 self.inner.read_var(v)
             }
@@ -984,7 +871,7 @@ mod tests {
                 self.inner.read_port(p)
             }
         }
-        impl Env for AnsweringEnv {
+        impl Env for RecordingEnv {
             fn write_var(&mut self, v: VarId, value: Value) -> Result<(), EvalError> {
                 self.inner.write_var(v, value)
             }
@@ -994,43 +881,44 @@ mod tests {
             fn call_service(
                 &mut self,
                 _call: &ServiceCall,
-                _args: &[Value],
+                args: &[Value],
             ) -> Result<ServiceOutcome, EvalError> {
+                self.seen.push(args.to_vec());
                 Ok(ServiceOutcome::done_with(Value::Int(7)))
-            }
-            fn record_calls(&self) -> bool {
-                self.record
             }
         }
 
-        let stmt = Stmt::Call(crate::stmt::ServiceCall {
-            binding: crate::ids::BindingId::new(1),
-            service: "put".into(),
-            args: vec![Expr::int(2).add(Expr::int(3))],
-            done: None,
-            result: None,
-        });
-        let mut env = AnsweringEnv {
-            inner: MapEnv::new(),
-            record: true,
-        };
-        let mut effects = StepEffects::default();
-        exec_stmt(&stmt, &mut env, &mut effects).unwrap();
-        assert_eq!(
-            effects.calls,
-            vec![DeferredCall {
+        let call = |args: Vec<Expr>| {
+            Stmt::Call(crate::stmt::ServiceCall {
                 binding: crate::ids::BindingId::new(1),
                 service: "put".into(),
-                args: vec![Value::Int(5)],
-                outcome: ServiceOutcome::done_with(Value::Int(7)),
-            }]
-        );
-        // Without opt-in the stream stays empty (and allocation-free).
-        env.record = false;
+                args,
+                done: None,
+                result: None,
+            })
+        };
+        let mut env = RecordingEnv {
+            inner: MapEnv::new(),
+            seen: vec![],
+        };
         let mut effects = StepEffects::default();
-        exec_stmt(&stmt, &mut env, &mut effects).unwrap();
-        assert_eq!(effects.service_calls, 1);
-        assert!(effects.calls.is_empty());
+        for stmt in [
+            call(vec![Expr::int(2).add(Expr::int(3)), Expr::int(1)]),
+            call(vec![]),
+            call(vec![Expr::int(4)]),
+        ] {
+            exec_stmt(&stmt, &mut env, &mut effects).unwrap();
+        }
+        assert_eq!(
+            env.seen,
+            vec![
+                vec![Value::Int(5), Value::Int(1)],
+                vec![],
+                vec![Value::Int(4)]
+            ]
+        );
+        assert_eq!(effects.service_calls, 3);
+        assert!(effects.pending.is_empty());
     }
 
     #[test]

@@ -71,8 +71,8 @@ pub mod view;
 
 pub use bit::{Bit, ParseBitError};
 pub use exec::{
-    eval_const, exec_stmt, DeferredCall, Env, FsmExec, MapEnv, PendingCall, ServiceOutcome,
-    StepEffects, StepMeta, StepReport,
+    eval_const, exec_stmt, Env, FsmExec, MapEnv, PendingCall, ServiceOutcome, StepEffects,
+    StepMeta, StepReport,
 };
 pub use expr::{BinOp, EvalError, Expr, ReadEnv, UnOp};
 pub use fsm::{Fsm, FsmBuildError, FsmBuilder, State, Transition};

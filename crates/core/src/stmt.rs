@@ -53,8 +53,7 @@ pub enum Stmt {
     Call(ServiceCall),
     /// Diagnostic trace record (used by experiment harnesses; erased by
     /// synthesis). The label is interned at statement construction
-    /// (`"label".into()`), so every runtime that records the trace —
-    /// including the co-simulation backplane's speculative step phase —
+    /// (`"label".into()`), so every runtime that records the trace
     /// shares one refcounted string instead of re-allocating the label
     /// per activation.
     Trace(Arc<str>, Vec<Expr>),

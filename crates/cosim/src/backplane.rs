@@ -7,26 +7,29 @@
 //!   synchronization rule.
 //! * FSM communication units live on kernel signals (one per wire).
 //!   Service calls from modules step the caller's protocol session
-//!   against those signals — the runtime equivalent of linking the SW
-//!   *simulation* view (Fig. 3b).
+//!   against those signals at once — the runtime equivalent of linking
+//!   the SW *simulation* view (Fig. 3b).
 //! * All stepping — module activations, unit controller steps, native
 //!   steps, batched-link pumping — is owned by one *activation
-//!   scheduler* ([`SchedulingConfig`]). By default both modules and
-//!   units are grouped into *shards*: each shard is one kernel process
-//!   whose members carry per-member activation state. A member that
-//!   proves itself stable is **parked** — removed from the shard's
-//!   active set and re-armed only by events on its *watch wires* — and
-//!   a shard whose members are all parked goes dormant (drops its clock
-//!   sensitivity entirely), so idle regions of the backplane cost
+//!   scheduler* ([`SchedulingConfig`]). By default units are grouped
+//!   into *shards* (one kernel process each) and modules into the
+//!   shards of one *module driver* process, both placed by hashed id.
+//!   The driver steps each cycle's module activations in module-id
+//!   order, so service calls reach their units in the same order as
+//!   under one process per module. A member that proves itself stable
+//!   is **parked** — removed from its shard's active set and re-armed
+//!   only by events on its *watch wires* — and a shard whose members
+//!   are all parked goes dormant, so idle regions of the backplane cost
 //!   nothing per clock edge.
 //! * A module whose FSM is blocked on a pending service call parks on
 //!   the bound unit's **completion wires** (the read-set of the blocked
 //!   protocol): a consumer blocked on `get` against an empty link costs
 //!   zero activations until the producer's `put` lands.
-//! * The legacy one-kernel-process-per-unit and per-module paths
-//!   survive as [`UnitScheduling::PerUnit`] /
-//!   [`ModuleScheduling::PerModule`] for ablation, and parking can be
-//!   disabled wholesale with [`SchedulingConfig::park_blocked`].
+//! * One process per unit and per module survives as
+//!   [`UnitScheduling::PerUnit`] / [`ModuleScheduling::PerModule`]
+//!   ([`SchedulingConfig::legacy`]), the oracle the sharded path is
+//!   tested against, and parking can be disabled wholesale with
+//!   [`SchedulingConfig::park_blocked`].
 //! * Batched bus links ([`Cosim::add_batched_unit`]) coalesce per-value
 //!   transfers into one wire handshake per (adaptively sized) batch.
 
@@ -61,9 +64,8 @@ pub(crate) const BOUNDARY_CALLER: CallerId = CallerId(u64::MAX);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnitScheduling {
     /// One clocked kernel process per unit, activated on every HW clock
-    /// edge. The pre-sharding path, kept as an ablation baseline — per
-    /// edge it costs one process wakeup per unit even when every unit is
-    /// provably idle.
+    /// edge. The oracle path — per edge it costs one process wakeup per
+    /// unit even when every unit is provably idle.
     PerUnit,
     /// Units grouped into shards by **hashed id** (so creation-order
     /// runs of hot units do not pile into one shard); each shard is one
@@ -92,18 +94,20 @@ impl Default for UnitScheduling {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModuleScheduling {
     /// One kernel process per module, activated on every rising edge of
-    /// its kind's activation clock. The classic path, kept for ablation.
+    /// its kind's activation clock. The oracle path.
     /// (Parking still applies unless disabled: a blocked module's
     /// process swaps its clock sensitivity for its watch wires.)
     PerModule,
-    /// Modules grouped into shards **in creation order** (service calls
-    /// mutate unit state immediately, so the global step order must
-    /// match the per-module path — see the module docs); each shard is
-    /// one kernel process stepping its active members on their clock's
-    /// rising edges. Parked members cost nothing until a watch wire
+    /// Modules placed into shards by **hashed id**, all stepped by one
+    /// driver process. Each cycle the driver steps the active members
+    /// whose clock rose in module-id order — the per-module path's
+    /// order — so service calls act on their units at once, exactly as
+    /// there. A per-shard watcher process owns the wakeups of the
+    /// shard's parked members, which cost nothing until a watch wire
     /// events.
     Sharded {
-        /// Maximum modules per shard.
+        /// Target modules per shard (shards are opened so the *average*
+        /// fill is `shard_size`).
         shard_size: usize,
     },
 }
@@ -116,85 +120,8 @@ impl Default for ModuleScheduling {
     }
 }
 
-/// How module service calls are applied to the bound units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CallApplication {
-    /// Calls mutate unit state the moment the module executes them. The
-    /// classic path: correct only while module steps run in creation
-    /// order, which forces creation-order module placement and fully
-    /// serial stepping. Kept for ablation and as the equivalence oracle.
-    Immediate,
-    /// Two-phase step/commit: during the *step* phase a module
-    /// activation runs against the cycle-start snapshot — service calls
-    /// answer speculative outcomes ([`cosma_comm::FsmUnitRuntime::peek_call`])
-    /// and are buffered as [`cosma_core::DeferredCall`] records together
-    /// with every other effect (variable writes, port drives, traces).
-    /// The *commit* phase then replays all buffered calls against the
-    /// real units in `(module id, call index)` order, validating each
-    /// actual outcome against the speculation; an activation whose
-    /// speculation fails (or that called a wire-invisible native unit)
-    /// is re-executed sequentially inside the commit, which restores
-    /// exact immediate semantics. Step order therefore no longer
-    /// matters, which is what allows hashed module placement and
-    /// multi-threaded stepping ([`Parallelism::Threads`]).
-    Deferred,
-}
-
-/// How many OS threads the deferred step phase fans out over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Parallelism {
-    /// Step phase runs inline on the kernel thread (default).
-    Off,
-    /// Step phase fans the cycle's module activations out over up to `n`
-    /// threads total: the kernel thread plus `n - 1` pooled workers.
-    /// Speculation is pure (read-only against the snapshot), so
-    /// threading cannot change results — the sequential commit phase is
-    /// the only mutator. Requires [`CallApplication::Deferred`].
-    ///
-    /// `Threads(1)` engages the speculative step/commit regime (scratch
-    /// arenas, work-stealing chunks) on the kernel thread alone, with
-    /// no worker handoff at all — useful for exercising or profiling
-    /// the two-phase machinery without OS-thread traffic.
-    Threads(usize),
-}
-
-/// How module shard members are placed into shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModulePlacement {
-    /// Fill shards in creation order. Mandatory under
-    /// [`CallApplication::Immediate`] (the global step order must match
-    /// the per-module path); supported under `Deferred` for ablation.
-    CreationOrder,
-    /// Hash module ids over the open shards, exactly like unit
-    /// placement, so hot creation-order runs don't pile into one shard.
-    /// Requires [`CallApplication::Deferred`] — the commit phase
-    /// restores the deterministic global order regardless of placement.
-    Hashed,
-}
-
-/// How shard members of different clock domains may be placed relative
-/// to each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DomainPlacement {
-    /// Shards never mix clock domains (the only supported placement):
-    /// every shard pool — unit shards, immediate module shards, the
-    /// two-phase driver's shards — is split per domain, so a shard's
-    /// members always share one activation clock pair and one
-    /// [`ClockDemand`] ledger.
-    #[default]
-    Isolated,
-    /// Request mixed-domain shards. Unsupported: a shard's park/demand
-    /// accounting is keyed to one domain's clock generators, so
-    /// [`Cosim::add_clock_domain`] rejects this placement with a typed
-    /// [`CosimError::Setup`] as soon as a second domain would exist.
-    /// Kept as an explicit knob (rather than silently ignoring the
-    /// request) so configuration intent always round-trips.
-    Mixed,
-}
-
 /// The activation scheduler's configuration: how units and modules are
-/// dispatched, how service calls are applied, and whether
-/// provably-stable FSMs are parked.
+/// dispatched and whether provably-stable FSMs are parked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulingConfig {
     /// Unit dispatch (controller steps, native steps, batched pumping).
@@ -214,27 +141,6 @@ pub struct SchedulingConfig {
     /// activations themselves, so activation counts differ from a
     /// `park_blocked: false` run while a module is blocked.
     pub park_blocked: bool,
-    /// Service-call application: two-phase step/commit (default) or
-    /// immediate (the PR 3 baseline, kept for ablation).
-    pub calls: CallApplication,
-    /// Module shard placement (hashed by default; creation-order fill is
-    /// mandatory under immediate calls).
-    pub placement: ModulePlacement,
-    /// Step-phase threading (deferred calls only; default off).
-    pub parallelism: Parallelism,
-    /// Minimum stepping-set size before a deferred cycle speculates
-    /// (and, with [`Parallelism::Threads`], fans out to the worker
-    /// pool). Cycles below the threshold — or any cycle when no pool
-    /// exists — step directly in `(module id)` order instead: the
-    /// same deterministic semantics without the buffering cost.
-    /// Defaults to [`STEP_FANOUT_MIN`]; tests lower it to force the
-    /// speculative machinery onto small backplanes.
-    pub step_fanout_min: usize,
-    /// Clock-domain shard placement (see [`DomainPlacement`]). Only
-    /// [`DomainPlacement::Isolated`] is supported with more than one
-    /// domain; [`DomainPlacement::Mixed`] makes
-    /// [`Cosim::add_clock_domain`] fail with a typed setup error.
-    pub domains: DomainPlacement,
 }
 
 impl Default for SchedulingConfig {
@@ -244,57 +150,27 @@ impl Default for SchedulingConfig {
 }
 
 impl SchedulingConfig {
-    /// The default configuration: sharded units, sharded modules placed
-    /// by hashed id, two-phase (deferred) call application, parking
-    /// enabled, no step-phase threading.
+    /// The production configuration (the default): sharded units, one
+    /// module driver over hashed module shards, parking enabled.
     #[must_use]
     pub fn sharded() -> Self {
         SchedulingConfig {
             units: UnitScheduling::default(),
             modules: ModuleScheduling::default(),
             park_blocked: true,
-            calls: CallApplication::Deferred,
-            placement: ModulePlacement::Hashed,
-            parallelism: Parallelism::Off,
-            step_fanout_min: STEP_FANOUT_MIN,
-            domains: DomainPlacement::Isolated,
         }
     }
 
-    /// The PR 3 baseline: sharded units and modules with parking, but
-    /// immediate call application (creation-order module placement,
-    /// serial stepping). The equivalence oracle for the deferred path.
-    #[must_use]
-    pub fn immediate() -> Self {
-        SchedulingConfig {
-            calls: CallApplication::Immediate,
-            placement: ModulePlacement::CreationOrder,
-            ..SchedulingConfig::sharded()
-        }
-    }
-
-    /// The PR-2-era baseline: one process per unit and per module,
-    /// stepped on every clock edge, no parking. Kept for ablation.
+    /// The scheduling oracle: one process per unit and per module,
+    /// stepped on every clock edge, no parking. Tests compare the
+    /// production path against it.
     #[must_use]
     pub fn legacy() -> Self {
         SchedulingConfig {
             units: UnitScheduling::PerUnit,
             modules: ModuleScheduling::PerModule,
             park_blocked: false,
-            calls: CallApplication::Immediate,
-            placement: ModulePlacement::CreationOrder,
-            parallelism: Parallelism::Off,
-            step_fanout_min: STEP_FANOUT_MIN,
-            domains: DomainPlacement::Isolated,
         }
-    }
-
-    /// Returns this configuration with the step phase fanned out over
-    /// `n` worker threads (implies deferred calls stay required).
-    #[must_use]
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.parallelism = Parallelism::Threads(n);
-        self
     }
 
     /// Setup-time validation of the configuration's internal
@@ -304,37 +180,6 @@ impl SchedulingConfig {
             || matches!(self.modules, ModuleScheduling::Sharded { shard_size: 0 })
         {
             return Err(CosimError::Setup("shard size must be nonzero".to_string()));
-        }
-        if matches!(self.parallelism, Parallelism::Threads(0)) {
-            return Err(CosimError::Setup(
-                "parallelism: thread count must be nonzero".to_string(),
-            ));
-        }
-        if self.step_fanout_min == 0 {
-            return Err(CosimError::Setup(
-                "step_fanout_min must be nonzero".to_string(),
-            ));
-        }
-        if self.calls == CallApplication::Immediate {
-            if self.placement == ModulePlacement::Hashed {
-                return Err(CosimError::Setup(
-                    "hashed module placement requires deferred call application \
-                     (immediate calls pin the global step order to creation order)"
-                        .to_string(),
-                ));
-            }
-            if self.parallelism != Parallelism::Off {
-                return Err(CosimError::Setup(
-                    "threaded stepping requires deferred call application".to_string(),
-                ));
-            }
-        }
-        if self.calls == CallApplication::Deferred
-            && matches!(self.modules, ModuleScheduling::PerModule)
-        {
-            return Err(CosimError::Setup(
-                "deferred call application requires sharded module scheduling".to_string(),
-            ));
         }
         Ok(())
     }
@@ -379,66 +224,6 @@ pub struct ShardStats {
     /// Members currently parked (across shards and per-module
     /// processes).
     pub parked_now: usize,
-    /// Deferred calls applied by commit phases
-    /// ([`CallApplication::Deferred`] only).
-    pub commit_calls: u64,
-    /// Activations whose speculation failed validation (or that called a
-    /// wire-invisible native unit) and were re-executed sequentially in
-    /// the commit phase.
-    pub commit_fallbacks: u64,
-    /// Per-worker stepped-activation counts of the threaded step phase;
-    /// empty under [`Parallelism::Off`]. `step_thread_runs[i]` is the
-    /// number of module activations speculated on worker `i`.
-    pub step_thread_runs: Vec<u64>,
-    /// Scratch-arena and work-stealing accounting of the threaded step
-    /// phase; all-zero outside the speculative regime.
-    pub scratch: ScratchStats,
-}
-
-/// Allocation-reuse and load-balance counters of the threaded step
-/// phase's per-worker scratch arenas ([`ShardStats::scratch`]).
-///
-/// In steady state `arena_reuses` dominates `arena_acquires`: every
-/// speculative activation runs inside a recycled result shell (pooled
-/// call-argument buffers, peek vectors, trace buffers, the
-/// copy-on-write var overlay), so the step phase stops allocating once
-/// the pools are warm. `steals` counts work chunks a worker claimed
-/// beyond its fair share of the cycle's stepping set — nonzero steals
-/// mean the shared-cursor chunking actually rebalanced skewed
-/// speculation costs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScratchStats {
-    /// Shell acquisitions that had to allocate a fresh shell (cold
-    /// pool).
-    pub arena_acquires: u64,
-    /// Shell acquisitions served from a worker's free-list — the
-    /// allocation-free steady state.
-    pub arena_reuses: u64,
-    /// High-water mark of approximate bytes retained across all
-    /// recycled shells after a commit phase.
-    pub bytes_high_water: u64,
-    /// Work chunks claimed off the shared step-phase cursor.
-    pub chunks: u64,
-    /// Chunks claimed by a worker already past its fair share of the
-    /// stepping set (len / workers) — load actively rebalanced away
-    /// from a slow worker.
-    pub steals: u64,
-    /// Current adaptive work-stealing chunk size (zero until the first
-    /// speculative cycle). Starts at [`STEP_CHUNK_INIT`], halves on a
-    /// cycle that had to steal (finer grains rebalance skew better) and
-    /// doubles on a steal-free cycle with plenty of chunks (coarser
-    /// grains contend the shared cursor less).
-    pub chunk_now: u64,
-    /// Cycles that shrank the chunk size (a steal was observed).
-    pub chunk_shrinks: u64,
-    /// Cycles that grew the chunk size (steal-free with spare chunks).
-    pub chunk_grows: u64,
-    /// Oversized speculation shells dropped back to the allocator after
-    /// commit instead of being recycled: a shell whose retained pools
-    /// grew far past the running per-shell average (a trace burst, a
-    /// pathological activation) is reclaimed so one outlier cannot pin
-    /// the arena's [`ScratchStats::bytes_high_water`] forever.
-    pub shells_shrunk: u64,
 }
 
 /// Park/resume accounting shared by every scheduler path.
@@ -494,11 +279,7 @@ impl ClockDemand {
             return;
         }
         if self.demand.get() <= 0 {
-            let next = match ctx.read(self.kick) {
-                Value::Bit(cosma_core::Bit::One) => cosma_core::Bit::Zero,
-                _ => cosma_core::Bit::One,
-            };
-            ctx.drive(self.kick, Value::Bit(next));
+            toggle(ctx, self.kick);
         }
         self.demand.set(self.demand.get() + n as i64);
     }
@@ -532,7 +313,7 @@ impl Default for CosimConfig {
 /// versus the base. Units and modules are placed into a domain with the
 /// `*_in` constructors ([`Cosim::add_fsm_unit_in`],
 /// [`Cosim::add_module_in`], ...); the domain decides which activation
-/// clock pair drives them and which [`ClockDemand`] ledger accounts for
+/// clock pair drives them and which clock-demand ledger accounts for
 /// their parking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DomainId(usize);
@@ -665,7 +446,7 @@ enum Handle {
 
 /// Everything the backplane knows about one module instance. Owned by
 /// the shared module table so both scheduler paths (per-module process,
-/// module shard) step modules through the same code.
+/// module driver) step modules through the same code.
 struct ModuleEntry {
     name: String,
     module: Module,
@@ -678,36 +459,25 @@ struct ModuleEntry {
     status: ModuleStatus,
 }
 
-/// What a shard member is: a unit's bookkeeping body or a module's FSM.
-#[derive(Clone, Copy)]
-enum MemberBody {
-    Unit(Handle),
-    Module(usize),
-}
-
-/// One member of a shard: its body, its activation clock, its gating
-/// wires and the wires that re-arm it while parked.
+/// One member of a unit shard: the unit's bookkeeping body (controller
+/// steps, native steps, batched pumping), its activation clock and its
+/// gating wires.
 struct ShardMember {
-    body: MemberBody,
+    unit: Handle,
     /// The rising edge this member activates on.
     clk: SignalId,
-    /// Gating wires (unit members only): the unit's kernel wires, whose
-    /// monotone event counts decide whether inputs changed.
+    /// The unit's gating wires, whose monotone event counts decide
+    /// whether inputs changed. They double as the member's watch wires:
+    /// events on them re-arm it while parked.
     wires: Vec<SignalId>,
     /// Last observed event counts for `wires`.
     seen_events: Vec<u64>,
-    /// Wires whose events re-arm this member while parked. Fixed for
-    /// units (their own wires); computed at park time for modules
-    /// (ports plus the blocked services' completion wires). Empty means
-    /// the member can never be re-armed (a provably-halted module).
-    watch: Vec<SignalId>,
 }
 
-/// Shared state of one shard process.
+/// Shared state of one unit shard process.
 struct ShardState {
     members: Vec<ShardMember>,
-    /// Indices of members stepped at clock edges, ascending (module
-    /// step order must match creation order — see the module docs).
+    /// Indices of members stepped at clock edges, ascending.
     active: Vec<u32>,
     /// Indices of parked members, re-armed by watch-wire events.
     parked: Vec<u32>,
@@ -747,9 +517,18 @@ impl ShardState {
         self.active.push(idx);
         self.wait_dirty = true;
     }
+
+    /// Surrenders the clock demand of every unparked member after a
+    /// backplane error (once).
+    fn halt(&mut self, demand: &ClockDemand) {
+        if !self.halted {
+            self.halted = true;
+            demand.park(self.members.len() - self.parked.len());
+        }
+    }
 }
 
-/// splitmix64: the hash spreading unit ids over shards.
+/// splitmix64: the hash spreading unit and module ids over shards.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -764,8 +543,8 @@ struct CtxWires<'a, 'b> {
     map: &'a [SignalId],
     /// One clock cycle of the owning unit's clock, the unit of
     /// [`WireStore::write_wire_after`] scheduling. `Duration::ZERO` at
-    /// call sites that never schedule timed writes (service dispatch,
-    /// commit replay) — timed writes then report unsupported, which
+    /// call sites that never schedule timed writes (service dispatch)
+    /// — timed writes then report unsupported, which
     /// keeps a mis-plumbed site on the cycle-by-cycle fallback instead
     /// of silently collapsing a burst into one instant.
     cycle: Duration,
@@ -824,47 +603,20 @@ impl WireStore for CtxWires<'_, '_> {
     }
 }
 
-/// Outcome record of a call that was already applied to its unit during
-/// a commit phase, served to a fallback re-execution so the unit is not
-/// mutated twice. See [`step_module`]'s `memo` parameter.
-struct MemoCall {
-    binding: cosma_core::ids::BindingId,
-    service: Arc<str>,
-    result: Result<ServiceOutcome, EvalError>,
-    stable: bool,
-}
-
-/// Reusable arena for immediate-mode activations through
-/// [`step_module`]: the memoized-outcome deque and the
-/// [`StepEffects`](cosma_core::StepEffects) call-stream arena. Each
-/// inline scheduler process owns one, and every [`SpecResult`] shell
-/// carries one for the commit phase's divergence fallback — so the
-/// re-execution path draws its environment from the per-shard scratch
-/// (recycled through [`StepScratch`]) instead of building a fresh
-/// immediate env per fallback.
+/// Reusable arena for module activations through [`step_module`]: the
+/// [`StepEffects`](cosma_core::StepEffects) arena and the pooled watch
+/// list. Each module-stepping process owns one, so a warm activation
+/// allocates nothing for its bookkeeping.
 #[derive(Default)]
-struct ImmScratch {
-    /// Already-applied call outcomes to serve before touching the
-    /// units again; cleared (capacity kept) after every activation.
-    memo: std::collections::VecDeque<MemoCall>,
+struct ModuleScratch {
     /// Step-effects arena handed to
     /// [`FsmExec::step_with`](cosma_core::FsmExec::step_with);
-    /// recycled (pools kept) at the start of every activation.
+    /// recycled at the start of every activation.
     effects: cosma_core::StepEffects,
     /// Pooled completion-wire watch list lent to the activation's
     /// [`CosimEnv`]; returned cleared unless the module parks (the
     /// rare case, where the buffer leaves as the park wait list).
     watch: Vec<SignalId>,
-}
-
-impl ImmScratch {
-    /// Approximate bytes retained by the arena's buffers
-    /// (capacity-based) — feeds [`SpecResult::approx_bytes`].
-    fn approx_bytes(&self) -> usize {
-        self.memo.capacity() * std::mem::size_of::<MemoCall>()
-            + self.effects.approx_bytes()
-            + self.watch.capacity() * std::mem::size_of::<SignalId>()
-    }
 }
 
 /// The execution environment a module activation sees: ports are kernel
@@ -881,11 +633,6 @@ struct CosimEnv<'a, 'b> {
     caller: CallerId,
     trace: &'a RefCell<TraceLog>,
     source: &'a str,
-    /// Already-applied call outcomes to serve before touching the units
-    /// again (commit-phase fallback re-execution; empty otherwise).
-    /// Borrowed from the caller's [`ImmScratch`] so the deque's
-    /// capacity survives across activations.
-    memo: &'a mut std::collections::VecDeque<MemoCall>,
     /// Effective changes this activation: variable writes that changed
     /// a value, port drives that differ from the signal's current
     /// value, trace records, completed service calls. Zero means the
@@ -900,8 +647,8 @@ struct CosimEnv<'a, 'b> {
 }
 
 impl CosimEnv<'_, '_> {
-    /// Shared post-call bookkeeping: a completed call is an effective
-    /// change; a pending one contributes to the park verdict (parkable
+    /// Post-call bookkeeping: a completed call is an effective change;
+    /// a pending one contributes to the park verdict (parkable
     /// only if the unit proved the call a no-op AND names completion
     /// wires that can wake the caller).
     fn note_outcome(&mut self, handle: Handle, service: &str, done: bool, stable: bool) {
@@ -976,21 +723,6 @@ impl Env for CosimEnv<'_, '_> {
                 self.source, call.binding
             )));
         };
-        // Commit-phase fallback: serve the outcomes of calls that were
-        // already applied to the units during validation, in order. The
-        // re-execution is deterministic, so the served stream lines up
-        // with the calls the activation re-issues.
-        if let Some(m) = self.memo.pop_front() {
-            if m.binding != call.binding || m.service != call.service {
-                return Err(EvalError::Service(format!(
-                    "module {}: deferred-call replay diverged (expected {}/{}, got {}/{})",
-                    self.source, m.binding, m.service, call.binding, call.service
-                )));
-            }
-            let out = m.result?;
-            self.note_outcome(handle, &call.service, out.done, m.stable);
-            return Ok(out);
-        }
         let (out, stable) = {
             let mut reg = self.registry.borrow_mut();
             match handle {
@@ -1076,16 +808,13 @@ impl From<SimError> for CosimError {
 }
 
 /// One module activation through the shared module table, with service
-/// calls applied immediately (and, during a commit-phase fallback,
-/// already-applied outcomes served from `scratch.memo` first). Returns
-/// `Ok(Some(watch))` when the activation proved the module stable and
-/// it should be parked on `watch` (possibly empty: a halted module that
-/// nothing can ever re-arm), `Ok(None)` to stay clocked.
+/// calls applied to their units at once. Returns `Ok(Some(watch))` when
+/// the activation proved the module stable and it should be parked on
+/// `watch` (possibly empty: a halted module that nothing can ever
+/// re-arm), `Ok(None)` to stay clocked.
 ///
 /// The execution environment is drawn from the caller's pooled
-/// [`ImmScratch`] — the memo deque and the [`StepEffects`] arena are
-/// recycled (capacity kept) across activations, so a warm immediate
-/// path or commit fallback allocates nothing for its bookkeeping.
+/// [`ModuleScratch`], recycled (capacity kept) across activations.
 #[allow(clippy::too_many_arguments)]
 fn step_module(
     modules: &RefCell<Vec<ModuleEntry>>,
@@ -1095,7 +824,7 @@ fn step_module(
     park: &ParkCounters,
     park_blocked: bool,
     ctx: &mut ProcCtx<'_>,
-    scratch: &mut ImmScratch,
+    scratch: &mut ModuleScratch,
 ) -> Result<Option<Vec<SignalId>>, String> {
     let mut modules = modules.borrow_mut();
     let ModuleEntry {
@@ -1121,13 +850,11 @@ fn step_module(
         caller: *caller,
         trace,
         source: name,
-        memo: &mut scratch.memo,
         changes: 0,
         pending_stable: true,
         pending_watch: std::mem::take(&mut scratch.watch),
     };
-    let stepped = exec.step_with(fsm, &mut env, &mut scratch.effects);
-    let verdict = match stepped {
+    match exec.step_with(fsm, &mut env, &mut scratch.effects) {
         Ok(meta) => {
             let changes = env.changes;
             let pending_stable = env.pending_stable;
@@ -1176,933 +903,32 @@ fn step_module(
             status.error = Some(msg.clone());
             Err(msg)
         }
-    };
-    // Any unserved memo entries (a diverged replay that erred early)
-    // are stale — clear them so the next activation through this
-    // scratch starts clean, keeping the deque's capacity.
-    scratch.memo.clear();
-    verdict
-}
-
-/// Read-only wire view over the cycle-start signal snapshot, for
-/// speculative unit peeks. Exact within an activation: kernel drives
-/// are delta-delayed, so the immediate path's protocol steps read the
-/// same snapshot.
-struct SnapWires<'a, 'b> {
-    ctx: &'a ProcCtx<'b>,
-    map: &'a [SignalId],
-}
-
-impl cosma_comm::ReadWires for SnapWires<'_, '_> {
-    fn read_wire(&self, w: PortId) -> Result<Value, EvalError> {
-        match self.map.get(w.index()) {
-            Some(&sig) => Ok(self.ctx.read(sig).clone()),
-            None => Err(EvalError::NoSuchPort(w)),
-        }
-    }
-}
-
-/// Everything one speculative module activation buffered during the
-/// step phase. Nothing in here has touched shared state: the commit
-/// phase installs it wholesale (after validating the speculated call
-/// outcomes against the real units) or discards it and re-executes the
-/// activation sequentially.
-///
-/// A `SpecResult` doubles as the *scratch arena* of the threaded step
-/// phase: after its effects are installed, [`SpecResult::reset`]
-/// clears the activation-visible contents while keeping every heap
-/// buffer — the var-overlay, drive/trace/peek vectors, the
-/// [`StepEffects`](cosma_core::StepEffects) call-argument pools and
-/// the [`cosma_comm::PeekScratch`] session pools — and the shell goes
-/// back to the free-list of the worker that filled it. Steady-state
-/// speculation therefore performs zero heap allocation: every buffer
-/// an activation needs is popped from a pool and returned after
-/// commit.
-#[derive(Default)]
-struct SpecResult {
-    /// Effective variable writes in execution order (a copy-on-write
-    /// overlay over the entry's committed vars — most activations
-    /// write zero or one variable, so buffering writes beats cloning
-    /// the whole vars vec per speculation).
-    var_writes: Vec<(VarId, Value)>,
-    /// Post-activation executor (current state + step count).
-    exec: FsmExec,
-    /// The activation's state-transition outcome.
-    meta: cosma_core::StepMeta,
-    /// The activation's call stream and pending set (with the internal
-    /// argument-buffer pools that make re-filling it allocation-free).
-    effects: cosma_core::StepEffects,
-    /// Per-call speculated stability flags, parallel to `effects.calls`.
-    call_stables: Vec<bool>,
-    /// Per-call peek results, parallel to `effects.calls`: FSM-unit
-    /// peeks carry a session delta the commit can install directly
-    /// instead of re-running the protocol step (`None` for batched and
-    /// native calls).
-    peeks: Vec<Option<cosma_comm::PeekedCall>>,
-    /// Effective-change count (the park verdict input).
-    changes: u32,
-    /// Park verdict inputs, mirroring [`CosimEnv`].
-    pending_stable: bool,
-    pending_watch: Vec<SignalId>,
-    /// Buffered module port drives, in execution order.
-    drives: Vec<(SignalId, Value)>,
-    /// Buffered trace records, in execution order. Labels are the IR's
-    /// interned `Arc<str>`s (a refcount bump per record, not a string
-    /// allocation); value vectors come from `vals_pool`.
-    traces: Vec<(Arc<str>, Vec<Value>)>,
-    /// The speculation is unusable — it called a wire-invisible native
-    /// unit or hit an evaluation error — and the activation must be
-    /// re-executed sequentially at commit.
-    fallback: bool,
-    /// Pooled buffers for peeked unit sessions (locals + captured wire
-    /// writes).
-    peek_scratch: cosma_comm::PeekScratch,
-    /// Pooled trace-value vectors, recycled by [`SpecResult::reset`].
-    vals_pool: Vec<Vec<Value>>,
-    /// Pooled immediate-execution environment for the commit phase's
-    /// divergence/abandon fallback ([`step_module`] re-execution):
-    /// rides the shell through [`StepScratch`] recycling, so fallbacks
-    /// reuse the memo deque and effects arena instead of building a
-    /// fresh env each time.
-    fb: ImmScratch,
-}
-
-impl SpecResult {
-    /// Clears the activation-visible contents while keeping (and
-    /// replenishing) the heap pools, readying the shell for the next
-    /// activation. Leftover peeks (a diverged or abandoned speculation)
-    /// and trace-value vectors are reclaimed into the pools.
-    fn reset(&mut self) {
-        self.var_writes.clear();
-        self.exec = FsmExec::default();
-        self.meta = cosma_core::StepMeta::default();
-        self.effects.recycle();
-        self.call_stables.clear();
-        for peek in self.peeks.drain(..).flatten() {
-            self.peek_scratch.reclaim(peek);
-        }
-        self.changes = 0;
-        self.pending_stable = true;
-        self.pending_watch.clear();
-        self.drives.clear();
-        for (_, mut vals) in self.traces.drain(..) {
-            vals.clear();
-            self.vals_pool.push(vals);
-        }
-        self.fallback = false;
-        self.fb.memo.clear();
-        self.fb.effects.recycle();
-    }
-
-    /// Approximate bytes retained by the shell's buffers and pools
-    /// (capacity-based) — feeds [`ScratchStats::bytes_high_water`].
-    fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.var_writes.capacity() * size_of::<(VarId, Value)>()
-            + self.effects.approx_bytes()
-            + self.call_stables.capacity()
-            + self.peeks.capacity() * size_of::<Option<cosma_comm::PeekedCall>>()
-            + self.pending_watch.capacity() * size_of::<SignalId>()
-            + self.drives.capacity() * size_of::<(SignalId, Value)>()
-            + self.traces.capacity() * size_of::<(Arc<str>, Vec<Value>)>()
-            + self
-                .vals_pool
-                .iter()
-                .map(|v| v.capacity() * size_of::<Value>())
-                .sum::<usize>()
-            + self.peek_scratch.approx_bytes()
-            + self.fb.approx_bytes()
-    }
-
-    /// Returns every retained pool to the allocator. Used by the commit
-    /// loop to reclaim a shell whose buffers grew far past the running
-    /// per-shell average: pools are sized lazily, so the shell simply
-    /// re-grows to its *typical* working set instead of keeping one
-    /// outlier activation's worth of heap pinned in the arena.
-    fn shrink(&mut self) {
-        *self = SpecResult::default();
-    }
-}
-
-/// A reset shell retaining fewer bytes than this is never reclaimed,
-/// whatever the average says — re-growing small pools costs more than
-/// the memory is worth.
-const SHELL_SHRINK_FLOOR: u64 = 1024;
-
-/// The pure (read-only) speculation environment of the step phase.
-/// Variable writes land in a copy-on-write overlay over the entry's
-/// committed vars, port drives and traces are buffered, and service
-/// calls answer unit *peeks* while being recorded for commit-time
-/// replay.
-///
-/// Every buffer is borrowed from the worker's [`SpecResult`] shell —
-/// the environment itself owns nothing, so an activation through a
-/// warm shell allocates nothing.
-struct SpecEnv<'a, 'b> {
-    ctx: &'a ProcCtx<'b>,
-    ports: &'a [SignalId],
-    /// The committed variable values (read-only; `var_writes` overlays
-    /// them).
-    vars: &'a [Value],
-    /// Effective writes in order; reads consult the latest overlay
-    /// entry first. Equal-value writes are dropped, exactly like the
-    /// immediate path's change counting.
-    var_writes: &'a mut Vec<(VarId, Value)>,
-    var_tys: &'a [Type],
-    reg: &'a Registry,
-    bindings: &'a [Handle],
-    caller: CallerId,
-    changes: u32,
-    pending_stable: bool,
-    pending_watch: &'a mut Vec<SignalId>,
-    call_stables: &'a mut Vec<bool>,
-    peeks: &'a mut Vec<Option<cosma_comm::PeekedCall>>,
-    drives: &'a mut Vec<(SignalId, Value)>,
-    traces: &'a mut Vec<(Arc<str>, Vec<Value>)>,
-    /// Pooled trace-value vectors (popped per trace record).
-    vals_pool: &'a mut Vec<Vec<Value>>,
-    /// Pooled peek-session buffers.
-    peek_scratch: &'a mut cosma_comm::PeekScratch,
-    fallback: bool,
-}
-
-impl SpecEnv<'_, '_> {
-    /// The activation-current value of a variable: the latest overlay
-    /// write, else the committed value.
-    fn var_now(&self, v: VarId) -> Option<&Value> {
-        self.var_writes
-            .iter()
-            .rev()
-            .find(|(id, _)| *id == v)
-            .map(|(_, val)| val)
-            .or_else(|| self.vars.get(v.index()))
-    }
-}
-
-impl ReadEnv for SpecEnv<'_, '_> {
-    fn read_var(&self, v: VarId) -> Result<Value, EvalError> {
-        self.var_now(v).cloned().ok_or(EvalError::NoSuchVar(v))
-    }
-    fn read_port(&self, p: PortId) -> Result<Value, EvalError> {
-        match self.ports.get(p.index()) {
-            Some(&sig) => Ok(self.ctx.read(sig).clone()),
-            None => Err(EvalError::NoSuchPort(p)),
-        }
-    }
-}
-
-impl Env for SpecEnv<'_, '_> {
-    fn write_var(&mut self, v: VarId, value: Value) -> Result<(), EvalError> {
-        let ty = self.var_tys.get(v.index()).ok_or(EvalError::NoSuchVar(v))?;
-        if self.vars.get(v.index()).is_none() {
-            return Err(EvalError::NoSuchVar(v));
-        }
-        let value = ty.clamp(value);
-        if self.var_now(v) != Some(&value) {
-            self.changes += 1;
-            self.var_writes.push((v, value));
-        }
-        Ok(())
-    }
-    fn drive_port(&mut self, p: PortId, value: Value) -> Result<(), EvalError> {
-        match self.ports.get(p.index()) {
-            Some(&sig) => {
-                if self.ctx.read(sig) != &value {
-                    self.changes += 1;
-                }
-                self.drives.push((sig, value));
-                Ok(())
-            }
-            None => Err(EvalError::NoSuchPort(p)),
-        }
-    }
-    fn call_service(
-        &mut self,
-        call: &ServiceCall,
-        args: &[Value],
-    ) -> Result<ServiceOutcome, EvalError> {
-        let Some(&handle) = self.bindings.get(call.binding.index()) else {
-            return Err(EvalError::Service(format!(
-                "no unit attached to binding {}",
-                call.binding
-            )));
-        };
-        let peeked = match handle {
-            Handle::Fsm(i) => {
-                let e = &self.reg.fsm[i];
-                let ws = SnapWires {
-                    ctx: self.ctx,
-                    map: &e.wires,
-                };
-                e.runtime.peek_call_scratch(
-                    self.caller,
-                    &call.service,
-                    args,
-                    &ws,
-                    self.peek_scratch,
-                )?
-            }
-            Handle::Batched(i) => self.reg.batched[i].link.peek_call(&call.service, args)?,
-            Handle::Native(_) => {
-                // Native calls cannot be peeked (arbitrary Rust state):
-                // abandon the speculation; the commit phase re-executes
-                // this activation sequentially with real calls.
-                self.fallback = true;
-                self.call_stables.push(false);
-                self.peeks.push(None);
-                return Ok(ServiceOutcome::pending());
-            }
-        };
-        // Park-verdict bookkeeping, mirroring CosimEnv::note_outcome.
-        if peeked.outcome.done {
-            self.changes += 1;
-        } else {
-            let comp = match handle {
-                Handle::Fsm(i) => self.reg.fsm[i].completion.get(&*call.service),
-                Handle::Batched(i) => self.reg.batched[i].completion.get(&*call.service),
-                Handle::Native(_) => unreachable!("natives abandon speculation"),
-            };
-            match comp {
-                Some(ws) if peeked.stable && !ws.is_empty() => {
-                    self.pending_watch.extend_from_slice(ws);
-                }
-                _ => self.pending_stable = false,
-            }
-        }
-        self.call_stables.push(peeked.stable);
-        let outcome = peeked.outcome.clone();
-        self.peeks.push(Some(peeked));
-        Ok(outcome)
-    }
-    fn record_calls(&self) -> bool {
-        true
-    }
-    fn trace(&mut self, label: &str, values: &[Value]) {
-        // Non-interned entry point (not reached from IR statements,
-        // which carry interned labels): intern ad hoc.
-        self.trace_interned(&Arc::from(label), values);
-    }
-    fn trace_interned(&mut self, label: &Arc<str>, values: &[Value]) {
-        self.changes += 1;
-        let mut vals = self.vals_pool.pop().unwrap_or_default();
-        vals.extend_from_slice(values);
-        self.traces.push((Arc::clone(label), vals));
-    }
-}
-
-/// Minimum stepping-set size before the driver fans the step phase out
-/// to the worker pool: below this, handing work over costs more than
-/// the speculation itself (a few µs of channel/futex latency). Below
-/// the threshold (or with no pool at all) the driver skips speculation
-/// entirely and steps the cycle's set directly in `(module id)` order —
-/// the deterministic commit order with immediate semantics — since
-/// buffering deltas buys nothing when nothing runs in parallel. This is
-/// the default of [`SchedulingConfig::step_fanout_min`].
-pub const STEP_FANOUT_MIN: usize = 64;
-
-/// Initial work-stealing chunk size of the threaded step phase: workers
-/// claim items off a shared atomic cursor in chunks, so a worker stuck
-/// on one expensive speculation simply stops claiming while the others
-/// drain the rest of the set.
-///
-/// The size is **adaptive** per driver, bounded by [`STEP_CHUNK_MIN`]
-/// and [`STEP_CHUNK_MAX`]: a cycle that observed steals (a worker had
-/// to rebalance past its fair share — the per-item cost spread is wide)
-/// halves it so the tail behind a heavy item stays short; a steal-free
-/// cycle with at least four chunks per worker doubles it so the shared
-/// cursor is contended less. The current value is reported as
-/// [`ScratchStats::chunk_now`].
-const STEP_CHUNK_INIT: usize = 8;
-
-/// Lower bound of the adaptive step chunk (below this the shared-cursor
-/// `fetch_add` itself dominates a cheap speculation).
-const STEP_CHUNK_MIN: usize = 2;
-
-/// Upper bound of the adaptive step chunk (above this one chunk can
-/// strand most of a typical stepping set behind a single worker).
-const STEP_CHUNK_MAX: usize = 64;
-
-/// Everything a step-phase worker needs to speculate its share of the
-/// cycle's stepping set. All fields are shared read-only references
-/// (plus the shared claim cursor) — the pool's blocking protocol
-/// guarantees they outlive the parallel region.
-struct StepJobCtx<'a, 'b> {
-    entries: &'a [ModuleEntry],
-    reg: &'a Registry,
-    snapshot: &'a ProcCtx<'b>,
-    items: &'a [(usize, usize, u32)],
-    /// This region's work-stealing chunk size (the driver's current
-    /// adaptive value).
-    chunk: usize,
-    /// Work-stealing cursor: the next unclaimed item index. Workers
-    /// `fetch_add` `chunk` to claim a chunk; `Relaxed` suffices
-    /// because the cursor orders nothing but itself (item data is
-    /// read-only and the done-channel handoff provides the
-    /// happens-before for the results).
-    cursor: std::sync::atomic::AtomicUsize,
-    /// Fair share per worker (`len / workers`, rounded up): chunks a
-    /// worker claims beyond it are counted as steals — work that a
-    /// fixed partition would have left serialized on another worker.
-    fair: usize,
-}
-
-/// One region assignment handed to a pooled worker: a type-erased
-/// pointer to the region's [`StepJobCtx`] plus the worker's private
-/// scratch arena. Both pointers are only dereferenced between
-/// receiving the job and sending the done signal back, and the driver
-/// blocks on that signal before releasing the borrows — the same
-/// happens-before protocol `std::thread::scope` provides, without
-/// re-paying thread spawn/join (~100µs) on every kernel delta.
-struct StepJob {
-    ctx: *const (),
-    scratch: *mut StepScratch,
-}
-
-// SAFETY: the raw context pointer is only dereferenced while the
-// issuing driver is blocked in `StepPool::run`, which keeps the
-// referenced borrows alive; `StepJobCtx`'s referents are all `Sync`
-// (machine-checked by `_assert_step_ctx_sync` below, so a future field
-// with interior mutability fails to compile instead of racing). The
-// scratch pointer is exclusive to one worker per region (each worker
-// gets a distinct arena, the kernel thread uses arena 0), so no two
-// threads alias it.
-unsafe impl Send for StepJob {}
-
-/// Compile-time guard for the `unsafe impl Send for StepJob`: sharing
-/// `&StepJobCtx` across worker threads is only sound while the whole
-/// context is `Sync`.
-fn _assert_step_ctx_sync<'a, 'b>(ctx: &'a StepJobCtx<'a, 'b>) -> &'a (dyn Sync + 'a) {
-    ctx
-}
-
-/// Per-worker scratch arena of the threaded step phase: the free-list
-/// of recycled [`SpecResult`] shells, the region's filled results, and
-/// the arena/steal counters folded into [`ScratchStats`] after each
-/// region.
-#[derive(Default)]
-struct StepScratch {
-    /// Recycled result shells; popped per activation, pushed back by
-    /// the commit loop after installing (warm pools, zero allocation).
-    shells: Vec<SpecResult>,
-    /// Filled results of the current region, tagged with the item index
-    /// they speculated.
-    results: Vec<(u32, SpecResult)>,
-    acquires: u64,
-    reuses: u64,
-    chunks: u64,
-    steals: u64,
-}
-
-/// One worker's share of a parallel step region: claim chunked item
-/// ranges off the shared cursor until the set is drained, speculating
-/// each item into a recycled shell from this worker's arena. Runs
-/// identically on pooled workers and the kernel thread.
-fn run_step_region(ctx: &StepJobCtx<'_, '_>, scratch: &mut StepScratch) {
-    use std::sync::atomic::Ordering;
-    let len = ctx.items.len();
-    let mut taken = 0usize;
-    loop {
-        let lo = ctx.cursor.fetch_add(ctx.chunk, Ordering::Relaxed);
-        if lo >= len {
-            break;
-        }
-        let hi = (lo + ctx.chunk).min(len);
-        scratch.chunks += 1;
-        if taken >= ctx.fair {
-            scratch.steals += 1;
-        }
-        for (off, &(mi, _, _)) in ctx.items[lo..hi].iter().enumerate() {
-            let mut shell = match scratch.shells.pop() {
-                Some(s) => {
-                    scratch.reuses += 1;
-                    s
-                }
-                None => {
-                    scratch.acquires += 1;
-                    SpecResult::default()
-                }
-            };
-            speculate_into(&ctx.entries[mi], ctx.reg, ctx.snapshot, &mut shell);
-            scratch.results.push(((lo + off) as u32, shell));
-        }
-        taken += hi - lo;
-    }
-}
-
-/// One persistent step-phase worker: parked on its job channel between
-/// parallel regions.
-struct StepWorker {
-    job_tx: std::sync::mpsc::Sender<StepJob>,
-    done_rx: std::sync::mpsc::Receiver<()>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// The persistent worker pool of the threaded step phase
-/// ([`Parallelism::Threads`]): `n - 1` OS threads spawned once at
-/// driver registration (the kernel thread itself acts as the `n`-th
-/// worker), plus one scratch arena per thread.
-struct StepPool {
-    workers: Vec<StepWorker>,
-    /// Per-thread scratch arenas: index 0 belongs to the kernel thread,
-    /// index `i + 1` to worker `i`. The commit loop pushes each reset
-    /// shell back to the arena that filled it, so arena capacity
-    /// self-balances to each worker's actual throughput.
-    scratches: Vec<StepScratch>,
-}
-
-impl StepPool {
-    fn new(workers: usize) -> Self {
-        let scratches = (0..=workers).map(|_| StepScratch::default()).collect();
-        let workers = (0..workers)
-            .map(|i| {
-                let (job_tx, job_rx) = std::sync::mpsc::channel::<StepJob>();
-                let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
-                let handle = std::thread::Builder::new()
-                    .name(format!("cosim-step{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = job_rx.recv() {
-                            // SAFETY: see `StepJob` — the driver is
-                            // blocked in `run` until we answer, so the
-                            // context outlives this dereference and the
-                            // scratch arena is ours alone this region.
-                            let ctx = unsafe { &*(job.ctx as *const StepJobCtx<'_, '_>) };
-                            let scratch = unsafe { &mut *job.scratch };
-                            run_step_region(ctx, scratch);
-                            if done_tx.send(()).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn step-phase worker");
-                StepWorker {
-                    job_tx,
-                    done_rx,
-                    handle: Some(handle),
-                }
-            })
-            .collect();
-        StepPool { workers, scratches }
-    }
-
-    /// Runs one parallel region over the shared work-stealing cursor:
-    /// wakes as many workers as the chunk count can occupy, joins in on
-    /// the kernel thread, and blocks until every woken worker answered.
-    /// Results land in `specs[item index]` with `origins[item index]`
-    /// recording which arena the shell came from (so the commit loop
-    /// can recycle it there); `thread_runs[i]` is bumped by the number
-    /// of items thread `i` stepped and the arena counters are folded
-    /// into `stats`.
-    fn run(
-        &mut self,
-        ctx: &StepJobCtx<'_, '_>,
-        specs: &mut Vec<Option<SpecResult>>,
-        origins: &mut Vec<u32>,
-        thread_runs: &mut [u64],
-        stats: &mut ScratchStats,
-    ) {
-        let len = ctx.items.len();
-        specs.clear();
-        specs.resize_with(len, || None);
-        origins.clear();
-        origins.resize(len, 0);
-        let erased = ctx as *const StepJobCtx<'_, '_> as *const ();
-        // A worker can only help if there is a chunk beyond what the
-        // kernel thread will claim first — don't wake the rest.
-        let helpers = self
-            .workers
-            .len()
-            .min(len.div_ceil(ctx.chunk).saturating_sub(1));
-        let (kernel, rest) = self.scratches.split_at_mut(1);
-        for (i, w) in self.workers.iter().take(helpers).enumerate() {
-            let scratch: *mut StepScratch = &mut rest[i];
-            w.job_tx
-                .send(StepJob {
-                    ctx: erased,
-                    scratch,
-                })
-                .expect("step-phase worker alive");
-        }
-        run_step_region(ctx, &mut kernel[0]);
-        for w in self.workers.iter().take(helpers) {
-            w.done_rx.recv().expect("step-phase worker answered");
-        }
-        for (wi, scratch) in self.scratches.iter_mut().enumerate() {
-            thread_runs[wi] += scratch.results.len() as u64;
-            for (idx, shell) in scratch.results.drain(..) {
-                origins[idx as usize] = wi as u32;
-                specs[idx as usize] = Some(shell);
-            }
-            stats.arena_acquires += std::mem::take(&mut scratch.acquires);
-            stats.arena_reuses += std::mem::take(&mut scratch.reuses);
-            stats.chunks += std::mem::take(&mut scratch.chunks);
-            stats.steals += std::mem::take(&mut scratch.steals);
-        }
-    }
-}
-
-impl Drop for StepPool {
-    fn drop(&mut self) {
-        for w in &mut self.workers {
-            // Dropping the sender ends the worker loop.
-            let (dead_tx, _) = std::sync::mpsc::channel();
-            w.job_tx = dead_tx;
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-/// The step phase of one module activation: pure speculation against
-/// the cycle-start snapshot, filled into a recycled [`SpecResult`]
-/// shell. Thread-safe — takes only shared references plus the
-/// worker-private shell, whose warm buffer pools make steady-state
-/// speculation allocation-free.
-fn speculate_into(entry: &ModuleEntry, reg: &Registry, ctx: &ProcCtx<'_>, buf: &mut SpecResult) {
-    buf.reset();
-    let fsm = entry.module.fsm();
-    let mut exec = entry.exec.clone();
-    // The effects block is threaded through the step as a separate
-    // value (its arg/trace pools live inside it) and handed back to the
-    // shell afterwards.
-    let mut effects = std::mem::take(&mut buf.effects);
-    let mut env = SpecEnv {
-        ctx,
-        ports: &entry.ports,
-        vars: &entry.vars,
-        var_writes: &mut buf.var_writes,
-        var_tys: &entry.var_tys,
-        reg,
-        bindings: &entry.bindings,
-        caller: entry.caller,
-        changes: 0,
-        pending_stable: true,
-        pending_watch: &mut buf.pending_watch,
-        call_stables: &mut buf.call_stables,
-        peeks: &mut buf.peeks,
-        drives: &mut buf.drives,
-        traces: &mut buf.traces,
-        vals_pool: &mut buf.vals_pool,
-        peek_scratch: &mut buf.peek_scratch,
-        fallback: false,
-    };
-    match exec.step_with(fsm, &mut env, &mut effects) {
-        Ok(meta) => {
-            buf.changes = env.changes;
-            buf.pending_stable = env.pending_stable;
-            buf.fallback = env.fallback;
-            buf.exec = exec;
-            buf.meta = meta;
-            buf.effects = effects;
-        }
-        // A speculative evaluation error may be an artifact of answered
-        // placeholder outcomes; re-execute for real at commit (a genuine
-        // error reproduces deterministically there).
-        Err(_) => {
-            buf.reset();
-            buf.effects = effects;
-            buf.effects.recycle();
-            buf.exec = entry.exec.clone();
-            let cur = entry.exec.current();
-            buf.meta = cosma_core::StepMeta {
-                from: cur,
-                to: cur,
-                transitioned: false,
-            };
-            buf.pending_stable = false;
-            buf.fallback = true;
-        }
-    }
-}
-
-/// Applies one deferred call to its unit, returning the actual outcome
-/// and the unit's post-call stability verdict.
-fn apply_deferred_call(
-    reg: &mut Registry,
-    handle: Handle,
-    caller: CallerId,
-    dc: &cosma_core::DeferredCall,
-    ctx: &mut ProcCtx<'_>,
-) -> (Result<ServiceOutcome, EvalError>, bool) {
-    match handle {
-        Handle::Fsm(i) => {
-            let FsmUnitEntry { runtime, wires, .. } = &mut reg.fsm[i];
-            let mut ws = CtxWires {
-                ctx,
-                map: wires,
-                cycle: Duration::ZERO,
-            };
-            let r = runtime.call(caller, &dc.service, &dc.args, &mut ws);
-            let stable = runtime.last_call_stable();
-            (r, stable)
-        }
-        Handle::Batched(i) => {
-            let BatchedUnitEntry { link, wires, .. } = &mut reg.batched[i];
-            let mut ws = CtxWires {
-                ctx,
-                map: wires,
-                cycle: Duration::ZERO,
-            };
-            let r = link.call(caller, &dc.service, &dc.args, &mut ws);
-            let stable = link.last_call_stable();
-            (r, stable)
-        }
-        Handle::Native(i) => {
-            let entry = &mut reg.native[i];
-            let r = entry
-                .unit
-                .call(caller, &dc.service, &dc.args)
-                .map_err(|e| EvalError::Service(format!("native unit {}: {e}", entry.name)));
-            sync_native_occ(entry, ctx);
-            let stable = entry.unit.last_call_stable();
-            (r, stable)
-        }
-    }
-}
-
-/// The commit phase of one module activation. Replays the speculated
-/// call stream against the real units in order, validating every actual
-/// outcome; on full agreement the buffered effects are installed
-/// wholesale, otherwise (or when the speculation was abandoned) the
-/// activation is re-executed sequentially with the already-applied
-/// outcomes memoized — which is exactly the immediate-application
-/// semantics, so the two-phase scheduler is observationally identical
-/// to the immediate one on every workload.
-///
-/// Returns the park verdict like [`step_module`].
-#[allow(clippy::too_many_arguments)]
-fn commit_module(
-    modules: &RefCell<Vec<ModuleEntry>>,
-    idx: usize,
-    spec: &mut SpecResult,
-    registry: &RefCell<Registry>,
-    trace: &RefCell<TraceLog>,
-    park: &ParkCounters,
-    park_blocked: bool,
-    ctx: &mut ProcCtx<'_>,
-    commit_calls: &mut u64,
-    fallbacks: &mut u64,
-) -> Result<Option<Vec<SignalId>>, String> {
-    if spec.fallback {
-        *fallbacks += 1;
-        return step_module(
-            modules,
-            idx,
-            registry,
-            trace,
-            park,
-            park_blocked,
-            ctx,
-            &mut spec.fb,
-        );
-    }
-    // The effects block is detached for the duration of the replay so
-    // its call stream can be iterated while the rest of the shell
-    // (peeks, peek scratch) is mutated; it is handed back before every
-    // return so the shell keeps its pools for recycling.
-    let effects = std::mem::take(&mut spec.effects);
-    // Validate-and-apply: replay the recorded calls against the real
-    // units. Calls are applied one by one so a divergence can hand the
-    // already-applied prefix to the fallback as memoized outcomes.
-    // Divergence record: the index of the first call whose actual
-    // outcome departed from the speculation, plus that call's actual
-    // result. The memo handed to the fallback re-execution is built
-    // lazily from it — validated activations allocate nothing here.
-    let mut diverged: Option<(usize, Result<ServiceOutcome, EvalError>, bool)> = None;
-    {
-        let modules_ref = modules.borrow();
-        let entry = &modules_ref[idx];
-        let mut reg = registry.borrow_mut();
-        for (k, dc) in effects.calls.iter().enumerate() {
-            let Some(&handle) = entry.bindings.get(dc.binding.index()) else {
-                diverged = Some((
-                    k,
-                    Err(EvalError::Service(format!(
-                        "no unit attached to binding {}",
-                        dc.binding
-                    ))),
-                    false,
-                ));
-                break;
-            };
-            *commit_calls += 1;
-            // Fast path: a peek whose delta is still valid installs its
-            // buffered effects — no second dispatch, and validation
-            // holds by construction (the install IS what was
-            // speculated). FSM units install the peeked session delta
-            // after a (state, step-count) fingerprint check — returning
-            // the displaced buffers to this shell's peek scratch —
-            // batched links install the peeked queue-op journal entry
-            // after an occupancy fingerprint check.
-            let peek = spec.peeks.get_mut(k).and_then(Option::take);
-            if let Some(peeked) = peek {
-                match handle {
-                    Handle::Fsm(i) => {
-                        let FsmUnitEntry { runtime, wires, .. } = &mut reg.fsm[i];
-                        let mut ws = CtxWires {
-                            ctx,
-                            map: wires,
-                            cycle: Duration::ZERO,
-                        };
-                        if matches!(
-                            runtime.commit_peeked_reclaim(
-                                entry.caller,
-                                &dc.service,
-                                peeked,
-                                &mut ws,
-                                &mut spec.peek_scratch,
-                            ),
-                            Ok(true)
-                        ) {
-                            continue;
-                        }
-                    }
-                    Handle::Batched(i) => {
-                        let BatchedUnitEntry { link, wires, .. } = &mut reg.batched[i];
-                        let mut ws = CtxWires {
-                            ctx,
-                            map: wires,
-                            cycle: Duration::ZERO,
-                        };
-                        if matches!(
-                            link.commit_peeked(entry.caller, &dc.service, peeked, &mut ws),
-                            Ok(true)
-                        ) {
-                            continue;
-                        }
-                    }
-                    Handle::Native(_) => {}
-                }
-            }
-            let (result, stable) = apply_deferred_call(&mut reg, handle, entry.caller, dc, ctx);
-            let ok = matches!(&result, Ok(out) if *out == dc.outcome)
-                && spec.call_stables.get(k) == Some(&stable);
-            if !ok {
-                diverged = Some((k, result, stable));
-                break;
-            }
-        }
-    }
-    if let Some((k, result, stable)) = diverged {
-        // Reconstruct the applied prefix into the shell's pooled memo
-        // deque: calls 0..k matched the speculation exactly, call k
-        // answered `result`. Service names are interned `Arc<str>`s, so
-        // the memo costs refcount bumps plus the outcome clones — no
-        // per-fallback deque or string allocation once the shell is
-        // warm.
-        let stables = &spec.call_stables;
-        spec.fb.memo.clear();
-        spec.fb.memo.extend(
-            effects.calls[..k]
-                .iter()
-                .enumerate()
-                .map(|(j, dc)| MemoCall {
-                    binding: dc.binding,
-                    service: dc.service.clone(),
-                    result: Ok(dc.outcome.clone()),
-                    stable: stables[j],
-                }),
-        );
-        spec.fb.memo.push_back(MemoCall {
-            binding: effects.calls[k].binding,
-            service: effects.calls[k].service.clone(),
-            result,
-            stable,
-        });
-        spec.effects = effects;
-        *fallbacks += 1;
-        return step_module(
-            modules,
-            idx,
-            registry,
-            trace,
-            park,
-            park_blocked,
-            ctx,
-            &mut spec.fb,
-        );
-    }
-    // Speculation validated: install the buffered effects. Buffers are
-    // drained, not moved, so their capacity stays with the shell —
-    // including trace value vectors, which the columnar log copies out
-    // of and the shell's pool gets back.
-    let mut modules = modules.borrow_mut();
-    let entry = &mut modules[idx];
-    let fsm = entry.module.fsm();
-    for (v, val) in spec.var_writes.drain(..) {
-        entry.vars[v.index()] = val;
-    }
-    entry.exec = spec.exec.clone();
-    for (sig, v) in spec.drives.drain(..) {
-        ctx.drive(sig, v);
-    }
-    if !spec.traces.is_empty() {
-        let now = ctx.now().as_fs();
-        let mut tlog = trace.borrow_mut();
-        for (label, mut values) in spec.traces.drain(..) {
-            tlog.record_interned(now, &entry.name, &label, &values);
-            values.clear();
-            spec.vals_pool.push(values);
-        }
-    }
-    if spec.meta.from != spec.meta.to {
-        // The state name only changes on a real transition — skip the
-        // per-activation render for self-loops and fixed points, and
-        // reuse the status String's buffer when it does.
-        entry.status.state.clear();
-        entry
-            .status
-            .state
-            .push_str(fsm.state(entry.exec.current()).name());
-    }
-    entry.status.activations += 1;
-    park.modules_stepped.set(park.modules_stepped.get() + 1);
-    let parkable = park_blocked
-        && spec.meta.from == spec.meta.to
-        && spec.changes == 0
-        && spec.pending_stable
-        && effects.pending.len() == effects.service_calls as usize;
-    spec.effects = effects;
-    if parkable {
-        let mut watch = std::mem::take(&mut spec.pending_watch);
-        watch.extend_from_slice(&entry.ports);
-        watch.sort_unstable();
-        watch.dedup();
-        Ok(Some(watch))
-    } else {
-        Ok(None)
     }
 }
 
 /// The single owner of module and unit stepping: shard pools, hashed
-/// unit placement, park accounting. Unified here so modules and units —
-/// the same FSM semantics in the paper's model — share one
+/// placement, park accounting. Unified here so modules and units — the
+/// same FSM semantics in the paper's model — share one
 /// activation-gating architecture.
 struct ActivationScheduler {
     cfg: SchedulingConfig,
-    /// Per-domain unit shard pool: shards never mix clock domains
-    /// ([`DomainPlacement::Isolated`]), so hashed placement runs inside
-    /// the member's domain pool. Entry `d` indexes
-    /// [`ActivationScheduler::unit_shards`] for domain `d`.
+    /// Per-domain unit shard pool: shards never mix clock domains, so
+    /// hashed placement runs inside the member's domain pool. Entry `d`
+    /// indexes [`ActivationScheduler::unit_shards`] for domain `d`.
     unit_pools: Vec<PoolState>,
-    /// Per-domain module shard pool (creation-order fill inside the
-    /// domain). Entry `d` holds indices into
-    /// [`ActivationScheduler::module_shards`].
-    module_pools: Vec<Vec<usize>>,
-    /// Per-domain shard pool of the two-phase driver. Entry `d` holds
+    /// Per-domain module shard pool of the driver. Entry `d` holds
     /// indices into [`DriverState::shards`].
     driver_pools: Vec<PoolState>,
     unit_shards: Vec<Rc<RefCell<ShardState>>>,
-    module_shards: Vec<Rc<RefCell<ShardState>>>,
-    /// The two-phase module scheduler ([`CallApplication::Deferred`]):
-    /// one kernel process owning every module shard, running all step
-    /// phases before a single commit phase.
+    /// The module driver ([`ModuleScheduling::Sharded`]): one kernel
+    /// process stepping every module shard, registered with the first
+    /// module.
     driver: Option<Rc<RefCell<DriverState>>>,
-    /// Per-process state of the legacy one-process-per-module path
+    /// Per-process state of the one-process-per-module path
     /// ([`ModuleScheduling::PerModule`]), in module order. Shared with
     /// the process closures so snapshot/restore can reach it.
     per_module: Vec<Rc<RefCell<PerModuleProcState>>>,
-    /// Per-unit `seen_events` gates of the legacy
+    /// Per-unit `seen_events` gates of the
     /// [`UnitScheduling::PerUnit`] path, in unit-registration order.
     /// Shared with the clocked closures so snapshot/restore can reach
     /// them.
@@ -2119,10 +945,24 @@ struct PoolState {
     shards: Vec<usize>,
 }
 
-/// The mutable scheduling state of one legacy per-module process —
-/// everything its closure used to keep as captured locals, hoisted
-/// behind an `Rc` so whole-backplane snapshots can capture and restore
-/// it.
+impl PoolState {
+    /// Hashes the next member over the shards allowed so far (one more
+    /// per `shard_size` members). Returns the pool-local shard index, or
+    /// `None` when the hash lands past the open shards and the caller
+    /// must open the next one — so shard count still tracks
+    /// `members / shard_size` while creation-order runs are scattered.
+    fn place(&mut self, shard_size: usize) -> Option<usize> {
+        let k = self.members;
+        self.members += 1;
+        let allowed = k / shard_size + 1;
+        let hashed = (splitmix64(k as u64) % allowed as u64) as usize;
+        (hashed < self.shards.len()).then_some(hashed)
+    }
+}
+
+/// The mutable scheduling state of one per-module process, kept
+/// behind an `Rc` rather than as captured closure locals so
+/// whole-backplane snapshots can capture and restore it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct PerModuleProcState {
     /// Whether the process currently holds a clock-demand unit (true
@@ -2133,22 +973,24 @@ struct PerModuleProcState {
     wait_dirty: bool,
 }
 
-/// One member of the two-phase driver: a module, its activation clock,
+/// One member of the module driver: a module, its activation clock,
 /// and the wires that re-arm it while parked.
 struct DriverMember {
     module: usize,
     clk: SignalId,
+    /// Computed at park time: the module's ports plus the blocked
+    /// services' completion wires. Empty means the member can never be
+    /// re-armed (a provably-halted module).
     watch: Vec<SignalId>,
 }
 
-/// One module shard of the two-phase driver (active/parked split, like
-/// [`ShardState`], but stepped by the shared driver process).
+/// One module shard of the driver: an active/parked member split,
+/// stepped by the shared driver process.
 ///
 /// Parked-member wakeups are owned by a per-shard *watcher* kernel
 /// process whose sensitivity covers only this shard's watch wires —
 /// keeping sensitivity churn local to the shard (the driver itself
-/// stays pinned to the two activation clocks), exactly like the
-/// immediate path's per-shard processes.
+/// stays pinned to the activation clocks).
 struct DriverShard {
     members: Vec<DriverMember>,
     active: Vec<u32>,
@@ -2171,42 +1013,33 @@ struct DriverShard {
     watcher_armed: bool,
 }
 
-/// Shared state of the two-phase driver process.
+/// Shared state of the module driver process.
 struct DriverState {
     shards: Vec<DriverShard>,
-    /// Members ever placed (drives hashed shard assignment).
-    placed: usize,
     /// Whether the driver surrendered its members' clock demand after a
     /// backplane error (kept here so snapshot/restore can carry it).
     halted: bool,
-    /// Adaptive work-stealing chunk size of the threaded step phase
-    /// (see [`STEP_CHUNK_INIT`]).
-    step_chunk: usize,
-    /// Exponential moving average (alpha 1/8) of bytes retained per
-    /// reset speculation shell — the baseline the commit loop compares
-    /// against when deciding to reclaim an oversized shell.
-    shell_ewma: u64,
     runs: u64,
     skipped: u64,
     wire_wakeups: u64,
-    commit_calls: u64,
-    fallbacks: u64,
-    /// Per-worker stepped-activation counts (threaded step phase).
-    thread_runs: Vec<u64>,
-    /// Scratch-arena and work-stealing counters (threaded step phase).
-    scratch: ScratchStats,
-    /// Pooled commit-phase buffers, reused every cycle: the speculated
-    /// results indexed by stepping-set position, the arena each shell
-    /// came from, and the module-id commit order.
-    specs: Vec<Option<SpecResult>>,
-    origins: Vec<u32>,
-    order: Vec<usize>,
     /// Pooled per-cycle scratch: the stepping set and the park list,
     /// taken at the start of each driver run and handed back (capacity
-    /// kept) at the end — the last per-cycle allocations of the
-    /// steady-state driver.
+    /// kept) at the end.
     items: Vec<(usize, usize, u32)>,
     to_park: Vec<(usize, u32, Vec<SignalId>)>,
+}
+
+impl DriverState {
+    /// Surrenders the clock demand of every unparked member after a
+    /// backplane error (once).
+    fn halt(&mut self) {
+        if !self.halted {
+            self.halted = true;
+            for s in &self.shards {
+                s.demand.park(s.members.len() - s.parked.len());
+            }
+        }
+    }
 }
 
 /// The backplane resources a scheduler registration needs.
@@ -2222,9 +1055,18 @@ struct SchedCtx<'a> {
     hw_clk: SignalId,
     /// Index of the target domain (selects the per-domain shard pools).
     domain: usize,
-    /// Every domain's activation clocks, in domain order — the
-    /// two-phase driver's clock sensitivity.
+    /// Every domain's activation clocks, in domain order — the module
+    /// driver's clock sensitivity.
     clocks: &'a [SignalId],
+}
+
+/// Toggles a bit signal, waking every process sensitive to it.
+fn toggle(ctx: &mut ProcCtx<'_>, sig: SignalId) {
+    let next = match ctx.read(sig) {
+        Value::Bit(cosma_core::Bit::One) => cosma_core::Bit::Zero,
+        _ => cosma_core::Bit::One,
+    };
+    ctx.drive(sig, Value::Bit(next));
 }
 
 impl ActivationScheduler {
@@ -2232,10 +1074,8 @@ impl ActivationScheduler {
         ActivationScheduler {
             cfg,
             unit_pools: vec![PoolState::default()],
-            module_pools: vec![vec![]],
             driver_pools: vec![PoolState::default()],
             unit_shards: vec![],
-            module_shards: vec![],
             driver: None,
             per_module: vec![],
             per_unit_seen: vec![],
@@ -2247,116 +1087,53 @@ impl ActivationScheduler {
     /// ([`Cosim::add_clock_domain`]).
     fn add_domain_pool(&mut self) {
         self.unit_pools.push(PoolState::default());
-        self.module_pools.push(vec![]);
         self.driver_pools.push(PoolState::default());
     }
 
     /// Places a unit member into a shard chosen by hashing its id over
-    /// the shards allowed so far (one more per `shard_size` members).
-    /// A hash landing past the open shards creates the next one, so
-    /// shard count still tracks `members / shard_size` while
-    /// creation-order runs are scattered. Placement runs inside the
-    /// member's clock-domain pool: shards never mix domains, so every
-    /// member of a shard shares one activation clock and one
-    /// [`ClockDemand`] ledger.
-    fn add_unit_member(&mut self, ctx: SchedCtx<'_>, handle: Handle, wires: Vec<SignalId>) {
+    /// its clock domain's pool ([`PoolState::place`]). Shards never mix
+    /// domains, so every member of a shard shares one activation clock
+    /// and one [`ClockDemand`] ledger.
+    fn add_unit_member(&mut self, ctx: SchedCtx<'_>, unit: Handle, wires: Vec<SignalId>) {
         let shard_size = match self.cfg.units {
             UnitScheduling::Sharded { shard_size } => shard_size.max(1),
             UnitScheduling::PerUnit => unreachable!("shard members only exist when sharded"),
         };
         let domain = ctx.domain;
-        let (k, pool_len) = {
-            let pool = &mut self.unit_pools[domain];
-            let k = pool.members;
-            pool.members += 1;
-            (k, pool.shards.len())
-        };
-        let allowed = k / shard_size + 1;
-        let hashed = (splitmix64(k as u64) % allowed as u64) as usize;
+        let placed = self.unit_pools[domain].place(shard_size);
         let clk = ctx.hw_clk;
         ctx.demand.register(ctx.sim);
-        let target = if hashed >= pool_len {
-            let state = Rc::new(RefCell::new(ShardState::new()));
-            let label = format!("unit_shard{}", self.unit_shards.len());
-            Self::register_shard_process(
-                ctx,
-                Rc::clone(&state),
-                Rc::clone(&self.park),
-                self.cfg.park_blocked,
-                label,
-            );
-            self.unit_shards.push(state);
-            let global = self.unit_shards.len() - 1;
-            self.unit_pools[domain].shards.push(global);
-            global
-        } else {
-            self.unit_pools[domain].shards[hashed]
+        let target = match placed {
+            Some(local) => self.unit_pools[domain].shards[local],
+            None => {
+                let state = Rc::new(RefCell::new(ShardState::new()));
+                let label = format!("unit_shard{}", self.unit_shards.len());
+                Self::register_shard_process(ctx, Rc::clone(&state), Rc::clone(&self.park), label);
+                self.unit_shards.push(state);
+                let global = self.unit_shards.len() - 1;
+                self.unit_pools[domain].shards.push(global);
+                global
+            }
         };
         self.unit_shards[target]
             .borrow_mut()
             .push_member(ShardMember {
-                body: MemberBody::Unit(handle),
+                unit,
                 clk,
                 seen_events: vec![0; wires.len()],
-                watch: wires.clone(),
                 wires,
             });
     }
 
-    /// Places a module member into the open module shard (creation
-    /// order — under immediate call application, module service calls
-    /// mutate unit state in place, so the global step order must match
-    /// the per-module path).
-    fn add_module_member(&mut self, ctx: SchedCtx<'_>, idx: usize, clk: SignalId) {
+    /// Places a module into the driver: hashed placement spreads module
+    /// ids over the domain's open shards exactly like unit placement
+    /// (the driver steps in module-id order whatever the placement). The
+    /// driver's single kernel process is registered with the first
+    /// module.
+    fn add_module(&mut self, mut ctx: SchedCtx<'_>, idx: usize, clk: SignalId) {
         let shard_size = match self.cfg.modules {
             ModuleScheduling::Sharded { shard_size } => shard_size.max(1),
-            ModuleScheduling::PerModule => unreachable!("shard members only exist when sharded"),
-        };
-        let domain = ctx.domain;
-        ctx.demand.register(ctx.sim);
-        let open = self.module_pools[domain]
-            .last()
-            .copied()
-            .filter(|&gi| self.module_shards[gi].borrow().members.len() < shard_size);
-        let state = match open {
-            Some(gi) => Rc::clone(&self.module_shards[gi]),
-            None => {
-                let state = Rc::new(RefCell::new(ShardState::new()));
-                let label = format!("module_shard{}", self.module_shards.len());
-                Self::register_shard_process(
-                    ctx,
-                    Rc::clone(&state),
-                    Rc::clone(&self.park),
-                    self.cfg.park_blocked,
-                    label,
-                );
-                self.module_shards.push(Rc::clone(&state));
-                self.module_pools[domain].push(self.module_shards.len() - 1);
-                state
-            }
-        };
-        state.borrow_mut().push_member(ShardMember {
-            body: MemberBody::Module(idx),
-            clk,
-            wires: vec![],
-            seen_events: vec![],
-            watch: vec![],
-        });
-    }
-
-    /// Places a module into the two-phase driver
-    /// ([`CallApplication::Deferred`]): hashed placement spreads module
-    /// ids over the open shards exactly like unit placement (the commit
-    /// phase restores the deterministic global order, so placement is
-    /// free to balance load); creation-order placement is kept for
-    /// ablation. The driver's single kernel process is registered on
-    /// first use — at the same process-table position the immediate
-    /// path's first module shard would occupy, so the delta-relative
-    /// order against unit shard processes is preserved.
-    fn add_deferred_module(&mut self, mut ctx: SchedCtx<'_>, idx: usize, clk: SignalId) {
-        let shard_size = match self.cfg.modules {
-            ModuleScheduling::Sharded { shard_size } => shard_size.max(1),
-            ModuleScheduling::PerModule => unreachable!("deferred calls require sharded modules"),
+            ModuleScheduling::PerModule => unreachable!("the driver only runs sharded modules"),
         };
         ctx.demand.register(ctx.sim);
         let driver = match &self.driver {
@@ -2364,20 +1141,10 @@ impl ActivationScheduler {
             None => {
                 let state = Rc::new(RefCell::new(DriverState {
                     shards: vec![],
-                    placed: 0,
                     halted: false,
-                    step_chunk: STEP_CHUNK_INIT,
-                    shell_ewma: 0,
                     runs: 0,
                     skipped: 0,
                     wire_wakeups: 0,
-                    commit_calls: 0,
-                    fallbacks: 0,
-                    thread_runs: vec![],
-                    scratch: ScratchStats::default(),
-                    specs: vec![],
-                    origins: vec![],
-                    order: vec![],
                     items: vec![],
                     to_park: vec![],
                 }));
@@ -2386,56 +1153,37 @@ impl ActivationScheduler {
                     Rc::clone(&state),
                     Rc::clone(&self.park),
                     self.cfg.park_blocked,
-                    self.cfg.parallelism,
-                    self.cfg.step_fanout_min,
                 );
                 self.driver = Some(Rc::clone(&state));
                 state
             }
         };
         let domain = ctx.domain;
-        let mut st = driver.borrow_mut();
-        st.placed += 1;
-        let k = self.driver_pools[domain].members;
-        self.driver_pools[domain].members += 1;
-        let open = st.shards.len();
-        let pool = &self.driver_pools[domain];
-        let target = match self.cfg.placement {
-            ModulePlacement::Hashed => {
-                let allowed = k / shard_size + 1;
-                let hashed = (splitmix64(k as u64) % allowed as u64) as usize;
-                if hashed >= pool.shards.len() {
-                    open
-                } else {
-                    pool.shards[hashed]
-                }
+        let target = match self.driver_pools[domain].place(shard_size) {
+            Some(local) => self.driver_pools[domain].shards[local],
+            None => {
+                let open = driver.borrow().shards.len();
+                let poke = ctx.sim.add_bit(format!("MODULE_SHARD{open}_POKE"));
+                Self::register_driver_watcher(
+                    &mut ctx,
+                    Rc::clone(&driver),
+                    open,
+                    Rc::clone(&self.park),
+                );
+                driver.borrow_mut().shards.push(DriverShard {
+                    members: vec![],
+                    active: vec![],
+                    parked: vec![],
+                    demand: Rc::clone(ctx.demand),
+                    poke,
+                    watch_dirty: false,
+                    watcher_armed: false,
+                });
+                self.driver_pools[domain].shards.push(open);
+                open
             }
-            ModulePlacement::CreationOrder => match pool.shards.last() {
-                Some(&gi) if st.shards[gi].members.len() < shard_size => gi,
-                _ => open,
-            },
         };
-        if target == open {
-            drop(st);
-            let poke = ctx.sim.add_bit(format!("MODULE_SHARD{open}_POKE"));
-            Self::register_driver_watcher(
-                &mut ctx,
-                Rc::clone(&driver),
-                open,
-                Rc::clone(&self.park),
-            );
-            st = driver.borrow_mut();
-            st.shards.push(DriverShard {
-                members: vec![],
-                active: vec![],
-                parked: vec![],
-                demand: Rc::clone(ctx.demand),
-                poke,
-                watch_dirty: false,
-                watcher_armed: false,
-            });
-            self.driver_pools[domain].shards.push(open);
-        }
+        let mut st = driver.borrow_mut();
         let shard = &mut st.shards[target];
         let mi = shard.members.len() as u32;
         shard.members.push(DriverMember {
@@ -2516,15 +1264,13 @@ impl ActivationScheduler {
         );
     }
 
-    /// Registers the kernel process that owns every deferred module
-    /// shard: on each clock event it runs the **step phase** (pure
-    /// speculation, optionally fanned out over scoped worker threads)
-    /// for every active member whose clock rose, then the single
-    /// **commit phase**, applying all buffered call deltas in
-    /// `(module id, call index)` order — the deterministic order that
-    /// makes hashed placement and threading invisible.
+    /// Registers the kernel process that owns every module shard. On
+    /// each rising activation-clock edge it collects the active members
+    /// whose clock rose and steps them in module-id order — the order
+    /// of the per-module path, so service calls act on their units
+    /// exactly as they do there, whatever the shard placement.
     ///
-    /// The driver's sensitivity is pinned to the two activation clocks;
+    /// The driver's sensitivity is pinned to the activation clocks;
     /// parked-member wakeups belong to the per-shard watcher processes
     /// ([`ActivationScheduler::register_driver_watcher`]). When every
     /// clocked body is parked the clock generators themselves stop
@@ -2535,33 +1281,21 @@ impl ActivationScheduler {
         state: Rc<RefCell<DriverState>>,
         park: Rc<ParkCounters>,
         park_blocked: bool,
-        parallelism: Parallelism,
-        step_fanout_min: usize,
     ) {
         let registry = Rc::clone(ctx.registry);
         let modules = Rc::clone(ctx.modules);
         let error = Rc::clone(ctx.error);
         let trace = Rc::clone(ctx.trace);
-        // Every domain's activation clocks: the driver owns deferred
-        // module shards of all domains, and each member still steps
-        // only on rising edges of its own domain's clock.
+        // Every domain's activation clocks: the driver owns module
+        // shards of all domains, and each member still steps only on
+        // rising edges of its own domain's clock.
         let clocks = ctx.clocks.to_vec();
-        // Persistent worker pool: n-1 OS threads plus the kernel thread.
-        let mut pool = match parallelism {
-            Parallelism::Threads(n) if n >= 1 => Some(StepPool::new(n - 1)),
-            _ => None,
-        };
-        let pool_width = match parallelism {
-            Parallelism::Threads(n) => n,
-            Parallelism::Off => 0,
-        };
         let mut registered = false;
-        // Pooled immediate-execution env for the inline (non-speculative)
-        // path: pure scratch, owned by the process closure so it never
-        // enters a snapshot.
-        let mut imm = ImmScratch::default();
+        // Pooled execution env: pure scratch, owned by the process
+        // closure so it never enters a snapshot.
+        let mut scratch = ModuleScratch::default();
         ctx.sim.add_process(
-            "module_phase_driver",
+            "module_driver",
             FnProcess::new(move |pctx| {
                 let wait = if registered {
                     Wait::Same
@@ -2572,18 +1306,12 @@ impl ActivationScheduler {
                     // at all — half the wake traffic gone.
                     Wait::Rising(clocks.clone())
                 };
-                if error.borrow().is_some() {
-                    let mut st = state.borrow_mut();
-                    if !st.halted {
-                        st.halted = true;
-                        for s in &st.shards {
-                            s.demand.park(s.members.len() - s.parked.len());
-                        }
-                    }
-                    return Wait::Forever;
-                }
                 let mut st = state.borrow_mut();
                 let st = &mut *st;
+                if error.borrow().is_some() {
+                    st.halt();
+                    return Wait::Forever;
+                }
                 st.runs += 1;
                 // Collect this cycle's stepping set into the pooled
                 // buffer (capacity kept across runs).
@@ -2607,192 +1335,48 @@ impl ActivationScheduler {
                 if !items.is_empty() {
                     let mut to_park = std::mem::take(&mut st.to_park);
                     to_park.clear();
-                    let mut fatal: Option<String> = None;
-                    // The step/commit split exists to let the step phase
-                    // fan out over worker threads; when this cycle's
-                    // stepping set would run inline anyway (no pool, or
-                    // below the fan-out threshold), speculation is pure
-                    // overhead — the driver owns every module shard, so
-                    // stepping the set directly in `(module id)` order
-                    // IS the deterministic commit order, with immediate
-                    // semantics and none of the buffering cost.
-                    let speculative = pool.is_some() && items.len() >= step_fanout_min;
-                    if !speculative {
-                        items.sort_unstable_by_key(|&(mi, _, _)| mi);
-                        for &(mi, si, ai) in &items {
-                            match step_module(
-                                &modules,
-                                mi,
-                                &registry,
-                                &trace,
-                                &park,
-                                park_blocked,
-                                pctx,
-                                &mut imm,
-                            ) {
-                                Ok(Some(watch)) => to_park.push((si, ai, watch)),
-                                Ok(None) => {}
-                                Err(msg) => {
-                                    fatal = Some(msg);
-                                    break;
-                                }
+                    items.sort_unstable_by_key(|&(mi, _, _)| mi);
+                    for &(mi, si, ai) in &items {
+                        match step_module(
+                            &modules,
+                            mi,
+                            &registry,
+                            &trace,
+                            &park,
+                            park_blocked,
+                            pctx,
+                            &mut scratch,
+                        ) {
+                            Ok(Some(watch)) => to_park.push((si, ai, watch)),
+                            Ok(None) => {}
+                            Err(msg) => {
+                                *error.borrow_mut() = Some(msg);
+                                st.halt();
+                                return Wait::Forever;
                             }
                         }
-                    } else {
-                        // STEP PHASE: pure speculation, snapshot-only
-                        // reads, fanned out over the worker pool via the
-                        // shared work-stealing cursor (the `speculative`
-                        // gate guarantees the pool exists). Each worker
-                        // fills recycled shells from its own scratch
-                        // arena, so the steady state allocates nothing.
-                        let (chunks_before, steals_before) = (st.scratch.chunks, st.scratch.steals);
-                        {
-                            let modules_ref = modules.borrow();
-                            let reg_ref = registry.borrow();
-                            let entries: &[ModuleEntry] = &modules_ref;
-                            let reg: &Registry = &reg_ref;
-                            let pool = pool.as_mut().expect("speculative implies a pool");
-                            if st.thread_runs.len() < pool_width {
-                                st.thread_runs.resize(pool_width, 0);
-                            }
-                            let job = StepJobCtx {
-                                entries,
-                                reg,
-                                snapshot: &*pctx,
-                                items: &items,
-                                chunk: st.step_chunk,
-                                cursor: std::sync::atomic::AtomicUsize::new(0),
-                                fair: items.len().div_ceil(pool.workers.len() + 1),
-                            };
-                            pool.run(
-                                &job,
-                                &mut st.specs,
-                                &mut st.origins,
-                                &mut st.thread_runs,
-                                &mut st.scratch,
-                            );
-                        }
-                        // Adapt the chunk size to the observed cost
-                        // spread: steals mean a worker had to rebalance
-                        // past its fair share — shrink so the tail
-                        // behind a heavy item stays short; a steal-free
-                        // cycle with at least four chunks per worker
-                        // can afford coarser grains (less cursor
-                        // contention).
-                        let cycle_chunks = st.scratch.chunks - chunks_before;
-                        let cycle_steals = st.scratch.steals - steals_before;
-                        if cycle_steals > 0 {
-                            let next = (st.step_chunk / 2).max(STEP_CHUNK_MIN);
-                            if next != st.step_chunk {
-                                st.step_chunk = next;
-                                st.scratch.chunk_shrinks += 1;
-                            }
-                        } else if cycle_chunks >= 4 * pool_width as u64 {
-                            let next = (st.step_chunk * 2).min(STEP_CHUNK_MAX);
-                            if next != st.step_chunk {
-                                st.step_chunk = next;
-                                st.scratch.chunk_grows += 1;
-                            }
-                        }
-                        st.scratch.chunk_now = st.step_chunk as u64;
-                        // COMMIT PHASE: deterministic creation order.
-                        // Each committed shell is reset and pushed back
-                        // to the arena that filled it.
-                        let mut order = std::mem::take(&mut st.order);
-                        order.clear();
-                        order.extend(0..items.len());
-                        order.sort_unstable_by_key(|&i| items[i].0);
-                        let mut cycle_bytes = 0u64;
-                        for &oi in &order {
-                            let (mi, si, ai) = items[oi];
-                            let mut spec = st.specs[oi].take().expect("spec consumed once");
-                            let verdict = commit_module(
-                                &modules,
-                                mi,
-                                &mut spec,
-                                &registry,
-                                &trace,
-                                &park,
-                                park_blocked,
-                                pctx,
-                                &mut st.commit_calls,
-                                &mut st.fallbacks,
-                            );
-                            spec.reset();
-                            let bytes = spec.approx_bytes() as u64;
-                            // Track the typical per-shell working set
-                            // (EWMA, alpha 1/8) and reclaim outliers: a
-                            // shell retaining several times the average
-                            // (a trace burst, one pathological
-                            // activation) would otherwise pin that heap
-                            // in the arena forever. The comparison uses
-                            // the *pre-observation* average — folding
-                            // the outlier's own bytes in first would
-                            // raise the baseline by bytes/8 and let a
-                            // large-enough outlier mask itself.
-                            let typical = st.shell_ewma;
-                            st.shell_ewma = if typical == 0 {
-                                bytes
-                            } else {
-                                typical - typical / 8 + bytes / 8
-                            };
-                            if bytes > SHELL_SHRINK_FLOOR && typical > 0 && bytes / 4 > typical {
-                                spec.shrink();
-                                st.scratch.shells_shrunk += 1;
-                            }
-                            cycle_bytes += spec.approx_bytes() as u64;
-                            if let Some(pool) = pool.as_mut() {
-                                pool.scratches[st.origins[oi] as usize].shells.push(spec);
-                            }
-                            match verdict {
-                                Ok(Some(watch)) => to_park.push((si, ai, watch)),
-                                Ok(None) => {}
-                                Err(msg) => {
-                                    fatal = Some(msg);
-                                    break;
-                                }
-                            }
-                        }
-                        st.order = order;
-                        st.scratch.bytes_high_water = st.scratch.bytes_high_water.max(cycle_bytes);
                     }
-                    if let Some(msg) = fatal {
-                        *error.borrow_mut() = Some(msg);
-                        if !st.halted {
-                            st.halted = true;
-                            for s in &st.shards {
-                                s.demand.park(s.members.len() - s.parked.len());
-                            }
+                    park.parked.set(park.parked.get() + to_park.len() as u64);
+                    park.parked_now.set(park.parked_now.get() + to_park.len());
+                    for (si, ai, watch) in to_park.drain(..) {
+                        let shard = &mut st.shards[si];
+                        shard.demand.park(1);
+                        let member = &mut shard.members[ai as usize];
+                        // Hand the displaced buffer back to the scratch
+                        // so the next park's watch list builds in
+                        // recycled capacity.
+                        let mut displaced = std::mem::replace(&mut member.watch, watch);
+                        if scratch.watch.capacity() < displaced.capacity() {
+                            displaced.clear();
+                            scratch.watch = displaced;
                         }
-                        return Wait::Forever;
-                    }
-                    if !to_park.is_empty() {
-                        park.parked.set(park.parked.get() + to_park.len() as u64);
-                        park.parked_now.set(park.parked_now.get() + to_park.len());
-                        for (si, ai, watch) in to_park.drain(..) {
-                            let shard = &mut st.shards[si];
-                            shard.demand.park(1);
-                            let member = &mut shard.members[ai as usize];
-                            // Hand the displaced buffer back to the
-                            // scratch pool so the next park's watch
-                            // list builds in recycled capacity.
-                            let mut displaced = std::mem::replace(&mut member.watch, watch);
-                            if imm.watch.capacity() < displaced.capacity() {
-                                displaced.clear();
-                                imm.watch = displaced;
-                            }
-                            shard.active.retain(|&a| a != ai);
-                            shard.parked.push(ai);
-                            // Hand the new watch set to the shard's
-                            // watcher process (event next delta).
-                            if !shard.watch_dirty {
-                                shard.watch_dirty = true;
-                                let next = match pctx.read(shard.poke) {
-                                    Value::Bit(cosma_core::Bit::One) => cosma_core::Bit::Zero,
-                                    _ => cosma_core::Bit::One,
-                                };
-                                pctx.drive(shard.poke, Value::Bit(next));
-                            }
+                        shard.active.retain(|&a| a != ai);
+                        shard.parked.push(ai);
+                        // Hand the new watch set to the shard's watcher
+                        // process (event next delta).
+                        if !shard.watch_dirty {
+                            shard.watch_dirty = true;
+                            toggle(pctx, shard.poke);
                         }
                     }
                     st.to_park = to_park;
@@ -2803,54 +1387,45 @@ impl ActivationScheduler {
         );
     }
 
-    /// Registers the kernel process driving one shard. Each run it
-    /// re-arms parked members whose watch wires evented, steps active
-    /// members on their clock's rising edges (parking the ones that
-    /// prove stable), and re-declares its sensitivity only when
-    /// membership changed: the active members' clocks plus the parked
-    /// members' watch wires — no clocks at all once everyone is parked,
-    /// which is what makes a dormant shard free.
+    /// Registers the kernel process driving one unit shard. Each run it
+    /// re-arms parked members whose wires evented, steps active members
+    /// on their clock's rising edges (parking the ones that prove
+    /// stable), and re-declares its sensitivity only when membership
+    /// changed: the active members' clocks plus the parked members'
+    /// wires — no clocks at all once everyone is parked, which is what
+    /// makes a dormant shard free.
     fn register_shard_process(
         ctx: SchedCtx<'_>,
         state: Rc<RefCell<ShardState>>,
         park: Rc<ParkCounters>,
-        park_blocked: bool,
         label: String,
     ) {
         let registry = Rc::clone(ctx.registry);
-        let modules = Rc::clone(ctx.modules);
         let error = Rc::clone(ctx.error);
-        let trace = Rc::clone(ctx.trace);
         let demand = Rc::clone(ctx.demand);
-        // Pooled immediate-execution env for this shard's module
-        // members, plus the per-run park list: pure scratch, owned by
-        // the process closure so it never enters a snapshot.
-        let mut imm = ImmScratch::default();
+        // The per-run park list: pure scratch, owned by the process
+        // closure so it never enters a snapshot.
         let mut to_park: Vec<u32> = vec![];
         ctx.sim.add_process(
             label,
             FnProcess::new(move |pctx| {
-                if error.borrow().is_some() {
-                    let mut st = state.borrow_mut();
-                    if !st.halted {
-                        st.halted = true;
-                        demand.park(st.members.len() - st.parked.len());
-                    }
-                    return Wait::Forever;
-                }
                 let mut st = state.borrow_mut();
                 let st = &mut *st;
+                if error.borrow().is_some() {
+                    st.halt(&demand);
+                    return Wait::Forever;
+                }
                 st.runs += 1;
                 let was_dormant = st.active.is_empty();
-                // Re-arm parked members whose watch wires evented in
-                // this delta.
+                // Re-arm parked members whose wires evented in this
+                // delta.
                 if !st.parked.is_empty() {
                     let mut resumed_any = 0usize;
                     let mut i = 0;
                     while i < st.parked.len() {
                         let mi = st.parked[i] as usize;
-                        st.watch_probes += st.members[mi].watch.len() as u64;
-                        if st.members[mi].watch.iter().any(|&w| pctx.event(w)) {
+                        st.watch_probes += st.members[mi].wires.len() as u64;
+                        if st.members[mi].wires.iter().any(|&w| pctx.event(w)) {
                             let idx = st.parked.swap_remove(i);
                             let pos = st.active.partition_point(|&a| a < idx);
                             st.active.insert(pos, idx);
@@ -2868,89 +1443,42 @@ impl ActivationScheduler {
                     }
                 }
                 // Step active members whose clock rose.
-                let ShardState {
-                    members,
-                    active,
-                    parked,
-                    wait_dirty,
-                    halted,
-                    units_stepped,
-                    units_skipped,
-                    ..
-                } = st;
                 let mut edge_seen = false;
+                let mut fatal = None;
                 to_park.clear();
-                for &ai in active.iter() {
-                    let member = &mut members[ai as usize];
+                for &ai in &st.active {
+                    let member = &mut st.members[ai as usize];
                     if !pctx.rose(member.clk) {
                         continue;
                     }
                     edge_seen = true;
-                    let verdict = match member.body {
-                        MemberBody::Unit(handle) => {
-                            let changed =
-                                wires_changed(pctx, &member.wires, &mut member.seen_events);
-                            *units_stepped += 1;
-                            let mut reg = registry.borrow_mut();
-                            match step_unit_member(&mut reg, handle, pctx, changed) {
-                                Ok(stable) => {
-                                    if stable {
-                                        // A stable unit watches its own
-                                        // wires — refill the member's
-                                        // buffer instead of cloning the
-                                        // wire list on every park.
-                                        member.watch.clear();
-                                        member.watch.extend_from_slice(&member.wires);
-                                        to_park.push(ai);
-                                    }
-                                    Ok(None)
-                                }
-                                Err(msg) => Err(msg),
-                            }
-                        }
-                        MemberBody::Module(idx) => step_module(
-                            &modules,
-                            idx,
-                            &registry,
-                            &trace,
-                            &park,
-                            park_blocked,
-                            pctx,
-                            &mut imm,
-                        ),
-                    };
-                    match verdict {
-                        Ok(Some(watch)) => {
-                            // Hand the displaced buffer back to the
-                            // scratch the new watch list came from.
-                            let mut displaced = std::mem::replace(&mut member.watch, watch);
-                            if imm.watch.capacity() < displaced.capacity() {
-                                displaced.clear();
-                                imm.watch = displaced;
-                            }
-                            to_park.push(ai);
-                        }
-                        Ok(None) => {}
+                    let changed = wires_changed(pctx, &member.wires, &mut member.seen_events);
+                    st.units_stepped += 1;
+                    let mut reg = registry.borrow_mut();
+                    match step_unit_member(&mut reg, member.unit, pctx, changed) {
+                        Ok(true) => to_park.push(ai),
+                        Ok(false) => {}
                         Err(msg) => {
-                            *error.borrow_mut() = Some(msg);
-                            if !*halted {
-                                *halted = true;
-                                demand.park(members.len() - parked.len());
-                            }
-                            return Wait::Forever;
+                            fatal = Some(msg);
+                            break;
                         }
                     }
                 }
+                if let Some(msg) = fatal {
+                    *error.borrow_mut() = Some(msg);
+                    st.halt(&demand);
+                    return Wait::Forever;
+                }
                 if edge_seen {
-                    *units_skipped += parked.len() as u64;
+                    st.units_skipped += st.parked.len() as u64;
                 }
                 if !to_park.is_empty() {
                     demand.park(to_park.len());
-                    active.retain(|a| !to_park.contains(a));
-                    parked.extend_from_slice(&to_park);
+                    st.active.retain(|a| !to_park.contains(a));
+                    st.parked.extend_from_slice(&to_park);
                     park.parked.set(park.parked.get() + to_park.len() as u64);
                     park.parked_now.set(park.parked_now.get() + to_park.len());
-                    *wait_dirty = true;
+                    st.wait_dirty = true;
                 }
                 if !st.wait_dirty {
                     return Wait::Same;
@@ -2961,7 +1489,7 @@ impl ActivationScheduler {
                     sens.push(st.members[ai as usize].clk);
                 }
                 for &pi in &st.parked {
-                    sens.extend_from_slice(&st.members[pi as usize].watch);
+                    sens.extend_from_slice(&st.members[pi as usize].wires);
                 }
                 sens.sort_unstable();
                 sens.dedup();
@@ -2978,18 +1506,18 @@ impl ActivationScheduler {
         );
     }
 
-    /// Aggregate statistics across both shard pools, the two-phase
-    /// driver and the shared park counters.
+    /// Aggregate statistics across the unit shards, the module driver
+    /// and the shared park counters.
     fn stats(&self) -> ShardStats {
         let mut s = ShardStats {
-            shards: self.unit_shards.len() + self.module_shards.len(),
+            shards: self.unit_shards.len(),
             modules_stepped: self.park.modules_stepped.get(),
             members_parked: self.park.parked.get(),
             members_resumed: self.park.resumed.get(),
             parked_now: self.park.parked_now.get(),
             ..ShardStats::default()
         };
-        for shard in self.unit_shards.iter().chain(&self.module_shards) {
+        for shard in &self.unit_shards {
             let st = shard.borrow();
             if st.active.is_empty() && !st.members.is_empty() {
                 s.dormant_shards += 1;
@@ -3011,10 +1539,6 @@ impl ActivationScheduler {
             s.shard_runs += st.runs;
             s.units_skipped += st.skipped;
             s.wire_wakeups += st.wire_wakeups;
-            s.commit_calls = st.commit_calls;
-            s.commit_fallbacks = st.fallbacks;
-            s.step_thread_runs = st.thread_runs.clone();
-            s.scratch = st.scratch.clone();
         }
         s
     }
@@ -3152,7 +1676,7 @@ pub struct Cosim {
     /// event bumps the demand back and kicks the generators awake.
     domains: Vec<ClockDomainEntry>,
     /// Every domain's activation clocks in domain order
-    /// (`[hw0, sw0, hw1, sw1, ...]`) — the two-phase driver's clock
+    /// (`[hw0, sw0, hw1, sw1, ...]`) — the module driver's clock
     /// sensitivity.
     clock_list: Vec<SignalId>,
     /// Boundary half-links installed on this backplane (partitioned
@@ -3224,16 +1748,15 @@ impl Cosim {
     /// femtosecond time axis; only the activation-clock periods differ.
     ///
     /// Domains must be created while the backplane is empty (before any
-    /// unit or module), so the two-phase driver's clock sensitivity and
+    /// unit or module), so the module driver's clock sensitivity and
     /// the per-domain shard pools are complete before placement starts.
     ///
     /// # Errors
     ///
     /// Returns [`CosimError::Setup`] when units or modules were already
-    /// added, when the configuration requests mixed-domain shards
-    /// ([`DomainPlacement::Mixed`]), when either ratio component is
-    /// zero, when the scaled period would truncate to zero, or when
-    /// `name` is empty or already taken.
+    /// added, when either ratio component is zero, when the scaled
+    /// period would truncate to zero, or when `name` is empty or already
+    /// taken.
     pub fn add_clock_domain(
         &mut self,
         name: &str,
@@ -3243,13 +1766,6 @@ impl Cosim {
         if !self.handles.is_empty() || !self.modules.borrow().is_empty() {
             return Err(CosimError::Setup(
                 "clock domains must be created before units or modules".to_string(),
-            ));
-        }
-        if self.sched.cfg.domains == DomainPlacement::Mixed {
-            return Err(CosimError::Setup(
-                "mixed-domain shards are unsupported: a shard's park/demand accounting \
-                 is keyed to one domain's clock generators (use DomainPlacement::Isolated)"
-                    .to_string(),
             ));
         }
         let Some(ratio) = ClockRatio::try_new(num, den) else {
@@ -3365,35 +1881,7 @@ impl Cosim {
             ));
         }
         cfg.validate()?;
-        if cfg.domains == DomainPlacement::Mixed && self.domains.len() > 1 {
-            return Err(CosimError::Setup(
-                "mixed-domain shards are unsupported: a shard's park/demand accounting \
-                 is keyed to one domain's clock generators (use DomainPlacement::Isolated)"
-                    .to_string(),
-            ));
-        }
         self.sched.cfg = cfg;
-        Ok(())
-    }
-
-    /// Selects the unit-scheduling strategy, leaving module scheduling
-    /// and parking unchanged. Must be called before any unit is added.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CosimError::Setup`] if units were already added.
-    pub fn set_unit_scheduling(&mut self, s: UnitScheduling) -> Result<(), CosimError> {
-        if !self.handles.is_empty() {
-            return Err(CosimError::Setup(
-                "unit scheduling must be chosen before adding units".to_string(),
-            ));
-        }
-        if let UnitScheduling::Sharded { shard_size } = s {
-            if shard_size == 0 {
-                return Err(CosimError::Setup("shard size must be nonzero".to_string()));
-            }
-        }
-        self.sched.cfg.units = s;
         Ok(())
     }
 
@@ -3401,12 +1889,6 @@ impl Cosim {
     #[must_use]
     pub fn scheduling(&self) -> SchedulingConfig {
         self.sched.cfg
-    }
-
-    /// The active unit-scheduling strategy.
-    #[must_use]
-    pub fn unit_scheduling(&self) -> UnitScheduling {
-        self.sched.cfg.units
     }
 
     /// Aggregate activation-scheduler statistics (shard counters are
@@ -4179,16 +2661,12 @@ impl Cosim {
             caller,
             status,
         });
-        match (self.sched.cfg.modules, self.sched.cfg.calls) {
-            (ModuleScheduling::Sharded { .. }, CallApplication::Deferred) => {
+        match self.sched.cfg.modules {
+            ModuleScheduling::Sharded { .. } => {
                 let (sched, ctx) = self.sched_ctx(domain.0);
-                sched.add_deferred_module(ctx, idx, clk);
+                sched.add_module(ctx, idx, clk);
             }
-            (ModuleScheduling::Sharded { .. }, CallApplication::Immediate) => {
-                let (sched, ctx) = self.sched_ctx(domain.0);
-                sched.add_module_member(ctx, idx, clk);
-            }
-            (ModuleScheduling::PerModule, _) => {
+            ModuleScheduling::PerModule => {
                 let demand = Rc::clone(&self.domains[domain.0].demand);
                 self.register_per_module_process(idx, clk, demand);
             }
@@ -4196,7 +2674,7 @@ impl Cosim {
         Ok(CosimModuleId(idx))
     }
 
-    /// Registers the classic one-process-per-module path. The process
+    /// Registers the one-process-per-module path. The process
     /// steps its module on every rising clock edge; when the module
     /// proves stable it *parks* — swapping its clock sensitivity for
     /// the module's watch wires — unless parking is disabled.
@@ -4219,10 +2697,10 @@ impl Cosim {
             wait_dirty: true,
         }));
         self.sched.per_module.push(Rc::clone(&pstate));
-        // Pooled immediate-execution env for this module's activations:
-        // pure scratch, owned by the process closure so it never enters
-        // a snapshot.
-        let mut imm = ImmScratch::default();
+        // Pooled execution env for this module's activations: pure
+        // scratch, owned by the process closure so it never enters a
+        // snapshot.
+        let mut scratch = ModuleScratch::default();
         self.sim.add_process(
             name,
             FnProcess::new(move |ctx| {
@@ -4256,7 +2734,7 @@ impl Cosim {
                         &park,
                         park_blocked,
                         ctx,
-                        &mut imm,
+                        &mut scratch,
                     ) {
                         Ok(Some(w)) => {
                             ps.parked = true;
@@ -4264,9 +2742,9 @@ impl Cosim {
                             // scratch pool so the next park's watch
                             // list builds in recycled capacity.
                             let mut displaced = std::mem::replace(&mut ps.watch, w);
-                            if imm.watch.capacity() < displaced.capacity() {
+                            if scratch.watch.capacity() < displaced.capacity() {
                                 displaced.clear();
-                                imm.watch = displaced;
+                                scratch.watch = displaced;
                             }
                             ps.wait_dirty = true;
                             park.parked.set(park.parked.get() + 1);
@@ -4556,18 +3034,12 @@ enum RecipeOp {
     },
 }
 
-/// Captured activation-gating state of one shard member.
-#[derive(Clone)]
-struct MemberSnap {
-    seen_events: Vec<u64>,
-    watch: Vec<SignalId>,
-}
-
-/// Captured state of one unit/module shard ([`ShardState`] minus its
-/// immutable member bodies).
+/// Captured state of one unit shard ([`ShardState`] minus its
+/// immutable member bodies): per-member event-count gates plus the
+/// shard's active/parked split and counters.
 #[derive(Clone)]
 struct ShardSnap {
-    members: Vec<MemberSnap>,
+    seen_events: Vec<Vec<u64>>,
     active: Vec<u32>,
     parked: Vec<u32>,
     wait_dirty: bool,
@@ -4581,14 +3053,7 @@ struct ShardSnap {
 
 fn snap_shard(st: &ShardState) -> ShardSnap {
     ShardSnap {
-        members: st
-            .members
-            .iter()
-            .map(|m| MemberSnap {
-                seen_events: m.seen_events.clone(),
-                watch: m.watch.clone(),
-            })
-            .collect(),
+        seen_events: st.members.iter().map(|m| m.seen_events.clone()).collect(),
         active: st.active.clone(),
         parked: st.parked.clone(),
         wait_dirty: st.wait_dirty,
@@ -4602,9 +3067,8 @@ fn snap_shard(st: &ShardState) -> ShardSnap {
 }
 
 fn apply_shard(st: &mut ShardState, snap: &ShardSnap) {
-    for (m, ms) in st.members.iter_mut().zip(&snap.members) {
-        m.seen_events.clone_from(&ms.seen_events);
-        m.watch.clone_from(&ms.watch);
+    for (m, seen) in st.members.iter_mut().zip(&snap.seen_events) {
+        m.seen_events.clone_from(seen);
     }
     st.active.clone_from(&snap.active);
     st.parked.clone_from(&snap.parked);
@@ -4617,7 +3081,7 @@ fn apply_shard(st: &mut ShardState, snap: &ShardSnap) {
     st.watch_probes = snap.watch_probes;
 }
 
-/// Captured state of one two-phase driver shard.
+/// Captured state of one module driver shard.
 #[derive(Clone)]
 struct DriverShardSnap {
     /// Per-member park watch sets, in member order.
@@ -4628,21 +3092,15 @@ struct DriverShardSnap {
     watcher_armed: bool,
 }
 
-/// Captured state of the two-phase driver ([`DriverState`] minus its
-/// per-cycle commit scratch, which is rebuilt from scratch each cycle).
+/// Captured state of the module driver ([`DriverState`] minus its
+/// per-cycle scratch, which is rebuilt every cycle).
 #[derive(Clone)]
 struct DriverSnap {
     shards: Vec<DriverShardSnap>,
     halted: bool,
-    step_chunk: usize,
-    shell_ewma: u64,
     runs: u64,
     skipped: u64,
     wire_wakeups: u64,
-    commit_calls: u64,
-    fallbacks: u64,
-    thread_runs: Vec<u64>,
-    scratch: ScratchStats,
 }
 
 /// Captured park/resume accounting.
@@ -4670,18 +3128,13 @@ struct ModuleSnap {
 /// unit (FSM controller + protocol sessions, batched-link queues and
 /// adaptive batch target, native unit internals), every module (FSM
 /// state, variables, status), the activation scheduler (shard
-/// active/parked splits, watch sets, event-count gates, two-phase
-/// driver state including the adaptive step chunk and shell EWMA),
-/// park/demand accounting, the global error latch, and the trace log.
+/// active/parked splits, watch sets, event-count gates, module driver
+/// state), park/demand accounting, the global error latch, and the
+/// trace log.
 ///
 /// **Stats are captured and restored verbatim** — a restored run's
 /// counters continue from the snapshot's values, so its *deltas* match
-/// the uninterrupted run's deltas exactly. The one exception is
-/// allocation/load telemetry of the threaded step phase
-/// ([`ScratchStats`]' arena counters and [`ShardStats`]'
-/// `step_thread_runs`): these are restored too, but a *forked*
-/// backplane's thread pool starts cold, so they may diverge between a
-/// fork and its original afterwards. Functional state never does.
+/// the uninterrupted run's deltas exactly.
 ///
 /// Not covered: VCD recording (a running waveform dump is an output
 /// stream, not simulation state) and processes registered directly on
@@ -4701,7 +3154,6 @@ pub struct Snapshot {
     native: Vec<(Option<NativeUnitState>, i64)>,
     modules: Vec<ModuleSnap>,
     unit_shards: Vec<ShardSnap>,
-    module_shards: Vec<ShardSnap>,
     driver: Option<DriverSnap>,
     per_module: Vec<PerModuleProcState>,
     per_unit_seen: Vec<Vec<u64>>,
@@ -4751,7 +3203,7 @@ impl Snapshot {
 /// state and *all* scheduler state. Scheduler state that process
 /// closures would naturally capture as locals (park flags, event-count
 /// gates, elaboration latches) is deliberately hoisted into shared
-/// cells owned by the [`ActivationScheduler`], so a snapshot reaches
+/// cells owned by the activation scheduler, so a snapshot reaches
 /// every bit that influences future behaviour — the precondition for
 /// bit-identical replay.
 impl Cosim {
@@ -4788,12 +3240,6 @@ impl Cosim {
                 .iter()
                 .map(|s| snap_shard(&s.borrow()))
                 .collect(),
-            module_shards: self
-                .sched
-                .module_shards
-                .iter()
-                .map(|s| snap_shard(&s.borrow()))
-                .collect(),
             driver: self.sched.driver.as_ref().map(|d| {
                 let st = d.borrow();
                 DriverSnap {
@@ -4809,15 +3255,9 @@ impl Cosim {
                         })
                         .collect(),
                     halted: st.halted,
-                    step_chunk: st.step_chunk,
-                    shell_ewma: st.shell_ewma,
                     runs: st.runs,
                     skipped: st.skipped,
                     wire_wakeups: st.wire_wakeups,
-                    commit_calls: st.commit_calls,
-                    fallbacks: st.fallbacks,
-                    thread_runs: st.thread_runs.clone(),
-                    scratch: st.scratch.clone(),
                 }
             }),
             per_module: self
@@ -4891,28 +3331,21 @@ impl Cosim {
                 self.modules.borrow().len()
             )
         })?;
-        let shard_shape = |shards: &[Rc<RefCell<ShardState>>],
-                           snaps: &[ShardSnap],
-                           what: &str|
-         -> Result<(), CosimError> {
-            ensure(shards.len() == snaps.len(), || {
-                format!(
-                    "snapshot has {} {what} shards, backplane has {}",
-                    snaps.len(),
-                    shards.len()
-                )
+        let shards = &self.sched.unit_shards;
+        ensure(shards.len() == snap.unit_shards.len(), || {
+            format!(
+                "snapshot has {} unit shards, backplane has {}",
+                snap.unit_shards.len(),
+                shards.len()
+            )
+        })?;
+        for (i, (sh, sn)) in shards.iter().zip(&snap.unit_shards).enumerate() {
+            ensure(sh.borrow().members.len() == sn.seen_events.len(), || {
+                format!("unit shard {i} member count differs from snapshot")
             })?;
-            for (i, (sh, sn)) in shards.iter().zip(snaps).enumerate() {
-                ensure(sh.borrow().members.len() == sn.members.len(), || {
-                    format!("{what} shard {i} member count differs from snapshot")
-                })?;
-            }
-            Ok(())
-        };
-        shard_shape(&self.sched.unit_shards, &snap.unit_shards, "unit")?;
-        shard_shape(&self.sched.module_shards, &snap.module_shards, "module")?;
+        }
         ensure(self.sched.driver.is_some() == snap.driver.is_some(), || {
-            "two-phase driver presence differs from snapshot".to_string()
+            "module driver presence differs from snapshot".to_string()
         })?;
         if let (Some(d), Some(ds)) = (&self.sched.driver, &snap.driver) {
             let st = d.borrow();
@@ -4928,9 +3361,6 @@ impl Cosim {
                     format!("driver shard {i} member count differs from snapshot")
                 })?;
             }
-            // thread_runs is not shape-checked: its width is sized
-            // lazily on the first threaded cycle (mutable state, not
-            // structure) and restore overwrites it wholesale.
         }
         ensure(self.domains.len() == snap.demand.len(), || {
             format!(
@@ -5019,9 +3449,6 @@ impl Cosim {
         for (sh, sn) in self.sched.unit_shards.iter().zip(&snap.unit_shards) {
             apply_shard(&mut sh.borrow_mut(), sn);
         }
-        for (sh, sn) in self.sched.module_shards.iter().zip(&snap.module_shards) {
-            apply_shard(&mut sh.borrow_mut(), sn);
-        }
         if let (Some(d), Some(ds)) = (&self.sched.driver, &snap.driver) {
             let mut st = d.borrow_mut();
             for (sh, sn) in st.shards.iter_mut().zip(&ds.shards) {
@@ -5034,15 +3461,9 @@ impl Cosim {
                 sh.watcher_armed = sn.watcher_armed;
             }
             st.halted = ds.halted;
-            st.step_chunk = ds.step_chunk;
-            st.shell_ewma = ds.shell_ewma;
             st.runs = ds.runs;
             st.skipped = ds.skipped;
             st.wire_wakeups = ds.wire_wakeups;
-            st.commit_calls = ds.commit_calls;
-            st.fallbacks = ds.fallbacks;
-            st.thread_runs.clone_from(&ds.thread_runs);
-            st.scratch = ds.scratch.clone();
         }
         for (p, sn) in self.sched.per_module.iter().zip(&snap.per_module) {
             *p.borrow_mut() = sn.clone();
@@ -5409,7 +3830,7 @@ mod tests {
         let mut cosim = Cosim::new(CosimConfig::default());
         cosim.add_fsm_unit("link", handshake_unit("hs", Type::INT16));
         let err = cosim
-            .set_unit_scheduling(UnitScheduling::PerUnit)
+            .set_scheduling(SchedulingConfig::legacy())
             .unwrap_err();
         assert!(matches!(err, CosimError::Setup(_)));
     }
@@ -5447,57 +3868,6 @@ mod tests {
         assert!(
             err.to_string().contains("exceeds"),
             "overflow error is descriptive: {err}"
-        );
-    }
-
-    #[test]
-    fn deferred_batched_commit_installs_queue_journal() {
-        // A batched workload whose cycles carry a stepping set past the
-        // fan-out threshold (the regime where speculation actually
-        // runs): every speculated batched call must install through the
-        // BatchedLink queue-op journal — zero sequential fallbacks —
-        // while matching the immediate scheduler exactly. A Star of
-        // STEP_FANOUT_MIN+ producers keeps the early cycles' stepping
-        // sets above the threshold.
-        use crate::scenario::{build_scenario, LinkKind, ScenarioSpec, Topology};
-        fn run(scheduling: SchedulingConfig) -> (Vec<ModuleStatus>, ShardStats) {
-            let mut s = build_scenario(&ScenarioSpec {
-                units: STEP_FANOUT_MIN + 8,
-                topology: Topology::Star,
-                values_per_link: 4,
-                link: LinkKind::Batched {
-                    max_batch: 8,
-                    capacity: 32,
-                    timing: BusTiming::LengthOnly,
-                },
-                config: CosimConfig::default(),
-                scheduling,
-                trace: false,
-                domains: Default::default(),
-            })
-            .expect("scenario builds");
-            s.cosim.run_for(Duration::from_us(400)).expect("runs");
-            s.verify().expect("all traffic arrived");
-            let statuses = s
-                .modules
-                .iter()
-                .map(|&m| s.cosim.module_status(m))
-                .collect();
-            (statuses, s.cosim.shard_stats())
-        }
-        let deferred = run(SchedulingConfig::sharded().with_threads(2));
-        let immediate = run(SchedulingConfig::immediate());
-        assert_eq!(deferred.0, immediate.0, "module statuses identical");
-        assert!(
-            deferred.1.commit_calls > 0,
-            "large stepping sets flowed through commit phases: {:?}",
-            deferred.1
-        );
-        assert_eq!(
-            deferred.1.commit_fallbacks, 0,
-            "batched speculation installs via the queue journal, never \
-             the sequential fallback: {:?}",
-            deferred.1
         );
     }
 
@@ -5974,7 +4344,6 @@ mod tests {
         }
         for cfg in [
             SchedulingConfig::sharded(),
-            SchedulingConfig::immediate(),
             SchedulingConfig {
                 park_blocked: true,
                 ..SchedulingConfig::legacy()
@@ -6043,17 +4412,11 @@ mod tests {
             )
         }
         let sharded = run(SchedulingConfig::sharded());
-        let immediate = run(SchedulingConfig::immediate());
         let per_module = run(SchedulingConfig {
-            units: UnitScheduling::Sharded {
-                shard_size: DEFAULT_SHARD_SIZE,
-            },
             modules: ModuleScheduling::PerModule,
-            park_blocked: true,
-            ..SchedulingConfig::legacy()
+            ..SchedulingConfig::sharded()
         });
         assert_eq!(sharded, per_module);
-        assert_eq!(sharded, immediate);
         assert_eq!(sharded.1[0], Some(Value::Int(12)));
     }
 
@@ -6138,7 +4501,13 @@ mod tests {
             p.initial(wait);
             p.build().unwrap()
         }
-        for cfg in [SchedulingConfig::sharded(), SchedulingConfig::immediate()] {
+        for cfg in [
+            SchedulingConfig::sharded(),
+            SchedulingConfig {
+                park_blocked: true,
+                ..SchedulingConfig::legacy()
+            },
+        ] {
             let mut cosim = Cosim::new(CosimConfig::default());
             cosim.set_scheduling(cfg).unwrap();
             let link = cosim.add_native_unit("fifo", Box::new(FifoChannel::new("fifo", 8)));
@@ -6237,7 +4606,13 @@ mod tests {
             p.initial(put);
             p.build().unwrap()
         }
-        for cfg in [SchedulingConfig::sharded(), SchedulingConfig::immediate()] {
+        for cfg in [
+            SchedulingConfig::sharded(),
+            SchedulingConfig {
+                park_blocked: true,
+                ..SchedulingConfig::legacy()
+            },
+        ] {
             let mut cosim = Cosim::new(CosimConfig::default());
             cosim.set_scheduling(cfg).unwrap();
             let link = cosim.add_native_unit("fifo", Box::new(FifoChannel::new("fifo", 8)));
@@ -6306,7 +4681,7 @@ mod tests {
         // De-panicked call-application path: a module calling a service
         // its unit does not offer (or with a payload of the wrong kind)
         // halts with a typed error in ModuleStatus — identically under
-        // immediate and deferred (fallback) application.
+        // the module driver and the per-module oracle.
         fn bad_caller(service: &str, args: Vec<Expr>) -> Module {
             let mut b = ModuleBuilder::new("badcall", ModuleKind::Software);
             let done = b.var("D", Type::Bool, Value::Bool(false));
@@ -6326,7 +4701,7 @@ mod tests {
             b.initial(s);
             b.build().unwrap()
         }
-        for cfg in [SchedulingConfig::sharded(), SchedulingConfig::immediate()] {
+        for cfg in [SchedulingConfig::sharded(), SchedulingConfig::legacy()] {
             for (service, args) in [
                 ("bogus", vec![]),
                 ("put", vec![]),
@@ -6347,12 +4722,11 @@ mod tests {
     }
 
     #[test]
-    fn deferred_commit_stats_and_hashed_placement() {
-        // Modules spread over several shards under hashed placement,
-        // and sub-threshold cycles run the direct path (the step/commit
-        // machinery is reserved for stepping sets the worker pool can
-        // actually parallelize — zero commit calls here is the
-        // optimization working, not the scheduler idling).
+    fn hashed_module_placement_spreads_driver_shards() {
+        // Modules spread over several driver shards under hashed
+        // placement, while the driver still steps them in module-id
+        // order: the exchange completes as under one process per
+        // module.
         let mut cosim = Cosim::new(CosimConfig::default());
         cosim
             .set_scheduling(SchedulingConfig {
@@ -6375,103 +4749,46 @@ mod tests {
         cosim.run_for(Duration::from_us(50)).unwrap();
         assert_eq!(cosim.module_var(cid, "SUM"), Some(Value::Int(6)));
         let st = cosim.shard_stats();
-        assert_eq!(
-            st.commit_calls, 0,
-            "small unthreaded cycles step directly — no speculation to \
-             commit: {st:?}"
-        );
-        assert_eq!(st.commit_fallbacks, 0);
         assert!(
             st.modules_stepped > 0,
-            "modules still stepped through the driver: {st:?}"
+            "modules stepped through the driver: {st:?}"
         );
+        let driver = cosim.sched.driver.as_ref().unwrap().borrow();
         assert!(
-            cosim.sched.driver.as_ref().unwrap().borrow().shards.len() >= 2,
+            driver.shards.len() >= 2,
             "8 modules at shard size 2 open several driver shards"
         );
-    }
-
-    #[test]
-    fn threaded_step_phase_matches_and_reports_per_thread_runs() {
-        // Threads(2) vs Off on a backplane whose cycles carry a large
-        // stepping set (parking disabled, many modules — what the
-        // fan-out threshold requires): identical results, and
-        // ShardStats reports the per-worker stepped-activation split.
-        fn run(cfg: SchedulingConfig) -> (Option<Value>, ModuleStatus, Vec<u64>, u64) {
-            let mut cosim = Cosim::new(CosimConfig::default());
-            cosim.set_scheduling(cfg).unwrap();
-            let l0 = cosim.add_fsm_unit("l0", handshake_unit("hs", Type::INT16));
-            let p0 = producer(&[1, 2, 3]);
-            let c0 = consumer(3);
-            cosim.add_module(&p0, &[("iface", l0)]).unwrap();
-            let cid = cosim.add_module(&c0, &[("iface", l0)]).unwrap();
-            // Enough unparked self-loopers to cross STEP_FANOUT_MIN.
-            for k in 0..(2 * STEP_FANOUT_MIN) {
-                let mut b = ModuleBuilder::new(format!("spin{k}"), ModuleKind::Software);
-                let n = b.var("N", Type::INT16, Value::Int(0));
-                let s = b.state("S");
-                b.actions(s, vec![Stmt::assign(n, Expr::var(n).add(Expr::int(1)))]);
-                b.transition(s, None, s);
-                b.initial(s);
-                cosim.add_module(&b.build().unwrap(), &[]).unwrap();
-            }
-            cosim.run_for(Duration::from_us(40)).unwrap();
-            let st = cosim.shard_stats();
-            (
-                cosim.module_var(cid, "SUM"),
-                cosim.module_status(cid),
-                st.step_thread_runs.clone(),
-                st.modules_stepped,
-            )
-        }
-        let threaded = run(SchedulingConfig::sharded().with_threads(2));
-        let sequential = run(SchedulingConfig::sharded());
-        assert_eq!(threaded.0, sequential.0);
-        assert_eq!(threaded.1, sequential.1);
-        assert_eq!(threaded.3, sequential.3, "same activation counts");
-        assert_eq!(threaded.0, Some(Value::Int(6)));
-        assert_eq!(threaded.2.len(), 2, "one kernel-thread slot, one worker");
+        // Hashed, not creation-order, placement: some shard holds
+        // modules that were not created back to back.
         assert!(
-            threaded.2.iter().all(|&r| r > 0),
-            "both workers stepped activations: {:?}",
-            threaded.2
+            driver.shards.iter().any(|sh| sh
+                .members
+                .windows(2)
+                .any(|w| w[1].module != w[0].module + 1)),
+            "hashed placement scatters creation-order runs"
         );
-        assert!(sequential.2.is_empty(), "no worker runs without threading");
     }
 
     #[test]
     fn invalid_scheduling_configs_rejected() {
         let mut cosim = Cosim::new(CosimConfig::default());
-        // Hashed placement without deferred calls.
+        // Zero shard sizes, on either side.
         assert!(matches!(
             cosim.set_scheduling(SchedulingConfig {
-                calls: CallApplication::Immediate,
+                units: UnitScheduling::Sharded { shard_size: 0 },
                 ..SchedulingConfig::sharded()
             }),
             Err(CosimError::Setup(_))
         ));
-        // Threading without deferred calls.
         assert!(matches!(
             cosim.set_scheduling(SchedulingConfig {
-                parallelism: Parallelism::Threads(2),
-                ..SchedulingConfig::immediate()
-            }),
-            Err(CosimError::Setup(_))
-        ));
-        // Zero threads.
-        assert!(matches!(
-            cosim.set_scheduling(SchedulingConfig::sharded().with_threads(0)),
-            Err(CosimError::Setup(_))
-        ));
-        // Deferred calls on the per-module path.
-        assert!(matches!(
-            cosim.set_scheduling(SchedulingConfig {
-                modules: ModuleScheduling::PerModule,
-                placement: ModulePlacement::CreationOrder,
+                modules: ModuleScheduling::Sharded { shard_size: 0 },
                 ..SchedulingConfig::sharded()
             }),
             Err(CosimError::Setup(_))
         ));
+        // A rejected configuration leaves the previous one in force.
+        assert_eq!(cosim.scheduling(), SchedulingConfig::sharded());
     }
 
     #[test]
@@ -6505,29 +4822,6 @@ mod tests {
         cosim.add_fsm_unit("u0", handshake_unit("hs", Type::INT16));
         assert!(matches!(
             cosim.add_clock_domain("late", 2, 1),
-            Err(CosimError::Setup(_))
-        ));
-        // Mixed-domain shards are rejected from both directions: a
-        // domain added under Mixed placement, and Mixed placement
-        // selected once a second domain exists.
-        let mut mixed = Cosim::new(CosimConfig::default());
-        mixed
-            .set_scheduling(SchedulingConfig {
-                domains: DomainPlacement::Mixed,
-                ..SchedulingConfig::sharded()
-            })
-            .unwrap();
-        assert!(matches!(
-            mixed.add_clock_domain("slow", 2, 1),
-            Err(CosimError::Setup(_))
-        ));
-        let mut two = Cosim::new(CosimConfig::default());
-        two.add_clock_domain("slow", 2, 1).unwrap();
-        assert!(matches!(
-            two.set_scheduling(SchedulingConfig {
-                domains: DomainPlacement::Mixed,
-                ..SchedulingConfig::sharded()
-            }),
             Err(CosimError::Setup(_))
         ));
     }

@@ -12,14 +12,12 @@
 //! * module and unit stepping share one activation-gating architecture
 //!   ([`SchedulingConfig`]): sharded dispatch with provably-stable FSMs
 //!   *parked* on their completion wires, so blocked or finished parts of
-//!   the backplane cost nothing per clock edge,
-//! * module activations run under a **two-phase step/commit model**
-//!   ([`CallApplication::Deferred`], the default): the step phase is
-//!   pure speculation against the cycle-start snapshot (service calls
-//!   buffered as deltas), the commit phase replays the deltas in
-//!   deterministic `(module, call index)` order — so module shards
-//!   place by hashed id and the step phase can fan out over OS threads
-//!   ([`Parallelism::Threads`]) without changing a single trace,
+//!   the backplane cost nothing per clock edge. One module driver steps
+//!   each cycle's module activations in module-id order, so service
+//!   calls act on their units at once, in a deterministic order,
+//!   whatever the hashed shard placement;
+//!   [`SchedulingConfig::legacy`] (one process per unit and module) is
+//!   the oracle it is tested against,
 //! * every `Stmt::Trace` lands in a [`TraceLog`] that can be compared
 //!   event-for-event against a co-synthesis (board-level) run,
 //! * the whole backplane checkpoints into a [`Snapshot`]
@@ -43,9 +41,8 @@ pub use annotate::{
     BatchLinkTiming, LabelTiming, LinkCalibration,
 };
 pub use backplane::{
-    CallApplication, Cosim, CosimConfig, CosimError, CosimModuleId, DomainId, DomainPlacement,
-    ModulePlacement, ModuleScheduling, ModuleStatus, Parallelism, SchedulingConfig, ShardStats,
-    Snapshot, UnitId, UnitScheduling, DEFAULT_SHARD_SIZE, STEP_FANOUT_MIN,
+    Cosim, CosimConfig, CosimError, CosimModuleId, DomainId, ModuleScheduling, ModuleStatus,
+    SchedulingConfig, ShardStats, Snapshot, UnitId, UnitScheduling, DEFAULT_SHARD_SIZE,
 };
 pub use cosma_comm::BusTiming;
 pub use cosma_sim::ClockRatio;

@@ -11,7 +11,7 @@
 //! quantum, a partition may consume a *stale* view of an inbound
 //! queue; the orchestrator detects this after the fact and rolls the
 //! partition back to the quantum start via the backplane's
-//! [`Snapshot`](crate::Snapshot)/[`Cosim::restore`] path, then re-runs
+//! [`Snapshot`]/[`Cosim::restore`] path, then re-runs
 //! it against the refreshed queue. With strictly positive boundary
 //! latency the fixed point converges: every rescan round extends the
 //! consistent horizon by at least one boundary latency.

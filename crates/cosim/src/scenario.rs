@@ -4,7 +4,7 @@
 //! in realistic shapes, without hand-writing hundreds of FSMs. A
 //! [`ScenarioSpec`] describes the shape — link count, [`Topology`],
 //! [`LinkKind`] (classic handshake or batched bus), traffic volume,
-//! clocking and [`UnitScheduling`] — and [`build_scenario`] elaborates it
+//! clocking and [`SchedulingConfig`] — and [`build_scenario`] elaborates it
 //! into a ready-to-run [`Scenario`] whose completion is mechanically
 //! checkable ([`Scenario::verify`]).
 //!
@@ -62,9 +62,8 @@ pub enum Topology {
     /// The [`Starved`](Topology::Starved) wiring with deliberately
     /// skewed step costs: link 0's producer burns [`HEAVY_WORK`]
     /// chained arithmetic assignments per activation while the starved
-    /// consumers are near-free. One expensive speculation amid many
-    /// cheap ones — the shape a fixed per-worker partition serializes
-    /// on and work-stealing rebalances.
+    /// consumers are near-free: one expensive activation amid many
+    /// cheap ones in the same stepping set.
     Skewed,
 }
 
@@ -1245,13 +1244,12 @@ mod tests {
 
     #[test]
     fn schedulings_produce_identical_traces() {
-        // The tentpole correctness claim: every scheduler — legacy
-        // per-unit/per-module, PR 3 immediate sharded, and the
-        // two-phase delta-buffered scheduler (sequential and threaded,
-        // hashed and creation-order placement) — is observationally
-        // equivalent: same states, SUMs, traces and ACTIVATION COUNTS,
-        // on every topology and link kind, parking included.
-        use crate::backplane::{ModulePlacement, ModuleScheduling, UnitScheduling};
+        // The production scheduler (sharded units, the module driver
+        // over hashed shards) is observationally equivalent to the
+        // per-unit/per-module oracle: same states, SUMs, traces and
+        // ACTIVATION COUNTS, on every topology and link kind, parking
+        // included.
+        use crate::backplane::{ModuleScheduling, UnitScheduling};
         for topology in [
             Topology::Pipeline,
             Topology::Star,
@@ -1281,121 +1279,39 @@ mod tests {
                     scheduling,
                     ..ScenarioSpec::default()
                 };
-                let sharded4 = SchedulingConfig {
-                    units: UnitScheduling::Sharded { shard_size: 4 },
-                    modules: ModuleScheduling::Sharded { shard_size: 4 },
-                    park_blocked: true,
-                    ..SchedulingConfig::sharded()
-                };
                 let mut b = build_scenario(&mk(SchedulingConfig {
-                    units: UnitScheduling::PerUnit,
-                    modules: ModuleScheduling::PerModule,
                     park_blocked: true,
                     ..SchedulingConfig::legacy()
                 }))
-                .expect("per-unit builds");
+                .expect("oracle builds");
                 b.cosim
                     .run_for(Duration::from_us(400))
-                    .expect("per-unit runs");
-                for (name, cfg) in [
-                    ("deferred_hashed", sharded4),
-                    (
-                        "deferred_creation_order",
-                        SchedulingConfig {
-                            placement: ModulePlacement::CreationOrder,
-                            ..sharded4
-                        },
-                    ),
-                    // Threshold 1 forces real speculation + commit
-                    // (journal installs, outcome validation) on this
-                    // small backplane instead of the direct path.
-                    (
-                        "deferred_threads2",
-                        SchedulingConfig {
-                            step_fanout_min: 1,
-                            ..sharded4.with_threads(2)
-                        },
-                    ),
-                    // More workers than stepping-set items: exercises
-                    // the work-stealing cursor's idle-worker skip.
-                    (
-                        "deferred_threads8",
-                        SchedulingConfig {
-                            step_fanout_min: 1,
-                            ..sharded4.with_threads(8)
-                        },
-                    ),
-                    (
-                        "immediate_sharded",
-                        SchedulingConfig {
-                            units: UnitScheduling::Sharded { shard_size: 4 },
-                            modules: ModuleScheduling::Sharded { shard_size: 4 },
-                            park_blocked: true,
-                            ..SchedulingConfig::immediate()
-                        },
-                    ),
-                ] {
-                    let mut a = build_scenario(&mk(cfg)).expect("scheduler builds");
-                    a.cosim
-                        .run_for(Duration::from_us(400))
-                        .unwrap_or_else(|e| panic!("{name} runs: {e}"));
-                    for (&ma, &mb) in a.modules.iter().zip(&b.modules) {
-                        assert_eq!(
-                            a.cosim.module_status(ma),
-                            b.cosim.module_status(mb),
-                            "{topology:?}/{link:?}/{name}: module status diverged"
-                        );
-                    }
+                    .expect("oracle runs");
+                let mut a = build_scenario(&mk(SchedulingConfig {
+                    units: UnitScheduling::Sharded { shard_size: 4 },
+                    modules: ModuleScheduling::Sharded { shard_size: 4 },
+                    park_blocked: true,
+                }))
+                .expect("sharded builds");
+                a.cosim
+                    .run_for(Duration::from_us(400))
+                    .unwrap_or_else(|e| panic!("{topology:?}/{link:?}: sharded runs: {e}"));
+                for (&ma, &mb) in a.modules.iter().zip(&b.modules) {
                     assert_eq!(
-                        a.cosim.trace_log().entries(),
-                        b.cosim.trace_log().entries(),
-                        "{topology:?}/{link:?}/{name}: traces diverged"
+                        a.cosim.module_status(ma),
+                        b.cosim.module_status(mb),
+                        "{topology:?}/{link:?}: module status diverged"
                     );
-                    a.verify()
-                        .unwrap_or_else(|e| panic!("{topology:?}/{link:?}/{name}: {e}"));
                 }
+                assert_eq!(
+                    a.cosim.trace_log().entries(),
+                    b.cosim.trace_log().entries(),
+                    "{topology:?}/{link:?}: traces diverged"
+                );
+                a.verify()
+                    .unwrap_or_else(|e| panic!("{topology:?}/{link:?}: {e}"));
             }
         }
-    }
-
-    #[test]
-    fn skewed_costs_steal_work_and_reuse_arenas_under_threads() {
-        // One heavy producer amid 48 near-free consumers, parking off so
-        // the whole set steps every cycle: the work-stealing cursor must
-        // rebalance chunks past the fair share at least once across the
-        // run, and the scratch arenas must hit their free-lists in the
-        // steady state (zero-allocation speculation).
-        use crate::backplane::{ModuleScheduling, UnitScheduling};
-        let mut s = build_scenario(&ScenarioSpec {
-            units: 48,
-            topology: Topology::Skewed,
-            values_per_link: 4,
-            scheduling: SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size: 16 },
-                modules: ModuleScheduling::Sharded { shard_size: 16 },
-                park_blocked: false,
-                step_fanout_min: 1,
-                ..SchedulingConfig::sharded().with_threads(2)
-            },
-            ..ScenarioSpec::default()
-        })
-        .expect("builds");
-        let done = s.run_to_completion(Duration::from_us(2_000)).expect("runs");
-        assert!(done, "skewed scenario completes");
-        s.verify().expect("checksum holds");
-        let st = s.cosim.shard_stats();
-        assert!(st.scratch.chunks > 0, "threaded step phase ran: {st:?}");
-        assert!(
-            st.scratch.steals > 0,
-            "skewed stepping set rebalanced via stealing: {:?}",
-            st.scratch
-        );
-        assert!(
-            st.scratch.arena_reuses > 0,
-            "speculation shells recycled: {:?}",
-            st.scratch
-        );
-        assert!(st.scratch.bytes_high_water > 0);
     }
 
     #[test]
@@ -1552,44 +1468,23 @@ mod tests {
         // instant, then (a) keep running, (b) rewind and re-run, and
         // (c) run forked twins — all must be bit-identical to an
         // uninterrupted run: same traces, same FSM states, same
-        // activation counts. Pinned across the legacy per-unit/
-        // per-module path, immediate sharded, and the two-phase driver
-        // (sequential and threaded), on both link flavours.
+        // activation counts. Pinned across the per-unit/per-module
+        // oracle and the production scheduler, on both link flavours.
         use crate::backplane::{ModuleScheduling, UnitScheduling};
-        let sharded4 = SchedulingConfig {
-            units: UnitScheduling::Sharded { shard_size: 4 },
-            modules: ModuleScheduling::Sharded { shard_size: 4 },
-            park_blocked: true,
-            ..SchedulingConfig::sharded()
-        };
         let variants = [
             (
                 "legacy",
                 SchedulingConfig {
-                    units: UnitScheduling::PerUnit,
-                    modules: ModuleScheduling::PerModule,
                     park_blocked: true,
                     ..SchedulingConfig::legacy()
                 },
             ),
-            ("deferred_hashed", sharded4),
-            // Threshold 1 forces real speculation + commit so the
-            // snapshot covers driver scratch, journals and the
-            // threaded step phase.
             (
-                "deferred_threads2",
-                SchedulingConfig {
-                    step_fanout_min: 1,
-                    ..sharded4.with_threads(2)
-                },
-            ),
-            (
-                "immediate_sharded",
+                "sharded",
                 SchedulingConfig {
                     units: UnitScheduling::Sharded { shard_size: 4 },
                     modules: ModuleScheduling::Sharded { shard_size: 4 },
                     park_blocked: true,
-                    ..SchedulingConfig::immediate()
                 },
             ),
         ];
@@ -1716,9 +1611,7 @@ mod tests {
         // The stats-coherence contract: counters are captured and
         // restored verbatim, so a rewound run's final statistics —
         // kernel, per-unit, and scheduler — are identical to the
-        // uninterrupted run's. (Allocation telemetry of the *threaded*
-        // step phase is the documented exception; this config is
-        // sequential, so the equality is exact and total.)
+        // uninterrupted run's.
         let spec = ScenarioSpec {
             units: 6,
             values_per_link: 3,
@@ -1755,46 +1648,43 @@ mod tests {
     }
 
     #[test]
-    fn skewed_chunks_adapt_and_oversized_shells_reclaimed() {
-        // Adaptive work-stealing chunk sizing + oversized-shell
-        // reclamation, on the same skewed fleet as
-        // skewed_costs_steal_work_and_reuse_arenas_under_threads: the
-        // heavy producer's shell retains pools far past the per-shell
-        // EWMA once dozens of near-empty consumer shells have decayed
-        // it, and observed steals must shrink the chunk grain at least
-        // once.
+    fn skewed_unparked_fleet_matches_legacy_oracle() {
+        // One heavy producer amid 48 near-free consumers, parking off so
+        // the whole module set steps every cycle: the driver's large
+        // per-cycle stepping sets must match the per-unit/per-module
+        // oracle exactly.
         use crate::backplane::{ModuleScheduling, UnitScheduling};
-        let mut s = build_scenario(&ScenarioSpec {
-            units: 48,
-            topology: Topology::Skewed,
-            values_per_link: 4,
-            scheduling: SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size: 16 },
-                modules: ModuleScheduling::Sharded { shard_size: 16 },
-                park_blocked: false,
-                step_fanout_min: 1,
-                ..SchedulingConfig::sharded().with_threads(2)
-            },
-            ..ScenarioSpec::default()
-        })
-        .expect("builds");
-        let done = s.run_to_completion(Duration::from_us(2_000)).expect("runs");
-        assert!(done, "skewed scenario completes");
-        s.verify().expect("checksum holds");
-        let st = s.cosim.shard_stats().scratch;
-        assert!(st.steals > 0, "skewed set rebalanced: {st:?}");
-        assert!(
-            st.chunk_shrinks > 0,
-            "a steal cycle shrank the chunk grain: {st:?}"
+        let run = |scheduling| {
+            let mut s = build_scenario(&ScenarioSpec {
+                units: 48,
+                topology: Topology::Skewed,
+                values_per_link: 4,
+                scheduling,
+                ..ScenarioSpec::default()
+            })
+            .expect("builds");
+            let done = s.run_to_completion(Duration::from_us(2_000)).expect("runs");
+            assert!(done, "skewed scenario completes");
+            s.verify().expect("checksum holds");
+            s
+        };
+        let sharded = run(SchedulingConfig {
+            units: UnitScheduling::Sharded { shard_size: 16 },
+            modules: ModuleScheduling::Sharded { shard_size: 16 },
+            park_blocked: false,
+        });
+        let oracle = run(SchedulingConfig::legacy());
+        for (&a, &b) in sharded.modules.iter().zip(&oracle.modules) {
+            assert_eq!(
+                sharded.cosim.module_status(a),
+                oracle.cosim.module_status(b)
+            );
+        }
+        assert_eq!(
+            sharded.cosim.trace_log().entries(),
+            oracle.cosim.trace_log().entries()
         );
-        assert!(
-            (2..=64).contains(&st.chunk_now),
-            "adapted chunk stays within bounds: {st:?}"
-        );
-        assert!(
-            st.shells_shrunk > 0,
-            "the heavy producer's oversized shell was reclaimed: {st:?}"
-        );
+        assert_eq!(sharded.cosim.sim().now(), oracle.cosim.sim().now());
     }
 
     /// Runs `spec` both partitioned (under the orchestrator, in quanta

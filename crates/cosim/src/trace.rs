@@ -158,8 +158,10 @@ impl Segment {
 }
 
 /// An ordered event log with interned strings and segmented columnar
-/// value storage (see the [module docs](self) for the layout and the
-/// interning contract).
+/// value storage: entries store `u32` string ids and pack their
+/// payloads into per-segment value pools, so steady-state recording
+/// allocates nothing. [`TraceLog::set_spill`] streams full segments to
+/// a [`crate::tracebin`] sink.
 #[derive(Default)]
 pub struct TraceLog {
     interner: Interner,
@@ -211,7 +213,14 @@ impl TraceLog {
         self.push(at, source, label, values);
     }
 
-    fn push(&mut self, at: u64, source: u32, label: u32, values: &[Value]) {
+    /// Interns `s` into this log's string table, returning its id for
+    /// [`TraceLog::push`] (the binary decoder's entry point).
+    pub(crate) fn intern(&mut self, s: &str) -> u32 {
+        self.interner.intern(s)
+    }
+
+    /// Appends an event whose strings are already interned in this log.
+    pub(crate) fn push(&mut self, at: u64, source: u32, label: u32, values: &[Value]) {
         if self.segs.last().is_none_or(|s| s.recs.len() >= SEG_ENTRIES) {
             let seg = self.free.pop().unwrap_or_default();
             self.segs.push(seg);

@@ -1,4 +1,4 @@
-//! Binary trace stream — the [`TraceLog`](crate::TraceLog) counterpart
+//! Binary trace stream — the [`TraceLog`] counterpart
 //! of the kernel's `vcd` waveform writer: a compact, append-only record
 //! stream for archiving trace logs (whole-log [`write_log`]) and for
 //! the log's incremental spill mode
@@ -23,9 +23,15 @@
 //!
 //! All varints are LEB128. The stream is self-delimiting: readers stop
 //! cleanly at end-of-input between records.
+//!
+//! The decoder treats its input as untrusted: a truncated or corrupted
+//! stream yields a [`TraceBinError`], never a panic, and no length, id
+//! or count read from the stream sizes an allocation before the bytes
+//! behind it have arrived.
 
 use crate::trace::{TraceEntryRef, TraceLog};
 use cosma_core::{Bit, EnumType, EnumValue, Value};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 
 const MAGIC: &[u8; 4] = b"CTRC";
@@ -240,10 +246,15 @@ impl<R: Read> ByteReader<R> {
         }
     }
 
+    /// Reads a length-prefixed string. The buffer grows with the bytes
+    /// actually read, so a hostile length costs nothing up front.
     fn string(&mut self) -> Result<String, TraceBinError> {
-        let len = usize::try_from(self.varint()?).map_err(|_| malformed("string length"))?;
-        let mut buf = vec![0u8; len];
-        self.inner.read_exact(&mut buf)?;
+        let len = self.varint()?;
+        let mut buf = vec![];
+        (&mut self.inner).take(len).read_to_end(&mut buf)?;
+        if buf.len() as u64 != len {
+            return Err(malformed("string runs past the end of the stream"));
+        }
         String::from_utf8(buf).map_err(|_| malformed("string is not UTF-8"))
     }
 
@@ -260,8 +271,8 @@ impl<R: Read> ByteReader<R> {
             VAL_INT => Ok(Value::Int(unzigzag(self.varint()?))),
             VAL_ENUM => {
                 let name = self.string()?;
-                let n = usize::try_from(self.varint()?).map_err(|_| malformed("variant count"))?;
-                let mut variants = Vec::with_capacity(n);
+                let n = self.varint()?;
+                let mut variants = vec![];
                 for _ in 0..n {
                     variants.push(self.string()?);
                 }
@@ -296,37 +307,37 @@ pub fn read_log(r: impl Read) -> Result<TraceLog, TraceBinError> {
     if magic[4] != VERSION {
         return Err(malformed(format!("unsupported version {}", magic[4])));
     }
-    let mut names: Vec<Option<String>> = vec![];
     let mut log = TraceLog::new();
+    // Stream string id -> the log's interned id. Keyed by the stream id
+    // rather than indexed by it: spill streams may define ids sparsely,
+    // and an untrusted id must never size a table.
+    let mut names: HashMap<u32, u32> = HashMap::new();
     let mut values: Vec<Value> = vec![];
     while let Some(tag) = br.byte_or_eof()? {
         match tag {
             REC_DEF => {
-                let id = usize::try_from(br.varint()?).map_err(|_| malformed("def id"))?;
+                // Writers emit `u32` ids.
+                let id =
+                    u32::try_from(br.varint()?).map_err(|_| malformed("def id exceeds u32"))?;
                 let text = br.string()?;
-                if names.len() <= id {
-                    names.resize(id + 1, None);
-                }
-                names[id] = Some(text);
+                names.insert(id, log.intern(&text));
             }
             REC_ENTRY => {
                 let at = br.varint()?;
-                let source = usize::try_from(br.varint()?).map_err(|_| malformed("source id"))?;
-                let label = usize::try_from(br.varint()?).map_err(|_| malformed("label id"))?;
-                let n = usize::try_from(br.varint()?).map_err(|_| malformed("value count"))?;
+                let source = br.varint()?;
+                let label = br.varint()?;
+                let n = br.varint()?;
                 values.clear();
                 for _ in 0..n {
                     values.push(br.value()?);
                 }
-                let resolve =
-                    |ids: &[Option<String>], id: usize| -> Result<String, TraceBinError> {
-                        ids.get(id)
-                            .and_then(|s| s.clone())
-                            .ok_or_else(|| malformed(format!("undefined string id {id}")))
-                    };
-                let source = resolve(&names, source)?;
-                let label = resolve(&names, label)?;
-                log.record(at, source, label, &values);
+                let resolve = |id: u64| {
+                    u32::try_from(id)
+                        .ok()
+                        .and_then(|id| names.get(&id).copied())
+                        .ok_or_else(|| malformed(format!("undefined string id {id}")))
+                };
+                log.push(at, resolve(source)?, resolve(label)?, &values);
             }
             t => return Err(malformed(format!("record tag {t:#x}"))),
         }
@@ -412,6 +423,90 @@ mod tests {
         write_log(&sample_log(), &mut bytes).unwrap();
         bytes.push(0x77); // trailing junk record tag
         assert!(read_log(&bytes[..]).is_err());
+    }
+
+    /// The header followed by `body`.
+    fn stream(body: &[u8]) -> Vec<u8> {
+        let mut bytes = b"CTRC\x01".to_vec();
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
+    /// LEB128 encoding of `v`.
+    fn varint(v: u64) -> Vec<u8> {
+        let mut out = vec![];
+        write_varint(&mut out, v).unwrap();
+        out
+    }
+
+    #[test]
+    fn hostile_string_length_is_an_error() {
+        // A definition whose string length is 2^56 - 1, with no bytes
+        // behind it: must not try to allocate the announced length.
+        let mut body = vec![REC_DEF, 0];
+        body.extend(varint((1 << 56) - 1));
+        let bytes = stream(&body);
+        assert_eq!(bytes.len(), 15);
+        assert!(matches!(
+            read_log(&bytes[..]),
+            Err(TraceBinError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn def_ids_beyond_u32_are_errors() {
+        // A definition id of 2^40 (once a table resize to 2^40 slots)
+        // and of u64::MAX (once an `id + 1` overflow).
+        for (id, len) in [(1u64 << 40, 13), (u64::MAX, 17)] {
+            let mut body = vec![REC_DEF];
+            body.extend(varint(id));
+            body.push(0);
+            let bytes = stream(&body);
+            assert_eq!(bytes.len(), len);
+            assert!(
+                matches!(read_log(&bytes[..]), Err(TraceBinError::Malformed(_))),
+                "def id {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_enum_variant_count_is_an_error() {
+        // An entry whose enum value announces 2^40 variants and then
+        // ends: the variant list must grow only as variants arrive.
+        let mut body = vec![REC_ENTRY, 0, 0, 0, 1, VAL_ENUM, 5];
+        body.extend_from_slice(b"state");
+        body.extend(varint(1 << 40));
+        let bytes = stream(&body);
+        assert_eq!(bytes.len(), 23);
+        assert!(matches!(
+            read_log(&bytes[..]),
+            Err(TraceBinError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn sparse_def_ids_resolve() {
+        // Spill streams define ids in first-use order, which need not be
+        // dense: a lone high id still resolves.
+        let mut body = vec![REC_DEF];
+        body.extend(varint(u64::from(u32::MAX)));
+        body.extend([1, b'm', REC_ENTRY, 9]);
+        body.extend(varint(u64::from(u32::MAX)));
+        body.extend(varint(u64::from(u32::MAX)));
+        body.extend([1, VAL_INT, 4]);
+        let log = read_log(&stream(&body)[..]).unwrap();
+        let entries = log.entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(
+            (
+                entries[0].at,
+                entries[0].source.as_str(),
+                entries[0].label.as_str()
+            ),
+            (9, "m", "m")
+        );
+        assert_eq!(entries[0].values, vec![Value::Int(2)]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! (with optional `#![proptest_config(..)]`), [`Strategy`] with
 //! `prop_map` / `prop_recursive` / `boxed`, [`BoxedStrategy`], [`Just`],
 //! [`any`], integer-range and tuple strategies,
-//! [`collection::vec`](collection::vec), [`prop_oneof!`],
+//! [`collection::vec()`], [`prop_oneof!`],
 //! [`prop_assert!`] and [`prop_assert_eq!`].
 //!
 //! Generation is a deterministic splitmix64 stream seeded per test case,
@@ -333,7 +333,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// A length specification for [`vec`].
+    /// A length specification for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -364,7 +364,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy behind [`vec`].
+    /// The strategy behind [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

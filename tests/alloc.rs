@@ -1,22 +1,16 @@
 //! Steady-state allocation regression gate (behind the test-only
-//! `count-allocs` feature): a counting global allocator pins a *warm*
-//! trace-heavy pipeline in the speculative regime to **zero** heap
-//! allocations per cycle.
+//! `count-allocs` feature): a counting global allocator pins *warm*
+//! backplanes on the production scheduler (`SchedulingConfig::default()`)
+//! to **zero** heap allocations per cycle.
 //!
-//! The scenario is chosen to cross every pooled hot path at once:
-//!
-//! * trace-heavy (`ScenarioSpec::trace`): every module records a trace
-//!   entry per activation, so nothing parks and the columnar log's
-//!   segment pool and spill recycling are exercised each cycle;
-//! * speculative (`Parallelism::Threads(1)` + `step_fanout_min: 1`):
-//!   the two-phase step/commit driver runs with scratch arenas and
-//!   work-stealing chunks on the kernel thread alone — no worker
-//!   channel traffic to muddy the count;
-//! * adjacent relays share links, so commit-phase divergences occur and
-//!   the pooled fallback re-execution path is measured too.
-//!
-//! A further gate pins the board's warm FPGA fabric (the motor's Speed
-//! Control netlists and its peripheral) to zero allocations per tick.
+//! The trace-heavy ring crosses the pooled hot paths of the module
+//! driver at once: every module records a trace entry per activation,
+//! so nothing parks, the driver steps the whole module set every cycle
+//! through its pooled effects arena, and the columnar log's segment
+//! pool and spill recycling are exercised each cycle. Further gates pin
+//! streaming payload beats (the timer wheel's burst trains), a
+//! multi-rate ring (per-domain clocks and parking) and the board's warm
+//! FPGA fabric (the motor's Speed Control netlists and its peripheral).
 //!
 //! Run with: `cargo test --features count-allocs --test alloc`
 #![cfg(feature = "count-allocs")]
@@ -25,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cosma::cosim::scenario::{build_scenario, DomainsSpec, LinkKind, ScenarioSpec, Topology};
-use cosma::cosim::{BusTiming, Parallelism, SchedulingConfig};
+use cosma::cosim::{BusTiming, SchedulingConfig};
 use cosma::sim::Duration;
 
 /// Counts every heap acquisition (alloc, zeroed alloc, realloc) while
@@ -65,7 +59,7 @@ fn allocs() -> u64 {
 static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
-fn warm_trace_heavy_speculative_cycles_do_not_allocate() {
+fn warm_trace_heavy_cycles_do_not_allocate() {
     let _serial = GATE.lock().unwrap();
     // A Ring keeps every module stepping for the whole run: the driver
     // circulates values_per_link tokens (far more than the run needs),
@@ -79,11 +73,7 @@ fn warm_trace_heavy_speculative_cycles_do_not_allocate() {
             capacity: 32,
             timing: BusTiming::LengthOnly,
         },
-        scheduling: SchedulingConfig {
-            parallelism: Parallelism::Threads(1),
-            step_fanout_min: 1,
-            ..SchedulingConfig::sharded()
-        },
+        scheduling: SchedulingConfig::default(),
         trace: true,
         ..ScenarioSpec::default()
     };
@@ -95,8 +85,8 @@ fn warm_trace_heavy_speculative_cycles_do_not_allocate() {
         .trace_handle()
         .borrow_mut()
         .set_spill(Box::new(std::io::sink()));
-    // Warm-up: grow every pool to its working set — scratch shells,
-    // effects arenas, kernel queues, trace segments, interner.
+    // Warm-up: grow every pool to its working set — the effects arena,
+    // kernel queues, trace segments, interner.
     s.cosim
         .run_for(Duration::from_us(60))
         .expect("warm-up runs");

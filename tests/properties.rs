@@ -627,13 +627,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Backplane scheduling: every scheduler configuration — the legacy
-// per-unit/per-module path, the PR 3 immediate sharded scheduler, and
-// the two-phase (delta-buffered) scheduler in all its variants
-// (sequential and threaded step phase, hashed and creation-order module
-// placement) — is observationally equivalent: same module states, SUMs,
-// traces AND activation counts, on randomized topologies over both link
-// kinds.
+// Backplane scheduling: the production scheduler (sharded units, the
+// module driver over hashed shards) is observationally equivalent to the
+// per-unit/per-module oracle: same module states, SUMs, traces AND
+// activation counts, on randomized topologies, shard sizes and park
+// flags over every link flavour.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -647,13 +645,11 @@ proptest! {
         seed in any::<u64>(),
         shard_size in 1usize..6,
         park in any::<bool>(),
+        trace in any::<bool>(),
     ) {
         use cosma::comm::BusTiming;
         use cosma::cosim::scenario::{build_scenario, LinkKind, ScenarioSpec, Topology};
-        use cosma::cosim::{
-            CallApplication, ModulePlacement, ModuleScheduling, Parallelism, SchedulingConfig,
-            UnitScheduling,
-        };
+        use cosma::cosim::{ModuleScheduling, SchedulingConfig, UnitScheduling};
         use cosma::sim::Duration;
 
         let topology = match topo_sel {
@@ -663,9 +659,9 @@ proptest! {
             3 => Topology::Starved,
             _ => Topology::RandomDag { seed },
         };
-        // All three link flavours face every scheduler: the classic
+        // All three link flavours face both schedulers: the classic
         // handshake, the batched fast path, and cycle-accurate payload
-        // beats (whose commit-phase queue journal must be invisible).
+        // beats.
         let link = match link_sel {
             0 => LinkKind::Handshake,
             1 => LinkKind::Batched {
@@ -679,12 +675,16 @@ proptest! {
                 timing: BusTiming::PayloadBeats,
             },
         };
+        // With tracing on, every module records an entry per
+        // activation, so same-instant entries pin the order in which
+        // the driver steps modules across its hashed shards.
         let mk = |scheduling| ScenarioSpec {
             units,
             topology,
             link,
             values_per_link: values,
             scheduling,
+            trace,
             ..ScenarioSpec::default()
         };
         let run = |name: &str, scheduling| -> Result<_, TestCaseError> {
@@ -695,99 +695,42 @@ proptest! {
                 .unwrap_or_else(|e| panic!("{name} runs: {e}"));
             Ok(s)
         };
-        let shd = |shard_size| ModuleScheduling::Sharded { shard_size };
-        // The oracle: one process per unit and per module, immediate
-        // calls — the semantics every other configuration must match.
+        // The oracle: one process per unit and per module — the
+        // semantics the production scheduler must match.
         let baseline = run("per_unit", SchedulingConfig {
-            units: UnitScheduling::PerUnit,
-            modules: ModuleScheduling::PerModule,
             park_blocked: park,
             ..SchedulingConfig::legacy()
         })?;
-        let variants = [
-            ("immediate_sharded", SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size },
-                modules: shd(shard_size),
-                park_blocked: park,
-                ..SchedulingConfig::immediate()
-            }),
-            ("deferred_hashed", SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size },
-                modules: shd(shard_size),
-                park_blocked: park,
-                ..SchedulingConfig::sharded()
-            }),
-            ("deferred_creation_order", SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size },
-                modules: shd(shard_size),
-                park_blocked: park,
-                placement: ModulePlacement::CreationOrder,
-                ..SchedulingConfig::sharded()
-            }),
-            // step_fanout_min: 1 forces the speculative step/commit
-            // machinery (FSM session deltas, the BatchedLink queue-op
-            // journal, outcome validation) onto every cycle of these
-            // small backplanes — without it the threaded variants
-            // would take the direct sub-threshold path and the
-            // commit-phase code would go untested here.
-            ("deferred_threads2", SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size },
-                modules: shd(shard_size),
-                park_blocked: park,
-                parallelism: Parallelism::Threads(2),
-                step_fanout_min: 1,
-                ..SchedulingConfig::sharded()
-            }),
-            ("deferred_threads4", SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size },
-                modules: shd(shard_size),
-                park_blocked: park,
-                parallelism: Parallelism::Threads(4),
-                step_fanout_min: 1,
-                ..SchedulingConfig::sharded()
-            }),
-            // Threads(8): more workers than most of these stepping sets
-            // have items, exercising the work-stealing cursor's
-            // empty-claim path and idle-worker skip.
-            ("deferred_threads8", SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size },
-                modules: shd(shard_size),
-                park_blocked: park,
-                parallelism: Parallelism::Threads(8),
-                step_fanout_min: 1,
-                ..SchedulingConfig::sharded()
-            }),
-        ];
-        for (name, cfg) in variants {
-            prop_assert_eq!(cfg.calls == CallApplication::Immediate,
-                name == "immediate_sharded");
-            let s = run(name, cfg)?;
-            for (&a, &b) in s.modules.iter().zip(&baseline.modules) {
-                prop_assert_eq!(
-                    s.cosim.module_status(a),
-                    baseline.cosim.module_status(b),
-                    "{} vs per_unit: module status diverged under {:?}", name, topology
-                );
-            }
-            let s_trace = s.cosim.trace_log();
-            let baseline_trace = baseline.cosim.trace_log();
+        let s = run("sharded", SchedulingConfig {
+            units: UnitScheduling::Sharded { shard_size },
+            modules: ModuleScheduling::Sharded { shard_size },
+            park_blocked: park,
+        })?;
+        for (&a, &b) in s.modules.iter().zip(&baseline.modules) {
             prop_assert_eq!(
-                s_trace.entries(),
-                baseline_trace.entries(),
-                "{} vs per_unit: traces diverged under {:?}/{:?}", name, topology, link
+                s.cosim.module_status(a),
+                baseline.cosim.module_status(b),
+                "sharded vs per_unit: module status diverged under {:?}", topology
             );
-            // All variants must have completed all traffic in budget.
-            prop_assert!(s.is_complete(), "{} incomplete under {:?}", name, topology);
-            s.verify().map_err(TestCaseError::fail)?;
-            // With parking on, a Starved run must actually have parked
-            // its blocked consumers.
-            if park && matches!(topology, Topology::Starved) {
-                let stats = s.cosim.shard_stats();
-                prop_assert!(
-                    stats.members_parked as usize >= units - 1,
-                    "{}: starved consumers parked: {:?}", name, stats
-                );
-            }
+        }
+        let s_trace = s.cosim.trace_log();
+        let baseline_trace = baseline.cosim.trace_log();
+        prop_assert_eq!(
+            s_trace.entries(),
+            baseline_trace.entries(),
+            "sharded vs per_unit: traces diverged under {:?}/{:?}", topology, link
+        );
+        // Both must have completed all traffic in budget.
+        prop_assert!(s.is_complete(), "sharded incomplete under {:?}", topology);
+        s.verify().map_err(TestCaseError::fail)?;
+        // With parking on, a Starved run must actually have parked
+        // its blocked consumers (traced modules never park).
+        if park && !trace && matches!(topology, Topology::Starved) {
+            let stats = s.cosim.shard_stats();
+            prop_assert!(
+                stats.members_parked as usize >= units - 1,
+                "starved consumers parked: {:?}", stats
+            );
         }
         baseline.verify().map_err(TestCaseError::fail)?;
     }
@@ -882,8 +825,7 @@ proptest! {
 // beat of an in-flight batch is a pre-scheduled future drive in the
 // kernel's drive heap, so an arbitrary cut usually lands *inside* a
 // burst. Snapshotting there and restoring must replay the remaining
-// beats — and everything after them — bit-identically, across the
-// schedulers (including the speculative step/commit regime).
+// beats — and everything after them — bit-identically.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -895,12 +837,10 @@ proptest! {
         values in 1usize..4,
         max_batch in 2usize..6,
         cut_ns in 2_000u64..120_000,
-        sched_sel in 0u8..3,
         seed in any::<u64>(),
     ) {
         use cosma::comm::BusTiming;
         use cosma::cosim::scenario::{build_scenario, LinkKind, ScenarioSpec, Topology};
-        use cosma::cosim::{Parallelism, SchedulingConfig};
         use cosma::sim::Duration;
 
         let topology = match topo_sel {
@@ -908,18 +848,6 @@ proptest! {
             1 => Topology::Star,
             2 => Topology::Ring,
             _ => Topology::RandomDag { seed },
-        };
-        let scheduling = match sched_sel {
-            0 => SchedulingConfig::immediate(),
-            1 => SchedulingConfig::sharded(),
-            // The speculative step/commit driver: its scratch arenas
-            // and queue journal are pure per-cycle state, so a restored
-            // backplane must reproduce the same commits regardless.
-            _ => SchedulingConfig {
-                parallelism: Parallelism::Threads(2),
-                step_fanout_min: 1,
-                ..SchedulingConfig::sharded()
-            },
         };
         let mut s = build_scenario(&ScenarioSpec {
             units,
@@ -930,7 +858,6 @@ proptest! {
                 timing: BusTiming::PayloadBeats,
             },
             values_per_link: values,
-            scheduling,
             ..ScenarioSpec::default()
         })
         .expect("scenario builds");
@@ -981,12 +908,12 @@ proptest! {
         topo_sel in 0u8..4,
         link_sel in 0u8..3,
         values in 1usize..4,
-        sched_sel in 0u8..4,
+        legacy in any::<bool>(),
         seed in any::<u64>(),
     ) {
         use cosma::comm::BusTiming;
         use cosma::cosim::scenario::{build_scenario, LinkKind, ScenarioSpec, Topology};
-        use cosma::cosim::{tracebin, Parallelism, SchedulingConfig};
+        use cosma::cosim::{tracebin, SchedulingConfig};
         use cosma::sim::Duration;
 
         let topology = match topo_sel {
@@ -1008,15 +935,10 @@ proptest! {
                 timing: BusTiming::PayloadBeats,
             },
         };
-        let scheduling = match sched_sel {
-            0 => SchedulingConfig::legacy(),
-            1 => SchedulingConfig::immediate(),
-            2 => SchedulingConfig::sharded(),
-            _ => SchedulingConfig {
-                parallelism: Parallelism::Threads(2),
-                step_fanout_min: 1,
-                ..SchedulingConfig::sharded()
-            },
+        let scheduling = if legacy {
+            SchedulingConfig::legacy()
+        } else {
+            SchedulingConfig::sharded()
         };
         let mut s = build_scenario(&ScenarioSpec {
             units,
@@ -1042,6 +964,76 @@ proptest! {
             log.entries(),
             "decoded entry stream diverged under {:?}/{:?}", topology, link
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Binary trace decoder robustness: `tracebin::read_log` reads outside
+// input, so truncated and byte-flipped copies of valid `write_log`
+// output must decode to `Ok` or a typed `Err` — never a panic, never an
+// abort on an allocation sized by a corrupted length or count.
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn tracebin_decoder_survives_corrupted_streams(
+        entries in proptest::collection::vec(
+            (
+                0u64..1_000_000,
+                0usize..4,
+                0usize..3,
+                proptest::collection::vec((0u8..4, any::<i64>()), 0..4),
+            ),
+            1..24,
+        ),
+        cut in any::<u64>(),
+        flips in proptest::collection::vec((any::<u64>(), 1u8..255), 1..6),
+        splat in (any::<u64>(), 1usize..10),
+    ) {
+        use cosma::core::{Bit, EnumType, EnumValue};
+        use cosma::cosim::{tracebin, TraceLog};
+
+        let sources = ["alpha", "beta", "gamma", "delta"];
+        let labels = ["pulse", "mode", "x"];
+        let ty = EnumType::new("state", vec!["idle".into(), "busy".into(), "done".into()]);
+        let mut log = TraceLog::new();
+        for (at, source, label, vals) in &entries {
+            let values: Vec<Value> = vals
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => Value::Int(x),
+                    1 => Value::Bit([Bit::Zero, Bit::One, Bit::X, Bit::Z][(x & 3) as usize]),
+                    2 => Value::Bool(x & 1 == 1),
+                    _ => Value::Enum(
+                        EnumValue::from_index(ty.clone(), x.rem_euclid(3) as u32)
+                            .expect("variant in range"),
+                    ),
+                })
+                .collect();
+            log.record(*at, sources[*source], labels[*label], values);
+        }
+        let mut bytes = vec![];
+        tracebin::write_log(&log, &mut bytes).expect("encode");
+        prop_assert_eq!(tracebin::read_log(&bytes[..]).expect("decode"), log);
+        // Truncated anywhere, byte-flipped, and both at once: any
+        // outcome but a panic or an abort is acceptable.
+        let cut = (cut % (bytes.len() as u64 + 1)) as usize;
+        let _ = tracebin::read_log(&bytes[..cut]);
+        let mut flipped = bytes.clone();
+        for &(pos, mask) in &flips {
+            let i = (pos % flipped.len() as u64) as usize;
+            flipped[i] ^= mask;
+        }
+        let _ = tracebin::read_log(&flipped[..]);
+        let _ = tracebin::read_log(&flipped[..cut]);
+        // A run of 0xFF bytes turns whatever varint it lands in (a
+        // length, id or count) into a huge one.
+        let mut splatted = bytes;
+        let start = (splat.0 % splatted.len() as u64) as usize;
+        let end = (start + splat.1).min(splatted.len());
+        splatted[start..end].fill(0xFF);
+        let _ = tracebin::read_log(&splatted[..]);
     }
 }
 
