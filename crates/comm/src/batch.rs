@@ -428,10 +428,11 @@ impl BatchedLink {
         Ok(())
     }
 
-    /// Dispatches one service activation by name — the single call entry
-    /// point of the backplane. A malformed call (unknown service, wrong
-    /// arity, payload of the wrong kind) surfaces as a typed
-    /// [`EvalError::Service`], never a panic.
+    /// Dispatches one service activation by its canonical name (`put`
+    /// or `get`; the backplane resolves callers' spellings first). A
+    /// malformed call (unknown service, wrong arity, payload of the
+    /// wrong kind) surfaces as a typed [`EvalError::Service`], never a
+    /// panic.
     ///
     /// # Errors
     ///
@@ -748,18 +749,16 @@ impl BatchedLink {
         }
     }
 
-    /// Restores a previously captured [`BatchedLinkState`]. The target
-    /// must be configured identically to the link that produced the
-    /// capture (same spec, data type, timing, `max_batch`, capacity) —
-    /// only mutable state is restored.
+    /// Checks that a capture fits this link: its batch target within
+    /// `max_batch`, its occupancy within capacity, and its bus-protocol
+    /// state within the wire-level spec
+    /// ([`FsmUnitRuntime::check_state`]). A misfit is the signature of
+    /// a capture from a differently-configured link.
     ///
     /// # Errors
     ///
-    /// Returns [`EvalError::Service`] (leaving this link untouched) if
-    /// the captured batch target exceeds this link's `max_batch` or the
-    /// captured occupancy exceeds its capacity — the signature of a
-    /// capture from a differently-configured link.
-    pub fn restore_state(&mut self, state: &BatchedLinkState) -> Result<(), EvalError> {
+    /// Returns [`EvalError::Service`] naming the first misfit.
+    pub fn check_state(&self, state: &BatchedLinkState) -> Result<(), EvalError> {
         if state.batch_target > self.max_batch {
             return Err(EvalError::Service(format!(
                 "batched link {}: snapshot batch target {} exceeds max_batch {}",
@@ -776,6 +775,20 @@ impl BatchedLink {
                 self.capacity
             )));
         }
+        self.inner.check_state(&state.inner)
+    }
+
+    /// Restores a previously captured [`BatchedLinkState`]. The target
+    /// must be configured identically to the link that produced the
+    /// capture (same spec, data type, timing, `max_batch`, capacity) —
+    /// only mutable state is restored.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvalError::Service`] (leaving this link untouched)
+    /// when [`BatchedLink::check_state`] rejects the capture.
+    pub fn restore_state(&mut self, state: &BatchedLinkState) -> Result<(), EvalError> {
+        self.check_state(state)?;
         self.inner.restore_state(&state.inner)?;
         self.batch_target = state.batch_target;
         self.outgoing.clone_from(&state.outgoing);

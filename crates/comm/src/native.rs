@@ -51,7 +51,9 @@ pub trait NativeUnit: fmt::Debug + Send {
     fn services(&self) -> Vec<NativeServiceDesc>;
 
     /// One activation of a service. Must follow the same convention as
-    /// FSM services: return `done=false` to make the caller retry.
+    /// FSM services: return `done=false` to make the caller retry. The
+    /// backplane passes the name as [`NativeUnit::services`] declares
+    /// it, whatever the caller's spelling.
     ///
     /// # Errors
     ///
@@ -76,25 +78,14 @@ pub trait NativeUnit: fmt::Debug + Send {
         true
     }
 
-    /// The wires whose events can unblock a pending caller of `service`.
-    ///
-    /// Native units have no wire-level protocol — their state changes
-    /// through direct calls from other modules, which produce no kernel
-    /// signal events — so the default is the empty set, which tells
-    /// schedulers a caller blocked on this unit must **not** be parked
-    /// (there is no wire whose event could wake it; it has to keep
-    /// polling). A native unit that does mirror its state onto kernel
-    /// signals can override this to make its callers parkable.
-    fn completion_signals(&self, _service: &str) -> Vec<cosma_core::ids::PortId> {
-        vec![]
-    }
-
     /// Queue occupancy to mirror onto a kernel signal, if this unit has
     /// one. A `Some` answer makes the backplane declare an `OCC` signal
-    /// for the unit and drive it after every state change, so callers
-    /// blocked on the unit can *park* on occupancy events instead of
-    /// polling every cycle. `None` (the default) keeps the unit
-    /// wire-invisible and its blocked callers polling.
+    /// for the unit and drive it after every state change; that signal
+    /// is the completion wire of every service, so callers blocked on
+    /// the unit can *park* on occupancy events instead of polling every
+    /// cycle. `None` (the default) keeps the unit wire-invisible — its
+    /// state changes through direct calls, which produce no kernel
+    /// events — and its blocked callers polling.
     fn occupancy(&self) -> Option<i64> {
         None
     }
@@ -104,9 +95,8 @@ pub trait NativeUnit: fmt::Debug + Send {
     /// [`crate::FsmUnitRuntime::last_call_stable`]: while true, repeating
     /// the call against unchanged unit state yields the identical no-op,
     /// so a scheduler may park the blocked caller — provided the unit
-    /// also exposes wake-up wires ([`NativeUnit::occupancy`] or
-    /// [`NativeUnit::completion_signals`]). The conservative default is
-    /// `false` (callers always poll).
+    /// also exposes a wake-up wire ([`NativeUnit::occupancy`]). The
+    /// conservative default is `false` (callers always poll).
     fn last_call_stable(&self) -> bool {
         false
     }

@@ -12,7 +12,9 @@
 
 use cosma_core::comm::{CommUnitSpec, ServiceSpec, SERVICE_DONE_VAR, SERVICE_RESULT_VAR};
 use cosma_core::ids::{PortId, VarId};
-use cosma_core::{Env, EvalError, FsmExec, ReadEnv, ServiceCall, ServiceOutcome, Value, Variable};
+use cosma_core::{
+    Env, EvalError, Fsm, FsmExec, ReadEnv, ServiceCall, ServiceOutcome, Value, Variable,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -148,15 +150,15 @@ struct Session {
 /// [`FsmUnitRuntime::restore_state`].
 ///
 /// The capture is canonical: sessions are stored sorted by `(caller,
-/// service)`, so two captures of identical logical states compare equal
-/// (`PartialEq`) regardless of hash-map iteration order. The unit
+/// service index)`, so two captures of identical logical states compare
+/// equal (`PartialEq`) regardless of hash-map iteration order. The unit
 /// *spec* is immutable and deliberately not part of the state — a
 /// capture restores into any runtime built from the same spec.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FsmUnitState {
     controller: Option<(FsmExec, Vec<Value>)>,
-    /// `(caller, service, protocol executor, locals)`, sorted.
-    sessions: Vec<(CallerId, Arc<str>, FsmExec, Vec<Value>)>,
+    /// `(caller, service index, protocol executor, locals)`, sorted.
+    sessions: Vec<(CallerId, usize, FsmExec, Vec<Value>)>,
     stats: UnitStats,
     ctrl_stable: bool,
     last_call_stable: bool,
@@ -404,12 +406,8 @@ impl Env for SessionEnv<'_> {
 pub struct FsmUnitRuntime {
     spec: Arc<CommUnitSpec>,
     controller: Option<(FsmExec, Vec<Value>)>,
-    /// Interned service names, parallel to `spec.services()`. Session
-    /// keys clone these `Arc`s (a refcount bump), so neither the
-    /// immediate nor the deferred call path allocates a `String` key
-    /// per call.
-    interned: Vec<Arc<str>>,
-    sessions: HashMap<(CallerId, Arc<str>), Session>,
+    /// Live sessions keyed by caller and index into `spec.services()`.
+    sessions: HashMap<(CallerId, usize), Session>,
     stats: UnitStats,
     /// Whether the last controller step provably changed nothing (same
     /// state, same vars, zero wire writes). While true, re-stepping with
@@ -443,15 +441,9 @@ impl FsmUnitRuntime {
                 c.vars.iter().map(|v| v.init().clone()).collect(),
             )
         });
-        let interned = spec
-            .services()
-            .iter()
-            .map(|s| Arc::<str>::from(s.name()))
-            .collect();
         FsmUnitRuntime {
             spec,
             controller,
-            interned,
             sessions: HashMap::new(),
             stats: UnitStats::default(),
             ctrl_stable: false,
@@ -465,16 +457,10 @@ impl FsmUnitRuntime {
         &self.spec
     }
 
-    /// Resolves a service name to its index in `spec.services()` (and
-    /// the parallel `interned` table) via the spec's own
-    /// exact-then-case-insensitive lookup, so VHDL-style upper-cased
-    /// callers share the session (and stats row) of the canonical name
-    /// instead of forking one keyed by their spelling.
-    fn resolve(&self, service: &str) -> Option<usize> {
-        self.spec.service_index(service)
-    }
-
-    /// Activates one step of `service` on behalf of `caller`.
+    /// Activates one step of `service` on behalf of `caller`. The name
+    /// resolves through [`CommUnitSpec::service_index`], so a VHDL-style
+    /// upper-cased caller shares the session (and stats row) of the
+    /// canonical name.
     ///
     /// Returns `done = true` exactly once per completed protocol run; the
     /// session then resets for the next transaction.
@@ -490,31 +476,53 @@ impl FsmUnitRuntime {
         args: &[Value],
         wires: &mut dyn WireStore,
     ) -> Result<ServiceOutcome, EvalError> {
-        let Some(idx) = self.resolve(service) else {
+        let Some(idx) = self.spec.service_index(service) else {
             return Err(EvalError::Service(format!(
                 "unit {} has no service {service}",
                 self.spec.name()
             )));
         };
-        let spec = Arc::clone(&self.spec);
-        let svc = &spec.services()[idx];
+        self.call_index(caller, idx, args, wires)
+    }
+
+    /// [`FsmUnitRuntime::call`] for a caller that already resolved the
+    /// service to its index in the spec's service table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvalError::Service`] for an index past the service
+    /// table or an arity mismatch, and propagates expression-evaluation
+    /// errors.
+    pub fn call_index(
+        &mut self,
+        caller: CallerId,
+        idx: usize,
+        args: &[Value],
+        wires: &mut dyn WireStore,
+    ) -> Result<ServiceOutcome, EvalError> {
+        let Some(svc) = self.spec.services().get(idx) else {
+            return Err(EvalError::Service(format!(
+                "unit {} has no service #{idx}",
+                self.spec.name()
+            )));
+        };
         if svc.args().len() != args.len() {
             return Err(EvalError::Service(format!(
-                "service {service} expects {} argument(s), got {}",
+                "service {} expects {} argument(s), got {}",
+                svc.name(),
                 svc.args().len(),
                 args.len()
             )));
         }
-        let key = (caller, Arc::clone(&self.interned[idx]));
-        let session = self.sessions.entry(key).or_insert_with(|| Session {
-            exec: FsmExec::new(svc.fsm()),
-            locals: svc.locals().iter().map(|v| v.init().clone()).collect(),
-        });
+        let session = self
+            .sessions
+            .entry((caller, idx))
+            .or_insert_with(|| Session {
+                exec: FsmExec::new(svc.fsm()),
+                locals: svc.locals().iter().map(|v| v.init().clone()).collect(),
+            });
         let (outcome, stable) = step_session(svc, session, args, wires)?;
         self.last_call_stable = stable;
-        // Stats rows key by the canonical service name too, so a
-        // case-insensitive spelling feeds the same row as the session
-        // it advances.
         let stats = self.stats.service_mut(svc.name());
         stats.calls += 1;
         if outcome.done {
@@ -649,9 +657,8 @@ impl FsmUnitRuntime {
 
     /// Drops a caller's session for a service (e.g. on module reset).
     pub fn reset_session(&mut self, caller: CallerId, service: &str) {
-        if let Some(idx) = self.resolve(service) {
-            let key = (caller, Arc::clone(&self.interned[idx]));
-            self.sessions.remove(&key);
+        if let Some(idx) = self.spec.service_index(service) {
+            self.sessions.remove(&(caller, idx));
         }
     }
 
@@ -661,14 +668,12 @@ impl FsmUnitRuntime {
     /// stability flags. The immutable spec is not captured.
     #[must_use]
     pub fn capture_state(&self) -> FsmUnitState {
-        let mut sessions: Vec<(CallerId, Arc<str>, FsmExec, Vec<Value>)> = self
+        let mut sessions: Vec<(CallerId, usize, FsmExec, Vec<Value>)> = self
             .sessions
             .iter()
-            .map(|((caller, name), s)| {
-                (*caller, Arc::clone(name), s.exec.clone(), s.locals.clone())
-            })
+            .map(|(&(caller, idx), s)| (caller, idx, s.exec.clone(), s.locals.clone()))
             .collect();
-        sessions.sort_by(|a, b| (a.0, a.1.as_ref()).cmp(&(b.0, b.1.as_ref())));
+        sessions.sort_by_key(|s| (s.0, s.1));
         FsmUnitState {
             controller: self.controller.clone(),
             sessions,
@@ -678,41 +683,61 @@ impl FsmUnitRuntime {
         }
     }
 
+    /// Checks that a capture fits this runtime's spec: the controller
+    /// and every session sit in a state of their FSM and carry one local
+    /// per declared variable, and every session names a declared
+    /// service. [`FsmUnitRuntime::restore_state`] runs this before it
+    /// mutates anything.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvalError::Service`] naming the first misfit.
+    pub fn check_state(&self, state: &FsmUnitState) -> Result<(), EvalError> {
+        let misfit = |what: String| {
+            EvalError::Service(format!(
+                "unit {}: snapshot {what} does not fit the spec",
+                self.spec.name()
+            ))
+        };
+        let fits = |exec: &FsmExec, fsm: &Fsm, locals: &[Value], vars: &[Variable]| {
+            exec.current().index() < fsm.state_count() && locals.len() == vars.len()
+        };
+        match (&state.controller, self.spec.controller()) {
+            (None, None) => {}
+            (Some((exec, vars)), Some(ctrl)) if fits(exec, &ctrl.fsm, vars, &ctrl.vars) => {}
+            _ => return Err(misfit("controller".to_string())),
+        }
+        for (_, idx, exec, locals) in &state.sessions {
+            match self.spec.services().get(*idx) {
+                Some(svc) if fits(exec, svc.fsm(), locals, svc.locals()) => {}
+                _ => return Err(misfit(format!("session of service #{idx}"))),
+            }
+        }
+        Ok(())
+    }
+
     /// Restores a previously captured [`FsmUnitState`]. The target must
-    /// be built from the same spec (or one declaring the same services
-    /// and controller); session keys are re-interned against this
-    /// runtime's own name table, so a capture taken from one instance
-    /// restores into another.
+    /// be built from the same spec (or one declaring the same services,
+    /// in the same order, and the same controller); a capture taken from
+    /// one instance restores into another.
     ///
     /// # Errors
     ///
     /// Returns [`EvalError::Service`] (leaving this runtime untouched)
-    /// if the capture references a service this spec doesn't declare,
-    /// or its controller shape doesn't match.
+    /// when [`FsmUnitRuntime::check_state`] rejects the capture.
     pub fn restore_state(&mut self, state: &FsmUnitState) -> Result<(), EvalError> {
-        if state.controller.is_some() != self.controller.is_some() {
-            return Err(EvalError::Service(format!(
-                "unit {}: snapshot controller shape does not match spec",
-                self.spec.name()
-            )));
-        }
-        let mut sessions = HashMap::with_capacity(state.sessions.len());
-        for (caller, name, exec, locals) in &state.sessions {
-            let idx = self.resolve(name).ok_or_else(|| {
-                EvalError::Service(format!(
-                    "unit {}: snapshot session for unknown service {name}",
-                    self.spec.name()
-                ))
-            })?;
-            sessions.insert(
-                (*caller, Arc::clone(&self.interned[idx])),
-                Session {
+        self.check_state(state)?;
+        self.sessions = state
+            .sessions
+            .iter()
+            .map(|(caller, idx, exec, locals)| {
+                let session = Session {
                     exec: exec.clone(),
                     locals: locals.clone(),
-                },
-            );
-        }
-        self.sessions = sessions;
+                };
+                ((*caller, *idx), session)
+            })
+            .collect();
         self.controller.clone_from(&state.controller);
         self.stats.clone_from(&state.stats);
         self.ctrl_stable = state.ctrl_stable;
@@ -795,11 +820,11 @@ mod tests {
     }
 
     #[test]
-    fn sessions_key_by_interned_name() {
-        // The session map is keyed by (CallerId, Arc<str>) cloned from
-        // the spec's interned service names — so a case-insensitive
-        // spelling (the VHDL-caller path) resolves to the SAME session
-        // instead of forking a duplicate keyed by the caller's string.
+    fn sessions_key_by_service_index() {
+        // The session map is keyed by (CallerId, service index) — so a
+        // case-insensitive spelling (the VHDL-caller path) resolves to
+        // the SAME session instead of forking a duplicate keyed by the
+        // caller's string.
         let spec = handshake_unit("hs", Type::INT16);
         let mut unit = FsmUnitRuntime::new(spec.clone());
         let mut wires = LocalWires::new(&spec);
@@ -967,7 +992,7 @@ mod tests {
         );
 
         // Restore into a *different* runtime built from the same spec
-        // (session keys re-intern against its name table) and replay:
+        // (sessions key by service index) and replay:
         // outcome-identical, stats land verbatim on the same totals.
         let mut twin = FsmUnitRuntime::new(spec.clone());
         let mut twin_wires = wires_snap;

@@ -66,6 +66,21 @@ pub const SERVICE_DONE_VAR: VarId = VarId::new(0);
 /// value.
 pub const SERVICE_RESULT_VAR: VarId = VarId::new(1);
 
+/// The service-name rule every communication unit shares: an exact
+/// match wins, else the first case-insensitive one, so a VHDL caller's
+/// upper-cased `PUT` binds to a unit that declares `put`. Returns the
+/// index of the match in `names`.
+#[must_use]
+pub fn resolve_service<'a>(
+    mut names: impl Iterator<Item = &'a str> + Clone,
+    name: &str,
+) -> Option<usize> {
+    names
+        .clone()
+        .position(|n| n == name)
+        .or_else(|| names.position(|n| n.eq_ignore_ascii_case(name)))
+}
+
 /// An access procedure of a communication unit.
 ///
 /// By convention local variable 0 is the `DONE` flag (set by the protocol
@@ -294,21 +309,12 @@ impl CommUnitSpec {
         self.service_index(name).map(|i| &self.services[i])
     }
 
-    /// Resolves a service name to its index in [`CommUnitSpec::services`],
-    /// under the same exact-then-case-insensitive policy as
-    /// [`CommUnitSpec::service`] — the single definition of name
-    /// resolution, shared by runtimes that keep per-service tables
-    /// parallel to the spec (session keys, interned names).
+    /// Resolves a service name to its index in [`CommUnitSpec::services`]
+    /// through [`resolve_service`], so runtimes that keep per-service
+    /// tables parallel to the spec (session keys) share its rule.
     #[must_use]
     pub fn service_index(&self, name: &str) -> Option<usize> {
-        self.services
-            .iter()
-            .position(|s| s.name == name)
-            .or_else(|| {
-                self.services
-                    .iter()
-                    .position(|s| s.name.eq_ignore_ascii_case(name))
-            })
+        resolve_service(self.services.iter().map(|s| s.name.as_str()), name)
     }
 
     /// Finds a wire id by name.

@@ -1559,35 +1559,15 @@ impl Simulator {
         }
     }
 
-    /// Restores a previously captured [`SimState`], making this
-    /// simulator resume bit-identically to the captured one (provided
-    /// its process bodies are in an equivalent state — see
-    /// [`Simulator::save_state`]). The inverted sensitivity index is
-    /// rebuilt from the captured sensitivity sets, so no stale watcher
-    /// entries survive a restore.
-    ///
-    /// The target must be structurally identical to the simulator that
-    /// produced the state: same signals (by name, in order) and same
-    /// processes (by name, in order). Signal *values* may differ — that
-    /// is the point.
-    ///
-    /// The snapshot is backend-portable: the canonical `(at, seq)`
-    /// capture re-files into whichever queue backend this simulator
-    /// uses (wheel or heap oracle), and the replay is bit-identical
-    /// either way. One caveat follows from the re-filing: the wheel's
-    /// *filing* telemetry ([`SimStats::wheel_cascades`],
-    /// [`SimStats::wheel_slot_peak`], [`SimStats::overflow_parked`])
-    /// is path-dependent — an entry originally filed at a coarse level
-    /// (paying cascades on the way down) may file directly at a fine
-    /// level relative to the restore-time cursor — so those three
-    /// counters may diverge from an uninterrupted run even though
-    /// every observable event does not.
+    /// Checks that `state` fits this simulator's signal and process
+    /// tables — the validation [`Simulator::load_state`] runs before it
+    /// mutates anything — so a caller restoring several layers can
+    /// reject a mismatch before touching any of them.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::StateMismatch`] (leaving this simulator
-    /// untouched) if the tables don't line up.
-    pub fn load_state(&mut self, state: &SimState) -> Result<(), SimError> {
+    /// Returns [`SimError::StateMismatch`] if the tables don't line up.
+    pub fn check_state(&self, state: &SimState) -> Result<(), SimError> {
         if state.signals.len() != self.signals.len() {
             return Err(SimError::StateMismatch {
                 reason: format!(
@@ -1626,7 +1606,39 @@ impl Simulator {
                 });
             }
         }
+        Ok(())
+    }
 
+    /// Restores a previously captured [`SimState`], making this
+    /// simulator resume bit-identically to the captured one (provided
+    /// its process bodies are in an equivalent state — see
+    /// [`Simulator::save_state`]). The inverted sensitivity index is
+    /// rebuilt from the captured sensitivity sets, so no stale watcher
+    /// entries survive a restore.
+    ///
+    /// The target must be structurally identical to the simulator that
+    /// produced the state: same signals (by name, in order) and same
+    /// processes (by name, in order). Signal *values* may differ — that
+    /// is the point.
+    ///
+    /// The snapshot is backend-portable: the canonical `(at, seq)`
+    /// capture re-files into whichever queue backend this simulator
+    /// uses (wheel or heap oracle), and the replay is bit-identical
+    /// either way. One caveat follows from the re-filing: the wheel's
+    /// *filing* telemetry ([`SimStats::wheel_cascades`],
+    /// [`SimStats::wheel_slot_peak`], [`SimStats::overflow_parked`])
+    /// is path-dependent — an entry originally filed at a coarse level
+    /// (paying cascades on the way down) may file directly at a fine
+    /// level relative to the restore-time cursor — so those three
+    /// counters may diverge from an uninterrupted run even though
+    /// every observable event does not.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::StateMismatch`] (leaving this simulator
+    /// untouched) if the tables don't line up.
+    pub fn load_state(&mut self, state: &SimState) -> Result<(), SimError> {
+        self.check_state(state)?;
         self.signals.clone_from(&state.signals);
         // Rebuild the packed event mirror from the restored flags.
         self.event_bits.iter_mut().for_each(|w| *w = 0);

@@ -892,6 +892,126 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Snapshots from a different backplane: restoring or forking one never
+// panics. A refused snapshot leaves the target running exactly like an
+// untouched twin; an accepted one runs on without panicking.
+// ---------------------------------------------------------------------
+
+/// `(units, topology, link flavour, values per link, legacy scheduler,
+/// trace)` of a generated scenario.
+type ScenarioSel = (usize, u8, u8, usize, bool, bool);
+
+fn arb_scenario_sel() -> impl Strategy<Value = ScenarioSel> {
+    (
+        2usize..5,
+        0u8..5,
+        0u8..3,
+        1usize..4,
+        any::<bool>(),
+        any::<bool>(),
+    )
+}
+
+fn scenario_spec(sel: ScenarioSel, seed: u64) -> cosma::cosim::scenario::ScenarioSpec {
+    use cosma::comm::BusTiming;
+    use cosma::cosim::scenario::{LinkKind, ScenarioSpec, Topology};
+    use cosma::cosim::SchedulingConfig;
+    let (units, topo, link, values, legacy, trace) = sel;
+    let batched = |timing| LinkKind::Batched {
+        max_batch: 4,
+        capacity: 16,
+        timing,
+    };
+    ScenarioSpec {
+        units,
+        topology: match topo {
+            0 => Topology::Pipeline,
+            1 => Topology::Star,
+            2 => Topology::Ring,
+            3 => Topology::Starved,
+            _ => Topology::RandomDag { seed },
+        },
+        link: match link {
+            0 => LinkKind::Handshake,
+            1 => batched(BusTiming::LengthOnly),
+            _ => batched(BusTiming::PayloadBeats),
+        },
+        values_per_link: values,
+        scheduling: if legacy {
+            SchedulingConfig::legacy()
+        } else {
+            SchedulingConfig::sharded()
+        },
+        trace,
+        ..ScenarioSpec::default()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn foreign_snapshots_restore_or_refuse_cleanly(
+        a_sel in arb_scenario_sel(),
+        b_sel in arb_scenario_sel(),
+        same_shape in any::<bool>(),
+        seed in any::<u64>(),
+        a_ns in 500u64..30_000,
+        b_ns in 500u64..30_000,
+    ) {
+        use cosma::cosim::scenario::build_scenario;
+        use cosma::sim::Duration;
+
+        // Half the pairs share their structure (unit count, topology,
+        // link family, scheduler, tracing) and differ in traffic, bus
+        // timing and DAG shape, so the snapshot clears the kernel's
+        // table check and reaches the unit and module checks.
+        let b_sel = if same_shape {
+            let link = if a_sel.2 == 0 { 0 } else { 1 + b_sel.2 % 2 };
+            (a_sel.0, a_sel.1, link, b_sel.3, a_sel.4, a_sel.5)
+        } else {
+            b_sel
+        };
+        let a_spec = scenario_spec(a_sel, seed);
+        let b_spec = scenario_spec(b_sel, seed.rotate_left(17));
+        let mut a = build_scenario(&a_spec).expect("a builds");
+        a.cosim.run_for(Duration::from_ns(a_ns)).expect("a runs");
+        let snap = a.cosim.snapshot();
+
+        let build_b = || {
+            let mut s = build_scenario(&b_spec).expect("b builds");
+            s.cosim.run_for(Duration::from_ns(b_ns)).expect("b runs");
+            s
+        };
+        let (mut b, mut twin) = (build_b(), build_b());
+        let forked = b.cosim.fork(&snap);
+        let restored = b.cosim.restore(&snap);
+        prop_assert_eq!(
+            forked.is_ok(),
+            restored.is_ok(),
+            "fork and restore agree: {:?} vs {:?}", forked.err(), restored
+        );
+        let tail = Duration::from_us(20);
+        if restored.is_ok() {
+            // Accepted: the restored state must run without panicking
+            // (an evaluation error is a fine answer to foreign state).
+            let _ = b.cosim.run_for(tail);
+            if let Ok(mut f) = forked {
+                let _ = f.run_for(tail);
+            }
+            return Ok(());
+        }
+        b.cosim.run_for(tail).expect("refused target runs");
+        twin.cosim.run_for(tail).expect("twin runs");
+        prop_assert_eq!(b.cosim.sim().now(), twin.cosim.sim().now());
+        prop_assert_eq!(b.cosim.shard_stats(), twin.cosim.shard_stats());
+        prop_assert_eq!(b.cosim.trace_log(), twin.cosim.trace_log());
+        for (&m, &t) in b.modules.iter().zip(&twin.modules) {
+            prop_assert_eq!(b.cosim.module_status(m), twin.cosim.module_status(t));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Binary trace codec: encoding a live run's columnar trace log and
 // decoding it back must reproduce the exact entry stream, whatever
 // scheduler and link flavour produced it. The scenario modules emit an
