@@ -1,0 +1,604 @@
+//! The unit table and the module environment that calls it.
+//!
+//! Every communication unit of a backplane — FSM-described, batched
+//! link or native — is one `UnitEntry` of the unit table, indexed by
+//! `UnitId`; only this module tells unit kinds apart. Module
+//! activations (`step_module`) reach their units through `CosimEnv`,
+//! which resolves each call's service name, dispatches it and gathers
+//! the evidence for the scheduler's park verdict.
+
+use crate::backplane::{CosimError, ModuleStatus, UnitId};
+use crate::sched::ParkCounters;
+use crate::trace::TraceLog;
+use cosma_comm::{
+    BatchedLink, BatchedLinkState, CallerId, FsmUnitRuntime, FsmUnitState, NativeUnit,
+    NativeUnitState, UnitStats, WireStore,
+};
+use cosma_core::comm::{resolve_service, CommUnitSpec};
+use cosma_core::ids::{PortId, VarId};
+use cosma_core::{
+    Env, EvalError, FsmExec, Module, ReadEnv, ServiceCall, ServiceOutcome, Type, Value,
+};
+use cosma_sim::{Duration, ProcCtx, SignalId};
+use std::cell::RefCell;
+use std::sync::Arc;
+
+/// What a unit-table row runs — the one place unit kinds differ. The
+/// rest of the backplane reaches every unit through [`UnitEntry`].
+pub(crate) enum UnitBody {
+    /// An FSM-described unit ([`Cosim::add_fsm_unit`]).
+    Fsm(FsmUnitRuntime),
+    /// A batched bus link ([`Cosim::add_batched_unit`]).
+    Batched(Box<BatchedLink>),
+    /// A native (platform) unit ([`Cosim::add_native_unit`]).
+    Native(NativeBody),
+}
+
+/// A native unit plus the kernel mirror of its occupancy.
+pub(crate) struct NativeBody {
+    pub(crate) unit: Box<dyn NativeUnit>,
+    /// Kernel mirror of the unit's queue occupancy
+    /// ([`NativeUnit::occupancy`]), if the unit exposes one. Driven
+    /// after every call and step, it makes native state changes
+    /// wire-visible so blocked callers can *park* instead of polling.
+    pub(crate) occ: Option<SignalId>,
+    /// The occupancy value most recently *driven* onto the `OCC`
+    /// signal. Drive decisions must compare against this, not the
+    /// committed signal value: within one delta an earlier drive is
+    /// still pending, and comparing against the stale committed value
+    /// would skip the correcting drive — leaving the mirror wrong
+    /// forever and losing a parked caller's wakeup.
+    pub(crate) occ_driven: i64,
+}
+
+impl NativeBody {
+    /// Mirrors the unit's occupancy onto its `OCC` kernel signal after
+    /// a call or step may have changed it. Same-value drives are
+    /// skipped, so this is cheap for no-op calls.
+    fn sync_occ(&mut self, ctx: &mut ProcCtx<'_>) {
+        if let (Some(sig), Some(occ)) = (self.occ, self.unit.occupancy()) {
+            if self.occ_driven != occ {
+                self.occ_driven = occ;
+                ctx.drive(sig, Value::Int(occ));
+            }
+        }
+    }
+}
+
+/// One row of the unit table, indexed by [`UnitId`]: everything the
+/// backplane knows about one communication unit, whatever its kind.
+pub(crate) struct UnitEntry {
+    pub(crate) name: String,
+    /// The unit's wires as kernel signals, in wire-id order (a native
+    /// unit's only wire is its `OCC` mirror, if it has one).
+    wires: Vec<SignalId>,
+    /// Canonical service names. A caller's spelling resolves against
+    /// them through [`resolve_service`].
+    services: Vec<String>,
+    /// Completion wires per service index: the wires whose events can
+    /// unblock a pending caller (the blocked protocol's read-set mapped
+    /// onto kernel signals; a native unit's `OCC` mirror). Empty means
+    /// a blocked caller must poll.
+    completion: Vec<Vec<SignalId>>,
+    /// One HW clock cycle of the unit's domain — the scheduling unit for
+    /// a batched link's pre-scheduled payload bursts
+    /// ([`WireStore::write_wire_after`]).
+    cycle: Duration,
+    body: UnitBody,
+}
+
+impl UnitEntry {
+    pub(crate) fn new(name: &str, wires: Vec<SignalId>, cycle: Duration, body: UnitBody) -> Self {
+        // A wire-level unit's services are its spec's; each one's
+        // completion wires map spec wire ids onto kernel signals.
+        let from_spec = |spec: &CommUnitSpec, completion: &dyn Fn(&str) -> Vec<PortId>| {
+            let signals = |s: &str| completion(s).iter().map(|p| wires[p.index()]).collect();
+            let names = spec.services().iter().map(|s| s.name());
+            names.map(|s| (s.to_string(), signals(s))).unzip()
+        };
+        let (services, completion) = match &body {
+            UnitBody::Fsm(rt) => from_spec(rt.spec(), &|s| rt.completion_signals(s)),
+            UnitBody::Batched(link) => from_spec(link.spec(), &|s| link.completion_signals(s)),
+            UnitBody::Native(n) => n
+                .unit
+                .services()
+                .into_iter()
+                .map(|d| (d.name, wires.clone()))
+                .unzip(),
+        };
+        UnitEntry {
+            name: name.to_string(),
+            wires,
+            services,
+            completion,
+            cycle,
+            body,
+        }
+    }
+
+    /// The unit's activation gate: the wires whose events mean its
+    /// bookkeeping must step, which double as its watch wires while
+    /// parked. `None` when it has no clocked bookkeeping at all (an FSM
+    /// unit without a controller).
+    pub(crate) fn gate(&self) -> Option<Vec<SignalId>> {
+        match &self.body {
+            UnitBody::Fsm(rt) => rt.spec().controller().map(|_| self.wires.clone()),
+            // Only the wires someone other than the link's own pump can
+            // event (`PENDING`, raised by a producer's `put`). Watching
+            // the full wire table would wake the parked link — and
+            // re-arm its gate — once per self-driven beat/handshake
+            // event for no behavioural gain.
+            UnitBody::Batched(link) => Some(
+                link.pump_wake_signals()
+                    .iter()
+                    .map(|p| self.wires[p.index()])
+                    .collect(),
+            ),
+            UnitBody::Native(_) => Some(self.wires.clone()),
+        }
+    }
+
+    /// One service activation on behalf of `caller`. Resolves the
+    /// caller's spelling against the canonical service names and
+    /// returns the outcome, whether the call was a provable no-op on
+    /// the unit side, and the resolved service index.
+    pub(crate) fn call(
+        &mut self,
+        caller: CallerId,
+        service: &str,
+        args: &[Value],
+        ctx: &mut ProcCtx<'_>,
+    ) -> Result<(ServiceOutcome, bool, usize), EvalError> {
+        let Some(si) = resolve_service(self.services.iter().map(String::as_str), service) else {
+            return Err(EvalError::Service(format!(
+                "unit {} has no service {service}",
+                self.name
+            )));
+        };
+        let canonical = self.services[si].as_str();
+        let mut ws = CtxWires {
+            ctx,
+            map: &self.wires,
+            cycle: self.cycle,
+        };
+        let (out, stable) = match &mut self.body {
+            UnitBody::Fsm(rt) => (
+                rt.call_index(caller, si, args, &mut ws)?,
+                rt.last_call_stable(),
+            ),
+            UnitBody::Batched(link) => (
+                link.call(caller, canonical, args, &mut ws)?,
+                link.last_call_stable(),
+            ),
+            UnitBody::Native(n) => {
+                let out = n
+                    .unit
+                    .call(caller, canonical, args)
+                    .map_err(|e| EvalError::Service(format!("native unit {}: {e}", self.name)))?;
+                n.sync_occ(ws.ctx);
+                (out, n.unit.last_call_stable())
+            }
+        };
+        Ok((out, stable, si))
+    }
+
+    /// One activation of the unit's bookkeeping at a rising clock edge:
+    /// a controller step, a link pump or a native step. Returns whether
+    /// the unit proved itself stable (parkable).
+    pub(crate) fn step(
+        &mut self,
+        ctx: &mut ProcCtx<'_>,
+        inputs_changed: bool,
+    ) -> Result<bool, String> {
+        let mut ws = CtxWires {
+            ctx,
+            map: &self.wires,
+            cycle: self.cycle,
+        };
+        match &mut self.body {
+            UnitBody::Fsm(rt) => {
+                rt.step_controller_if_active(&mut ws, inputs_changed)
+                    .map_err(|e| format!("unit {} controller: {e}", self.name))?;
+                Ok(rt.controller_stable())
+            }
+            UnitBody::Batched(link) => link
+                .pump(&mut ws, inputs_changed)
+                .map(|active| !active)
+                .map_err(|e| format!("batched link {}: {e}", self.name)),
+            UnitBody::Native(n) => {
+                n.unit.step();
+                n.sync_occ(ws.ctx);
+                Ok(!n.unit.needs_step())
+            }
+        }
+    }
+
+    pub(crate) fn stats(&self) -> UnitStats {
+        match &self.body {
+            UnitBody::Fsm(rt) => rt.stats().clone(),
+            UnitBody::Batched(link) => link.stats(),
+            UnitBody::Native(n) => n.unit.stats().clone(),
+        }
+    }
+
+    pub(crate) fn capture(&self) -> UnitSnap {
+        match &self.body {
+            UnitBody::Fsm(rt) => UnitSnap::Fsm(rt.capture_state()),
+            UnitBody::Batched(link) => UnitSnap::Batched(Box::new(link.capture_state())),
+            UnitBody::Native(n) => UnitSnap::Native(n.unit.save_state(), n.occ_driven),
+        }
+    }
+
+    /// Checks, without touching the unit, that `snap` fits it: the same
+    /// kind of unit, with state inside its spec. A native unit validates
+    /// its state bag only while loading it, so the check loads the bag
+    /// into a fresh twin ([`NativeUnit::fork_fresh`]) when the unit can
+    /// make one.
+    pub(crate) fn check(&self, snap: &UnitSnap) -> Result<(), CosimError> {
+        let fits = match (&self.body, snap) {
+            (UnitBody::Fsm(rt), UnitSnap::Fsm(st)) => rt.check_state(st).map_err(|e| e.to_string()),
+            (UnitBody::Batched(link), UnitSnap::Batched(st)) => {
+                link.check_state(st).map_err(|e| e.to_string())
+            }
+            (UnitBody::Native(n), UnitSnap::Native(Some(st), _)) => match n.unit.fork_fresh() {
+                Some(mut probe) => probe.load_state(st).map_err(|e| e.to_string()),
+                None => Ok(()),
+            },
+            (UnitBody::Native(_), UnitSnap::Native(None, _)) => {
+                Err("was captured without state (no save_state support)".to_string())
+            }
+            _ => Err("snapshot holds a different kind of unit here".to_string()),
+        };
+        fits.map_err(|e| CosimError::Setup(format!("unit {}: {e}", self.name)))
+    }
+
+    /// Restores a snapshot that passed [`UnitEntry::check`].
+    pub(crate) fn restore(&mut self, snap: &UnitSnap) -> Result<(), CosimError> {
+        let restored = match (&mut self.body, snap) {
+            (UnitBody::Fsm(rt), UnitSnap::Fsm(st)) => rt.restore_state(st),
+            (UnitBody::Batched(link), UnitSnap::Batched(st)) => link.restore_state(st),
+            (UnitBody::Native(n), UnitSnap::Native(Some(st), occ_driven)) => {
+                n.unit.load_state(st).map(|()| n.occ_driven = *occ_driven)
+            }
+            _ => return self.check(snap),
+        };
+        restored.map_err(|e| CosimError::Setup(format!("unit {}: {e}", self.name)))
+    }
+
+    /// A fresh, state-empty twin of a native unit, for [`Cosim::fork`].
+    pub(crate) fn fork_native(&self) -> Result<Box<dyn NativeUnit>, CosimError> {
+        let fresh = match &self.body {
+            UnitBody::Native(n) => n.unit.fork_fresh(),
+            _ => None,
+        };
+        fresh.ok_or_else(|| {
+            CosimError::Setup(format!(
+                "native unit {} does not support forking",
+                self.name
+            ))
+        })
+    }
+}
+
+/// One unit's captured state, in unit-table order inside a [`Snapshot`].
+#[derive(Clone)]
+pub(crate) enum UnitSnap {
+    Fsm(FsmUnitState),
+    Batched(Box<BatchedLinkState>),
+    /// The native unit's state bag — `None` when it does not implement
+    /// [`NativeUnit::save_state`], detected at restore/fork time so
+    /// `snapshot()` itself stays infallible — and its `OCC` mirror.
+    Native(Option<NativeUnitState>, i64),
+}
+
+/// Everything the backplane knows about one module instance. Owned by
+/// the shared module table so both scheduler paths (per-module process,
+/// module driver) step modules through the same code.
+pub(crate) struct ModuleEntry {
+    pub(crate) name: String,
+    pub(crate) module: Module,
+    pub(crate) exec: FsmExec,
+    pub(crate) ports: Vec<SignalId>,
+    pub(crate) vars: Vec<Value>,
+    pub(crate) var_tys: Vec<Type>,
+    pub(crate) bindings: Vec<UnitId>,
+    pub(crate) caller: CallerId,
+    pub(crate) status: ModuleStatus,
+}
+
+/// Bridges a unit's wire table onto kernel signals through the running
+/// process context.
+struct CtxWires<'a, 'b> {
+    ctx: &'a mut ProcCtx<'b>,
+    map: &'a [SignalId],
+    /// One clock cycle of the owning unit's clock, the unit of
+    /// [`WireStore::write_wire_after`] scheduling. With
+    /// `Duration::ZERO` timed writes report unsupported, which keeps a
+    /// mis-plumbed unit on the cycle-by-cycle fallback instead of
+    /// silently collapsing a burst into one instant.
+    cycle: Duration,
+}
+
+impl WireStore for CtxWires<'_, '_> {
+    fn read_wire(&self, w: PortId) -> Result<Value, EvalError> {
+        match self.map.get(w.index()) {
+            Some(&sig) => Ok(self.ctx.read(sig).clone()),
+            None => Err(EvalError::NoSuchPort(w)),
+        }
+    }
+    fn write_wire(&mut self, w: PortId, v: Value) -> Result<(), EvalError> {
+        match self.map.get(w.index()) {
+            Some(&sig) => {
+                self.ctx.drive(sig, v);
+                Ok(())
+            }
+            None => Err(EvalError::NoSuchPort(w)),
+        }
+    }
+    fn write_wire_after(&mut self, w: PortId, v: Value, cycles: u64) -> Result<bool, EvalError> {
+        if self.cycle == Duration::ZERO {
+            return Ok(false);
+        }
+        match self.map.get(w.index()) {
+            Some(&sig) => {
+                self.ctx.drive_after(sig, v, self.cycle.times(cycles));
+                Ok(true)
+            }
+            None => Err(EvalError::NoSuchPort(w)),
+        }
+    }
+    fn write_wire_train(
+        &mut self,
+        w: PortId,
+        start_cycles: u64,
+        stride_cycles: u64,
+        values: &[Value],
+    ) -> Result<bool, EvalError> {
+        if self.cycle == Duration::ZERO {
+            return Ok(false);
+        }
+        match self.map.get(w.index()) {
+            Some(&sig) => {
+                self.ctx.drive_train(
+                    sig,
+                    self.cycle.times(start_cycles),
+                    self.cycle.times(stride_cycles),
+                    values,
+                );
+                Ok(true)
+            }
+            None => Err(EvalError::NoSuchPort(w)),
+        }
+    }
+}
+
+/// Reusable arena for module activations through [`step_module`]: the
+/// [`StepEffects`](cosma_core::StepEffects) arena and the pooled watch
+/// list. Each module-stepping process owns one, so a warm activation
+/// allocates nothing for its bookkeeping.
+#[derive(Default)]
+pub(crate) struct ModuleScratch {
+    /// Step-effects arena handed to
+    /// [`FsmExec::step_with`](cosma_core::FsmExec::step_with);
+    /// recycled at the start of every activation.
+    effects: cosma_core::StepEffects,
+    /// Pooled completion-wire watch list lent to the activation's
+    /// [`CosimEnv`]; returned cleared unless the module parks (the
+    /// rare case, where the buffer leaves as the park wait list).
+    pub(crate) watch: Vec<SignalId>,
+}
+
+/// The execution environment a module activation sees: ports are kernel
+/// signals, variables are module-local, service calls go to the unit
+/// table. Alongside execution it accumulates the *stability evidence*
+/// the scheduler needs for its park verdict.
+struct CosimEnv<'a, 'b> {
+    ctx: &'a mut ProcCtx<'b>,
+    ports: &'a [SignalId],
+    vars: &'a mut [Value],
+    var_tys: &'a [Type],
+    units: &'a RefCell<Vec<UnitEntry>>,
+    bindings: &'a [UnitId],
+    caller: CallerId,
+    trace: &'a RefCell<TraceLog>,
+    source: &'a str,
+    /// Effective changes this activation: variable writes that changed
+    /// a value, port drives that differ from the signal's current
+    /// value, trace records, completed service calls. Zero means the
+    /// activation was (conservatively) a no-op.
+    changes: u32,
+    /// Whether every pending service call this activation was a
+    /// provable no-op on the unit side *with* non-empty completion
+    /// wires — i.e. safe to wait on wires instead of polling.
+    pending_stable: bool,
+    /// Completion wires of the pending calls (what to watch if parked).
+    pending_watch: Vec<SignalId>,
+}
+
+impl CosimEnv<'_, '_> {
+    /// Post-call bookkeeping: a completed call is an effective change;
+    /// a pending one contributes to the park verdict (parkable
+    /// only if the unit proved the call a no-op AND names completion
+    /// wires that can wake the caller).
+    fn note_outcome(&mut self, done: bool, stable: bool, completion: &[SignalId]) {
+        if done {
+            self.changes += 1;
+        } else if stable && !completion.is_empty() {
+            self.pending_watch.extend_from_slice(completion);
+        } else {
+            self.pending_stable = false;
+        }
+    }
+}
+
+impl ReadEnv for CosimEnv<'_, '_> {
+    fn read_var(&self, v: VarId) -> Result<Value, EvalError> {
+        self.vars
+            .get(v.index())
+            .cloned()
+            .ok_or(EvalError::NoSuchVar(v))
+    }
+    fn read_port(&self, p: PortId) -> Result<Value, EvalError> {
+        match self.ports.get(p.index()) {
+            Some(&sig) => Ok(self.ctx.read(sig).clone()),
+            None => Err(EvalError::NoSuchPort(p)),
+        }
+    }
+}
+
+impl Env for CosimEnv<'_, '_> {
+    fn write_var(&mut self, v: VarId, value: Value) -> Result<(), EvalError> {
+        let ty = self.var_tys.get(v.index()).ok_or(EvalError::NoSuchVar(v))?;
+        let slot = self
+            .vars
+            .get_mut(v.index())
+            .ok_or(EvalError::NoSuchVar(v))?;
+        let value = ty.clamp(value);
+        if *slot != value {
+            self.changes += 1;
+            *slot = value;
+        }
+        Ok(())
+    }
+    fn drive_port(&mut self, p: PortId, value: Value) -> Result<(), EvalError> {
+        match self.ports.get(p.index()) {
+            Some(&sig) => {
+                if self.ctx.read(sig) != &value {
+                    self.changes += 1;
+                }
+                self.ctx.drive(sig, value);
+                Ok(())
+            }
+            None => Err(EvalError::NoSuchPort(p)),
+        }
+    }
+    fn call_service(
+        &mut self,
+        call: &ServiceCall,
+        args: &[Value],
+    ) -> Result<ServiceOutcome, EvalError> {
+        let Some(&unit) = self.bindings.get(call.binding.index()) else {
+            return Err(EvalError::Service(format!(
+                "module {} has no unit attached to binding {}",
+                self.source, call.binding
+            )));
+        };
+        let units = self.units;
+        let mut units = units.borrow_mut();
+        let entry = &mut units[unit.0];
+        let (out, stable, si) = entry.call(self.caller, &call.service, args, self.ctx)?;
+        self.note_outcome(out.done, stable, &entry.completion[si]);
+        Ok(out)
+    }
+    fn trace(&mut self, label: &str, values: &[Value]) {
+        self.changes += 1;
+        self.trace
+            .borrow_mut()
+            .record(self.ctx.now().as_fs(), self.source, label, values);
+    }
+    fn trace_interned(&mut self, label: &Arc<str>, values: &[Value]) {
+        self.changes += 1;
+        self.trace
+            .borrow_mut()
+            .record_interned(self.ctx.now().as_fs(), self.source, label, values);
+    }
+}
+
+/// One module activation through the shared module table, with service
+/// calls applied to their units at once. Returns `Ok(Some(watch))` when
+/// the activation proved the module stable and it should be parked on
+/// `watch` (possibly empty: a halted module that nothing can ever
+/// re-arm), `Ok(None)` to stay clocked.
+///
+/// The execution environment is drawn from the caller's pooled
+/// [`ModuleScratch`], recycled (capacity kept) across activations.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn step_module(
+    modules: &RefCell<Vec<ModuleEntry>>,
+    idx: usize,
+    units: &RefCell<Vec<UnitEntry>>,
+    trace: &RefCell<TraceLog>,
+    park: &ParkCounters,
+    park_blocked: bool,
+    ctx: &mut ProcCtx<'_>,
+    scratch: &mut ModuleScratch,
+) -> Result<Option<Vec<SignalId>>, String> {
+    let mut modules = modules.borrow_mut();
+    let ModuleEntry {
+        name,
+        module,
+        exec,
+        ports,
+        vars,
+        var_tys,
+        bindings,
+        caller,
+        status,
+    } = &mut modules[idx];
+    let fsm = module.fsm();
+    scratch.effects.recycle();
+    let mut env = CosimEnv {
+        ctx,
+        ports,
+        vars,
+        var_tys,
+        units,
+        bindings,
+        caller: *caller,
+        trace,
+        source: name,
+        changes: 0,
+        pending_stable: true,
+        pending_watch: std::mem::take(&mut scratch.watch),
+    };
+    match exec.step_with(fsm, &mut env, &mut scratch.effects) {
+        Ok(meta) => {
+            let changes = env.changes;
+            let pending_stable = env.pending_stable;
+            let mut watch = env.pending_watch;
+            if meta.from != meta.to {
+                // The state name only changes on a real transition —
+                // skip the per-activation render for self-loops, and
+                // reuse the status String's buffer when it does.
+                status.state.clear();
+                status.state.push_str(fsm.state(exec.current()).name());
+            }
+            status.activations += 1;
+            park.modules_stepped.set(park.modules_stepped.get() + 1);
+            // Park verdict: the activation must be a provable fixed
+            // point. Same state (self-loops included), zero effective
+            // changes, and every service call pending as a unit-side
+            // no-op with completion wires to wait on. Re-running such
+            // an activation with unchanged ports/wires is guaranteed
+            // to repeat it identically, so the module may sleep until
+            // one of its ports or completion wires events.
+            let parkable = park_blocked
+                && meta.from == meta.to
+                && changes == 0
+                && pending_stable
+                && scratch.effects.pending.len() == scratch.effects.service_calls as usize;
+            if parkable {
+                watch.extend_from_slice(ports);
+                watch.sort_unstable();
+                watch.dedup();
+                Ok(Some(watch))
+            } else {
+                watch.clear();
+                scratch.watch = watch;
+                Ok(None)
+            }
+        }
+        Err(e) => {
+            let mut watch = env.pending_watch;
+            watch.clear();
+            scratch.watch = watch;
+            // Record the halting state and the error on the module
+            // itself, not just in the backplane's global error slot.
+            let msg = format!("module {name}: {e}");
+            status.state.clear();
+            status.state.push_str(fsm.state(exec.current()).name());
+            status.error = Some(msg.clone());
+            Err(msg)
+        }
+    }
+}
