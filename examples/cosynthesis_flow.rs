@@ -66,5 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         all_match &= cmp.is_match();
     }
     println!("coherence: {}", if all_match { "PASS" } else { "FAIL" });
-    Ok(())
+    if all_match {
+        Ok(())
+    } else {
+        Err("co-simulation and co-synthesis traces diverge".into())
+    }
 }
