@@ -3,7 +3,8 @@
 //! Runs the same motor-controller description through both flows and
 //! compares the externally visible event sequences label by label,
 //! reporting the match rate (the paper's claim: the two never diverge,
-//! because both consume the same description).
+//! because both consume the same description). Exits non-zero when any
+//! scenario does not complete or its traces diverge.
 
 use cosma_board::BoardConfig;
 use cosma_cosim::CosimConfig;
@@ -82,5 +83,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "NOT reproduced"
         }
     );
-    Ok(())
+    if overall {
+        Ok(())
+    } else {
+        Err("a scenario is incomplete or its traces diverge".into())
+    }
 }

@@ -395,6 +395,25 @@ mod tests {
     }
 
     #[test]
+    fn vhdl_spelled_calls_reach_native_units() {
+        // Upper-cased `PUT`/`GET` (the VHDL front-end's spelling) bind to
+        // the FIFO's `put`/`get` and land on its canonical stats rows.
+        let mut plat = IpcPlatform::new();
+        let ch = plat.add_unit(StandaloneUnit::from_native(Box::new(FifoChannel::new(
+            "pipe", 4,
+        ))));
+        plat.add_module(&producer("PUT", 4), &[("chan", ch)])
+            .unwrap();
+        let c = plat
+            .add_module(&consumer("GET", 4), &[("chan", ch)])
+            .unwrap();
+        plat.run(50).unwrap();
+        assert_eq!(plat.module_state(c), "END");
+        assert_eq!(plat.module_var(c, "SUM"), Some(Value::Int(60)));
+        assert_eq!(plat.unit(ch).stats().services["get"].completions, 4);
+    }
+
+    #[test]
     fn mailbox_bidirectional() {
         // A sends on send_a, B replies on send_b; both complete.
         let mut a = ModuleBuilder::new("a", ModuleKind::Software);

@@ -46,11 +46,11 @@
 //! payload-beat bus occupancy ([`UnitStats::payload_beats`]).
 
 use crate::library::batched_handshake_unit;
-use crate::runtime::{CallerId, FsmUnitRuntime, FsmUnitState, UnitStats, WireStore};
+use crate::runtime::{CallerId, FsmUnitRuntime, FsmUnitState, ServiceCounts, UnitStats, WireStore};
 use cosma_core::comm::CommUnitSpec;
 use cosma_core::ids::PortId;
 use cosma_core::{Bit, EvalError, ServiceOutcome, Type, Value};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -80,7 +80,8 @@ pub enum BusTiming {
 /// produced by [`BatchedLink::capture_state`] and consumed by
 /// [`BatchedLink::restore_state`]: the inner bus-protocol runtime's
 /// state, all three payload queues, the handshake/streaming phase, and
-/// the adaptive batch target. Immutable link configuration (spec, data
+/// the adaptive batch target, plus the link's statistics in their
+/// public, name-keyed form. Immutable link configuration (spec, data
 /// type, timing model, `max_batch`, capacity) is not captured — a
 /// capture restores into any link built with the same configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,6 +158,11 @@ fn wire_word(v: &Value) -> Value {
 /// ```
 pub struct BatchedLink {
     inner: FsmUnitRuntime,
+    /// Index of `put` in the spec's service table: the link's producer
+    /// service and the inner bus protocol's producer side.
+    put: usize,
+    /// Index of `get`: the consumer service and the bus consumer side.
+    get: usize,
     data_ty: Type,
     pending_wire: PortId,
     /// The `DATA` wire (payload beats stream over it under
@@ -210,6 +216,10 @@ pub struct BatchedLink {
     /// schedule ([`WireStore::write_wire_train`]). Always drained back
     /// to empty within `pump`, so it is derived state and not captured.
     beat_words: Vec<Value>,
+    /// `put`/`get` calls and completions, by service index.
+    calls: ServiceCounts,
+    /// Batch counters; per-service rows live in `calls`, so the
+    /// `services` map stays empty.
     stats: UnitStats,
 }
 
@@ -270,8 +280,17 @@ impl BatchedLink {
         let last_wire = spec
             .wire_id("B_LAST")
             .expect("batched handshake spec has a B_LAST wire");
+        let put = spec
+            .service_index("put")
+            .expect("batched handshake spec has a put service");
+        let get = spec
+            .service_index("get")
+            .expect("batched handshake spec has a get service");
         Ok(BatchedLink {
+            calls: ServiceCounts::new(&spec),
             inner: FsmUnitRuntime::new(spec),
+            put,
+            get,
             data_ty,
             pending_wire,
             data_wire,
@@ -428,11 +447,12 @@ impl BatchedLink {
         Ok(())
     }
 
-    /// Dispatches one service activation by its canonical name (`put`
-    /// or `get`; the backplane resolves callers' spellings first). A
-    /// malformed call (unknown service, wrong arity, payload of the
-    /// wrong kind) surfaces as a typed [`EvalError::Service`], never a
-    /// panic.
+    /// Dispatches one service activation by name (`put` or `get`). The
+    /// name resolves through [`CommUnitSpec::service_index`], so an
+    /// upper-cased `PUT` is `put`, and the call then takes
+    /// [`BatchedLink::call_index`]. A malformed call (unknown service,
+    /// wrong arity, payload of the wrong kind) surfaces as a typed
+    /// [`EvalError::Service`], never a panic.
     ///
     /// # Errors
     ///
@@ -444,19 +464,44 @@ impl BatchedLink {
         args: &[Value],
         wires: &mut dyn WireStore,
     ) -> Result<ServiceOutcome, EvalError> {
-        match (service, args) {
-            ("put", [v]) => {
+        let Some(idx) = self.spec().service_index(service) else {
+            return Err(EvalError::Service(format!(
+                "batched link {} has no service {service}",
+                self.inner.spec().name()
+            )));
+        };
+        self.call_index(caller, idx, args, wires)
+    }
+
+    /// [`BatchedLink::call`] for a caller that already resolved the
+    /// service to its index in the spec's service table.
+    ///
+    /// # Errors
+    ///
+    /// Typed validation errors as for [`BatchedLink::call`], and for an
+    /// index that names neither `put` nor `get`; wire-store errors
+    /// propagate.
+    pub fn call_index(
+        &mut self,
+        caller: CallerId,
+        idx: usize,
+        args: &[Value],
+        wires: &mut dyn WireStore,
+    ) -> Result<ServiceOutcome, EvalError> {
+        match args {
+            [v] if idx == self.put => {
                 self.check_payload(v)?;
                 self.put(caller, v.clone(), wires)
             }
-            ("get", []) => self.get(caller, wires),
-            ("put" | "get", _) => Err(EvalError::Service(format!(
-                "batched link {}: service {service} called with {} argument(s)",
+            [] if idx == self.get => self.get(caller, wires),
+            _ if idx == self.put || idx == self.get => Err(EvalError::Service(format!(
+                "batched link {}: service {} called with {} argument(s)",
                 self.inner.spec().name(),
+                self.spec().services()[idx].name(),
                 args.len()
             ))),
-            (other, _) => Err(EvalError::Service(format!(
-                "batched link {} has no service {other}",
+            _ => Err(EvalError::Service(format!(
+                "batched link {} has no service #{idx}",
                 self.inner.spec().name()
             ))),
         }
@@ -475,8 +520,7 @@ impl BatchedLink {
         wires: &mut dyn WireStore,
     ) -> Result<ServiceOutcome, EvalError> {
         let full = self.occupancy() >= self.capacity;
-        let stats = self.stats.service_mut("put");
-        stats.calls += 1;
+        self.calls.bump(self.put, !full);
         if full {
             // Rejected by backpressure: nothing changed, so the call is
             // a provable no-op — but note that capacity release is not
@@ -487,7 +531,6 @@ impl BatchedLink {
             return Ok(ServiceOutcome::pending());
         }
         self.last_call_stable = false;
-        stats.completions += 1;
         self.outgoing.push(self.data_ty.clamp(v));
         if wires.read_wire(self.pending_wire)? != Value::Bit(Bit::One) {
             wires.write_wire(self.pending_wire, Value::Bit(Bit::One))?;
@@ -506,12 +549,11 @@ impl BatchedLink {
         _caller: CallerId,
         _wires: &mut dyn WireStore,
     ) -> Result<ServiceOutcome, EvalError> {
-        let stats = self.stats.service_mut("get");
-        stats.calls += 1;
-        match self.delivered.pop_front() {
+        let popped = self.delivered.pop_front();
+        self.calls.bump(self.get, popped.is_some());
+        match popped {
             Some(v) => {
                 self.last_call_stable = false;
-                stats.completions += 1;
                 Ok(ServiceOutcome::done_with(v))
             }
             None => {
@@ -580,7 +622,7 @@ impl BatchedLink {
             let len = self.in_flight.len() as i64;
             let out = self
                 .inner
-                .call(BUS_PRODUCER, "put", &[Value::Int(len)], wires)?;
+                .call_index(BUS_PRODUCER, self.put, &[Value::Int(len)], wires)?;
             active = true;
             if out.done {
                 self.sending = false;
@@ -627,7 +669,7 @@ impl BatchedLink {
                 }
             }
         } else if !self.in_flight.is_empty() && !self.sending {
-            let out = self.inner.call(BUS_CONSUMER, "get", &[], wires)?;
+            let out = self.inner.call_index(BUS_CONSUMER, self.get, &[], wires)?;
             active = true;
             if out.done {
                 match self.timing {
@@ -718,15 +760,18 @@ impl BatchedLink {
         Ok(active || stepped)
     }
 
-    /// Merged statistics: batch counters plus the inner controller's
+    /// Merged statistics: a `services` row for each of `put`/`get`
+    /// once called, the batch counters, and the inner controller's
     /// step/skip counts (the wire-level bus sessions are internal and not
     /// reported as services).
     #[must_use]
     pub fn stats(&self) -> UnitStats {
-        let mut s = self.stats.clone();
-        s.controller_steps = self.inner.stats().controller_steps;
-        s.controller_skips = self.inner.stats().controller_skips;
-        s
+        UnitStats {
+            services: self.calls.rows(self.spec()),
+            controller_steps: self.inner.controller_steps,
+            controller_skips: self.inner.controller_skips,
+            ..self.stats.clone()
+        }
     }
 
     /// Captures all mutable link state into a [`BatchedLinkState`]: the
@@ -745,20 +790,29 @@ impl BatchedLink {
             scheduled: self.scheduled,
             beat: self.beat,
             last_call_stable: self.last_call_stable,
-            stats: self.stats.clone(),
+            stats: UnitStats {
+                services: self.calls.rows(self.spec()),
+                ..self.stats.clone()
+            },
         }
     }
 
     /// Checks that a capture fits this link: its batch target within
-    /// `max_batch`, its occupancy within capacity, and its bus-protocol
-    /// state within the wire-level spec
-    /// ([`FsmUnitRuntime::check_state`]). A misfit is the signature of
-    /// a capture from a differently-configured link.
+    /// `max_batch`, its occupancy within capacity, its statistics rows
+    /// naming `put`/`get` only, and its bus-protocol state within the
+    /// wire-level spec ([`FsmUnitRuntime::check_state`]). A misfit is
+    /// the signature of a capture from a differently-configured link.
     ///
     /// # Errors
     ///
     /// Returns [`EvalError::Service`] naming the first misfit.
     pub fn check_state(&self, state: &BatchedLinkState) -> Result<(), EvalError> {
+        self.checked_counts(state).map(drop)
+    }
+
+    /// [`BatchedLink::check_state`], returning the captured statistics
+    /// rows as per-service counters for the restore.
+    fn checked_counts(&self, state: &BatchedLinkState) -> Result<ServiceCounts, EvalError> {
         if state.batch_target > self.max_batch {
             return Err(EvalError::Service(format!(
                 "batched link {}: snapshot batch target {} exceeds max_batch {}",
@@ -775,7 +829,13 @@ impl BatchedLink {
                 self.capacity
             )));
         }
-        self.inner.check_state(&state.inner)
+        self.inner.check_state(&state.inner)?;
+        ServiceCounts::from_rows(self.spec(), &state.stats.services).map_err(|what| {
+            EvalError::Service(format!(
+                "batched link {}: snapshot {what} does not fit the spec",
+                self.inner.spec().name()
+            ))
+        })
     }
 
     /// Restores a previously captured [`BatchedLinkState`]. The target
@@ -788,8 +848,9 @@ impl BatchedLink {
     /// Returns [`EvalError::Service`] (leaving this link untouched)
     /// when [`BatchedLink::check_state`] rejects the capture.
     pub fn restore_state(&mut self, state: &BatchedLinkState) -> Result<(), EvalError> {
-        self.check_state(state)?;
+        let calls = self.checked_counts(state)?;
         self.inner.restore_state(&state.inner)?;
+        self.calls = calls;
         self.batch_target = state.batch_target;
         self.outgoing.clone_from(&state.outgoing);
         self.in_flight.clone_from(&state.in_flight);
@@ -800,7 +861,10 @@ impl BatchedLink {
         self.scheduled = state.scheduled;
         self.beat = state.beat;
         self.last_call_stable = state.last_call_stable;
-        self.stats.clone_from(&state.stats);
+        self.stats = UnitStats {
+            services: HashMap::new(),
+            ..state.stats.clone()
+        };
         Ok(())
     }
 }
@@ -1276,6 +1340,50 @@ mod tests {
         let second = drain(&mut twin, &mut twin_wires);
         assert_eq!(second, first, "replay delivers the same sequence");
         assert_eq!(twin.stats(), end_stats, "stats land on the same totals");
+    }
+
+    #[test]
+    fn stats_rows_follow_calls_and_round_trip_through_snapshots() {
+        let (mut link, mut wires) = fresh();
+        assert!(link.stats().services.is_empty(), "no row before a call");
+        // Only `get` is called, spelled upper case: one canonical row.
+        for _ in 0..2 {
+            link.call(CallerId(2), "GET", &[], &mut wires).unwrap();
+        }
+        let stats = link.stats();
+        assert_eq!(stats.services.len(), 1, "{stats:?}");
+        let row = crate::ServiceStats {
+            calls: 2,
+            completions: 0,
+        };
+        assert_eq!(stats.services["get"], row);
+
+        // capture -> restore -> stats() round-trips into a fresh link.
+        link.call(CallerId(1), "Put", &[Value::Int(4)], &mut wires)
+            .unwrap();
+        for _ in 0..3 {
+            link.pump(&mut wires, false).unwrap();
+        }
+        let snap = link.capture_state();
+        assert_eq!(snap.stats.services.len(), 2);
+        let (mut twin, _) = fresh();
+        twin.restore_state(&snap).unwrap();
+        assert_eq!(twin.stats(), link.stats());
+        assert_eq!(twin.capture_state(), snap);
+
+        // A captured row naming a service the link lacks is refused
+        // before anything changes.
+        let mut foreign = snap.clone();
+        foreign.stats.services.insert("peek".into(), row);
+        let err = link.check_state(&foreign).unwrap_err();
+        assert!(
+            err.to_string().contains("stats row of service peek"),
+            "{err}"
+        );
+        let (mut target, _) = fresh();
+        let before = target.capture_state();
+        assert!(target.restore_state(&foreign).is_err());
+        assert_eq!(target.capture_state(), before, "refused load is a no-op");
     }
 
     #[test]

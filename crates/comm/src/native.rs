@@ -135,11 +135,19 @@ pub trait NativeUnit: fmt::Debug + Send {
     }
 }
 
+/// Counts one call of `service`. The row is looked up before it is
+/// inserted, so only a service's first call allocates its key.
 fn bump(stats: &mut UnitStats, service: &str, done: bool) {
-    let s: &mut ServiceStats = stats.services.entry(service.to_string()).or_default();
-    s.calls += 1;
-    if done {
-        s.completions += 1;
+    let count = |row: &mut ServiceStats| {
+        row.calls += 1;
+        if done {
+            row.completions += 1;
+        }
+    };
+    if let Some(row) = stats.services.get_mut(service) {
+        count(row);
+    } else {
+        count(stats.services.entry(service.to_string()).or_default());
     }
 }
 

@@ -151,9 +151,11 @@ struct Session {
 ///
 /// The capture is canonical: sessions are stored sorted by `(caller,
 /// service index)`, so two captures of identical logical states compare
-/// equal (`PartialEq`) regardless of hash-map iteration order. The unit
-/// *spec* is immutable and deliberately not part of the state — a
-/// capture restores into any runtime built from the same spec.
+/// equal (`PartialEq`) regardless of hash-map iteration order, and the
+/// statistics are held in their public, name-keyed form
+/// ([`FsmUnitRuntime::stats`]). The unit *spec* is immutable and
+/// deliberately not part of the state — a capture restores into any
+/// runtime built from the same spec.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FsmUnitState {
     controller: Option<(FsmExec, Vec<Value>)>,
@@ -239,7 +241,8 @@ pub struct ServiceStats {
 /// Statistics of a unit instance.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UnitStats {
-    /// Per-service stats, keyed by service name.
+    /// Per-service stats, keyed by the service's declared name: one row
+    /// per service called at least once, whatever the callers' spelling.
     pub services: HashMap<String, ServiceStats>,
     /// Controller activations.
     pub controller_steps: u64,
@@ -270,6 +273,58 @@ pub struct UnitStats {
     pub payload_beats: u64,
 }
 
+/// Calls and completions per service, in the order of the spec's
+/// service table: the counters behind the name-keyed
+/// [`UnitStats::services`] view, which the runtimes build on demand.
+/// A call counts by index, so no name is hashed or compared.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ServiceCounts(Vec<ServiceStats>);
+
+impl ServiceCounts {
+    /// Zeroed counters for every service `spec` declares.
+    pub(crate) fn new(spec: &CommUnitSpec) -> Self {
+        ServiceCounts(vec![ServiceStats::default(); spec.services().len()])
+    }
+
+    /// Counts one activation of service `idx`.
+    pub(crate) fn bump(&mut self, idx: usize, done: bool) {
+        let row = &mut self.0[idx];
+        row.calls += 1;
+        if done {
+            row.completions += 1;
+        }
+    }
+
+    /// The public rows: one per service called at least once, keyed by
+    /// its declared name.
+    pub(crate) fn rows(&self, spec: &CommUnitSpec) -> HashMap<String, ServiceStats> {
+        spec.services()
+            .iter()
+            .zip(&self.0)
+            .filter(|(_, row)| row.calls > 0)
+            .map(|(svc, row)| (svc.name().to_string(), *row))
+            .collect()
+    }
+
+    /// Counters from public rows (a capture's). A row naming a service
+    /// that `spec` does not declare is refused; the error names it.
+    pub(crate) fn from_rows(
+        spec: &CommUnitSpec,
+        rows: &HashMap<String, ServiceStats>,
+    ) -> Result<Self, String> {
+        let mut counts = Self::new(spec);
+        for (name, row) in rows {
+            let idx = spec
+                .services()
+                .iter()
+                .position(|svc| svc.name() == name)
+                .ok_or_else(|| format!("stats row of service {name}"))?;
+            counts.0[idx] = *row;
+        }
+        Ok(counts)
+    }
+}
+
 impl UnitStats {
     /// Records one completed bus transaction of `len` values into the
     /// batch counters and the power-of-two length histogram.
@@ -282,19 +337,6 @@ impl UnitStats {
             self.batch_len_hist.resize(bucket + 1, 0);
         }
         self.batch_len_hist[bucket] += 1;
-    }
-
-    /// Mutable access to a service's stats row, allocating the map key
-    /// only on first use — hot paths (one bump per call) pay a lookup
-    /// but never a malloc once the row exists.
-    pub(crate) fn service_mut(&mut self, name: &str) -> &mut ServiceStats {
-        if !self.services.contains_key(name) {
-            self.services
-                .insert(name.to_string(), ServiceStats::default());
-        }
-        self.services
-            .get_mut(name)
-            .expect("service stats row just ensured")
     }
 }
 
@@ -408,7 +450,11 @@ pub struct FsmUnitRuntime {
     controller: Option<(FsmExec, Vec<Value>)>,
     /// Live sessions keyed by caller and index into `spec.services()`.
     sessions: HashMap<(CallerId, usize), Session>,
-    stats: UnitStats,
+    calls: ServiceCounts,
+    /// Controller activations ([`UnitStats::controller_steps`]).
+    pub(crate) controller_steps: u64,
+    /// Skipped controller activations ([`UnitStats::controller_skips`]).
+    pub(crate) controller_skips: u64,
     /// Whether the last controller step provably changed nothing (same
     /// state, same vars, zero wire writes). While true, re-stepping with
     /// unchanged wire inputs must produce the same no-op, so the step
@@ -442,10 +488,12 @@ impl FsmUnitRuntime {
             )
         });
         FsmUnitRuntime {
+            calls: ServiceCounts::new(&spec),
             spec,
             controller,
             sessions: HashMap::new(),
-            stats: UnitStats::default(),
+            controller_steps: 0,
+            controller_skips: 0,
             ctrl_stable: false,
             last_call_stable: false,
         }
@@ -523,10 +571,8 @@ impl FsmUnitRuntime {
             });
         let (outcome, stable) = step_session(svc, session, args, wires)?;
         self.last_call_stable = stable;
-        let stats = self.stats.service_mut(svc.name());
-        stats.calls += 1;
+        self.calls.bump(idx, outcome.done);
         if outcome.done {
-            stats.completions += 1;
             // Reset the session for the next transaction, reusing the
             // locals buffer in place.
             session.exec = FsmExec::new(svc.fsm());
@@ -566,7 +612,7 @@ impl FsmUnitRuntime {
     ) -> Result<bool, EvalError> {
         if self.ctrl_stable && !inputs_changed {
             if self.spec.controller().is_some() {
-                self.stats.controller_skips += 1;
+                self.controller_skips += 1;
             }
             return Ok(false);
         }
@@ -601,14 +647,21 @@ impl FsmUnitRuntime {
         let var_writes = env.var_writes;
         self.ctrl_stable =
             counting.writes == 0 && var_writes == 0 && exec.current() == state_before;
-        self.stats.controller_steps += 1;
+        self.controller_steps += 1;
         Ok(true)
     }
 
-    /// Call/completion statistics.
+    /// Call/completion statistics, built from the per-service counters:
+    /// a `services` row for every service called at least once, keyed by
+    /// its declared name whatever the callers' spelling.
     #[must_use]
-    pub fn stats(&self) -> &UnitStats {
-        &self.stats
+    pub fn stats(&self) -> UnitStats {
+        UnitStats {
+            services: self.calls.rows(&self.spec),
+            controller_steps: self.controller_steps,
+            controller_skips: self.controller_skips,
+            ..UnitStats::default()
+        }
     }
 
     /// Whether the last controller step was provably a no-op — while
@@ -677,7 +730,7 @@ impl FsmUnitRuntime {
         FsmUnitState {
             controller: self.controller.clone(),
             sessions,
-            stats: self.stats.clone(),
+            stats: self.stats(),
             ctrl_stable: self.ctrl_stable,
             last_call_stable: self.last_call_stable,
         }
@@ -685,14 +738,20 @@ impl FsmUnitRuntime {
 
     /// Checks that a capture fits this runtime's spec: the controller
     /// and every session sit in a state of their FSM and carry one local
-    /// per declared variable, and every session names a declared
-    /// service. [`FsmUnitRuntime::restore_state`] runs this before it
-    /// mutates anything.
+    /// per declared variable, and every session and statistics row names
+    /// a declared service. [`FsmUnitRuntime::restore_state`] runs this
+    /// before it mutates anything.
     ///
     /// # Errors
     ///
     /// Returns [`EvalError::Service`] naming the first misfit.
     pub fn check_state(&self, state: &FsmUnitState) -> Result<(), EvalError> {
+        self.checked_counts(state).map(drop)
+    }
+
+    /// [`FsmUnitRuntime::check_state`], returning the captured
+    /// statistics as per-service counters for the restore.
+    fn checked_counts(&self, state: &FsmUnitState) -> Result<ServiceCounts, EvalError> {
         let misfit = |what: String| {
             EvalError::Service(format!(
                 "unit {}: snapshot {what} does not fit the spec",
@@ -713,7 +772,7 @@ impl FsmUnitRuntime {
                 _ => return Err(misfit(format!("session of service #{idx}"))),
             }
         }
-        Ok(())
+        ServiceCounts::from_rows(&self.spec, &state.stats.services).map_err(misfit)
     }
 
     /// Restores a previously captured [`FsmUnitState`]. The target must
@@ -726,7 +785,7 @@ impl FsmUnitRuntime {
     /// Returns [`EvalError::Service`] (leaving this runtime untouched)
     /// when [`FsmUnitRuntime::check_state`] rejects the capture.
     pub fn restore_state(&mut self, state: &FsmUnitState) -> Result<(), EvalError> {
-        self.check_state(state)?;
+        self.calls = self.checked_counts(state)?;
         self.sessions = state
             .sessions
             .iter()
@@ -739,7 +798,8 @@ impl FsmUnitRuntime {
             })
             .collect();
         self.controller.clone_from(&state.controller);
-        self.stats.clone_from(&state.stats);
+        self.controller_steps = state.stats.controller_steps;
+        self.controller_skips = state.stats.controller_skips;
         self.ctrl_stable = state.ctrl_stable;
         self.last_call_stable = state.last_call_stable;
         Ok(())
@@ -849,6 +909,50 @@ mod tests {
         // reset_session drops it regardless of spelling.
         unit.reset_session(p, "Put");
         assert_eq!(unit.sessions.len(), 0);
+    }
+
+    #[test]
+    fn stats_rows_follow_calls_and_round_trip_through_snapshots() {
+        let spec = handshake_unit("hs", Type::INT16);
+        let mut unit = FsmUnitRuntime::new(spec.clone());
+        let mut wires = LocalWires::new(&spec);
+        assert!(unit.stats().services.is_empty(), "no row before a call");
+        // Only `get` is called, spelled upper case: one canonical row.
+        for _ in 0..3 {
+            unit.call(CallerId(2), "GET", &[], &mut wires).unwrap();
+        }
+        let stats = unit.stats();
+        assert_eq!(stats.services.len(), 1, "{stats:?}");
+        let row = ServiceStats {
+            calls: 3,
+            completions: 0,
+        };
+        assert_eq!(stats.services["get"], row);
+
+        // capture -> restore -> stats() round-trips into a fresh runtime.
+        unit.call(CallerId(1), "put", &[Value::Int(4)], &mut wires)
+            .unwrap();
+        unit.step_controller(&mut wires).unwrap();
+        let snap = unit.capture_state();
+        assert_eq!(snap.stats(), &unit.stats());
+        let mut twin = FsmUnitRuntime::new(spec.clone());
+        twin.restore_state(&snap).unwrap();
+        assert_eq!(twin.stats(), unit.stats());
+        assert_eq!(twin.capture_state(), snap);
+
+        // A captured row naming a service the spec lacks is refused
+        // before anything changes.
+        let mut foreign = snap.clone();
+        foreign.stats.services.insert("peek".into(), row);
+        let err = unit.check_state(&foreign).unwrap_err();
+        assert!(
+            err.to_string().contains("stats row of service peek"),
+            "{err}"
+        );
+        let mut fresh = FsmUnitRuntime::new(spec);
+        let before = fresh.capture_state();
+        assert!(fresh.restore_state(&foreign).is_err());
+        assert_eq!(fresh.capture_state(), before, "refused load is a no-op");
     }
 
     #[test]
@@ -1004,7 +1108,7 @@ mod tests {
         );
         let second = run(&mut twin, &mut twin_wires);
         assert_eq!(second, first, "replay is outcome-identical");
-        assert_eq!(twin.stats(), &end_stats);
+        assert_eq!(twin.stats(), end_stats);
 
         // A spec that doesn't declare the captured services refuses the
         // snapshot and is left untouched.

@@ -3,7 +3,7 @@
 
 use crate::native::NativeUnit;
 use crate::runtime::{CallerId, FsmUnitRuntime, LocalWires, UnitStats, WireStore};
-use cosma_core::comm::CommUnitSpec;
+use cosma_core::comm::{resolve_service, CommUnitSpec};
 use cosma_core::{EvalError, ServiceOutcome, Value};
 use std::fmt;
 use std::sync::Arc;
@@ -12,12 +12,20 @@ enum Inner {
     // Boxed: the FSM runtime is much larger than the native trait
     // object, and StandaloneUnit values move around in tests.
     Fsm(Box<FsmInner>),
-    Native(Box<dyn NativeUnit>),
+    Native(Box<NativeInner>),
 }
 
 struct FsmInner {
     runtime: FsmUnitRuntime,
     wires: LocalWires,
+}
+
+struct NativeInner {
+    unit: Box<dyn NativeUnit>,
+    /// The names [`NativeUnit::services`] declares, read once: a
+    /// caller's spelling resolves against them through
+    /// [`resolve_service`], so the unit sees its own names.
+    services: Vec<String>,
 }
 
 /// One live communication unit, FSM-described or native, with in-process
@@ -71,7 +79,10 @@ impl StandaloneUnit {
     pub fn from_native(unit: Box<dyn NativeUnit>) -> Self {
         StandaloneUnit {
             name: unit.name().to_string(),
-            inner: Inner::Native(unit),
+            inner: Inner::Native(Box::new(NativeInner {
+                services: unit.services().into_iter().map(|d| d.name).collect(),
+                unit,
+            })),
         }
     }
 
@@ -81,7 +92,9 @@ impl StandaloneUnit {
         &self.name
     }
 
-    /// One service activation.
+    /// One service activation. The service name resolves like on the
+    /// backplane — exact, then case-insensitive — so a VHDL caller's
+    /// `GET` reaches a native unit's `get`.
     ///
     /// # Errors
     ///
@@ -94,7 +107,11 @@ impl StandaloneUnit {
     ) -> Result<ServiceOutcome, EvalError> {
         match &mut self.inner {
             Inner::Fsm(f) => f.runtime.call(caller, service, args, &mut f.wires),
-            Inner::Native(unit) => unit.call(caller, service, args),
+            Inner::Native(n) => {
+                let names = n.services.iter().map(String::as_str);
+                let service = resolve_service(names, service).map_or(service, |i| &n.services[i]);
+                n.unit.call(caller, service, args)
+            }
         }
     }
 
@@ -131,8 +148,8 @@ impl StandaloneUnit {
     pub fn step(&mut self) -> Result<(), EvalError> {
         match &mut self.inner {
             Inner::Fsm(f) => f.runtime.step_controller(&mut f.wires),
-            Inner::Native(unit) => {
-                unit.step();
+            Inner::Native(n) => {
+                n.unit.step();
                 Ok(())
             }
         }
@@ -142,8 +159,8 @@ impl StandaloneUnit {
     #[must_use]
     pub fn stats(&self) -> UnitStats {
         match &self.inner {
-            Inner::Fsm(f) => f.runtime.stats().clone(),
-            Inner::Native(unit) => unit.stats().clone(),
+            Inner::Fsm(f) => f.runtime.stats(),
+            Inner::Native(n) => n.unit.stats().clone(),
         }
     }
 
@@ -192,6 +209,27 @@ mod tests {
                 .expect("get completes");
             assert_eq!(got.result, Some(Value::Int(5)));
         }
+    }
+
+    #[test]
+    fn native_units_resolve_the_callers_spelling() {
+        // A VHDL caller spells services in upper case: the native unit
+        // must see its own declared name, and count it there.
+        let mut unit = StandaloneUnit::from_native(Box::new(FifoChannel::new("fifo", 4)));
+        assert!(
+            unit.call(CallerId(1), "PUT", &[Value::Int(9)])
+                .unwrap()
+                .done
+        );
+        let got = unit.call(CallerId(2), "GET", &[]).unwrap();
+        assert_eq!(got.result, Some(Value::Int(9)));
+        let stats = unit.stats();
+        assert_eq!(stats.services["put"].completions, 1);
+        assert_eq!(stats.services["get"].completions, 1);
+        assert!(!stats.services.contains_key("GET"));
+        // An undeclared name still reaches the unit, which refuses it.
+        let err = unit.call(CallerId(2), "peek", &[]).unwrap_err();
+        assert!(err.to_string().contains("no service peek"), "{err}");
     }
 
     #[test]

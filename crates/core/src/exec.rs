@@ -96,23 +96,9 @@ pub trait Env: ReadEnv {
     }
 }
 
-/// A service call that returned [`ServiceOutcome::pending`] during an
-/// activation: the binding and service the FSM is blocked on.
-///
-/// Schedulers use this to *park* a blocked FSM: instead of re-activating
-/// it every cycle just to watch the call spin, they wait on the bound
-/// unit's completion wires and resume the FSM when one of them events.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingCall {
-    /// The module binding the call went through.
-    pub binding: crate::ids::BindingId,
-    /// The service name (shared with the call statement — recording a
-    /// pending call is a refcount bump, not an allocation).
-    pub service: std::sync::Arc<str>,
-}
-
 /// Side effects of executing statements ([`exec_stmt`]), accumulated
-/// across one activation.
+/// across one activation: how many service calls ran and how many of
+/// them were left pending.
 ///
 /// The struct doubles as a reusable scratch arena: a scheduler that
 /// keeps one `StepEffects` and steps through [`FsmExec::step_with`]
@@ -124,10 +110,11 @@ pub struct PendingCall {
 pub struct StepEffects {
     /// Number of service-call statements executed.
     pub service_calls: u32,
-    /// Calls that returned a pending outcome, in execution order (empty
-    /// for activations whose calls all completed — `Vec::new` does not
-    /// allocate, so unblocked activations pay nothing).
-    pub pending: Vec<PendingCall>,
+    /// How many of those calls returned a pending outcome. Schedulers
+    /// use it to *park* a blocked FSM: when every call of an activation
+    /// is pending, the FSM can wait on the bound units' completion wires
+    /// instead of re-activating every cycle to watch the calls spin.
+    pub pending_calls: u32,
     /// Reusable evaluation buffer for call arguments. One suffices:
     /// argument expressions only read the environment, so no call can
     /// start while another call's arguments are being evaluated.
@@ -139,7 +126,7 @@ pub struct StepEffects {
 
 impl PartialEq for StepEffects {
     fn eq(&self, other: &Self) -> bool {
-        self.service_calls == other.service_calls && self.pending == other.pending
+        self.service_calls == other.service_calls && self.pending_calls == other.pending_calls
     }
 }
 
@@ -149,7 +136,7 @@ impl StepEffects {
     /// reuses them instead of allocating.
     pub fn recycle(&mut self) {
         self.service_calls = 0;
-        self.pending.clear();
+        self.pending_calls = 0;
     }
 }
 
@@ -178,9 +165,9 @@ pub struct StepReport {
     pub transitioned: bool,
     /// Number of service-call statements executed during the activation.
     pub service_calls: u32,
-    /// Service calls left pending by this activation — what the FSM is
-    /// blocked on, if anything.
-    pub pending: Vec<PendingCall>,
+    /// How many of those calls were left pending — nonzero when the FSM
+    /// is blocked on a unit.
+    pub pending_calls: u32,
 }
 
 /// Execution state of one FSM instance: just the current state, as all
@@ -258,7 +245,7 @@ impl FsmExec {
             to: meta.to,
             transitioned: meta.transitioned,
             service_calls: effects.service_calls,
-            pending: std::mem::take(&mut effects.pending),
+            pending_calls: effects.pending_calls,
         })
     }
 
@@ -338,7 +325,7 @@ impl FsmExec {
 }
 
 /// Executes a single statement against the environment, accumulating
-/// call counts and pending-call records into `effects`.
+/// call and pending-call counts into `effects`.
 ///
 /// # Errors
 ///
@@ -388,10 +375,7 @@ pub fn exec_stmt(
                     env.write_var(result_var, v)?;
                 }
             } else {
-                effects.pending.push(PendingCall {
-                    binding: call.binding,
-                    service: call.service.clone(),
-                });
+                effects.pending_calls += 1;
             }
             Ok(())
         }
@@ -786,8 +770,8 @@ mod tests {
     #[test]
     fn pending_calls_are_reported() {
         // An environment whose service always answers "pending": the
-        // step report must name the blocked binding+service so a
-        // scheduler can park the FSM on the unit's completion wires.
+        // step report must count the blocked call so a scheduler can
+        // park the FSM on the unit's completion wires.
         struct PendingEnv(MapEnv);
         impl ReadEnv for PendingEnv {
             fn read_var(&self, v: VarId) -> Result<Value, EvalError> {
@@ -835,13 +819,7 @@ mod tests {
         let r = exec.step(&fsm, &mut env).unwrap();
         assert!(!r.transitioned);
         assert_eq!(r.service_calls, 1);
-        assert_eq!(
-            r.pending,
-            vec![PendingCall {
-                binding: crate::ids::BindingId::new(3),
-                service: "get".into(),
-            }]
-        );
+        assert_eq!(r.pending_calls, 1);
         // A completing activation reports no pending calls.
         let mut b = FsmBuilder::new();
         let s = b.state("S");
@@ -850,7 +828,7 @@ mod tests {
         let fsm = b.build().unwrap();
         let mut exec = FsmExec::new(&fsm);
         let r = exec.step(&fsm, &mut env).unwrap();
-        assert!(r.pending.is_empty());
+        assert_eq!(r.pending_calls, 0);
     }
 
     #[test]
@@ -918,7 +896,7 @@ mod tests {
             ]
         );
         assert_eq!(effects.service_calls, 3);
-        assert!(effects.pending.is_empty());
+        assert_eq!(effects.pending_calls, 0);
     }
 
     #[test]

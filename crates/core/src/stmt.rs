@@ -16,9 +16,9 @@ use std::sync::Arc;
 pub struct ServiceCall {
     /// Which of the module's interface bindings the call goes through.
     pub binding: BindingId,
-    /// Service (access procedure) name, e.g. `"put"`. Shared so that
-    /// per-activation reporting ([`crate::PendingCall`]) is a refcount
-    /// bump, not a heap allocation.
+    /// Service (access procedure) name, e.g. `"put"`. Shared, so a host
+    /// that resolves the name once can recognise the call statement
+    /// again by pointer ([`Arc::ptr_eq`]) instead of comparing text.
     pub service: Arc<str>,
     /// Actual arguments, evaluated in the caller's environment.
     pub args: Vec<Expr>,

@@ -7,11 +7,12 @@
 //!   synchronization rule.
 //! * Every communication unit — FSM-described, batched link or native —
 //!   is one row of the *unit table*, indexed by [`UnitId`]. Unit wires
-//!   live on kernel signals (one per wire). Service calls from modules
+//!   live on kernel signals (one per wire). A module's service calls
 //!   resolve the caller's spelling against the unit's declared service
 //!   names (exact, then case-insensitive, so VHDL's upper-cased `PUT`
-//!   binds to `put`) and act on the unit at once — for an FSM unit the
-//!   runtime equivalent of linking the SW *simulation* view (Fig. 3b).
+//!   binds to `put`) once, when the module is installed, and then act
+//!   on the unit by service index — for an FSM unit the runtime
+//!   equivalent of linking the SW *simulation* view (Fig. 3b).
 //! * All stepping — module activations, unit controller steps, native
 //!   steps, batched-link pumping — is owned by one *activation
 //!   scheduler* ([`SchedulingConfig`]). By default units are grouped
@@ -43,7 +44,7 @@ pub use crate::sched::{
 use crate::snapshot::RecipeOp;
 pub use crate::snapshot::Snapshot;
 use crate::trace::TraceLog;
-use crate::units::{ModuleEntry, NativeBody, UnitBody, UnitEntry};
+use crate::units::{ModuleBinding, ModuleEntry, NativeBody, TraceHints, UnitBody, UnitEntry};
 use cosma_comm::{BatchedLink, BusTiming, CallerId, FsmUnitRuntime, NativeUnit, UnitStats};
 use cosma_core::comm::CommUnitSpec;
 use cosma_core::{EvalError, FsmExec, Module, ModuleKind, Type, Value};
@@ -725,10 +726,11 @@ impl Cosim {
         }
         let id =
             self.add_batched_unit_in_with(domain, name, data_ty, max_batch, capacity, timing)?;
+        let get = self.resolve_service(id, "get")?;
         self.add_boundary_process(domain, id, name, "export", move |link, ctx| {
             let now = ctx.now();
             loop {
-                match link.call(BOUNDARY_CALLER, "get", &[], ctx)?.0 {
+                match link.call(BOUNDARY_CALLER, get, &[], ctx)?.0 {
                     out if out.done => {
                         let v = out.result.expect("done get always carries a value");
                         queue.borrow_mut().entries.push((now + latency, v));
@@ -762,6 +764,7 @@ impl Cosim {
     ) -> Result<UnitId, CosimError> {
         let id =
             self.add_batched_unit_in_with(domain, name, data_ty, max_batch, capacity, timing)?;
+        let put = self.resolve_service(id, "put")?;
         self.add_boundary_process(domain, id, name, "inject", move |link, ctx| {
             let now = ctx.now();
             loop {
@@ -771,7 +774,7 @@ impl Cosim {
                 };
                 match next {
                     Some((t_arr, v)) if t_arr <= now => {
-                        if !link.call(BOUNDARY_CALLER, "put", &[v], ctx)?.0.done {
+                        if !link.call(BOUNDARY_CALLER, put, &[v], ctx)?.0.done {
                             return Ok(());
                         }
                         queue.borrow_mut().cursor += 1;
@@ -781,6 +784,13 @@ impl Cosim {
             }
         });
         Ok(id)
+    }
+
+    /// A unit's index for `service`, resolved once at setup.
+    fn resolve_service(&self, id: UnitId, service: &str) -> Result<usize, CosimError> {
+        self.units.borrow()[id.0]
+            .resolve(service)
+            .map_err(|e| CosimError::Setup(e.to_string()))
     }
 
     /// Registers a boundary half's clocked process (`<name>.<role>`):
@@ -1008,6 +1018,9 @@ impl Cosim {
                 }
             }
         }
+        // Every service spelling the FSM calls resolves here, once; an
+        // undeclared one still installs and fails when the call runs.
+        let bindings = ModuleBinding::resolve_all(module.fsm(), &self.units.borrow(), &resolved);
 
         let idx = self.modules.borrow().len();
         let caller = CallerId(idx as u64);
@@ -1026,15 +1039,16 @@ impl Cosim {
             error: None,
         };
         self.modules.borrow_mut().push(ModuleEntry {
-            name: module.name().to_string(),
+            name: module.name().into(),
             module: module.clone(),
             exec,
             ports,
             vars: module.vars().iter().map(|v| v.init().clone()).collect(),
             var_tys: module.vars().iter().map(|v| v.ty().clone()).collect(),
-            bindings: resolved,
+            bindings,
             caller,
             status,
+            trace_hints: TraceHints::default(),
         });
         let (sched, ctx) = self.sched_ctx(domain.0);
         sched.add_module(ctx, idx, clk);
@@ -1149,7 +1163,7 @@ impl Cosim {
         self.modules
             .borrow()
             .iter()
-            .position(|e| e.name == name)
+            .position(|e| &*e.name == name)
             .map(CosimModuleId)
     }
 
@@ -1849,6 +1863,51 @@ mod tests {
     }
 
     #[test]
+    fn trace_records_stay_exact_in_a_replaced_log() {
+        // Modules record through the ids their name and label had in the
+        // log. Swapping in a log whose ids name other strings must not
+        // mislabel a single record.
+        fn ticker(name: &str) -> Module {
+            let mut b = ModuleBuilder::new(name, ModuleKind::Software);
+            let n = b.var("N", Type::INT16, Value::Int(0));
+            let s = b.state("S");
+            b.actions(
+                s,
+                vec![
+                    Stmt::Trace("tick".into(), vec![Expr::var(n)]),
+                    Stmt::assign(n, Expr::var(n).add(Expr::int(1))),
+                ],
+            );
+            b.transition(s, None, s);
+            b.initial(s);
+            b.build().unwrap()
+        }
+        let mut cosim = Cosim::new(CosimConfig::default());
+        for name in ["a", "b"] {
+            cosim.add_module(&ticker(name), &[]).unwrap();
+        }
+        cosim.run_for(Duration::from_us(1)).unwrap();
+        let mut other = TraceLog::new();
+        other.record(0, "tick", "b", [Value::Int(-1)]);
+        other.record(0, "x", "a", [Value::Int(-1)]);
+        *cosim.trace_handle().borrow_mut() = other;
+        cosim.run_for(Duration::from_us(1)).unwrap();
+        let log = cosim.trace_log();
+        let entries: Vec<_> = log.iter().skip(2).collect();
+        assert_eq!(entries.len(), 20, "ten activations of each module");
+        for source in ["a", "b"] {
+            let ticks: Vec<_> = entries.iter().filter(|e| e.source == source).collect();
+            assert!(
+                ticks.iter().all(|e| e.label == "tick"),
+                "{source}: {ticks:?}"
+            );
+            let values: Vec<_> = ticks.iter().map(|e| e.values.to_vec()).collect();
+            let want: Vec<_> = (11..21).map(|n| vec![Value::Int(n)]).collect();
+            assert_eq!(values, want, "{source}");
+        }
+    }
+
+    #[test]
     fn sw_slower_than_hw() {
         // Parking disabled: these bare self-loops would otherwise park
         // after proving stable, and the activation-rate comparison is
@@ -2542,6 +2601,51 @@ mod tests {
     }
 
     #[test]
+    fn undeclared_service_installs_and_fails_when_called() {
+        // Service names resolve when the module is installed, but a
+        // spelling the unit does not declare is not a setup error: the
+        // module runs until the call executes, then halts with the
+        // unit's message.
+        fn late_caller() -> Module {
+            let mut b = ModuleBuilder::new("late", ModuleKind::Software);
+            let done = b.var("D", Type::Bool, Value::Bool(false));
+            let bind = b.binding("iface", "link");
+            let wait = b.state("WAIT");
+            let call = b.state("CALL");
+            b.transition(wait, None, call);
+            b.actions(
+                call,
+                vec![Stmt::Call(ServiceCall {
+                    binding: bind,
+                    service: "peek".into(),
+                    args: vec![],
+                    done: Some(done),
+                    result: None,
+                })],
+            );
+            b.transition(call, None, call);
+            b.initial(wait);
+            b.build().unwrap()
+        }
+        for cfg in [SchedulingConfig::sharded(), SchedulingConfig::legacy()] {
+            for (kind, add_unit) in every_unit_kind() {
+                let mut cosim = Cosim::new(CosimConfig::default());
+                cosim.set_scheduling(cfg).unwrap();
+                let link = add_unit(&mut cosim);
+                let id = cosim.add_module(&late_caller(), &[("iface", link)]);
+                let id = id.expect("an undeclared service still installs");
+                let err = cosim.run_for(Duration::from_us(1)).unwrap_err();
+                let msg = "module late: service call failed: unit link has no service peek";
+                assert_eq!(err, CosimError::Runtime(msg.to_string()), "{cfg:?}/{kind}");
+                let st = cosim.module_status(id);
+                assert_eq!(st.state, "CALL", "{cfg:?}/{kind}");
+                assert_eq!(st.activations, 1, "{cfg:?}/{kind}: ran before the call");
+                assert_eq!(st.error.as_deref(), Some(msg));
+            }
+        }
+    }
+
+    #[test]
     fn halted_backplane_quiesces_under_every_scheduler() {
         // Once a module halts on an error, every unit process must stop
         // and surrender its clock demand, whatever the scheduler and the
@@ -2661,8 +2765,72 @@ mod tests {
         }
     }
 
+    /// A unit `u` with one service `service` that completes on every
+    /// activation.
+    fn one_service_unit(service: &str) -> Arc<CommUnitSpec> {
+        let mut u = cosma_core::comm::CommUnitBuilder::new("u");
+        let mut svc = cosma_core::comm::ServiceSpecBuilder::new(service);
+        let s = svc.state("GO");
+        let done = cosma_core::comm::SERVICE_DONE_VAR;
+        svc.actions(s, vec![Stmt::assign(done, Expr::bool(true))]);
+        svc.transition(s, None, s);
+        svc.initial(s);
+        u.service(svc.build().unwrap());
+        u.build().unwrap()
+    }
+
+    /// A module `m` calling `service` through binding `iface` on every
+    /// activation.
+    fn caller_of(service: &str) -> Module {
+        let mut b = ModuleBuilder::new("m", ModuleKind::Software);
+        let done = b.var("D", Type::Bool, Value::Bool(false));
+        let bind = b.binding("iface", "u");
+        let s = b.state("S");
+        b.actions(
+            s,
+            vec![Stmt::Call(ServiceCall {
+                binding: bind,
+                service: service.into(),
+                args: vec![],
+                done: Some(done),
+                result: None,
+            })],
+        );
+        b.transition(s, None, s);
+        b.initial(s);
+        b.build().unwrap()
+    }
+
     #[test]
     fn foreign_unit_snapshot_is_refused_before_mutation() {
+        // A twin whose unit counted calls of `poke`: the target's unit
+        // has the same shape but declares `ping`, so the captured stats
+        // row names a service it lacks.
+        let mut foreign = Cosim::new(CosimConfig::default());
+        let u = foreign.add_fsm_unit("u", one_service_unit("poke"));
+        foreign
+            .add_module(&caller_of("poke"), &[("iface", u)])
+            .unwrap();
+        foreign.run_for(Duration::from_us(1)).unwrap();
+        let snap = foreign.snapshot();
+        let build = || {
+            let mut cosim = Cosim::new(CosimConfig::default());
+            let u = cosim.add_fsm_unit("u", one_service_unit("ping"));
+            cosim
+                .add_module(&caller_of("ping"), &[("iface", u)])
+                .unwrap();
+            cosim.run_for(Duration::from_ns(300)).unwrap();
+            cosim
+        };
+        let (mut target, mut twin) = (build(), build());
+        let err = target.restore(&snap).unwrap_err();
+        assert!(
+            err.to_string().contains("stats row of service poke"),
+            "{err}"
+        );
+        assert_refused_untouched(&mut target, &mut twin, &snap);
+        assert_eq!(target.unit_stats("u"), twin.unit_stats("u"));
+
         // A twin whose unit controller sits in state 3 of 4: that state
         // does not exist in a 1-state controller.
         let mut foreign = Cosim::new(CosimConfig::default());

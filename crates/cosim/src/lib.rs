@@ -36,8 +36,11 @@
 //!   [`CosimError`]).
 //! * `units` — the unit table: one row per communication unit, whatever
 //!   its kind, and the only code that tells unit kinds apart; plus the
-//!   module environment that calls it (service-name resolution,
-//!   dispatch and the park verdict) and the module step.
+//!   module environment that calls it (dispatch by service index and
+//!   the park verdict) and the module step. Service names resolve once,
+//!   at module install, into a per-binding table; units count calls per
+//!   service index, and modules record trace entries through id hints
+//!   for their name and labels.
 //! * `sched` — [`SchedulingConfig`] and the activation scheduler: unit
 //!   shards, the module driver, parking and clock demand, the
 //!   `legacy()` oracle's per-unit and per-module processes, and the

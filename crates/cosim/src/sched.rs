@@ -632,7 +632,7 @@ impl ActivationScheduler {
         let demand = Rc::clone(ctx.demand);
         let park = Rc::clone(&self.park);
         let park_blocked = self.cfg.park_blocked;
-        let name = modules.borrow()[idx].name.clone();
+        let name = modules.borrow()[idx].name.to_string();
         demand.register(ctx.sim);
         // The scheduling state lives behind an Rc shared with the
         // activation scheduler, so whole-backplane snapshots can

@@ -11,9 +11,11 @@
 //! * **Interning** — every source and label string is interned once
 //!   into an `Arc<str>` table; entries store `u32` ids. Recording a
 //!   label that is already interned costs one hash lookup and zero
-//!   allocations. IR trace statements carry `Arc<str>` labels (shared
-//!   with the interner on first sight), so even the first occurrence
-//!   is a refcount bump, not a string copy.
+//!   allocations — and a backplane module, which keeps the ids its
+//!   name and labels had (`TraceLog::intern_hinted`), hashes nothing.
+//!   IR trace statements carry `Arc<str>` labels (shared with the
+//!   interner on first sight), so even the first occurrence is a
+//!   refcount bump, not a string copy.
 //! * **Segmented columnar storage** — entries live in fixed-arity
 //!   segments ([`SEG_ENTRIES`] records each); each segment carries one
 //!   shared `Value` pool that all of its entries' payloads are packed
@@ -217,6 +219,19 @@ impl TraceLog {
     /// [`TraceLog::push`] (the binary decoder's entry point).
     pub(crate) fn intern(&mut self, s: &str) -> u32 {
         self.interner.intern(s)
+    }
+
+    /// Interns `s` given the id it had when last interned (`hint`), for
+    /// [`TraceLog::push`]. The hint is taken without hashing when this
+    /// log's string at that id is `s` itself ([`Arc::ptr_eq`]) or equal
+    /// text; otherwise — another log, a restored one, a stale or unset
+    /// hint — `s` is interned through the hash map, which stays the
+    /// authority. Either way the id names `s`, so records are exact.
+    pub(crate) fn intern_hinted(&mut self, s: &Arc<str>, hint: u32) -> u32 {
+        match self.interner.names.get(hint as usize) {
+            Some(name) if Arc::ptr_eq(name, s) || **name == **s => hint,
+            _ => self.interner.intern_arc(s),
+        }
     }
 
     /// Appends an event whose strings are already interned in this log.
@@ -565,6 +580,23 @@ mod tests {
         // And a genuinely different sequence must not.
         let c = log(&[("zzz", 1)]);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn hints_are_taken_only_when_the_log_confirms_them() {
+        let mut l = TraceLog::new();
+        let pulse: Arc<str> = "pulse".into();
+        let id = l.intern_hinted(&pulse, 7);
+        assert_eq!(l.intern_hinted(&pulse, 7), id, "unset hint: interned");
+        assert_eq!(l.intern_hinted(&pulse, id), id, "same Arc");
+        assert_eq!(l.intern_hinted(&"pulse".into(), id), id, "equal text");
+        let other = l.intern("other");
+        assert_eq!(l.intern_hinted(&pulse, other), id, "stale hint refused");
+        l.push(1, other, id, &[]);
+        assert_eq!(
+            l.iter().next().map(|e| (e.source, e.label)),
+            Some(("other", "pulse"))
+        );
     }
 
     #[test]

@@ -4,8 +4,17 @@
 //! link or native — is one `UnitEntry` of the unit table, indexed by
 //! `UnitId`; only this module tells unit kinds apart. Module
 //! activations (`step_module`) reach their units through `CosimEnv`,
-//! which resolves each call's service name, dispatches it and gathers
-//! the evidence for the scheduler's park verdict.
+//! which dispatches each call by service index and gathers the
+//! evidence for the scheduler's park verdict.
+//!
+//! Names resolve once, when a module is installed: every service
+//! spelling its FSM calls on a binding is resolved against the bound
+//! unit's declared names into the binding's table (`ModuleBinding`),
+//! which a call finds by pointer ([`Arc::ptr_eq`] on
+//! `ServiceCall::service`). The units count calls per service index,
+//! and a module records its trace entries through id hints for its
+//! name and labels (`TraceHints`), so a warm activation hashes and
+//! compares no strings.
 
 use crate::backplane::{CosimError, ModuleStatus, UnitId};
 use crate::sched::ParkCounters;
@@ -17,7 +26,7 @@ use cosma_comm::{
 use cosma_core::comm::{resolve_service, CommUnitSpec};
 use cosma_core::ids::{PortId, VarId};
 use cosma_core::{
-    Env, EvalError, FsmExec, Module, ReadEnv, ServiceCall, ServiceOutcome, Type, Value,
+    Env, EvalError, Fsm, FsmExec, Module, ReadEnv, ServiceCall, ServiceOutcome, Type, Value,
 };
 use cosma_sim::{Duration, ProcCtx, SignalId};
 use std::cell::RefCell;
@@ -138,24 +147,25 @@ impl UnitEntry {
         }
     }
 
-    /// One service activation on behalf of `caller`. Resolves the
-    /// caller's spelling against the canonical service names and
-    /// returns the outcome, whether the call was a provable no-op on
-    /// the unit side, and the resolved service index.
+    /// Resolves a caller's spelling of a service against the unit's
+    /// declared names ([`resolve_service`]) to its service index.
+    pub(crate) fn resolve(&self, service: &str) -> Result<usize, EvalError> {
+        resolve_service(self.services.iter().map(String::as_str), service).ok_or_else(|| {
+            EvalError::Service(format!("unit {} has no service {service}", self.name))
+        })
+    }
+
+    /// One activation of service `si` (an index from
+    /// [`UnitEntry::resolve`]) on behalf of `caller`. Returns the
+    /// outcome and whether the call was a provable no-op on the unit
+    /// side.
     pub(crate) fn call(
         &mut self,
         caller: CallerId,
-        service: &str,
+        si: usize,
         args: &[Value],
         ctx: &mut ProcCtx<'_>,
-    ) -> Result<(ServiceOutcome, bool, usize), EvalError> {
-        let Some(si) = resolve_service(self.services.iter().map(String::as_str), service) else {
-            return Err(EvalError::Service(format!(
-                "unit {} has no service {service}",
-                self.name
-            )));
-        };
-        let canonical = self.services[si].as_str();
+    ) -> Result<(ServiceOutcome, bool), EvalError> {
         let mut ws = CtxWires {
             ctx,
             map: &self.wires,
@@ -167,19 +177,19 @@ impl UnitEntry {
                 rt.last_call_stable(),
             ),
             UnitBody::Batched(link) => (
-                link.call(caller, canonical, args, &mut ws)?,
+                link.call_index(caller, si, args, &mut ws)?,
                 link.last_call_stable(),
             ),
             UnitBody::Native(n) => {
                 let out = n
                     .unit
-                    .call(caller, canonical, args)
+                    .call(caller, &self.services[si], args)
                     .map_err(|e| EvalError::Service(format!("native unit {}: {e}", self.name)))?;
                 n.sync_occ(ws.ctx);
                 (out, n.unit.last_call_stable())
             }
         };
-        Ok((out, stable, si))
+        Ok((out, stable))
     }
 
     /// One activation of the unit's bookkeeping at a rising clock edge:
@@ -215,7 +225,7 @@ impl UnitEntry {
 
     pub(crate) fn stats(&self) -> UnitStats {
         match &self.body {
-            UnitBody::Fsm(rt) => rt.stats().clone(),
+            UnitBody::Fsm(rt) => rt.stats(),
             UnitBody::Batched(link) => link.stats(),
             UnitBody::Native(n) => n.unit.stats().clone(),
         }
@@ -295,15 +305,117 @@ pub(crate) enum UnitSnap {
 /// the shared module table so both scheduler paths (per-module process,
 /// module driver) step modules through the same code.
 pub(crate) struct ModuleEntry {
-    pub(crate) name: String,
+    /// Shared with the trace log's string table, which the module's
+    /// entries name as their source.
+    pub(crate) name: Arc<str>,
     pub(crate) module: Module,
     pub(crate) exec: FsmExec,
     pub(crate) ports: Vec<SignalId>,
     pub(crate) vars: Vec<Value>,
     pub(crate) var_tys: Vec<Type>,
-    pub(crate) bindings: Vec<UnitId>,
+    /// Per binding: the bound unit and the services the FSM calls on it.
+    pub(crate) bindings: Vec<ModuleBinding>,
     pub(crate) caller: CallerId,
     pub(crate) status: ModuleStatus,
+    pub(crate) trace_hints: TraceHints,
+}
+
+/// One module binding, resolved at install: the bound unit and every
+/// service spelling the module's FSM calls through the binding.
+pub(crate) struct ModuleBinding {
+    pub(crate) unit: UnitId,
+    /// `(spelling, service index)` per distinct `ServiceCall::service`
+    /// string the FSM calls on this binding, found by pointer. `None`
+    /// marks a spelling the unit does not declare: the module still
+    /// installs, and the call fails when it runs.
+    services: Vec<(Arc<str>, Option<usize>)>,
+}
+
+impl ModuleBinding {
+    /// The bindings of a module whose binding `i` is bound to unit
+    /// `bound[i]`: every service spelling `fsm` calls through a binding
+    /// resolves against that unit's declared names.
+    pub(crate) fn resolve_all(
+        fsm: &Fsm,
+        units: &[UnitEntry],
+        bound: &[UnitId],
+    ) -> Vec<ModuleBinding> {
+        let mut bindings: Vec<ModuleBinding> = bound
+            .iter()
+            .map(|&unit| ModuleBinding {
+                unit,
+                services: vec![],
+            })
+            .collect();
+        fsm.for_each_stmt(&mut |stmt| {
+            stmt.for_each_call(&mut |call| {
+                // A call through a binding the module lacks fails when
+                // it runs ("no unit attached").
+                let Some(b) = bindings.get_mut(call.binding.index()) else {
+                    return;
+                };
+                if !b
+                    .services
+                    .iter()
+                    .any(|(s, _)| Arc::ptr_eq(s, &call.service))
+                {
+                    let si = units[b.unit.0].resolve(&call.service).ok();
+                    b.services.push((Arc::clone(&call.service), si));
+                }
+            });
+        });
+        bindings
+    }
+
+    /// The service index of `call` on the bound unit: the install-time
+    /// resolution when the call is one of the FSM's own statements,
+    /// else (or for an undeclared spelling) [`UnitEntry::resolve`].
+    fn service_index(&self, unit: &UnitEntry, call: &ServiceCall) -> Result<usize, EvalError> {
+        match self
+            .services
+            .iter()
+            .find(|(s, _)| Arc::ptr_eq(s, &call.service))
+        {
+            Some(&(_, Some(si))) => Ok(si),
+            _ => unit.resolve(&call.service),
+        }
+    }
+}
+
+/// A module's trace-log id hints ([`TraceLog::intern_hinted`]): the id
+/// its name and each of its trace labels had at the last record (0
+/// before the first). A hint the current log does not confirm (a first
+/// record, a restored or replaced log) is simply re-interned, so any
+/// hint is safe and records stay exact.
+#[derive(Default)]
+pub(crate) struct TraceHints {
+    source: u32,
+    labels: Vec<(Arc<str>, u32)>,
+}
+
+impl TraceHints {
+    /// Records one entry of `source`, labelled `label`, into `log`. A
+    /// label seen for the first time joins the hint table.
+    fn record(
+        &mut self,
+        log: &mut TraceLog,
+        at: u64,
+        source: &Arc<str>,
+        label: &Arc<str>,
+        values: &[Value],
+    ) {
+        self.source = log.intern_hinted(source, self.source);
+        let slot = match self.labels.iter().position(|(l, _)| Arc::ptr_eq(l, label)) {
+            Some(slot) => slot,
+            None => {
+                self.labels.push((Arc::clone(label), 0));
+                self.labels.len() - 1
+            }
+        };
+        let hint = &mut self.labels[slot].1;
+        *hint = log.intern_hinted(label, *hint);
+        log.push(at, self.source, *hint, values);
+    }
 }
 
 /// Bridges a unit's wire table onto kernel signals through the running
@@ -398,10 +510,11 @@ struct CosimEnv<'a, 'b> {
     vars: &'a mut [Value],
     var_tys: &'a [Type],
     units: &'a RefCell<Vec<UnitEntry>>,
-    bindings: &'a [UnitId],
+    bindings: &'a [ModuleBinding],
     caller: CallerId,
     trace: &'a RefCell<TraceLog>,
-    source: &'a str,
+    trace_hints: &'a mut TraceHints,
+    source: &'a Arc<str>,
     /// Effective changes this activation: variable writes that changed
     /// a value, port drives that differ from the signal's current
     /// value, trace records, completed service calls. Zero means the
@@ -477,7 +590,7 @@ impl Env for CosimEnv<'_, '_> {
         call: &ServiceCall,
         args: &[Value],
     ) -> Result<ServiceOutcome, EvalError> {
-        let Some(&unit) = self.bindings.get(call.binding.index()) else {
+        let Some(binding) = self.bindings.get(call.binding.index()) else {
             return Err(EvalError::Service(format!(
                 "module {} has no unit attached to binding {}",
                 self.source, call.binding
@@ -485,8 +598,9 @@ impl Env for CosimEnv<'_, '_> {
         };
         let units = self.units;
         let mut units = units.borrow_mut();
-        let entry = &mut units[unit.0];
-        let (out, stable, si) = entry.call(self.caller, &call.service, args, self.ctx)?;
+        let entry = &mut units[binding.unit.0];
+        let si = binding.service_index(entry, call)?;
+        let (out, stable) = entry.call(self.caller, si, args, self.ctx)?;
         self.note_outcome(out.done, stable, &entry.completion[si]);
         Ok(out)
     }
@@ -494,13 +608,13 @@ impl Env for CosimEnv<'_, '_> {
         self.changes += 1;
         self.trace
             .borrow_mut()
-            .record(self.ctx.now().as_fs(), self.source, label, values);
+            .record(self.ctx.now().as_fs(), &**self.source, label, values);
     }
     fn trace_interned(&mut self, label: &Arc<str>, values: &[Value]) {
         self.changes += 1;
-        self.trace
-            .borrow_mut()
-            .record_interned(self.ctx.now().as_fs(), self.source, label, values);
+        let at = self.ctx.now().as_fs();
+        let log = &mut self.trace.borrow_mut();
+        self.trace_hints.record(log, at, self.source, label, values);
     }
 }
 
@@ -534,6 +648,7 @@ pub(crate) fn step_module(
         bindings,
         caller,
         status,
+        trace_hints,
     } = &mut modules[idx];
     let fsm = module.fsm();
     scratch.effects.recycle();
@@ -546,6 +661,7 @@ pub(crate) fn step_module(
         bindings,
         caller: *caller,
         trace,
+        trace_hints,
         source: name,
         changes: 0,
         pending_stable: true,
@@ -576,7 +692,7 @@ pub(crate) fn step_module(
                 && meta.from == meta.to
                 && changes == 0
                 && pending_stable
-                && scratch.effects.pending.len() == scratch.effects.service_calls as usize;
+                && scratch.effects.pending_calls == scratch.effects.service_calls;
             if parkable {
                 watch.extend_from_slice(ports);
                 watch.sort_unstable();

@@ -9,8 +9,9 @@
 //! through its pooled effects arena, and the columnar log's segment
 //! pool and spill recycling are exercised each cycle. Further gates pin
 //! streaming payload beats (the timer wheel's burst trains), a
-//! multi-rate ring (per-domain clocks and parking) and the board's warm
-//! FPGA fabric (the motor's Speed Control netlists and its peripheral).
+//! multi-rate ring (per-domain clocks and parking), calls on a native
+//! FIFO and the board's warm FPGA fabric (the motor's Speed Control
+//! netlists and its peripheral).
 //!
 //! Run with: `cargo test --features count-allocs --test alloc`
 #![cfg(feature = "count-allocs")]
@@ -185,6 +186,66 @@ fn warm_multi_rate_ring_cycles_do_not_allocate() {
     assert_eq!(
         grew, 0,
         "warm multi-rate ring cycles must not allocate, saw {grew} allocations"
+    );
+}
+
+#[test]
+fn warm_native_fifo_calls_do_not_allocate() {
+    use cosma::comm::FifoChannel;
+    use cosma::core::{Expr, Module, ModuleBuilder, ModuleKind, ServiceCall, Stmt, Type, Value};
+    use cosma::cosim::{Cosim, CosimConfig};
+
+    let _serial = GATE.lock().unwrap();
+    // A producer and a consumer calling `put`/`get` on a native FIFO on
+    // every activation, forever: each call counts into the unit's
+    // statistics, which must not allocate once every service has a row.
+    fn endless(name: &str, service: &str) -> Module {
+        let mut b = ModuleBuilder::new(name, ModuleKind::Software);
+        let done = b.var("D", Type::Bool, Value::Bool(false));
+        let n = b.var("N", Type::INT16, Value::Int(0));
+        let bind = b.binding("chan", "fifo");
+        let s = b.state("S");
+        let put = service == "put";
+        b.actions(
+            s,
+            vec![Stmt::Call(ServiceCall {
+                binding: bind,
+                service: service.into(),
+                args: if put { vec![Expr::var(n)] } else { vec![] },
+                done: Some(done),
+                result: if put { None } else { Some(n) },
+            })],
+        );
+        b.transition_with(
+            s,
+            Some(Expr::var(done)),
+            vec![Stmt::assign(n, Expr::var(n).add(Expr::int(1)))],
+            s,
+        );
+        b.transition(s, None, s);
+        b.initial(s);
+        b.build().expect("module builds")
+    }
+    let mut cosim = Cosim::new(CosimConfig::default());
+    let fifo = cosim.add_native_unit("fifo", Box::new(FifoChannel::new("fifo", 4)));
+    for (name, service) in [("prod", "put"), ("cons", "get")] {
+        cosim
+            .add_module(&endless(name, service), &[("chan", fifo)])
+            .expect("module installs");
+    }
+    cosim.run_for(Duration::from_us(20)).expect("warm-up runs");
+    let calls = |c: &Cosim| {
+        let stats = c.unit_stats("fifo").expect("fifo installed");
+        stats.services.values().map(|s| s.calls).sum::<u64>()
+    };
+    let warm = calls(&cosim);
+    let before = allocs();
+    cosim.run_for(Duration::from_us(20)).expect("window runs");
+    let grew = allocs() - before;
+    assert!(calls(&cosim) > warm + 100, "the window keeps calling");
+    assert_eq!(
+        grew, 0,
+        "warm native FIFO calls must not allocate, saw {grew} allocations"
     );
 }
 
