@@ -172,5 +172,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          unit / view selection did",
         if all { "REPRODUCED" } else { "NOT reproduced" }
     );
-    Ok(())
+    if all {
+        Ok(())
+    } else {
+        Err("a platform computed the wrong sum".into())
+    }
 }

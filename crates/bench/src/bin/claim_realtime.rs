@@ -90,5 +90,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nclaim C3 ({}) — the prototype meets its real-time constraints with margin",
         if met { "REPRODUCED" } else { "NOT reproduced" }
     );
-    Ok(())
+    if met {
+        Ok(())
+    } else {
+        Err("a pulse gap or segment turnaround missed its deadline".into())
+    }
 }

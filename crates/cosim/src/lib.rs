@@ -51,8 +51,10 @@
 //! * [`partition`] — coupled backplanes under optimistic quanta
 //!   ([`Orchestrator`]).
 //! * [`scenario`] — generated N-unit topologies for benches and tests.
-//! * `trace` and [`tracebin`] — the columnar [`TraceLog`] and its
-//!   binary codec; `annotate` — back-annotation of co-synthesis timing.
+//! * `trace` and [`tracebin`] — the columnar [`TraceLog`], whose copies
+//!   share full segments, and its binary codec (one encoder for
+//!   whole-log writes and spill, a chunked decoder for untrusted
+//!   input); `annotate` — back-annotation of co-synthesis timing.
 
 #![warn(missing_docs)]
 

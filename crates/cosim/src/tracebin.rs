@@ -9,8 +9,9 @@
 //! A 5-byte header (`b"CTRC"` + version `1`), then records:
 //!
 //! * `0x01` **Def** — `varint id`, `varint len`, `len` UTF-8 bytes.
-//!   Binds an interned-string id to its text; ids are defined before
-//!   first use and never redefined.
+//!   Binds a stream string id to its text. Writers assign ids densely
+//!   (0, 1, 2, ...) in first-use order and define each one just before
+//!   the entry that first uses it.
 //! * `0x02` **Entry** — `varint at`, `varint source-id`,
 //!   `varint label-id`, `varint n`, then `n` values.
 //!
@@ -24,15 +25,30 @@
 //! All varints are LEB128. The stream is self-delimiting: readers stop
 //! cleanly at end-of-input between records.
 //!
-//! The decoder treats its input as untrusted: a truncated or corrupted
-//! stream yields a [`TraceBinError`], never a panic, and no length, id
-//! or count read from the stream sizes an allocation before the bytes
-//! behind it have arrived.
+//! # One encoder
+//!
+//! [`write_log`] and the spill sink share one encoder: a per-stream
+//! table gives each of the log's interned ids its dense stream id on
+//! first use, and each segment's records are encoded into a reused
+//! byte buffer that reaches the sink in one `write_all`. A spilled
+//! stream is therefore byte for byte a prefix of what [`write_log`]
+//! writes for the same entries.
+//!
+//! # Decoding untrusted input
+//!
+//! The decoder reads through a fixed-size chunk buffer and treats its
+//! input as untrusted: a truncated or corrupted stream yields a
+//! [`TraceBinError`], never a panic, and no length, id or count read
+//! from the stream sizes an allocation before the bytes behind it have
+//! arrived. Stream ids resolve through a table that grows by one slot
+//! per definition carrying the next dense id; any other id (a sparse
+//! or hostile stream) goes to a hash map, so no id sizes the table.
 
-use crate::trace::{TraceEntryRef, TraceLog};
+use crate::trace::TraceLog;
 use cosma_core::{Bit, EnumType, EnumValue, Value};
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"CTRC";
 const VERSION: u8 = 1;
@@ -75,21 +91,14 @@ fn malformed(m: impl Into<String>) -> TraceBinError {
     TraceBinError::Malformed(m.into())
 }
 
-// --- encoding primitives (allocation-free: stack buffers only) ---
+// --- encoding ---
 
-fn write_varint(w: &mut dyn Write, mut v: u64) -> std::io::Result<()> {
-    let mut buf = [0u8; 10];
-    let mut i = 0;
-    loop {
-        let byte = (v & 0x7f) as u8;
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
         v >>= 7;
-        buf[i] = if v == 0 { byte } else { byte | 0x80 };
-        i += 1;
-        if v == 0 {
-            break;
-        }
     }
-    w.write_all(&buf[..i])
+    buf.push(v as u8);
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -100,9 +109,9 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn write_str(w: &mut dyn Write, s: &str) -> std::io::Result<()> {
-    write_varint(w, s.len() as u64)?;
-    w.write_all(s.as_bytes())
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_varint(buf, s.len() as u64);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 fn bit_code(b: Bit) -> u8 {
@@ -114,22 +123,22 @@ fn bit_code(b: Bit) -> u8 {
     }
 }
 
-fn write_value(w: &mut dyn Write, v: &Value) -> std::io::Result<()> {
+fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Bit(b) => w.write_all(&[VAL_BIT, bit_code(*b)]),
-        Value::Bool(b) => w.write_all(&[VAL_BOOL, u8::from(*b)]),
+        Value::Bit(b) => buf.extend_from_slice(&[VAL_BIT, bit_code(*b)]),
+        Value::Bool(b) => buf.extend_from_slice(&[VAL_BOOL, u8::from(*b)]),
         Value::Int(i) => {
-            w.write_all(&[VAL_INT])?;
-            write_varint(w, zigzag(*i))
+            buf.push(VAL_INT);
+            put_varint(buf, zigzag(*i));
         }
         Value::Enum(e) => {
-            w.write_all(&[VAL_ENUM])?;
-            write_str(w, e.ty().name())?;
-            write_varint(w, e.ty().variants().len() as u64)?;
+            buf.push(VAL_ENUM);
+            put_str(buf, e.ty().name());
+            put_varint(buf, e.ty().variants().len() as u64);
             for var in e.ty().variants() {
-                write_str(w, var)?;
+                put_str(buf, var);
             }
-            write_varint(w, u64::from(e.index()))
+            put_varint(buf, u64::from(e.index()));
         }
     }
 }
@@ -140,41 +149,74 @@ fn write_value(w: &mut dyn Write, v: &Value) -> std::io::Result<()> {
 ///
 /// Propagates sink write errors.
 pub fn write_header(w: &mut dyn Write) -> std::io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&[VERSION])
+    let [m0, m1, m2, m3] = *MAGIC;
+    w.write_all(&[m0, m1, m2, m3, VERSION])
 }
 
-/// Writes one string-definition record binding `id` to `text`.
-///
-/// # Errors
-///
-/// Propagates sink write errors.
-pub(crate) fn write_def(w: &mut dyn Write, id: u32, text: &str) -> std::io::Result<()> {
-    w.write_all(&[REC_DEF])?;
-    write_varint(w, u64::from(id))?;
-    write_str(w, text)
+/// [`Encoder`] slot of an interned id the stream has not defined yet.
+const UNDEFINED: u32 = u32::MAX;
+
+/// The record encoder of one stream, shared by [`write_log`] and the
+/// spill sink. Records go into a reused buffer; [`Encoder::write_to`]
+/// hands them to the sink in one `write_all`.
+#[derive(Default)]
+pub(crate) struct Encoder {
+    /// Per interned id of the log: its stream id, or [`UNDEFINED`].
+    stream_ids: Vec<u32>,
+    /// Stream ids assigned so far (the next dense id).
+    defined: u32,
+    buf: Vec<u8>,
 }
 
-/// Writes one entry record referencing previously defined string ids.
-///
-/// # Errors
-///
-/// Propagates sink write errors.
-pub(crate) fn write_entry(
-    w: &mut dyn Write,
-    e: &TraceEntryRef<'_>,
-    source_id: u32,
-    label_id: u32,
-) -> std::io::Result<()> {
-    w.write_all(&[REC_ENTRY])?;
-    write_varint(w, e.at)?;
-    write_varint(w, u64::from(source_id))?;
-    write_varint(w, u64::from(label_id))?;
-    write_varint(w, e.values.len() as u64)?;
-    for v in e.values {
-        write_value(w, v)?;
+impl Encoder {
+    /// Appends one entry record, preceded by the definition of each of
+    /// its string ids this stream has not defined yet (source first).
+    /// `names` resolves the log's interned ids.
+    pub(crate) fn entry(
+        &mut self,
+        at: u64,
+        source: u32,
+        label: u32,
+        values: &[Value],
+        names: &[Arc<str>],
+    ) {
+        let source = self.stream_id(source, names);
+        let label = self.stream_id(label, names);
+        let buf = &mut self.buf;
+        buf.push(REC_ENTRY);
+        put_varint(buf, at);
+        put_varint(buf, u64::from(source));
+        put_varint(buf, u64::from(label));
+        put_varint(buf, values.len() as u64);
+        for v in values {
+            put_value(buf, v);
+        }
     }
-    Ok(())
+
+    /// The stream id of interned id `id`, defining it on first use.
+    fn stream_id(&mut self, id: u32, names: &[Arc<str>]) -> u32 {
+        let i = id as usize;
+        if i >= self.stream_ids.len() {
+            self.stream_ids.resize(names.len(), UNDEFINED);
+        }
+        if self.stream_ids[i] == UNDEFINED {
+            let sid = self.defined;
+            self.defined += 1;
+            self.stream_ids[i] = sid;
+            self.buf.push(REC_DEF);
+            put_varint(&mut self.buf, u64::from(sid));
+            put_str(&mut self.buf, &names[i]);
+        }
+        self.stream_ids[i]
+    }
+
+    /// Writes the buffered records to `w` in one `write_all` and empties
+    /// the buffer, keeping its capacity.
+    pub(crate) fn write_to(&mut self, w: &mut dyn Write) -> std::io::Result<()> {
+        let res = w.write_all(&self.buf);
+        self.buf.clear();
+        res
+    }
 }
 
 /// Serializes a whole log — header, each distinct source/label defined
@@ -185,44 +227,59 @@ pub(crate) fn write_entry(
 /// Propagates sink write errors.
 pub fn write_log(log: &TraceLog, w: &mut dyn Write) -> std::io::Result<()> {
     write_header(w)?;
-    let mut defined: Vec<(String, u32)> = vec![];
-    let mut id_of = |w: &mut dyn Write, s: &str| -> std::io::Result<u32> {
-        if let Some((_, id)) = defined.iter().find(|(t, _)| t == s) {
-            return Ok(*id);
-        }
-        let id = defined.len() as u32;
-        write_def(w, id, s)?;
-        defined.push((s.to_string(), id));
-        Ok(id)
-    };
-    for e in log.iter() {
-        let source_id = id_of(w, e.source)?;
-        let label_id = id_of(w, e.label)?;
-        write_entry(w, &e, source_id, label_id)?;
-    }
-    Ok(())
+    log.encode_to(&mut Encoder::default(), w)
 }
 
 // --- decoding ---
 
-struct ByteReader<R: Read> {
+/// Bytes the decoder reads from its source at a time.
+const CHUNK: usize = 8 * 1024;
+
+/// A byte reader over a fixed-size chunk buffer.
+struct ChunkReader<R: Read> {
     inner: R,
+    buf: Box<[u8]>,
+    pos: usize,
+    end: usize,
 }
 
-impl<R: Read> ByteReader<R> {
-    /// Reads one byte; `Ok(None)` at clean end-of-input.
-    fn byte_or_eof(&mut self) -> Result<Option<u8>, TraceBinError> {
-        let mut b = [0u8; 1];
-        let mut read = 0;
-        while read == 0 {
-            match self.inner.read(&mut b) {
-                Ok(0) => return Ok(None),
-                Ok(n) => read = n,
+impl<R: Read> ChunkReader<R> {
+    fn new(inner: R) -> Self {
+        ChunkReader {
+            inner,
+            buf: vec![0; CHUNK].into_boxed_slice(),
+            pos: 0,
+            end: 0,
+        }
+    }
+
+    /// Refills an exhausted buffer; `Ok(false)` at end-of-input. Kept
+    /// out of line so the per-byte paths stay small.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self) -> Result<bool, TraceBinError> {
+        loop {
+            match self.inner.read(&mut self.buf) {
+                Ok(0) => return Ok(false),
+                Ok(n) => {
+                    self.pos = 0;
+                    self.end = n;
+                    return Ok(true);
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        Ok(Some(b[0]))
+    }
+
+    /// Reads one byte; `Ok(None)` at clean end-of-input.
+    fn byte_or_eof(&mut self) -> Result<Option<u8>, TraceBinError> {
+        if self.pos == self.end && !self.fill()? {
+            return Ok(None);
+        }
+        let b = self.buf[self.pos];
+        self.pos += 1;
+        Ok(Some(b))
     }
 
     fn byte(&mut self) -> Result<u8, TraceBinError> {
@@ -231,6 +288,23 @@ impl<R: Read> ByteReader<R> {
     }
 
     fn varint(&mut self) -> Result<u64, TraceBinError> {
+        // Fast path: a varint that ends inside the buffer.
+        let mut v = 0u64;
+        for (i, &b) in self.buf[self.pos..self.end].iter().take(10).enumerate() {
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        self.varint_across_chunks()
+    }
+
+    /// [`ChunkReader::varint`] for a varint that straddles a refill or
+    /// runs past ten bytes.
+    #[cold]
+    #[inline(never)]
+    fn varint_across_chunks(&mut self) -> Result<u64, TraceBinError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
@@ -246,15 +320,27 @@ impl<R: Read> ByteReader<R> {
         }
     }
 
-    /// Reads a length-prefixed string. The buffer grows with the bytes
-    /// actually read, so a hostile length costs nothing up front.
-    fn string(&mut self) -> Result<String, TraceBinError> {
-        let len = self.varint()?;
-        let mut buf = vec![];
-        (&mut self.inner).take(len).read_to_end(&mut buf)?;
-        if buf.len() as u64 != len {
-            return Err(malformed("string runs past the end of the stream"));
+    /// Reads a length-prefixed string's bytes into `out`. `out` grows
+    /// with the bytes actually read, so a hostile length costs nothing
+    /// up front.
+    fn bytes_into(&mut self, out: &mut Vec<u8>) -> Result<(), TraceBinError> {
+        let mut left = self.varint()?;
+        out.clear();
+        while left > 0 {
+            if self.pos == self.end && !self.fill()? {
+                return Err(malformed("string runs past the end of the stream"));
+            }
+            let n = (self.end - self.pos).min(usize::try_from(left).unwrap_or(usize::MAX));
+            out.extend_from_slice(&self.buf[self.pos..self.pos + n]);
+            self.pos += n;
+            left -= n as u64;
         }
+        Ok(())
+    }
+
+    fn string(&mut self) -> Result<String, TraceBinError> {
+        let mut buf = vec![];
+        self.bytes_into(&mut buf)?;
         String::from_utf8(buf).map_err(|_| malformed("string is not UTF-8"))
     }
 
@@ -290,6 +376,37 @@ impl<R: Read> ByteReader<R> {
     }
 }
 
+/// Stream string id -> the decoded log's interned id. A definition
+/// carrying the next dense id takes one more slot of `dense`; any other
+/// id goes to `sparse`, so an untrusted id never sizes a table. The
+/// latest definition of an id wins.
+#[derive(Default)]
+struct StreamIds {
+    dense: Vec<u32>,
+    sparse: HashMap<u32, u32>,
+}
+
+impl StreamIds {
+    fn define(&mut self, id: u32, interned: u32) {
+        let i = id as usize;
+        if let Some(slot) = self.dense.get_mut(i) {
+            *slot = interned;
+        } else if i == self.dense.len() {
+            self.dense.push(interned);
+        } else {
+            self.sparse.insert(id, interned);
+        }
+    }
+
+    fn resolve(&self, id: u64) -> Result<u32, TraceBinError> {
+        u32::try_from(id)
+            .ok()
+            .and_then(|id| self.dense.get(id as usize).or_else(|| self.sparse.get(&id)))
+            .copied()
+            .ok_or_else(|| malformed(format!("undefined string id {id}")))
+    }
+}
+
 /// Decodes a binary trace stream back into an in-memory [`TraceLog`].
 /// Accepts the output of [`write_log`] and of the incremental spill
 /// path (which emits the identical record stream).
@@ -298,9 +415,13 @@ impl<R: Read> ByteReader<R> {
 ///
 /// Returns [`TraceBinError`] on read failures or a malformed stream.
 pub fn read_log(r: impl Read) -> Result<TraceLog, TraceBinError> {
-    let mut br = ByteReader { inner: r };
+    let mut br = ChunkReader::new(r);
     let mut magic = [0u8; 5];
-    br.inner.read_exact(&mut magic)?;
+    for b in &mut magic {
+        *b = br
+            .byte_or_eof()?
+            .ok_or_else(|| std::io::Error::from(std::io::ErrorKind::UnexpectedEof))?;
+    }
     if &magic[..4] != MAGIC {
         return Err(malformed("bad magic"));
     }
@@ -308,10 +429,8 @@ pub fn read_log(r: impl Read) -> Result<TraceLog, TraceBinError> {
         return Err(malformed(format!("unsupported version {}", magic[4])));
     }
     let mut log = TraceLog::new();
-    // Stream string id -> the log's interned id. Keyed by the stream id
-    // rather than indexed by it: spill streams may define ids sparsely,
-    // and an untrusted id must never size a table.
-    let mut names: HashMap<u32, u32> = HashMap::new();
+    let mut ids = StreamIds::default();
+    let mut text = vec![];
     let mut values: Vec<Value> = vec![];
     while let Some(tag) = br.byte_or_eof()? {
         match tag {
@@ -319,8 +438,10 @@ pub fn read_log(r: impl Read) -> Result<TraceLog, TraceBinError> {
                 // Writers emit `u32` ids.
                 let id =
                     u32::try_from(br.varint()?).map_err(|_| malformed("def id exceeds u32"))?;
-                let text = br.string()?;
-                names.insert(id, log.intern(&text));
+                br.bytes_into(&mut text)?;
+                let text =
+                    std::str::from_utf8(&text).map_err(|_| malformed("string is not UTF-8"))?;
+                ids.define(id, log.intern(text));
             }
             REC_ENTRY => {
                 let at = br.varint()?;
@@ -331,13 +452,7 @@ pub fn read_log(r: impl Read) -> Result<TraceLog, TraceBinError> {
                 for _ in 0..n {
                     values.push(br.value()?);
                 }
-                let resolve = |id: u64| {
-                    u32::try_from(id)
-                        .ok()
-                        .and_then(|id| names.get(&id).copied())
-                        .ok_or_else(|| malformed(format!("undefined string id {id}")))
-                };
-                log.push(at, resolve(source)?, resolve(label)?, &values);
+                log.push(at, ids.resolve(source)?, ids.resolve(label)?, &values);
             }
             t => return Err(malformed(format!("record tag {t:#x}"))),
         }
@@ -407,6 +522,16 @@ mod tests {
         }
         assert_eq!(l.spilled(), SEG_ENTRIES as u64);
         let data = bytes.borrow().clone();
+        // The spill stream is the prefix of the whole-log stream of an
+        // unspilled twin: one encoder, one id assignment.
+        let mut twin = TraceLog::new();
+        for i in 0..n {
+            twin.record(i as u64, "m", "e", [Value::Int(i as i64)]);
+        }
+        let mut whole = vec![];
+        write_log(&twin, &mut whole).unwrap();
+        assert!(data.len() < whole.len());
+        assert_eq!(data[..], whole[..data.len()]);
         let back = read_log(&data[..]).unwrap();
         assert_eq!(back.len(), SEG_ENTRIES);
         for (i, e) in back.iter().enumerate() {
@@ -435,7 +560,7 @@ mod tests {
     /// LEB128 encoding of `v`.
     fn varint(v: u64) -> Vec<u8> {
         let mut out = vec![];
-        write_varint(&mut out, v).unwrap();
+        put_varint(&mut out, v);
         out
     }
 
@@ -507,6 +632,69 @@ mod tests {
             (9, "m", "m")
         );
         assert_eq!(entries[0].values, vec![Value::Int(2)]);
+    }
+
+    #[test]
+    fn mixed_def_ids_resolve_like_a_map() {
+        // Dense ids, a sparse one, a later dense definition, a sparse id
+        // that the dense run reaches later, and redefinitions of both
+        // kinds: every reference takes the latest definition of its id.
+        let def = |id: u64, text: &str| {
+            let mut r = vec![REC_DEF];
+            r.extend(varint(id));
+            r.push(text.len() as u8);
+            r.extend_from_slice(text.as_bytes());
+            r
+        };
+        let entry = |at: u8, source: u64, label: u64| {
+            let mut r = vec![REC_ENTRY, at];
+            r.extend(varint(source));
+            r.extend(varint(label));
+            r.extend([1, VAL_INT, 2 * at]);
+            r
+        };
+        let records = [
+            def(0, "a"),
+            def(1, "b"),
+            def(7, "s"),
+            entry(1, 0, 7),
+            def(2, "c"),
+            entry(2, 2, 1),
+            def(1, "b2"),
+            entry(3, 1, 7),
+            def(7, "s2"),
+            entry(4, 0, 7),
+            def(4, "d"),
+            def(3, "e"),
+            entry(5, 4, 3),
+            def(4, "f"),
+            entry(6, 4, 3),
+        ];
+        let body = records.concat();
+        let log = read_log(&stream(&body)[..]).unwrap();
+        let got: Vec<_> = log
+            .iter()
+            .map(|e| (e.at, e.source, e.label, e.values.to_vec()))
+            .collect();
+        let want: Vec<_> = [
+            (1, "a", "s"),
+            (2, "c", "b"),
+            (3, "b2", "s"),
+            (4, "a", "s2"),
+            (5, "d", "e"),
+            (6, "f", "e"),
+        ]
+        .into_iter()
+        .map(|(at, source, label)| (at, source, label, vec![Value::Int(at as i64)]))
+        .collect();
+        assert_eq!(got, want);
+        // An id no definition carried is still an error.
+        let mut bad = body;
+        bad.extend(entry(7, 5, 0));
+        assert!(matches!(
+            read_log(&stream(&bad)[..]),
+            Err(TraceBinError::Malformed(_))
+        ));
     }
 
     #[test]
