@@ -6,8 +6,8 @@
 //! The trace-heavy ring crosses the pooled hot paths of the module
 //! driver at once: every module records a trace entry per activation,
 //! so nothing parks, the driver steps the whole module set every cycle
-//! through its pooled effects arena, and the columnar log's segment
-//! pool and spill recycling are exercised each cycle. Further gates pin
+//! through its pooled effects arena, and the columnar log's tail
+//! segment and spill encoder are exercised each cycle. Further gates pin
 //! streaming payload beats (the timer wheel's burst trains), a
 //! multi-rate ring (per-domain clocks and parking), calls on a native
 //! FIFO and the board's warm FPGA fabric (the motor's Speed Control
@@ -79,8 +79,8 @@ fn warm_trace_heavy_cycles_do_not_allocate() {
         ..ScenarioSpec::default()
     };
     let mut s = build_scenario(&spec).expect("scenario builds");
-    // Spill the trace log so recording runs in bounded memory: full
-    // segments are encoded to the sink and their shells recycled, so a
+    // Spill the trace log so recording runs in bounded memory: a full
+    // tail segment is encoded to the sink and emptied in place, so a
     // warm log never grows.
     s.cosim
         .trace_handle()
