@@ -3,7 +3,8 @@
 //! A 2-D trajectory needs one motor and one controller instance per axis
 //! (X and Y) for continuous movement. Runs both axes under co-simulation
 //! and prints the per-segment convergence tables plus the motion
-//! continuity metric.
+//! continuity metric. Exits non-zero when an axis does not complete or
+//! its motor ends away from the trajectory's total distance.
 
 use cosma_cosim::CosimConfig;
 use cosma_motor::{build_cosim, MotorConfig};
@@ -16,10 +17,8 @@ fn run_axis(name: &str, cfg: &MotorConfig) -> Result<(), Box<dyn std::error::Err
         "\n--- axis {name}: {} segments x {} counts ---",
         cfg.segments, cfg.segment_len
     );
-    println!(
-        "completed: {done}, final position: {}",
-        sys.motor.borrow().position()
-    );
+    let position = sys.motor.borrow().position();
+    println!("completed: {done}, final position: {position}");
     let log = sys.cosim.trace_log();
     let sent: Vec<i64> = log
         .with_label("send_pos")
@@ -40,6 +39,13 @@ fn run_axis(name: &str, cfg: &MotorConfig) -> Result<(), Box<dyn std::error::Err
         m.total_steps(),
         cfg.motor_speed
     );
+    if !done || position != cfg.total_distance() {
+        return Err(format!(
+            "axis {name} did not converge: completed {done}, position {position} of {}",
+            cfg.total_distance()
+        )
+        .into());
+    }
     Ok(())
 }
 

@@ -4,7 +4,9 @@
 //! Prints the complete prototype inventory the paper's "analysis of the
 //! prototype system" refers to: software image size and memory map,
 //! per-unit FPGA resources and timing, bus traffic, and the functional
-//! outcome of the run.
+//! outcome of the run. Exits non-zero when timing closure at the 10 MHz
+//! fabric clock fails, the run does not complete, or the motor ends
+//! away from the trajectory's total distance.
 
 use cosma_board::BoardConfig;
 use cosma_motor::{build_board, MotorConfig};
@@ -58,9 +60,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  {:<14} {:>7} {:>6} {:>6} {:>6} {:>7} {:>7.1}MHz",
         "TOTAL", "-", luts, ffs, clbs, "-", worst_fmax
     );
+    let closes = worst_fmax > 10.0;
     println!(
         "  timing closure at the 10 MHz fabric clock: {}",
-        if worst_fmax > 10.0 { "YES" } else { "NO" }
+        if closes { "YES" } else { "NO" }
     );
     println!("  (an XC4005 carries ~196 CLBs, an XC4010 ~400 — the paper's 4000 series)");
 
@@ -68,11 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let done = sys.run_to_completion(1_000_000, 400)?;
     let elapsed_ms = sys.board.now_fs() as f64 / 1e12;
     println!("  trajectory complete: {done} after {elapsed_ms:.2} ms of board time");
-    println!(
-        "  motor position: {} / {}",
-        sys.motor.borrow().position(),
-        cfg.total_distance()
-    );
+    let position = sys.motor.borrow().position();
+    println!("  motor position: {position} / {}", cfg.total_distance());
     let stats = sys.board.bus_stats(sys.cpu);
     println!(
         "  cpu: {} cycles; bus: {} reads, {} writes, {} unmapped",
@@ -89,6 +89,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         log.with_label("motor_state").count(),
         log.with_label("pulse").count()
     );
+    if !closes {
+        return Err(format!("timing closure fails: worst fmax {worst_fmax:.1} MHz").into());
+    }
+    if !done || position != cfg.total_distance() {
+        return Err(format!(
+            "the prototype did not finish the trajectory: completed {done}, position \
+             {position} of {}",
+            cfg.total_distance()
+        )
+        .into());
+    }
     println!(
         "\nthe prototype correctly implements the system functionality\n\
          (functional outcome identical to co-simulation; see claim_coherence)"

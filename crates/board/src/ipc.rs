@@ -15,6 +15,7 @@ use cosma_core::{
 };
 use cosma_cosim::TraceLog;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a module on the platform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,8 +121,8 @@ impl Env for IpcEnv<'_> {
         })?;
         unit.call(caller, &call.service, args)
     }
-    fn trace(&mut self, label: &str, values: &[Value]) {
-        self.trace.record(self.now, self.source, label, values);
+    fn trace(&mut self, label: &Arc<str>, values: &[Value]) {
+        self.trace.record(self.now, self.source, &**label, values);
     }
 }
 

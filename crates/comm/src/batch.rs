@@ -698,25 +698,14 @@ impl BatchedLink {
                         if self.scheduled {
                             // Land the DATA beats as one train — a
                             // single bulk pass over the kernel's timer
-                            // wheel instead of n separate schedules.
-                            // The scratch is recycled across bursts so
-                            // a warm streaming link allocates nothing.
+                            // wheel instead of n separate schedules
+                            // (a store with timed writes takes trains
+                            // too). The scratch is recycled across
+                            // bursts so a warm streaming link allocates
+                            // nothing.
                             debug_assert!(self.beat_words.is_empty());
                             self.beat_words.extend(self.in_flight.iter().map(wire_word));
-                            let bulk =
-                                wires.write_wire_train(self.data_wire, 1, 1, &self.beat_words)?;
-                            if !bulk {
-                                // Train-less store (but timed writes
-                                // work, per the probe above): schedule
-                                // the beats one by one.
-                                for (k, v) in self.beat_words.iter().enumerate() {
-                                    wires.write_wire_after(
-                                        self.data_wire,
-                                        v.clone(),
-                                        k as u64 + 1,
-                                    )?;
-                                }
-                            }
+                            wires.write_wire_train(self.data_wire, 1, 1, &self.beat_words)?;
                             self.beat_words.clear();
                             wires.write_wire_after(
                                 self.valid_wire,

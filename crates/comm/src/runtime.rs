@@ -67,12 +67,12 @@ pub trait WireStore {
     /// pass: `values[k]` takes effect `start_cycles + k·stride_cycles`
     /// clock cycles in the future. Returns `Ok(true)` when the store
     /// supports bulk timed writes and accepted the schedule, `Ok(false)`
-    /// when it does not (the default) — the caller then falls back to
-    /// [`WireStore::write_wire_after`] per beat or to cycle-by-cycle
-    /// writes. Kernel-backed stores implement this over the simulator's
-    /// bulk burst-insert API, which lands every beat of a batched bus
-    /// transaction into the timer wheel in a single amortized-O(1)-per-
-    /// beat pass.
+    /// when it does not (the default). A store that takes timed writes
+    /// ([`WireStore::write_wire_after`]) must take trains too: callers
+    /// probe for timed writes and then rely on trains. Kernel-backed
+    /// stores implement this over the simulator's bulk burst-insert
+    /// API, which lands every beat of a batched bus transaction into
+    /// the timer wheel in a single amortized-O(1)-per-beat pass.
     ///
     /// Like single scheduled writes, train beats participate in
     /// simulator state capture as ordinary pending drives, so mid-train

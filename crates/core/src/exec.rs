@@ -82,18 +82,10 @@ pub trait Env: ReadEnv {
         args: &[Value],
     ) -> Result<ServiceOutcome, EvalError>;
 
-    /// Receives a diagnostic trace record. Default: ignored.
-    fn trace(&mut self, _label: &str, _values: &[Value]) {}
-
-    /// Receives a diagnostic trace record whose label is already interned
-    /// ([`Stmt::Trace`] carries `Arc<str>` labels). Environments that
-    /// buffer or store trace records can clone the `Arc` (a refcount
-    /// bump) instead of allocating a fresh `String` per activation; the
-    /// default forwards to [`Env::trace`] so plain environments need not
-    /// care.
-    fn trace_interned(&mut self, label: &std::sync::Arc<str>, values: &[Value]) {
-        self.trace(label, values);
-    }
+    /// Receives a diagnostic trace record. The label is the
+    /// [`Stmt::Trace`] statement's own `Arc<str>`, so an environment
+    /// that stores records can keep it by refcount. Default: ignored.
+    fn trace(&mut self, _label: &std::sync::Arc<str>, _values: &[Value]) {}
 }
 
 /// Side effects of executing statements ([`exec_stmt`]), accumulated
@@ -388,7 +380,7 @@ pub fn exec_stmt(
                 let v = e.eval(env)?;
                 effects.trace_vals.push(v);
             }
-            env.trace_interned(label, &effects.trace_vals);
+            env.trace(label, &effects.trace_vals);
             Ok(())
         }
     }
@@ -526,7 +518,7 @@ impl Env for MapEnv {
             call.service
         )))
     }
-    fn trace(&mut self, label: &str, values: &[Value]) {
+    fn trace(&mut self, label: &std::sync::Arc<str>, values: &[Value]) {
         self.traces.push((label.to_string(), values.to_vec()));
     }
 }

@@ -15,32 +15,28 @@
 //!   equivalent of linking the SW *simulation* view (Fig. 3b).
 //! * All stepping — module activations, unit controller steps, native
 //!   steps, batched-link pumping — is owned by one *activation
-//!   scheduler* ([`SchedulingConfig`]). By default units are grouped
-//!   into *shards* (one kernel process each) and modules into the
-//!   shards of one *module driver* process, both placed by hashed id.
-//!   The driver steps each cycle's module activations in module-id
-//!   order, so service calls reach their units in the same order as
-//!   under one process per module. A member that proves itself stable
-//!   is **parked** — removed from its shard's active set and re-armed
-//!   only by events on its *watch wires* — and a shard whose members
-//!   are all parked goes dormant, so idle regions of the backplane cost
-//!   nothing per clock edge.
+//!   scheduler* ([`SchedulingConfig`]). By default one *driver* process
+//!   steps every due unit and module in creation order, the order in
+//!   which one process per unit and per module would run, so unit
+//!   steps and service calls reach every unit in the same order as
+//!   there. A member that proves itself stable is **parked** — dropped
+//!   from the driver's active list and re-armed by its shard's watcher
+//!   process only when one of its *watch wires* events — and a shard
+//!   whose members are all parked goes dormant, so idle regions of the
+//!   backplane cost nothing per clock edge.
 //! * A module whose FSM is blocked on a pending service call parks on
 //!   the bound unit's **completion wires** (the read-set of the blocked
 //!   protocol): a consumer blocked on `get` against an empty link costs
 //!   zero activations until the producer's `put` lands.
 //! * One process per unit and per module survives as
-//!   [`UnitScheduling::PerUnit`] / [`ModuleScheduling::PerModule`]
-//!   ([`SchedulingConfig::legacy`]), the oracle the sharded path is
-//!   tested against, and parking can be disabled wholesale with
-//!   [`SchedulingConfig::park_blocked`].
+//!   [`Dispatch::PerProcess`] ([`SchedulingConfig::legacy`]), the
+//!   oracle the driver is tested against, and module parking can be
+//!   disabled wholesale with [`SchedulingConfig::park_blocked`].
 //! * Batched bus links ([`Cosim::add_batched_unit`]) coalesce per-value
 //!   transfers into one wire handshake per (adaptively sized) batch.
 
 use crate::sched::{install_clock_generators, ActivationScheduler, ClockDemand, SchedCtx};
-pub use crate::sched::{
-    ModuleScheduling, SchedulingConfig, ShardStats, UnitScheduling, DEFAULT_SHARD_SIZE,
-};
+pub use crate::sched::{Dispatch, SchedulingConfig, ShardStats, DEFAULT_SHARD_SIZE};
 use crate::snapshot::RecipeOp;
 pub use crate::snapshot::Snapshot;
 use crate::trace::TraceLog;
@@ -261,8 +257,7 @@ pub struct Cosim {
     /// event bumps the demand back and kicks the generators awake.
     pub(crate) domains: Vec<ClockDomainEntry>,
     /// Every domain's activation clocks in domain order
-    /// (`[hw0, sw0, hw1, sw1, ...]`) — the module driver's clock
-    /// sensitivity.
+    /// (`[hw0, sw0, hw1, sw1, ...]`) — the driver's clock sensitivity.
     clock_list: Vec<SignalId>,
     /// Boundary half-links installed on this backplane (partitioned
     /// co-simulation). Boundary closures reach state the fork recipe
@@ -327,8 +322,8 @@ impl Cosim {
     /// femtosecond time axis; only the activation-clock periods differ.
     ///
     /// Domains must be created while the backplane is empty (before any
-    /// unit or module), so the module driver's clock sensitivity and
-    /// the per-domain shard pools are complete before placement starts.
+    /// unit or module), so the driver's clock sensitivity and the
+    /// per-domain shard pools are complete before placement starts.
     ///
     /// # Errors
     ///
@@ -445,9 +440,8 @@ impl Cosim {
         }
     }
 
-    /// Selects the full scheduling configuration (unit dispatch, module
-    /// dispatch, parking). Must be called before any unit or module is
-    /// added.
+    /// Selects the full scheduling configuration (dispatch, parking).
+    /// Must be called before any unit or module is added.
     ///
     /// # Errors
     ///
@@ -470,9 +464,9 @@ impl Cosim {
         self.sched.cfg
     }
 
-    /// Aggregate activation-scheduler statistics (shard counters are
-    /// zero under the per-unit/per-module paths; park counters cover
-    /// both).
+    /// Aggregate activation-scheduler statistics (driver counters are
+    /// zero under [`Dispatch::PerProcess`]; park counters cover both
+    /// modes).
     #[must_use]
     pub fn shard_stats(&self) -> ShardStats {
         self.sched.stats()
@@ -828,8 +822,8 @@ impl Cosim {
 
     /// Installs a native (platform) unit. Units with real background
     /// activity ([`NativeUnit::needs_step`]) are stepped once per HW
-    /// cycle; purely call-driven units cost nothing per cycle under
-    /// sharded scheduling.
+    /// cycle; purely call-driven units cost nothing per cycle under the
+    /// driver.
     ///
     /// A unit exposing [`NativeUnit::occupancy`] gets a kernel `OCC`
     /// signal (`<name>.OCC`) mirroring its queue occupancy, driven after
@@ -1211,7 +1205,12 @@ mod tests {
 
     /// [`producer`] calling its unit's `put` service spelled `service`.
     fn producer_as(values: &[i64], service: &str) -> Module {
-        let mut p = ModuleBuilder::new("producer", ModuleKind::Software);
+        producer_named("producer", values, service)
+    }
+
+    /// [`producer_as`] named `name`.
+    fn producer_named(name: &str, values: &[i64], service: &str) -> Module {
+        let mut p = ModuleBuilder::new(name, ModuleKind::Software);
         let done = p.var("D", Type::Bool, Value::Bool(false));
         let idx = p.var("I", Type::INT16, Value::Int(0));
         let b = p.binding("iface", "hs");
@@ -1258,7 +1257,12 @@ mod tests {
 
     /// [`consumer`] calling its unit's `get` service spelled `service`.
     fn consumer_as(n: usize, service: &str) -> Module {
-        let mut c = ModuleBuilder::new("consumer", ModuleKind::Hardware);
+        consumer_named("consumer", n, service)
+    }
+
+    /// [`consumer_as`] named `name`.
+    fn consumer_named(name: &str, n: usize, service: &str) -> Module {
+        let mut c = ModuleBuilder::new(name, ModuleKind::Hardware);
         let done = c.var("D", Type::Bool, Value::Bool(false));
         let got = c.var("GOT", Type::INT16, Value::Int(0));
         let sum = c.var("SUM", Type::INT16, Value::Int(0));
@@ -1358,11 +1362,11 @@ mod tests {
 
     #[test]
     fn idle_shards_go_dormant() {
-        // Under sharded scheduling the idle tail is even cheaper: once
-        // the link's controller proves itself stable its shard drops
-        // clock sensitivity, and the END-parked modules park their
-        // shard too. Controller steps stall AND the shard processes
-        // stop being woken.
+        // Under the driver the idle tail is even cheaper: once the
+        // link's controller proves itself stable it parks, and so do
+        // the END-parked modules, leaving their shard dormant.
+        // Controller steps stall AND, with every clocked body parked,
+        // the clocks stop, so the driver is no longer woken.
         let mut cosim = Cosim::new(CosimConfig::default());
         let link = cosim.add_fsm_unit("link", handshake_unit("hs", Type::INT16));
         let p = producer(&[10, 20, 30]);
@@ -1384,11 +1388,11 @@ mod tests {
             "idle controller never steps again"
         );
         let shard = cosim.shard_stats();
-        assert_eq!(shard.shards, 2, "one unit shard, one module shard");
-        assert_eq!(shard.dormant_shards, 2, "both parked themselves");
+        assert_eq!(shard.shards, 1, "one shard holds the link and both modules");
+        assert_eq!(shard.dormant_shards, 1, "every member parked itself");
         assert_eq!(
             shard.shard_runs, shard_runs_after_exchange,
-            "a dormant shard is not even woken by clock edges"
+            "the driver of a fully parked backplane is not even woken"
         );
         assert_eq!(shard.parked_now, 3, "link + both END modules parked");
     }
@@ -1605,7 +1609,7 @@ mod tests {
         let mut cosim = Cosim::new(CosimConfig::default());
         cosim
             .set_scheduling(SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size: 8 },
+                dispatch: Dispatch::Driver { shard_size: 8 },
                 ..SchedulingConfig::sharded()
             })
             .unwrap();
@@ -1621,19 +1625,19 @@ mod tests {
         cosim.add_module(&b.build().unwrap(), &[]).unwrap();
         cosim.run_for(Duration::from_us(100)).unwrap();
         let shard = cosim.shard_stats();
-        // Hashed placement opens 2-3 unit shards for 20 units at shard
-        // size 8, plus one module shard.
+        // Hashed placement opens 2-3 shards for 21 members at shard
+        // size 8.
         assert!(
-            (3..=4).contains(&shard.shards),
-            "expected 2-3 unit shards + 1 module shard, got {}",
+            (2..=3).contains(&shard.shards),
+            "expected 2-3 shards, got {}",
             shard.shards
         );
         assert_eq!(shard.dormant_shards, shard.shards, "all idle, all parked");
-        // Dormant shards were woken at most a handful of times while the
-        // clock toggled ~2000 times.
+        // The driver ran at most a handful of times while the clock
+        // would have toggled ~2000 times.
         assert!(
             shard.shard_runs < 40,
-            "idle shards must not track the clock (runs {})",
+            "idle members must not track the clock (runs {})",
             shard.shard_runs
         );
     }
@@ -2073,8 +2077,8 @@ mod tests {
 
     #[test]
     fn parking_agrees_across_module_schedulings() {
-        // Sharded modules and per-module processes park identically:
-        // same states, same SUMs, same ACTIVATION COUNTS, same traces.
+        // The driver and per-module processes park identically: same
+        // states, same SUMs, same ACTIVATION COUNTS, same traces.
         fn run(cfg: SchedulingConfig) -> (Vec<ModuleStatus>, Vec<Option<Value>>, usize) {
             let mut cosim = Cosim::new(CosimConfig::default());
             cosim.set_scheduling(cfg).unwrap();
@@ -2092,8 +2096,8 @@ mod tests {
         }
         let sharded = run(SchedulingConfig::sharded());
         let per_module = run(SchedulingConfig {
-            modules: ModuleScheduling::PerModule,
-            ..SchedulingConfig::sharded()
+            park_blocked: true,
+            ..SchedulingConfig::legacy()
         });
         assert_eq!(sharded, per_module);
         assert_eq!(sharded.1[0], Some(Value::Int(12)));
@@ -2407,14 +2411,14 @@ mod tests {
 
     #[test]
     fn hashed_module_placement_spreads_driver_shards() {
-        // Modules spread over several driver shards under hashed
-        // placement, while the driver still steps them in module-id
+        // Members spread over several driver shards under hashed
+        // placement, while the driver still steps them in creation
         // order: the exchange completes as under one process per
         // module.
         let mut cosim = Cosim::new(CosimConfig::default());
         cosim
             .set_scheduling(SchedulingConfig {
-                modules: ModuleScheduling::Sharded { shard_size: 2 },
+                dispatch: Dispatch::Driver { shard_size: 2 },
                 ..SchedulingConfig::sharded()
             })
             .unwrap();
@@ -2440,33 +2444,91 @@ mod tests {
         let driver = cosim.sched.driver.as_ref().unwrap().borrow();
         assert!(
             driver.shards.len() >= 2,
-            "8 modules at shard size 2 open several driver shards"
+            "9 members at shard size 2 open several driver shards"
         );
         // Hashed, not creation-order, placement: some shard holds
-        // modules that were not created back to back.
+        // members that were not created back to back.
+        let shard_of: Vec<u32> = driver.members.iter().map(|m| m.shard).collect();
         assert!(
-            driver.shards.iter().any(|sh| sh
-                .members
-                .windows(2)
-                .any(|w| w[1].module != w[0].module + 1)),
+            (0..driver.shards.len() as u32).any(|sh| {
+                let members: Vec<usize> =
+                    (0..shard_of.len()).filter(|&i| shard_of[i] == sh).collect();
+                members.windows(2).any(|w| w[1] != w[0] + 1)
+            }),
             "hashed placement scatters creation-order runs"
         );
     }
 
     #[test]
+    fn interleaved_construction_matches_oracle() {
+        // Links built in loop order — a link, then its producer and
+        // consumer — interleave units with modules. The driver steps
+        // both in creation order, like the oracle's processes, so every
+        // shard size agrees with the oracle, and parking stays
+        // invisible to the trace.
+        fn run(
+            n: usize,
+            timing: BusTiming,
+            cfg: SchedulingConfig,
+        ) -> (Vec<ModuleStatus>, TraceLog) {
+            let mut cosim = Cosim::new(CosimConfig::default());
+            cosim.set_scheduling(cfg).unwrap();
+            let mut ids = vec![];
+            for i in 0..n {
+                let link = cosim
+                    .add_batched_unit_with(&format!("link{i}"), Type::INT16, 4, 16, timing)
+                    .unwrap();
+                let base = i as i64 + 1;
+                let p = producer_named(&format!("p{i}"), &[base, base + 1, base + 2], "put");
+                let c = consumer_named(&format!("c{i}"), 3, "get");
+                ids.push(cosim.add_module(&p, &[("iface", link)]).unwrap());
+                ids.push(cosim.add_module(&c, &[("iface", link)]).unwrap());
+            }
+            cosim.run_for(Duration::from_us(20)).unwrap();
+            let statuses = ids.iter().map(|&id| cosim.module_status(id)).collect();
+            (statuses, cosim.trace_log())
+        }
+        let mut dispatches: Vec<Dispatch> = (1..=6)
+            .map(|shard_size| Dispatch::Driver { shard_size })
+            .collect();
+        dispatches.push(SchedulingConfig::sharded().dispatch);
+        for n in [4, 17, 24] {
+            for timing in [BusTiming::LengthOnly, BusTiming::PayloadBeats] {
+                let oracle = |park_blocked| {
+                    run(
+                        n,
+                        timing,
+                        SchedulingConfig {
+                            park_blocked,
+                            ..SchedulingConfig::legacy()
+                        },
+                    )
+                };
+                let (off, on) = (oracle(false), oracle(true));
+                assert!(off.0.iter().all(|st| st.state == "END"), "{n}/{timing:?}");
+                assert_eq!(on.1, off.1, "{n}/{timing:?}: parking shows in the oracle");
+                for &dispatch in &dispatches {
+                    for (park_blocked, want) in [(false, &off), (true, &on)] {
+                        let cfg = SchedulingConfig {
+                            dispatch,
+                            park_blocked,
+                        };
+                        let got = run(n, timing, cfg);
+                        assert_eq!(got.0, want.0, "{n}/{timing:?}/{cfg:?}: statuses");
+                        assert_eq!(got.1, want.1, "{n}/{timing:?}/{cfg:?}: trace");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn invalid_scheduling_configs_rejected() {
         let mut cosim = Cosim::new(CosimConfig::default());
-        // Zero shard sizes, on either side.
+        // A zero shard size.
         assert!(matches!(
             cosim.set_scheduling(SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size: 0 },
-                ..SchedulingConfig::sharded()
-            }),
-            Err(CosimError::Setup(_))
-        ));
-        assert!(matches!(
-            cosim.set_scheduling(SchedulingConfig {
-                modules: ModuleScheduling::Sharded { shard_size: 0 },
+                dispatch: Dispatch::Driver { shard_size: 0 },
                 ..SchedulingConfig::sharded()
             }),
             Err(CosimError::Setup(_))
@@ -2517,19 +2579,19 @@ mod tests {
             let mut cosim = Cosim::new(CosimConfig::default());
             cosim
                 .set_scheduling(SchedulingConfig {
-                    units: UnitScheduling::Sharded { shard_size: 4 },
+                    dispatch: Dispatch::Driver { shard_size: 4 },
                     ..SchedulingConfig::sharded()
                 })
                 .unwrap();
             for k in 0..17 {
                 cosim.add_fsm_unit(&format!("u{k}"), handshake_unit("hs", Type::INT16));
             }
-            cosim
-                .sched
-                .unit_shards
-                .iter()
-                .map(|s| s.borrow().members.len())
-                .collect()
+            let driver = cosim.sched.driver.as_ref().unwrap().borrow();
+            let mut sizes = vec![0; driver.shards.len()];
+            for m in &driver.members {
+                sizes[m.shard as usize] += 1;
+            }
+            sizes
         }
         let a = shard_sizes();
         let b = shard_sizes();

@@ -9,15 +9,16 @@
 //!   one transition (precise HW/SW synchronization),
 //! * all inter-module interaction goes through communication units whose
 //!   wires are kernel signals,
-//! * module and unit stepping share one activation-gating architecture
-//!   ([`SchedulingConfig`]): sharded dispatch with provably-stable FSMs
-//!   *parked* on their completion wires, so blocked or finished parts of
-//!   the backplane cost nothing per clock edge. One module driver steps
-//!   each cycle's module activations in module-id order, so service
-//!   calls act on their units at once, in a deterministic order,
-//!   whatever the hashed shard placement;
+//! * module and unit stepping share one activation scheduler
+//!   ([`SchedulingConfig`]): one driver process steps every due unit
+//!   and module in creation order — the order one process per unit and
+//!   per module runs in — so unit steps and service calls act on their
+//!   units at once, in the oracle's order, however units and modules
+//!   were interleaved at construction. Provably-stable FSMs are
+//!   *parked* on their watch wires, so blocked or finished parts of the
+//!   backplane cost nothing per clock edge;
 //!   [`SchedulingConfig::legacy`] (one process per unit and module) is
-//!   the oracle it is tested against,
+//!   the oracle the driver is tested against,
 //! * every `Stmt::Trace` lands in a [`TraceLog`] that can be compared
 //!   event-for-event against a co-synthesis (board-level) run,
 //! * the whole backplane checkpoints into a [`Snapshot`]
@@ -41,8 +42,8 @@
 //!   at module install, into a per-binding table; units count calls per
 //!   service index, and modules record trace entries through id hints
 //!   for their name and labels.
-//! * `sched` — [`SchedulingConfig`] and the activation scheduler: unit
-//!   shards, the module driver, parking and clock demand, the
+//! * `sched` — [`SchedulingConfig`] and the activation scheduler: the
+//!   driver and its shard watchers, parking and clock demand, the
 //!   `legacy()` oracle's per-unit and per-module processes, and the
 //!   activation clock generators.
 //! * `snapshot` — the construction recipe, [`Snapshot`], and
@@ -73,8 +74,8 @@ pub use annotate::{
     BatchLinkTiming, LabelTiming, LinkCalibration,
 };
 pub use backplane::{
-    Cosim, CosimConfig, CosimError, CosimModuleId, DomainId, ModuleScheduling, ModuleStatus,
-    SchedulingConfig, ShardStats, Snapshot, UnitId, UnitScheduling, DEFAULT_SHARD_SIZE,
+    Cosim, CosimConfig, CosimError, CosimModuleId, Dispatch, DomainId, ModuleStatus,
+    SchedulingConfig, ShardStats, Snapshot, UnitId, DEFAULT_SHARD_SIZE,
 };
 pub use cosma_comm::BusTiming;
 pub use cosma_sim::ClockRatio;

@@ -12,7 +12,7 @@
 //!
 //! * **Pipeline** — `N` links in a chain: one producer, `N-1` relays,
 //!   one consumer. Traffic travels as a wave, so most units are idle at
-//!   any instant — the sharded scheduler's best case.
+//!   any instant — the parking scheduler's best case.
 //! * **Star** — `N` producers each on a private link into one
 //!   round-robin hub consumer.
 //! * **Ring** — `N` links closed into a cycle; a driver module sends
@@ -764,10 +764,10 @@ fn add_link(
     }
 }
 
-/// Elaborates a spec into a runnable scenario. All links are created
-/// before any module, so link/shard process ids precede module process
-/// ids regardless of topology — the per-unit and sharded schedulings
-/// then produce identical traces.
+/// Elaborates a spec into a runnable scenario: every link, then every
+/// module, in plan order. (The driver steps units and modules in
+/// creation order, like the oracle's processes, so every dispatch mode
+/// produces identical traces whatever the construction order.)
 ///
 /// # Errors
 ///
@@ -1244,12 +1244,12 @@ mod tests {
 
     #[test]
     fn schedulings_produce_identical_traces() {
-        // The production scheduler (sharded units, the module driver
-        // over hashed shards) is observationally equivalent to the
-        // per-unit/per-module oracle: same states, SUMs, traces and
+        // The production scheduler (one driver stepping units and
+        // modules in creation order) is observationally equivalent to
+        // the per-unit/per-module oracle: same states, SUMs, traces and
         // ACTIVATION COUNTS, on every topology and link kind, parking
         // included.
-        use crate::backplane::{ModuleScheduling, UnitScheduling};
+        use crate::backplane::Dispatch;
         for topology in [
             Topology::Pipeline,
             Topology::Star,
@@ -1288,8 +1288,7 @@ mod tests {
                     .run_for(Duration::from_us(400))
                     .expect("oracle runs");
                 let mut a = build_scenario(&mk(SchedulingConfig {
-                    units: UnitScheduling::Sharded { shard_size: 4 },
-                    modules: ModuleScheduling::Sharded { shard_size: 4 },
+                    dispatch: Dispatch::Driver { shard_size: 4 },
                     park_blocked: true,
                 }))
                 .expect("sharded builds");
@@ -1367,9 +1366,9 @@ mod tests {
 
     #[test]
     fn sharding_pays_off_on_idle_pipelines() {
-        // After a pipeline drains, every shard — unit shards AND module
-        // shards — must be dormant: controllers proved stable, finished
-        // modules halt-parked.
+        // After a pipeline drains, every shard — holding units and
+        // modules alike — must be dormant: controllers proved stable,
+        // finished modules halt-parked.
         let mut s = build_scenario(&ScenarioSpec {
             units: 32,
             values_per_link: 2,
@@ -1470,7 +1469,7 @@ mod tests {
         // uninterrupted run: same traces, same FSM states, same
         // activation counts. Pinned across the per-unit/per-module
         // oracle and the production scheduler, on both link flavours.
-        use crate::backplane::{ModuleScheduling, UnitScheduling};
+        use crate::backplane::Dispatch;
         let variants = [
             (
                 "legacy",
@@ -1482,8 +1481,7 @@ mod tests {
             (
                 "sharded",
                 SchedulingConfig {
-                    units: UnitScheduling::Sharded { shard_size: 4 },
-                    modules: ModuleScheduling::Sharded { shard_size: 4 },
+                    dispatch: Dispatch::Driver { shard_size: 4 },
                     park_blocked: true,
                 },
             ),
@@ -1653,7 +1651,7 @@ mod tests {
         // the whole module set steps every cycle: the driver's large
         // per-cycle stepping sets must match the per-unit/per-module
         // oracle exactly.
-        use crate::backplane::{ModuleScheduling, UnitScheduling};
+        use crate::backplane::Dispatch;
         let run = |scheduling| {
             let mut s = build_scenario(&ScenarioSpec {
                 units: 48,
@@ -1669,8 +1667,7 @@ mod tests {
             s
         };
         let sharded = run(SchedulingConfig {
-            units: UnitScheduling::Sharded { shard_size: 16 },
-            modules: ModuleScheduling::Sharded { shard_size: 16 },
+            dispatch: Dispatch::Driver { shard_size: 16 },
             park_blocked: false,
         });
         let oracle = run(SchedulingConfig::legacy());

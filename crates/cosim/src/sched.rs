@@ -1,8 +1,9 @@
-//! The activation scheduler: how module activations and unit
-//! bookkeeping are dispatched on the kernel ([`SchedulingConfig`]) —
-//! hashed shards with parking in production, one process per unit and
-//! per module in the `legacy()` oracle — plus the demand-gated
-//! activation clock generators.
+//! The activation scheduler: how unit bookkeeping and module
+//! activations are dispatched on the kernel ([`SchedulingConfig`]) —
+//! one driver process stepping every due unit and module in creation
+//! order, with parking, in production; one process per unit and per
+//! module in the `legacy()` oracle — plus the demand-gated activation
+//! clock generators.
 
 use crate::backplane::{CosimError, UnitId};
 use crate::trace::TraceLog;
@@ -12,87 +13,51 @@ use cosma_sim::{ClockControl, Duration, Edge, FnProcess, ProcCtx, SignalId, Simu
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-/// How communication-unit bookkeeping (controller steps, native steps,
-/// batched-link pumping) is scheduled on the kernel.
+/// How unit bookkeeping (controller steps, native steps, batched-link
+/// pumping) and module activations are dispatched on the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnitScheduling {
-    /// One clocked kernel process per unit, activated on every HW clock
-    /// edge. The oracle path — per edge it costs one process wakeup per
-    /// unit even when every unit is provably idle.
-    PerUnit,
-    /// Units grouped into shards by **hashed id** (so creation-order
-    /// runs of hot units do not pile into one shard); each shard is one
-    /// kernel process with an active/parked member split. Provably
-    /// stable members are parked out of the active set and re-armed
-    /// through the kernel's inverted sensitivity index when one of
-    /// their wires events, so idle units cost nothing per clock edge —
-    /// even inside a shard kept awake by a hot member.
-    Sharded {
-        /// Target units per shard (shards are opened so the *average*
-        /// fill is `shard_size`; hashed placement makes individual
-        /// shards vary around it).
+pub enum Dispatch {
+    /// One driver process steps, at every rising clock edge, each
+    /// unparked unit and module whose clock rose, in creation order —
+    /// the order the oracle's processes run in — so service calls and
+    /// unit steps reach every unit in the oracle's order. Members are
+    /// grouped into shards, each with a watcher process that re-arms
+    /// its parked members when one of their watch wires events; a
+    /// parked member costs nothing per clock edge.
+    Driver {
+        /// Target members per shard (shards are opened so the
+        /// *average* fill is `shard_size`; hashed placement makes
+        /// individual shards vary around it).
         shard_size: usize,
     },
-}
-
-impl Default for UnitScheduling {
-    fn default() -> Self {
-        UnitScheduling::Sharded {
-            shard_size: DEFAULT_SHARD_SIZE,
-        }
-    }
-}
-
-/// How module activations are scheduled on the kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModuleScheduling {
-    /// One kernel process per module, activated on every rising edge of
-    /// its kind's activation clock. The oracle path.
-    /// (Parking still applies unless disabled: a blocked module's
-    /// process swaps its clock sensitivity for its watch wires.)
-    PerModule,
-    /// Modules placed into shards by **hashed id**, all stepped by one
-    /// driver process. Each cycle the driver steps the active members
-    /// whose clock rose in module-id order — the per-module path's
-    /// order — so service calls act on their units at once, exactly as
-    /// there. A per-shard watcher process owns the wakeups of the
-    /// shard's parked members, which cost nothing until a watch wire
-    /// events.
-    Sharded {
-        /// Target modules per shard (shards are opened so the *average*
-        /// fill is `shard_size`).
-        shard_size: usize,
-    },
-}
-
-impl Default for ModuleScheduling {
-    fn default() -> Self {
-        ModuleScheduling::Sharded {
-            shard_size: DEFAULT_SHARD_SIZE,
-        }
-    }
+    /// One clocked kernel process per unit and one process per module,
+    /// each stepped on every rising edge of its clock: the oracle.
+    /// Units never park; a module parks (its process swaps its clock
+    /// sensitivity for its watch wires) unless parking is disabled.
+    PerProcess,
 }
 
 /// The activation scheduler's configuration: how units and modules are
 /// dispatched and whether provably-stable FSMs are parked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulingConfig {
-    /// Unit dispatch (controller steps, native steps, batched pumping).
-    pub units: UnitScheduling,
-    /// Module dispatch (FSM activations).
-    pub modules: ModuleScheduling,
-    /// Whether to park provably-stable FSMs (default `true`). A module
-    /// activation that changed nothing — same state, no effective
-    /// variable writes or port drives, every service call pending *and*
-    /// a provable no-op on the unit side — would repeat identically
-    /// every cycle; with parking on, the module instead sleeps until an
-    /// event on its ports or on the blocked services' completion wires.
+    /// Unit and module dispatch.
+    pub dispatch: Dispatch,
+    /// Whether to park provably-stable modules (default `true`). A
+    /// module activation that changed nothing — same state, no
+    /// effective variable writes or port drives, every service call
+    /// pending *and* a provable no-op on the unit side — would repeat
+    /// identically every cycle; with parking on, the module instead
+    /// sleeps until an event on its ports or on the blocked services'
+    /// completion wires. (Under [`Dispatch::Driver`] a provably-idle
+    /// unit parks on its gating wires either way.)
     ///
     /// Parking is invisible to signal traces, trace logs, final states
-    /// and `ModuleStatus.activations` *across scheduler paths* (sharded
-    /// and per-module park identically). It does suppress the no-op
-    /// activations themselves, so activation counts differ from a
-    /// `park_blocked: false` run while a module is blocked.
+    /// and `ModuleStatus.activations` *across dispatch modes* (the
+    /// driver and the per-module processes park identically). It does
+    /// suppress the no-op activations themselves, so activation counts
+    /// differ from a `park_blocked: false` run while a module is
+    /// blocked.
     pub park_blocked: bool,
 }
 
@@ -103,13 +68,14 @@ impl Default for SchedulingConfig {
 }
 
 impl SchedulingConfig {
-    /// The production configuration (the default): sharded units, one
-    /// module driver over hashed module shards, parking enabled.
+    /// The production configuration (the default): the driver over
+    /// shards of [`DEFAULT_SHARD_SIZE`], parking enabled.
     #[must_use]
     pub fn sharded() -> Self {
         SchedulingConfig {
-            units: UnitScheduling::default(),
-            modules: ModuleScheduling::default(),
+            dispatch: Dispatch::Driver {
+                shard_size: DEFAULT_SHARD_SIZE,
+            },
             park_blocked: true,
         }
     }
@@ -120,8 +86,7 @@ impl SchedulingConfig {
     #[must_use]
     pub fn legacy() -> Self {
         SchedulingConfig {
-            units: UnitScheduling::PerUnit,
-            modules: ModuleScheduling::PerModule,
+            dispatch: Dispatch::PerProcess,
             park_blocked: false,
         }
     }
@@ -129,9 +94,7 @@ impl SchedulingConfig {
     /// Setup-time validation of the configuration's internal
     /// consistency.
     pub(crate) fn validate(&self) -> Result<(), CosimError> {
-        if matches!(self.units, UnitScheduling::Sharded { shard_size: 0 })
-            || matches!(self.modules, ModuleScheduling::Sharded { shard_size: 0 })
-        {
+        if self.dispatch == (Dispatch::Driver { shard_size: 0 }) {
             return Err(CosimError::Setup("shard size must be nonzero".to_string()));
         }
         Ok(())
@@ -143,30 +106,30 @@ pub const DEFAULT_SHARD_SIZE: usize = 16;
 
 /// Aggregate statistics of the activation scheduler.
 ///
-/// Shard counters are zero under the per-unit/per-module paths; the
-/// park/resume counters cover *both* paths (per-module processes park
+/// Driver counters are zero under [`Dispatch::PerProcess`]; the
+/// park/resume counters cover both modes (per-module processes park
 /// too, by swapping their clock sensitivity for their watch wires).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Number of shards (unit shards + module shards).
+    /// Number of driver shards. Units and modules share them.
     pub shards: usize,
-    /// Shards currently dormant (no active member, no clock
-    /// sensitivity).
+    /// Shards currently dormant (every member parked).
     pub dormant_shards: usize,
-    /// Total shard-process activations.
+    /// Driver-process activations.
     pub shard_runs: u64,
     /// Unit-member step executions (controller steps, native steps,
     /// pumps).
     pub units_stepped: u64,
-    /// Member steps avoided at a clock edge because the member was
-    /// parked.
+    /// Member steps (units and modules) avoided because the member was
+    /// parked: at each driver run, the parked members whose clock rose.
     pub units_skipped: u64,
     /// Dormant-shard wakeups caused by a member watch-wire event.
     pub wire_wakeups: u64,
-    /// Watch-wire event probes spent re-arming parked members on shard
-    /// wakeups — the cost of the parked rescan loop.
+    /// Watch wires probed by the shard watchers while re-arming parked
+    /// members (units and modules) — the cost of the parked rescan
+    /// loop.
     pub watch_probes: u64,
-    /// Module activations executed through the scheduler (both paths).
+    /// Module activations executed through the scheduler (both modes).
     pub modules_stepped: u64,
     /// Park transitions: members (modules or units) removed from their
     /// scheduler's active set after proving themselves stable.
@@ -174,7 +137,7 @@ pub struct ShardStats {
     /// Resume transitions: parked members re-armed by a watch-wire
     /// event.
     pub members_resumed: u64,
-    /// Members currently parked (across shards and per-module
+    /// Members currently parked (driver members and per-module
     /// processes).
     pub parked_now: usize,
 }
@@ -238,83 +201,7 @@ impl ClockDemand {
     }
 }
 
-/// One member of a unit shard: the unit's bookkeeping body (controller
-/// steps, native steps, batched pumping), its activation clock and its
-/// gating wires.
-#[derive(Clone)]
-pub(crate) struct ShardMember {
-    unit: UnitId,
-    /// The rising edge this member activates on.
-    clk: SignalId,
-    /// The unit's gating wires, whose monotone event counts decide
-    /// whether inputs changed. They double as the member's watch wires:
-    /// events on them re-arm it while parked.
-    wires: Vec<SignalId>,
-    /// Last observed event counts for `wires`.
-    seen_events: Vec<u64>,
-}
-
-/// Shared state of one unit shard process. A snapshot keeps a clone;
-/// restore copies back only the fields that change as it runs
-/// ([`ShardState::restore_from`]).
-#[derive(Clone, Default)]
-pub(crate) struct ShardState {
-    pub(crate) members: Vec<ShardMember>,
-    /// Indices of members stepped at clock edges, ascending.
-    active: Vec<u32>,
-    /// Indices of parked members, re-armed by watch-wire events.
-    parked: Vec<u32>,
-    /// Whether the kernel sensitivity must be recomputed on the next
-    /// run (membership changed).
-    wait_dirty: bool,
-    /// Whether this shard's process already surrendered its members'
-    /// clock demand after a backplane error. Lives here (not in the
-    /// process closure) so snapshot/restore can carry it.
-    halted: bool,
-    runs: u64,
-    units_stepped: u64,
-    units_skipped: u64,
-    wire_wakeups: u64,
-    watch_probes: u64,
-}
-
-impl ShardState {
-    fn push_member(&mut self, m: ShardMember) {
-        let idx = self.members.len() as u32;
-        self.members.push(m);
-        self.active.push(idx);
-        self.wait_dirty = true;
-    }
-
-    /// Surrenders the clock demand of every unparked member after a
-    /// backplane error (once).
-    fn halt(&mut self, demand: &ClockDemand) {
-        if !self.halted {
-            self.halted = true;
-            demand.park(self.members.len() - self.parked.len());
-        }
-    }
-
-    /// Copies a captured shard's running state — event-count gates,
-    /// active/parked split, counters — onto this one, keeping the
-    /// member bodies.
-    pub(crate) fn restore_from(&mut self, snap: &ShardState) {
-        for (m, sm) in self.members.iter_mut().zip(&snap.members) {
-            m.seen_events.clone_from(&sm.seen_events);
-        }
-        self.active.clone_from(&snap.active);
-        self.parked.clone_from(&snap.parked);
-        self.wait_dirty = snap.wait_dirty;
-        self.halted = snap.halted;
-        self.runs = snap.runs;
-        self.units_stepped = snap.units_stepped;
-        self.units_skipped = snap.units_skipped;
-        self.wire_wakeups = snap.wire_wakeups;
-        self.watch_probes = snap.watch_probes;
-    }
-}
-
-/// splitmix64: the hash spreading unit and module ids over shards.
+/// splitmix64: the hash spreading members over a domain's shards.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -322,32 +209,26 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The single owner of module and unit stepping: shard pools, hashed
-/// placement, park accounting. Unified here so modules and units — the
-/// same FSM semantics in the paper's model — share one
-/// activation-gating architecture.
+/// The single owner of unit and module stepping: the driver and its
+/// shard pools, or the oracle's processes, plus park accounting.
+/// Modules and units — the same FSM semantics in the paper's model —
+/// share one activation-gating architecture.
 pub(crate) struct ActivationScheduler {
     pub(crate) cfg: SchedulingConfig,
-    /// Per-domain unit shard pool: shards never mix clock domains, so
-    /// hashed placement runs inside the member's domain pool. Entry `d`
-    /// indexes [`ActivationScheduler::unit_shards`] for domain `d`.
-    unit_pools: Vec<PoolState>,
-    /// Per-domain module shard pool of the driver. Entry `d` holds
-    /// indices into [`DriverState::shards`].
-    driver_pools: Vec<PoolState>,
-    pub(crate) unit_shards: Vec<Rc<RefCell<ShardState>>>,
-    /// The module driver ([`ModuleScheduling::Sharded`]): one kernel
-    /// process stepping every module shard, registered with the first
-    /// module.
+    /// Per-domain shard pool of the driver: shards never mix clock
+    /// domains, so hashed placement runs inside the member's domain
+    /// pool. Entry `d` holds indices into [`DriverState::shards`].
+    pools: Vec<PoolState>,
+    /// The driver ([`Dispatch::Driver`]): one kernel process stepping
+    /// every unit and module, registered with the first of either.
     pub(crate) driver: Option<Rc<RefCell<DriverState>>>,
-    /// Per-process state of the one-process-per-module path
-    /// ([`ModuleScheduling::PerModule`]), in module order. Shared with
-    /// the process closures so snapshot/restore can reach it.
+    /// Per-process state of the per-module processes
+    /// ([`Dispatch::PerProcess`]), in module order. Shared with the
+    /// process closures so snapshot/restore can reach it.
     pub(crate) per_module: Vec<Rc<RefCell<PerModuleProcState>>>,
-    /// Per-unit `seen_events` gates of the
-    /// [`UnitScheduling::PerUnit`] path, in unit-registration order.
-    /// Shared with the clocked closures so snapshot/restore can reach
-    /// them.
+    /// Per-unit `seen_events` gates of the per-unit processes
+    /// ([`Dispatch::PerProcess`]), in unit-registration order. Shared
+    /// with the clocked closures so snapshot/restore can reach them.
     pub(crate) per_unit_seen: Vec<Rc<RefCell<Vec<u64>>>>,
     pub(crate) park: Rc<ParkCounters>,
 }
@@ -389,30 +270,49 @@ pub(crate) struct PerModuleProcState {
     wait_dirty: bool,
 }
 
-/// One member of the module driver: a module, its activation clock,
+/// What a driver member steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Body {
+    /// A unit's bookkeeping: a controller step, a link pump or a native
+    /// step.
+    Unit(UnitId),
+    /// A module's activation, by module index.
+    Module(usize),
+}
+
+/// One member of the driver: a unit or a module, its activation clock,
 /// and the wires that re-arm it while parked.
 #[derive(Clone)]
 pub(crate) struct DriverMember {
-    pub(crate) module: usize,
-    clk: SignalId,
-    /// Computed at park time: the module's ports plus the blocked
-    /// services' completion wires. Empty means the member can never be
-    /// re-armed (a provably-halted module).
-    pub(crate) watch: Vec<SignalId>,
+    body: Body,
+    /// Index of the member's activation clock in the driver's clock
+    /// list.
+    clock: u32,
+    /// A unit's gating wires (fixed; their events mean it must step,
+    /// and re-arm it while parked), or a module's watch set, computed
+    /// at park time: its ports plus the blocked services' completion
+    /// wires. Empty means a parked member can never be re-armed (a
+    /// provably-halted module, a native unit without an occupancy
+    /// mirror).
+    watch: Vec<SignalId>,
+    /// A unit's last observed event counts of `watch` (empty for a
+    /// module).
+    seen: Vec<u64>,
+    /// The shard whose watcher re-arms the member while parked.
+    pub(crate) shard: u32,
 }
 
-/// One module shard of the driver: an active/parked member split,
-/// stepped by the shared driver process.
-///
-/// Parked-member wakeups are owned by a per-shard *watcher* kernel
-/// process whose sensitivity covers only this shard's watch wires —
-/// keeping sensitivity churn local to the shard (the driver itself
-/// stays pinned to the activation clocks).
+/// One shard of the driver: members of one clock domain whose parked
+/// members a *watcher* kernel process re-arms. The watcher's
+/// sensitivity covers only this shard's parked watch wires, so
+/// sensitivity churn stays local to the shard (the driver itself stays
+/// pinned to the activation clocks).
 #[derive(Clone)]
 pub(crate) struct DriverShard {
-    pub(crate) members: Vec<DriverMember>,
-    pub(crate) active: Vec<u32>,
-    pub(crate) parked: Vec<u32>,
+    /// Number of members placed in this shard.
+    members: usize,
+    /// Parked members, as indices into [`DriverState::members`].
+    parked: Vec<u32>,
     /// The clock-demand ledger of this shard's domain (shards never mix
     /// domains, so parking a member surrenders demand on exactly one
     /// domain's generators).
@@ -421,32 +321,39 @@ pub(crate) struct DriverShard {
     /// the watcher re-arms on the new watch set.
     poke: SignalId,
     /// Whether the watcher must recompute its sensitivity.
-    pub(crate) watch_dirty: bool,
+    watch_dirty: bool,
     /// Whether the shard's watcher process performed its first
     /// (elaboration) run and armed itself on the poke signal. Lives
     /// here — not in the watcher's closure — so a forked backplane's
     /// fresh watcher resumes mid-stream instead of re-running its
     /// elaboration arm (which would clobber the restored watch
     /// sensitivity).
-    pub(crate) watcher_armed: bool,
+    watcher_armed: bool,
 }
 
-/// Shared state of the module driver process. A snapshot keeps a
-/// clone; restore copies back only the fields that change as it runs.
+/// Shared state of the driver and its watchers. A snapshot keeps a
+/// clone; restore copies back only the fields that change as it runs
+/// ([`DriverState::restore_from`]).
 #[derive(Clone, Default)]
 pub(crate) struct DriverState {
+    /// Every unit and module, in creation order.
+    pub(crate) members: Vec<DriverMember>,
+    /// Indices of unparked members, ascending: the creation order the
+    /// driver steps them in.
+    active: Vec<u32>,
     pub(crate) shards: Vec<DriverShard>,
+    /// Parked members per activation clock (indexed like the driver's
+    /// clock list), so a run counts the steps parking avoided without
+    /// visiting parked members.
+    parked_on: Vec<u64>,
     /// Whether the driver surrendered its members' clock demand after a
     /// backplane error (kept here so snapshot/restore can carry it).
-    pub(crate) halted: bool,
-    pub(crate) runs: u64,
-    pub(crate) skipped: u64,
-    pub(crate) wire_wakeups: u64,
-    /// Pooled per-cycle scratch: the stepping set and the park list,
-    /// taken at the start of each driver run and handed back (capacity
-    /// kept) at the end.
-    items: Vec<(usize, usize, u32)>,
-    to_park: Vec<(usize, u32, Vec<SignalId>)>,
+    halted: bool,
+    runs: u64,
+    units_stepped: u64,
+    units_skipped: u64,
+    wire_wakeups: u64,
+    watch_probes: u64,
 }
 
 impl DriverState {
@@ -456,9 +363,59 @@ impl DriverState {
         if !self.halted {
             self.halted = true;
             for s in &self.shards {
-                s.demand.park(s.members.len() - s.parked.len());
+                s.demand.park(s.members - s.parked.len());
             }
         }
+    }
+
+    /// Why a captured driver does not fit this one, if it does not:
+    /// every member must step the same unit or module on the same clock
+    /// in the same shard.
+    pub(crate) fn check(&self, snap: &DriverState) -> Result<(), String> {
+        if self.members.len() != snap.members.len() || self.shards.len() != snap.shards.len() {
+            return Err(format!(
+                "snapshot has {} driver members in {} shards, backplane has {} in {}",
+                snap.members.len(),
+                snap.shards.len(),
+                self.members.len(),
+                self.shards.len()
+            ));
+        }
+        let same = |(m, s): (&DriverMember, &DriverMember)| {
+            (m.body, m.clock, m.shard, m.seen.len()) == (s.body, s.clock, s.shard, s.seen.len())
+        };
+        match self
+            .members
+            .iter()
+            .zip(&snap.members)
+            .position(|p| !same(p))
+        {
+            Some(i) => Err(format!("driver member {i} differs from snapshot")),
+            None => Ok(()),
+        }
+    }
+
+    /// Copies a captured driver's running state — watch sets,
+    /// event-count gates, the active/parked split, counters — onto this
+    /// one, keeping its members, shards and their demand ledgers.
+    pub(crate) fn restore_from(&mut self, snap: &DriverState) {
+        for (m, sm) in self.members.iter_mut().zip(&snap.members) {
+            m.watch.clone_from(&sm.watch);
+            m.seen.clone_from(&sm.seen);
+        }
+        self.active.clone_from(&snap.active);
+        for (sh, sn) in self.shards.iter_mut().zip(&snap.shards) {
+            sh.parked.clone_from(&sn.parked);
+            sh.watch_dirty = sn.watch_dirty;
+            sh.watcher_armed = sn.watcher_armed;
+        }
+        self.parked_on.clone_from(&snap.parked_on);
+        self.halted = snap.halted;
+        self.runs = snap.runs;
+        self.units_stepped = snap.units_stepped;
+        self.units_skipped = snap.units_skipped;
+        self.wire_wakeups = snap.wire_wakeups;
+        self.watch_probes = snap.watch_probes;
     }
 }
 
@@ -473,10 +430,10 @@ pub(crate) struct SchedCtx<'a> {
     pub(crate) demand: &'a Rc<ClockDemand>,
     /// The target domain's hardware activation clock.
     pub(crate) hw_clk: SignalId,
-    /// Index of the target domain (selects the per-domain shard pools).
+    /// Index of the target domain (selects the per-domain shard pool).
     pub(crate) domain: usize,
-    /// Every domain's activation clocks, in domain order — the module
-    /// driver's clock sensitivity.
+    /// Every domain's activation clocks, in domain order — the driver's
+    /// clock sensitivity.
     pub(crate) clocks: &'a [SignalId],
 }
 
@@ -493,9 +450,7 @@ impl ActivationScheduler {
     pub(crate) fn new(cfg: SchedulingConfig) -> Self {
         ActivationScheduler {
             cfg,
-            unit_pools: vec![PoolState::default()],
-            driver_pools: vec![PoolState::default()],
-            unit_shards: vec![],
+            pools: vec![PoolState::default()],
             driver: None,
             per_module: vec![],
             per_unit_seen: vec![],
@@ -503,17 +458,16 @@ impl ActivationScheduler {
         }
     }
 
-    /// Opens the shard pools of a freshly created clock domain
+    /// Opens the shard pool of a freshly created clock domain
     /// ([`Cosim::add_clock_domain`]).
     pub(crate) fn add_domain_pool(&mut self) {
-        self.unit_pools.push(PoolState::default());
-        self.driver_pools.push(PoolState::default());
+        self.pools.push(PoolState::default());
     }
 
-    /// Hands a unit's clocked bookkeeping to the scheduler: a hashed
-    /// shard member, or under [`UnitScheduling::PerUnit`] a clocked
-    /// process of its own. `gate` is the unit's activation gate
-    /// ([`UnitEntry::gate`]).
+    /// Hands a unit's clocked bookkeeping to the scheduler: a driver
+    /// member stepping on the domain's HW clock, or under
+    /// [`Dispatch::PerProcess`] a clocked process of its own. `gate` is
+    /// the unit's activation gate ([`UnitEntry::gate`]).
     pub(crate) fn add_unit(
         &mut self,
         ctx: SchedCtx<'_>,
@@ -521,18 +475,19 @@ impl ActivationScheduler {
         name: &str,
         gate: Vec<SignalId>,
     ) {
-        match self.cfg.units {
-            UnitScheduling::Sharded { shard_size } => {
-                self.add_unit_member(ctx, unit, gate, shard_size.max(1));
+        match self.cfg.dispatch {
+            Dispatch::Driver { shard_size } => {
+                let clk = ctx.hw_clk;
+                self.add_driver_member(ctx, Body::Unit(unit), clk, gate, shard_size);
             }
-            UnitScheduling::PerUnit => self.add_unit_process(ctx, unit, name, gate),
+            Dispatch::PerProcess => self.add_unit_process(ctx, unit, name, gate),
         }
     }
 
-    /// The oracle's clocked process for one unit, of any kind: the shard
-    /// member's step on every rising edge of the domain's HW clock,
-    /// gated only by the unit's own wire-event check. A backplane error
-    /// halts it and surrenders its clock demand.
+    /// The oracle's clocked process for one unit, of any kind: the
+    /// unit's step on every rising edge of the domain's HW clock, gated
+    /// only by the unit's own wire-event check. A backplane error halts
+    /// it and surrenders its clock demand.
     fn add_unit_process(
         &mut self,
         ctx: SchedCtx<'_>,
@@ -568,55 +523,14 @@ impl ActivationScheduler {
         );
     }
 
-    /// Places a unit member into a shard chosen by hashing its id over
-    /// its clock domain's pool ([`PoolState::place`]). Shards never mix
-    /// domains, so every member of a shard shares one activation clock
-    /// and one [`ClockDemand`] ledger.
-    fn add_unit_member(
-        &mut self,
-        ctx: SchedCtx<'_>,
-        unit: UnitId,
-        wires: Vec<SignalId>,
-        shard_size: usize,
-    ) {
-        let domain = ctx.domain;
-        let placed = self.unit_pools[domain].place(shard_size);
-        let clk = ctx.hw_clk;
-        ctx.demand.register(ctx.sim);
-        let target = match placed {
-            Some(local) => self.unit_pools[domain].shards[local],
-            None => {
-                let state = Rc::new(RefCell::new(ShardState {
-                    wait_dirty: true,
-                    ..ShardState::default()
-                }));
-                let label = format!("unit_shard{}", self.unit_shards.len());
-                Self::register_shard_process(ctx, Rc::clone(&state), Rc::clone(&self.park), label);
-                self.unit_shards.push(state);
-                let global = self.unit_shards.len() - 1;
-                self.unit_pools[domain].shards.push(global);
-                global
-            }
-        };
-        self.unit_shards[target]
-            .borrow_mut()
-            .push_member(ShardMember {
-                unit,
-                clk,
-                seen_events: vec![0; wires.len()],
-                wires,
-            });
-    }
-
-    /// Hands a module's activations to the scheduler: a member of the
-    /// module driver, or under [`ModuleScheduling::PerModule`] a kernel
-    /// process of its own.
+    /// Hands a module's activations to the scheduler: a driver member,
+    /// or under [`Dispatch::PerProcess`] a kernel process of its own.
     pub(crate) fn add_module(&mut self, ctx: SchedCtx<'_>, idx: usize, clk: SignalId) {
-        match self.cfg.modules {
-            ModuleScheduling::Sharded { shard_size } => {
-                self.add_driver_member(ctx, idx, clk, shard_size.max(1));
+        match self.cfg.dispatch {
+            Dispatch::Driver { shard_size } => {
+                self.add_driver_member(ctx, Body::Module(idx), clk, vec![], shard_size);
             }
-            ModuleScheduling::PerModule => self.add_module_process(ctx, idx, clk),
+            Dispatch::PerProcess => self.add_module_process(ctx, idx, clk),
         }
     }
 
@@ -733,24 +647,29 @@ impl ActivationScheduler {
         );
     }
 
-    /// Places a module into the driver: hashed placement spreads module
-    /// ids over the domain's open shards exactly like unit placement
-    /// (the driver steps in module-id order whatever the placement). The
-    /// driver's single kernel process is registered with the first
-    /// module.
+    /// Places a unit or module into the driver: hashed placement spreads
+    /// members over the domain's open shards (the driver steps in
+    /// creation order whatever the placement). The driver's kernel
+    /// process is registered with the first member, and each shard's
+    /// watcher with the shard. `watch` is a unit's gate (empty for a
+    /// module).
     fn add_driver_member(
         &mut self,
         mut ctx: SchedCtx<'_>,
-        idx: usize,
+        body: Body,
         clk: SignalId,
+        watch: Vec<SignalId>,
         shard_size: usize,
     ) {
         ctx.demand.register(ctx.sim);
         let driver = match &self.driver {
             Some(d) => Rc::clone(d),
             None => {
-                let state = Rc::new(RefCell::new(DriverState::default()));
-                Self::register_driver_process(
+                let state = Rc::new(RefCell::new(DriverState {
+                    parked_on: vec![0; ctx.clocks.len()],
+                    ..DriverState::default()
+                }));
+                Self::register_driver(
                     &mut ctx,
                     Rc::clone(&state),
                     Rc::clone(&self.park),
@@ -760,48 +679,53 @@ impl ActivationScheduler {
                 state
             }
         };
-        let domain = ctx.domain;
-        let target = match self.driver_pools[domain].place(shard_size) {
-            Some(local) => self.driver_pools[domain].shards[local],
+        let pool = &mut self.pools[ctx.domain];
+        let shard = match pool.place(shard_size.max(1)) {
+            Some(local) => pool.shards[local],
             None => {
                 let open = driver.borrow().shards.len();
-                let poke = ctx.sim.add_bit(format!("MODULE_SHARD{open}_POKE"));
-                Self::register_driver_watcher(
-                    &mut ctx,
-                    Rc::clone(&driver),
-                    open,
-                    Rc::clone(&self.park),
-                );
+                let poke = ctx.sim.add_bit(format!("SHARD{open}_POKE"));
                 driver.borrow_mut().shards.push(DriverShard {
-                    members: vec![],
-                    active: vec![],
+                    members: 0,
                     parked: vec![],
                     demand: Rc::clone(ctx.demand),
                     poke,
                     watch_dirty: false,
                     watcher_armed: false,
                 });
-                self.driver_pools[domain].shards.push(open);
+                Self::register_watcher(&mut ctx, Rc::clone(&driver), open, Rc::clone(&self.park));
+                pool.shards.push(open);
                 open
             }
         };
+        let clock = ctx
+            .clocks
+            .iter()
+            .position(|&c| c == clk)
+            .expect("every activation clock is one of the domains' clocks");
+        let seen = match body {
+            Body::Unit(_) => vec![0; watch.len()],
+            Body::Module(_) => vec![],
+        };
         let mut st = driver.borrow_mut();
-        let shard = &mut st.shards[target];
-        let mi = shard.members.len() as u32;
-        shard.members.push(DriverMember {
-            module: idx,
-            clk,
-            watch: vec![],
+        st.shards[shard].members += 1;
+        let idx = st.members.len() as u32;
+        st.members.push(DriverMember {
+            body,
+            clock: clock as u32,
+            watch,
+            seen,
+            shard: shard as u32,
         });
-        shard.active.push(mi);
+        st.active.push(idx);
     }
 
-    /// Registers the per-shard watcher: a kernel process owning the
-    /// shard's parked-member wakeups. Its sensitivity is the shard's
-    /// parked watch wires plus the shard's poke signal (toggled by the
-    /// driver after parking members), so sensitivity churn stays local
-    /// to the shard — the driver itself never re-registers sensitivity.
-    fn register_driver_watcher(
+    /// Registers a shard's watcher: a kernel process owning the shard's
+    /// parked-member wakeups. Its sensitivity is the shard's parked
+    /// watch wires plus the shard's poke signal (toggled by the driver
+    /// after parking members); a member whose watch wire evented
+    /// rejoins the driver's active list in creation order.
+    fn register_watcher(
         ctx: &mut SchedCtx<'_>,
         state: Rc<RefCell<DriverState>>,
         shard_idx: usize,
@@ -810,16 +734,22 @@ impl ActivationScheduler {
         let error = Rc::clone(ctx.error);
         let demand = Rc::clone(ctx.demand);
         ctx.sim.add_process(
-            format!("module_shard{shard_idx}_watch"),
+            format!("shard{shard_idx}_watch"),
             FnProcess::new(move |pctx| {
                 if error.borrow().is_some() {
                     return Wait::Forever;
                 }
                 let mut st = state.borrow_mut();
-                let st = &mut *st;
-                let Some(shard) = st.shards.get_mut(shard_idx) else {
-                    return Wait::Same;
-                };
+                let DriverState {
+                    members,
+                    active,
+                    shards,
+                    parked_on,
+                    wire_wakeups,
+                    watch_probes,
+                    ..
+                } = &mut *st;
+                let shard = &mut shards[shard_idx];
                 if !shard.watcher_armed {
                     // First (elaboration) run: arm on the poke signal so
                     // the first park can hand over its watch set.
@@ -827,27 +757,30 @@ impl ActivationScheduler {
                     shard.watch_dirty = false;
                     return Wait::Event(vec![shard.poke]);
                 }
-                let was_dormant = shard.active.is_empty();
+                let was_dormant = shard.parked.len() == shard.members;
                 let mut resumed = 0usize;
                 let mut i = 0;
                 while i < shard.parked.len() {
-                    let mi = shard.parked[i] as usize;
-                    if shard.members[mi].watch.iter().any(|&w| pctx.event(w)) {
-                        let idx = shard.parked.swap_remove(i);
-                        let pos = shard.active.partition_point(|&a| a < idx);
-                        shard.active.insert(pos, idx);
-                        park.resumed.set(park.resumed.get() + 1);
-                        park.parked_now.set(park.parked_now.get() - 1);
-                        shard.watch_dirty = true;
+                    let mi = shard.parked[i];
+                    let m = &members[mi as usize];
+                    *watch_probes += m.watch.len() as u64;
+                    if m.watch.iter().any(|&w| pctx.event(w)) {
+                        shard.parked.swap_remove(i);
+                        let pos = active.partition_point(|&a| a < mi);
+                        active.insert(pos, mi);
+                        parked_on[m.clock as usize] -= 1;
                         resumed += 1;
                     } else {
                         i += 1;
                     }
                 }
                 if resumed > 0 {
+                    park.resumed.set(park.resumed.get() + resumed as u64);
+                    park.parked_now.set(park.parked_now.get() - resumed);
+                    shard.watch_dirty = true;
                     demand.resume(resumed, pctx);
                     if was_dormant {
-                        st.wire_wakeups += 1;
+                        *wire_wakeups += 1;
                     }
                 }
                 if !shard.watch_dirty {
@@ -857,7 +790,7 @@ impl ActivationScheduler {
                 let mut sens = pctx.wait_buf();
                 sens.push(shard.poke);
                 for &pi in &shard.parked {
-                    sens.extend_from_slice(&shard.members[pi as usize].watch);
+                    sens.extend_from_slice(&members[pi as usize].watch);
                 }
                 sens.sort_unstable();
                 sens.dedup();
@@ -866,19 +799,19 @@ impl ActivationScheduler {
         );
     }
 
-    /// Registers the kernel process that owns every module shard. On
-    /// each rising activation-clock edge it collects the active members
-    /// whose clock rose and steps them in module-id order — the order
-    /// of the per-module path, so service calls act on their units
-    /// exactly as they do there, whatever the shard placement.
+    /// Registers the driver: the kernel process that, on each rising
+    /// activation-clock edge, steps the active members whose clock rose
+    /// in creation order — the order the oracle's processes run in, so
+    /// unit steps and service calls act on every unit exactly as they
+    /// do there — and parks the ones that prove stable.
     ///
     /// The driver's sensitivity is pinned to the activation clocks;
-    /// parked-member wakeups belong to the per-shard watcher processes
-    /// ([`ActivationScheduler::register_driver_watcher`]). When every
-    /// clocked body is parked the clock generators themselves stop
+    /// parked-member wakeups belong to the shard watchers
+    /// ([`ActivationScheduler::register_watcher`]). When every clocked
+    /// body is parked the clock generators themselves stop
     /// ([`ClockDemand`]), so a fully-parked backplane still costs
     /// nothing.
-    fn register_driver_process(
+    fn register_driver(
         ctx: &mut SchedCtx<'_>,
         state: Rc<RefCell<DriverState>>,
         park: Rc<ParkCounters>,
@@ -888,16 +821,16 @@ impl ActivationScheduler {
         let modules = Rc::clone(ctx.modules);
         let error = Rc::clone(ctx.error);
         let trace = Rc::clone(ctx.trace);
-        // Every domain's activation clocks: the driver owns module
-        // shards of all domains, and each member still steps only on
-        // rising edges of its own domain's clock.
+        // Every domain's activation clocks, and which of them rose this
+        // run: each member steps only on a rising edge of its own.
         let clocks = ctx.clocks.to_vec();
+        let mut rose = vec![false; clocks.len()];
         let mut registered = false;
         // Pooled execution env: pure scratch, owned by the process
         // closure so it never enters a snapshot.
         let mut scratch = ModuleScratch::default();
         ctx.sim.add_process(
-            "module_driver",
+            "driver",
             FnProcess::new(move |pctx| {
                 let wait = if registered {
                     Wait::Same
@@ -915,31 +848,35 @@ impl ActivationScheduler {
                     return Wait::Forever;
                 }
                 st.runs += 1;
-                // Collect this cycle's stepping set into the pooled
-                // buffer (capacity kept across runs).
-                let mut items = std::mem::take(&mut st.items);
-                items.clear();
-                let mut parked_skipped = 0u64;
-                for (si, shard) in st.shards.iter().enumerate() {
-                    let mut edge_seen = false;
-                    for &ai in &shard.active {
-                        let m = &shard.members[ai as usize];
-                        if pctx.rose(m.clk) {
-                            edge_seen = true;
-                            items.push((m.module, si, ai));
-                        }
-                    }
-                    if edge_seen {
-                        parked_skipped += shard.parked.len() as u64;
+                for ((r, &clk), &parked) in rose.iter_mut().zip(&clocks).zip(&st.parked_on) {
+                    *r = pctx.rose(clk);
+                    if *r {
+                        st.units_skipped += parked;
                     }
                 }
-                st.skipped += parked_skipped;
-                if !items.is_empty() {
-                    let mut to_park = std::mem::take(&mut st.to_park);
-                    to_park.clear();
-                    items.sort_unstable_by_key(|&(mi, _, _)| mi);
-                    for &(mi, si, ai) in &items {
-                        match step_module(
+                let DriverState {
+                    members,
+                    active,
+                    shards,
+                    parked_on,
+                    units_stepped,
+                    ..
+                } = &mut *st;
+                let mut fault = None;
+                // One pass in creation order: step each due member and
+                // drop the ones that park from the active list.
+                active.retain(|&ai| {
+                    let m = &mut members[ai as usize];
+                    if fault.is_some() || !rose[m.clock as usize] {
+                        return true;
+                    }
+                    let stable = match m.body {
+                        Body::Unit(u) => {
+                            *units_stepped += 1;
+                            let changed = wires_changed(pctx, &m.watch, &mut m.seen);
+                            units.borrow_mut()[u.0].step(pctx, changed)
+                        }
+                        Body::Module(mi) => step_module(
                             &modules,
                             mi,
                             &units,
@@ -948,198 +885,77 @@ impl ActivationScheduler {
                             park_blocked,
                             pctx,
                             &mut scratch,
-                        ) {
-                            Ok(Some(watch)) => to_park.push((si, ai, watch)),
-                            Ok(None) => {}
-                            Err(msg) => {
-                                *error.borrow_mut() = Some(msg);
-                                st.halt();
-                                return Wait::Forever;
+                        )
+                        .map(|parks| match parks {
+                            Some(watch) => {
+                                // Hand the displaced buffer back to the
+                                // scratch so the next park's watch list
+                                // builds in recycled capacity.
+                                let mut displaced = std::mem::replace(&mut m.watch, watch);
+                                if scratch.watch.capacity() < displaced.capacity() {
+                                    displaced.clear();
+                                    scratch.watch = displaced;
+                                }
+                                true
                             }
+                            None => false,
+                        }),
+                    };
+                    match stable {
+                        Ok(false) => true,
+                        Ok(true) => {
+                            let shard = &mut shards[m.shard as usize];
+                            shard.parked.push(ai);
+                            shard.demand.park(1);
+                            parked_on[m.clock as usize] += 1;
+                            park.parked.set(park.parked.get() + 1);
+                            park.parked_now.set(park.parked_now.get() + 1);
+                            // Hand the new watch set to the shard's
+                            // watcher (event next delta).
+                            if !shard.watch_dirty {
+                                shard.watch_dirty = true;
+                                toggle(pctx, shard.poke);
+                            }
+                            false
+                        }
+                        Err(msg) => {
+                            fault = Some(msg);
+                            true
                         }
                     }
-                    park.parked.set(park.parked.get() + to_park.len() as u64);
-                    park.parked_now.set(park.parked_now.get() + to_park.len());
-                    for (si, ai, watch) in to_park.drain(..) {
-                        let shard = &mut st.shards[si];
-                        shard.demand.park(1);
-                        let member = &mut shard.members[ai as usize];
-                        // Hand the displaced buffer back to the scratch
-                        // so the next park's watch list builds in
-                        // recycled capacity.
-                        let mut displaced = std::mem::replace(&mut member.watch, watch);
-                        if scratch.watch.capacity() < displaced.capacity() {
-                            displaced.clear();
-                            scratch.watch = displaced;
-                        }
-                        shard.active.retain(|&a| a != ai);
-                        shard.parked.push(ai);
-                        // Hand the new watch set to the shard's watcher
-                        // process (event next delta).
-                        if !shard.watch_dirty {
-                            shard.watch_dirty = true;
-                            toggle(pctx, shard.poke);
-                        }
-                    }
-                    st.to_park = to_park;
+                });
+                if let Some(msg) = fault {
+                    *error.borrow_mut() = Some(msg);
+                    st.halt();
+                    return Wait::Forever;
                 }
-                st.items = items;
                 wait
             }),
         );
     }
 
-    /// Registers the kernel process driving one unit shard. Each run it
-    /// re-arms parked members whose wires evented, steps active members
-    /// on their clock's rising edges (parking the ones that prove
-    /// stable), and re-declares its sensitivity only when membership
-    /// changed: the active members' clocks plus the parked members'
-    /// wires — no clocks at all once everyone is parked, which is what
-    /// makes a dormant shard free.
-    fn register_shard_process(
-        ctx: SchedCtx<'_>,
-        state: Rc<RefCell<ShardState>>,
-        park: Rc<ParkCounters>,
-        label: String,
-    ) {
-        let units = Rc::clone(ctx.units);
-        let error = Rc::clone(ctx.error);
-        let demand = Rc::clone(ctx.demand);
-        // The per-run park list: pure scratch, owned by the process
-        // closure so it never enters a snapshot.
-        let mut to_park: Vec<u32> = vec![];
-        ctx.sim.add_process(
-            label,
-            FnProcess::new(move |pctx| {
-                let mut st = state.borrow_mut();
-                let st = &mut *st;
-                if error.borrow().is_some() {
-                    st.halt(&demand);
-                    return Wait::Forever;
-                }
-                st.runs += 1;
-                let was_dormant = st.active.is_empty();
-                // Re-arm parked members whose wires evented in this
-                // delta.
-                if !st.parked.is_empty() {
-                    let mut resumed_any = 0usize;
-                    let mut i = 0;
-                    while i < st.parked.len() {
-                        let mi = st.parked[i] as usize;
-                        st.watch_probes += st.members[mi].wires.len() as u64;
-                        if st.members[mi].wires.iter().any(|&w| pctx.event(w)) {
-                            let idx = st.parked.swap_remove(i);
-                            let pos = st.active.partition_point(|&a| a < idx);
-                            st.active.insert(pos, idx);
-                            park.resumed.set(park.resumed.get() + 1);
-                            park.parked_now.set(park.parked_now.get() - 1);
-                            st.wait_dirty = true;
-                            resumed_any += 1;
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    demand.resume(resumed_any, pctx);
-                    if was_dormant && resumed_any > 0 {
-                        st.wire_wakeups += 1;
-                    }
-                }
-                // Step active members whose clock rose.
-                let mut edge_seen = false;
-                let mut fatal = None;
-                to_park.clear();
-                for &ai in &st.active {
-                    let member = &mut st.members[ai as usize];
-                    if !pctx.rose(member.clk) {
-                        continue;
-                    }
-                    edge_seen = true;
-                    let changed = wires_changed(pctx, &member.wires, &mut member.seen_events);
-                    st.units_stepped += 1;
-                    match units.borrow_mut()[member.unit.0].step(pctx, changed) {
-                        Ok(true) => to_park.push(ai),
-                        Ok(false) => {}
-                        Err(msg) => {
-                            fatal = Some(msg);
-                            break;
-                        }
-                    }
-                }
-                if let Some(msg) = fatal {
-                    *error.borrow_mut() = Some(msg);
-                    st.halt(&demand);
-                    return Wait::Forever;
-                }
-                if edge_seen {
-                    st.units_skipped += st.parked.len() as u64;
-                }
-                if !to_park.is_empty() {
-                    demand.park(to_park.len());
-                    st.active.retain(|a| !to_park.contains(a));
-                    st.parked.extend_from_slice(&to_park);
-                    park.parked.set(park.parked.get() + to_park.len() as u64);
-                    park.parked_now.set(park.parked_now.get() + to_park.len());
-                    st.wait_dirty = true;
-                }
-                if !st.wait_dirty {
-                    return Wait::Same;
-                }
-                st.wait_dirty = false;
-                let mut sens = pctx.wait_buf();
-                for &ai in &st.active {
-                    sens.push(st.members[ai as usize].clk);
-                }
-                for &pi in &st.parked {
-                    sens.extend_from_slice(&st.members[pi as usize].wires);
-                }
-                sens.sort_unstable();
-                sens.dedup();
-                if st.parked.is_empty() {
-                    // Pure clock sensitivity: members only step on
-                    // rising edges, so skip falling-edge wakes. With
-                    // parked members the watch wires need any-edge
-                    // wakes and the mixed list stays unfiltered.
-                    Wait::Rising(sens)
-                } else {
-                    Wait::Event(sens)
-                }
-            }),
-        );
-    }
-
-    /// Aggregate statistics across the unit shards, the module driver
-    /// and the shared park counters.
+    /// Aggregate statistics of the driver and the shared park counters.
     pub(crate) fn stats(&self) -> ShardStats {
         let mut s = ShardStats {
-            shards: self.unit_shards.len(),
             modules_stepped: self.park.modules_stepped.get(),
             members_parked: self.park.parked.get(),
             members_resumed: self.park.resumed.get(),
             parked_now: self.park.parked_now.get(),
             ..ShardStats::default()
         };
-        for shard in &self.unit_shards {
-            let st = shard.borrow();
-            if st.active.is_empty() && !st.members.is_empty() {
-                s.dormant_shards += 1;
-            }
-            s.shard_runs += st.runs;
-            s.units_stepped += st.units_stepped;
-            s.units_skipped += st.units_skipped;
-            s.wire_wakeups += st.wire_wakeups;
-            s.watch_probes += st.watch_probes;
-        }
         if let Some(driver) = &self.driver {
             let st = driver.borrow();
-            s.shards += st.shards.len();
-            for shard in &st.shards {
-                if shard.active.is_empty() && !shard.members.is_empty() {
-                    s.dormant_shards += 1;
-                }
-            }
-            s.shard_runs += st.runs;
-            s.units_skipped += st.skipped;
-            s.wire_wakeups += st.wire_wakeups;
+            s.shards = st.shards.len();
+            s.dormant_shards = st
+                .shards
+                .iter()
+                .filter(|sh| sh.parked.len() == sh.members)
+                .count();
+            s.shard_runs = st.runs;
+            s.units_stepped = st.units_stepped;
+            s.units_skipped = st.units_skipped;
+            s.wire_wakeups = st.wire_wakeups;
+            s.watch_probes = st.watch_probes;
         }
         s
     }
@@ -1191,8 +1007,8 @@ pub(crate) fn install_clock_generators(
 
 /// Diffs a wire set's monotone kernel event counts against the last
 /// observation (updating it in place); `true` when any wire changed
-/// since the previous call. This is the activation gate shared by the
-/// per-unit clocked processes and the shard scheduler.
+/// since the previous call. This is the unit activation gate shared by
+/// the per-unit clocked processes and the driver.
 fn wires_changed(ctx: &ProcCtx<'_>, watched: &[SignalId], seen: &mut [u64]) -> bool {
     let mut changed = false;
     for (sig, last) in watched.iter().zip(seen.iter_mut()) {

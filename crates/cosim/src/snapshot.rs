@@ -4,7 +4,7 @@
 //! mutated.
 
 use crate::backplane::{Cosim, CosimError, DomainId, ModuleStatus, UnitId};
-use crate::sched::{DriverState, ParkCounters, PerModuleProcState, ShardState};
+use crate::sched::{DriverState, ParkCounters, PerModuleProcState};
 use crate::trace::TraceLog;
 use crate::units::{UnitEntry, UnitSnap};
 use cosma_comm::BusTiming;
@@ -82,10 +82,10 @@ struct ModuleSnap {
 /// drives, timers, process schedule state, stats), every communication
 /// unit (FSM controller + protocol sessions, batched-link queues and
 /// adaptive batch target, native unit internals), every module (FSM
-/// state, variables, status), the activation scheduler (shard
-/// active/parked splits, watch sets, event-count gates, module driver
-/// state), park/demand accounting, the global error latch, and the
-/// trace log.
+/// state, variables, status), the activation scheduler (the driver's
+/// active/parked split, watch sets and event-count gates, or the
+/// oracle's per-process state), park/demand accounting, the global
+/// error latch, and the trace log.
 ///
 /// **Stats are captured and restored verbatim** — a restored run's
 /// counters continue from the snapshot's values, so its *deltas* match
@@ -109,7 +109,6 @@ pub struct Snapshot {
     /// Unit states in unit-table order.
     units: Vec<UnitSnap>,
     modules: Vec<ModuleSnap>,
-    unit_shards: Vec<ShardState>,
     driver: Option<DriverState>,
     per_module: Vec<PerModuleProcState>,
     per_unit_seen: Vec<Vec<u64>>,
@@ -181,12 +180,6 @@ impl Cosim {
                     status: e.status.clone(),
                 })
                 .collect(),
-            unit_shards: self
-                .sched
-                .unit_shards
-                .iter()
-                .map(|s| s.borrow().clone())
-                .collect(),
             driver: self.sched.driver.as_ref().map(|d| d.borrow().clone()),
             per_module: self
                 .sched
@@ -250,36 +243,11 @@ impl Cosim {
                 )
             })?;
         }
-        let shards = &self.sched.unit_shards;
-        ensure(shards.len() == snap.unit_shards.len(), || {
-            format!(
-                "snapshot has {} unit shards, backplane has {}",
-                snap.unit_shards.len(),
-                shards.len()
-            )
-        })?;
-        for (i, (sh, sn)) in shards.iter().zip(&snap.unit_shards).enumerate() {
-            ensure(sh.borrow().members.len() == sn.members.len(), || {
-                format!("unit shard {i} member count differs from snapshot")
-            })?;
-        }
         ensure(self.sched.driver.is_some() == snap.driver.is_some(), || {
-            "module driver presence differs from snapshot".to_string()
+            "driver presence differs from snapshot".to_string()
         })?;
         if let (Some(d), Some(ds)) = (&self.sched.driver, &snap.driver) {
-            let st = d.borrow();
-            ensure(st.shards.len() == ds.shards.len(), || {
-                format!(
-                    "snapshot has {} driver shards, backplane has {}",
-                    ds.shards.len(),
-                    st.shards.len()
-                )
-            })?;
-            for (i, (sh, sn)) in st.shards.iter().zip(&ds.shards).enumerate() {
-                ensure(sh.members.len() == sn.members.len(), || {
-                    format!("driver shard {i} member count differs from snapshot")
-                })?;
-            }
+            d.borrow().check(ds).map_err(CosimError::Setup)?;
         }
         ensure(self.domains.len() == snap.demand.len(), || {
             format!(
@@ -324,10 +292,10 @@ impl Cosim {
     /// # Errors
     ///
     /// Returns [`CosimError::Setup`] when the snapshot does not fit
-    /// this backplane: unit, module or shard counts, a different kind
-    /// of unit at some table index, unit state outside its spec, a
-    /// module state outside its FSM or a variable-count mismatch,
-    /// driver shape, or native units without state support. Returns
+    /// this backplane: unit or module counts, a different kind of unit
+    /// at some table index, unit state outside its spec, a module state
+    /// outside its FSM or a variable-count mismatch, driver members or
+    /// shards, or native units without state support. Returns
     /// [`CosimError::Sim`] when the kernel rejects the snapshot
     /// (signal/process table mismatch — e.g. processes added through
     /// [`Cosim::sim_mut`] after the snapshot was taken). Every check
@@ -350,24 +318,8 @@ impl Cosim {
                 e.status = ms.status.clone();
             }
         }
-        for (sh, sn) in self.sched.unit_shards.iter().zip(&snap.unit_shards) {
-            sh.borrow_mut().restore_from(sn);
-        }
         if let (Some(d), Some(ds)) = (&self.sched.driver, &snap.driver) {
-            let mut st = d.borrow_mut();
-            for (sh, sn) in st.shards.iter_mut().zip(&ds.shards) {
-                for (m, sm) in sh.members.iter_mut().zip(&sn.members) {
-                    m.watch.clone_from(&sm.watch);
-                }
-                sh.active.clone_from(&sn.active);
-                sh.parked.clone_from(&sn.parked);
-                sh.watch_dirty = sn.watch_dirty;
-                sh.watcher_armed = sn.watcher_armed;
-            }
-            st.halted = ds.halted;
-            st.runs = ds.runs;
-            st.skipped = ds.skipped;
-            st.wire_wakeups = ds.wire_wakeups;
+            d.borrow_mut().restore_from(ds);
         }
         for (p, sn) in self.sched.per_module.iter().zip(&snap.per_module) {
             *p.borrow_mut() = sn.clone();

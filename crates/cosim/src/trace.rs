@@ -235,15 +235,6 @@ impl TraceLog {
         self.push(at, source, label, values.as_ref());
     }
 
-    /// [`TraceLog::record`] for labels that already exist as `Arc<str>`
-    /// (IR trace statements): a first-sight label shares the `Arc`
-    /// instead of copying the string.
-    pub fn record_interned(&mut self, at: u64, source: &str, label: &Arc<str>, values: &[Value]) {
-        let source = self.interner.intern(source);
-        let label = self.interner.intern_arc(label);
-        self.push(at, source, label, values);
-    }
-
     /// Interns `s` into this log's string table, returning its id for
     /// [`TraceLog::push`] (the binary decoder's entry point).
     pub(crate) fn intern(&mut self, s: &str) -> u32 {

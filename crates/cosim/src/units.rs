@@ -302,8 +302,8 @@ pub(crate) enum UnitSnap {
 }
 
 /// Everything the backplane knows about one module instance. Owned by
-/// the shared module table so both scheduler paths (per-module process,
-/// module driver) step modules through the same code.
+/// the shared module table so both dispatch modes (the driver,
+/// per-module processes) step modules through the same code.
 pub(crate) struct ModuleEntry {
     /// Shared with the trace log's string table, which the module's
     /// entries name as their source.
@@ -604,13 +604,7 @@ impl Env for CosimEnv<'_, '_> {
         self.note_outcome(out.done, stable, &entry.completion[si]);
         Ok(out)
     }
-    fn trace(&mut self, label: &str, values: &[Value]) {
-        self.changes += 1;
-        self.trace
-            .borrow_mut()
-            .record(self.ctx.now().as_fs(), &**self.source, label, values);
-    }
-    fn trace_interned(&mut self, label: &Arc<str>, values: &[Value]) {
+    fn trace(&mut self, label: &Arc<str>, values: &[Value]) {
         self.changes += 1;
         let at = self.ctx.now().as_fs();
         let log = &mut self.trace.borrow_mut();

@@ -627,9 +627,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Backplane scheduling: the production scheduler (sharded units, the
-// module driver over hashed shards) is observationally equivalent to the
-// per-unit/per-module oracle: same module states, SUMs, traces AND
+// Backplane scheduling: the production scheduler (one driver stepping
+// units and modules in creation order) is observationally equivalent to
+// the per-unit/per-module oracle: same module states, SUMs, traces AND
 // activation counts, on randomized topologies, shard sizes and park
 // flags over every link flavour.
 // ---------------------------------------------------------------------
@@ -649,7 +649,7 @@ proptest! {
     ) {
         use cosma::comm::BusTiming;
         use cosma::cosim::scenario::{build_scenario, LinkKind, ScenarioSpec, Topology};
-        use cosma::cosim::{ModuleScheduling, SchedulingConfig, UnitScheduling};
+        use cosma::cosim::{Dispatch, SchedulingConfig};
         use cosma::sim::Duration;
 
         let topology = match topo_sel {
@@ -702,8 +702,7 @@ proptest! {
             ..SchedulingConfig::legacy()
         })?;
         let s = run("sharded", SchedulingConfig {
-            units: UnitScheduling::Sharded { shard_size },
-            modules: ModuleScheduling::Sharded { shard_size },
+            dispatch: Dispatch::Driver { shard_size },
             park_blocked: park,
         })?;
         for (&a, &b) in s.modules.iter().zip(&baseline.modules) {
