@@ -28,11 +28,10 @@
 //! clock domain — the full run asserts the rate split is measurably
 //! cheaper. The `partitioned` rows compare the collapsed
 //! single-backplane elaboration of a cut scenario against the same cut
-//! run as two optimistically-synchronized partitions
-//! (`cosim::partition::Orchestrator`), with a `rollback_rate` column
-//! (rollbacks per committed sync quantum) tracking how often
-//! speculation loses; the `variant` column names each side of both
-//! comparisons.
+//! run as two partitions stepped in quanta of the boundary latency
+//! (`cosim::partition::Orchestrator`), and assert that both sides end
+//! with the same module statuses and checker verdicts; the `variant`
+//! column names each side of both comparisons.
 //!
 //! Every row carries provenance for cross-machine trajectory
 //! comparisons: a `schema` version, the `git_rev` the binary was run
@@ -51,7 +50,7 @@ use cosma_sim::Duration;
 use std::time::Instant;
 
 /// Bump when row fields change meaning or shape.
-const SCHEMA_VERSION: u32 = 4;
+const SCHEMA_VERSION: u32 = 5;
 
 struct Record {
     scenario: &'static str,
@@ -65,9 +64,6 @@ struct Record {
     /// quarter-rate domain) and `partitioned` (collapsed vs split)
     /// comparison rows; `None` elsewhere.
     variant: Option<&'static str>,
-    /// Rollbacks per committed sync quantum — only meaningful for the
-    /// `partitioned` orchestrator row.
-    rollback_rate: Option<f64>,
     ns_per_run: u128,
     p50_ns: u128,
     p99_ns: u128,
@@ -165,7 +161,6 @@ fn measure(
         bus_timing,
         queue: None,
         variant: None,
-        rollback_rate: None,
         ns_per_run,
         p50_ns,
         p99_ns,
@@ -387,7 +382,6 @@ fn main() {
                 bus_timing: "payload_beats",
                 queue: Some(queue),
                 variant: None,
-                rollback_rate: None,
                 ns_per_run,
                 p50_ns,
                 p99_ns,
@@ -535,7 +529,6 @@ fn main() {
                 bus_timing: timing_label(&batched),
                 queue: None,
                 variant: None,
-                rollback_rate: None,
                 ns_per_run: mean,
                 p50_ns: p50,
                 p99_ns: p99,
@@ -606,7 +599,6 @@ fn main() {
                 bus_timing: timing_label(&batched),
                 queue: None,
                 variant: Some(variant),
-                rollback_rate: None,
                 ns_per_run: mean,
                 p50_ns: p50,
                 p99_ns: p99,
@@ -631,10 +623,10 @@ fn main() {
     }
 
     // Partitioned co-simulation: the same scenario run collapsed in one
-    // backplane vs cut into two optimistically-synchronized partitions.
-    // The split row pays snapshotting, staleness scans and occasional
-    // rollbacks per quantum; its `rollback_rate` column (rollbacks per
-    // committed quantum) tracks how often speculation loses.
+    // backplane vs cut into two partitions stepped in quanta of the
+    // boundary latency. The split row pays one run call per partition
+    // per quantum; the warm runs must agree with each other before
+    // anything is timed.
     {
         use cosma_cosim::scenario::{build_collapsed, build_partitioned, PartitionsSpec};
         let n = if quick { 8 } else { 16 };
@@ -652,48 +644,49 @@ fn main() {
             count: 2,
             latency: Duration::from_ns(200),
         };
-        let quantum = Duration::from_us(2);
         let sim_us = 200u64;
-        let collapsed: Vec<u128> = {
-            let mut warm = build_collapsed(&spec, &pspec).expect("collapsed builds");
-            warm.cosim.run_for(Duration::from_us(sim_us)).expect("runs");
-            (0..runs)
-                .map(|_| {
-                    let mut s = build_collapsed(&spec, &pspec).expect("collapsed builds");
-                    let start = Instant::now();
-                    s.cosim.run_for(Duration::from_us(sim_us)).expect("runs");
-                    start.elapsed().as_nanos()
-                })
-                .collect()
-        };
-        let mut rollback_rate = 0.0;
-        let split: Vec<u128> = {
-            let mut warm = build_partitioned(&spec, &pspec).expect("partitioned builds");
-            warm.run_for(Duration::from_us(sim_us), quantum)
-                .expect("runs");
-            (0..runs)
-                .map(|_| {
-                    let mut s = build_partitioned(&spec, &pspec).expect("partitioned builds");
-                    let start = Instant::now();
-                    s.run_for(Duration::from_us(sim_us), quantum).expect("runs");
-                    let ns = start.elapsed().as_nanos();
-                    let stats = s.orch.stats();
-                    rollback_rate = stats.rollbacks as f64 / stats.quanta_committed.max(1) as f64;
-                    ns
-                })
-                .collect()
-        };
-        for (variant, samples, rate) in [
-            ("collapsed", collapsed, None),
-            ("split_2", split, Some(rollback_rate)),
-        ] {
+        let mut warm_collapsed = build_collapsed(&spec, &pspec).expect("collapsed builds");
+        warm_collapsed
+            .cosim
+            .run_for(Duration::from_us(sim_us))
+            .expect("runs");
+        let mut warm_split = build_partitioned(&spec, &pspec).expect("partitioned builds");
+        warm_split.run_for(Duration::from_us(sim_us)).expect("runs");
+        for (j, &m) in warm_collapsed.modules.iter().enumerate() {
+            assert_eq!(
+                warm_split.module_status(j),
+                warm_collapsed.cosim.module_status(m),
+                "partitioned: module {j} diverged from the collapsed run"
+            );
+        }
+        assert_eq!(
+            warm_split.verify(),
+            warm_collapsed.verify(),
+            "partitioned: checker verdicts diverged from the collapsed run"
+        );
+        let collapsed: Vec<u128> = (0..runs)
+            .map(|_| {
+                let mut s = build_collapsed(&spec, &pspec).expect("collapsed builds");
+                let start = Instant::now();
+                s.cosim.run_for(Duration::from_us(sim_us)).expect("runs");
+                start.elapsed().as_nanos()
+            })
+            .collect();
+        let split: Vec<u128> = (0..runs)
+            .map(|_| {
+                let mut s = build_partitioned(&spec, &pspec).expect("partitioned builds");
+                let start = Instant::now();
+                s.run_for(Duration::from_us(sim_us)).expect("runs");
+                start.elapsed().as_nanos()
+            })
+            .collect();
+        for (variant, samples) in [("collapsed", collapsed), ("split_2", split)] {
             let (mean, p50, p99) = summarize3(samples);
             println!(
                 "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
-                 p50={p50} p99={p99}  ({runs} runs, {variant}, rollback rate {:.3})",
+                 p50={p50} p99={p99}  ({runs} runs, {variant})",
                 "partitioned",
-                timing_label(&batched),
-                rate.unwrap_or(0.0)
+                timing_label(&batched)
             );
             records.push(Record {
                 scenario: "partitioned",
@@ -701,7 +694,6 @@ fn main() {
                 bus_timing: timing_label(&batched),
                 queue: None,
                 variant: Some(variant),
-                rollback_rate: rate,
                 ns_per_run: mean,
                 p50_ns: p50,
                 p99_ns: p99,
@@ -740,22 +732,17 @@ fn main() {
         let variant = r
             .variant
             .map_or_else(|| "null".to_string(), |v| format!("\"{v}\""));
-        let rollback_rate = r
-            .rollback_rate
-            .map_or_else(|| "null".to_string(), |x| format!("{x:.6}"));
         json.push_str(&format!(
             "  {{\"schema\": {}, \"scenario\": \"{}\", \"n\": {}, \
              \"bus_timing\": \"{}\", \"queue\": {}, \"variant\": {}, \
-             \"rollback_rate\": {}, \"ns_per_run\": {}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"runs\": {}, \"git_rev\": \"{}\", \"cpus\": {}, \
-             \"timestamp\": {}}}{}\n",
+             \"ns_per_run\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"runs\": {}, \
+             \"git_rev\": \"{}\", \"cpus\": {}, \"timestamp\": {}}}{}\n",
             SCHEMA_VERSION,
             r.scenario,
             r.n,
             r.bus_timing,
             queue,
             variant,
-            rollback_rate,
             r.ns_per_run,
             r.p50_ns,
             r.p99_ns,

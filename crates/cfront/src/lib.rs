@@ -338,6 +338,55 @@ int F() {
         assert_eq!(env.var(m.var_id("R4").unwrap()), &Value::Bool(true));
     }
 
+    /// A module whose one case arm nests `blocks` braces around
+    /// `X = operand;`. The switch, the case block, the assignment and
+    /// its operand add four levels to `blocks` and to the operand's own
+    /// nesting.
+    fn nested_module(blocks: usize, operand: &str) -> String {
+        format!(
+            "typedef enum {{ A }} ST;\nST S = A;\nint X = 0;\nint F() {{\n  switch (S) {{\n  \
+             case A: {{ {}X = {operand};{} }} break;\n  }}\n  return 1;\n}}\n",
+            "{".repeat(blocks),
+            "}".repeat(blocks),
+        )
+    }
+
+    /// Operands nesting `n` levels: `1` in `n` parentheses, and a chain
+    /// of `n` additions (`((1 + 1) + 1) + ...`).
+    fn nested_operands(n: usize) -> [String; 2] {
+        [
+            format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("1{}", " + 1".repeat(n)),
+        ]
+    }
+
+    #[test]
+    fn nesting_at_the_limit_compiles() {
+        let limit = crate::parser::MAX_NESTING - 4;
+        let [parens, chain] = nested_operands(limit);
+        for (blocks, operand) in [(limit, "1"), (0, &parens), (0, &chain)] {
+            let src = nested_module(blocks, operand);
+            let m =
+                compile_module(&src, "F", ModuleKind::Software, &ElabOptions::default()).unwrap();
+            assert_eq!(m.fsm().state_count(), 1);
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error() {
+        for past in [crate::parser::MAX_NESTING - 3, 100_000] {
+            let [parens, chain] = nested_operands(past);
+            for (blocks, operand) in [(past, "1"), (0, &parens), (0, &chain)] {
+                let src = nested_module(blocks, operand);
+                let e = parse(&src).unwrap_err();
+                assert!(e.message.contains("nesting"), "{past}: {e}");
+                let e = compile_module(&src, "F", ModuleKind::Software, &ElabOptions::default())
+                    .unwrap_err();
+                assert!(e.to_string().contains("nesting"), "{past}: {e}");
+            }
+        }
+    }
+
     #[test]
     fn prologue_runs_every_activation() {
         let src = r#"

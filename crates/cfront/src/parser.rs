@@ -31,10 +31,19 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest nesting of statements and expression operands (parentheses,
+/// unary and binary operators, call arguments) the parser accepts.
+/// Parsing and every later pass over the tree recurse once per level, so
+/// a deeper source is refused with a [`ParseError`] instead of
+/// overflowing the stack.
+pub(crate) const MAX_NESTING: usize = 128;
+
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
     typedefs: HashSet<String>,
+    /// Statements and expression operands currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -83,6 +92,27 @@ impl Parser {
             Tok::Ident(s) => Ok(s),
             other => Err(self.err(format!("expected identifier, found {other}"))),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to pass
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.descend()?;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// Opens one more nesting level, refusing to pass [`MAX_NESTING`].
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn is_kw(&self, kw: &str) -> bool {
@@ -216,6 +246,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<CStmt, ParseError> {
+        self.nested(Self::parse_stmt_body)
+    }
+
+    fn parse_stmt_body(&mut self) -> Result<CStmt, ParseError> {
         if matches!(self.peek(), Tok::Punct("{")) {
             return Ok(CStmt::Block(self.parse_block()?));
         }
@@ -308,6 +342,7 @@ impl Parser {
     }
 
     fn parse_binary(&mut self, min_prec: u8) -> Result<CExpr, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.parse_unary()?;
         loop {
             let (op, prec): (&'static str, u8) = match self.peek() {
@@ -335,13 +370,21 @@ impl Parser {
                 break;
             }
             self.bump();
+            // Each operator folded into `lhs` nests the tree a level
+            // deeper: `a + b + c` is `(a + b) + c`.
+            self.descend()?;
             let rhs = self.parse_binary(prec + 1)?;
             lhs = CExpr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<CExpr, ParseError> {
+        self.nested(Self::parse_unary_body)
+    }
+
+    fn parse_unary_body(&mut self) -> Result<CExpr, ParseError> {
         if self.eat_punct("-") {
             return Ok(CExpr::Unary("-", Box::new(self.parse_unary()?)));
         }
@@ -392,13 +435,16 @@ impl Parser {
 /// # Errors
 ///
 /// Returns [`ParseError`] with the offending line on lexical or syntactic
-/// errors.
+/// errors, and on statements and expression operands (parentheses, unary
+/// and binary operators, call arguments) nested more than 128 levels
+/// deep.
 pub fn parse(src: &str) -> Result<CUnit, ParseError> {
     let toks = lex(src)?;
     let mut p = Parser {
         toks,
         pos: 0,
         typedefs: HashSet::new(),
+        depth: 0,
     };
     p.parse_unit()
 }

@@ -48,6 +48,7 @@ use cosma_sim::{
     ClockControl, ClockRatio, Duration, Edge, ProcCtx, SignalId, SimError, SimTime, Simulator,
 };
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -105,17 +106,16 @@ impl DomainId {
 /// The message channel shared by the two halves of a boundary link
 /// (partitioned co-simulation, [`crate::partition`]). The *out* half's
 /// exporter appends latency-stamped `(arrival_time, value)` entries;
-/// the *in* half's injector consumes the prefix whose arrival time has
-/// been reached, tracked by `cursor`. Entries are appended in
-/// nondecreasing arrival order (one exporter, constant latency), so the
-/// injector never reorders. The orchestrator snapshots `(len, cursor)`
-/// per quantum and rolls either side back by truncating/rewinding.
+/// the *in* half's injector pops the entries whose arrival time has
+/// been reached. Entries are appended in nondecreasing arrival order
+/// (one exporter, constant latency), so the injector never reorders,
+/// and the queue holds only the values in flight.
 #[derive(Debug, Default)]
 pub(crate) struct BoundaryQueue {
-    /// Latency-stamped messages: `(arrival_time, value)`.
-    pub(crate) entries: Vec<(SimTime, Value)>,
-    /// Index of the first entry the injector has not yet delivered.
-    pub(crate) cursor: usize,
+    /// Latency-stamped messages in flight: `(arrival_time, value)`.
+    entries: VecDeque<(SimTime, Value)>,
+    /// Values exported so far.
+    pub(crate) sent: u64,
 }
 
 /// One clock domain: its activation clock pair, its period ratio versus
@@ -713,9 +713,9 @@ impl Cosim {
     ) -> Result<UnitId, CosimError> {
         if latency == Duration::ZERO {
             return Err(CosimError::Setup(format!(
-                "boundary link {name}: latency must be positive (zero-latency coupling \
-                 would need same-instant cross-partition delivery, which the optimistic \
-                 sync cannot order deterministically)"
+                "boundary link {name}: latency must be positive (the latency is the \
+                 lookahead that lets partitions run a quantum without each other's \
+                 same-quantum output)"
             )));
         }
         let id =
@@ -727,7 +727,9 @@ impl Cosim {
                 match link.call(BOUNDARY_CALLER, get, &[], ctx)?.0 {
                     out if out.done => {
                         let v = out.result.expect("done get always carries a value");
-                        queue.borrow_mut().entries.push((now + latency, v));
+                        let mut q = queue.borrow_mut();
+                        q.entries.push_back((now + latency, v));
+                        q.sent += 1;
                     }
                     _ => return Ok(()),
                 }
@@ -741,7 +743,7 @@ impl Cosim {
     /// been reached are injected (`put`) on every rising edge of the
     /// domain's HW clock. Consumers in this partition `get` from it
     /// exactly as from a local [`BatchedLink`]. A `put` rejected by
-    /// backpressure leaves the cursor in place and retries next edge.
+    /// backpressure leaves the entry queued and retries next edge.
     ///
     /// Holds one permanent unit of clock demand, like
     /// [`Cosim::add_boundary_out`].
@@ -762,16 +764,13 @@ impl Cosim {
         self.add_boundary_process(domain, id, name, "inject", move |link, ctx| {
             let now = ctx.now();
             loop {
-                let next = {
-                    let q = queue.borrow();
-                    q.entries.get(q.cursor).cloned()
-                };
+                let next = queue.borrow().entries.front().cloned();
                 match next {
                     Some((t_arr, v)) if t_arr <= now => {
                         if !link.call(BOUNDARY_CALLER, put, &[v], ctx)?.0.done {
                             return Ok(());
                         }
-                        queue.borrow_mut().cursor += 1;
+                        queue.borrow_mut().entries.pop_front();
                     }
                     _ => return Ok(()),
                 }

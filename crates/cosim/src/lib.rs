@@ -49,8 +49,8 @@
 //! * `snapshot` — the construction recipe, [`Snapshot`], and
 //!   [`Cosim::snapshot`] / [`Cosim::restore`] / [`Cosim::fork`] with
 //!   the checks that refuse a foreign snapshot before any mutation.
-//! * [`partition`] — coupled backplanes under optimistic quanta
-//!   ([`Orchestrator`]).
+//! * [`partition`] — coupled backplanes stepped in quanta of the
+//!   smallest boundary latency ([`Orchestrator`]).
 //! * [`scenario`] — generated N-unit topologies for benches and tests.
 //! * `trace` and [`tracebin`] — the columnar [`TraceLog`], whose copies
 //!   share full segments, and its binary codec (one encoder for
@@ -79,5 +79,5 @@ pub use backplane::{
 };
 pub use cosma_comm::BusTiming;
 pub use cosma_sim::ClockRatio;
-pub use partition::{BoundarySpec, Orchestrator, OrchestratorStats, Partition, PartitionId};
+pub use partition::{BoundarySpec, Orchestrator, OrchestratorStats, PartitionId};
 pub use trace::{TraceComparison, TraceEntry, TraceEntryRef, TraceLog};

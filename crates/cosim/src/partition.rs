@@ -1,29 +1,28 @@
 //! Partitioned co-simulation: several backplane instances coupled
-//! through latency-annotated boundary links and synchronized
-//! optimistically.
+//! through latency-annotated boundary links and stepped conservatively
+//! by the boundary latency.
 //!
-//! A [`Partition`] wraps one [`Cosim`] backplane. The [`Orchestrator`]
-//! advances all partitions in lockstep *quanta*: each partition
-//! speculates one sync quantum ahead on its own, and cross-partition
-//! traffic travels through [`BoundarySpec`]-described boundary links —
-//! a pair of batched half-units sharing one latency-stamped message
-//! queue across the cut. Because partitions run sequentially within a
-//! quantum, a partition may consume a *stale* view of an inbound
-//! queue; the orchestrator detects this after the fact and rolls the
-//! partition back to the quantum start via the backplane's
-//! [`Snapshot`]/[`Cosim::restore`] path, then re-runs
-//! it against the refreshed queue. With strictly positive boundary
-//! latency the fixed point converges: every rescan round extends the
-//! consistent horizon by at least one boundary latency.
+//! The [`Orchestrator`] owns one [`Cosim`] backplane per partition.
+//! Cross-partition traffic travels through [`BoundarySpec`]-described
+//! boundary links: a pair of batched half-units sharing one
+//! latency-stamped message queue across the cut. Every boundary latency
+//! is strictly positive, and the smallest one, `L`, is the lookahead:
+//! each quantum runs every partition from `now` to `now + L`. A value
+//! exported at an instant `t > now` arrives at `t + latency > now + L`,
+//! after the quantum its consumer is running, and a value exported at
+//! `now` itself was queued by the previous quantum. So no partition
+//! reads another's same-quantum output, and nothing is speculated,
+//! checkpointed or rolled back.
 //!
 //! The result is bit-identical to running the same coupled structure
-//! (including the boundary half-units) in a single backplane — the
-//! property-test oracle — while opening the door to running partitions
-//! on separate threads or processes.
+//! (including the boundary half-units) in a single backplane
+//! ([`crate::scenario::build_collapsed`], the property-test oracle).
+//! Since the partitions of one quantum never read each other's output,
+//! they could also run side by side.
 
-use crate::backplane::{BoundaryQueue, Cosim, CosimError, DomainId, Snapshot, UnitId};
+use crate::backplane::{BoundaryQueue, Cosim, CosimError, DomainId, UnitId};
 use cosma_comm::BusTiming;
-use cosma_core::{Type, Value};
+use cosma_core::Type;
 use cosma_sim::{Duration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -55,59 +54,35 @@ pub struct BoundarySpec {
     pub capacity: usize,
     /// Bus timing of each half.
     pub timing: BusTiming,
-    /// Transport latency across the cut. Must be strictly positive:
-    /// the optimistic sync relies on a nonzero horizon to order
-    /// cross-partition delivery deterministically.
+    /// Transport latency across the cut. Must be strictly positive: the
+    /// smallest boundary latency is the length of the orchestrator's
+    /// quanta, the lookahead within which no partition can see another
+    /// partition's new output.
     pub latency: Duration,
 }
 
 /// Cumulative synchronization statistics of an [`Orchestrator`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OrchestratorStats {
-    /// Quanta fully committed.
+    /// Quanta completed by every partition.
     pub quanta_committed: u64,
-    /// Partition re-runs forced by a stale inbound-queue view.
-    pub rollbacks: u64,
     /// Values transported across all boundary links.
     pub boundary_messages: u64,
-    /// Consistency-scan rounds executed (one per quantum when no
-    /// rollback occurs).
-    pub rescan_rounds: u64,
 }
 
-/// One partition: a backplane plus its boundary bookkeeping.
-#[derive(Debug)]
-pub struct Partition {
-    cosim: Cosim,
-    /// Boundary indices whose *out* half lives here.
-    outs: Vec<usize>,
-    /// Boundary indices whose *in* half lives here.
-    ins: Vec<usize>,
-}
-
-impl Partition {
-    /// The wrapped backplane.
-    #[must_use]
-    pub fn cosim(&self) -> &Cosim {
-        &self.cosim
-    }
-
-    /// The wrapped backplane, mutably.
-    pub fn cosim_mut(&mut self) -> &mut Cosim {
-        &mut self.cosim
-    }
-}
-
-/// Couples partitions and advances them in optimistically-synchronized
-/// quanta. See the [module docs](self) for the synchronization
-/// contract. Which partitions a boundary's halves live on is recorded
-/// in the partitions' `outs`/`ins` index lists.
+/// Couples partitions and advances them in lookahead quanta. See the
+/// [module docs](self) for the synchronization contract.
 pub struct Orchestrator {
-    partitions: Vec<Partition>,
+    partitions: Vec<Cosim>,
     boundaries: Vec<Rc<RefCell<BoundaryQueue>>>,
-    stats: OrchestratorStats,
+    /// Smallest boundary latency (the quantum); `None` without
+    /// boundaries, when one quantum spans a whole run.
+    lookahead: Option<Duration>,
+    quanta_committed: u64,
     now: SimTime,
     started: bool,
+    /// The first error a run hit; every later run returns it.
+    failed: Option<CosimError>,
 }
 
 impl Default for Orchestrator {
@@ -121,17 +96,10 @@ impl std::fmt::Debug for Orchestrator {
         f.debug_struct("Orchestrator")
             .field("partitions", &self.partitions.len())
             .field("boundaries", &self.boundaries.len())
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
-
-/// Rescan rounds per quantum before the orchestrator gives up. The
-/// fixed point converges in at most `quantum / min_latency + 1` rounds
-/// (each round extends the consistent horizon by one boundary
-/// latency); a run that exceeds this cap indicates a latency/quantum
-/// configuration far outside anything sensible.
-const MAX_RESCAN_ROUNDS: u32 = 10_000;
 
 impl Orchestrator {
     /// An orchestrator with no partitions.
@@ -140,9 +108,11 @@ impl Orchestrator {
         Orchestrator {
             partitions: vec![],
             boundaries: vec![],
-            stats: OrchestratorStats::default(),
+            lookahead: None,
+            quanta_committed: 0,
             now: SimTime::ZERO,
             started: false,
+            failed: None,
         }
     }
 
@@ -153,11 +123,7 @@ impl Orchestrator {
     /// partitioned runs bit-identical to the monolithic oracle.
     pub fn add_partition(&mut self, mut cosim: Cosim) -> PartitionId {
         cosim.pin_clock_domains();
-        self.partitions.push(Partition {
-            cosim,
-            outs: vec![],
-            ins: vec![],
-        });
+        self.partitions.push(cosim);
         PartitionId(self.partitions.len() - 1)
     }
 
@@ -173,8 +139,8 @@ impl Orchestrator {
     /// # Errors
     ///
     /// [`CosimError::Setup`] when the two specs disagree, the latency
-    /// is zero, a partition id is stale, the quantum loop already
-    /// started, or the halves collide with existing unit names.
+    /// is zero, a partition id is stale, the orchestrator already ran,
+    /// or the halves collide with existing unit names.
     #[allow(clippy::too_many_arguments)]
     pub fn add_boundary(
         &mut self,
@@ -206,7 +172,7 @@ impl Orchestrator {
         }
         let queue = Rc::new(RefCell::new(BoundaryQueue::default()));
         let spec = from_spec;
-        let out_id = self.partitions[from.0].cosim.add_boundary_out(
+        let out_id = self.partitions[from.0].add_boundary_out(
             from_domain,
             name,
             spec.data_ty.clone(),
@@ -216,7 +182,7 @@ impl Orchestrator {
             spec.latency,
             Rc::clone(&queue),
         )?;
-        let in_id = self.partitions[to.0].cosim.add_boundary_in(
+        let in_id = self.partitions[to.0].add_boundary_in(
             to_domain,
             name,
             spec.data_ty.clone(),
@@ -225,27 +191,29 @@ impl Orchestrator {
             spec.timing,
             Rc::clone(&queue),
         )?;
-        let bi = self.boundaries.len();
         self.boundaries.push(queue);
-        self.partitions[from.0].outs.push(bi);
-        self.partitions[to.0].ins.push(bi);
+        self.lookahead = Some(self.lookahead.map_or(spec.latency, |l| l.min(spec.latency)));
         Ok((out_id, in_id))
     }
 
-    /// A registered partition.
+    /// A registered partition's backplane.
     ///
     /// # Panics
     ///
     /// Panics if the id does not belong to this orchestrator.
     #[must_use]
-    pub fn partition(&self, p: PartitionId) -> &Partition {
+    pub fn partition(&self, p: PartitionId) -> &Cosim {
         &self.partitions[p.0]
     }
 
-    /// A registered partition, mutably. Mutating simulation state
-    /// mid-quantum voids the bit-identical guarantee; use between
-    /// quanta (e.g. to inspect traces or poke test stimuli).
-    pub fn partition_mut(&mut self, p: PartitionId) -> &mut Partition {
+    /// A registered partition's backplane, mutably. Mutating
+    /// simulation state voids the bit-identical guarantee; use between
+    /// runs (e.g. to inspect traces or poke test stimuli).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this orchestrator.
+    pub fn partition_mut(&mut self, p: PartitionId) -> &mut Cosim {
         &mut self.partitions[p.0]
     }
 
@@ -258,179 +226,61 @@ impl Orchestrator {
     /// Cumulative synchronization statistics.
     #[must_use]
     pub fn stats(&self) -> OrchestratorStats {
-        self.stats
+        OrchestratorStats {
+            quanta_committed: self.quanta_committed,
+            boundary_messages: self.boundaries.iter().map(|q| q.borrow().sent).sum(),
+        }
     }
 
-    /// Global simulated time reached by the committed quanta.
+    /// Global simulated time reached by the completed quanta.
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Advances every partition by `total`, in sync quanta of
-    /// `quantum` (the final quantum is clipped to the remainder).
+    /// Advances every partition by `total`. The first run settles the
+    /// start instant in every partition; then each quantum runs every
+    /// partition, in partition order, to `min(now + L, deadline)`, `L`
+    /// the smallest boundary latency (without boundaries, one quantum
+    /// reaches the deadline).
     ///
     /// # Errors
     ///
-    /// [`CosimError::Setup`] when `quantum` is zero; any error a
-    /// partition run or snapshot/restore produces; and
-    /// [`CosimError::Runtime`] if a quantum's consistency scan fails
-    /// to converge.
-    pub fn run_for(&mut self, total: Duration, quantum: Duration) -> Result<(), CosimError> {
-        if quantum == Duration::ZERO {
-            return Err(CosimError::Setup(
-                "sync quantum must be positive".to_string(),
-            ));
+    /// The first error a partition run produces. It poisons the
+    /// orchestrator, since there is no checkpoint to return to: the
+    /// partitions stay where the failing quantum stopped them (their
+    /// module statuses and trace logs can still be read through
+    /// [`Orchestrator::partition`]), [`Orchestrator::now`] stays at the
+    /// end of the last completed quantum, and every later call returns
+    /// the same error without running any partition.
+    pub fn run_for(&mut self, total: Duration) -> Result<(), CosimError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
         }
         let deadline = self.now.saturating_add(total);
-        while self.now < deadline {
-            let t1 = self.now.saturating_add(quantum).min(deadline);
-            self.run_quantum(t1)?;
-        }
-        Ok(())
+        self.run_until(deadline)
+            .inspect_err(|e| self.failed = Some(e.clone()))
     }
 
-    /// Runs one optimistic quantum `[now, t1]`: speculate every
-    /// partition to `t1`, then rescan until every partition's view of
-    /// its inbound boundary queues matches the committed producer
-    /// state, rolling stale partitions back and re-running them.
-    fn run_quantum(&mut self, t1: SimTime) -> Result<(), CosimError> {
+    fn run_until(&mut self, deadline: SimTime) -> Result<(), CosimError> {
         if !self.started {
             self.started = true;
-            // Elaborate every partition before the first checkpoint: a
-            // snapshot of a never-elaborated kernel captures the empty
-            // sensitivity sets that steady-state (`Wait::Same`)
-            // processes only populate during their elaboration run, so
-            // restoring one would strand them deaf. Settling the start
-            // instant here is safe — boundary latency is strictly
-            // positive, so no cross-partition message can influence
-            // the instant it was sent at.
-            for p in &mut self.partitions {
-                p.cosim.run_until(self.now)?;
+            // Values exported at the start instant arrive at the end of
+            // the first quantum, so every partition must have settled it
+            // before any partition runs the quantum.
+            for cosim in &mut self.partitions {
+                cosim.run_until(self.now)?;
             }
         }
-        let n = self.partitions.len();
-        // Quantum-start checkpoint: backplane snapshots plus each
-        // queue's (length, cursor).
-        let snaps: Vec<Snapshot> = self.partitions.iter().map(|p| p.cosim.snapshot()).collect();
-        let q0: Vec<(usize, usize)> = self
-            .boundaries
-            .iter()
-            .map(|b| {
-                let q = b.borrow();
-                (q.entries.len(), q.cursor)
-            })
-            .collect();
-        // views[p][k] = what partition p saw of its k-th inbound
-        // queue's this-quantum suffix, recorded when p's run ended.
-        let mut views: Vec<Vec<Vec<(SimTime, Value)>>> = vec![vec![]; n];
-        // Initial speculation, in partition order.
-        for (p, view) in views.iter_mut().enumerate() {
-            self.partitions[p].cosim.run_until(t1)?;
-            *view = self.record_view(p, &q0);
-        }
-        // Rescan to the fixed point. A partition is consistent when,
-        // for every inbound queue, the suffix it ran against is a
-        // prefix of the current suffix *by content* and everything
-        // beyond that prefix arrives after t1 (so it could not have
-        // been injected this quantum anyway). Content comparison — not
-        // length — lets a producer that rolled back and regenerated
-        // identical traffic leave its consumers undisturbed.
-        //
-        // A stale partition is rolled back and re-run IMMEDIATELY, so
-        // the queues its rollback truncated are regenerated before any
-        // other partition's staleness is judged against them. (Judging
-        // the whole set first and re-running afterwards livelocks on
-        // cyclic cuts: two mutually-stale partitions would each
-        // truncate the other's input in the same pass, recreating the
-        // exact pre-round state forever.) Convergence with immediate
-        // re-runs follows from causality: traffic arriving within k
-        // boundary latencies of the quantum start is fixed after k
-        // rounds, so the consistent horizon outruns the quantum in
-        // `quantum / min_latency` rounds.
-        let mut rounds = 0u32;
-        loop {
-            rounds += 1;
-            self.stats.rescan_rounds += 1;
-            if rounds > MAX_RESCAN_ROUNDS {
-                return Err(CosimError::Runtime(format!(
-                    "optimistic sync did not converge within {MAX_RESCAN_ROUNDS} rescan \
-                     rounds (quantum {:?}..{t1:?}); boundary latencies are implausibly \
-                     small versus the sync quantum",
-                    self.now
-                )));
+        while self.now < deadline {
+            let t1 = self
+                .lookahead
+                .map_or(deadline, |l| self.now.saturating_add(l).min(deadline));
+            for cosim in &mut self.partitions {
+                cosim.run_until(t1)?;
             }
-            let mut any_stale = false;
-            for (p, view) in views.iter_mut().enumerate() {
-                let stale = self.partitions[p].ins.iter().enumerate().any(|(k, &bi)| {
-                    let q = self.boundaries[bi].borrow();
-                    let cur = &q.entries[q0[bi].0..];
-                    let seen = &view[k];
-                    cur.len() < seen.len()
-                        || cur[..seen.len()] != seen[..]
-                        || cur[seen.len()..].iter().any(|(t, _)| *t <= t1)
-                });
-                if stale {
-                    any_stale = true;
-                    self.stats.rollbacks += 1;
-                    self.rollback(p, &snaps, &q0)?;
-                    self.partitions[p].cosim.run_until(t1)?;
-                    *view = self.record_view(p, &q0);
-                }
-            }
-            if !any_stale {
-                break;
-            }
-        }
-        // Commit: count this quantum's traffic, then drop the consumed
-        // prefix of every queue so memory stays bounded.
-        for (bi, b) in self.boundaries.iter().enumerate() {
-            let mut q = b.borrow_mut();
-            self.stats.boundary_messages += (q.entries.len() - q0[bi].0) as u64;
-            let consumed = q.cursor;
-            q.entries.drain(..consumed);
-            q.cursor = 0;
-        }
-        self.stats.quanta_committed += 1;
-        self.now = t1;
-        Ok(())
-    }
-
-    /// What partition `p` currently sees of each of its inbound
-    /// queues' this-quantum suffix.
-    fn record_view(&self, p: usize, q0: &[(usize, usize)]) -> Vec<Vec<(SimTime, Value)>> {
-        self.partitions[p]
-            .ins
-            .iter()
-            .map(|&bi| self.boundaries[bi].borrow().entries[q0[bi].0..].to_vec())
-            .collect()
-    }
-
-    /// Rolls partition `p` back to the quantum start: restore its
-    /// backplane snapshot, truncate its outbound queues to their
-    /// quantum-start length (un-publishing its speculative traffic)
-    /// and rewind its inbound cursors (un-consuming).
-    fn rollback(
-        &mut self,
-        p: usize,
-        snaps: &[Snapshot],
-        q0: &[(usize, usize)],
-    ) -> Result<(), CosimError> {
-        let part = &mut self.partitions[p];
-        part.cosim.restore(&snaps[p]).map_err(|e| {
-            CosimError::Runtime(format!(
-                "rollback of partition {p} failed ({e}); partitioned state is now \
-                 inconsistent"
-            ))
-        })?;
-        for &bi in &part.outs {
-            // The consumer's cursor may transiently point past the
-            // truncation point; its own staleness check will catch the
-            // mismatch and rewind it before anything reads the queue.
-            self.boundaries[bi].borrow_mut().entries.truncate(q0[bi].0);
-        }
-        for &bi in &part.ins {
-            self.boundaries[bi].borrow_mut().cursor = q0[bi].1;
+            self.quanta_committed += 1;
+            self.now = t1;
         }
         Ok(())
     }
@@ -513,10 +363,33 @@ mod tests {
     }
 
     #[test]
+    fn quanta_follow_the_smallest_boundary_latency() {
+        let (mut orch, _, _) = two_partitions();
+        orch.run_for(Duration::from_us(1)).unwrap();
+        assert_eq!(orch.stats().quanta_committed, 1, "no boundary: one quantum");
+        // 1 µs in 200 ns quanta, then a 50 ns remainder.
+        let (mut orch, a, b) = two_partitions();
+        for (name, ns, from, to) in [("ab", 300, a, b), ("ba", 200, b, a)] {
+            let spec = BoundarySpec {
+                latency: Duration::from_ns(ns),
+                ..spec()
+            };
+            orch.add_boundary(name, from, DomainId::BASE, &spec, to, DomainId::BASE, &spec)
+                .unwrap();
+        }
+        orch.run_for(Duration::from_us(1)).unwrap();
+        orch.run_for(Duration::from_ns(50)).unwrap();
+        assert_eq!(orch.stats().quanta_committed, 6);
+        assert_eq!(orch.now(), SimTime::ZERO + Duration::from_ns(1_050));
+        for p in [a, b] {
+            assert_eq!(orch.partition(p).sim().now(), orch.now());
+        }
+    }
+
+    #[test]
     fn boundaries_frozen_after_first_quantum() {
         let (mut orch, a, b) = two_partitions();
-        orch.run_for(Duration::from_us(1), Duration::from_us(1))
-            .unwrap();
+        orch.run_for(Duration::from_us(1)).unwrap();
         let err = orch
             .add_boundary(
                 "cut",
@@ -527,15 +400,6 @@ mod tests {
                 DomainId::BASE,
                 &spec(),
             )
-            .unwrap_err();
-        assert!(matches!(err, CosimError::Setup(_)), "{err}");
-    }
-
-    #[test]
-    fn sync_quantum_must_be_positive() {
-        let (mut orch, _, _) = two_partitions();
-        let err = orch
-            .run_for(Duration::from_us(1), Duration::ZERO)
             .unwrap_err();
         assert!(matches!(err, CosimError::Setup(_)), "{err}");
     }

@@ -867,7 +867,7 @@ fn boundary_spec(spec: &ScenarioSpec, latency: Duration) -> BoundarySpec {
 }
 
 /// A scenario cut across coupled backplane partitions, ready to run
-/// under the optimistic [`Orchestrator`].
+/// under the [`Orchestrator`] in quanta of the boundary latency.
 pub struct PartitionedScenario {
     /// The orchestrator owning every partition.
     pub orch: Orchestrator,
@@ -890,13 +890,14 @@ impl std::fmt::Debug for PartitionedScenario {
 }
 
 impl PartitionedScenario {
-    /// Advances every partition by `total` in quanta of `quantum`.
+    /// Advances every partition by `total` ([`Orchestrator::run_for`]).
     ///
     /// # Errors
     ///
-    /// Propagates orchestrator errors.
-    pub fn run_for(&mut self, total: Duration, quantum: Duration) -> Result<(), CosimError> {
-        self.orch.run_for(total, quantum)
+    /// Propagates orchestrator errors; the first one poisons the
+    /// orchestrator.
+    pub fn run_for(&mut self, total: Duration) -> Result<(), CosimError> {
+        self.orch.run_for(total)
     }
 
     /// Status of the `j`-th planned module (plan order, matching the
@@ -904,14 +905,14 @@ impl PartitionedScenario {
     #[must_use]
     pub fn module_status(&self, j: usize) -> ModuleStatus {
         let (p, m) = self.modules[j];
-        self.orch.partition(p).cosim().module_status(m)
+        self.orch.partition(p).module_status(m)
     }
 
     /// A module variable of the `j`-th planned module.
     #[must_use]
     pub fn module_var(&self, j: usize, var: &str) -> Option<Value> {
         let (p, m) = self.modules[j];
-        self.orch.partition(p).cosim().module_var(m, var)
+        self.orch.partition(p).module_var(m, var)
     }
 
     /// Checks every checker reached `END` with the expected checksum.
@@ -994,7 +995,7 @@ pub fn build_partitioned(
             }
             (p, c) => {
                 let home = p.or(c).unwrap_or(0);
-                let unit = add_link(orch.partition_mut(parts[home]).cosim_mut(), spec, i, d)?;
+                let unit = add_link(orch.partition_mut(parts[home]), spec, i, d)?;
                 sites.push(LinkSite::Local { part: home, unit });
             }
         }
@@ -1027,7 +1028,6 @@ pub fn build_partitioned(
         let d = module_domain(spec, slow, pm);
         let id = orch
             .partition_mut(parts[home])
-            .cosim_mut()
             .add_module_in(d, &pm.module, &binds)?;
         modules.push((parts[home], id));
     }
@@ -1045,8 +1045,9 @@ pub fn build_partitioned(
 /// into ONE backplane, where the queues fill and drain inline and no
 /// orchestration is needed. A partitioned run is correct iff it is
 /// bit-identical (module statuses, traces, SUMs) to this oracle; the
-/// comparison isolates exactly the cut — speculation, rollback, queue
-/// commit — because everything else is structurally the same.
+/// comparison isolates exactly the cut (the lookahead quanta and the
+/// queues crossing it) because everything else is structurally the
+/// same.
 ///
 /// The returned scenario's `links` vector holds the ordinary unit for
 /// local links and the *out* half for severed ones.
@@ -1154,6 +1155,7 @@ pub fn build_collapsed(
 mod tests {
     use super::*;
     use crate::TraceEntry;
+    use cosma_sim::SimTime;
 
     fn check(spec: ScenarioSpec, budget_us: u64) {
         let mut s = build_scenario(&spec).expect("builds");
@@ -1684,21 +1686,20 @@ mod tests {
         assert_eq!(sharded.cosim.sim().now(), oracle.cosim.sim().now());
     }
 
-    /// Runs `spec` both partitioned (under the orchestrator, in quanta
-    /// of `quantum`) and through the collapsed single-backplane oracle,
-    /// and asserts bit-identical module statuses, checksums and
-    /// per-source trace streams. Returns the orchestrator stats so
-    /// callers can assert on the sync machinery itself.
+    /// Runs `spec` both partitioned (under the orchestrator) and
+    /// through the collapsed single-backplane oracle, and asserts
+    /// bit-identical module statuses, checksums and per-source trace
+    /// streams. Returns the orchestrator stats so callers can assert on
+    /// the sync machinery itself.
     fn partitioned_vs_collapsed(
         spec: &ScenarioSpec,
         pspec: &PartitionsSpec,
         total: Duration,
-        quantum: Duration,
     ) -> crate::partition::OrchestratorStats {
         let mut mono = build_collapsed(spec, pspec).expect("collapsed oracle builds");
         mono.cosim.run_for(total).expect("collapsed oracle runs");
         let mut part = build_partitioned(spec, pspec).expect("partitioned builds");
-        part.run_for(total, quantum).expect("partitioned runs");
+        part.run_for(total).expect("partitioned runs");
         assert_eq!(part.modules.len(), mono.modules.len());
         for j in 0..part.modules.len() {
             assert_eq!(
@@ -1719,7 +1720,7 @@ mod tests {
         let got: Vec<TraceEntry> = part
             .parts
             .iter()
-            .flat_map(|&p| part.orch.partition(p).cosim().trace_log().entries())
+            .flat_map(|&p| part.orch.partition(p).trace_log().entries())
             .collect();
         let sources: std::collections::BTreeSet<&str> =
             want.iter().map(|e| e.source.as_str()).collect();
@@ -1753,12 +1754,8 @@ mod tests {
             trace: true,
             ..ScenarioSpec::default()
         };
-        let stats = partitioned_vs_collapsed(
-            &spec,
-            &PartitionsSpec::default(),
-            Duration::from_us(300),
-            Duration::from_us(5),
-        );
+        let stats =
+            partitioned_vs_collapsed(&spec, &PartitionsSpec::default(), Duration::from_us(300));
         assert!(stats.quanta_committed >= 60, "stats: {stats:?}");
     }
 
@@ -1783,9 +1780,179 @@ mod tests {
                 latency: Duration::from_ns(200),
             },
             Duration::from_us(400),
-            Duration::from_us(4),
         );
         assert!(stats.boundary_messages > 0, "stats: {stats:?}");
+    }
+
+    #[test]
+    fn failed_quantum_poisons_the_orchestrator() {
+        // A module in the first partition counts down 20 activations,
+        // then calls a service its unit does not declare: the run
+        // fails mid-way, with no checkpoint to return to.
+        let mut b = ModuleBuilder::new("late", ModuleKind::Software);
+        let bind = b.binding("iface", "link");
+        let waits: Vec<_> = (0..20).map(|k| b.state(format!("WAIT{k}"))).collect();
+        let call = b.state("CALL");
+        for (k, &w) in waits.iter().enumerate() {
+            b.transition(w, None, waits.get(k + 1).copied().unwrap_or(call));
+        }
+        b.actions(
+            call,
+            vec![Stmt::Call(ServiceCall {
+                binding: bind,
+                service: "peek".into(),
+                args: vec![],
+                done: None,
+                result: None,
+            })],
+        );
+        b.transition(call, None, call);
+        b.initial(waits[0]);
+        let late = b.build().unwrap();
+        let spec = ScenarioSpec {
+            units: 6,
+            values_per_link: 50,
+            trace: true,
+            ..ScenarioSpec::default()
+        };
+        let pspec = PartitionsSpec::default();
+        let mut part = build_partitioned(&spec, &pspec).expect("partitioned builds");
+        let first = part.orch.partition_mut(part.parts[0]);
+        let unit = first.add_fsm_unit("late_link", handshake_unit("hs", Type::INT16));
+        let late = first
+            .add_module(&late, &[("iface", unit)])
+            .expect("module installs");
+
+        let err = part.run_for(Duration::from_us(50)).unwrap_err();
+        let msg = "module late: service call failed: unit late_link has no service peek";
+        assert_eq!(err, CosimError::Runtime(msg.to_string()));
+        // `now` stays at the end of the last completed quantum.
+        let stats = part.orch.stats();
+        let now = part.orch.now();
+        assert!(stats.quanta_committed > 0, "failed mid-run: {stats:?}");
+        assert_eq!(
+            now,
+            SimTime::ZERO + Duration::from_ns(200 * stats.quanta_committed)
+        );
+        assert!(now < SimTime::ZERO + Duration::from_us(50));
+
+        // A poisoned orchestrator returns the same error and runs no
+        // partition.
+        let clocks = |part: &PartitionedScenario| -> Vec<SimTime> {
+            part.parts
+                .iter()
+                .map(|&p| part.orch.partition(p).sim().now())
+                .collect()
+        };
+        let before = clocks(&part);
+        assert_eq!(part.run_for(Duration::from_us(50)).unwrap_err(), err);
+        assert_eq!(clocks(&part), before);
+        assert_eq!(part.orch.now(), now);
+        assert_eq!(part.orch.stats(), stats);
+
+        // Every partition can still be read.
+        let first = part.orch.partition(part.parts[0]);
+        let status = first.module_status(late);
+        assert_eq!(
+            (status.state.as_str(), status.error.as_deref()),
+            ("CALL", Some(msg))
+        );
+        for j in 0..part.modules.len() {
+            let status = part.module_status(j);
+            assert!(
+                status.activations > 0 && status.error.is_none(),
+                "{j}: {status:?}"
+            );
+        }
+        for &p in &part.parts {
+            assert!(!part.orch.partition(p).trace_log().entries().is_empty());
+        }
+    }
+
+    #[test]
+    fn interleaved_construction_matches_legacy_oracle() {
+        // `build_scenario` creates every link before any module. Here
+        // each module follows right after the links it binds (the
+        // order that once broke the driver under parking), and the
+        // driver must still match the per-process oracle at the same
+        // parking setting.
+        use crate::backplane::Dispatch;
+        fn build_interleaved(spec: &ScenarioSpec) -> (Cosim, Vec<CosimModuleId>) {
+            let plan = plan_scenario(spec).expect("plans");
+            let mut cosim = Cosim::new(spec.config);
+            cosim.set_scheduling(spec.scheduling).expect("scheduling");
+            let slow = scenario_domains(&mut cosim, spec).expect("domains");
+            let mut links: Vec<Option<UnitId>> = vec![None; plan.n_links];
+            let mut link = |cosim: &mut Cosim, i: usize| {
+                *links[i].get_or_insert_with(|| {
+                    add_link(cosim, spec, i, link_domain(spec, slow, i)).expect("link")
+                })
+            };
+            let mut modules = vec![];
+            for pm in &plan.modules {
+                let binds: Vec<(&str, UnitId)> = pm
+                    .bindings
+                    .iter()
+                    .map(|(n, li)| (n.as_str(), link(&mut cosim, *li)))
+                    .collect();
+                let d = module_domain(spec, slow, pm);
+                modules.push(cosim.add_module_in(d, &pm.module, &binds).expect("module"));
+            }
+            (cosim, modules)
+        }
+        let mut rng = XorShift64(0x5eed_1e7e);
+        for draw in 0..36 {
+            let topology = match rng.next() % 6 {
+                0 => Topology::Pipeline,
+                1 => Topology::Star,
+                2 => Topology::Ring,
+                3 => Topology::Starved,
+                4 => Topology::Skewed,
+                _ => Topology::RandomDag { seed: rng.next() },
+            };
+            let link = match rng.next() % 3 {
+                0 => LinkKind::Handshake,
+                k => LinkKind::Batched {
+                    max_batch: 4,
+                    capacity: 16,
+                    timing: if k == 1 {
+                        BusTiming::LengthOnly
+                    } else {
+                        BusTiming::PayloadBeats
+                    },
+                },
+            };
+            let units = 2 + (rng.next() % 5) as usize;
+            let values_per_link = 1 + (rng.next() % 3) as usize;
+            let trace = rng.next().is_multiple_of(2);
+            let park_blocked = rng.next().is_multiple_of(2);
+            let shard_size = 1 + (rng.next() % 6) as usize;
+            let run = |dispatch| {
+                let (mut cosim, modules) = build_interleaved(&ScenarioSpec {
+                    units,
+                    topology,
+                    link,
+                    values_per_link,
+                    scheduling: SchedulingConfig {
+                        dispatch,
+                        park_blocked,
+                    },
+                    trace,
+                    ..ScenarioSpec::default()
+                });
+                cosim.run_for(Duration::from_us(300)).expect("runs");
+                let statuses: Vec<_> = modules.iter().map(|&m| cosim.module_status(m)).collect();
+                (statuses, cosim.trace_log().entries())
+            };
+            let tag = format!(
+                "draw {draw}: {units} {topology:?}/{link:?}, trace {trace}, \
+                 park {park_blocked}, shard {shard_size}"
+            );
+            let oracle = run(Dispatch::PerProcess);
+            let driver = run(Dispatch::Driver { shard_size });
+            assert_eq!(driver.0, oracle.0, "{tag}: module statuses diverged");
+            assert_eq!(driver.1, oracle.1, "{tag}: traces diverged");
+        }
     }
 
     #[test]

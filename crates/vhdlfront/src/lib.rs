@@ -282,6 +282,53 @@ end architecture;
         assert!(e.to_string().contains("enum-typed"), "{e}");
     }
 
+    /// A process nesting `ifs` if statements around `X := operand;`.
+    /// The assignment adds two levels (its statement and its operand)
+    /// to `ifs` and to the operand's own nesting.
+    fn nested_process(ifs: usize, operand: &str) -> String {
+        format!(
+            "entity E is end entity;\narchitecture a of E is\nbegin\n  process\n    \
+             variable X : integer := 0;\n  begin\n{}X := {operand};\n{}    wait;\n  \
+             end process;\nend architecture;\n",
+            "if X = 0 then\n".repeat(ifs),
+            "end if;\n".repeat(ifs),
+        )
+    }
+
+    /// Operands nesting `n` levels: `1` in `n` parentheses, and a chain
+    /// of `n` additions (`((1 + 1) + 1) + ...`).
+    fn nested_operands(n: usize) -> [String; 2] {
+        [
+            format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("1{}", " + 1".repeat(n)),
+        ]
+    }
+
+    #[test]
+    fn nesting_at_the_limit_compiles() {
+        let limit = crate::parser::MAX_NESTING - 2;
+        let [parens, chain] = nested_operands(limit);
+        for (ifs, operand) in [(limit, "1"), (0, &parens), (0, &chain)] {
+            let src = nested_process(ifs, operand);
+            let hw = compile_entity(&src, "E", &ElabOptions::default()).unwrap();
+            assert_eq!(hw.modules.len(), 1);
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error() {
+        for past in [crate::parser::MAX_NESTING - 1, 100_000] {
+            let [parens, chain] = nested_operands(past);
+            for (ifs, operand) in [(past, "1"), (0, &parens), (0, &chain)] {
+                let src = nested_process(ifs, operand);
+                let e = parse(&src).unwrap_err();
+                assert!(e.message.contains("nesting"), "{past}: {e}");
+                let e = compile_entity(&src, "E", &ElabOptions::default()).unwrap_err();
+                assert!(e.to_string().contains("nesting"), "{past}: {e}");
+            }
+        }
+    }
+
     #[test]
     fn signal_init_respected() {
         let src = r#"

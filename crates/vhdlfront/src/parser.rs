@@ -30,10 +30,18 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest nesting of statements and expression operands (parentheses,
+/// unary and binary operators) the parser accepts. Parsing and every
+/// later pass over the tree recurse once per level, so a deeper source
+/// is refused with a [`ParseError`] instead of overflowing the stack.
+pub(crate) const MAX_NESTING: usize = 128;
+
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
     anon_procs: u32,
+    /// Statements and expression operands currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -62,6 +70,27 @@ impl Parser {
             line: self.line(),
             message: msg.into(),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to pass
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.descend()?;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// Opens one more nesting level, refusing to pass [`MAX_NESTING`].
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn is_kw(&self, kw: &str) -> bool {
@@ -280,6 +309,9 @@ impl Parser {
         if self.eat_punct("(") {
             // Sensitivity list ignored (activation is per cycle).
             while !self.eat_punct(")") {
+                if matches!(self.peek(), Tok::Eof) {
+                    return Err(self.err("unterminated sensitivity list"));
+                }
                 self.bump();
             }
         }
@@ -329,6 +361,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<VStmt, ParseError> {
+        self.nested(Self::parse_stmt_body)
+    }
+
+    fn parse_stmt_body(&mut self) -> Result<VStmt, ParseError> {
         if self.eat_kw("NULL") {
             self.expect_punct(";")?;
             return Ok(VStmt::Null);
@@ -425,6 +461,7 @@ impl Parser {
     }
 
     fn parse_binary(&mut self, min_prec: u8) -> Result<VExpr, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.parse_unary()?;
         loop {
             let (op, prec): (&'static str, u8) = match self.peek() {
@@ -448,13 +485,21 @@ impl Parser {
                 break;
             }
             self.bump();
+            // Each operator folded into `lhs` nests the tree a level
+            // deeper: `a + b + c` is `(a + b) + c`.
+            self.descend()?;
             let rhs = self.parse_binary(prec + 1)?;
             lhs = VExpr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<VExpr, ParseError> {
+        self.nested(Self::parse_unary_body)
+    }
+
+    fn parse_unary_body(&mut self) -> Result<VExpr, ParseError> {
         if self.eat_kw("NOT") {
             return Ok(VExpr::Unary("not", Box::new(self.parse_unary()?)));
         }
@@ -488,13 +533,16 @@ impl Parser {
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on lexical or syntactic errors.
+/// Returns [`ParseError`] on lexical or syntactic errors, and on
+/// statements and expression operands (parentheses, unary and binary
+/// operators) nested more than 128 levels deep.
 pub fn parse(src: &str) -> Result<VDesign, ParseError> {
     let toks = lex(src)?;
     let mut p = Parser {
         toks,
         pos: 0,
         anon_procs: 0,
+        depth: 0,
     };
     p.parse_design()
 }
@@ -654,6 +702,14 @@ end architecture;
             },
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn unterminated_sensitivity_list_is_an_error() {
+        // Used to spin forever: `bump` does not advance past the end.
+        let src = "entity E is end entity; architecture a of E is begin p : process (";
+        let e = parse(src).unwrap_err();
+        assert!(e.message.contains("sensitivity list"), "{e}");
     }
 
     #[test]

@@ -1525,21 +1525,19 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Partitioned co-simulation: cutting a scenario across coupled
-// backplane partitions under the optimistic orchestrator (speculation,
-// staleness detection, snapshot rollback) is bit-identical — module
-// statuses, SUMs, per-source trace streams — to the collapsed
-// single-backplane oracle, across topologies, link kinds, clock-domain
-// ratios, partition counts and sync quanta.
+// backplane partitions stepped in quanta of the boundary latency is
+// bit-identical — module statuses, SUMs, per-source trace streams — to
+// the collapsed single-backplane oracle, across topologies, link kinds,
+// clock-domain ratios, partition counts and boundary latencies.
 // ---------------------------------------------------------------------
 
-/// Runs `spec` partitioned (sync quanta of `quantum`) and through the
-/// collapsed oracle, asserting bit-identical observables. Returns the
-/// orchestrator stats so callers can gate on the sync machinery.
+/// Runs `spec` partitioned and through the collapsed oracle, asserting
+/// bit-identical observables. Returns the orchestrator stats so callers
+/// can gate on the sync machinery.
 fn assert_partitioned_matches_collapsed(
     spec: &cosma::cosim::scenario::ScenarioSpec,
     pspec: &cosma::cosim::scenario::PartitionsSpec,
     total: cosma::sim::Duration,
-    quantum: cosma::sim::Duration,
 ) -> cosma::cosim::OrchestratorStats {
     use cosma::cosim::scenario::{build_collapsed, build_partitioned};
     use cosma::cosim::TraceEntry;
@@ -1547,13 +1545,13 @@ fn assert_partitioned_matches_collapsed(
     let mut mono = build_collapsed(spec, pspec).expect("collapsed oracle builds");
     mono.cosim.run_for(total).expect("collapsed oracle runs");
     let mut part = build_partitioned(spec, pspec).expect("partitioned builds");
-    part.run_for(total, quantum).expect("partitioned runs");
+    part.run_for(total).expect("partitioned runs");
     assert_eq!(part.modules.len(), mono.modules.len());
     for j in 0..part.modules.len() {
         assert_eq!(
             part.module_status(j),
             mono.cosim.module_status(mono.modules[j]),
-            "module {j} status diverged under {spec:?} / {pspec:?} / quantum {quantum:?}"
+            "module {j} status diverged under {spec:?} / {pspec:?}"
         );
     }
     mono.verify()
@@ -1568,7 +1566,7 @@ fn assert_partitioned_matches_collapsed(
     let got: Vec<TraceEntry> = part
         .parts
         .iter()
-        .flat_map(|&p| part.orch.partition(p).cosim().trace_log().entries())
+        .flat_map(|&p| part.orch.partition(p).trace_log().entries())
         .collect();
     let sources: std::collections::BTreeSet<&str> =
         want.iter().map(|e| e.source.as_str()).collect();
@@ -1604,7 +1602,7 @@ proptest! {
         ratio_sel in 0u8..4,
         parts in 2usize..4,
         values in 1usize..4,
-        quantum_us in 1u64..9,
+        latency_ns in 50u64..1_001,
         seed in any::<u64>(),
     ) {
         use cosma::comm::BusTiming;
@@ -1652,25 +1650,19 @@ proptest! {
         };
         let pspec = PartitionsSpec {
             count: parts,
-            latency: Duration::from_ns(200),
+            latency: Duration::from_ns(latency_ns),
         };
-        let stats = assert_partitioned_matches_collapsed(
-            &spec,
-            &pspec,
-            Duration::from_us(600),
-            Duration::from_us(quantum_us),
-        );
+        let stats = assert_partitioned_matches_collapsed(&spec, &pspec, Duration::from_us(600));
         prop_assert!(stats.quanta_committed > 0, "stats: {stats:?}");
     }
 }
 
-/// A schedule that *forces* the optimistic sync to roll back — a ring
-/// cut across two partitions with a sync quantum 20× the boundary
-/// latency, so speculated quanta are guaranteed to see late
-/// cross-partition traffic — must still be bit-identical to the
-/// collapsed oracle, and must actually exercise the rollback path.
+/// A cyclic cut — a ring split across two partitions, so each
+/// partition consumes traffic the other produced from its own earlier
+/// output — must be bit-identical to the collapsed oracle and carry
+/// boundary traffic.
 #[test]
-fn partitioned_forced_rollback_schedule_matches_oracle() {
+fn partitioned_cyclic_cut_matches_oracle() {
     use cosma::comm::BusTiming;
     use cosma::cosim::scenario::{LinkKind, PartitionsSpec, ScenarioSpec, Topology};
     use cosma::sim::Duration;
@@ -1691,17 +1683,7 @@ fn partitioned_forced_rollback_schedule_matches_oracle() {
         count: 2,
         latency: Duration::from_ns(200),
     };
-    let stats = assert_partitioned_matches_collapsed(
-        &spec,
-        &pspec,
-        Duration::from_us(400),
-        Duration::from_us(4),
-    );
-    assert!(
-        stats.rollbacks > 0,
-        "quantum 20x the boundary latency on a cyclic cut must speculate \
-         past late traffic and roll back: {stats:?}"
-    );
+    let stats = assert_partitioned_matches_collapsed(&spec, &pspec, Duration::from_us(400));
     assert!(stats.boundary_messages > 0, "stats: {stats:?}");
 }
 
@@ -1802,5 +1784,118 @@ proptest! {
             prop_assert_eq!(fi.event_count, oi.event_count, "event count of {}", fi.name);
         }
         prop_assert_eq!(fast.now(), oracle.now());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Source text from outside the process never panics, hangs or aborts
+// the front-ends or the assembler: the crate-doc examples of the C and
+// VHDL front-ends and an MC16 program, each with a few characters
+// replaced, inserted or deleted and possibly truncated, compile or fail
+// with a typed error.
+// ---------------------------------------------------------------------
+
+/// The `cosma-cfront` crate-doc example.
+const C_DOC_SRC: &str = r#"
+typedef enum { Start, PingCall, Done } ST;
+ST NextState = Start;
+int DEMO() {
+    switch (NextState) {
+        case Start:    { NextState = PingCall; } break;
+        case PingCall: { if (ping()) { NextState = Done; } } break;
+        case Done:     { } break;
+        default:       { NextState = Start; }
+    }
+    return 1;
+}
+"#;
+
+/// The `cosma-vhdl` crate-doc example.
+const VHDL_DOC_SRC: &str = r#"
+entity COUNTER is
+  port ( TICK : out integer );
+end entity;
+architecture rtl of COUNTER is
+begin
+  main : process
+    variable N : integer := 0;
+  begin
+    N := N + 1;
+    TICK <= N;
+    wait for CYCLE;
+  end process;
+end architecture;
+"#;
+
+/// The `cosma-isa` crate-doc example program.
+const ASM_SRC: &str = "
+    EQU  PORT, 0x300
+    LDI  r0, 0
+    LDI  r1, 10
+loop:
+    ADD  r0, r1
+    ADDI r1, -1
+    CMPI r1, 0
+    JNZ  loop
+    HLT
+";
+
+/// Characters the mutator writes: the three languages' punctuation,
+/// some letters and digits, and whitespace.
+const MUTATION_CHARS: &[u8] = b"(){};:,.=<>+-*/!~&|^%'\"#x0aZ_ \n";
+
+/// Applies character edits `(position, kind, character)` to `src`
+/// (kind 0 replaces, 1 inserts, 2 deletes), then truncates it at `cut`
+/// when one is given.
+fn mutate_source(src: &str, edits: &[(u64, u8, usize)], cut: Option<u64>) -> String {
+    let mut s = src.as_bytes().to_vec();
+    for &(pos, kind, ch) in edits {
+        let c = MUTATION_CHARS[ch];
+        let i = (pos % (s.len() as u64 + 1)) as usize;
+        match kind {
+            0 if i < s.len() => s[i] = c,
+            2 if i < s.len() => {
+                s.remove(i);
+            }
+            _ => s.insert(i, c),
+        }
+    }
+    if let Some(cut) = cut {
+        s.truncate((cut % (s.len() as u64 + 1)) as usize);
+    }
+    String::from_utf8(s).expect("ASCII edits of ASCII sources stay UTF-8")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn front_ends_survive_mutated_sources(
+        edits in proptest::collection::vec(
+            (any::<u64>(), 0u8..3, 0usize..MUTATION_CHARS.len()),
+            1..5,
+        ),
+        cut in any::<u64>(),
+        truncate in any::<bool>(),
+    ) {
+        use cosma::cfront::{compile_module, ElabOptions, ServiceBinding};
+        use cosma::isa::assemble;
+        use cosma::vhdl::compile_entity;
+
+        let c_opts = ElabOptions {
+            bindings: vec![ServiceBinding::new("iface", "link", &["ping"])],
+        };
+        let vhdl_opts = cosma::vhdl::ElabOptions::default();
+        let cut = truncate.then_some(cut);
+        // The unmutated sources compile, so every failure below comes
+        // from the edits.
+        prop_assert!(compile_module(C_DOC_SRC, "DEMO", ModuleKind::Software, &c_opts).is_ok());
+        prop_assert!(compile_entity(VHDL_DOC_SRC, "COUNTER", &vhdl_opts).is_ok());
+        prop_assert!(assemble(ASM_SRC).is_ok());
+        // Any outcome but a panic, a hang or an abort is acceptable.
+        let c = mutate_source(C_DOC_SRC, &edits, cut);
+        let _ = compile_module(&c, "DEMO", ModuleKind::Software, &c_opts);
+        let vhdl = mutate_source(VHDL_DOC_SRC, &edits, cut);
+        let _ = compile_entity(&vhdl, "COUNTER", &vhdl_opts);
+        let _ = assemble(&mutate_source(ASM_SRC, &edits, cut));
     }
 }
