@@ -641,9 +641,9 @@ impl BatchedLink {
                 // the pump only counts the burst down — no wire I/O
                 // until the delivery cycle. (Staying *active* through
                 // the countdown is deliberate: parking per burst was
-                // measured slower — the shard watcher's sensitivity
-                // rebuild and clock-demand churn per park/resume cost
-                // more than the trivial countdown steps.)
+                // measured slower — the watcher's sensitivity rebuild
+                // and clock-demand churn per park/resume cost more than
+                // the trivial countdown steps.)
                 streamed = true;
                 self.beat += 1;
                 active = true;

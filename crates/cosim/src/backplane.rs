@@ -20,10 +20,9 @@
 //!   which one process per unit and per module would run, so unit
 //!   steps and service calls reach every unit in the same order as
 //!   there. A member that proves itself stable is **parked** — dropped
-//!   from the driver's active list and re-armed by its shard's watcher
-//!   process only when one of its *watch wires* events — and a shard
-//!   whose members are all parked goes dormant, so idle regions of the
-//!   backplane cost nothing per clock edge.
+//!   from the driver's active list and re-armed by its own watcher
+//!   process only when one of its *watch wires* events — so idle
+//!   regions of the backplane cost nothing per clock edge.
 //! * A module whose FSM is blocked on a pending service call parks on
 //!   the bound unit's **completion wires** (the read-set of the blocked
 //!   protocol): a consumer blocked on `get` against an empty link costs
@@ -36,7 +35,7 @@
 //!   transfers into one wire handshake per (adaptively sized) batch.
 
 use crate::sched::{install_clock_generators, ActivationScheduler, ClockDemand, SchedCtx};
-pub use crate::sched::{Dispatch, SchedulingConfig, ShardStats, DEFAULT_SHARD_SIZE};
+pub use crate::sched::{Dispatch, SchedulingConfig, ShardStats};
 use crate::snapshot::RecipeOp;
 pub use crate::snapshot::Snapshot;
 use crate::trace::TraceLog;
@@ -244,8 +243,8 @@ pub struct Cosim {
     /// Construction log: one entry per `add_*` call, in call order.
     /// [`Cosim::fork`] replays the recipe onto a fresh backplane, which
     /// deterministically rebuilds identical structure — same signal and
-    /// process ids, same hashed shard placement — before restoring the
-    /// snapshot's state onto it.
+    /// process ids, same driver members and watchers — before restoring
+    /// the snapshot's state onto it.
     pub(crate) recipe: Vec<RecipeOp>,
     /// Clock domains, base domain first. Each carries its activation
     /// clock pair and its clock-edge demand ledger: the domain's
@@ -322,8 +321,8 @@ impl Cosim {
     /// femtosecond time axis; only the activation-clock periods differ.
     ///
     /// Domains must be created while the backplane is empty (before any
-    /// unit or module), so the driver's clock sensitivity and the
-    /// per-domain shard pools are complete before placement starts.
+    /// unit or module), so the driver's clock sensitivity is complete
+    /// before its first member is added.
     ///
     /// # Errors
     ///
@@ -392,7 +391,6 @@ impl Cosim {
             sw_clk,
             demand,
         });
-        self.sched.add_domain_pool();
         Ok(DomainId(self.domains.len() - 1))
     }
 
@@ -446,14 +444,13 @@ impl Cosim {
     /// # Errors
     ///
     /// Returns [`CosimError::Setup`] if units or modules were already
-    /// added, or a shard size is zero.
+    /// added.
     pub fn set_scheduling(&mut self, cfg: SchedulingConfig) -> Result<(), CosimError> {
         if !self.units.borrow().is_empty() || !self.modules.borrow().is_empty() {
             return Err(CosimError::Setup(
                 "scheduling must be chosen before adding units or modules".to_string(),
             ));
         }
-        cfg.validate()?;
         self.sched.cfg = cfg;
         Ok(())
     }
@@ -484,7 +481,6 @@ impl Cosim {
                 trace: &self.trace,
                 demand: &d.demand,
                 hw_clk: d.hw_clk,
-                domain,
                 clocks: &self.clock_list,
             },
         )
@@ -813,7 +809,7 @@ impl Cosim {
                         Err(e) => *error.borrow_mut() = Some(format!("boundary link {label}: {e}")),
                     }
                 }
-                demand.park(1);
+                demand.park();
                 ClockControl::Halt
             });
         self.boundaries += 1;
@@ -1363,7 +1359,7 @@ mod tests {
     fn idle_shards_go_dormant() {
         // Under the driver the idle tail is even cheaper: once the
         // link's controller proves itself stable it parks, and so do
-        // the END-parked modules, leaving their shard dormant.
+        // the END-parked modules, leaving every member parked.
         // Controller steps stall AND, with every clocked body parked,
         // the clocks stop, so the driver is no longer woken.
         let mut cosim = Cosim::new(CosimConfig::default());
@@ -1387,8 +1383,6 @@ mod tests {
             "idle controller never steps again"
         );
         let shard = cosim.shard_stats();
-        assert_eq!(shard.shards, 1, "one shard holds the link and both modules");
-        assert_eq!(shard.dormant_shards, 1, "every member parked itself");
         assert_eq!(
             shard.shard_runs, shard_runs_after_exchange,
             "the driver of a fully parked backplane is not even woken"
@@ -1606,12 +1600,6 @@ mod tests {
     #[test]
     fn many_idle_units_fill_multiple_dormant_shards() {
         let mut cosim = Cosim::new(CosimConfig::default());
-        cosim
-            .set_scheduling(SchedulingConfig {
-                dispatch: Dispatch::Driver { shard_size: 8 },
-                ..SchedulingConfig::sharded()
-            })
-            .unwrap();
         for k in 0..20 {
             cosim.add_fsm_unit(&format!("quiet{k}"), handshake_unit("hs", Type::INT16));
         }
@@ -1624,14 +1612,7 @@ mod tests {
         cosim.add_module(&b.build().unwrap(), &[]).unwrap();
         cosim.run_for(Duration::from_us(100)).unwrap();
         let shard = cosim.shard_stats();
-        // Hashed placement opens 2-3 shards for 21 members at shard
-        // size 8.
-        assert!(
-            (2..=3).contains(&shard.shards),
-            "expected 2-3 shards, got {}",
-            shard.shards
-        );
-        assert_eq!(shard.dormant_shards, shard.shards, "all idle, all parked");
+        assert_eq!(shard.parked_now, 21, "all idle, all parked");
         // The driver ran at most a handful of times while the clock
         // would have toggled ~2000 times.
         assert!(
@@ -2409,62 +2390,12 @@ mod tests {
     }
 
     #[test]
-    fn hashed_module_placement_spreads_driver_shards() {
-        // Members spread over several driver shards under hashed
-        // placement, while the driver still steps them in creation
-        // order: the exchange completes as under one process per
-        // module.
-        let mut cosim = Cosim::new(CosimConfig::default());
-        cosim
-            .set_scheduling(SchedulingConfig {
-                dispatch: Dispatch::Driver { shard_size: 2 },
-                ..SchedulingConfig::sharded()
-            })
-            .unwrap();
-        let link = cosim.add_fsm_unit("link", handshake_unit("hs", Type::INT16));
-        let p = producer(&[1, 2, 3]);
-        let c = consumer(3);
-        cosim.add_module(&p, &[("iface", link)]).unwrap();
-        for k in 0..6 {
-            let mut b = ModuleBuilder::new(format!("idle{k}"), ModuleKind::Software);
-            let s = b.state("S");
-            b.transition(s, None, s);
-            b.initial(s);
-            cosim.add_module(&b.build().unwrap(), &[]).unwrap();
-        }
-        let cid = cosim.add_module(&c, &[("iface", link)]).unwrap();
-        cosim.run_for(Duration::from_us(50)).unwrap();
-        assert_eq!(cosim.module_var(cid, "SUM"), Some(Value::Int(6)));
-        let st = cosim.shard_stats();
-        assert!(
-            st.modules_stepped > 0,
-            "modules stepped through the driver: {st:?}"
-        );
-        let driver = cosim.sched.driver.as_ref().unwrap().borrow();
-        assert!(
-            driver.shards.len() >= 2,
-            "9 members at shard size 2 open several driver shards"
-        );
-        // Hashed, not creation-order, placement: some shard holds
-        // members that were not created back to back.
-        let shard_of: Vec<u32> = driver.members.iter().map(|m| m.shard).collect();
-        assert!(
-            (0..driver.shards.len() as u32).any(|sh| {
-                let members: Vec<usize> =
-                    (0..shard_of.len()).filter(|&i| shard_of[i] == sh).collect();
-                members.windows(2).any(|w| w[1] != w[0] + 1)
-            }),
-            "hashed placement scatters creation-order runs"
-        );
-    }
-
-    #[test]
     fn interleaved_construction_matches_oracle() {
         // Links built in loop order — a link, then its producer and
         // consumer — interleave units with modules. The driver steps
-        // both in creation order, like the oracle's processes, so every
-        // shard size agrees with the oracle, and parking stays
-        // invisible to the trace.
+        // both in creation order, like the oracle's processes, so it
+        // agrees with the oracle, and parking stays invisible to the
+        // trace.
         fn run(
             n: usize,
             timing: BusTiming,
@@ -2487,10 +2418,6 @@ mod tests {
             let statuses = ids.iter().map(|&id| cosim.module_status(id)).collect();
             (statuses, cosim.trace_log())
         }
-        let mut dispatches: Vec<Dispatch> = (1..=6)
-            .map(|shard_size| Dispatch::Driver { shard_size })
-            .collect();
-        dispatches.push(SchedulingConfig::sharded().dispatch);
         for n in [4, 17, 24] {
             for timing in [BusTiming::LengthOnly, BusTiming::PayloadBeats] {
                 let oracle = |park_blocked| {
@@ -2506,34 +2433,17 @@ mod tests {
                 let (off, on) = (oracle(false), oracle(true));
                 assert!(off.0.iter().all(|st| st.state == "END"), "{n}/{timing:?}");
                 assert_eq!(on.1, off.1, "{n}/{timing:?}: parking shows in the oracle");
-                for &dispatch in &dispatches {
-                    for (park_blocked, want) in [(false, &off), (true, &on)] {
-                        let cfg = SchedulingConfig {
-                            dispatch,
-                            park_blocked,
-                        };
-                        let got = run(n, timing, cfg);
-                        assert_eq!(got.0, want.0, "{n}/{timing:?}/{cfg:?}: statuses");
-                        assert_eq!(got.1, want.1, "{n}/{timing:?}/{cfg:?}: trace");
-                    }
+                for (park_blocked, want) in [(false, &off), (true, &on)] {
+                    let cfg = SchedulingConfig {
+                        dispatch: Dispatch::Driver,
+                        park_blocked,
+                    };
+                    let got = run(n, timing, cfg);
+                    assert_eq!(got.0, want.0, "{n}/{timing:?}/{cfg:?}: statuses");
+                    assert_eq!(got.1, want.1, "{n}/{timing:?}/{cfg:?}: trace");
                 }
             }
         }
-    }
-
-    #[test]
-    fn invalid_scheduling_configs_rejected() {
-        let mut cosim = Cosim::new(CosimConfig::default());
-        // A zero shard size.
-        assert!(matches!(
-            cosim.set_scheduling(SchedulingConfig {
-                dispatch: Dispatch::Driver { shard_size: 0 },
-                ..SchedulingConfig::sharded()
-            }),
-            Err(CosimError::Setup(_))
-        ));
-        // A rejected configuration leaves the previous one in force.
-        assert_eq!(cosim.scheduling(), SchedulingConfig::sharded());
     }
 
     #[test]
@@ -2569,34 +2479,6 @@ mod tests {
             cosim.add_clock_domain("late", 2, 1),
             Err(CosimError::Setup(_))
         ));
-    }
-
-    #[test]
-    fn hashed_unit_placement_is_deterministic() {
-        // Two identical builds place units into identical shards.
-        fn shard_sizes() -> Vec<usize> {
-            let mut cosim = Cosim::new(CosimConfig::default());
-            cosim
-                .set_scheduling(SchedulingConfig {
-                    dispatch: Dispatch::Driver { shard_size: 4 },
-                    ..SchedulingConfig::sharded()
-                })
-                .unwrap();
-            for k in 0..17 {
-                cosim.add_fsm_unit(&format!("u{k}"), handshake_unit("hs", Type::INT16));
-            }
-            let driver = cosim.sched.driver.as_ref().unwrap().borrow();
-            let mut sizes = vec![0; driver.shards.len()];
-            for m in &driver.members {
-                sizes[m.shard as usize] += 1;
-            }
-            sizes
-        }
-        let a = shard_sizes();
-        let b = shard_sizes();
-        assert_eq!(a, b, "hashed placement is deterministic");
-        assert_eq!(a.iter().sum::<usize>(), 17, "every unit placed");
-        assert!(a.len() >= 2, "17 units at shard size 4 open several shards");
     }
 
     /// Installs one kind of unit as `link`.

@@ -43,9 +43,9 @@
 //!   service index, and modules record trace entries through id hints
 //!   for their name and labels.
 //! * `sched` — [`SchedulingConfig`] and the activation scheduler: the
-//!   driver and its shard watchers, parking and clock demand, the
-//!   `legacy()` oracle's per-unit and per-module processes, and the
-//!   activation clock generators.
+//!   driver with one watcher process per member, parking and clock
+//!   demand, the `legacy()` oracle's per-unit and per-module processes,
+//!   and the activation clock generators.
 //! * `snapshot` — the construction recipe, [`Snapshot`], and
 //!   [`Cosim::snapshot`] / [`Cosim::restore`] / [`Cosim::fork`] with
 //!   the checks that refuse a foreign snapshot before any mutation.
@@ -75,7 +75,7 @@ pub use annotate::{
 };
 pub use backplane::{
     Cosim, CosimConfig, CosimError, CosimModuleId, Dispatch, DomainId, ModuleStatus,
-    SchedulingConfig, ShardStats, Snapshot, UnitId, DEFAULT_SHARD_SIZE,
+    SchedulingConfig, ShardStats, Snapshot, UnitId,
 };
 pub use cosma_comm::BusTiming;
 pub use cosma_sim::ClockRatio;

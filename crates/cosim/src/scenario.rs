@@ -1154,7 +1154,7 @@ pub fn build_collapsed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceEntry;
+    use crate::{TraceEntry, TraceLog};
     use cosma_sim::SimTime;
 
     fn check(spec: ScenarioSpec, budget_us: u64) {
@@ -1290,7 +1290,7 @@ mod tests {
                     .run_for(Duration::from_us(400))
                     .expect("oracle runs");
                 let mut a = build_scenario(&mk(SchedulingConfig {
-                    dispatch: Dispatch::Driver { shard_size: 4 },
+                    dispatch: Dispatch::Driver,
                     park_blocked: true,
                 }))
                 .expect("sharded builds");
@@ -1347,8 +1347,9 @@ mod tests {
         );
         let stats = s.cosim.shard_stats();
         assert_eq!(
-            stats.dormant_shards, stats.shards,
-            "every shard parked: {stats:?}"
+            stats.parked_now,
+            s.links.len() + s.modules.len(),
+            "every member parked: {stats:?}"
         );
         // Further runs change nothing.
         let before = s.cosim.sim().stats().events;
@@ -1368,8 +1369,8 @@ mod tests {
 
     #[test]
     fn sharding_pays_off_on_idle_pipelines() {
-        // After a pipeline drains, every shard — holding units and
-        // modules alike — must be dormant: controllers proved stable,
+        // After a pipeline drains, every driver member — units and
+        // modules alike — must be parked: controllers proved stable,
         // finished modules halt-parked.
         let mut s = build_scenario(&ScenarioSpec {
             units: 32,
@@ -1382,15 +1383,6 @@ mod tests {
         // A long idle tail.
         s.cosim.run_for(Duration::from_us(100)).expect("idles");
         let st = s.cosim.shard_stats();
-        assert!(
-            st.shards >= 4,
-            "32 units + 33 modules at shard size 16 need several shards, got {}",
-            st.shards
-        );
-        assert_eq!(
-            st.dormant_shards, st.shards,
-            "drained pipeline parks every shard"
-        );
         assert!(st.units_skipped > 0 || st.units_stepped > 0);
         assert_eq!(
             st.parked_now,
@@ -1483,7 +1475,7 @@ mod tests {
             (
                 "sharded",
                 SchedulingConfig {
-                    dispatch: Dispatch::Driver { shard_size: 4 },
+                    dispatch: Dispatch::Driver,
                     park_blocked: true,
                 },
             ),
@@ -1669,7 +1661,7 @@ mod tests {
             s
         };
         let sharded = run(SchedulingConfig {
-            dispatch: Dispatch::Driver { shard_size: 16 },
+            dispatch: Dispatch::Driver,
             park_blocked: false,
         });
         let oracle = run(SchedulingConfig::legacy());
@@ -1784,11 +1776,9 @@ mod tests {
         assert!(stats.boundary_messages > 0, "stats: {stats:?}");
     }
 
-    #[test]
-    fn failed_quantum_poisons_the_orchestrator() {
-        // A module in the first partition counts down 20 activations,
-        // then calls a service its unit does not declare: the run
-        // fails mid-way, with no checkpoint to return to.
+    /// A module that counts down 20 activations, then calls a service
+    /// (`peek`) its unit does not declare, failing the run mid-way.
+    fn late_failing_module() -> Module {
         let mut b = ModuleBuilder::new("late", ModuleKind::Software);
         let bind = b.binding("iface", "link");
         let waits: Vec<_> = (0..20).map(|k| b.state(format!("WAIT{k}"))).collect();
@@ -1808,7 +1798,14 @@ mod tests {
         );
         b.transition(call, None, call);
         b.initial(waits[0]);
-        let late = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn failed_quantum_poisons_the_orchestrator() {
+        // A module in the first partition fails mid-way, with no
+        // checkpoint to return to.
+        let late = late_failing_module();
         let spec = ScenarioSpec {
             units: 6,
             values_per_link: 50,
@@ -1870,6 +1867,106 @@ mod tests {
     }
 
     #[test]
+    fn halted_backplane_snapshots_round_trip() {
+        // A traced pipeline plus a module that fails after 20
+        // activations, snapshotted before and after the error. The
+        // pre-error snapshot replays to the same error, also when it is
+        // restored into the halted backplane; the halted snapshot keeps
+        // the error latched when restored or forked.
+        type Observed = (SimTime, TraceLog, Vec<ModuleStatus>);
+        fn observe(c: &Cosim, modules: &[CosimModuleId]) -> Observed {
+            let statuses = modules.iter().map(|&m| c.module_status(m)).collect();
+            (c.sim().now(), c.trace_log(), statuses)
+        }
+        let tail = Duration::from_us(50);
+        for scheduling in [SchedulingConfig::sharded(), SchedulingConfig::legacy()] {
+            let mut s = build_scenario(&ScenarioSpec {
+                units: 6,
+                values_per_link: 50,
+                trace: true,
+                scheduling,
+                ..ScenarioSpec::default()
+            })
+            .expect("builds");
+            let unit = s
+                .cosim
+                .add_fsm_unit("late_link", handshake_unit("hs", Type::INT16));
+            let late = s
+                .cosim
+                .add_module(&late_failing_module(), &[("iface", unit)])
+                .expect("module installs");
+            let mut modules = s.modules.clone();
+            modules.push(late);
+
+            s.cosim.run_for(Duration::from_us(1)).expect("no error yet");
+            let before = s.cosim.snapshot();
+            let err = s.cosim.run_for(tail).unwrap_err();
+            let msg = "module late: service call failed: unit late_link has no service peek";
+            assert_eq!(err, CosimError::Runtime(msg.to_string()), "{scheduling:?}");
+            let halted = s.cosim.snapshot();
+            let want = observe(&s.cosim, &modules);
+            assert_eq!(want.2.last().unwrap().error.as_deref(), Some(msg));
+
+            // The pre-error snapshot, forked and restored into the
+            // halted backplane, replays to the same error.
+            let mut twin = s.cosim.fork(&before).expect("forks");
+            assert_eq!(twin.run_for(tail).unwrap_err(), err, "{scheduling:?}");
+            assert_eq!(observe(&twin, &modules), want, "{scheduling:?}: fork");
+            s.cosim.restore(&before).expect("restores");
+            assert_eq!(s.cosim.run_for(tail).unwrap_err(), err, "{scheduling:?}");
+            assert_eq!(observe(&s.cosim, &modules), want, "{scheduling:?}: replay");
+
+            // The halted snapshot keeps the error latched.
+            s.cosim.restore(&halted).expect("restores");
+            let mut twin = s.cosim.fork(&halted).expect("forks");
+            for c in [&mut s.cosim, &mut twin] {
+                assert_eq!(c.run_for(tail).unwrap_err(), err, "{scheduling:?}");
+                assert!(!c.pending_activity(), "{scheduling:?}: halted for good");
+                let (_, trace, statuses) = observe(c, &modules);
+                assert_eq!((trace, statuses), (want.1.clone(), want.2.clone()));
+            }
+        }
+    }
+
+    #[test]
+    fn watch_probes_do_not_grow_with_parked_members() {
+        // Starved handshake backplanes: link 0 never drains, so its
+        // consumer parks and resumes on every exchange, while the other
+        // consumers stay parked. A park or resume probes only the
+        // member's own watch set, so over the same window the counters
+        // agree at 4 and at 256 links.
+        let window = |units| {
+            let mut s = build_scenario(&ScenarioSpec {
+                units,
+                topology: Topology::Starved,
+                link: LinkKind::Handshake,
+                values_per_link: 100_000,
+                ..ScenarioSpec::default()
+            })
+            .expect("builds");
+            s.cosim.run_for(Duration::from_us(5)).expect("warms up");
+            let a = s.cosim.shard_stats();
+            s.cosim.run_for(Duration::from_us(40)).expect("runs");
+            let b = s.cosim.shard_stats();
+            (
+                b.members_parked - a.members_parked,
+                b.members_resumed - a.members_resumed,
+                b.watch_probes - a.watch_probes,
+            )
+        };
+        let small = window(4);
+        assert!(
+            small.0 > 0 && small.1 > 0,
+            "link 0 parks and resumes: {small:?}"
+        );
+        assert_eq!(
+            window(256),
+            small,
+            "(parked, resumed, probes) at 256 vs 4 links"
+        );
+    }
+
+    #[test]
     fn interleaved_construction_matches_legacy_oracle() {
         // `build_scenario` creates every link before any module. Here
         // each module follows right after the links it binds (the
@@ -1926,7 +2023,6 @@ mod tests {
             let values_per_link = 1 + (rng.next() % 3) as usize;
             let trace = rng.next().is_multiple_of(2);
             let park_blocked = rng.next().is_multiple_of(2);
-            let shard_size = 1 + (rng.next() % 6) as usize;
             let run = |dispatch| {
                 let (mut cosim, modules) = build_interleaved(&ScenarioSpec {
                     units,
@@ -1946,10 +2042,10 @@ mod tests {
             };
             let tag = format!(
                 "draw {draw}: {units} {topology:?}/{link:?}, trace {trace}, \
-                 park {park_blocked}, shard {shard_size}"
+                 park {park_blocked}"
             );
             let oracle = run(Dispatch::PerProcess);
-            let driver = run(Dispatch::Driver { shard_size });
+            let driver = run(Dispatch::Driver);
             assert_eq!(driver.0, oracle.0, "{tag}: module statuses diverged");
             assert_eq!(driver.1, oracle.1, "{tag}: traces diverged");
         }

@@ -1,11 +1,12 @@
 //! The activation scheduler: how unit bookkeeping and module
 //! activations are dispatched on the kernel ([`SchedulingConfig`]) —
 //! one driver process stepping every due unit and module in creation
-//! order, with parking, in production; one process per unit and per
-//! module in the `legacy()` oracle — plus the demand-gated activation
-//! clock generators.
+//! order, with one watcher process per member re-arming it while it is
+//! parked, in production; one process per unit and per module in the
+//! `legacy()` oracle — plus the demand-gated activation clock
+//! generators.
 
-use crate::backplane::{CosimError, UnitId};
+use crate::backplane::UnitId;
 use crate::trace::TraceLog;
 use crate::units::{step_module, ModuleEntry, ModuleScratch, UnitEntry};
 use cosma_core::Value;
@@ -20,16 +21,11 @@ pub enum Dispatch {
     /// One driver process steps, at every rising clock edge, each
     /// unparked unit and module whose clock rose, in creation order —
     /// the order the oracle's processes run in — so service calls and
-    /// unit steps reach every unit in the oracle's order. Members are
-    /// grouped into shards, each with a watcher process that re-arms
-    /// its parked members when one of their watch wires events; a
-    /// parked member costs nothing per clock edge.
-    Driver {
-        /// Target members per shard (shards are opened so the
-        /// *average* fill is `shard_size`; hashed placement makes
-        /// individual shards vary around it).
-        shard_size: usize,
-    },
+    /// unit steps reach every unit in the oracle's order. Each member
+    /// has a watcher process that re-arms it when one of its watch
+    /// wires events while it is parked; a parked member costs nothing
+    /// per clock edge.
+    Driver,
     /// One clocked kernel process per unit and one process per module,
     /// each stepped on every rising edge of its clock: the oracle.
     /// Units never park; a module parks (its process swaps its clock
@@ -68,14 +64,12 @@ impl Default for SchedulingConfig {
 }
 
 impl SchedulingConfig {
-    /// The production configuration (the default): the driver over
-    /// shards of [`DEFAULT_SHARD_SIZE`], parking enabled.
+    /// The production configuration (the default): the driver, parking
+    /// enabled.
     #[must_use]
     pub fn sharded() -> Self {
         SchedulingConfig {
-            dispatch: Dispatch::Driver {
-                shard_size: DEFAULT_SHARD_SIZE,
-            },
+            dispatch: Dispatch::Driver,
             park_blocked: true,
         }
     }
@@ -90,19 +84,7 @@ impl SchedulingConfig {
             park_blocked: false,
         }
     }
-
-    /// Setup-time validation of the configuration's internal
-    /// consistency.
-    pub(crate) fn validate(&self) -> Result<(), CosimError> {
-        if self.dispatch == (Dispatch::Driver { shard_size: 0 }) {
-            return Err(CosimError::Setup("shard size must be nonzero".to_string()));
-        }
-        Ok(())
-    }
 }
-
-/// Default members per shard.
-pub const DEFAULT_SHARD_SIZE: usize = 16;
 
 /// Aggregate statistics of the activation scheduler.
 ///
@@ -111,10 +93,6 @@ pub const DEFAULT_SHARD_SIZE: usize = 16;
 /// too, by swapping their clock sensitivity for their watch wires).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Number of driver shards. Units and modules share them.
-    pub shards: usize,
-    /// Shards currently dormant (every member parked).
-    pub dormant_shards: usize,
     /// Driver-process activations.
     pub shard_runs: u64,
     /// Unit-member step executions (controller steps, native steps,
@@ -123,11 +101,13 @@ pub struct ShardStats {
     /// Member steps (units and modules) avoided because the member was
     /// parked: at each driver run, the parked members whose clock rose.
     pub units_skipped: u64,
-    /// Dormant-shard wakeups caused by a member watch-wire event.
+    /// Parked driver members (units and modules) re-armed by a
+    /// watch-wire event.
     pub wire_wakeups: u64,
-    /// Watch wires probed by the shard watchers while re-arming parked
-    /// members (units and modules) — the cost of the parked rescan
-    /// loop.
+    /// Watch wires probed by the member watchers: a watcher probes its
+    /// own member's watch set when the member parks and on each wake
+    /// while it is parked, so the cost of a park or resume does not
+    /// grow with the number of parked members.
     pub watch_probes: u64,
     /// Module activations executed through the scheduler (both modes).
     pub modules_stepped: u64,
@@ -181,44 +161,29 @@ impl ClockDemand {
         self.demand.set(self.demand.get() + 1);
     }
 
-    /// `n` bodies parked (or halted): they need no clock edges until
+    /// A body parked (or halted): it needs no clock edges until
     /// re-armed.
-    pub(crate) fn park(&self, n: usize) {
-        self.demand.set(self.demand.get() - n as i64);
+    pub(crate) fn park(&self) {
+        self.demand.set(self.demand.get() - 1);
     }
 
-    /// `n` parked bodies were re-armed; restart the clock generators if
-    /// they had gone idle. The kick is an ordinary signal toggle:
-    /// generators parked on it wake through the sensitivity index.
-    fn resume(&self, n: usize, ctx: &mut ProcCtx<'_>) {
-        if n == 0 {
-            return;
-        }
+    /// A parked body was re-armed; restart the clock generators if they
+    /// had gone idle. The kick is an ordinary signal toggle: generators
+    /// parked on it wake through the sensitivity index.
+    fn resume(&self, ctx: &mut ProcCtx<'_>) {
         if self.demand.get() <= 0 {
             toggle(ctx, self.kick);
         }
-        self.demand.set(self.demand.get() + n as i64);
+        self.demand.set(self.demand.get() + 1);
     }
 }
 
-/// splitmix64: the hash spreading members over a domain's shards.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// The single owner of unit and module stepping: the driver and its
-/// shard pools, or the oracle's processes, plus park accounting.
+/// member watchers, or the oracle's processes, plus park accounting.
 /// Modules and units — the same FSM semantics in the paper's model —
 /// share one activation-gating architecture.
 pub(crate) struct ActivationScheduler {
     pub(crate) cfg: SchedulingConfig,
-    /// Per-domain shard pool of the driver: shards never mix clock
-    /// domains, so hashed placement runs inside the member's domain
-    /// pool. Entry `d` holds indices into [`DriverState::shards`].
-    pools: Vec<PoolState>,
     /// The driver ([`Dispatch::Driver`]): one kernel process stepping
     /// every unit and module, registered with the first of either.
     pub(crate) driver: Option<Rc<RefCell<DriverState>>>,
@@ -231,30 +196,6 @@ pub(crate) struct ActivationScheduler {
     /// with the clocked closures so snapshot/restore can reach them.
     pub(crate) per_unit_seen: Vec<Rc<RefCell<Vec<u64>>>>,
     pub(crate) park: Rc<ParkCounters>,
-}
-
-/// One clock domain's shard pool: how many members were ever placed in
-/// it (drives hashed shard assignment *within* the pool) and which
-/// global shards belong to it.
-#[derive(Debug, Default)]
-struct PoolState {
-    members: usize,
-    shards: Vec<usize>,
-}
-
-impl PoolState {
-    /// Hashes the next member over the shards allowed so far (one more
-    /// per `shard_size` members). Returns the pool-local shard index, or
-    /// `None` when the hash lands past the open shards and the caller
-    /// must open the next one — so shard count still tracks
-    /// `members / shard_size` while creation-order runs are scattered.
-    fn place(&mut self, shard_size: usize) -> Option<usize> {
-        let k = self.members;
-        self.members += 1;
-        let allowed = k / shard_size + 1;
-        let hashed = (splitmix64(k as u64) % allowed as u64) as usize;
-        (hashed < self.shards.len()).then_some(hashed)
-    }
 }
 
 /// The mutable scheduling state of one per-module process, kept
@@ -281,9 +222,10 @@ enum Body {
 }
 
 /// One member of the driver: a unit or a module, its activation clock,
-/// and the wires that re-arm it while parked.
+/// the wires that re-arm it while parked, and the signal that hands a
+/// new watch set to its watcher process.
 #[derive(Clone)]
-pub(crate) struct DriverMember {
+struct DriverMember {
     body: Body,
     /// Index of the member's activation clock in the driver's clock
     /// list.
@@ -298,37 +240,18 @@ pub(crate) struct DriverMember {
     /// A unit's last observed event counts of `watch` (empty for a
     /// module).
     seen: Vec<u64>,
-    /// The shard whose watcher re-arms the member while parked.
-    pub(crate) shard: u32,
-}
-
-/// One shard of the driver: members of one clock domain whose parked
-/// members a *watcher* kernel process re-arms. The watcher's
-/// sensitivity covers only this shard's parked watch wires, so
-/// sensitivity churn stays local to the shard (the driver itself stays
-/// pinned to the activation clocks).
-#[derive(Clone)]
-pub(crate) struct DriverShard {
-    /// Number of members placed in this shard.
-    members: usize,
-    /// Parked members, as indices into [`DriverState::members`].
-    parked: Vec<u32>,
-    /// The clock-demand ledger of this shard's domain (shards never mix
-    /// domains, so parking a member surrenders demand on exactly one
-    /// domain's generators).
+    /// Whether the member is parked: off the active list, waiting for
+    /// its watcher to re-arm it.
+    parked: bool,
+    /// The clock-demand ledger of the member's domain: parking the
+    /// member surrenders one unit of demand on that domain's
+    /// generators, and re-arming it takes the unit back.
     demand: Rc<ClockDemand>,
-    /// Toggled by the driver when it parks members of this shard, so
-    /// the watcher re-arms on the new watch set.
+    /// Toggled by the driver when it parks the member, so the watcher
+    /// wakes and waits on the new watch set. The watcher derives its
+    /// wait from `parked` alone, so a forked backplane's fresh watcher
+    /// resumes mid-stream without an elaboration latch of its own.
     poke: SignalId,
-    /// Whether the watcher must recompute its sensitivity.
-    watch_dirty: bool,
-    /// Whether the shard's watcher process performed its first
-    /// (elaboration) run and armed itself on the poke signal. Lives
-    /// here — not in the watcher's closure — so a forked backplane's
-    /// fresh watcher resumes mid-stream instead of re-running its
-    /// elaboration arm (which would clobber the restored watch
-    /// sensitivity).
-    watcher_armed: bool,
 }
 
 /// Shared state of the driver and its watchers. A snapshot keeps a
@@ -337,11 +260,10 @@ pub(crate) struct DriverShard {
 #[derive(Clone, Default)]
 pub(crate) struct DriverState {
     /// Every unit and module, in creation order.
-    pub(crate) members: Vec<DriverMember>,
+    members: Vec<DriverMember>,
     /// Indices of unparked members, ascending: the creation order the
     /// driver steps them in.
     active: Vec<u32>,
-    pub(crate) shards: Vec<DriverShard>,
     /// Parked members per activation clock (indexed like the driver's
     /// clock list), so a run counts the steps parking avoided without
     /// visiting parked members.
@@ -362,27 +284,25 @@ impl DriverState {
     fn halt(&mut self) {
         if !self.halted {
             self.halted = true;
-            for s in &self.shards {
-                s.demand.park(s.members - s.parked.len());
+            for m in self.members.iter().filter(|m| !m.parked) {
+                m.demand.park();
             }
         }
     }
 
     /// Why a captured driver does not fit this one, if it does not:
     /// every member must step the same unit or module on the same clock
-    /// in the same shard.
+    /// with the same poke signal.
     pub(crate) fn check(&self, snap: &DriverState) -> Result<(), String> {
-        if self.members.len() != snap.members.len() || self.shards.len() != snap.shards.len() {
+        if self.members.len() != snap.members.len() {
             return Err(format!(
-                "snapshot has {} driver members in {} shards, backplane has {} in {}",
+                "snapshot has {} driver members, backplane has {}",
                 snap.members.len(),
-                snap.shards.len(),
-                self.members.len(),
-                self.shards.len()
+                self.members.len()
             ));
         }
         let same = |(m, s): (&DriverMember, &DriverMember)| {
-            (m.body, m.clock, m.shard, m.seen.len()) == (s.body, s.clock, s.shard, s.seen.len())
+            (m.body, m.clock, m.poke, m.seen.len()) == (s.body, s.clock, s.poke, s.seen.len())
         };
         match self
             .members
@@ -397,18 +317,14 @@ impl DriverState {
 
     /// Copies a captured driver's running state — watch sets,
     /// event-count gates, the active/parked split, counters — onto this
-    /// one, keeping its members, shards and their demand ledgers.
+    /// one, keeping its members' clocks, pokes and demand ledgers.
     pub(crate) fn restore_from(&mut self, snap: &DriverState) {
         for (m, sm) in self.members.iter_mut().zip(&snap.members) {
             m.watch.clone_from(&sm.watch);
             m.seen.clone_from(&sm.seen);
+            m.parked = sm.parked;
         }
         self.active.clone_from(&snap.active);
-        for (sh, sn) in self.shards.iter_mut().zip(&snap.shards) {
-            sh.parked.clone_from(&sn.parked);
-            sh.watch_dirty = sn.watch_dirty;
-            sh.watcher_armed = sn.watcher_armed;
-        }
         self.parked_on.clone_from(&snap.parked_on);
         self.halted = snap.halted;
         self.runs = snap.runs;
@@ -430,8 +346,6 @@ pub(crate) struct SchedCtx<'a> {
     pub(crate) demand: &'a Rc<ClockDemand>,
     /// The target domain's hardware activation clock.
     pub(crate) hw_clk: SignalId,
-    /// Index of the target domain (selects the per-domain shard pool).
-    pub(crate) domain: usize,
     /// Every domain's activation clocks, in domain order — the driver's
     /// clock sensitivity.
     pub(crate) clocks: &'a [SignalId],
@@ -450,18 +364,11 @@ impl ActivationScheduler {
     pub(crate) fn new(cfg: SchedulingConfig) -> Self {
         ActivationScheduler {
             cfg,
-            pools: vec![PoolState::default()],
             driver: None,
             per_module: vec![],
             per_unit_seen: vec![],
             park: Rc::new(ParkCounters::default()),
         }
-    }
-
-    /// Opens the shard pool of a freshly created clock domain
-    /// ([`Cosim::add_clock_domain`]).
-    pub(crate) fn add_domain_pool(&mut self) {
-        self.pools.push(PoolState::default());
     }
 
     /// Hands a unit's clocked bookkeeping to the scheduler: a driver
@@ -476,9 +383,9 @@ impl ActivationScheduler {
         gate: Vec<SignalId>,
     ) {
         match self.cfg.dispatch {
-            Dispatch::Driver { shard_size } => {
+            Dispatch::Driver => {
                 let clk = ctx.hw_clk;
-                self.add_driver_member(ctx, Body::Unit(unit), clk, gate, shard_size);
+                self.add_driver_member(ctx, name, Body::Unit(unit), clk, gate);
             }
             Dispatch::PerProcess => self.add_unit_process(ctx, unit, name, gate),
         }
@@ -517,7 +424,7 @@ impl ActivationScheduler {
                         Err(msg) => *error.borrow_mut() = Some(msg),
                     }
                 }
-                demand.park(1);
+                demand.park();
                 ClockControl::Halt
             },
         );
@@ -527,8 +434,9 @@ impl ActivationScheduler {
     /// or under [`Dispatch::PerProcess`] a kernel process of its own.
     pub(crate) fn add_module(&mut self, ctx: SchedCtx<'_>, idx: usize, clk: SignalId) {
         match self.cfg.dispatch {
-            Dispatch::Driver { shard_size } => {
-                self.add_driver_member(ctx, Body::Module(idx), clk, vec![], shard_size);
+            Dispatch::Driver => {
+                let name = ctx.modules.borrow()[idx].name.to_string();
+                self.add_driver_member(ctx, &name, Body::Module(idx), clk, vec![]);
             }
             Dispatch::PerProcess => self.add_module_process(ctx, idx, clk),
         }
@@ -570,7 +478,7 @@ impl ActivationScheduler {
                 if error.borrow().is_some() {
                     if ps.counted {
                         ps.counted = false;
-                        demand.park(1);
+                        demand.park();
                     }
                     return Wait::Forever;
                 }
@@ -580,7 +488,7 @@ impl ActivationScheduler {
                         ps.wait_dirty = true;
                         park.resumed.set(park.resumed.get() + 1);
                         park.parked_now.set(park.parked_now.get() - 1);
-                        demand.resume(1, ctx);
+                        demand.resume(ctx);
                         ps.counted = true;
                     } else if !ps.wait_dirty {
                         return Wait::Same;
@@ -610,7 +518,7 @@ impl ActivationScheduler {
                             ps.wait_dirty = true;
                             park.parked.set(park.parked.get() + 1);
                             park.parked_now.set(park.parked_now.get() + 1);
-                            demand.park(1);
+                            demand.park();
                             ps.counted = false;
                         }
                         Ok(None) => {}
@@ -618,7 +526,7 @@ impl ActivationScheduler {
                             *error.borrow_mut() = Some(msg);
                             if ps.counted {
                                 ps.counted = false;
-                                demand.park(1);
+                                demand.park();
                             }
                             return Wait::Forever;
                         }
@@ -647,19 +555,16 @@ impl ActivationScheduler {
         );
     }
 
-    /// Places a unit or module into the driver: hashed placement spreads
-    /// members over the domain's open shards (the driver steps in
-    /// creation order whatever the placement). The driver's kernel
-    /// process is registered with the first member, and each shard's
-    /// watcher with the shard. `watch` is a unit's gate (empty for a
-    /// module).
+    /// Adds a unit or module to the driver, with a watcher process of
+    /// its own. The driver's kernel process is registered with the
+    /// first member. `watch` is a unit's gate (empty for a module).
     fn add_driver_member(
         &mut self,
         mut ctx: SchedCtx<'_>,
+        name: &str,
         body: Body,
         clk: SignalId,
         watch: Vec<SignalId>,
-        shard_size: usize,
     ) {
         ctx.demand.register(ctx.sim);
         let driver = match &self.driver {
@@ -679,25 +584,6 @@ impl ActivationScheduler {
                 state
             }
         };
-        let pool = &mut self.pools[ctx.domain];
-        let shard = match pool.place(shard_size.max(1)) {
-            Some(local) => pool.shards[local],
-            None => {
-                let open = driver.borrow().shards.len();
-                let poke = ctx.sim.add_bit(format!("SHARD{open}_POKE"));
-                driver.borrow_mut().shards.push(DriverShard {
-                    members: 0,
-                    parked: vec![],
-                    demand: Rc::clone(ctx.demand),
-                    poke,
-                    watch_dirty: false,
-                    watcher_armed: false,
-                });
-                Self::register_watcher(&mut ctx, Rc::clone(&driver), open, Rc::clone(&self.park));
-                pool.shards.push(open);
-                open
-            }
-        };
         let clock = ctx
             .clocks
             .iter()
@@ -707,34 +593,42 @@ impl ActivationScheduler {
             Body::Unit(_) => vec![0; watch.len()],
             Body::Module(_) => vec![],
         };
-        let mut st = driver.borrow_mut();
-        st.shards[shard].members += 1;
-        let idx = st.members.len() as u32;
-        st.members.push(DriverMember {
-            body,
-            clock: clock as u32,
-            watch,
-            seen,
-            shard: shard as u32,
-        });
-        st.active.push(idx);
+        let poke = ctx.sim.add_bit(format!("{name}.POKE"));
+        let idx = {
+            let mut st = driver.borrow_mut();
+            let idx = st.members.len();
+            st.members.push(DriverMember {
+                body,
+                clock: clock as u32,
+                watch,
+                seen,
+                parked: false,
+                demand: Rc::clone(ctx.demand),
+                poke,
+            });
+            st.active.push(idx as u32);
+            idx
+        };
+        Self::register_watcher(&mut ctx, name, driver, idx, Rc::clone(&self.park));
     }
 
-    /// Registers a shard's watcher: a kernel process owning the shard's
-    /// parked-member wakeups. Its sensitivity is the shard's parked
-    /// watch wires plus the shard's poke signal (toggled by the driver
-    /// after parking members); a member whose watch wire evented
-    /// rejoins the driver's active list in creation order.
+    /// Registers a member's watcher: a kernel process owning the
+    /// member's wakeups while it is parked. While the member is active
+    /// the watcher waits on the member's poke signal, which the driver
+    /// toggles when it parks the member; while the member is parked it
+    /// waits on the member's watch wires (forever when there are none).
+    /// A watch-wire event — also one in the poke's own delta — returns
+    /// the member to the driver's active list in creation order.
     fn register_watcher(
         ctx: &mut SchedCtx<'_>,
+        name: &str,
         state: Rc<RefCell<DriverState>>,
-        shard_idx: usize,
+        idx: usize,
         park: Rc<ParkCounters>,
     ) {
         let error = Rc::clone(ctx.error);
-        let demand = Rc::clone(ctx.demand);
         ctx.sim.add_process(
-            format!("shard{shard_idx}_watch"),
+            format!("{name}.watch"),
             FnProcess::new(move |pctx| {
                 if error.borrow().is_some() {
                     return Wait::Forever;
@@ -743,57 +637,34 @@ impl ActivationScheduler {
                 let DriverState {
                     members,
                     active,
-                    shards,
                     parked_on,
                     wire_wakeups,
                     watch_probes,
                     ..
                 } = &mut *st;
-                let shard = &mut shards[shard_idx];
-                if !shard.watcher_armed {
-                    // First (elaboration) run: arm on the poke signal so
-                    // the first park can hand over its watch set.
-                    shard.watcher_armed = true;
-                    shard.watch_dirty = false;
-                    return Wait::Event(vec![shard.poke]);
-                }
-                let was_dormant = shard.parked.len() == shard.members;
-                let mut resumed = 0usize;
-                let mut i = 0;
-                while i < shard.parked.len() {
-                    let mi = shard.parked[i];
-                    let m = &members[mi as usize];
+                let m = &mut members[idx];
+                if m.parked {
                     *watch_probes += m.watch.len() as u64;
-                    if m.watch.iter().any(|&w| pctx.event(w)) {
-                        shard.parked.swap_remove(i);
-                        let pos = active.partition_point(|&a| a < mi);
-                        active.insert(pos, mi);
-                        parked_on[m.clock as usize] -= 1;
-                        resumed += 1;
-                    } else {
-                        i += 1;
+                    if !m.watch.iter().any(|&w| pctx.event(w)) {
+                        if m.watch.is_empty() {
+                            // Nothing can ever re-arm the member.
+                            return Wait::Forever;
+                        }
+                        let mut sens = pctx.wait_buf();
+                        sens.extend_from_slice(&m.watch);
+                        return Wait::Event(sens);
                     }
+                    m.parked = false;
+                    let pos = active.partition_point(|&a| (a as usize) < idx);
+                    active.insert(pos, idx as u32);
+                    parked_on[m.clock as usize] -= 1;
+                    *wire_wakeups += 1;
+                    park.resumed.set(park.resumed.get() + 1);
+                    park.parked_now.set(park.parked_now.get() - 1);
+                    m.demand.resume(pctx);
                 }
-                if resumed > 0 {
-                    park.resumed.set(park.resumed.get() + resumed as u64);
-                    park.parked_now.set(park.parked_now.get() - resumed);
-                    shard.watch_dirty = true;
-                    demand.resume(resumed, pctx);
-                    if was_dormant {
-                        *wire_wakeups += 1;
-                    }
-                }
-                if !shard.watch_dirty {
-                    return Wait::Same;
-                }
-                shard.watch_dirty = false;
                 let mut sens = pctx.wait_buf();
-                sens.push(shard.poke);
-                for &pi in &shard.parked {
-                    sens.extend_from_slice(&members[pi as usize].watch);
-                }
-                sens.sort_unstable();
-                sens.dedup();
+                sens.push(m.poke);
                 Wait::Event(sens)
             }),
         );
@@ -806,7 +677,7 @@ impl ActivationScheduler {
     /// do there — and parks the ones that prove stable.
     ///
     /// The driver's sensitivity is pinned to the activation clocks;
-    /// parked-member wakeups belong to the shard watchers
+    /// parked-member wakeups belong to the member watchers
     /// ([`ActivationScheduler::register_watcher`]). When every clocked
     /// body is parked the clock generators themselves stop
     /// ([`ClockDemand`]), so a fully-parked backplane still costs
@@ -857,7 +728,6 @@ impl ActivationScheduler {
                 let DriverState {
                     members,
                     active,
-                    shards,
                     parked_on,
                     units_stepped,
                     ..
@@ -904,18 +774,14 @@ impl ActivationScheduler {
                     match stable {
                         Ok(false) => true,
                         Ok(true) => {
-                            let shard = &mut shards[m.shard as usize];
-                            shard.parked.push(ai);
-                            shard.demand.park(1);
+                            m.parked = true;
+                            m.demand.park();
                             parked_on[m.clock as usize] += 1;
                             park.parked.set(park.parked.get() + 1);
                             park.parked_now.set(park.parked_now.get() + 1);
-                            // Hand the new watch set to the shard's
+                            // Hand the new watch set to the member's
                             // watcher (event next delta).
-                            if !shard.watch_dirty {
-                                shard.watch_dirty = true;
-                                toggle(pctx, shard.poke);
-                            }
+                            toggle(pctx, m.poke);
                             false
                         }
                         Err(msg) => {
@@ -945,12 +811,6 @@ impl ActivationScheduler {
         };
         if let Some(driver) = &self.driver {
             let st = driver.borrow();
-            s.shards = st.shards.len();
-            s.dormant_shards = st
-                .shards
-                .iter()
-                .filter(|sh| sh.parked.len() == sh.members)
-                .count();
             s.shard_runs = st.runs;
             s.units_stepped = st.units_stepped;
             s.units_skipped = st.units_skipped;

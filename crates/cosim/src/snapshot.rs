@@ -20,9 +20,9 @@ use std::sync::Arc;
 
 /// One construction step of a backplane, recorded by the `add_*`
 /// methods so [`Cosim::fork`] can replay it onto a fresh backplane.
-/// Replay is deterministic: ids (signals, processes, units, modules)
-/// and hashed shard placement depend only on call order, so the twin's
-/// structure is bit-identical to the original's.
+/// Replay is deterministic: ids (signals, processes, units, modules,
+/// driver members) depend only on call order, so the twin's structure
+/// is bit-identical to the original's.
 pub(crate) enum RecipeOp {
     /// [`Cosim::add_clock_domain`] — domains precede every unit and
     /// module, so replay rebuilds the same clock/kick signals and
@@ -294,11 +294,12 @@ impl Cosim {
     /// Returns [`CosimError::Setup`] when the snapshot does not fit
     /// this backplane: unit or module counts, a different kind of unit
     /// at some table index, unit state outside its spec, a module state
-    /// outside its FSM or a variable-count mismatch, driver members or
-    /// shards, or native units without state support. Returns
-    /// [`CosimError::Sim`] when the kernel rejects the snapshot
-    /// (signal/process table mismatch — e.g. processes added through
-    /// [`Cosim::sim_mut`] after the snapshot was taken). Every check
+    /// outside its FSM or a variable-count mismatch, driver members
+    /// stepping a different unit or module, on a different clock or
+    /// with a different poke signal, or native units without state
+    /// support. Returns [`CosimError::Sim`] when the kernel rejects the
+    /// snapshot (signal/process table mismatch — e.g. processes added
+    /// through [`Cosim::sim_mut`] after the snapshot was taken). Every check
     /// runs before any mutation, so on these errors the backplane is
     /// left untouched. The one check that cannot run up front is a
     /// native unit's own layout check when the unit cannot fork a twin

@@ -194,7 +194,8 @@ pub enum ClockControl {
 /// A process activated on a clock edge, registered through the kernel's
 /// sensitivity API: it declares its clock once and returns
 /// [`Wait::Same`] afterwards, so steady-state activations allocate
-/// nothing and never touch the sensitivity index.
+/// nothing and never touch the sensitivity index. An [`Edge::Rising`]
+/// process declares [`Wait::Rising`], so falling edges do not run it.
 ///
 /// Built by [`Simulator::add_clocked`].
 pub struct ClockedProcess<F> {
@@ -238,7 +239,10 @@ impl<F: FnMut(&mut ProcCtx<'_>) -> ClockControl> Process for ClockedProcess<F> {
             Wait::Same
         } else {
             self.registered = true;
-            Wait::Event(vec![self.clk])
+            match self.edge {
+                Edge::Rising => Wait::Rising(vec![self.clk]),
+                Edge::Falling | Edge::Any => Wait::Event(vec![self.clk]),
+            }
         }
     }
 }
@@ -2099,8 +2103,11 @@ mod tests {
         assert_eq!(sim.value(n), &Value::Int(3));
         // Falling edges at 5,15,...: 20 of them in 200ns.
         assert_eq!(sim.value(m), &Value::Int(20));
-        // After the halt the rising process stops being activated.
+        // The rising process ran at elaboration and on three rising
+        // edges; the falling edges in between did not run it. After the
+        // halt it stops being activated.
         let runs_at_halt = sim.process_runs(rising);
+        assert_eq!(runs_at_halt, 4);
         sim.run_for(Duration::from_ns(200)).unwrap();
         assert_eq!(sim.process_runs(rising), runs_at_halt);
     }

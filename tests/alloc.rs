@@ -151,7 +151,7 @@ fn warm_multi_rate_ring_cycles_do_not_allocate() {
     let _serial = GATE.lock().unwrap();
     // A multi-rate Ring: the first link and the modules touching it run
     // in a quarter-rate clock domain, so the warm window exercises the
-    // per-domain clock generators, the domain-keyed shard park/demand
+    // per-domain clock generators, the per-member park/demand
     // accounting, and cross-rate link pumps — none of which may
     // allocate once the pools are warm.
     let spec = ScenarioSpec {

@@ -630,8 +630,8 @@ proptest! {
 // Backplane scheduling: the production scheduler (one driver stepping
 // units and modules in creation order) is observationally equivalent to
 // the per-unit/per-module oracle: same module states, SUMs, traces AND
-// activation counts, on randomized topologies, shard sizes and park
-// flags over every link flavour.
+// activation counts, on randomized topologies and park flags over
+// every link flavour.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -643,7 +643,6 @@ proptest! {
         link_sel in 0u8..3,
         values in 1usize..4,
         seed in any::<u64>(),
-        shard_size in 1usize..6,
         park in any::<bool>(),
         trace in any::<bool>(),
     ) {
@@ -677,7 +676,7 @@ proptest! {
         };
         // With tracing on, every module records an entry per
         // activation, so same-instant entries pin the order in which
-        // the driver steps modules across its hashed shards.
+        // the driver steps modules.
         let mk = |scheduling| ScenarioSpec {
             units,
             topology,
@@ -702,7 +701,7 @@ proptest! {
             ..SchedulingConfig::legacy()
         })?;
         let s = run("sharded", SchedulingConfig {
-            dispatch: Dispatch::Driver { shard_size },
+            dispatch: Dispatch::Driver,
             park_blocked: park,
         })?;
         for (&a, &b) in s.modules.iter().zip(&baseline.modules) {
