@@ -33,6 +33,11 @@
 //! with the same module statuses and checker verdicts; the `variant`
 //! column names each side of both comparisons.
 //!
+//! The `elaborate` rows time model build rather than a run:
+//! `build_scenario` plus drop of a length-only batched pipeline, the
+//! setup and teardown every short co-simulation job pays around its
+//! run.
+//!
 //! Every row carries provenance for cross-machine trajectory
 //! comparisons: a `schema` version, the `git_rev` the binary was run
 //! against, the host's `cpus`, and a `timestamp` string passed in by
@@ -698,6 +703,46 @@ fn main() {
                 p50_ns: p50,
                 p99_ns: p99,
                 runs,
+            });
+        }
+    }
+
+    // Elaboration: build and drop a length-only batched pipeline — the
+    // kernel signals, unit table, driver members and module instances a
+    // job sets up and tears down around its run.
+    {
+        let (elab_sizes, elab_runs): (&[usize], u32) = if quick {
+            (&[64], 20)
+        } else {
+            (&[64, 256], 100)
+        };
+        for &n in elab_sizes {
+            let build = || scenario(n, Topology::Pipeline, SchedulingConfig::sharded(), batched);
+            drop(build());
+            let samples: Vec<u128> = (0..elab_runs)
+                .map(|_| {
+                    let start = Instant::now();
+                    drop(build());
+                    start.elapsed().as_nanos()
+                })
+                .collect();
+            let (mean, p50, p99) = summarize3(samples);
+            println!(
+                "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
+                 p50={p50} p99={p99}  ({elab_runs} runs)",
+                "elaborate",
+                timing_label(&batched)
+            );
+            records.push(Record {
+                scenario: "elaborate",
+                n,
+                bus_timing: timing_label(&batched),
+                queue: None,
+                variant: None,
+                ns_per_run: mean,
+                p50_ns: p50,
+                p99_ns: p99,
+                runs: elab_runs,
             });
         }
     }

@@ -52,7 +52,16 @@ use cosma_core::ids::PortId;
 use cosma_core::{Bit, EvalError, ServiceOutcome, Type, Value};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The wire-level protocol every [`BatchedLink`] runs: one immutable
+/// [`batched_handshake_unit`] spec, built on first use and shared by
+/// every link in the process, so a link costs its own state and not a
+/// copy of the protocol description.
+fn batched_spec() -> &'static Arc<CommUnitSpec> {
+    static SPEC: OnceLock<Arc<CommUnitSpec>> = OnceLock::new();
+    SPEC.get_or_init(|| batched_handshake_unit("batched_handshake"))
+}
 
 /// Internal caller driving the producer side of the wire handshake.
 const BUS_PRODUCER: CallerId = CallerId(u64::MAX);
@@ -127,6 +136,11 @@ fn wire_word(v: &Value) -> Value {
 /// A burst-capable channel: vec-backed payload queues on both ends of a
 /// single wire-level handshake that is run once per *batch*.
 ///
+/// Every link shares one wire-level spec ([`BatchedLink::spec`]), whose
+/// [`CommUnitSpec::name`] is the unit type, `batched_handshake`; the
+/// link's own instance name lives with the link, and every error it
+/// returns reads `batched link <name>: …`.
+///
 /// # Examples
 ///
 /// Move eight values with one bus transaction:
@@ -157,6 +171,8 @@ fn wire_word(v: &Value) -> Value {
 /// # Ok::<(), cosma_core::EvalError>(())
 /// ```
 pub struct BatchedLink {
+    /// Instance name, for errors (the shared spec names the type).
+    name: String,
     inner: FsmUnitRuntime,
     /// Index of `put` in the spec's service table: the link's producer
     /// service and the inner bus protocol's producer side.
@@ -267,7 +283,7 @@ impl BatchedLink {
                 i16::MAX
             )));
         }
-        let spec = batched_handshake_unit(name);
+        let spec = Arc::clone(batched_spec());
         let pending_wire = spec
             .wire_id("PENDING")
             .expect("batched handshake spec has a PENDING wire");
@@ -287,6 +303,7 @@ impl BatchedLink {
             .service_index("get")
             .expect("batched handshake spec has a get service");
         Ok(BatchedLink {
+            name: name.to_string(),
             calls: ServiceCounts::new(&spec),
             inner: FsmUnitRuntime::new(spec),
             put,
@@ -343,7 +360,8 @@ impl BatchedLink {
         self.timing
     }
 
-    /// The wire-level spec (for declaring kernel signals / local wires).
+    /// The wire-level spec (for declaring kernel signals / local wires):
+    /// the one `batched_handshake` spec every link shares.
     #[must_use]
     pub fn spec(&self) -> &Arc<CommUnitSpec> {
         self.inner.spec()
@@ -432,6 +450,17 @@ impl BatchedLink {
         vec![self.pending_wire]
     }
 
+    /// Names this link in an error of the inner bus-protocol runtime,
+    /// whose own messages name only the shared spec's unit type.
+    fn named(&self, e: EvalError) -> EvalError {
+        match e {
+            EvalError::Service(msg) => {
+                EvalError::Service(format!("batched link {}: {msg}", self.name))
+            }
+            e => e,
+        }
+    }
+
     /// Validates a `put` payload against the link's data type: the value
     /// kind must match (an `Int` link cannot carry a `Bit`); integer
     /// widths are clamped like every other port/var write.
@@ -440,8 +469,7 @@ impl BatchedLink {
         if !self.data_ty.admits(&clamped) {
             return Err(EvalError::Service(format!(
                 "batched link {}: put of {v:?} does not fit data type {}",
-                self.inner.spec().name(),
-                self.data_ty
+                self.name, self.data_ty
             )));
         }
         Ok(())
@@ -467,7 +495,7 @@ impl BatchedLink {
         let Some(idx) = self.spec().service_index(service) else {
             return Err(EvalError::Service(format!(
                 "batched link {} has no service {service}",
-                self.inner.spec().name()
+                self.name
             )));
         };
         self.call_index(caller, idx, args, wires)
@@ -496,13 +524,13 @@ impl BatchedLink {
             [] if idx == self.get => self.get(caller, wires),
             _ if idx == self.put || idx == self.get => Err(EvalError::Service(format!(
                 "batched link {}: service {} called with {} argument(s)",
-                self.inner.spec().name(),
+                self.name,
                 self.spec().services()[idx].name(),
                 args.len()
             ))),
             _ => Err(EvalError::Service(format!(
                 "batched link {} has no service #{idx}",
-                self.inner.spec().name()
+                self.name
             ))),
         }
     }
@@ -805,24 +833,24 @@ impl BatchedLink {
         if state.batch_target > self.max_batch {
             return Err(EvalError::Service(format!(
                 "batched link {}: snapshot batch target {} exceeds max_batch {}",
-                self.inner.spec().name(),
-                state.batch_target,
-                self.max_batch
+                self.name, state.batch_target, self.max_batch
             )));
         }
         if state.occupancy() > self.capacity {
             return Err(EvalError::Service(format!(
                 "batched link {}: snapshot occupancy {} exceeds capacity {}",
-                self.inner.spec().name(),
+                self.name,
                 state.occupancy(),
                 self.capacity
             )));
         }
-        self.inner.check_state(&state.inner)?;
+        self.inner
+            .check_state(&state.inner)
+            .map_err(|e| self.named(e))?;
         ServiceCounts::from_rows(self.spec(), &state.stats.services).map_err(|what| {
             EvalError::Service(format!(
                 "batched link {}: snapshot {what} does not fit the spec",
-                self.inner.spec().name()
+                self.name
             ))
         })
     }
@@ -838,7 +866,9 @@ impl BatchedLink {
     /// when [`BatchedLink::check_state`] rejects the capture.
     pub fn restore_state(&mut self, state: &BatchedLinkState) -> Result<(), EvalError> {
         let calls = self.checked_counts(state)?;
-        self.inner.restore_state(&state.inner)?;
+        self.inner
+            .restore_state(&state.inner)
+            .map_err(|e| self.named(e))?;
         self.calls = calls;
         self.batch_target = state.batch_target;
         self.outgoing.clone_from(&state.outgoing);
@@ -1401,5 +1431,51 @@ mod tests {
         let mut narrow = BatchedLink::new("bus", Type::INT16, 1, 64);
         let err = narrow.restore_state(&snap).unwrap_err();
         assert!(err.to_string().contains("batch target"));
+    }
+
+    #[test]
+    fn links_share_one_spec_and_name_themselves_in_errors() {
+        let (mut a, mut wires) = fresh();
+        let mut b = BatchedLink::new("other", Type::INT16, 1, 64);
+        assert!(Arc::ptr_eq(a.spec(), b.spec()), "one spec for every link");
+        assert_eq!(a.spec().name(), "batched_handshake", "named by its type");
+        let p = CallerId(1);
+        for (name, link) in [("bus", &mut a), ("other", &mut b)] {
+            let prefix = format!("batched link {name}: ");
+            let err = link
+                .call(p, "put", &[Value::Bit(Bit::One)], &mut wires)
+                .unwrap_err();
+            assert!(err.to_string().contains(&prefix), "{err}");
+            let err = link
+                .call(p, "get", &[Value::Int(1)], &mut wires)
+                .unwrap_err();
+            assert!(err.to_string().contains(&prefix), "{err}");
+        }
+        // A snapshot misfit on the link itself, and one the shared inner
+        // runtime finds (a controller-less protocol state), both name
+        // the link.
+        for _ in 0..4 {
+            a.put(p, Value::Int(1), &mut wires).unwrap();
+        }
+        for _ in 0..12 {
+            a.pump(&mut wires, false).unwrap();
+        }
+        let snap = a.capture_state();
+        assert!(snap.batch_target() > 1);
+        let err = b.restore_state(&snap).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("batched link other: snapshot batch target"),
+            "{err}"
+        );
+        let mut foreign = snap;
+        foreign.inner =
+            FsmUnitRuntime::new(crate::shared_reg_unit("reg", Type::INT16)).capture_state();
+        let err = a.restore_state(&foreign).unwrap_err();
+        assert!(
+            err.to_string().contains("batched link bus: ")
+                && err.to_string().contains("controller"),
+            "{err}"
+        );
     }
 }

@@ -51,8 +51,8 @@ pub fn handshake_unit(name: &str, data_ty: Type) -> Arc<CommUnitSpec> {
 /// lets a scheduler that has parked an idle link (the sharded backplane)
 /// learn that a new batch is waiting without polling.
 ///
-/// Used by [`BatchedLink`](crate::BatchedLink); rarely instantiated
-/// directly.
+/// Every [`BatchedLink`](crate::BatchedLink) runs one shared spec built
+/// here, named `batched_handshake`; rarely instantiated directly.
 #[must_use]
 pub fn batched_handshake_unit(name: &str) -> Arc<CommUnitSpec> {
     build_handshake(name, Type::INT16, true)

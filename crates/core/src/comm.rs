@@ -265,7 +265,10 @@ impl ServiceSpecBuilder {
 /// A communication-unit type: wires + optional controller + services.
 ///
 /// Specs are immutable and shared (`Arc`) between the library, system
-/// descriptions and runtime instances.
+/// descriptions and runtime instances: one spec describes the unit
+/// type, and every instance of it (a backplane unit, a batched link, a
+/// synthesized controller) refers to that one spec under an instance
+/// name of its own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommUnitSpec {
     name: String,
@@ -275,7 +278,8 @@ pub struct CommUnitSpec {
 }
 
 impl CommUnitSpec {
-    /// Unit type name (e.g. `"handshake"`).
+    /// The unit *type* name (e.g. `"handshake"`), shared by every
+    /// instance of the spec; instance names live with the instances.
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name

@@ -14,6 +14,7 @@ use crate::stmt::Stmt;
 use crate::value::{Type, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Whether a module is destined for hardware synthesis or software
 /// compilation.
@@ -146,6 +147,11 @@ impl InterfaceBinding {
 }
 
 /// A behavioural module of the system.
+///
+/// The FSM is immutable once built and shared by reference count, so
+/// cloning a module (one clone per backplane instance, its fork recipe,
+/// an IPC platform) copies its name and declarations but shares its
+/// states, statements and expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     name: String,
@@ -153,7 +159,7 @@ pub struct Module {
     ports: Vec<Port>,
     vars: Vec<Variable>,
     bindings: Vec<InterfaceBinding>,
-    fsm: Fsm,
+    fsm: Arc<Fsm>,
 }
 
 impl Module {
@@ -187,7 +193,7 @@ impl Module {
         &self.bindings
     }
 
-    /// The module's behaviour.
+    /// The module's behaviour, shared by every clone of the module.
     #[must_use]
     pub fn fsm(&self) -> &Fsm {
         &self.fsm
@@ -405,7 +411,7 @@ impl ModuleBuilder {
             ports: self.ports,
             vars: self.vars,
             bindings: self.bindings,
-            fsm,
+            fsm: Arc::new(fsm),
         };
         crate::validate::check_module(&module).map_err(|detail| ModuleBuildError::Invalid {
             module: module.name.clone(),
@@ -580,6 +586,14 @@ mod tests {
         b.initial(s);
         let m = b.build().unwrap();
         assert_eq!(m.var(v).init(), &Value::Bool(false));
+    }
+
+    #[test]
+    fn clones_share_one_fsm() {
+        let m = simple_module().build().unwrap();
+        let twin = m.clone();
+        assert!(std::ptr::eq(m.fsm(), twin.fsm()), "the FSM is shared");
+        assert_eq!(m, twin);
     }
 
     #[test]

@@ -905,31 +905,7 @@ impl Cosim {
         bindings: &[(&str, UnitId)],
     ) -> Result<CosimModuleId, CosimError> {
         self.check_domain(domain, module.name())?;
-        let ports: Vec<SignalId> = module
-            .ports()
-            .iter()
-            .map(|p| {
-                self.sim.add_signal(
-                    format!("{}.{}", module.name(), p.name()),
-                    p.ty().clone(),
-                    p.ty().default_value(),
-                )
-            })
-            .collect();
-        let id = self.install_module(domain, module, bindings, ports)?;
-        // Ports recorded as `None`: the fork replays by creating fresh
-        // port signals, which — replayed in call order — get the same
-        // ids the originals got.
-        self.recipe.push(RecipeOp::Module {
-            module: module.clone(),
-            bindings: bindings
-                .iter()
-                .map(|(n, u)| ((*n).to_string(), *u))
-                .collect(),
-            ports: None,
-            domain: domain.0,
-        });
-        Ok(id)
+        self.install_module(domain, module, bindings, None)
     }
 
     /// Adds a module with an explicit port→signal map (used to share nets
@@ -946,30 +922,23 @@ impl Cosim {
         bindings: &[(&str, UnitId)],
         ports: Vec<SignalId>,
     ) -> Result<CosimModuleId, CosimError> {
-        let id = self.install_module(DomainId::BASE, module, bindings, ports.clone())?;
-        self.recipe.push(RecipeOp::Module {
-            module: module.clone(),
-            bindings: bindings
-                .iter()
-                .map(|(n, u)| ((*n).to_string(), *u))
-                .collect(),
-            ports: Some(ports),
-            domain: 0,
-        });
-        Ok(id)
+        self.install_module(DomainId::BASE, module, bindings, Some(ports))
     }
 
     /// Shared installation body behind [`Cosim::add_module`] and
     /// [`Cosim::add_module_with_ports`], which differ only in port-signal
-    /// provenance and in what they record on the fork recipe.
+    /// provenance: `None` creates fresh `<module>.<PORT>` signals, which
+    /// a fork's replay (recorded as `None` too) recreates with the same
+    /// ids. Everything is checked before the kernel is touched, so a
+    /// refused module leaves no signal behind.
     fn install_module(
         &mut self,
         domain: DomainId,
         module: &Module,
         bindings: &[(&str, UnitId)],
-        ports: Vec<SignalId>,
+        ports: Option<Vec<SignalId>>,
     ) -> Result<CosimModuleId, CosimError> {
-        if ports.len() != module.ports().len() {
+        if let Some(ports) = ports.as_ref().filter(|p| p.len() != module.ports().len()) {
             return Err(CosimError::Setup(format!(
                 "module {}: {} signals provided for {} ports",
                 module.name(),
@@ -1009,7 +978,30 @@ impl Cosim {
         }
         // Every service spelling the FSM calls resolves here, once; an
         // undeclared one still installs and fails when the call runs.
-        let bindings = ModuleBinding::resolve_all(module.fsm(), &self.units.borrow(), &resolved);
+        let resolved_bindings =
+            ModuleBinding::resolve_all(module.fsm(), &self.units.borrow(), &resolved);
+        self.recipe.push(RecipeOp::Module {
+            module: module.clone(),
+            bindings: bindings
+                .iter()
+                .map(|(n, u)| ((*n).to_string(), *u))
+                .collect(),
+            ports: ports.clone(),
+            domain: domain.0,
+        });
+        let ports = ports.unwrap_or_else(|| {
+            module
+                .ports()
+                .iter()
+                .map(|p| {
+                    self.sim.add_signal(
+                        format!("{}.{}", module.name(), p.name()),
+                        p.ty().clone(),
+                        p.ty().default_value(),
+                    )
+                })
+                .collect()
+        });
 
         let idx = self.modules.borrow().len();
         let caller = CallerId(idx as u64);
@@ -1034,7 +1026,7 @@ impl Cosim {
             ports,
             vars: module.vars().iter().map(|v| v.init().clone()).collect(),
             var_tys: module.vars().iter().map(|v| v.ty().clone()).collect(),
-            bindings,
+            bindings: resolved_bindings,
             caller,
             status,
             trace_hints: TraceHints::default(),
@@ -1717,6 +1709,41 @@ mod tests {
             "activation clocks keep timers armed"
         );
         assert_eq!(cosim.sim().now(), SimTime::from_ns(1000));
+    }
+
+    #[test]
+    fn refused_module_leaves_no_signals_and_later_forks_replay() {
+        // Regression: a module refused for an unknown binding name used
+        // to leave its port signals in the kernel. The fork recipe never
+        // replays them, so every later fork failed its shape check.
+        use cosma_core::PortDir;
+        let mut b = ModuleBuilder::new("ported", ModuleKind::Hardware);
+        b.port("OUT", PortDir::Out, Type::Bit);
+        b.binding("iface", "hs");
+        let s = b.state("S");
+        b.transition(s, None, s);
+        b.initial(s);
+        let ported = b.build().unwrap();
+        for cfg in [SchedulingConfig::sharded(), SchedulingConfig::legacy()] {
+            let mut cosim = Cosim::new(CosimConfig::default());
+            cosim.set_scheduling(cfg).unwrap();
+            let link = cosim.add_fsm_unit("link", handshake_unit("hs", Type::INT16));
+            assert!(cosim.add_module(&ported, &[("nope", link)]).is_err());
+            assert_eq!(cosim.sim().find_signal("ported.OUT"), None, "no orphan");
+            cosim
+                .add_module(&producer(&[1, 2, 3]), &[("iface", link)])
+                .unwrap();
+            let cid = cosim.add_module(&consumer(3), &[("iface", link)]).unwrap();
+            cosim.run_for(Duration::from_us(1)).unwrap();
+            let mut twin = cosim.fork(&cosim.snapshot()).unwrap();
+            for c in [&mut cosim, &mut twin] {
+                c.run_for(Duration::from_us(10)).unwrap();
+            }
+            assert_eq!(cosim.module_status(cid).state, "END", "{cfg:?}");
+            assert_eq!(twin.module_var(cid, "SUM"), Some(Value::Int(6)));
+            assert_eq!(twin.module_status(cid), cosim.module_status(cid));
+            assert_eq!(twin.trace_log(), cosim.trace_log(), "{cfg:?}");
+        }
     }
 
     #[test]

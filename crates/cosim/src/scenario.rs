@@ -34,10 +34,12 @@ use crate::backplane::{
 };
 use crate::partition::{BoundarySpec, Orchestrator, PartitionId};
 use cosma_comm::{handshake_unit, BusTiming};
+use cosma_core::comm::CommUnitSpec;
 use cosma_core::{Expr, Module, ModuleBuilder, ModuleKind, ServiceCall, Stmt, Type, Value};
 use cosma_sim::Duration;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Wiring shape of a generated scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -746,16 +748,21 @@ fn module_domain(spec: &ScenarioSpec, slow: Option<DomainId>, pm: &PlannedModule
 }
 
 /// Adds link `i` to a backplane in domain `d`, with the spec's link
-/// flavour.
+/// flavour. Handshake links share `hs`, the one [`handshake_unit`] spec
+/// of the elaboration, built by the first of them.
 fn add_link(
     cosim: &mut Cosim,
     spec: &ScenarioSpec,
+    hs: &OnceCell<Arc<CommUnitSpec>>,
     i: usize,
     d: DomainId,
 ) -> Result<UnitId, CosimError> {
     let name = format!("link{i}");
     match spec.link {
-        LinkKind::Handshake => cosim.add_fsm_unit_in(d, &name, handshake_unit("hs", Type::INT16)),
+        LinkKind::Handshake => {
+            let hs = hs.get_or_init(|| handshake_unit("hs", Type::INT16));
+            cosim.add_fsm_unit_in(d, &name, Arc::clone(hs))
+        }
         LinkKind::Batched {
             max_batch,
             capacity,
@@ -778,8 +785,9 @@ pub fn build_scenario(spec: &ScenarioSpec) -> Result<Scenario, CosimError> {
     let mut cosim = Cosim::new(spec.config);
     cosim.set_scheduling(spec.scheduling)?;
     let slow = scenario_domains(&mut cosim, spec)?;
+    let hs = OnceCell::new();
     let links: Vec<UnitId> = (0..plan.n_links)
-        .map(|i| add_link(&mut cosim, spec, i, link_domain(spec, slow, i)))
+        .map(|i| add_link(&mut cosim, spec, &hs, i, link_domain(spec, slow, i)))
         .collect::<Result<_, _>>()?;
     let mut modules = vec![];
     for pm in &plan.modules {
@@ -974,6 +982,7 @@ pub fn build_partitioned(
         parts.push(orch.add_partition(c));
     }
     let bspec = boundary_spec(spec, pspec.latency);
+    let hs = OnceCell::new();
     let mut sites = Vec::with_capacity(plan.n_links);
     for i in 0..plan.n_links {
         let d = link_domain(spec, slow, i);
@@ -995,7 +1004,7 @@ pub fn build_partitioned(
             }
             (p, c) => {
                 let home = p.or(c).unwrap_or(0);
-                let unit = add_link(orch.partition_mut(parts[home]), spec, i, d)?;
+                let unit = add_link(orch.partition_mut(parts[home]), spec, &hs, i, d)?;
                 sites.push(LinkSite::Local { part: home, unit });
             }
         }
@@ -1073,6 +1082,7 @@ pub fn build_collapsed(
     cosim.set_scheduling(spec.scheduling)?;
     let slow = scenario_domains(&mut cosim, spec)?;
     let bspec = boundary_spec(spec, pspec.latency);
+    let hs = OnceCell::new();
     let mut links = vec![];
     let mut sites = Vec::with_capacity(plan.n_links);
     for i in 0..plan.n_links {
@@ -1107,7 +1117,7 @@ pub fn build_collapsed(
             }
             (p, c) => {
                 let home = p.or(c).unwrap_or(0);
-                let unit = add_link(&mut cosim, spec, i, d)?;
+                let unit = add_link(&mut cosim, spec, &hs, i, d)?;
                 links.push(unit);
                 sites.push(LinkSite::Local { part: home, unit });
             }
@@ -1980,9 +1990,10 @@ mod tests {
             cosim.set_scheduling(spec.scheduling).expect("scheduling");
             let slow = scenario_domains(&mut cosim, spec).expect("domains");
             let mut links: Vec<Option<UnitId>> = vec![None; plan.n_links];
+            let hs = OnceCell::new();
             let mut link = |cosim: &mut Cosim, i: usize| {
                 *links[i].get_or_insert_with(|| {
-                    add_link(cosim, spec, i, link_domain(spec, slow, i)).expect("link")
+                    add_link(cosim, spec, &hs, i, link_domain(spec, slow, i)).expect("link")
                 })
             };
             let mut modules = vec![];

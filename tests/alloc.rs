@@ -1,7 +1,9 @@
-//! Steady-state allocation regression gate (behind the test-only
-//! `count-allocs` feature): a counting global allocator pins *warm*
-//! backplanes on the production scheduler (`SchedulingConfig::default()`)
-//! to **zero** heap allocations per cycle.
+//! Allocation regression gates (behind the test-only `count-allocs`
+//! feature): a global allocator that counts each thread's heap
+//! acquisitions pins *warm* backplanes on the production scheduler
+//! (`SchedulingConfig::default()`) to **zero** heap allocations per
+//! cycle, and bounds what elaborating one more batched link or module
+//! may allocate.
 //!
 //! The trace-heavy ring crosses the pooled hot paths of the module
 //! driver at once: every module records a trace entry per activation,
@@ -13,11 +15,17 @@
 //! FIFO and the board's warm FPGA fabric (the motor's Speed Control
 //! netlists and its peripheral).
 //!
+//! The elaboration gate bounds the cost of one instance (48
+//! allocations per batched link, 40 per single-binding module): every
+//! batched link shares one protocol spec and every module instance
+//! shares its FSM with the description it came from, so neither may
+//! copy the description it instantiates.
+//!
 //! Run with: `cargo test --features count-allocs --test alloc`
 #![cfg(feature = "count-allocs")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use cosma::cosim::scenario::{build_scenario, DomainsSpec, LinkKind, ScenarioSpec, Topology};
 use cosma::cosim::{BusTiming, SchedulingConfig};
@@ -28,22 +36,33 @@ use cosma::sim::Duration;
 /// the gate is about *acquiring* memory in the steady state.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap acquisitions made by this thread. Each gate runs its
+    /// backplane (single-threaded) on its own test thread and reads only
+    /// its own count, so gates may run in parallel, and the test
+    /// harness spawning and reaping other test threads mid-window
+    /// counts against no gate.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -51,17 +70,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap acquisitions made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
-
-/// The counting allocator is process-global, so gate tests must not
-/// overlap: each takes this lock for its warm-up + window.
-static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn warm_trace_heavy_cycles_do_not_allocate() {
-    let _serial = GATE.lock().unwrap();
     // A Ring keeps every module stepping for the whole run: the driver
     // circulates values_per_link tokens (far more than the run needs),
     // the relays forward forever, and tracing keeps everyone unparked.
@@ -106,7 +121,6 @@ fn warm_trace_heavy_cycles_do_not_allocate() {
 
 #[test]
 fn warm_streaming_payload_beats_do_not_allocate() {
-    let _serial = GATE.lock().unwrap();
     // A Ring of batched PayloadBeats links: every transaction that wins
     // arbitration burst-schedules its remaining DATA/B_VALID beats as a
     // drive train, so the warm window continuously exercises the timer
@@ -148,7 +162,6 @@ fn warm_streaming_payload_beats_do_not_allocate() {
 
 #[test]
 fn warm_multi_rate_ring_cycles_do_not_allocate() {
-    let _serial = GATE.lock().unwrap();
     // A multi-rate Ring: the first link and the modules touching it run
     // in a quarter-rate clock domain, so the warm window exercises the
     // per-domain clock generators, the per-member park/demand
@@ -195,7 +208,6 @@ fn warm_native_fifo_calls_do_not_allocate() {
     use cosma::core::{Expr, Module, ModuleBuilder, ModuleKind, ServiceCall, Stmt, Type, Value};
     use cosma::cosim::{Cosim, CosimConfig};
 
-    let _serial = GATE.lock().unwrap();
     // A producer and a consumer calling `put`/`get` on a native FIFO on
     // every activation, forever: each call counts into the unit's
     // statistics, which must not allocate once every service has a row.
@@ -259,7 +271,6 @@ fn warm_fabric_ticks_do_not_allocate() {
     };
     use cosma::synth::{flatten_module, synthesize_hw, Encoding};
 
-    let _serial = GATE.lock().unwrap();
     // The motor's three Speed Control netlists and its peripheral, as
     // the board wires them, ticked without the CPU. Poking the data
     // wire of the constraints mailbox (its flag stays low) changes an
@@ -309,5 +320,79 @@ fn warm_fabric_ticks_do_not_allocate() {
     assert_eq!(
         grew, 0,
         "warm fabric ticks must not allocate, saw {grew} allocations"
+    );
+}
+
+#[test]
+fn elaborating_links_and_modules_shares_their_descriptions() {
+    use cosma::core::{Expr, Module, ModuleBuilder, ModuleKind, ServiceCall, Stmt, Type, Value};
+    use cosma::cosim::{Cosim, CosimConfig, UnitId};
+
+    // A single-binding producer: two states, two variables, one `put`.
+    fn producer(name: &str) -> Module {
+        let mut b = ModuleBuilder::new(name, ModuleKind::Software);
+        let done = b.var("D", Type::Bool, Value::Bool(false));
+        let n = b.var("N", Type::INT16, Value::Int(0));
+        let bind = b.binding("out", "link");
+        let put = b.state("PUT");
+        let end = b.state("END");
+        b.actions(
+            put,
+            vec![Stmt::Call(ServiceCall {
+                binding: bind,
+                service: "put".into(),
+                args: vec![Expr::var(n)],
+                done: Some(done),
+                result: None,
+            })],
+        );
+        b.transition(put, Some(Expr::var(done)), end);
+        b.transition(put, None, put);
+        b.transition(end, None, end);
+        b.initial(put);
+        b.build().expect("module builds")
+    }
+    const WARM: usize = 8;
+    const N: usize = 64;
+    let names: Vec<String> = (0..WARM + N).map(|i| format!("link{i}")).collect();
+    let modules: Vec<Module> = (0..WARM + N)
+        .map(|i| producer(&format!("prod{i}")))
+        .collect();
+    let mut cosim = Cosim::new(CosimConfig::default());
+    let add_link = |cosim: &mut Cosim, i: usize| -> UnitId {
+        cosim
+            .add_batched_unit(&names[i], Type::INT16, 8, 32)
+            .expect("link installs")
+    };
+    // Warm-up: the first links and modules build the process-wide
+    // protocol spec and grow the backplane's tables.
+    let mut links: Vec<UnitId> = (0..WARM).map(|i| add_link(&mut cosim, i)).collect();
+    for (i, &link) in links.iter().enumerate() {
+        cosim
+            .add_module(&modules[i], &[("out", link)])
+            .expect("module installs");
+    }
+    // Keep the test's own bookkeeping out of the windows.
+    links.reserve(N);
+    let before = allocs();
+    for i in WARM..WARM + N {
+        links.push(add_link(&mut cosim, i));
+    }
+    let per_link = (allocs() - before) as f64 / N as f64;
+    let before = allocs();
+    for i in WARM..WARM + N {
+        cosim
+            .add_module(&modules[i], &[("out", links[i])])
+            .expect("module installs");
+    }
+    let per_module = (allocs() - before) as f64 / N as f64;
+    println!("elaboration: {per_link:.1} allocations per link, {per_module:.1} per module");
+    assert!(
+        per_link <= 48.0,
+        "a batched link must not copy its protocol spec: {per_link:.1} allocations per link"
+    );
+    assert!(
+        per_module <= 40.0,
+        "a module instance must not copy its FSM: {per_module:.1} allocations per module"
     );
 }

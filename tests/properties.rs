@@ -1898,3 +1898,250 @@ proptest! {
         let _ = assemble(&mutate_source(ASM_SRC, &edits, cut));
     }
 }
+
+// ---------------------------------------------------------------------
+// Purely random input: a soup of up to 60 tokens of each language — its
+// keywords, punctuation, identifiers and integer literals, including
+// ones no integer type holds — compiles or fails with a typed error.
+// ---------------------------------------------------------------------
+
+/// C-subset tokens: every keyword the parser knows, every punctuator
+/// the lexer knows, identifiers of the crate-doc example and integer
+/// literals at and past the `INT16`, `i32` and `i64` limits.
+const C_TOKENS: &[&str] = &[
+    "typedef",
+    "enum",
+    "int",
+    "unsigned",
+    "const",
+    "static",
+    "void",
+    "if",
+    "else",
+    "switch",
+    "case",
+    "default",
+    "break",
+    "return",
+    "<<",
+    ">>",
+    "<=",
+    ">=",
+    "==",
+    "!=",
+    "&&",
+    "||",
+    "->",
+    "+",
+    "-",
+    "*",
+    "/",
+    "%",
+    "<",
+    ">",
+    "=",
+    "!",
+    "~",
+    "&",
+    "|",
+    "^",
+    "(",
+    ")",
+    "{",
+    "}",
+    "[",
+    "]",
+    ";",
+    ",",
+    ":",
+    ".",
+    "?",
+    "DEMO",
+    "ST",
+    "NextState",
+    "Start",
+    "Done",
+    "ping",
+    "x",
+    "0",
+    "1",
+    "32767",
+    "32768",
+    "2147483648",
+    "9223372036854775808",
+    "99999999999999999999",
+];
+
+/// VHDL-subset tokens, in the same classes as [`C_TOKENS`].
+const VHDL_TOKENS: &[&str] = &[
+    "library",
+    "use",
+    "entity",
+    "is",
+    "port",
+    "in",
+    "out",
+    "inout",
+    "end",
+    "architecture",
+    "of",
+    "begin",
+    "type",
+    "signal",
+    "process",
+    "variable",
+    "wait",
+    "for",
+    "on",
+    "null",
+    "if",
+    "then",
+    "elsif",
+    "else",
+    "case",
+    "when",
+    "others",
+    "and",
+    "or",
+    "xor",
+    "not",
+    "mod",
+    "true",
+    "false",
+    "integer",
+    "natural",
+    "boolean",
+    "std_logic",
+    "bit",
+    "<=",
+    ">=",
+    ":=",
+    "/=",
+    "=>",
+    "=",
+    "<",
+    ">",
+    "(",
+    ")",
+    ";",
+    ":",
+    ",",
+    "+",
+    "-",
+    "*",
+    "/",
+    "'",
+    ".",
+    "'1'",
+    "COUNTER",
+    "TICK",
+    "N",
+    "CYCLE",
+    "rtl",
+    "main",
+    "0",
+    "1",
+    "32767",
+    "32768",
+    "2147483648",
+    "9223372036854775808",
+    "99999999999999999999",
+];
+
+/// MC16 assembler tokens: every directive and mnemonic, registers in
+/// and out of range, separators, line breaks, labels and literals past
+/// the 16-bit word.
+const ASM_TOKENS: &[&str] = &[
+    "ORG",
+    "EQU",
+    "WORD",
+    "NOP",
+    "HLT",
+    "HALT",
+    "RET",
+    "MOV",
+    "LDI",
+    "ADDI",
+    "CMPI",
+    "LD",
+    "ST",
+    "IN",
+    "OUT",
+    "ADD",
+    "SUB",
+    "AND",
+    "OR",
+    "XOR",
+    "MUL",
+    "DIV",
+    "REM",
+    "CMP",
+    "SHL",
+    "SAR",
+    "NEG",
+    "NOT",
+    "PUSH",
+    "POP",
+    "JMP",
+    "JZ",
+    "JNZ",
+    "JN",
+    "JNN",
+    "JC",
+    "JNC",
+    "CALL",
+    "r0",
+    "r7",
+    "r8",
+    "r99999999999999999999",
+    ",",
+    ":",
+    "[",
+    "]",
+    "+",
+    "-",
+    ";",
+    "//",
+    "\n",
+    "loop",
+    "loop:",
+    "PORT",
+    "0",
+    "-1",
+    "0x300",
+    "0xFFFF",
+    "0x10000",
+    "65536",
+    "-32769",
+    "99999999999999999999",
+    "0x99999999999999999999",
+];
+
+/// Joins the tokens `picks` selects from `vocab` with spaces.
+fn token_soup(vocab: &[&str], picks: &[usize]) -> String {
+    let words: Vec<&str> = picks.iter().map(|&i| vocab[i % vocab.len()]).collect();
+    words.join(" ")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn front_ends_survive_token_soup(
+        c in proptest::collection::vec(0usize..C_TOKENS.len(), 0..61),
+        vhdl in proptest::collection::vec(0usize..VHDL_TOKENS.len(), 0..61),
+        asm in proptest::collection::vec(0usize..ASM_TOKENS.len(), 0..61),
+    ) {
+        use cosma::cfront::{compile_module, ElabOptions, ServiceBinding};
+        use cosma::isa::assemble;
+        use cosma::vhdl::compile_entity;
+
+        let c_opts = ElabOptions {
+            bindings: vec![ServiceBinding::new("iface", "link", &["ping"])],
+        };
+        // Any outcome but a panic, a hang or an abort is acceptable.
+        let _ = compile_module(&token_soup(C_TOKENS, &c), "DEMO", ModuleKind::Software, &c_opts);
+        let vhdl_opts = cosma::vhdl::ElabOptions::default();
+        let _ = compile_entity(&token_soup(VHDL_TOKENS, &vhdl), "COUNTER", &vhdl_opts);
+        let _ = assemble(&token_soup(ASM_TOKENS, &asm));
+    }
+}
