@@ -38,6 +38,10 @@
 //! setup and teardown every short co-simulation job pays around its
 //! run.
 //!
+//! Before the first timed row the binary builds and runs the first
+//! row's scenario, untimed, for about half a second, so the first row
+//! measures the code and not CPU ramp-up after process start.
+//!
 //! Every row carries provenance for cross-machine trajectory
 //! comparisons: a `schema` version, the `git_rev` the binary was run
 //! against, the host's `cpus`, and a `timestamp` string passed in by
@@ -251,6 +255,15 @@ fn main() {
         timing: BusTiming::PayloadBeats,
     };
     println!("host available parallelism: {cpus} (rev {rev})");
+    // Untimed warm-up: about half a second of builds and runs of the
+    // first row's scenario, so CPU ramp-up and cold caches after
+    // process start land here rather than in the first row's samples.
+    let warm_until = Instant::now() + std::time::Duration::from_millis(500);
+    while Instant::now() < warm_until {
+        let (n, hs) = (sizes[0], LinkKind::Handshake);
+        let mut s = scenario(n, Topology::Pipeline, SchedulingConfig::legacy(), hs);
+        s.cosim.run_for(Duration::from_us(200)).expect("runs");
+    }
     let mut records = vec![];
     for &n in sizes {
         records.push(measure(

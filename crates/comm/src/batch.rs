@@ -330,6 +330,15 @@ impl BatchedLink {
         })
     }
 
+    /// A fresh link with this link's configuration (name, payload type,
+    /// `max_batch`, capacity and timing) and none of its state: the
+    /// structural twin a backplane fork loads a snapshot into.
+    #[must_use]
+    pub fn fork_fresh(&self) -> Self {
+        let ty = self.data_ty.clone();
+        Self::new(&self.name, ty, self.max_batch, self.capacity).with_timing(self.timing)
+    }
+
     /// Creates a batched link, panicking on invalid parameters — see
     /// [`BatchedLink::try_new`] for the fallible variant.
     ///

@@ -149,9 +149,9 @@ impl InterfaceBinding {
 /// A behavioural module of the system.
 ///
 /// The FSM is immutable once built and shared by reference count, so
-/// cloning a module (one clone per backplane instance, its fork recipe,
-/// an IPC platform) copies its name and declarations but shares its
-/// states, statements and expressions.
+/// cloning a module (one clone per backplane instance or IPC
+/// platform) copies its name and declarations but shares its states,
+/// statements and expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     name: String,

@@ -34,12 +34,12 @@
 //! * Batched bus links ([`Cosim::add_batched_unit`]) coalesce per-value
 //!   transfers into one wire handshake per (adaptively sized) batch.
 
+use crate::partition::BoundarySpec;
 use crate::sched::{install_clock_generators, ActivationScheduler, ClockDemand, SchedCtx};
 pub use crate::sched::{Dispatch, SchedulingConfig, ShardStats};
-use crate::snapshot::RecipeOp;
 pub use crate::snapshot::Snapshot;
 use crate::trace::TraceLog;
-use crate::units::{ModuleBinding, ModuleEntry, NativeBody, TraceHints, UnitBody, UnitEntry};
+use crate::units::{ModuleBinding, ModuleEntry, TraceHints, UnitBody, UnitEntry};
 use cosma_comm::{BatchedLink, BusTiming, CallerId, FsmUnitRuntime, NativeUnit, UnitStats};
 use cosma_core::comm::CommUnitSpec;
 use cosma_core::{EvalError, FsmExec, Module, ModuleKind, Type, Value};
@@ -122,8 +122,8 @@ pub(crate) struct BoundaryQueue {
 /// global femtosecond time axis — a 4:1 domain's members simply see a
 /// rising edge every fourth base period.
 pub(crate) struct ClockDomainEntry {
-    name: String,
-    ratio: ClockRatio,
+    pub(crate) name: String,
+    pub(crate) ratio: ClockRatio,
     hw_clk: SignalId,
     sw_clk: SignalId,
     pub(crate) demand: Rc<ClockDemand>,
@@ -240,12 +240,6 @@ pub struct Cosim {
     /// The clocking configuration this backplane was built with, kept so
     /// [`Cosim::fork`] can construct an identical twin.
     pub(crate) config: CosimConfig,
-    /// Construction log: one entry per `add_*` call, in call order.
-    /// [`Cosim::fork`] replays the recipe onto a fresh backplane, which
-    /// deterministically rebuilds identical structure — same signal and
-    /// process ids, same driver members and watchers — before restoring
-    /// the snapshot's state onto it.
-    pub(crate) recipe: Vec<RecipeOp>,
     /// Clock domains, base domain first. Each carries its activation
     /// clock pair and its clock-edge demand ledger: the domain's
     /// generators idle whenever its demand reaches zero — on an empty
@@ -259,8 +253,8 @@ pub struct Cosim {
     /// (`[hw0, sw0, hw1, sw1, ...]`) — the driver's clock sensitivity.
     clock_list: Vec<SignalId>,
     /// Boundary half-links installed on this backplane (partitioned
-    /// co-simulation). Boundary closures reach state the fork recipe
-    /// cannot replay (queues shared with another backplane), so
+    /// co-simulation). Boundary closures reach state the unit table
+    /// does not record (queues shared with another backplane), so
     /// [`Cosim::fork`] is rejected while any exist.
     pub(crate) boundaries: usize,
 }
@@ -301,7 +295,6 @@ impl Cosim {
             modules: Rc::new(RefCell::new(vec![])),
             sched: ActivationScheduler::new(SchedulingConfig::sharded()),
             config,
-            recipe: vec![],
             domains: vec![ClockDomainEntry {
                 name: String::new(),
                 ratio: ClockRatio::UNIT,
@@ -363,11 +356,6 @@ impl Cosim {
                 "clock domain {name} already exists"
             )));
         }
-        self.recipe.push(RecipeOp::ClockDomain {
-            name: name.to_string(),
-            num,
-            den,
-        });
         let hw_clk = self.sim.add_bit(format!("{name}.HW_CLK"));
         let sw_clk = self.sim.add_bit(format!("{name}.SW_CLK"));
         let kick = self.sim.add_bit(format!("{name}.CLK_KICK"));
@@ -553,41 +541,16 @@ impl Cosim {
         spec: Arc<CommUnitSpec>,
     ) -> Result<UnitId, CosimError> {
         self.check_domain(domain, name)?;
-        self.recipe.push(RecipeOp::FsmUnit {
-            name: name.to_string(),
-            spec: Arc::clone(&spec),
-            domain: domain.0,
-        });
-        let wires = self.declare_wires(name, &spec);
-        let body = UnitBody::Fsm(FsmUnitRuntime::new(spec));
-        Ok(self.install_unit(domain, name, wires, body))
+        Ok(self.install_unit(domain, name, UnitBody::Fsm(FsmUnitRuntime::new(spec))))
     }
 
-    /// Declares one kernel signal per unit wire, named `<name>.<WIRE>`.
-    fn declare_wires(&mut self, name: &str, spec: &CommUnitSpec) -> Vec<SignalId> {
-        spec.wires()
-            .iter()
-            .map(|w| {
-                self.sim.add_signal(
-                    format!("{name}.{}", w.name()),
-                    w.ty().clone(),
-                    w.init().clone(),
-                )
-            })
-            .collect()
-    }
-
-    /// Appends a unit to the unit table and hands its clocked
-    /// bookkeeping, if any, to the activation scheduler.
-    fn install_unit(
-        &mut self,
-        domain: DomainId,
-        name: &str,
-        wires: Vec<SignalId>,
-        body: UnitBody,
-    ) -> UnitId {
+    /// Appends a unit to the unit table, declaring its wires as kernel
+    /// signals ([`UnitEntry::new`]), and hands its clocked bookkeeping,
+    /// if any, to the activation scheduler. Every unit kind, and
+    /// [`Cosim::fork`], installs through here.
+    pub(crate) fn install_unit(&mut self, domain: DomainId, name: &str, body: UnitBody) -> UnitId {
         let cycle = self.domains[domain.0].ratio.scale(self.config.hw_cycle);
-        let entry = UnitEntry::new(name, wires, cycle, body);
+        let entry = UnitEntry::new(&mut self.sim, name, domain, cycle, body);
         let gate = entry.gate();
         let id = UnitId(self.units.borrow().len());
         self.units.borrow_mut().push(entry);
@@ -666,19 +629,10 @@ impl Cosim {
         timing: BusTiming,
     ) -> Result<UnitId, CosimError> {
         self.check_domain(domain, name)?;
-        let link = BatchedLink::try_new(name, data_ty.clone(), max_batch, capacity)
+        let link = BatchedLink::try_new(name, data_ty, max_batch, capacity)
             .map_err(|e| CosimError::Setup(e.to_string()))?
             .with_timing(timing);
-        self.recipe.push(RecipeOp::BatchedUnit {
-            name: name.to_string(),
-            data_ty,
-            max_batch,
-            capacity,
-            timing,
-            domain: domain.0,
-        });
-        let wires = self.declare_wires(name, link.spec());
-        Ok(self.install_unit(domain, name, wires, UnitBody::Batched(Box::new(link))))
+        Ok(self.install_unit(domain, name, UnitBody::Batched(Box::new(link))))
     }
 
     /// Installs the *sending* half of a boundary link: a regular batched
@@ -694,19 +648,15 @@ impl Cosim {
     /// boundary must keep observing its clock even when the rest of the
     /// partition is parked), and the backplane refuses [`Cosim::fork`]
     /// while boundary halves exist — their closures reach a queue the
-    /// construction recipe cannot replay.
-    #[allow(clippy::too_many_arguments)]
+    /// unit table does not record.
     pub(crate) fn add_boundary_out(
         &mut self,
         domain: DomainId,
         name: &str,
-        data_ty: Type,
-        max_batch: usize,
-        capacity: usize,
-        timing: BusTiming,
-        latency: Duration,
+        spec: &BoundarySpec,
         queue: Rc<RefCell<BoundaryQueue>>,
     ) -> Result<UnitId, CosimError> {
+        let latency = spec.latency;
         if latency == Duration::ZERO {
             return Err(CosimError::Setup(format!(
                 "boundary link {name}: latency must be positive (the latency is the \
@@ -714,24 +664,26 @@ impl Cosim {
                  same-quantum output)"
             )));
         }
-        let id =
-            self.add_batched_unit_in_with(domain, name, data_ty, max_batch, capacity, timing)?;
-        let get = self.resolve_service(id, "get")?;
-        self.add_boundary_process(domain, id, name, "export", move |link, ctx| {
-            let now = ctx.now();
-            loop {
-                match link.call(BOUNDARY_CALLER, get, &[], ctx)?.0 {
-                    out if out.done => {
-                        let v = out.result.expect("done get always carries a value");
-                        let mut q = queue.borrow_mut();
-                        q.entries.push_back((now + latency, v));
-                        q.sent += 1;
+        self.add_boundary_half(
+            domain,
+            name,
+            spec,
+            ("export", "get"),
+            move |link, get, ctx| {
+                let now = ctx.now();
+                loop {
+                    match link.call(BOUNDARY_CALLER, get, &[], ctx)?.0 {
+                        out if out.done => {
+                            let v = out.result.expect("done get always carries a value");
+                            let mut q = queue.borrow_mut();
+                            q.entries.push_back((now + latency, v));
+                            q.sent += 1;
+                        }
+                        _ => return Ok(()),
                     }
-                    _ => return Ok(()),
                 }
-            }
-        });
-        Ok(id)
+            },
+        )
     }
 
     /// Installs the *receiving* half of a boundary link: a regular
@@ -743,58 +695,56 @@ impl Cosim {
     ///
     /// Holds one permanent unit of clock demand, like
     /// [`Cosim::add_boundary_out`].
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn add_boundary_in(
         &mut self,
         domain: DomainId,
         name: &str,
-        data_ty: Type,
-        max_batch: usize,
-        capacity: usize,
-        timing: BusTiming,
+        spec: &BoundarySpec,
         queue: Rc<RefCell<BoundaryQueue>>,
     ) -> Result<UnitId, CosimError> {
-        let id =
-            self.add_batched_unit_in_with(domain, name, data_ty, max_batch, capacity, timing)?;
-        let put = self.resolve_service(id, "put")?;
-        self.add_boundary_process(domain, id, name, "inject", move |link, ctx| {
-            let now = ctx.now();
-            loop {
-                let next = queue.borrow().entries.front().cloned();
-                match next {
-                    Some((t_arr, v)) if t_arr <= now => {
-                        if !link.call(BOUNDARY_CALLER, put, &[v], ctx)?.0.done {
-                            return Ok(());
+        self.add_boundary_half(
+            domain,
+            name,
+            spec,
+            ("inject", "put"),
+            move |link, put, ctx| {
+                let now = ctx.now();
+                loop {
+                    let next = queue.borrow().entries.front().cloned();
+                    match next {
+                        Some((t_arr, v)) if t_arr <= now => {
+                            if !link.call(BOUNDARY_CALLER, put, &[v], ctx)?.0.done {
+                                return Ok(());
+                            }
+                            queue.borrow_mut().entries.pop_front();
                         }
-                        queue.borrow_mut().entries.pop_front();
+                        _ => return Ok(()),
                     }
-                    _ => return Ok(()),
                 }
-            }
-        });
-        Ok(id)
+            },
+        )
     }
 
-    /// A unit's index for `service`, resolved once at setup.
-    fn resolve_service(&self, id: UnitId, service: &str) -> Result<usize, CosimError> {
-        self.units.borrow()[id.0]
-            .resolve(service)
-            .map_err(|e| CosimError::Setup(e.to_string()))
-    }
-
-    /// Registers a boundary half's clocked process (`<name>.<role>`):
-    /// on every rising edge of the domain's HW clock, `pump` moves
-    /// values between the half-link and its queue. The process holds
-    /// one permanent unit of clock demand and halts on the first
-    /// backplane error.
-    fn add_boundary_process(
+    /// Installs a boundary half: a batched link as `spec` describes it,
+    /// plus its clocked process (`<name>.<role>`), which on every
+    /// rising edge of the domain's HW clock calls `pump` with the link
+    /// and the index of its `service` (resolved once, here) to move
+    /// values between the link and its queue. The process holds one
+    /// permanent unit of clock demand and halts on the first backplane
+    /// error.
+    fn add_boundary_half(
         &mut self,
         domain: DomainId,
-        id: UnitId,
         name: &str,
-        role: &str,
-        mut pump: impl FnMut(&mut UnitEntry, &mut ProcCtx<'_>) -> Result<(), EvalError> + 'static,
-    ) {
+        spec: &BoundarySpec,
+        (role, service): (&str, &str),
+        mut pump: impl FnMut(&mut UnitEntry, usize, &mut ProcCtx<'_>) -> Result<(), EvalError> + 'static,
+    ) -> Result<UnitId, CosimError> {
+        let (ty, max_batch, capacity) = (spec.data_ty.clone(), spec.max_batch, spec.capacity);
+        let id =
+            self.add_batched_unit_in_with(domain, name, ty, max_batch, capacity, spec.timing)?;
+        let si = self.units.borrow()[id.0].resolve(service);
+        let si = si.map_err(|e| CosimError::Setup(e.to_string()))?;
         let units = Rc::clone(&self.units);
         let error = Rc::clone(&self.error);
         let demand = Rc::clone(&self.domains[domain.0].demand);
@@ -804,7 +754,7 @@ impl Cosim {
         self.sim
             .add_clocked(format!("{name}.{role}"), clk, Edge::Rising, move |ctx| {
                 if error.borrow().is_none() {
-                    match pump(&mut units.borrow_mut()[id.0], ctx) {
+                    match pump(&mut units.borrow_mut()[id.0], si, ctx) {
                         Ok(()) => return ClockControl::Continue,
                         Err(e) => *error.borrow_mut() = Some(format!("boundary link {label}: {e}")),
                     }
@@ -813,6 +763,7 @@ impl Cosim {
                 ClockControl::Halt
             });
         self.boundaries += 1;
+        Ok(id)
     }
 
     /// Installs a native (platform) unit. Units with real background
@@ -846,22 +797,7 @@ impl Cosim {
         unit: Box<dyn NativeUnit>,
     ) -> Result<UnitId, CosimError> {
         self.check_domain(domain, name)?;
-        self.recipe.push(RecipeOp::NativeUnit {
-            name: name.to_string(),
-            domain: domain.0,
-            unit: UnitId(self.units.borrow().len()),
-        });
-        let occ_driven = unit.occupancy();
-        let occ = occ_driven.map(|v| {
-            self.sim
-                .add_signal(format!("{name}.OCC"), Type::INT16, Value::Int(v))
-        });
-        let body = UnitBody::Native(NativeBody {
-            unit,
-            occ,
-            occ_driven: occ_driven.unwrap_or(0),
-        });
-        Ok(self.install_unit(domain, name, occ.into_iter().collect(), body))
+        Ok(self.install_unit(domain, name, UnitBody::native(unit)))
     }
 
     /// Looks up a unit by instance name.
@@ -914,8 +850,9 @@ impl Cosim {
     ///
     /// # Errors
     ///
-    /// Returns [`CosimError::Setup`] on arity mismatch or unresolved
-    /// bindings.
+    /// Returns [`CosimError::Setup`] on arity mismatch, on a signal the
+    /// kernel does not have or whose type does not admit its port
+    /// type's default value, or on unresolved bindings.
     pub fn add_module_with_ports(
         &mut self,
         module: &Module,
@@ -925,39 +862,52 @@ impl Cosim {
         self.install_module(DomainId::BASE, module, bindings, Some(ports))
     }
 
-    /// Shared installation body behind [`Cosim::add_module`] and
-    /// [`Cosim::add_module_with_ports`], which differ only in port-signal
-    /// provenance: `None` creates fresh `<module>.<PORT>` signals, which
-    /// a fork's replay (recorded as `None` too) recreates with the same
+    /// Shared installation body behind [`Cosim::add_module`],
+    /// [`Cosim::add_module_with_ports`] and [`Cosim::fork`], which differ
+    /// only in port-signal provenance: `None` creates fresh
+    /// `<module>.<PORT>` signals, which a fork recreates with the same
     /// ids. Everything is checked before the kernel is touched, so a
     /// refused module leaves no signal behind.
-    fn install_module(
+    pub(crate) fn install_module(
         &mut self,
         domain: DomainId,
         module: &Module,
         bindings: &[(&str, UnitId)],
         ports: Option<Vec<SignalId>>,
     ) -> Result<CosimModuleId, CosimError> {
-        if let Some(ports) = ports.as_ref().filter(|p| p.len() != module.ports().len()) {
-            return Err(CosimError::Setup(format!(
-                "module {}: {} signals provided for {} ports",
-                module.name(),
-                ports.len(),
-                module.ports().len()
-            )));
+        let name = module.name();
+        if let Some(ports) = &ports {
+            if ports.len() != module.ports().len() {
+                return Err(CosimError::Setup(format!(
+                    "module {name}: {} signals provided for {} ports",
+                    ports.len(),
+                    module.ports().len()
+                )));
+            }
+            for (port, &sig) in module.ports().iter().zip(ports) {
+                let refusal = match self.sim.signal_type(sig) {
+                    None => "which this backplane's kernel lacks".to_string(),
+                    Some(ty) if !ty.admits(&port.ty().default_value()) => {
+                        format!("of type {ty}, which cannot carry {}", port.ty())
+                    }
+                    Some(_) => continue,
+                };
+                return Err(CosimError::Setup(format!(
+                    "module {name}: port {} is given signal {sig}, {refusal}",
+                    port.name()
+                )));
+            }
         }
         let mut unit_by_binding: Vec<Option<UnitId>> = vec![None; module.bindings().len()];
         for &(bname, uid) in bindings {
             let Some(bid) = module.binding_id(bname) else {
                 return Err(CosimError::Setup(format!(
-                    "module {} has no binding named {bname}",
-                    module.name()
+                    "module {name} has no binding named {bname}"
                 )));
             };
             if uid.0 >= self.units.borrow().len() {
                 return Err(CosimError::Setup(format!(
-                    "module {}: binding {bname} names unit #{}, which this backplane lacks",
-                    module.name(),
+                    "module {name}: binding {bname} names unit #{}, which this backplane lacks",
                     uid.0
                 )));
             }
@@ -969,8 +919,7 @@ impl Cosim {
                 Some(h) => resolved.push(h),
                 None => {
                     return Err(CosimError::Setup(format!(
-                        "module {}: binding {} left unbound",
-                        module.name(),
+                        "module {name}: binding {} left unbound",
                         module.bindings()[i].name()
                     )))
                 }
@@ -980,22 +929,14 @@ impl Cosim {
         // undeclared one still installs and fails when the call runs.
         let resolved_bindings =
             ModuleBinding::resolve_all(module.fsm(), &self.units.borrow(), &resolved);
-        self.recipe.push(RecipeOp::Module {
-            module: module.clone(),
-            bindings: bindings
-                .iter()
-                .map(|(n, u)| ((*n).to_string(), *u))
-                .collect(),
-            ports: ports.clone(),
-            domain: domain.0,
-        });
+        let own_ports = ports.is_none();
         let ports = ports.unwrap_or_else(|| {
             module
                 .ports()
                 .iter()
                 .map(|p| {
                     self.sim.add_signal(
-                        format!("{}.{}", module.name(), p.name()),
+                        format!("{name}.{}", p.name()),
                         p.ty().clone(),
                         p.ty().default_value(),
                     )
@@ -1019,13 +960,16 @@ impl Cosim {
             activations: 0,
             error: None,
         };
+        let units_before = self.units.borrow().len();
         self.modules.borrow_mut().push(ModuleEntry {
-            name: module.name().into(),
+            name: name.into(),
             module: module.clone(),
+            domain,
             exec,
             ports,
+            own_ports,
+            units_before,
             vars: module.vars().iter().map(|v| v.init().clone()).collect(),
-            var_tys: module.vars().iter().map(|v| v.ty().clone()).collect(),
             bindings: resolved_bindings,
             caller,
             status,
@@ -1714,8 +1658,8 @@ mod tests {
     #[test]
     fn refused_module_leaves_no_signals_and_later_forks_replay() {
         // Regression: a module refused for an unknown binding name used
-        // to leave its port signals in the kernel. The fork recipe never
-        // replays them, so every later fork failed its shape check.
+        // to leave its port signals in the kernel. A fork never rebuilds
+        // them, so every later fork failed its shape check.
         use cosma_core::PortDir;
         let mut b = ModuleBuilder::new("ported", ModuleKind::Hardware);
         b.port("OUT", PortDir::Out, Type::Bit);
@@ -1743,6 +1687,154 @@ mod tests {
             assert_eq!(twin.module_var(cid, "SUM"), Some(Value::Int(6)));
             assert_eq!(twin.module_status(cid), cosim.module_status(cid));
             assert_eq!(twin.trace_log(), cosim.trace_log(), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn foreign_or_mistyped_port_signals_are_refused() {
+        // Regression: `add_module_with_ports` accepted a signal id the
+        // kernel lacks and a net whose type cannot carry the port's
+        // values; both installed, and `run_for` then panicked in the
+        // kernel (an index out of bounds, an incompatible drive).
+        use cosma_core::{Bit, PortDir};
+        let mut b = ModuleBuilder::new("driver", ModuleKind::Hardware);
+        let out = b.port("OUT", PortDir::Out, Type::Bit);
+        let s = b.state("S");
+        b.actions(s, vec![Stmt::Drive(out, Expr::bit(Bit::One))]);
+        b.transition(s, None, s);
+        b.initial(s);
+        let driver = b.build().unwrap();
+        let mut larger = Cosim::new(CosimConfig::default());
+        for i in 0..4 {
+            larger.add_fsm_unit(&format!("u{i}"), handshake_unit("hs", Type::INT16));
+        }
+        let foreign = larger.sim().find_signal("u3.ACK").unwrap();
+        for cfg in [SchedulingConfig::sharded(), SchedulingConfig::legacy()] {
+            let mut cosim = Cosim::new(CosimConfig::default());
+            cosim.set_scheduling(cfg).unwrap();
+            let link = cosim.add_fsm_unit("link", handshake_unit("hs", Type::INT16));
+            let int16_net = cosim.sim().find_signal("link.DATA").unwrap();
+            for net in [foreign, int16_net] {
+                let err = cosim
+                    .add_module_with_ports(&driver, &[], vec![net])
+                    .unwrap_err();
+                let msg = err.to_string();
+                assert!(matches!(err, CosimError::Setup(_)), "{cfg:?}: {err}");
+                assert!(msg.contains("driver") && msg.contains("OUT"), "{msg}");
+            }
+            assert_eq!(cosim.find_module("driver"), None, "{cfg:?}");
+            // The backplane still runs and forks.
+            cosim
+                .add_module(&producer(&[1, 2, 3]), &[("iface", link)])
+                .unwrap();
+            let cid = cosim.add_module(&consumer(3), &[("iface", link)]).unwrap();
+            cosim.run_for(Duration::from_us(1)).unwrap();
+            let mut twin = cosim.fork(&cosim.snapshot()).unwrap();
+            for c in [&mut cosim, &mut twin] {
+                c.run_for(Duration::from_us(10)).unwrap();
+            }
+            assert_eq!(twin.module_var(cid, "SUM"), Some(Value::Int(6)), "{cfg:?}");
+            assert_eq!(twin.trace_log(), cosim.trace_log(), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn forks_rebuild_interleaved_multi_domain_construction() {
+        // A fork rebuilds from the domain, unit and module tables, so
+        // they must reproduce the construction order: units and
+        // modules interleaved, members of a 4:1 domain, a native FIFO,
+        // a payload-beats link, a module wired onto another module's
+        // port net and a unit added after the last module.
+        use cosma_core::PortDir;
+        // Drives 1..=6 onto a fresh OUT net, one value per activation.
+        fn counter() -> Module {
+            let mut b = ModuleBuilder::new("counter", ModuleKind::Hardware);
+            let out = b.port("OUT", PortDir::Out, Type::INT16);
+            let n = b.var("N", Type::INT16, Value::Int(0));
+            let run = b.state("RUN");
+            let end = b.state("END");
+            let next = Expr::var(n).add(Expr::int(1));
+            b.actions(
+                run,
+                vec![Stmt::assign(n, next), Stmt::Drive(out, Expr::var(n))],
+            );
+            b.transition(run, Some(Expr::var(n).ge(Expr::int(6))), end);
+            b.transition(run, None, run);
+            b.transition(end, None, end);
+            b.initial(run);
+            b.build().unwrap()
+        }
+        // Sums every new value it sees on its IN port.
+        fn sampler() -> Module {
+            let mut b = ModuleBuilder::new("sampler", ModuleKind::Hardware);
+            let inp = b.port("IN", PortDir::In, Type::INT16);
+            let last = b.var("LAST", Type::INT16, Value::Int(0));
+            let sum = b.var("SUM", Type::INT16, Value::Int(0));
+            let s = b.state("S");
+            let fresh = vec![
+                Stmt::assign(sum, Expr::var(sum).add(Expr::port(inp))),
+                Stmt::assign(last, Expr::port(inp)),
+                Stmt::Trace("seen".into(), vec![Expr::port(inp)]),
+            ];
+            b.actions(
+                s,
+                vec![Stmt::If {
+                    cond: Expr::port(inp).ne(Expr::var(last)),
+                    then_body: fresh,
+                    else_body: vec![],
+                }],
+            );
+            b.transition(s, None, s);
+            b.initial(s);
+            b.build().unwrap()
+        }
+        fn build(cfg: SchedulingConfig) -> (Cosim, Vec<CosimModuleId>) {
+            let mut c = Cosim::new(CosimConfig::default());
+            c.set_scheduling(cfg).unwrap();
+            let slow = c.add_clock_domain("slow", 4, 1).unwrap();
+            let hs = handshake_unit("hs", Type::INT16);
+            let hs = c.add_fsm_unit_in(slow, "hs", hs).unwrap();
+            let mut ids = vec![c.add_module(&counter(), &[]).unwrap()];
+            let p = producer_named("p_hs", &[1, 2, 3], "put");
+            ids.push(c.add_module(&p, &[("iface", hs)]).unwrap());
+            let fifo = c.add_native_unit("fifo", Box::new(FifoChannel::new("fifo", 4)));
+            let cons = consumer_named("c_hs", 3, "get");
+            ids.push(c.add_module_in(slow, &cons, &[("iface", hs)]).unwrap());
+            let p = producer_named("p_fifo", &[10, 20, 30], "put");
+            ids.push(c.add_module(&p, &[("iface", fifo)]).unwrap());
+            let timing = BusTiming::PayloadBeats;
+            let beats = c
+                .add_batched_unit_with("beats", Type::INT16, 4, 16, timing)
+                .unwrap();
+            let cons = consumer_named("c_fifo", 3, "get");
+            ids.push(c.add_module(&cons, &[("iface", fifo)]).unwrap());
+            let net = c.sim().find_signal("counter.OUT").unwrap();
+            ids.push(c.add_module_with_ports(&sampler(), &[], vec![net]).unwrap());
+            let p = producer_named("p_beats", &[5, 6, 7, 8], "put");
+            ids.push(c.add_module(&p, &[("iface", beats)]).unwrap());
+            let cons = consumer_named("c_beats", 4, "get");
+            ids.push(c.add_module(&cons, &[("iface", beats)]).unwrap());
+            c.add_fsm_unit("tail", handshake_unit("hs", Type::INT16));
+            (c, ids)
+        }
+        for cfg in [SchedulingConfig::sharded(), SchedulingConfig::legacy()] {
+            let (mut cosim, ids) = build(cfg);
+            cosim.run_for(Duration::from_ns(1300)).unwrap();
+            let mut twin = cosim.fork(&cosim.snapshot()).unwrap();
+            for c in [&mut cosim, &mut twin] {
+                c.run_for(Duration::from_us(20)).unwrap();
+            }
+            let view = |c: &Cosim| {
+                let statuses: Vec<_> = ids.iter().map(|&m| c.module_status(m)).collect();
+                let sums: Vec<_> = ids.iter().map(|&m| c.module_var(m, "SUM")).collect();
+                let stats = ["hs", "fifo", "beats", "tail"].map(|u| c.unit_stats(u));
+                (statuses, sums, stats, c.trace_log())
+            };
+            // The sampler and the three consumers finish their sums.
+            let sums = view(&cosim).1;
+            let want = [21, 6, 60, 26].map(|v| Some(Value::Int(v)));
+            assert_eq!([5, 2, 4, 7].map(|j| sums[j].clone()), want, "{cfg:?}");
+            assert_eq!(view(&twin), view(&cosim), "{cfg:?}");
         }
     }
 

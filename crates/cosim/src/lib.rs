@@ -46,9 +46,11 @@
 //!   driver with one watcher process per member, parking and clock
 //!   demand, the `legacy()` oracle's per-unit and per-module processes,
 //!   and the activation clock generators.
-//! * `snapshot` — the construction recipe, [`Snapshot`], and
-//!   [`Cosim::snapshot`] / [`Cosim::restore`] / [`Cosim::fork`] with
-//!   the checks that refuse a foreign snapshot before any mutation.
+//! * `snapshot` — [`Snapshot`], [`Cosim::snapshot`] /
+//!   [`Cosim::restore`] with the checks that refuse a foreign snapshot
+//!   before any mutation, and [`Cosim::fork`], which rebuilds a
+//!   backplane from its domain, unit and module tables (the only
+//!   record of what was built).
 //! * [`partition`] — coupled backplanes stepped in quanta of the
 //!   smallest boundary latency ([`Orchestrator`]).
 //! * [`scenario`] — generated N-unit topologies for benches and tests.

@@ -29,7 +29,7 @@ use std::rc::Rc;
 
 /// Identifies a partition registered with an [`Orchestrator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PartitionId(usize);
+pub struct PartitionId(pub(crate) usize);
 
 impl PartitionId {
     /// Index of this partition in the orchestrator's table.
@@ -139,8 +139,7 @@ impl Orchestrator {
     /// # Errors
     ///
     /// [`CosimError::Setup`] when the two specs disagree, the latency
-    /// is zero, a partition id is stale, the orchestrator already ran,
-    /// or the halves collide with existing unit names.
+    /// is zero, a partition id is stale or the orchestrator already ran.
     #[allow(clippy::too_many_arguments)]
     pub fn add_boundary(
         &mut self,
@@ -171,28 +170,17 @@ impl Orchestrator {
             )));
         }
         let queue = Rc::new(RefCell::new(BoundaryQueue::default()));
-        let spec = from_spec;
         let out_id = self.partitions[from.0].add_boundary_out(
             from_domain,
             name,
-            spec.data_ty.clone(),
-            spec.max_batch,
-            spec.capacity,
-            spec.timing,
-            spec.latency,
+            from_spec,
             Rc::clone(&queue),
         )?;
-        let in_id = self.partitions[to.0].add_boundary_in(
-            to_domain,
-            name,
-            spec.data_ty.clone(),
-            spec.max_batch,
-            spec.capacity,
-            spec.timing,
-            Rc::clone(&queue),
-        )?;
+        let in_id =
+            self.partitions[to.0].add_boundary_in(to_domain, name, to_spec, Rc::clone(&queue))?;
         self.boundaries.push(queue);
-        self.lookahead = Some(self.lookahead.map_or(spec.latency, |l| l.min(spec.latency)));
+        let latency = from_spec.latency;
+        self.lookahead = Some(self.lookahead.map_or(latency, |l| l.min(latency)));
         Ok((out_id, in_id))
     }
 

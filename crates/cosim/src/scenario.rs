@@ -192,8 +192,9 @@ pub struct Scenario {
     pub modules: Vec<CosimModuleId>,
     /// All link unit ids, in creation order.
     pub links: Vec<UnitId>,
-    /// Terminating checker modules and the SUM each must reach.
-    checkers: Vec<(CosimModuleId, i64)>,
+    /// Terminating checkers (indices into `modules`) and the SUM each
+    /// must reach.
+    checkers: Vec<(usize, i64)>,
 }
 
 impl std::fmt::Debug for Scenario {
@@ -212,7 +213,7 @@ impl Scenario {
     pub fn is_complete(&self) -> bool {
         self.checkers
             .iter()
-            .all(|(id, _)| self.cosim.module_status(*id).state == "END")
+            .all(|&(j, _)| self.cosim.module_status(self.modules[j]).state == "END")
     }
 
     /// Runs in chunks until every checker terminates or `budget`
@@ -241,21 +242,37 @@ impl Scenario {
     ///
     /// Returns a description of the first divergence.
     pub fn verify(&self) -> Result<(), String> {
-        for (i, (id, expect)) in self.checkers.iter().enumerate() {
-            let status = self.cosim.module_status(*id);
-            if status.state != "END" {
-                return Err(format!(
-                    "checker {i}: stuck in {} after {} activations",
-                    status.state, status.activations
-                ));
-            }
-            let got = self.cosim.module_var(*id, "SUM");
-            if got != Some(Value::Int(*expect)) {
-                return Err(format!("checker {i}: SUM {got:?}, expected {expect}"));
-            }
-        }
-        Ok(())
+        verify_checkers(&self.checkers, |j| {
+            let id = self.modules[j];
+            (
+                self.cosim.module_status(id),
+                self.cosim.module_var(id, "SUM"),
+            )
+        })
     }
+}
+
+/// The checker verdict of [`Scenario::verify`] and
+/// [`PartitionedScenario::verify`]: every checker (a plan index and its
+/// expected SUM) reached `END` with that SUM. `read` gives a planned
+/// module's status and SUM.
+fn verify_checkers(
+    checkers: &[(usize, i64)],
+    read: impl Fn(usize) -> (ModuleStatus, Option<Value>),
+) -> Result<(), String> {
+    for (i, &(j, expect)) in checkers.iter().enumerate() {
+        let (status, got) = read(j);
+        if status.state != "END" {
+            return Err(format!(
+                "checker {i}: stuck in {} after {} activations",
+                status.state, status.activations
+            ));
+        }
+        if got != Some(Value::Int(expect)) {
+            return Err(format!("checker {i}: SUM {got:?}, expected {expect}"));
+        }
+    }
+    Ok(())
 }
 
 /// Alternating module kinds exercise both activation clocks.
@@ -728,6 +745,15 @@ fn scenario_domains(
     Ok(Some(cosim.add_clock_domain("slow", num, den)?))
 }
 
+/// A fresh backplane with the spec's scheduling and clock domains, and
+/// the id of its second domain, if any.
+fn scenario_backplane(spec: &ScenarioSpec) -> Result<(Cosim, Option<DomainId>), CosimError> {
+    let mut cosim = Cosim::new(spec.config);
+    cosim.set_scheduling(spec.scheduling)?;
+    let slow = scenario_domains(&mut cosim, spec)?;
+    Ok((cosim, slow))
+}
+
 /// The domain link `i` lives in.
 fn link_domain(spec: &ScenarioSpec, slow: Option<DomainId>, i: usize) -> DomainId {
     match slow {
@@ -771,85 +797,6 @@ fn add_link(
     }
 }
 
-/// Elaborates a spec into a runnable scenario: every link, then every
-/// module, in plan order. (The driver steps units and modules in
-/// creation order, like the oracle's processes, so every dispatch mode
-/// produces identical traces whatever the construction order.)
-///
-/// # Errors
-///
-/// Returns [`CosimError::Setup`] for empty specs or invalid link
-/// parameters.
-pub fn build_scenario(spec: &ScenarioSpec) -> Result<Scenario, CosimError> {
-    let plan = plan_scenario(spec)?;
-    let mut cosim = Cosim::new(spec.config);
-    cosim.set_scheduling(spec.scheduling)?;
-    let slow = scenario_domains(&mut cosim, spec)?;
-    let hs = OnceCell::new();
-    let links: Vec<UnitId> = (0..plan.n_links)
-        .map(|i| add_link(&mut cosim, spec, &hs, i, link_domain(spec, slow, i)))
-        .collect::<Result<_, _>>()?;
-    let mut modules = vec![];
-    for pm in &plan.modules {
-        let binds: Vec<(&str, UnitId)> = pm
-            .bindings
-            .iter()
-            .map(|(n, li)| (n.as_str(), links[*li]))
-            .collect();
-        modules.push(cosim.add_module_in(module_domain(spec, slow, pm), &pm.module, &binds)?);
-    }
-    let checkers = plan
-        .checkers
-        .iter()
-        .map(|&(j, expect)| (modules[j], expect))
-        .collect();
-    Ok(Scenario {
-        cosim,
-        modules,
-        links,
-        checkers,
-    })
-}
-
-/// Where each link's unit(s) landed in a partitioned elaboration.
-enum LinkSite {
-    /// Producer and consumer share a partition (or the link is
-    /// single-sided): one ordinary link there.
-    Local { part: usize, unit: UnitId },
-    /// The cut severs the link: an *out* half on the producer's
-    /// partition, an *in* half on the consumer's.
-    Cross {
-        out: (usize, UnitId),
-        inb: (usize, UnitId),
-    },
-}
-
-/// Contiguous-chunk partition assignment of `n` modules over `count`
-/// partitions.
-fn chunked(n: usize, count: usize) -> Vec<usize> {
-    (0..n).map(|j| j * count / n).collect()
-}
-
-/// Per-link producer/consumer partitions, derived from the binding
-/// naming convention (`out` puts, `in*` gets).
-fn link_endpoints(
-    plan: &ScenarioPlan,
-    part_of: &[usize],
-) -> (Vec<Option<usize>>, Vec<Option<usize>>) {
-    let mut producer = vec![None; plan.n_links];
-    let mut consumer = vec![None; plan.n_links];
-    for (j, pm) in plan.modules.iter().enumerate() {
-        for (name, li) in &pm.bindings {
-            if name == "out" {
-                producer[*li] = Some(part_of[j]);
-            } else {
-                consumer[*li] = Some(part_of[j]);
-            }
-        }
-    }
-    (producer, consumer)
-}
-
 /// The boundary contract used for every severed link of a spec.
 fn boundary_spec(spec: &ScenarioSpec, latency: Duration) -> BoundarySpec {
     match spec.link {
@@ -872,6 +819,130 @@ fn boundary_spec(spec: &ScenarioSpec, latency: Duration) -> BoundarySpec {
             latency,
         },
     }
+}
+
+/// Where an elaboration lands: one backplane (the monolithic scenario
+/// and the collapsed oracle) or the partitions of an [`Orchestrator`].
+enum Target<'a> {
+    One(&'a mut Cosim),
+    Parts(&'a mut Orchestrator),
+}
+
+impl Target<'_> {
+    /// The backplane holding partition `p`.
+    fn part(&mut self, p: usize) -> &mut Cosim {
+        match self {
+            Target::One(cosim) => cosim,
+            Target::Parts(orch) => orch.partition_mut(PartitionId(p)),
+        }
+    }
+}
+
+/// The one elaboration behind every scenario build: every link in index
+/// order, then every module in plan order, module `j` in partition
+/// `part_of[j]`. A link whose producer (the `out` binding) and consumer
+/// (an `in*` binding) land in different partitions is cut into two
+/// boundary halves of `latency`, the *out* half with the producer and
+/// the *in* half with the consumer (on one backplane, `link{i}.bo` and
+/// `link{i}.bi` sharing an inline queue); any other link lands with its
+/// producer, else its consumer. Returns each link's producer-side unit
+/// and each module's id, in plan order.
+fn elaborate(
+    spec: &ScenarioSpec,
+    plan: &ScenarioPlan,
+    part_of: &[usize],
+    slow: Option<DomainId>,
+    latency: Duration,
+    mut to: Target<'_>,
+) -> Result<(Vec<UnitId>, Vec<CosimModuleId>), CosimError> {
+    let mut ends = vec![(None, None); plan.n_links];
+    for (pm, &p) in plan.modules.iter().zip(part_of) {
+        for (n, li) in &pm.bindings {
+            if n == "out" {
+                ends[*li].0 = Some(p);
+            } else {
+                ends[*li].1 = Some(p);
+            }
+        }
+    }
+    let bspec = boundary_spec(spec, latency);
+    let hs = OnceCell::new();
+    let mut links = Vec::with_capacity(plan.n_links);
+    for (i, end) in ends.into_iter().enumerate() {
+        let d = link_domain(spec, slow, i);
+        links.push(match (end, &mut to) {
+            ((Some(p), Some(c)), Target::Parts(orch)) if p != c => {
+                let (p, c) = (PartitionId(p), PartitionId(c));
+                orch.add_boundary(&format!("link{i}"), p, d, &bspec, c, d, &bspec)?
+            }
+            ((Some(p), Some(c)), Target::One(cosim)) if p != c => {
+                let queue = Rc::new(RefCell::new(BoundaryQueue::default()));
+                let (bo, bi) = (format!("link{i}.bo"), format!("link{i}.bi"));
+                let out = cosim.add_boundary_out(d, &bo, &bspec, Rc::clone(&queue))?;
+                (out, cosim.add_boundary_in(d, &bi, &bspec, queue)?)
+            }
+            ((p, c), _) => {
+                let unit = add_link(to.part(p.or(c).unwrap_or(0)), spec, &hs, i, d)?;
+                (unit, unit)
+            }
+        });
+    }
+    let mut modules = Vec::with_capacity(plan.modules.len());
+    for (pm, &p) in plan.modules.iter().zip(part_of) {
+        let binds: Vec<(&str, UnitId)> = pm
+            .bindings
+            .iter()
+            .map(|(n, li)| {
+                let (out, inb) = links[*li];
+                (n.as_str(), if n == "out" { out } else { inb })
+            })
+            .collect();
+        let d = module_domain(spec, slow, pm);
+        modules.push(to.part(p).add_module_in(d, &pm.module, &binds)?);
+    }
+    Ok((links.into_iter().map(|(out, _)| out).collect(), modules))
+}
+
+/// Elaborates a spec into a runnable scenario: every link, then every
+/// module, in plan order. (The driver steps units and modules in
+/// creation order, like the oracle's processes, so every dispatch mode
+/// produces identical traces whatever the construction order.)
+///
+/// # Errors
+///
+/// Returns [`CosimError::Setup`] for empty specs or invalid link
+/// parameters.
+pub fn build_scenario(spec: &ScenarioSpec) -> Result<Scenario, CosimError> {
+    let plan = plan_scenario(spec)?;
+    let (mut cosim, slow) = scenario_backplane(spec)?;
+    // One partition: no link is cut, so no latency is ever used.
+    let whole = vec![0; plan.modules.len()];
+    let to = Target::One(&mut cosim);
+    let (links, modules) = elaborate(spec, &plan, &whole, slow, Duration::ZERO, to)?;
+    Ok(Scenario {
+        cosim,
+        modules,
+        links,
+        checkers: plan.checkers,
+    })
+}
+
+/// Plans a spec and assigns its modules to [`PartitionsSpec::count`]
+/// partitions in contiguous creation-order chunks.
+fn plan_cut(
+    spec: &ScenarioSpec,
+    pspec: &PartitionsSpec,
+) -> Result<(ScenarioPlan, Vec<usize>), CosimError> {
+    let plan = plan_scenario(spec)?;
+    let n = plan.modules.len();
+    if pspec.count == 0 || pspec.count > n {
+        return Err(CosimError::Setup(format!(
+            "cannot cut {n} modules into {} partitions",
+            pspec.count
+        )));
+    }
+    let part_of = (0..n).map(|j| j * pspec.count / n).collect();
+    Ok((plan, part_of))
 }
 
 /// A scenario cut across coupled backplane partitions, ready to run
@@ -929,20 +1000,9 @@ impl PartitionedScenario {
     ///
     /// Returns a description of the first divergence.
     pub fn verify(&self) -> Result<(), String> {
-        for (i, &(j, expect)) in self.checkers.iter().enumerate() {
-            let status = self.module_status(j);
-            if status.state != "END" {
-                return Err(format!(
-                    "checker {i}: stuck in {} after {} activations",
-                    status.state, status.activations
-                ));
-            }
-            let got = self.module_var(j, "SUM");
-            if got != Some(Value::Int(expect)) {
-                return Err(format!("checker {i}: SUM {got:?}, expected {expect}"));
-            }
-        }
-        Ok(())
+        verify_checkers(&self.checkers, |j| {
+            (self.module_status(j), self.module_var(j, "SUM"))
+        })
     }
 }
 
@@ -962,88 +1022,25 @@ pub fn build_partitioned(
     spec: &ScenarioSpec,
     pspec: &PartitionsSpec,
 ) -> Result<PartitionedScenario, CosimError> {
-    let plan = plan_scenario(spec)?;
-    if pspec.count == 0 || pspec.count > plan.modules.len() {
-        return Err(CosimError::Setup(format!(
-            "cannot cut {} modules into {} partitions",
-            plan.modules.len(),
-            pspec.count
-        )));
-    }
-    let part_of = chunked(plan.modules.len(), pspec.count);
-    let (producer, consumer) = link_endpoints(&plan, &part_of);
+    let (plan, part_of) = plan_cut(spec, pspec)?;
     let mut orch = Orchestrator::new();
     let mut parts = vec![];
     let mut slow = None;
     for _ in 0..pspec.count {
-        let mut c = Cosim::new(spec.config);
-        c.set_scheduling(spec.scheduling)?;
-        slow = scenario_domains(&mut c, spec)?;
-        parts.push(orch.add_partition(c));
+        let (cosim, s) = scenario_backplane(spec)?;
+        slow = s;
+        parts.push(orch.add_partition(cosim));
     }
-    let bspec = boundary_spec(spec, pspec.latency);
-    let hs = OnceCell::new();
-    let mut sites = Vec::with_capacity(plan.n_links);
-    for i in 0..plan.n_links {
-        let d = link_domain(spec, slow, i);
-        match (producer[i], consumer[i]) {
-            (Some(p), Some(c)) if p != c => {
-                let (ou, iu) = orch.add_boundary(
-                    &format!("link{i}"),
-                    parts[p],
-                    d,
-                    &bspec,
-                    parts[c],
-                    d,
-                    &bspec,
-                )?;
-                sites.push(LinkSite::Cross {
-                    out: (p, ou),
-                    inb: (c, iu),
-                });
-            }
-            (p, c) => {
-                let home = p.or(c).unwrap_or(0);
-                let unit = add_link(orch.partition_mut(parts[home]), spec, &hs, i, d)?;
-                sites.push(LinkSite::Local { part: home, unit });
-            }
-        }
-    }
-    let mut modules = vec![];
-    for (j, pm) in plan.modules.iter().enumerate() {
-        let home = part_of[j];
-        let binds: Vec<(&str, UnitId)> = pm
-            .bindings
-            .iter()
-            .map(|(n, li)| {
-                let unit = match &sites[*li] {
-                    LinkSite::Local { part, unit } => {
-                        debug_assert_eq!(*part, home, "local link in the module's partition");
-                        *unit
-                    }
-                    LinkSite::Cross { out, inb } => {
-                        if n == "out" {
-                            debug_assert_eq!(out.0, home);
-                            out.1
-                        } else {
-                            debug_assert_eq!(inb.0, home);
-                            inb.1
-                        }
-                    }
-                };
-                (n.as_str(), unit)
-            })
-            .collect();
-        let d = module_domain(spec, slow, pm);
-        let id = orch
-            .partition_mut(parts[home])
-            .add_module_in(d, &pm.module, &binds)?;
-        modules.push((parts[home], id));
-    }
+    let to = Target::Parts(&mut orch);
+    let (_, ids) = elaborate(spec, &plan, &part_of, slow, pspec.latency, to)?;
     Ok(PartitionedScenario {
         orch,
+        modules: part_of
+            .iter()
+            .zip(ids)
+            .map(|(&p, id)| (parts[p], id))
+            .collect(),
         parts,
-        modules,
         checkers: plan.checkers,
     })
 }
@@ -1068,96 +1065,19 @@ pub fn build_collapsed(
     spec: &ScenarioSpec,
     pspec: &PartitionsSpec,
 ) -> Result<Scenario, CosimError> {
-    let plan = plan_scenario(spec)?;
-    if pspec.count == 0 || pspec.count > plan.modules.len() {
-        return Err(CosimError::Setup(format!(
-            "cannot cut {} modules into {} partitions",
-            plan.modules.len(),
-            pspec.count
-        )));
-    }
-    let part_of = chunked(plan.modules.len(), pspec.count);
-    let (producer, consumer) = link_endpoints(&plan, &part_of);
-    let mut cosim = Cosim::new(spec.config);
-    cosim.set_scheduling(spec.scheduling)?;
-    let slow = scenario_domains(&mut cosim, spec)?;
-    let bspec = boundary_spec(spec, pspec.latency);
-    let hs = OnceCell::new();
-    let mut links = vec![];
-    let mut sites = Vec::with_capacity(plan.n_links);
-    for i in 0..plan.n_links {
-        let d = link_domain(spec, slow, i);
-        match (producer[i], consumer[i]) {
-            (Some(p), Some(c)) if p != c => {
-                let queue = Rc::new(RefCell::new(BoundaryQueue::default()));
-                let ou = cosim.add_boundary_out(
-                    d,
-                    &format!("link{i}.bo"),
-                    bspec.data_ty.clone(),
-                    bspec.max_batch,
-                    bspec.capacity,
-                    bspec.timing,
-                    bspec.latency,
-                    Rc::clone(&queue),
-                )?;
-                let iu = cosim.add_boundary_in(
-                    d,
-                    &format!("link{i}.bi"),
-                    bspec.data_ty.clone(),
-                    bspec.max_batch,
-                    bspec.capacity,
-                    bspec.timing,
-                    queue,
-                )?;
-                links.push(ou);
-                sites.push(LinkSite::Cross {
-                    out: (p, ou),
-                    inb: (c, iu),
-                });
-            }
-            (p, c) => {
-                let home = p.or(c).unwrap_or(0);
-                let unit = add_link(&mut cosim, spec, &hs, i, d)?;
-                links.push(unit);
-                sites.push(LinkSite::Local { part: home, unit });
-            }
-        }
-    }
-    let mut modules = vec![];
-    for pm in &plan.modules {
-        let binds: Vec<(&str, UnitId)> = pm
-            .bindings
-            .iter()
-            .map(|(n, li)| {
-                let unit = match &sites[*li] {
-                    LinkSite::Local { unit, .. } => *unit,
-                    LinkSite::Cross { out, inb } => {
-                        if n == "out" {
-                            out.1
-                        } else {
-                            inb.1
-                        }
-                    }
-                };
-                (n.as_str(), unit)
-            })
-            .collect();
-        modules.push(cosim.add_module_in(module_domain(spec, slow, pm), &pm.module, &binds)?);
-    }
+    let (plan, part_of) = plan_cut(spec, pspec)?;
+    let (mut cosim, slow) = scenario_backplane(spec)?;
+    let to = Target::One(&mut cosim);
+    let (links, modules) = elaborate(spec, &plan, &part_of, slow, pspec.latency, to)?;
     // Partitioned backplanes run with their domains pinned (the edge
     // grid must not depend on how the cut distributes clock demand);
     // the oracle must match.
     cosim.pin_clock_domains();
-    let checkers = plan
-        .checkers
-        .iter()
-        .map(|&(j, expect)| (modules[j], expect))
-        .collect();
     Ok(Scenario {
         cosim,
         modules,
         links,
-        checkers,
+        checkers: plan.checkers,
     })
 }
 

@@ -1,71 +1,23 @@
-//! Checkpoint, restore and fork: the construction recipe a fork
-//! replays, the whole-backplane [`Snapshot`], and the checks that
-//! refuse a snapshot from a different backplane before anything is
-//! mutated.
+//! Checkpoint, restore and fork: the whole-backplane [`Snapshot`],
+//! the checks that refuse a snapshot from a different backplane before
+//! anything is mutated, and the fork that rebuilds a backplane from its
+//! domain, unit and module tables.
 
-use crate::backplane::{Cosim, CosimError, DomainId, ModuleStatus, UnitId};
+use crate::backplane::{Cosim, CosimError, ModuleStatus, UnitId};
 use crate::sched::{DriverState, ParkCounters, PerModuleProcState};
 use crate::trace::TraceLog;
 use crate::units::{UnitEntry, UnitSnap};
-use cosma_comm::BusTiming;
 #[cfg(doc)]
 use cosma_comm::NativeUnit;
+#[cfg(doc)]
 use cosma_core::comm::CommUnitSpec;
-use cosma_core::{FsmExec, Module, Type, Value};
+#[cfg(doc)]
+use cosma_core::Module;
+use cosma_core::{FsmExec, Value};
 #[cfg(doc)]
 use cosma_sim::Simulator;
-use cosma_sim::{SignalId, SimState, SimTime};
+use cosma_sim::{SimState, SimTime};
 use std::fmt;
-use std::sync::Arc;
-
-/// One construction step of a backplane, recorded by the `add_*`
-/// methods so [`Cosim::fork`] can replay it onto a fresh backplane.
-/// Replay is deterministic: ids (signals, processes, units, modules,
-/// driver members) depend only on call order, so the twin's structure
-/// is bit-identical to the original's.
-pub(crate) enum RecipeOp {
-    /// [`Cosim::add_clock_domain`] — domains precede every unit and
-    /// module, so replay rebuilds the same clock/kick signals and
-    /// generator processes before placement starts.
-    ClockDomain { name: String, num: u64, den: u64 },
-    /// [`Cosim::add_fsm_unit`] — the spec is immutable and shared by
-    /// `Arc`, so recording (and replaying) it is a refcount bump.
-    FsmUnit {
-        name: String,
-        spec: Arc<CommUnitSpec>,
-        domain: usize,
-    },
-    /// [`Cosim::add_batched_unit_with`] (and therefore also
-    /// [`Cosim::add_batched_unit`], which delegates with
-    /// [`BusTiming::LengthOnly`]).
-    BatchedUnit {
-        name: String,
-        data_ty: Type,
-        max_batch: usize,
-        capacity: usize,
-        timing: BusTiming,
-        domain: usize,
-    },
-    /// [`Cosim::add_native_unit`]. The boxed unit itself cannot be
-    /// cloned; replay asks the *original* unit (`unit`) for a
-    /// structural twin via [`NativeUnit::fork_fresh`] and restores
-    /// state on top.
-    NativeUnit {
-        name: String,
-        domain: usize,
-        unit: UnitId,
-    },
-    /// [`Cosim::add_module`] (`ports: None` — replay creates fresh
-    /// port signals) or [`Cosim::add_module_with_ports`]
-    /// (`ports: Some` — replay reuses the recorded signal ids, which
-    /// resolve identically on the twin).
-    Module {
-        module: Module,
-        bindings: Vec<(String, UnitId)>,
-        ports: Option<Vec<SignalId>>,
-        domain: usize,
-    },
-}
 
 /// Captured execution state of one module.
 #[derive(Clone)]
@@ -343,12 +295,17 @@ impl Cosim {
 
     /// Forks an independent backplane resuming from `snap`.
     ///
-    /// Construction is replayed from the recorded recipe — immutable
-    /// specs ([`CommUnitSpec`], [`Module`] internals) are shared by
-    /// refcount, everything mutable is rebuilt — and the snapshot is
-    /// then restored onto the twin. The fork and the original share no
-    /// mutable state: running one never affects the other, and both
-    /// replay bit-identically from the snapshot point.
+    /// The twin is rebuilt from this backplane's domain, unit and module
+    /// tables, in creation order (each module row records how many
+    /// units preceded it): every unit gets a fresh body (the same
+    /// [`CommUnitSpec`], a batched link of the same configuration, a
+    /// native unit's [`NativeUnit::fork_fresh`] twin) and every module
+    /// its own [`Module`], bindings and any caller-supplied port
+    /// signals. That yields identical structure (same signal and
+    /// process ids, same driver members and watchers), onto which the
+    /// snapshot is restored. The fork and the original share no mutable
+    /// state: running one never affects the other, and both replay
+    /// bit-identically from the snapshot point.
     ///
     /// `snap` may come from this backplane or any fork sibling. The
     /// original is not modified (`&self`).
@@ -356,63 +313,40 @@ impl Cosim {
     /// # Errors
     ///
     /// Returns [`CosimError::Setup`] when a native unit does not
-    /// support forking ([`NativeUnit::fork_fresh`]), when processes
-    /// were registered directly through [`Cosim::sim_mut`] (the recipe
-    /// cannot replay them, so the kernel table mismatches), or any
-    /// error [`Cosim::restore`] reports.
+    /// support forking ([`NativeUnit::fork_fresh`]), when boundary
+    /// links are installed, when signals or processes were added
+    /// directly through [`Cosim::sim_mut`] (the tables do not record
+    /// them, so the twin's kernel tables or port signals mismatch), or
+    /// any error [`Cosim::restore`] reports.
     pub fn fork(&self, snap: &Snapshot) -> Result<Cosim, CosimError> {
         if self.boundaries > 0 {
             return Err(CosimError::Setup(
                 "forking is unsupported while boundary links are installed: boundary \
                  processes reach queues shared with another backplane, which the \
-                 construction recipe cannot replay"
+                 backplane's tables do not record"
                     .to_string(),
             ));
         }
         let mut twin = Cosim::new(self.config);
         twin.set_scheduling(self.sched.cfg)?;
-        for op in &self.recipe {
-            match op {
-                RecipeOp::ClockDomain { name, num, den } => {
-                    twin.add_clock_domain(name, *num, *den)?;
-                }
-                RecipeOp::FsmUnit { name, spec, domain } => {
-                    twin.add_fsm_unit_in(DomainId(*domain), name, Arc::clone(spec))?;
-                }
-                RecipeOp::BatchedUnit {
-                    name,
-                    data_ty,
-                    max_batch,
-                    capacity,
-                    timing,
-                    domain,
-                } => {
-                    twin.add_batched_unit_in_with(
-                        DomainId(*domain),
-                        name,
-                        data_ty.clone(),
-                        *max_batch,
-                        *capacity,
-                        *timing,
-                    )?;
-                }
-                RecipeOp::NativeUnit { name, domain, unit } => {
-                    let fresh = self.units.borrow()[unit.0].fork_native()?;
-                    twin.add_native_unit_in(DomainId(*domain), name, fresh)?;
-                }
-                RecipeOp::Module {
-                    module,
-                    bindings,
-                    ports,
-                    domain,
-                } => {
-                    let binds: Vec<(&str, UnitId)> =
-                        bindings.iter().map(|(n, u)| (n.as_str(), *u)).collect();
-                    match ports {
-                        None => twin.add_module_in(DomainId(*domain), module, &binds)?,
-                        Some(p) => twin.add_module_with_ports(module, &binds, p.clone())?,
-                    };
-                }
+        for d in &self.domains[1..] {
+            twin.add_clock_domain(&d.name, d.ratio.num(), d.ratio.den())?;
+        }
+        let units = self.units.borrow();
+        let modules = self.modules.borrow();
+        let mut next_unit = 0;
+        // `None` rebuilds the units added after the last module.
+        for m in modules.iter().map(Some).chain([None]) {
+            let upto = m.map_or(units.len(), |m| m.units_before);
+            for u in &units[next_unit..upto] {
+                twin.install_unit(u.domain, &u.name, u.fresh_body()?);
+            }
+            next_unit = upto;
+            if let Some(m) = m {
+                let bound = m.module.bindings().iter().zip(&m.bindings);
+                let binds: Vec<(&str, UnitId)> = bound.map(|(b, r)| (b.name(), r.unit)).collect();
+                let ports = (!m.own_ports).then(|| m.ports.clone());
+                twin.install_module(m.domain, &m.module, &binds, ports)?;
             }
         }
         twin.restore(snap)?;

@@ -16,19 +16,20 @@
 //! name and labels (`TraceHints`), so a warm activation hashes and
 //! compares no strings.
 
-use crate::backplane::{CosimError, ModuleStatus, UnitId};
+use crate::backplane::{CosimError, DomainId, ModuleStatus, UnitId};
 use crate::sched::ParkCounters;
 use crate::trace::TraceLog;
 use cosma_comm::{
     BatchedLink, BatchedLinkState, CallerId, FsmUnitRuntime, FsmUnitState, NativeUnit,
     NativeUnitState, UnitStats, WireStore,
 };
-use cosma_core::comm::{resolve_service, CommUnitSpec};
+use cosma_core::comm::{resolve_service, CommUnitSpec, Wire};
 use cosma_core::ids::{PortId, VarId};
 use cosma_core::{
     Env, EvalError, Fsm, FsmExec, Module, ReadEnv, ServiceCall, ServiceOutcome, Type, Value,
+    Variable,
 };
-use cosma_sim::{Duration, ProcCtx, SignalId};
+use cosma_sim::{Duration, ProcCtx, SignalId, Simulator};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -43,14 +44,24 @@ pub(crate) enum UnitBody {
     Native(NativeBody),
 }
 
-/// A native unit plus the kernel mirror of its occupancy.
+impl UnitBody {
+    /// A native unit's body; [`UnitEntry::new`] declares its `OCC`
+    /// mirror.
+    pub(crate) fn native(unit: Box<dyn NativeUnit>) -> Self {
+        UnitBody::Native(NativeBody {
+            unit,
+            occ_driven: 0,
+        })
+    }
+}
+
+/// A native unit and the state of its `OCC` mirror: the unit's only
+/// wire, a kernel signal mirroring its queue occupancy
+/// ([`NativeUnit::occupancy`]) if the unit exposes one. Driven after
+/// every call and step, the mirror makes native state changes
+/// wire-visible so blocked callers can *park* instead of polling.
 pub(crate) struct NativeBody {
     pub(crate) unit: Box<dyn NativeUnit>,
-    /// Kernel mirror of the unit's queue occupancy
-    /// ([`NativeUnit::occupancy`]), if the unit exposes one. Driven
-    /// after every call and step, it makes native state changes
-    /// wire-visible so blocked callers can *park* instead of polling.
-    pub(crate) occ: Option<SignalId>,
     /// The occupancy value most recently *driven* onto the `OCC`
     /// signal. Drive decisions must compare against this, not the
     /// committed signal value: within one delta an earlier drive is
@@ -61,14 +72,14 @@ pub(crate) struct NativeBody {
 }
 
 impl NativeBody {
-    /// Mirrors the unit's occupancy onto its `OCC` kernel signal after
-    /// a call or step may have changed it. Same-value drives are
-    /// skipped, so this is cheap for no-op calls.
-    fn sync_occ(&mut self, ctx: &mut ProcCtx<'_>) {
-        if let (Some(sig), Some(occ)) = (self.occ, self.unit.occupancy()) {
+    /// Mirrors the unit's occupancy onto its `OCC` wire after a call
+    /// or step may have changed it. Same-value drives are skipped, so
+    /// this is cheap for no-op calls.
+    fn sync_occ(&mut self, ws: &mut CtxWires<'_, '_>) {
+        if let (Some(&sig), Some(occ)) = (ws.map.first(), self.unit.occupancy()) {
             if self.occ_driven != occ {
                 self.occ_driven = occ;
-                ctx.drive(sig, Value::Int(occ));
+                ws.ctx.drive(sig, Value::Int(occ));
             }
         }
     }
@@ -78,6 +89,7 @@ impl NativeBody {
 /// backplane knows about one communication unit, whatever its kind.
 pub(crate) struct UnitEntry {
     pub(crate) name: String,
+    pub(crate) domain: DomainId,
     /// The unit's wires as kernel signals, in wire-id order (a native
     /// unit's only wire is its `OCC` mirror, if it has one).
     wires: Vec<SignalId>,
@@ -97,7 +109,37 @@ pub(crate) struct UnitEntry {
 }
 
 impl UnitEntry {
-    pub(crate) fn new(name: &str, wires: Vec<SignalId>, cycle: Duration, body: UnitBody) -> Self {
+    /// A unit-table row for `body`, declaring its wires as kernel
+    /// signals named `<name>.<WIRE>`: a wire-level unit's spec wires,
+    /// or a native unit's `OCC` mirror when the unit exposes an
+    /// occupancy ([`NativeUnit::occupancy`]).
+    pub(crate) fn new(
+        sim: &mut Simulator,
+        name: &str,
+        domain: DomainId,
+        cycle: Duration,
+        mut body: UnitBody,
+    ) -> Self {
+        let mut declare = |spec: &CommUnitSpec| -> Vec<SignalId> {
+            let wire = |w: &Wire| {
+                sim.add_signal(
+                    format!("{name}.{}", w.name()),
+                    w.ty().clone(),
+                    w.init().clone(),
+                )
+            };
+            spec.wires().iter().map(wire).collect()
+        };
+        let wires = match &mut body {
+            UnitBody::Fsm(rt) => declare(rt.spec()),
+            UnitBody::Batched(link) => declare(link.spec()),
+            UnitBody::Native(n) => {
+                let occ = n.unit.occupancy();
+                n.occ_driven = occ.unwrap_or(0);
+                let mirror = |v| sim.add_signal(format!("{name}.OCC"), Type::INT16, Value::Int(v));
+                occ.map(mirror).into_iter().collect()
+            }
+        };
         // A wire-level unit's services are its spec's; each one's
         // completion wires map spec wire ids onto kernel signals.
         let from_spec = |spec: &CommUnitSpec, completion: &dyn Fn(&str) -> Vec<PortId>| {
@@ -117,6 +159,7 @@ impl UnitEntry {
         };
         UnitEntry {
             name: name.to_string(),
+            domain,
             wires,
             services,
             completion,
@@ -185,7 +228,7 @@ impl UnitEntry {
                     .unit
                     .call(caller, &self.services[si], args)
                     .map_err(|e| EvalError::Service(format!("native unit {}: {e}", self.name)))?;
-                n.sync_occ(ws.ctx);
+                n.sync_occ(&mut ws);
                 (out, n.unit.last_call_stable())
             }
         };
@@ -217,7 +260,7 @@ impl UnitEntry {
                 .map_err(|e| format!("batched link {}: {e}", self.name)),
             UnitBody::Native(n) => {
                 n.unit.step();
-                n.sync_occ(ws.ctx);
+                n.sync_occ(&mut ws);
                 Ok(!n.unit.needs_step())
             }
         }
@@ -275,18 +318,19 @@ impl UnitEntry {
         restored.map_err(|e| CosimError::Setup(format!("unit {}: {e}", self.name)))
     }
 
-    /// A fresh, state-empty twin of a native unit, for [`Cosim::fork`].
-    pub(crate) fn fork_native(&self) -> Result<Box<dyn NativeUnit>, CosimError> {
-        let fresh = match &self.body {
-            UnitBody::Native(n) => n.unit.fork_fresh(),
-            _ => None,
-        };
-        fresh.ok_or_else(|| {
-            CosimError::Setup(format!(
-                "native unit {} does not support forking",
-                self.name
-            ))
-        })
+    /// A fresh, state-empty body for the same unit, for
+    /// [`Cosim::fork`]: an FSM unit's spec, a batched link's
+    /// configuration ([`BatchedLink::fork_fresh`]) or a native unit's
+    /// twin ([`NativeUnit::fork_fresh`]).
+    pub(crate) fn fresh_body(&self) -> Result<UnitBody, CosimError> {
+        let name = &self.name;
+        match &self.body {
+            UnitBody::Fsm(rt) => Ok(UnitBody::Fsm(FsmUnitRuntime::new(Arc::clone(rt.spec())))),
+            UnitBody::Batched(link) => Ok(UnitBody::Batched(Box::new(link.fork_fresh()))),
+            UnitBody::Native(n) => n.unit.fork_fresh().map(UnitBody::native).ok_or_else(|| {
+                CosimError::Setup(format!("native unit {name} does not support forking"))
+            }),
+        }
     }
 }
 
@@ -309,10 +353,16 @@ pub(crate) struct ModuleEntry {
     /// entries name as their source.
     pub(crate) name: Arc<str>,
     pub(crate) module: Module,
+    pub(crate) domain: DomainId,
     pub(crate) exec: FsmExec,
     pub(crate) ports: Vec<SignalId>,
+    /// Whether the backplane created the port signals (else the caller
+    /// supplied them, [`Cosim::add_module_with_ports`]).
+    pub(crate) own_ports: bool,
+    /// Units added before this module: the one ordering fact
+    /// [`Cosim::fork`] needs to rebuild the interleaving.
+    pub(crate) units_before: usize,
     pub(crate) vars: Vec<Value>,
-    pub(crate) var_tys: Vec<Type>,
     /// Per binding: the bound unit and the services the FSM calls on it.
     pub(crate) bindings: Vec<ModuleBinding>,
     pub(crate) caller: CallerId,
@@ -508,7 +558,7 @@ struct CosimEnv<'a, 'b> {
     ctx: &'a mut ProcCtx<'b>,
     ports: &'a [SignalId],
     vars: &'a mut [Value],
-    var_tys: &'a [Type],
+    var_decls: &'a [Variable],
     units: &'a RefCell<Vec<UnitEntry>>,
     bindings: &'a [ModuleBinding],
     caller: CallerId,
@@ -561,7 +611,8 @@ impl ReadEnv for CosimEnv<'_, '_> {
 
 impl Env for CosimEnv<'_, '_> {
     fn write_var(&mut self, v: VarId, value: Value) -> Result<(), EvalError> {
-        let ty = self.var_tys.get(v.index()).ok_or(EvalError::NoSuchVar(v))?;
+        let ty = self.var_decls.get(v.index()).map(Variable::ty);
+        let ty = ty.ok_or(EvalError::NoSuchVar(v))?;
         let slot = self
             .vars
             .get_mut(v.index())
@@ -638,11 +689,11 @@ pub(crate) fn step_module(
         exec,
         ports,
         vars,
-        var_tys,
         bindings,
         caller,
         status,
         trace_hints,
+        ..
     } = &mut modules[idx];
     let fsm = module.fsm();
     scratch.effects.recycle();
@@ -650,7 +701,7 @@ pub(crate) fn step_module(
         ctx,
         ports,
         vars,
-        var_tys,
+        var_decls: module.vars(),
         units,
         bindings,
         caller: *caller,

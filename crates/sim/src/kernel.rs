@@ -962,6 +962,13 @@ impl Simulator {
         &self.signals[s.index()].value
     }
 
+    /// Type of a signal, or `None` when the id does not belong to this
+    /// simulator.
+    #[must_use]
+    pub fn signal_type(&self, s: SignalId) -> Option<&Type> {
+        self.signals.get(s.index()).map(|sig| &sig.ty)
+    }
+
     /// Read-only snapshot of a signal.
     ///
     /// # Panics

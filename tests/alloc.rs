@@ -16,10 +16,12 @@
 //! netlists and its peripheral).
 //!
 //! The elaboration gate bounds the cost of one instance (48
-//! allocations per batched link, 40 per single-binding module): every
-//! batched link shares one protocol spec and every module instance
-//! shares its FSM with the description it came from, so neither may
-//! copy the description it instantiates.
+//! allocations per batched link, 25 per single-binding module): every
+//! batched link shares one protocol spec, every module instance shares
+//! its FSM with the description it came from, and the backplane keeps
+//! one copy of a module's declarations (its module table, which a fork
+//! also rebuilds from), so no instance copies the description it
+//! instantiates twice.
 //!
 //! Run with: `cargo test --features count-allocs --test alloc`
 #![cfg(feature = "count-allocs")]
@@ -392,7 +394,8 @@ fn elaborating_links_and_modules_shares_their_descriptions() {
         "a batched link must not copy its protocol spec: {per_link:.1} allocations per link"
     );
     assert!(
-        per_module <= 40.0,
-        "a module instance must not copy its FSM: {per_module:.1} allocations per module"
+        per_module <= 25.0,
+        "a module instance must not copy its FSM or keep a second copy of its \
+         declarations: {per_module:.1} allocations per module"
     );
 }
