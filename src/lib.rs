@@ -18,7 +18,7 @@
 //! | [`core`] | the unified IR: FSMs, modules, systems, communication units, multi-view rendering |
 //! | [`sim`] | VHDL-semantics discrete-event kernel + VCD |
 //! | [`comm`] | the communication-unit library (handshake, mailboxes, shared memory...) |
-//! | [`cfront`] / [`vhdl`] | C and VHDL subset front-ends |
+//! | [`cfront`] / [`vhdl`] | C and VHDL subset front-ends (the `c` and `vhdl` modules of `cosma-frontend`) |
 //! | [`cosim`] | the co-simulation backplane |
 //! | [`synth`] | interface/hardware/software synthesis |
 //! | [`isa`] | the MC16 processor (assembler + ISS) |
@@ -48,12 +48,12 @@
 #![warn(missing_docs)]
 
 pub use cosma_board as board;
-pub use cosma_cfront as cfront;
 pub use cosma_comm as comm;
 pub use cosma_core as core;
 pub use cosma_cosim as cosim;
+pub use cosma_frontend::c as cfront;
+pub use cosma_frontend::vhdl;
 pub use cosma_isa as isa;
 pub use cosma_motor as motor;
 pub use cosma_sim as sim;
 pub use cosma_synth as synth;
-pub use cosma_vhdl as vhdl;

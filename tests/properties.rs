@@ -1788,13 +1788,13 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Source text from outside the process never panics, hangs or aborts
-// the front-ends or the assembler: the crate-doc examples of the C and
+// the front-ends or the assembler: the module-doc examples of the C and
 // VHDL front-ends and an MC16 program, each with a few characters
 // replaced, inserted or deleted and possibly truncated, compile or fail
 // with a typed error.
 // ---------------------------------------------------------------------
 
-/// The `cosma-cfront` crate-doc example.
+/// The `cosma_frontend::c` module-doc example.
 const C_DOC_SRC: &str = r#"
 typedef enum { Start, PingCall, Done } ST;
 ST NextState = Start;
@@ -1809,7 +1809,7 @@ int DEMO() {
 }
 "#;
 
-/// The `cosma-vhdl` crate-doc example.
+/// The `cosma_frontend::vhdl` module-doc example.
 const VHDL_DOC_SRC: &str = r#"
 entity COUNTER is
   port ( TICK : out integer );
