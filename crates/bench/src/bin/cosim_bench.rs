@@ -36,7 +36,10 @@
 //! The `elaborate` rows time model build rather than a run:
 //! `build_scenario` plus drop of a length-only batched pipeline, the
 //! setup and teardown every short co-simulation job pays around its
-//! run.
+//! run. The `frontends` rows time parse plus elaboration of the paper's
+//! sub-system sources: variant `c` is Figure 6b's `DISTRIBUTION`,
+//! variant `vhdl` Figure 7's `SPEED_CONTROL`; `n` counts the modules
+//! elaborated and `bus_timing` is `none`.
 //!
 //! Before the first timed row the binary builds and runs the first
 //! row's scenario, untimed, for about half a second, so the first row
@@ -71,7 +74,7 @@ struct Record {
     queue: Option<&'static str>,
     /// Within-scenario variant for the `multi_rate` (uniform vs
     /// quarter-rate domain) and `partitioned` (collapsed vs split)
-    /// comparison rows; `None` elsewhere.
+    /// comparison rows, and the `frontends` language; `None` elsewhere.
     variant: Option<&'static str>,
     ns_per_run: u128,
     p50_ns: u128,
@@ -756,6 +759,66 @@ fn main() {
                 p50_ns: p50,
                 p99_ns: p99,
                 runs: elab_runs,
+            });
+        }
+    }
+
+    // Front-ends: parse plus elaboration of the paper's C (Figure 6b)
+    // and VHDL (Figure 7) sub-systems, the setup a mixed-language flow
+    // pays before anything simulates. Each run returns the elaborated
+    // modules, which are dropped outside the timed span.
+    {
+        use cosma_bench::{
+            distribution_options, speed_control_options, DISTRIBUTION_SRC, SPEED_CONTROL_SRC,
+        };
+        use cosma_core::{Module, ModuleKind};
+        let fe_runs: u32 = if quick { 20 } else { 200 };
+        let (c_opts, vhdl_opts) = (distribution_options(), speed_control_options());
+        let c = || {
+            let module = cosma_frontend::c::compile_module(
+                DISTRIBUTION_SRC,
+                "DISTRIBUTION",
+                ModuleKind::Software,
+                &c_opts,
+            );
+            vec![module.expect("DISTRIBUTION elaborates")]
+        };
+        let vhdl = || {
+            let hw = cosma_frontend::vhdl::compile_entity(
+                SPEED_CONTROL_SRC,
+                "SPEED_CONTROL",
+                &vhdl_opts,
+            );
+            hw.expect("SPEED_CONTROL elaborates").modules
+        };
+        let variants: [(&str, &dyn Fn() -> Vec<Module>); 2] = [("c", &c), ("vhdl", &vhdl)];
+        for (variant, compile) in variants {
+            let n = compile().len();
+            let samples: Vec<u128> = (0..fe_runs)
+                .map(|_| {
+                    let start = Instant::now();
+                    let modules = std::hint::black_box(compile());
+                    let ns = start.elapsed().as_nanos();
+                    drop(modules);
+                    ns
+                })
+                .collect();
+            let (mean, p50, p99) = summarize3(samples);
+            println!(
+                "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
+                 p50={p50} p99={p99}  ({fe_runs} runs, {variant})",
+                "frontends", "none"
+            );
+            records.push(Record {
+                scenario: "frontends",
+                n,
+                bus_timing: "none",
+                queue: None,
+                variant: Some(variant),
+                ns_per_run: mean,
+                p50_ns: p50,
+                p99_ns: p99,
+                runs: fe_runs,
             });
         }
     }
