@@ -39,7 +39,11 @@
 //! run. The `frontends` rows time parse plus elaboration of the paper's
 //! sub-system sources: variant `c` is Figure 6b's `DISTRIBUTION`,
 //! variant `vhdl` Figure 7's `SPEED_CONTROL`; `n` counts the modules
-//! elaborated and `bus_timing` is `none`.
+//! elaborated and `bus_timing` is `none`. The `motor` rows time the
+//! Figure 1 flow's two platforms on an 8-segment motor trajectory, each
+//! from assembly to completion: variant `cosim` is the co-simulation
+//! backplane (`n` counts HW cycles), variant `board` the synthesized
+//! board (`n` counts fabric ticks).
 //!
 //! Before the first timed row the binary builds and runs the first
 //! row's scenario, untimed, for about half a second, so the first row
@@ -74,7 +78,8 @@ struct Record {
     queue: Option<&'static str>,
     /// Within-scenario variant for the `multi_rate` (uniform vs
     /// quarter-rate domain) and `partitioned` (collapsed vs split)
-    /// comparison rows, and the `frontends` language; `None` elsewhere.
+    /// comparison rows, the `frontends` language and the `motor`
+    /// platform; `None` elsewhere.
     variant: Option<&'static str>,
     ns_per_run: u128,
     p50_ns: u128,
@@ -187,6 +192,37 @@ fn summarize3(mut samples: Vec<u128>) -> (u128, u128, u128) {
     let p50 = samples[samples.len() / 2];
     let p99 = samples[(samples.len() * 99 / 100).min(samples.len() - 1)];
     (mean, p50, p99)
+}
+
+/// Times `runs` calls of `run`, which returns the simulated span it
+/// covered (`n`) and the nanoseconds it took, after one untimed call;
+/// every call must cover the same span.
+fn motor_row(variant: &'static str, runs: u32, run: impl Fn() -> (u64, u128)) -> Record {
+    let (n, _) = run();
+    let samples: Vec<u128> = (0..runs)
+        .map(|_| {
+            let (got, ns) = run();
+            assert_eq!(got, n, "motor {variant}: every run takes as long");
+            ns
+        })
+        .collect();
+    let (mean, p50, p99) = summarize3(samples);
+    println!(
+        "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
+         p50={p50} p99={p99}  ({runs} runs, {variant})",
+        "motor", "none"
+    );
+    Record {
+        scenario: "motor",
+        n: n as usize,
+        bus_timing: "none",
+        queue: None,
+        variant: Some(variant),
+        ns_per_run: mean,
+        p50_ns: p50,
+        p99_ns: p99,
+        runs,
+    }
 }
 
 /// One 100 µs beat-storm run: `n` generator processes each keep a
@@ -821,6 +857,47 @@ fn main() {
                 runs: fe_runs,
             });
         }
+    }
+
+    // The Figure 1 flow's two platforms on one 8-segment motor
+    // trajectory: variant `cosim` times `build_cosim` plus
+    // `run_to_completion` (`n` counts the HW cycles simulated), variant
+    // `board` times `build_board` plus `run_to_completion` (`n` counts
+    // fabric ticks). Each run must end with the motor at the trajectory's
+    // total distance; the checks and the drop are outside the timed span.
+    {
+        use cosma_board::BoardConfig;
+        use cosma_motor::{build_board, build_cosim, MotorConfig};
+        use cosma_synth::Encoding;
+        let motor_runs: u32 = if quick { 5 } else { 100 };
+        let cfg = MotorConfig {
+            segments: 8,
+            segment_len: 10,
+            ..MotorConfig::default()
+        };
+        let want = cfg.total_distance();
+        let cosim = || {
+            let start = Instant::now();
+            let mut sys = build_cosim(&cfg, CosimConfig::default()).expect("motor assembles");
+            let done = sys.run_to_completion(Duration::from_us(20), 20_000);
+            let ns = start.elapsed().as_nanos();
+            assert!(done.expect("co-simulation runs"), "co-simulation completes");
+            assert_eq!(sys.motor.borrow().position(), want);
+            let hw_cycle = CosimConfig::default().hw_cycle.as_fs();
+            (sys.cosim.sim().now().as_fs() / hw_cycle, ns)
+        };
+        let board = || {
+            let start = Instant::now();
+            let mut sys = build_board(&cfg, BoardConfig::default(), Encoding::Binary)
+                .expect("motor synthesizes");
+            let done = sys.run_to_completion(20_000, 20_000);
+            let ns = start.elapsed().as_nanos();
+            assert!(done.expect("board runs"), "board run completes");
+            assert_eq!(sys.motor.borrow().position(), want);
+            (sys.board.fabric_ticks(), ns)
+        };
+        records.push(motor_row("cosim", motor_runs, cosim));
+        records.push(motor_row("board", motor_runs, board));
     }
 
     // Sanity gate for CI: parked consumers must contribute ~zero

@@ -8,9 +8,10 @@
 //!
 //! The fabric is change-driven. A netlist whose last evaluated cycle
 //! left every register unchanged, and whose inputs read the same as in
-//! that cycle, is not evaluated again (see [`NetlistSim::step`]); its
-//! node values, and so its drives, are exactly what evaluation would
-//! produce. Every asserted drive is still written on every tick, so
+//! that cycle, is not evaluated again, and an evaluated netlist
+//! recomputes only the nodes whose operands changed (see
+//! [`NetlistSim::step`]); its node values, and so its drives, are
+//! exactly what evaluating every node would produce. Every asserted drive is still written on every tick, so
 //! bank values, write counts and conflict counts do not depend on the
 //! skip. A warm tick allocates nothing: input and pending-write buffers
 //! are reused.

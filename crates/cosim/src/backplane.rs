@@ -64,7 +64,10 @@ pub struct CosimConfig {
     /// Hardware cycle (default 100 ns — the paper's 10 MHz bus clock).
     pub hw_cycle: Duration,
     /// Software activation period (default equal to the hardware cycle,
-    /// giving the paper's precise HW/SW synchronization).
+    /// giving the paper's precise HW/SW synchronization). When it equals
+    /// `hw_cycle`, every clock domain has one activation clock: software
+    /// modules activate on the HW clock ([`Cosim::sw_clk`] returns it)
+    /// and no separate SW clock signal or generator exists.
     pub sw_cycle: Duration,
 }
 
@@ -86,8 +89,8 @@ impl Default for CosimConfig {
 /// versus the base. Units and modules are placed into a domain with the
 /// `*_in` constructors ([`Cosim::add_fsm_unit_in`],
 /// [`Cosim::add_module_in`], ...); the domain decides which activation
-/// clock pair drives them and which clock-demand ledger accounts for
-/// their parking.
+/// clock drives them and which clock-demand ledger accounts for their
+/// parking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DomainId(pub(crate) usize);
 
@@ -117,7 +120,7 @@ pub(crate) struct BoundaryQueue {
     pub(crate) sent: u64,
 }
 
-/// One clock domain: its activation clock pair, its period ratio versus
+/// One clock domain: its activation clocks, its period ratio versus
 /// the base domain, and its clock-demand ledger. All domains share the
 /// global femtosecond time axis — a 4:1 domain's members simply see a
 /// rising edge every fourth base period.
@@ -125,8 +128,59 @@ pub(crate) struct ClockDomainEntry {
     pub(crate) name: String,
     pub(crate) ratio: ClockRatio,
     hw_clk: SignalId,
+    /// The SW activation clock: `hw_clk` itself when the domain's HW and
+    /// SW periods are equal.
     sw_clk: SignalId,
     pub(crate) demand: Rc<ClockDemand>,
+}
+
+impl ClockDomainEntry {
+    /// Declares a domain's activation clocks, kick signal and clock
+    /// generators on `sim`, and appends its distinct clocks to
+    /// `clock_list`. Equal HW and SW periods share one clock signal
+    /// and one generator.
+    fn install(
+        sim: &mut Simulator,
+        clock_list: &mut Vec<SignalId>,
+        name: &str,
+        ratio: ClockRatio,
+        config: CosimConfig,
+    ) -> Self {
+        let prefix = if name.is_empty() {
+            String::new()
+        } else {
+            format!("{name}.")
+        };
+        let (hw_cycle, sw_cycle) = (ratio.scale(config.hw_cycle), ratio.scale(config.sw_cycle));
+        let hw_clk = sim.add_bit(format!("{prefix}HW_CLK"));
+        clock_list.push(hw_clk);
+        let sw_clk = if sw_cycle == hw_cycle {
+            hw_clk
+        } else {
+            let sw_clk = sim.add_bit(format!("{prefix}SW_CLK"));
+            clock_list.push(sw_clk);
+            sw_clk
+        };
+        let kick = sim.add_bit(format!("{prefix}CLK_KICK"));
+        let demand = Rc::new(ClockDemand {
+            demand: Cell::new(0),
+            kick,
+        });
+        install_clock_generators(
+            sim,
+            &prefix,
+            (hw_clk, hw_cycle),
+            (sw_clk, sw_cycle),
+            &demand,
+        );
+        ClockDomainEntry {
+            name: name.to_string(),
+            ratio,
+            hw_clk,
+            sw_clk,
+            demand,
+        }
+    }
 }
 
 /// Identifies a communication-unit instance in the backplane.
@@ -241,7 +295,7 @@ pub struct Cosim {
     /// [`Cosim::fork`] can construct an identical twin.
     pub(crate) config: CosimConfig,
     /// Clock domains, base domain first. Each carries its activation
-    /// clock pair and its clock-edge demand ledger: the domain's
+    /// clocks and its clock-edge demand ledger: the domain's
     /// generators idle whenever its demand reaches zero — on an empty
     /// backplane, after every body halted, **and while every body is
     /// parked** — so a deadlocked or finished system truly goes
@@ -249,8 +303,9 @@ pub struct Cosim {
     /// activation clocks forever. A parked body re-armed by a wire
     /// event bumps the demand back and kicks the generators awake.
     pub(crate) domains: Vec<ClockDomainEntry>,
-    /// Every domain's activation clocks in domain order
-    /// (`[hw0, sw0, hw1, sw1, ...]`) — the driver's clock sensitivity.
+    /// Every domain's distinct activation clocks in domain order
+    /// (`[hw0, sw0, hw1, sw1, ...]`, with no `swN` where the SW clock is
+    /// the HW clock) — the driver's clock sensitivity.
     clock_list: Vec<SignalId>,
     /// Boundary half-links installed on this backplane (partitioned
     /// co-simulation). Boundary closures reach state the unit table
@@ -269,24 +324,14 @@ impl fmt::Debug for Cosim {
 }
 
 impl Cosim {
-    /// Creates a backplane with HW and SW activation clocks.
+    /// Creates a backplane with HW and SW activation clocks (one clock
+    /// when [`CosimConfig::sw_cycle`] equals the HW cycle).
     #[must_use]
     pub fn new(config: CosimConfig) -> Self {
         let mut sim = Simulator::new();
-        let hw_clk = sim.add_bit("HW_CLK");
-        let sw_clk = sim.add_bit("SW_CLK");
-        let kick = sim.add_bit("CLK_KICK");
-        let demand = Rc::new(ClockDemand {
-            demand: Cell::new(0),
-            kick,
-        });
-        install_clock_generators(
-            &mut sim,
-            "",
-            (hw_clk, config.hw_cycle),
-            (sw_clk, config.sw_cycle),
-            &demand,
-        );
+        let mut clock_list = vec![];
+        let base =
+            ClockDomainEntry::install(&mut sim, &mut clock_list, "", ClockRatio::UNIT, config);
         Cosim {
             sim,
             units: Rc::new(RefCell::new(vec![])),
@@ -295,14 +340,8 @@ impl Cosim {
             modules: Rc::new(RefCell::new(vec![])),
             sched: ActivationScheduler::new(SchedulingConfig::sharded()),
             config,
-            domains: vec![ClockDomainEntry {
-                name: String::new(),
-                ratio: ClockRatio::UNIT,
-                hw_clk,
-                sw_clk,
-                demand,
-            }],
-            clock_list: vec![hw_clk, sw_clk],
+            domains: vec![base],
+            clock_list,
             boundaries: 0,
         }
     }
@@ -356,29 +395,14 @@ impl Cosim {
                 "clock domain {name} already exists"
             )));
         }
-        let hw_clk = self.sim.add_bit(format!("{name}.HW_CLK"));
-        let sw_clk = self.sim.add_bit(format!("{name}.SW_CLK"));
-        let kick = self.sim.add_bit(format!("{name}.CLK_KICK"));
-        let demand = Rc::new(ClockDemand {
-            demand: Cell::new(0),
-            kick,
-        });
-        install_clock_generators(
+        let domain = ClockDomainEntry::install(
             &mut self.sim,
-            &format!("{name}."),
-            (hw_clk, hw_cycle),
-            (sw_clk, sw_cycle),
-            &demand,
-        );
-        self.clock_list.push(hw_clk);
-        self.clock_list.push(sw_clk);
-        self.domains.push(ClockDomainEntry {
-            name: name.to_string(),
+            &mut self.clock_list,
+            name,
             ratio,
-            hw_clk,
-            sw_clk,
-            demand,
-        });
+            self.config,
+        );
+        self.domains.push(domain);
         Ok(DomainId(self.domains.len() - 1))
     }
 
@@ -491,7 +515,9 @@ impl Cosim {
         self.domains[0].hw_clk
     }
 
-    /// The base domain's software activation clock signal.
+    /// The base domain's software activation clock signal: the HW clock
+    /// itself ([`Cosim::hw_clk`]) when [`CosimConfig::sw_cycle`] equals
+    /// the HW cycle, else a `SW_CLK` signal of its own.
     #[must_use]
     pub fn sw_clk(&self) -> SignalId {
         self.domains[0].sw_clk
@@ -1965,6 +1991,56 @@ mod tests {
         let st = cosim.module_status(id);
         assert_eq!(st.activations, 3);
         assert_eq!(st.state, "S3");
+    }
+
+    /// A backplane with a slow domain and one SW module in each domain,
+    /// clocked at `hw`/`sw` ns, with its fork from a snapshot taken
+    /// after 1 µs.
+    fn clocked_pair(hw: u64, sw: u64) -> [Cosim; 2] {
+        let mut b = ModuleBuilder::new("loop", ModuleKind::Software);
+        let s = b.state("S");
+        b.transition(s, None, s);
+        b.initial(s);
+        let m = b.build().unwrap();
+        let mut cosim = Cosim::new(CosimConfig {
+            hw_cycle: Duration::from_ns(hw),
+            sw_cycle: Duration::from_ns(sw),
+        });
+        let slow = cosim.add_clock_domain("slow", 4, 1).unwrap();
+        cosim.add_module(&m, &[]).unwrap();
+        cosim.add_module_in(slow, &m, &[]).unwrap();
+        cosim.run_for(Duration::from_us(1)).unwrap();
+        let twin = cosim.fork(&cosim.snapshot()).unwrap();
+        [cosim, twin]
+    }
+
+    #[test]
+    fn equal_periods_share_one_activation_clock() {
+        for cosim in clocked_pair(100, 100) {
+            let sim = cosim.sim();
+            assert_eq!(cosim.sw_clk(), cosim.hw_clk());
+            let slow_hw = sim.find_signal("slow.HW_CLK").unwrap();
+            assert_eq!(cosim.domains[1].sw_clk, slow_hw);
+            assert_eq!(sim.find_signal("SW_CLK"), None);
+            assert_eq!(sim.find_signal("slow.SW_CLK"), None);
+            assert_eq!(cosim.clock_list, [cosim.hw_clk(), slow_hw]);
+            // One generator per domain, one driver, one watcher per
+            // module.
+            assert_eq!(sim.save_state().process_count(), 2 + 1 + 2);
+        }
+    }
+
+    #[test]
+    fn unequal_periods_keep_two_activation_clocks() {
+        for cosim in clocked_pair(100, 400) {
+            let sim = cosim.sim();
+            assert_eq!(sim.find_signal("SW_CLK"), Some(cosim.sw_clk()));
+            assert_ne!(cosim.sw_clk(), cosim.hw_clk());
+            let slow_sw = sim.find_signal("slow.SW_CLK").unwrap();
+            assert_eq!(cosim.domains[1].sw_clk, slow_sw);
+            assert_eq!(cosim.clock_list.len(), 4);
+            assert_eq!(sim.save_state().process_count(), 4 + 1 + 2);
+        }
     }
 
     #[test]

@@ -1246,6 +1246,54 @@ mod tests {
     }
 
     #[test]
+    fn schedulers_agree_with_one_or_two_activation_clocks() {
+        use crate::backplane::Dispatch;
+        // Equal HW and SW periods share one activation clock per domain,
+        // unequal ones keep two: the driver and the per-process oracle
+        // must agree either way, across a slow domain as well, with and
+        // without parking.
+        for (sw_ns, park_blocked) in [(100, false), (100, true), (400, false), (400, true)] {
+            let run = |dispatch| {
+                let mut s = build_scenario(&ScenarioSpec {
+                    units: 8,
+                    topology: Topology::Ring,
+                    values_per_link: 3,
+                    config: CosimConfig {
+                        hw_cycle: Duration::from_ns(100),
+                        sw_cycle: Duration::from_ns(sw_ns),
+                    },
+                    scheduling: SchedulingConfig {
+                        dispatch,
+                        park_blocked,
+                    },
+                    trace: true,
+                    domains: DomainsSpec {
+                        ratio: (2, 1),
+                        slow_links: 3,
+                    },
+                    ..ScenarioSpec::default()
+                })
+                .expect("builds");
+                let done = s.run_to_completion(Duration::from_us(400)).expect("runs");
+                assert!(done, "sw {sw_ns} ns: the ring completes");
+                s.verify().unwrap_or_else(|e| panic!("sw {sw_ns} ns: {e}"));
+                s
+            };
+            let (a, b) = (run(Dispatch::Driver), run(Dispatch::PerProcess));
+            assert_eq!(a.cosim.sw_clk() == a.cosim.hw_clk(), sw_ns == 100);
+            for (&ma, &mb) in a.modules.iter().zip(&b.modules) {
+                assert_eq!(a.cosim.module_status(ma), b.cosim.module_status(mb));
+            }
+            assert_eq!(
+                a.cosim.trace_log().entries(),
+                b.cosim.trace_log().entries(),
+                "sw {sw_ns} ns: traces diverged"
+            );
+            assert_eq!(a.cosim.sim().now(), b.cosim.sim().now());
+        }
+    }
+
+    #[test]
     fn starved_backplane_reaches_quiescence() {
         // Quiescence regression on the Starved topology: once link 0's
         // traffic completes and the N-1 starved consumers are parked on

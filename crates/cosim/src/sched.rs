@@ -821,11 +821,14 @@ impl ActivationScheduler {
     }
 }
 
-/// Installs one clock domain's demand-gated activation-clock generator
-/// pair. Like `Simulator::add_clock`, but each generator idles while no
-/// clocked body of its domain demands edges (all halted OR all parked)
-/// and is re-armed through the domain's kick signal when a parked body
-/// resumes.
+/// Installs one clock domain's demand-gated activation-clock
+/// generators: `hw_clkgen` for the HW clock and, when the SW clock is a
+/// signal of its own, `sw_clkgen` for it. A SW clock that *is* the HW
+/// clock (equal periods) gets no generator of its own, so a clock
+/// period costs one generator run per edge. Like `Simulator::add_clock`,
+/// but each generator idles while no clocked body of its domain demands
+/// edges (all halted OR all parked) and is re-armed through the
+/// domain's kick signal when a parked body resumes.
 ///
 /// Edges stay per-run *process* drives on purpose: a pre-scheduled
 /// timed-drive train would make clock events visible in delta 0 of
@@ -840,10 +843,9 @@ pub(crate) fn install_clock_generators(
     sw: (SignalId, Duration),
     demand: &Rc<ClockDemand>,
 ) {
-    for (name, clk, period) in [
-        (format!("{prefix}hw_clkgen"), hw.0, hw.1),
-        (format!("{prefix}sw_clkgen"), sw.0, sw.1),
-    ] {
+    let sw = (sw.0 != hw.0).then_some(("sw_clkgen", sw.0, sw.1));
+    for (name, clk, period) in std::iter::once(("hw_clkgen", hw.0, hw.1)).chain(sw) {
+        let name = format!("{prefix}{name}");
         let demand = Rc::clone(demand);
         let half = period.halved();
         sim.add_process(

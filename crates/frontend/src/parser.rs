@@ -26,7 +26,7 @@ impl From<LexError> for ParseError {
     fn from(e: LexError) -> Self {
         ParseError {
             line: e.line,
-            message: format!("unexpected character {:?}", e.ch),
+            message: e.kind.to_string(),
         }
     }
 }
@@ -453,13 +453,29 @@ end architecture;
 
     #[test]
     fn lex_errors_name_their_line_once() {
-        let want = "line 1: unexpected character '@'";
-        assert_eq!(c::parse("int x = @;").unwrap_err().to_string(), want);
         let opts = crate::ElabOptions::default();
-        let e = c::compile_module("int x = @;", "F", cosma_core::ModuleKind::Software, &opts);
-        assert_eq!(e.unwrap_err().to_string(), want);
-        assert_eq!(vhdl::parse("entity E is @").unwrap_err().to_string(), want);
-        let e = vhdl::compile_entity("entity E is @", "E", &opts);
-        assert_eq!(e.unwrap_err().to_string(), want);
+        let big = "99999999999999999999";
+        let out_of_range = format!("line 2: integer literal {big} is out of range");
+        for (c_src, vhdl_src, want) in [
+            (
+                "int x = @;".to_string(),
+                "entity E is @".to_string(),
+                "line 1: unexpected character '@'".to_string(),
+            ),
+            (
+                format!("int w;\nint x = {big};"),
+                format!("entity E is\nport ( X : in integer := {big} ); end entity;"),
+                out_of_range,
+            ),
+        ] {
+            assert_eq!(c::parse(&c_src).unwrap_err().to_string(), want);
+            let e = c::compile_module(&c_src, "F", cosma_core::ModuleKind::Software, &opts);
+            assert_eq!(e.unwrap_err().to_string(), want);
+            assert_eq!(vhdl::parse(&vhdl_src).unwrap_err().to_string(), want);
+            let e = vhdl::compile_entity(&vhdl_src, "E", &opts);
+            assert_eq!(e.unwrap_err().to_string(), want);
+        }
+        let e = c::parse("int w;\nint x = 0x1G;").unwrap_err();
+        assert_eq!(e.to_string(), "line 2: malformed integer literal 0x1G");
     }
 }

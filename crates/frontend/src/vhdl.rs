@@ -38,7 +38,7 @@ mod lexer;
 mod parser;
 
 pub use crate::elab::{ElabError, ElabOptions, ServiceBinding};
-pub use crate::lexer::{LexError, Spanned, Tok};
+pub use crate::lexer::{LexError, LexErrorKind, Spanned, Tok};
 pub use crate::parser::ParseError;
 pub use elab::{compile_entity, elaborate_entity, HwEntity, NetSpec};
 pub use lexer::lex;

@@ -366,10 +366,17 @@ impl Netlist {
     /// is cloned so the simulator is self-contained and storable).
     #[must_use]
     pub fn simulator(&self) -> NetlistSim {
+        let n = self.nodes.len();
+        let mut dirty = vec![u64::MAX; n.div_ceil(64)];
+        if let Some(last) = dirty.last_mut() {
+            *last >>= (64 - n % 64) % 64;
+        }
         NetlistSim {
             reg_values: self.regs.iter().map(|r| r.init).collect(),
-            node_values: vec![0; self.nodes.len()],
+            node_values: vec![0; n],
             inputs: vec![0; self.inputs.len()],
+            readers: Readers::of(self),
+            dirty,
             settled: false,
             cycles: 0,
             evaluations: 0,
@@ -478,6 +485,126 @@ fn sign_extend(v: u64, width: u32) -> i64 {
     }
 }
 
+/// Calls `f` with each reader-table source `node` reads: an operand
+/// node by its index, input `i` as `nodes + i` and register `r` as
+/// `nodes + inputs + r`.
+fn for_each_source(node: &Node, nodes: usize, inputs: usize, mut f: impl FnMut(usize)) {
+    match *node {
+        Node::Const(_) => {}
+        Node::Input(id) => f(nodes + id.index()),
+        Node::ReadReg(r) => f(nodes + inputs + r.index()),
+        Node::Not(a) | Node::Neg(a) | Node::Resize(a) => f(a.index()),
+        Node::Bin(_, a, b) => {
+            f(a.index());
+            f(b.index());
+        }
+        Node::Mux(sel, t, e) => {
+            f(sel.index());
+            f(t.index());
+            f(e.index());
+        }
+    }
+}
+
+/// The nodes that read each value a step can change, as one CSR table:
+/// the readers of source `s` (see [`for_each_source`]) are
+/// `list[start[s]..start[s + 1]]`.
+#[derive(Debug, Clone)]
+struct Readers {
+    start: Vec<u32>,
+    list: Vec<u32>,
+}
+
+impl Readers {
+    /// Builds the table in two passes over the nodes: count each
+    /// source's readers into its slot and turn the counts into running
+    /// ends, then file every reader backwards from its source's end,
+    /// which leaves each slot at its source's start.
+    fn of(nl: &Netlist) -> Self {
+        let (nodes, inputs) = (nl.nodes.len(), nl.inputs.len());
+        let mut start = vec![0u32; nodes + inputs + nl.regs.len() + 1];
+        for def in &nl.nodes {
+            for_each_source(&def.node, nodes, inputs, |s| start[s] += 1);
+        }
+        let mut end = 0;
+        for slot in &mut start {
+            end += *slot;
+            *slot = end;
+        }
+        let mut list = vec![0u32; end as usize];
+        for (i, def) in nl.nodes.iter().enumerate().rev() {
+            for_each_source(&def.node, nodes, inputs, |s| {
+                start[s] -= 1;
+                list[start[s] as usize] = i as u32;
+            });
+        }
+        Readers { start, list }
+    }
+
+    /// Marks every reader of source `s` dirty.
+    fn mark(&self, s: usize, dirty: &mut [u64]) {
+        for &r in &self.list[self.start[s] as usize..self.start[s + 1] as usize] {
+            dirty[r as usize / 64] |= 1 << (r % 64);
+        }
+    }
+}
+
+/// The value node `i` computes from its operands' current values.
+fn eval_node(nodes: &[NodeDef], i: usize, values: &[u64], inputs: &[u64], regs: &[u64]) -> u64 {
+    let def = &nodes[i];
+    let v = match &def.node {
+        Node::Const(c) => *c,
+        Node::Input(id) => inputs[id.index()],
+        Node::ReadReg(r) => regs[r.index()],
+        Node::Resize(a) => values[a.index()],
+        Node::Not(a) => !values[a.index()],
+        Node::Neg(a) => (values[a.index()] as i64).wrapping_neg() as u64,
+        Node::Mux(s, t, f) => {
+            if values[s.index()] & 1 == 1 {
+                values[t.index()]
+            } else {
+                values[f.index()]
+            }
+        }
+        Node::Bin(op, a, b) => {
+            let ua = values[a.index()];
+            let ub = values[b.index()];
+            let sa = sign_extend(ua, nodes[a.index()].width);
+            let sb = sign_extend(ub, nodes[b.index()].width);
+            match op {
+                Op::Add => (sa.wrapping_add(sb)) as u64,
+                Op::Sub => (sa.wrapping_sub(sb)) as u64,
+                Op::Mul => (sa.wrapping_mul(sb)) as u64,
+                Op::Div => {
+                    if sb == 0 {
+                        0
+                    } else {
+                        sa.wrapping_div(sb) as u64
+                    }
+                }
+                Op::Rem => {
+                    if sb == 0 {
+                        0
+                    } else {
+                        sa.wrapping_rem(sb) as u64
+                    }
+                }
+                Op::And => ua & ub,
+                Op::Or => ua | ub,
+                Op::Xor => ua ^ ub,
+                Op::Shl => ua.wrapping_shl(ub as u32 & 63),
+                Op::Shr => (sa >> (ub as u32 & 63)) as u64,
+                Op::Eq => u64::from(ua == ub),
+                Op::Lt => u64::from(sa < sb),
+                Op::Le => u64::from(sa <= sb),
+                Op::Min => sa.min(sb) as u64,
+                Op::Max => sa.max(sb) as u64,
+            }
+        }
+    };
+    v & mask(def.width)
+}
+
 /// Cycle-accurate evaluation state for a [`Netlist`], owning its netlist.
 #[derive(Debug, Clone)]
 pub struct NetlistSim {
@@ -486,6 +613,11 @@ pub struct NetlistSim {
     node_values: Vec<u64>,
     /// Masked inputs of the last evaluated step.
     inputs: Vec<u64>,
+    /// Which nodes read each node, input and register.
+    readers: Readers,
+    /// One bit per node, set while an operand changed since the node was
+    /// last evaluated (every node before the first step).
+    dirty: Vec<u64>,
     /// Whether the last evaluated step left every register unchanged.
     settled: bool,
     cycles: u64,
@@ -502,6 +634,14 @@ impl NetlistSim {
     /// Runs one clock cycle with the given input values (by input
     /// declaration order; missing inputs read 0).
     ///
+    /// An evaluated step recomputes only the *dirty* nodes, those with
+    /// an operand that changed since they were last computed, in index
+    /// (topological) order. A changed masked input, a register that
+    /// loads a new value and [`set_reg`](NetlistSim::set_reg) mark their
+    /// readers dirty, and a node whose value changes marks its own, so
+    /// node values and registers end each step exactly as evaluating
+    /// every node would leave them.
+    ///
     /// A step is skipped, only advancing [`cycles`](NetlistSim::cycles),
     /// when the last evaluated step left every register unchanged and the
     /// masked inputs equal that step's. The skip is exact: node values
@@ -511,6 +651,7 @@ impl NetlistSim {
     /// state.
     pub fn step(&mut self, inputs: &[u64]) {
         let nl = &self.netlist;
+        let nodes = nl.nodes.len();
         self.cycles += 1;
         let mut same_inputs = true;
         for (i, (held, (_, width))) in self.inputs.iter_mut().zip(&nl.inputs).enumerate() {
@@ -518,75 +659,48 @@ impl NetlistSim {
             if *held != v {
                 *held = v;
                 same_inputs = false;
+                self.readers.mark(nodes + i, &mut self.dirty);
             }
         }
         if self.settled && same_inputs {
             return;
         }
         self.evaluations += 1;
-        for (i, def) in nl.nodes.iter().enumerate() {
-            let w = def.width;
-            let v = match &def.node {
-                Node::Const(c) => *c,
-                Node::Input(id) => self.inputs[id.index()],
-                Node::ReadReg(r) => self.reg_values[r.index()],
-                Node::Resize(a) => self.node_values[a.index()],
-                Node::Not(a) => !self.node_values[a.index()],
-                Node::Neg(a) => (self.node_values[a.index()] as i64).wrapping_neg() as u64,
-                Node::Mux(s, t, f) => {
-                    if self.node_values[s.index()] & 1 == 1 {
-                        self.node_values[t.index()]
-                    } else {
-                        self.node_values[f.index()]
-                    }
-                }
-                Node::Bin(op, a, b) => {
-                    let wa = nl.nodes[a.index()].width;
-                    let wb = nl.nodes[b.index()].width;
-                    let ua = self.node_values[a.index()];
-                    let ub = self.node_values[b.index()];
-                    let sa = sign_extend(ua, wa);
-                    let sb = sign_extend(ub, wb);
-                    match op {
-                        Op::Add => (sa.wrapping_add(sb)) as u64,
-                        Op::Sub => (sa.wrapping_sub(sb)) as u64,
-                        Op::Mul => (sa.wrapping_mul(sb)) as u64,
-                        Op::Div => {
-                            if sb == 0 {
-                                0
-                            } else {
-                                sa.wrapping_div(sb) as u64
-                            }
-                        }
-                        Op::Rem => {
-                            if sb == 0 {
-                                0
-                            } else {
-                                sa.wrapping_rem(sb) as u64
-                            }
-                        }
-                        Op::And => ua & ub,
-                        Op::Or => ua | ub,
-                        Op::Xor => ua ^ ub,
-                        Op::Shl => ua.wrapping_shl(ub as u32 & 63),
-                        Op::Shr => (sa >> (ub as u32 & 63)) as u64,
-                        Op::Eq => u64::from(ua == ub),
-                        Op::Lt => u64::from(sa < sb),
-                        Op::Le => u64::from(sa <= sb),
-                        Op::Min => sa.min(sb) as u64,
-                        Op::Max => sa.max(sb) as u64,
-                    }
-                }
-            };
-            self.node_values[i] = v & mask(w);
+        // Readers come after the nodes they read, so a node dirtied here
+        // lies ahead of the scan: in a later word, or in this word above
+        // the bit just cleared, which the next pass rereads.
+        let mut w = 0;
+        while w < self.dirty.len() {
+            let bits = self.dirty[w];
+            if bits == 0 {
+                w += 1;
+                continue;
+            }
+            self.dirty[w] = bits & (bits - 1);
+            let i = w * 64 + bits.trailing_zeros() as usize;
+            let v = eval_node(
+                &nl.nodes,
+                i,
+                &self.node_values,
+                &self.inputs,
+                &self.reg_values,
+            );
+            if v != self.node_values[i] {
+                self.node_values[i] = v;
+                self.readers.mark(i, &mut self.dirty);
+            }
         }
         // Clock edge: registers load next values simultaneously.
         let mut settled = true;
         for (i, reg) in nl.regs.iter().enumerate() {
             if let Some(next) = reg.next {
                 let v = self.node_values[next.index()] & mask(reg.width);
-                settled &= v == self.reg_values[i];
-                self.reg_values[i] = v;
+                if v != self.reg_values[i] {
+                    settled = false;
+                    self.reg_values[i] = v;
+                    self.readers
+                        .mark(nodes + nl.inputs.len() + i, &mut self.dirty);
+                }
             }
         }
         self.settled = settled;
@@ -612,8 +726,13 @@ impl NetlistSim {
 
     /// Forces a register value (reset/test). The next step evaluates.
     pub fn set_reg(&mut self, r: RegId, v: u64) {
-        let w = self.netlist.regs[r.index()].width;
-        self.reg_values[r.index()] = v & mask(w);
+        let nl = &self.netlist;
+        let v = v & mask(nl.regs[r.index()].width);
+        if v != self.reg_values[r.index()] {
+            self.reg_values[r.index()] = v;
+            let source = nl.nodes.len() + nl.inputs.len() + r.index();
+            self.readers.mark(source, &mut self.dirty);
+        }
         self.settled = false;
     }
 
@@ -623,8 +742,8 @@ impl NetlistSim {
         self.cycles
     }
 
-    /// Steps actually evaluated; `cycles() - evaluations()` were skipped
-    /// as settled.
+    /// Steps actually evaluated, however few nodes each recomputed;
+    /// `cycles() - evaluations()` were skipped as settled.
     #[must_use]
     pub fn evaluations(&self) -> u64 {
         self.evaluations
@@ -638,6 +757,191 @@ fn log2_ceil(x: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{prop_assert_eq, ProptestConfig, TestRng, TestRunner};
+
+    /// The full-evaluation step [`NetlistSim::step`] must agree with: the
+    /// settled skip, then every node recomputed in index order, then the
+    /// clock edge.
+    fn step_full(sim: &mut NetlistSim, inputs: &[u64]) {
+        let nl = &sim.netlist;
+        sim.cycles += 1;
+        let mut same_inputs = true;
+        for (i, (held, (_, width))) in sim.inputs.iter_mut().zip(&nl.inputs).enumerate() {
+            let v = inputs.get(i).copied().unwrap_or(0) & mask(*width);
+            if *held != v {
+                *held = v;
+                same_inputs = false;
+            }
+        }
+        if sim.settled && same_inputs {
+            return;
+        }
+        sim.evaluations += 1;
+        for i in 0..nl.nodes.len() {
+            sim.node_values[i] =
+                eval_node(&nl.nodes, i, &sim.node_values, &sim.inputs, &sim.reg_values);
+        }
+        let mut settled = true;
+        for (i, reg) in nl.regs.iter().enumerate() {
+            if let Some(next) = reg.next {
+                let v = sim.node_values[next.index()] & mask(reg.width);
+                settled &= v == sim.reg_values[i];
+                sim.reg_values[i] = v;
+            }
+        }
+        sim.settled = settled;
+    }
+
+    const OPS: [Op; 15] = [
+        Op::Add,
+        Op::Sub,
+        Op::Mul,
+        Op::Div,
+        Op::Rem,
+        Op::And,
+        Op::Or,
+        Op::Xor,
+        Op::Shl,
+        Op::Shr,
+        Op::Eq,
+        Op::Lt,
+        Op::Le,
+        Op::Min,
+        Op::Max,
+    ];
+
+    /// A random netlist holding every [`Node`] kind and every [`Op`] at
+    /// least once, 1–63 bits wide, with 1–4 inputs and 1–4 registers:
+    /// some load a random node, some hold their value through their own
+    /// read, and some have no next value at all.
+    fn random_netlist(rng: &mut TestRng) -> Netlist {
+        fn width(rng: &mut TestRng) -> u32 {
+            1 + rng.below(63) as u32
+        }
+        fn pick(rng: &mut TestRng, n: &Netlist) -> NodeId {
+            NodeId(rng.below(n.node_count() as u64) as u32)
+        }
+        let mut n = Netlist::new("random");
+        for i in 0..1 + rng.below(4) {
+            let w = width(rng);
+            n.input(format!("I{i}"), w);
+        }
+        let regs: Vec<RegId> = (0..1 + rng.below(4))
+            .map(|i| {
+                let w = width(rng);
+                let r = n.reg(format!("R{i}"), w, rng.next_u64());
+                n.read_reg(r);
+                r
+            })
+            .collect();
+        // Kinds 0–4 are `Const`, `ReadReg`, `Not`, `Neg`, `Mux`; 5 is
+        // `Resize`; from 6 on, `Bin` with `OPS[k - 6]`.
+        let kinds = 6 + OPS.len() as u64;
+        let mut order: Vec<u64> = (0..kinds).collect();
+        order.extend((0..rng.below(40)).map(|_| rng.below(kinds)));
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        for k in order {
+            match k {
+                0 => {
+                    let w = width(rng);
+                    n.constant(rng.next_u64(), w);
+                }
+                1 => {
+                    n.read_reg(regs[rng.below(regs.len() as u64) as usize]);
+                }
+                2 => {
+                    let a = pick(rng, &n);
+                    n.not(a);
+                }
+                3 => {
+                    let a = pick(rng, &n);
+                    n.neg(a);
+                }
+                4 => {
+                    let s = pick(rng, &n);
+                    let sel = n.resize(s, 1);
+                    let (t, f) = (pick(rng, &n), pick(rng, &n));
+                    n.mux(sel, t, f);
+                }
+                5 => {
+                    let a = pick(rng, &n);
+                    let w = width(rng);
+                    let w = if w == n.width(a) { w % 63 + 1 } else { w };
+                    n.resize(a, w);
+                }
+                _ => {
+                    let (a, b) = (pick(rng, &n), pick(rng, &n));
+                    n.bin(OPS[(k - 6) as usize], a, b);
+                }
+            }
+        }
+        for &r in &regs {
+            let w = n.regs[r.index()].width;
+            match rng.below(3) {
+                0 => {}
+                1 => {
+                    let cur = n.read_reg(r);
+                    n.set_reg_next(r, cur);
+                }
+                _ => {
+                    let a = pick(rng, &n);
+                    let next = n.resize(a, w);
+                    n.set_reg_next(r, next);
+                }
+            }
+        }
+        n
+    }
+
+    #[test]
+    fn change_driven_step_matches_full_evaluation() {
+        let mut skipped = 0;
+        TestRunner::new(ProptestConfig::with_cases(200)).run(|rng| {
+            let nl = random_netlist(rng);
+            let (mut sim, mut oracle) = (nl.simulator(), nl.simulator());
+            let mut inputs: Vec<u64> = (0..nl.inputs().len()).map(|_| rng.next_u64()).collect();
+            for step in 0..64 {
+                // Half the steps change a random subset of the inputs,
+                // with bits past each input's width.
+                if rng.below(2) == 0 {
+                    for v in &mut inputs {
+                        if rng.below(3) == 0 {
+                            *v = rng.next_u64();
+                        }
+                    }
+                }
+                if rng.below(16) == 0 {
+                    let r = RegId(rng.below(nl.reg_count() as u64) as u32);
+                    let v = match rng.below(2) {
+                        0 => sim.reg_value(r),
+                        _ => rng.next_u64(),
+                    };
+                    sim.set_reg(r, v);
+                    oracle.set_reg(r, v);
+                }
+                // Now and then a short slice: the missing inputs read 0.
+                let given = match rng.below(8) {
+                    0 => &inputs[..rng.below(inputs.len() as u64 + 1) as usize],
+                    _ => &inputs[..],
+                };
+                sim.step(given);
+                step_full(&mut oracle, given);
+                prop_assert_eq!(&sim.node_values, &oracle.node_values, "step {}", step);
+                prop_assert_eq!(&sim.reg_values, &oracle.reg_values, "step {}", step);
+                prop_assert_eq!(
+                    (sim.cycles(), sim.evaluations()),
+                    (oracle.cycles(), oracle.evaluations()),
+                    "step {}",
+                    step
+                );
+            }
+            skipped += sim.cycles() - sim.evaluations();
+            Ok(())
+        });
+        assert!(skipped > 0, "some steps are skipped as settled");
+    }
 
     #[test]
     fn counter_counts_and_wraps() {
