@@ -61,7 +61,7 @@
 //! the default sweep matches the criterion bench (N = 16/64/256).
 
 use cosma_cosim::scenario::{build_scenario, LinkKind, Scenario, ScenarioSpec, Topology};
-use cosma_cosim::{BusTiming, CosimConfig, SchedulingConfig};
+use cosma_cosim::{BusTiming, CosimConfig, Dispatch, SchedulingConfig};
 use cosma_sim::Duration;
 use std::time::Instant;
 
@@ -467,13 +467,54 @@ fn main() {
     }
 
     // Trace-heavy ring: every module records an interned trace entry
-    // per activation (so nothing ever parks) and the columnar log
-    // spills full segments to a sink — the steady-state cost of the
-    // trace subsystem rides this row. Mirrors the counting-allocator
-    // gate's scenario (`tests/alloc.rs`), which pins the same regime
-    // to zero heap allocations per warm cycle.
+    // per activation (so nothing ever parks; relays blocked on an empty
+    // link are echoed instead) and the columnar log spills full
+    // segments to a sink — the steady-state cost of the trace
+    // subsystem rides this row. Mirrors the counting-allocator gate's
+    // scenario (`tests/alloc.rs`), which pins the same regime to zero
+    // heap allocations per warm cycle.
     {
         let n = if quick { 8 } else { 16 };
+        let ring = move |scheduling| {
+            build_scenario(&ScenarioSpec {
+                units: n,
+                topology: Topology::Ring,
+                values_per_link: 1_000_000,
+                link: batched,
+                config: CosimConfig::default(),
+                scheduling,
+                trace: true,
+                domains: Default::default(),
+            })
+            .expect("scenario builds")
+        };
+        // Untimed, unspilled runs of the row's span: the driver's
+        // echoes must reproduce the per-process oracle's trace and
+        // statuses, and must engage at all.
+        let run = |scheduling| {
+            let mut s = ring(scheduling);
+            s.cosim.run_for(Duration::from_us(200)).expect("runs");
+            let status: Vec<_> = s
+                .modules
+                .iter()
+                .map(|&m| s.cosim.module_status(m))
+                .collect();
+            (
+                s.cosim.trace_log(),
+                status,
+                s.cosim.shard_stats().modules_echoed,
+            )
+        };
+        let driver = run(SchedulingConfig::sharded());
+        let oracle = run(SchedulingConfig {
+            dispatch: Dispatch::PerProcess,
+            park_blocked: true,
+        });
+        assert!(
+            driver.0 == oracle.0 && driver.1 == oracle.1,
+            "trace_heavy: the driver's trace or statuses diverge from the per-process oracle"
+        );
+        assert!(driver.2 > 0, "trace_heavy: the driver echoed no activation");
         records.push(measure(
             "trace_heavy",
             n,
@@ -481,17 +522,7 @@ fn main() {
             runs,
             200,
             move || {
-                let s = build_scenario(&ScenarioSpec {
-                    units: n,
-                    topology: Topology::Ring,
-                    values_per_link: 1_000_000,
-                    link: batched,
-                    config: CosimConfig::default(),
-                    scheduling: SchedulingConfig::sharded(),
-                    trace: true,
-                    domains: Default::default(),
-                })
-                .expect("scenario builds");
+                let s = ring(SchedulingConfig::sharded());
                 s.cosim
                     .trace_handle()
                     .borrow_mut()

@@ -26,7 +26,10 @@
 //! * A module whose FSM is blocked on a pending service call parks on
 //!   the bound unit's **completion wires** (the read-set of the blocked
 //!   protocol): a consumer blocked on `get` against an empty link costs
-//!   zero activations until the producer's `put` lands.
+//!   zero activations until the producer's `put` lands. A blocked
+//!   module that records trace entries never parks; the driver *echoes*
+//!   it instead, appending its records on each edge without stepping
+//!   its FSM or calling its units until the same wires event.
 //! * One process per unit and per module survives as
 //!   [`Dispatch::PerProcess`] ([`SchedulingConfig::legacy`]), the
 //!   oracle the driver is tested against, and module parking can be

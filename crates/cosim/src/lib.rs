@@ -16,7 +16,9 @@
 //!   units at once, in the oracle's order, however units and modules
 //!   were interleaved at construction. Provably-stable FSMs are
 //!   *parked* on their watch wires, so blocked or finished parts of the
-//!   backplane cost nothing per clock edge;
+//!   backplane cost nothing per clock edge, and a blocked FSM whose
+//!   only effects are trace records is *echoed*: the driver appends
+//!   its records without stepping it;
 //!   [`SchedulingConfig::legacy`] (one process per unit and module) is
 //!   the oracle the driver is tested against,
 //! * every `Stmt::Trace` lands in a [`TraceLog`] that can be compared
@@ -38,14 +40,14 @@
 //! * `units` — the unit table: one row per communication unit, whatever
 //!   its kind, and the only code that tells unit kinds apart; plus the
 //!   module environment that calls it (dispatch by service index and
-//!   the park verdict) and the module step. Service names resolve once,
-//!   at module install, into a per-binding table; units count calls per
-//!   service index, and modules record trace entries through id hints
-//!   for their name and labels.
+//!   the park or echo verdict) and the module step. Service names
+//!   resolve once, at module install, into a per-binding table; units
+//!   count calls per service index, and modules record trace entries
+//!   through id hints for their name and labels.
 //! * `sched` — [`SchedulingConfig`] and the activation scheduler: the
-//!   driver with one watcher process per member, parking and clock
-//!   demand, the `legacy()` oracle's per-unit and per-module processes,
-//!   and the activation clock generators.
+//!   driver with one watcher process per member, parking, echoing and
+//!   clock demand, the `legacy()` oracle's per-unit and per-module
+//!   processes, and the activation clock generators.
 //! * `snapshot` — [`Snapshot`], [`Cosim::snapshot`] /
 //!   [`Cosim::restore`] with the checks that refuse a foreign snapshot
 //!   before any mutation, and [`Cosim::fork`], which rebuilds a

@@ -160,8 +160,11 @@ pub struct ScenarioSpec {
     /// When set, every generated module emits a `Stmt::Trace` record on
     /// every activation of its main loop state — the trace-heavy
     /// regime. Tracing counts as an effective change, so traced
-    /// modules never park; use it to stress the trace log and the
-    /// steady-state allocation discipline, not the parking machinery.
+    /// modules never park: with parking on, the driver *echoes* a
+    /// blocked one instead, appending its records on every edge
+    /// without stepping it ([`SchedulingConfig::park_blocked`]). Use it
+    /// to stress the trace log, echoing and the steady-state allocation
+    /// discipline, not parking.
     pub trace: bool,
     /// Clock-domain layout (defaults to everything in the base
     /// domain).
@@ -1084,7 +1087,8 @@ pub fn build_collapsed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TraceEntry, TraceLog};
+    use crate::{ShardStats, TraceEntry, TraceLog};
+    use cosma_comm::UnitStats;
     use cosma_sim::SimTime;
 
     fn check(spec: ScenarioSpec, budget_us: u64) {
@@ -1615,6 +1619,129 @@ mod tests {
                 "{name} stats replay verbatim"
             );
         }
+    }
+
+    /// The unit statistics of a scenario's `links` links in `c`, in
+    /// link order.
+    fn link_stats(c: &Cosim, links: usize) -> Vec<Option<UnitStats>> {
+        (0..links)
+            .map(|i| c.unit_stats(&format!("link{i}")))
+            .collect()
+    }
+
+    #[test]
+    fn traced_starved_consumers_echo_instead_of_stepping() {
+        // Every starved consumer records a `tick` per activation while
+        // blocked on `get`, so none parks: the driver echoes its
+        // records instead of stepping it. The per-process oracle never
+        // echoes, and must still see the same trace, statuses and end
+        // time.
+        use crate::backplane::Dispatch;
+        for link in [
+            LinkKind::Batched {
+                max_batch: 4,
+                capacity: 16,
+                timing: BusTiming::LengthOnly,
+            },
+            LinkKind::Handshake,
+        ] {
+            let run = |scheduling| {
+                let mut s = build_scenario(&ScenarioSpec {
+                    units: 16,
+                    topology: Topology::Starved,
+                    values_per_link: 4,
+                    link,
+                    scheduling,
+                    trace: true,
+                    ..ScenarioSpec::default()
+                })
+                .expect("builds");
+                s.cosim.run_for(Duration::from_us(50)).expect("runs");
+                s
+            };
+            let s = run(SchedulingConfig::sharded());
+            let oracle = run(SchedulingConfig {
+                dispatch: Dispatch::PerProcess,
+                park_blocked: true,
+            });
+            let tag = format!("{link:?}");
+            let stats = s.cosim.shard_stats();
+            assert!(
+                stats.modules_echoed * 10 >= stats.modules_stepped * 9,
+                "{tag}: most activations are echoed: {stats:?}"
+            );
+            let calls: u64 = link_stats(&s.cosim, s.links.len())
+                .iter()
+                .flatten()
+                .flat_map(|u| u.services.values().map(|v| v.calls))
+                .sum();
+            assert!(
+                calls * 10 < stats.modules_stepped,
+                "{tag}: {calls} unit calls for {} activations",
+                stats.modules_stepped
+            );
+            let want: Vec<_> = oracle
+                .modules
+                .iter()
+                .map(|&m| oracle.cosim.module_status(m))
+                .collect();
+            let want_trace = oracle.cosim.trace_log();
+            assert_same(&s.cosim, &s.modules, &want, &want_trace, &tag, "echo");
+            assert_eq!(s.cosim.sim().now(), oracle.cosim.sim().now(), "{tag}");
+        }
+    }
+
+    #[test]
+    fn snapshots_taken_while_members_echo_replay_verbatim() {
+        // The starved consumers echo for the whole run, so the snapshot
+        // catches members mid-echo, while link 0 keeps carrying values
+        // across it. The echo flags and cached records travel with the
+        // snapshot: restored and forked tails match the uninterrupted
+        // run in trace, statuses, scheduler and unit statistics.
+        let spec = ScenarioSpec {
+            units: 6,
+            topology: Topology::Starved,
+            values_per_link: 200,
+            link: LinkKind::Batched {
+                max_batch: 4,
+                capacity: 16,
+                timing: BusTiming::LengthOnly,
+            },
+            trace: true,
+            ..ScenarioSpec::default()
+        };
+        type Observed = (
+            Vec<ModuleStatus>,
+            TraceLog,
+            ShardStats,
+            Vec<Option<UnitStats>>,
+        );
+        let observe = |s: &Scenario, c: &Cosim| -> Observed {
+            let status = s.modules.iter().map(|&m| c.module_status(m)).collect();
+            let links = link_stats(c, s.links.len());
+            (status, c.trace_log(), c.shard_stats(), links)
+        };
+        let (mid, tail) = (Duration::from_us(7), Duration::from_us(13));
+        let mut r = build_scenario(&spec).expect("builds");
+        r.cosim.run_for(mid + tail).expect("runs");
+        let want = observe(&r, &r.cosim);
+
+        let mut a = build_scenario(&spec).expect("builds");
+        a.cosim.run_for(mid).expect("runs to mid");
+        let snap = a.cosim.snapshot();
+        let echoed = a.cosim.shard_stats().modules_echoed;
+        assert!(echoed > 0, "members echo before the snapshot");
+        assert!(want.2.modules_echoed > echoed, "and after it");
+        let cnt = |s: &Scenario| s.cosim.module_var(s.modules[1], "CNT");
+        assert_ne!(cnt(&a), cnt(&r), "link 0 still carries values after it");
+        let mut fork = a.cosim.fork(&snap).expect("forks");
+        a.cosim.run_for(tail).expect("continues");
+        assert_eq!(observe(&a, &a.cosim), want, "continued run");
+        a.cosim.restore(&snap).expect("restores");
+        a.cosim.run_for(tail).expect("replays");
+        assert_eq!(observe(&a, &a.cosim), want, "restored run");
+        fork.run_for(tail).expect("fork runs");
+        assert_eq!(observe(&a, &fork), want, "forked run");
     }
 
     #[test]

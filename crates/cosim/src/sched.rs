@@ -8,7 +8,9 @@
 
 use crate::backplane::UnitId;
 use crate::trace::TraceLog;
-use crate::units::{step_module, ModuleEntry, ModuleScratch, UnitEntry};
+use crate::units::{
+    echo_module, step_module, ModuleEntry, ModuleScratch, TraceRecords, UnitEntry, Verdict,
+};
 use cosma_core::Value;
 use cosma_sim::{ClockControl, Duration, Edge, FnProcess, ProcCtx, SignalId, Simulator, Wait};
 use std::cell::{Cell, RefCell};
@@ -25,6 +27,13 @@ pub enum Dispatch {
     /// has a watcher process that re-arms it when one of its watch
     /// wires events while it is parked; a parked member costs nothing
     /// per clock edge.
+    ///
+    /// Only the driver *echoes* ([`SchedulingConfig::park_blocked`]):
+    /// a blocked module whose activations only repeat their trace
+    /// records appends those records on each edge without stepping its
+    /// FSM or calling its units. Traces, module statuses and activation
+    /// counts stay identical to [`Dispatch::PerProcess`]; unit call
+    /// counts do not, since the echoed no-op calls are never made.
     Driver,
     /// One clocked kernel process per unit and one process per module,
     /// each stepped on every rising edge of its clock: the oracle.
@@ -54,6 +63,16 @@ pub struct SchedulingConfig {
     /// suppress the no-op activations themselves, so activation counts
     /// differ from a `park_blocked: false` run while a module is
     /// blocked.
+    ///
+    /// The same switch turns on *echoing*, which only
+    /// [`Dispatch::Driver`] does. A blocked module that records trace
+    /// entries never parks: each activation is a fixed point apart from
+    /// its records. The driver then appends that activation's records
+    /// (same labels and values, at the current time) and counts an
+    /// activation on each due edge, with no FSM step and no unit call,
+    /// until one of the module's watch wires events. Traces, statuses
+    /// and activation counts stay identical across dispatch modes;
+    /// unit call counts ([`UnitStats`](cosma_comm::UnitStats)) do not.
     pub park_blocked: bool,
 }
 
@@ -109,8 +128,16 @@ pub struct ShardStats {
     /// while it is parked, so the cost of a park or resume does not
     /// grow with the number of parked members.
     pub watch_probes: u64,
-    /// Module activations executed through the scheduler (both modes).
+    /// Module activations through the scheduler (both modes), echoed
+    /// ones included: the activations every
+    /// [`ModuleStatus`](crate::ModuleStatus) counts.
     pub modules_stepped: u64,
+    /// Module activations the driver echoed: trace records appended
+    /// without an FSM step or unit call, because the module's last full
+    /// activation was a fixed point apart from them
+    /// ([`SchedulingConfig::park_blocked`]). Zero under
+    /// [`Dispatch::PerProcess`].
+    pub modules_echoed: u64,
     /// Park transitions: members (modules or units) removed from their
     /// scheduler's active set after proving themselves stable.
     pub members_parked: u64,
@@ -247,10 +274,17 @@ struct DriverMember {
     /// member surrenders one unit of demand on that domain's
     /// generators, and re-arming it takes the unit back.
     demand: Rc<ClockDemand>,
-    /// Toggled by the driver when it parks the member, so the watcher
-    /// wakes and waits on the new watch set. The watcher derives its
-    /// wait from `parked` alone, so a forked backplane's fresh watcher
-    /// resumes mid-stream without an elaboration latch of its own.
+    /// Whether the module member echoes: it stays on the active list,
+    /// and each due edge appends `records` instead of stepping it,
+    /// until its watcher sees a `watch` event.
+    echo: bool,
+    /// The trace records an echoing member appends per due edge.
+    records: TraceRecords,
+    /// Toggled by the driver when it parks the member or arms its echo,
+    /// so the watcher wakes and waits on the new watch set. The watcher
+    /// derives its wait from `parked` and `echo` alone, so a forked
+    /// backplane's fresh watcher resumes mid-stream without an
+    /// elaboration latch of its own.
     poke: SignalId,
 }
 
@@ -276,6 +310,7 @@ pub(crate) struct DriverState {
     units_skipped: u64,
     wire_wakeups: u64,
     watch_probes: u64,
+    modules_echoed: u64,
 }
 
 impl DriverState {
@@ -316,13 +351,16 @@ impl DriverState {
     }
 
     /// Copies a captured driver's running state — watch sets,
-    /// event-count gates, the active/parked split, counters — onto this
-    /// one, keeping its members' clocks, pokes and demand ledgers.
+    /// event-count gates, the active/parked split, echo flags and
+    /// records, counters — onto this one, keeping its members' clocks,
+    /// pokes and demand ledgers.
     pub(crate) fn restore_from(&mut self, snap: &DriverState) {
         for (m, sm) in self.members.iter_mut().zip(&snap.members) {
             m.watch.clone_from(&sm.watch);
             m.seen.clone_from(&sm.seen);
             m.parked = sm.parked;
+            m.echo = sm.echo;
+            m.records.clone_from(&sm.records);
         }
         self.active.clone_from(&snap.active);
         self.parked_on.clone_from(&snap.parked_on);
@@ -332,6 +370,7 @@ impl DriverState {
         self.units_skipped = snap.units_skipped;
         self.wire_wakeups = snap.wire_wakeups;
         self.watch_probes = snap.watch_probes;
+        self.modules_echoed = snap.modules_echoed;
     }
 }
 
@@ -505,23 +544,19 @@ impl ActivationScheduler {
                         ctx,
                         &mut scratch,
                     ) {
-                        Ok(Some(w)) => {
+                        Ok(Verdict::Park(w)) => {
                             ps.parked = true;
-                            // Hand the displaced buffer back to the
-                            // scratch pool so the next park's watch
-                            // list builds in recycled capacity.
-                            let mut displaced = std::mem::replace(&mut ps.watch, w);
-                            if scratch.watch.capacity() < displaced.capacity() {
-                                displaced.clear();
-                                scratch.watch = displaced;
-                            }
+                            scratch.install_watch(&mut ps.watch, w);
                             ps.wait_dirty = true;
                             park.parked.set(park.parked.get() + 1);
                             park.parked_now.set(park.parked_now.get() + 1);
                             demand.park();
                             ps.counted = false;
                         }
-                        Ok(None) => {}
+                        // The oracle never echoes: an echo verdict
+                        // steps the module again at its next edge.
+                        Ok(Verdict::Echo(w)) => scratch.return_watch(w),
+                        Ok(Verdict::Stay) => {}
                         Err(msg) => {
                             *error.borrow_mut() = Some(msg);
                             if ps.counted {
@@ -603,6 +638,8 @@ impl ActivationScheduler {
                 watch,
                 seen,
                 parked: false,
+                echo: false,
+                records: TraceRecords::default(),
                 demand: Rc::clone(ctx.demand),
                 poke,
             });
@@ -613,12 +650,14 @@ impl ActivationScheduler {
     }
 
     /// Registers a member's watcher: a kernel process owning the
-    /// member's wakeups while it is parked. While the member is active
-    /// the watcher waits on the member's poke signal, which the driver
-    /// toggles when it parks the member; while the member is parked it
-    /// waits on the member's watch wires (forever when there are none).
-    /// A watch-wire event — also one in the poke's own delta — returns
-    /// the member to the driver's active list in creation order.
+    /// member's wakeups while it is parked or echoing. Otherwise the
+    /// watcher waits on the member's poke signal, which the driver
+    /// toggles when it parks the member or arms its echo; while the
+    /// member is parked or echoing it waits on the member's watch wires
+    /// (forever when there are none). A watch-wire event — also one in
+    /// the poke's own delta — returns a parked member to the driver's
+    /// active list in creation order, and ends an echo, so the member's
+    /// next due edge steps it.
     fn register_watcher(
         ctx: &mut SchedCtx<'_>,
         name: &str,
@@ -643,25 +682,29 @@ impl ActivationScheduler {
                     ..
                 } = &mut *st;
                 let m = &mut members[idx];
-                if m.parked {
+                if m.parked || m.echo {
                     *watch_probes += m.watch.len() as u64;
                     if !m.watch.iter().any(|&w| pctx.event(w)) {
                         if m.watch.is_empty() {
-                            // Nothing can ever re-arm the member.
+                            // Nothing can ever re-arm the member or end
+                            // its echo.
                             return Wait::Forever;
                         }
                         let mut sens = pctx.wait_buf();
                         sens.extend_from_slice(&m.watch);
                         return Wait::Event(sens);
                     }
-                    m.parked = false;
-                    let pos = active.partition_point(|&a| (a as usize) < idx);
-                    active.insert(pos, idx as u32);
-                    parked_on[m.clock as usize] -= 1;
-                    *wire_wakeups += 1;
-                    park.resumed.set(park.resumed.get() + 1);
-                    park.parked_now.set(park.parked_now.get() - 1);
-                    m.demand.resume(pctx);
+                    if m.parked {
+                        m.parked = false;
+                        let pos = active.partition_point(|&a| (a as usize) < idx);
+                        active.insert(pos, idx as u32);
+                        parked_on[m.clock as usize] -= 1;
+                        *wire_wakeups += 1;
+                        park.resumed.set(park.resumed.get() + 1);
+                        park.parked_now.set(park.parked_now.get() - 1);
+                        m.demand.resume(pctx);
+                    }
+                    m.echo = false;
                 }
                 let mut sens = pctx.wait_buf();
                 sens.push(m.poke);
@@ -730,6 +773,7 @@ impl ActivationScheduler {
                     active,
                     parked_on,
                     units_stepped,
+                    modules_echoed,
                     ..
                 } = &mut *st;
                 let mut fault = None;
@@ -746,30 +790,40 @@ impl ActivationScheduler {
                             let changed = wires_changed(pctx, &m.watch, &mut m.seen);
                             units.borrow_mut()[u.0].step(pctx, changed)
                         }
-                        Body::Module(mi) => step_module(
-                            &modules,
-                            mi,
-                            &units,
-                            &trace,
-                            &park,
-                            park_blocked,
-                            pctx,
-                            &mut scratch,
-                        )
-                        .map(|parks| match parks {
-                            Some(watch) => {
-                                // Hand the displaced buffer back to the
-                                // scratch so the next park's watch list
-                                // builds in recycled capacity.
-                                let mut displaced = std::mem::replace(&mut m.watch, watch);
-                                if scratch.watch.capacity() < displaced.capacity() {
-                                    displaced.clear();
-                                    scratch.watch = displaced;
+                        Body::Module(mi) if m.echo => {
+                            echo_module(&modules, mi, &trace, &park, pctx, &m.records);
+                            *modules_echoed += 1;
+                            return true;
+                        }
+                        Body::Module(mi) => {
+                            let verdict = step_module(
+                                &modules,
+                                mi,
+                                &units,
+                                &trace,
+                                &park,
+                                park_blocked,
+                                pctx,
+                                &mut scratch,
+                            );
+                            match verdict {
+                                Ok(Verdict::Stay) => Ok(false),
+                                Ok(Verdict::Park(watch)) => {
+                                    scratch.install_watch(&mut m.watch, watch);
+                                    Ok(true)
                                 }
-                                true
+                                Ok(Verdict::Echo(watch)) => {
+                                    scratch.install_watch(&mut m.watch, watch);
+                                    std::mem::swap(&mut m.records, &mut scratch.records);
+                                    m.echo = true;
+                                    // Hand the watch set to the member's
+                                    // watcher (event next delta).
+                                    toggle(pctx, m.poke);
+                                    Ok(false)
+                                }
+                                Err(msg) => Err(msg),
                             }
-                            None => false,
-                        }),
+                        }
                     };
                     match stable {
                         Ok(false) => true,
@@ -816,6 +870,7 @@ impl ActivationScheduler {
             s.units_skipped = st.units_skipped;
             s.wire_wakeups = st.wire_wakeups;
             s.watch_probes = st.watch_probes;
+            s.modules_echoed = st.modules_echoed;
         }
         s
     }

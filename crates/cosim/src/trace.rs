@@ -38,6 +38,9 @@
 //! Equality and [`TraceLog::compare`] walk both logs' records side by
 //! side and map each of one log's string ids into the other's once per
 //! distinct string, so they compare integers, not strings, per entry.
+//! A full segment both logs share, whose ids all map to themselves,
+//! counts as matched without a walk: a replay restored from a
+//! snapshot compares its shared prefix in O(segments).
 //!
 //! The crate-external API still speaks [`TraceEntry`] — materialized
 //! owned views rendered on demand — so comparison tooling and tests
@@ -161,6 +164,8 @@ struct EntryRec {
 struct Segment {
     recs: Vec<EntryRec>,
     values: Vec<Value>,
+    /// The largest source or label id any record names (0 when empty).
+    max_id: u32,
 }
 
 impl Segment {
@@ -260,6 +265,7 @@ impl TraceLog {
         let vstart = u32::try_from(tail.values.len()).expect("segment value pool fits u32");
         let vlen = u32::try_from(values.len()).expect("payload arity fits u32");
         tail.values.extend_from_slice(values);
+        tail.max_id = tail.max_id.max(source).max(label);
         tail.recs.push(EntryRec {
             at,
             source,
@@ -287,6 +293,7 @@ impl TraceLog {
                     self.spilled += n as u64;
                     self.tail.recs.clear();
                     self.tail.values.clear();
+                    self.tail.max_id = 0;
                     return;
                 }
                 Err(e) => {
@@ -298,6 +305,7 @@ impl TraceLog {
         let next = Segment {
             recs: Vec::with_capacity(SEG_ENTRIES),
             values: Vec::with_capacity(self.tail.values.len()),
+            max_id: 0,
         };
         self.full
             .push(Arc::new(std::mem::replace(&mut self.tail, next)));
@@ -428,11 +436,22 @@ impl TraceLog {
     /// agree in label and values — and in timestamp and source when
     /// `exact`. Full segments hold [`SEG_ENTRIES`] records each, so the
     /// two logs' segments pair up at the same entry offsets.
+    ///
+    /// A full segment both logs hold through the same `Arc` (a log and
+    /// a copy of it, or two copies of one snapshot) agrees entry for
+    /// entry when every id it names maps to itself, so it is counted
+    /// without a walk.
     fn agreeing_prefix(&self, other: &TraceLog, exact: bool) -> usize {
         let ids = self.id_map(other);
         let id = |i: u32| ids[i as usize];
+        // Every id below `shared_ids` names the same string in both logs.
+        let shared_ids = ids.iter().zip(0..).take_while(|&(&m, i)| m == i).count();
         let mut matched = 0;
         for (a, b) in self.segments().zip(other.segments()) {
+            if std::ptr::eq(a, b) && (a.max_id as usize) < shared_ids {
+                matched += a.recs.len();
+                continue;
+            }
             for (ra, rb) in a.recs.iter().zip(&b.recs) {
                 let same = (!exact || ra.at == rb.at && id(ra.source) == rb.source)
                     && id(ra.label) == rb.label
@@ -801,6 +820,68 @@ mod tests {
         assert_eq!(left.values, vec![Value::Int((SEG_ENTRIES + 3) as i64)]);
         assert_eq!(right.values, vec![Value::Int(-1)]);
         assert_eq!(c.compare(&a).matched, SEG_ENTRIES + 3);
+    }
+
+    #[test]
+    fn a_restored_and_rerun_twin_compares_equal() {
+        let mut a = TraceLog::new();
+        fill(&mut a, 0, 2 * SEG_ENTRIES + 300);
+        let snap = a.clone();
+        fill(&mut a, 2 * SEG_ENTRIES + 300, 2 * SEG_ENTRIES);
+        let mut twin = snap.clone();
+        fill(&mut twin, 2 * SEG_ENTRIES + 300, 2 * SEG_ENTRIES);
+        assert!(Arc::ptr_eq(&a.full[1], &twin.full[1]), "shared segment");
+        assert!(!Arc::ptr_eq(&a.full[3], &twin.full[3]), "rerun segment");
+        assert_eq!(a, twin);
+        assert_eq!(twin, a);
+        let cmp = a.compare(&twin);
+        assert!(cmp.is_match());
+        assert_eq!(cmp.matched, a.len());
+    }
+
+    #[test]
+    fn a_divergence_after_shared_segments_keeps_its_index() {
+        let n = 4 * SEG_ENTRIES + 10;
+        let at = 3 * SEG_ENTRIES + 5;
+        let mut a = TraceLog::new();
+        fill(&mut a, 0, n);
+        // The twin shares the first two segments with `a`; the fresh
+        // copy shares nothing. Both diverge at `at`.
+        let mut twin = TraceLog::new();
+        fill(&mut twin, 0, 2 * SEG_ENTRIES);
+        twin.full = a.full[..2].to_vec();
+        let mut fresh = TraceLog::new();
+        for l in [&mut twin, &mut fresh] {
+            fill(l, l.len(), at - l.len());
+            l.record(at as u64, "m", "e", [Value::Int(-1)]);
+            fill(l, at + 1, n - at - 1);
+        }
+        assert!(Arc::ptr_eq(&a.full[0], &twin.full[0]));
+        for b in [&twin, &fresh] {
+            assert_ne!(&a, b);
+            let cmp = a.compare(b);
+            assert_eq!(cmp.matched, at);
+            let (left, right) = cmp.divergence.expect("one value differs");
+            assert_eq!(left.values, vec![Value::Int(at as i64)]);
+            assert_eq!(right.values, vec![Value::Int(-1)]);
+        }
+    }
+
+    #[test]
+    fn a_shared_segment_whose_ids_name_other_strings_is_walked() {
+        let mut a = TraceLog::new();
+        fill(&mut a, 0, SEG_ENTRIES + 1);
+        // The copy shares the full segment, but its interner names the
+        // source and the label the other way round.
+        let mut b = a.clone();
+        let mut names = Interner::default();
+        names.intern("e");
+        names.intern("m");
+        b.interner = names;
+        assert!(Arc::ptr_eq(&a.full[0], &b.full[0]));
+        assert_ne!(a, b);
+        assert_eq!(a.compare(&b).matched, 0);
+        assert_eq!(b.iter().next().map(|e| e.label), Some("m"));
     }
 
     /// A sink that accepts `ok` writes, then fails every write.

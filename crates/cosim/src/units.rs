@@ -5,7 +5,7 @@
 //! `UnitId`; only this module tells unit kinds apart. Module
 //! activations (`step_module`) reach their units through `CosimEnv`,
 //! which dispatches each call by service index and gathers the
-//! evidence for the scheduler's park verdict.
+//! evidence for the scheduler's park or echo verdict.
 //!
 //! Names resolve once, when a module is installed: every service
 //! spelling its FSM calls on a binding is resolved against the bound
@@ -534,10 +534,42 @@ impl WireStore for CtxWires<'_, '_> {
     }
 }
 
+/// The trace records of one module activation, in order: each
+/// record's label and payload length, the payloads packed back to
+/// back. A module that echoes ([`Verdict::Echo`]) re-records them on
+/// every due edge ([`echo_module`]).
+#[derive(Clone, Default)]
+pub(crate) struct TraceRecords {
+    labels: Vec<(Arc<str>, usize)>,
+    values: Vec<Value>,
+}
+
+impl TraceRecords {
+    fn clear(&mut self) {
+        self.labels.clear();
+        self.values.clear();
+    }
+
+    fn push(&mut self, label: &Arc<str>, values: &[Value]) {
+        self.labels.push((Arc::clone(label), values.len()));
+        self.values.extend_from_slice(values);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&Arc<str>, &[Value])> + '_ {
+        let mut rest = &self.values[..];
+        self.labels.iter().map(move |(label, n)| {
+            let (values, tail) = rest.split_at(*n);
+            rest = tail;
+            (label, values)
+        })
+    }
+}
+
 /// Reusable arena for module activations through [`step_module`]: the
-/// [`StepEffects`](cosma_core::StepEffects) arena and the pooled watch
-/// list. Each module-stepping process owns one, so a warm activation
-/// allocates nothing for its bookkeeping.
+/// [`StepEffects`](cosma_core::StepEffects) arena, the pooled watch
+/// list and the activation's trace records. Each module-stepping
+/// process owns one, so a warm activation allocates nothing for its
+/// bookkeeping.
 #[derive(Default)]
 pub(crate) struct ModuleScratch {
     /// Step-effects arena handed to
@@ -545,9 +577,33 @@ pub(crate) struct ModuleScratch {
     /// recycled at the start of every activation.
     effects: cosma_core::StepEffects,
     /// Pooled completion-wire watch list lent to the activation's
-    /// [`CosimEnv`]; returned cleared unless the module parks (the
-    /// rare case, where the buffer leaves as the park wait list).
-    pub(crate) watch: Vec<SignalId>,
+    /// [`CosimEnv`]; returned cleared unless the module parks or
+    /// echoes (the rare case, where the buffer leaves as the member's
+    /// watch set).
+    watch: Vec<SignalId>,
+    /// The last activation's trace records, cleared at the start of
+    /// every activation. A driver member that starts to echo swaps this
+    /// buffer with its own.
+    pub(crate) records: TraceRecords,
+}
+
+impl ModuleScratch {
+    /// Installs a verdict's watch set in `slot`, handing the displaced
+    /// buffer back to the pool when it is the larger one, so the next
+    /// watch set builds in recycled capacity.
+    pub(crate) fn install_watch(&mut self, slot: &mut Vec<SignalId>, watch: Vec<SignalId>) {
+        let mut displaced = std::mem::replace(slot, watch);
+        if self.watch.capacity() < displaced.capacity() {
+            displaced.clear();
+            self.watch = displaced;
+        }
+    }
+
+    /// Returns a watch buffer the caller does not keep to the pool.
+    pub(crate) fn return_watch(&mut self, mut watch: Vec<SignalId>) {
+        watch.clear();
+        self.watch = watch;
+    }
 }
 
 /// The execution environment a module activation sees: ports are kernel
@@ -565,16 +621,20 @@ struct CosimEnv<'a, 'b> {
     trace: &'a RefCell<TraceLog>,
     trace_hints: &'a mut TraceHints,
     source: &'a Arc<str>,
+    /// This activation's trace records, kept for a possible echo.
+    records: &'a mut TraceRecords,
     /// Effective changes this activation: variable writes that changed
     /// a value, port drives that differ from the signal's current
     /// value, trace records, completed service calls. Zero means the
-    /// activation was (conservatively) a no-op.
+    /// activation was (conservatively) a no-op; as many as `records`
+    /// holds means it was one apart from its trace records.
     changes: u32,
     /// Whether every pending service call this activation was a
     /// provable no-op on the unit side *with* non-empty completion
     /// wires — i.e. safe to wait on wires instead of polling.
     pending_stable: bool,
-    /// Completion wires of the pending calls (what to watch if parked).
+    /// Completion wires of the pending calls (what to watch if parked
+    /// or echoing).
     pending_watch: Vec<SignalId>,
 }
 
@@ -657,17 +717,30 @@ impl Env for CosimEnv<'_, '_> {
     }
     fn trace(&mut self, label: &Arc<str>, values: &[Value]) {
         self.changes += 1;
+        self.records.push(label, values);
         let at = self.ctx.now().as_fs();
         let log = &mut self.trace.borrow_mut();
         self.trace_hints.record(log, at, self.source, label, values);
     }
 }
 
+/// What one module activation tells its scheduler.
+pub(crate) enum Verdict {
+    /// Step the module again at its next due edge.
+    Stay,
+    /// The activation was a provable fixed point: park the module until
+    /// one of these wires events (none: nothing can ever re-arm it).
+    Park(Vec<SignalId>),
+    /// The activation was a fixed point apart from its trace records,
+    /// which [`ModuleScratch::records`] holds: until one of these wires
+    /// events, every due edge may append the same records instead of
+    /// stepping the module ([`echo_module`]).
+    Echo(Vec<SignalId>),
+}
+
 /// One module activation through the shared module table, with service
-/// calls applied to their units at once. Returns `Ok(Some(watch))` when
-/// the activation proved the module stable and it should be parked on
-/// `watch` (possibly empty: a halted module that nothing can ever
-/// re-arm), `Ok(None)` to stay clocked.
+/// calls applied to their units at once, and the scheduler's
+/// [`Verdict`] on it.
 ///
 /// The execution environment is drawn from the caller's pooled
 /// [`ModuleScratch`], recycled (capacity kept) across activations.
@@ -681,7 +754,7 @@ pub(crate) fn step_module(
     park_blocked: bool,
     ctx: &mut ProcCtx<'_>,
     scratch: &mut ModuleScratch,
-) -> Result<Option<Vec<SignalId>>, String> {
+) -> Result<Verdict, String> {
     let mut modules = modules.borrow_mut();
     let ModuleEntry {
         name,
@@ -697,6 +770,7 @@ pub(crate) fn step_module(
     } = &mut modules[idx];
     let fsm = module.fsm();
     scratch.effects.recycle();
+    scratch.records.clear();
     let mut env = CosimEnv {
         ctx,
         ports,
@@ -708,6 +782,7 @@ pub(crate) fn step_module(
         trace,
         trace_hints,
         source: name,
+        records: &mut scratch.records,
         changes: 0,
         pending_stable: true,
         pending_watch: std::mem::take(&mut scratch.watch),
@@ -726,33 +801,37 @@ pub(crate) fn step_module(
             }
             status.activations += 1;
             park.modules_stepped.set(park.modules_stepped.get() + 1);
-            // Park verdict: the activation must be a provable fixed
-            // point. Same state (self-loops included), zero effective
-            // changes, and every service call pending as a unit-side
-            // no-op with completion wires to wait on. Re-running such
-            // an activation with unchanged ports/wires is guaranteed
-            // to repeat it identically, so the module may sleep until
-            // one of its ports or completion wires events.
-            let parkable = park_blocked
+            // The activation is a fixed point when it kept its state
+            // (self-loops included) and every service call is pending
+            // as a unit-side no-op with completion wires to wait on.
+            // Re-running it with unchanged ports and wires is then
+            // guaranteed to repeat it identically, trace records
+            // included (they read only variables and ports). With no
+            // effective change at all the module parks until one of
+            // its ports or completion wires events; with trace records
+            // its only changes it echoes them until then.
+            let fixed = park_blocked
                 && meta.from == meta.to
-                && changes == 0
                 && pending_stable
                 && scratch.effects.pending_calls == scratch.effects.service_calls;
-            if parkable {
+            let records = scratch.records.labels.len();
+            if fixed && changes as usize == records {
                 watch.extend_from_slice(ports);
                 watch.sort_unstable();
                 watch.dedup();
-                Ok(Some(watch))
+                Ok(if records == 0 {
+                    Verdict::Park(watch)
+                } else {
+                    Verdict::Echo(watch)
+                })
             } else {
-                watch.clear();
-                scratch.watch = watch;
-                Ok(None)
+                scratch.return_watch(watch);
+                Ok(Verdict::Stay)
             }
         }
         Err(e) => {
-            let mut watch = env.pending_watch;
-            watch.clear();
-            scratch.watch = watch;
+            let watch = env.pending_watch;
+            scratch.return_watch(watch);
             // Record the halting state and the error on the module
             // itself, not just in the backplane's global error slot.
             let msg = format!("module {name}: {e}");
@@ -762,4 +841,32 @@ pub(crate) fn step_module(
             Err(msg)
         }
     }
+}
+
+/// One echoed activation of module `idx` ([`Verdict::Echo`]): appends
+/// `records`, the trace records of the activation that armed the echo,
+/// at the current time through the module's trace hints, and counts
+/// the activation — with no FSM step and no unit call.
+pub(crate) fn echo_module(
+    modules: &RefCell<Vec<ModuleEntry>>,
+    idx: usize,
+    trace: &RefCell<TraceLog>,
+    park: &ParkCounters,
+    ctx: &ProcCtx<'_>,
+    records: &TraceRecords,
+) {
+    let mut modules = modules.borrow_mut();
+    let ModuleEntry {
+        name,
+        status,
+        trace_hints,
+        ..
+    } = &mut modules[idx];
+    let at = ctx.now().as_fs();
+    let log = &mut trace.borrow_mut();
+    for (label, values) in records.iter() {
+        trace_hints.record(log, at, name, label, values);
+    }
+    status.activations += 1;
+    park.modules_stepped.set(park.modules_stepped.get() + 1);
 }

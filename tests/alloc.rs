@@ -8,12 +8,14 @@
 //! The trace-heavy ring crosses the pooled hot paths of the module
 //! driver at once: every module records a trace entry per activation,
 //! so nothing parks, the driver steps the whole module set every cycle
-//! through its pooled effects arena, and the columnar log's tail
-//! segment and spill encoder are exercised each cycle. Further gates pin
-//! streaming payload beats (the timer wheel's burst trains), a
-//! multi-rate ring (per-domain clocks and parking), calls on a native
-//! FIFO and the board's warm FPGA fabric (the motor's Speed Control
-//! netlists and its peripheral).
+//! through its pooled effects arena or echoes a blocked relay's cached
+//! records, and the columnar log's tail segment and spill encoder are
+//! exercised each cycle. Further gates pin
+//! echoed trace records (a traced starved fleet whose blocked consumers
+//! the driver echoes), streaming payload beats (the timer wheel's burst
+//! trains), a multi-rate ring (per-domain clocks and parking), calls on
+//! a native FIFO and the board's warm FPGA fabric (the motor's Speed
+//! Control netlists and its peripheral).
 //!
 //! The elaboration gate bounds the cost of one instance (48
 //! allocations per batched link, 25 per single-binding module): every
@@ -79,9 +81,11 @@ fn allocs() -> u64 {
 
 #[test]
 fn warm_trace_heavy_cycles_do_not_allocate() {
-    // A Ring keeps every module stepping for the whole run: the driver
+    // A Ring keeps every module active for the whole run: the driver
     // circulates values_per_link tokens (far more than the run needs),
     // the relays forward forever, and tracing keeps everyone unparked.
+    // A relay waiting for a token echoes its records, so the window
+    // also arms and ends echoes.
     let spec = ScenarioSpec {
         units: 8,
         topology: Topology::Ring,
@@ -118,6 +122,53 @@ fn warm_trace_heavy_cycles_do_not_allocate() {
     assert_eq!(
         grew, 0,
         "warm steady-state cycles must not allocate, saw {grew} allocations"
+    );
+}
+
+#[test]
+fn warm_echoed_trace_records_do_not_allocate() {
+    // A traced Starved backplane: fifteen consumers blocked on empty
+    // links record a `tick` per activation, so instead of stepping
+    // them the driver appends their cached records on every edge,
+    // while link 0 carries values for the whole run and its producer
+    // and consumer keep stepping and the log spills. (Arming and ending
+    // echoes with warm pools is pinned by the trace-heavy ring above,
+    // whose relays echo while no token is in reach.)
+    let spec = ScenarioSpec {
+        units: 16,
+        topology: Topology::Starved,
+        values_per_link: 1_000_000,
+        link: LinkKind::Batched {
+            max_batch: 8,
+            capacity: 32,
+            timing: BusTiming::LengthOnly,
+        },
+        scheduling: SchedulingConfig::sharded(),
+        trace: true,
+        ..ScenarioSpec::default()
+    };
+    let mut s = build_scenario(&spec).expect("scenario builds");
+    s.cosim
+        .trace_handle()
+        .borrow_mut()
+        .set_spill(Box::new(std::io::sink()));
+    s.cosim
+        .run_for(Duration::from_us(60))
+        .expect("warm-up runs");
+    let warm = s.cosim.shard_stats();
+    let before = allocs();
+    s.cosim.run_for(Duration::from_us(60)).expect("window runs");
+    let grew = allocs() - before;
+    let stats = s.cosim.shard_stats();
+    let echoed = stats.modules_echoed - warm.modules_echoed;
+    let stepped = stats.modules_stepped - warm.modules_stepped;
+    assert!(
+        echoed * 2 > stepped,
+        "the window is mostly echoed edges: {echoed} of {stepped} activations"
+    );
+    assert_eq!(
+        grew, 0,
+        "warm echoed trace records must not allocate, saw {grew} allocations"
     );
 }
 

@@ -721,14 +721,22 @@ proptest! {
         // Both must have completed all traffic in budget.
         prop_assert!(s.is_complete(), "sharded incomplete under {:?}", topology);
         s.verify().map_err(TestCaseError::fail)?;
-        // With parking on, a Starved run must actually have parked
-        // its blocked consumers (traced modules never park).
-        if park && !trace && matches!(topology, Topology::Starved) {
+        // With parking on, a Starved run must actually have parked its
+        // blocked consumers; traced ones never park, and the driver
+        // must echo their trace records instead.
+        if park && matches!(topology, Topology::Starved) {
             let stats = s.cosim.shard_stats();
-            prop_assert!(
-                stats.members_parked as usize >= units - 1,
-                "starved consumers parked: {:?}", stats
-            );
+            if trace {
+                prop_assert!(
+                    stats.modules_echoed > 0,
+                    "starved traced consumers echoed: {:?}", stats
+                );
+            } else {
+                prop_assert!(
+                    stats.members_parked as usize >= units - 1,
+                    "starved consumers parked: {:?}", stats
+                );
+            }
         }
         baseline.verify().map_err(TestCaseError::fail)?;
     }
@@ -1686,10 +1694,11 @@ fn partitioned_cyclic_cut_matches_oracle() {
     assert!(stats.boundary_messages > 0, "stats: {stats:?}");
 }
 
-/// Multi-rate pinning: with tracing on (traced modules never park, so
-/// activations count their domain's clock edges exactly), a module in
-/// a 1:4 slow domain records exactly a quarter of the activations its
-/// uniform-clock twin records over the same wall-clock run.
+/// Multi-rate pinning: with tracing on (traced modules never park, and
+/// an echoed activation counts like a stepped one, so activations count
+/// their domain's clock edges exactly), a module in a 1:4 slow domain
+/// records exactly a quarter of the activations its uniform-clock twin
+/// records over the same wall-clock run.
 #[test]
 fn multi_rate_slow_domain_quarters_activations() {
     use cosma::cosim::scenario::{build_scenario, DomainsSpec, ScenarioSpec};
