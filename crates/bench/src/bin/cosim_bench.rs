@@ -43,7 +43,14 @@
 //! Figure 1 flow's two platforms on an 8-segment motor trajectory, each
 //! from assembly to completion: variant `cosim` is the co-simulation
 //! backplane (`n` counts HW cycles), variant `board` the synthesized
-//! board (`n` counts fabric ticks).
+//! board (`n` counts fabric ticks). The `comm` rows time the library's
+//! communication units interpreted without a kernel, over
+//! `StandaloneUnit` or a `BatchedLink` on `LocalWires`: 100 messages
+//! from a producer to a consumer (`n` counts messages) through each of
+//! variant `handshake`, `batched_4`, `batched_16`, `fifo_4`, `fifo_16`
+//! and `mailbox_4`, and 100 acquire/write/read/release rounds for
+//! `shared_reg`. `handshake` and `shared_reg` time FSM interpretation
+//! alone: protocol sessions and a unit controller.
 //!
 //! Before the first timed row the binary builds and runs the first
 //! row's scenario, untimed, for about half a second, so the first row
@@ -78,8 +85,8 @@ struct Record {
     queue: Option<&'static str>,
     /// Within-scenario variant for the `multi_rate` (uniform vs
     /// quarter-rate domain) and `partitioned` (collapsed vs split)
-    /// comparison rows, the `frontends` language and the `motor`
-    /// platform; `None` elsewhere.
+    /// comparison rows, the `frontends` language, the `motor` platform
+    /// and the `comm` unit; `None` elsewhere.
     variant: Option<&'static str>,
     ns_per_run: u128,
     p50_ns: u128,
@@ -194,26 +201,31 @@ fn summarize3(mut samples: Vec<u128>) -> (u128, u128, u128) {
     (mean, p50, p99)
 }
 
-/// Times `runs` calls of `run`, which returns the simulated span it
-/// covered (`n`) and the nanoseconds it took, after one untimed call;
-/// every call must cover the same span.
-fn motor_row(variant: &'static str, runs: u32, run: impl Fn() -> (u64, u128)) -> Record {
+/// Times `runs` calls of `run`, which returns the work it covered (`n`:
+/// simulated cycles, messages) and the nanoseconds it took, after one
+/// untimed call; every call must cover the same `n`.
+fn flow_row(
+    scenario: &'static str,
+    variant: &'static str,
+    runs: u32,
+    run: impl Fn() -> (u64, u128),
+) -> Record {
     let (n, _) = run();
     let samples: Vec<u128> = (0..runs)
         .map(|_| {
             let (got, ns) = run();
-            assert_eq!(got, n, "motor {variant}: every run takes as long");
+            assert_eq!(got, n, "{scenario} {variant}: every run covers as much");
             ns
         })
         .collect();
     let (mean, p50, p99) = summarize3(samples);
     println!(
-        "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
+        "{scenario:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
          p50={p50} p99={p99}  ({runs} runs, {variant})",
-        "motor", "none"
+        "none"
     );
     Record {
-        scenario: "motor",
+        scenario,
         n: n as usize,
         bus_timing: "none",
         queue: None,
@@ -256,6 +268,81 @@ fn beat_storm(n: usize, heap: bool) -> u128 {
     let start = Instant::now();
     sim.run_until(SimTime::from_ns(100_000)).expect("runs");
     start.elapsed().as_nanos()
+}
+
+/// Pushes `n` messages through a unit with a `put`-like and a
+/// `get`-like service: each round one producer call, one consumer call
+/// and one unit step.
+fn transfer(unit: &mut cosma_comm::StandaloneUnit, put: &str, get: &str, n: i64) {
+    use cosma_comm::CallerId;
+    use cosma_core::Value;
+    let (producer, consumer) = (CallerId(1), CallerId(2));
+    let (mut sent, mut recv, mut rounds) = (0, 0, 0);
+    while recv < n {
+        rounds += 1;
+        assert!(rounds < 100_000, "transfer through {put}/{get} stuck");
+        if sent < n
+            && unit
+                .call(producer, put, &[Value::Int(sent)])
+                .expect(put)
+                .done
+        {
+            sent += 1;
+        }
+        if unit.call(consumer, get, &[]).expect(get).done {
+            recv += 1;
+        }
+        unit.step().expect("unit steps");
+    }
+}
+
+/// [`transfer`] through a [`cosma_comm::BatchedLink`]: producer puts,
+/// consumer gets, link pumps, one wire handshake per batch.
+fn transfer_batched(
+    link: &mut cosma_comm::BatchedLink,
+    wires: &mut cosma_comm::LocalWires,
+    n: i64,
+) {
+    use cosma_comm::CallerId;
+    use cosma_core::Value;
+    let (producer, consumer) = (CallerId(1), CallerId(2));
+    let (mut sent, mut recv, mut rounds) = (0, 0, 0);
+    while recv < n {
+        rounds += 1;
+        assert!(rounds < 100_000, "batched transfer stuck");
+        if sent < n
+            && link
+                .put(producer, Value::Int(sent), wires)
+                .expect("put")
+                .done
+        {
+            sent += 1;
+        }
+        if link.get(consumer, wires).expect("get").done {
+            recv += 1;
+        }
+        link.pump(wires, false).expect("link pumps");
+    }
+}
+
+/// `n` acquire/write/read/release rounds of one caller on a shared
+/// register, each call completing at once.
+fn shared_reg_rounds(unit: &mut cosma_comm::StandaloneUnit, n: i64) {
+    use cosma_comm::CallerId;
+    use cosma_core::Value;
+    let caller = CallerId(1);
+    for i in 0..n {
+        let value = [Value::Int(i)];
+        for (service, args) in [
+            ("acquire", &[][..]),
+            ("write", &value[..]),
+            ("read", &[][..]),
+            ("release", &[][..]),
+        ] {
+            let out = unit.call(caller, service, args).expect(service);
+            assert!(out.done, "{service} completes at once");
+        }
+    }
 }
 
 fn main() {
@@ -927,8 +1014,59 @@ fn main() {
             assert_eq!(sys.motor.borrow().position(), want);
             (sys.board.fabric_ticks(), ns)
         };
-        records.push(motor_row("cosim", motor_runs, cosim));
-        records.push(motor_row("board", motor_runs, board));
+        records.push(flow_row("motor", "cosim", motor_runs, cosim));
+        records.push(flow_row("motor", "board", motor_runs, board));
+    }
+
+    // The library's communication units interpreted without a kernel:
+    // 100 messages from a producer to a consumer through each unit
+    // (`shared_reg`: 100 acquire/write/read/release rounds of one
+    // caller), over `StandaloneUnit` or, for batched links, a
+    // `BatchedLink` over `LocalWires`. `handshake` and `shared_reg` are
+    // pure FSM interpretation: protocol sessions and a controller.
+    {
+        use cosma_comm::{
+            handshake_unit, shared_reg_unit, BatchedLink, FifoChannel, LocalWires, Mailbox,
+            StandaloneUnit,
+        };
+        use cosma_core::Type;
+        const MESSAGES: i64 = 100;
+        let comm_runs: u32 = if quick { 20 } else { 200 };
+        let through = |make: &dyn Fn() -> StandaloneUnit, put: &'static str, get: &'static str| {
+            let mut unit = make();
+            let start = Instant::now();
+            transfer(&mut unit, put, get, MESSAGES);
+            (MESSAGES as u64, start.elapsed().as_nanos())
+        };
+        let handshake = || StandaloneUnit::from_spec(handshake_unit("hs", Type::INT16));
+        records.push(flow_row("comm", "handshake", comm_runs, || {
+            through(&handshake, "put", "get")
+        }));
+        records.push(flow_row("comm", "shared_reg", comm_runs, || {
+            let mut unit = StandaloneUnit::from_spec(shared_reg_unit("mem", Type::INT16));
+            let start = Instant::now();
+            shared_reg_rounds(&mut unit, MESSAGES);
+            (MESSAGES as u64, start.elapsed().as_nanos())
+        }));
+        for (variant, max_batch) in [("batched_4", 4), ("batched_16", 16)] {
+            records.push(flow_row("comm", variant, comm_runs, || {
+                let mut link = BatchedLink::new("bus", Type::INT16, max_batch, 256);
+                let mut wires = LocalWires::new(link.spec());
+                let start = Instant::now();
+                transfer_batched(&mut link, &mut wires, MESSAGES);
+                (MESSAGES as u64, start.elapsed().as_nanos())
+            }));
+        }
+        for (variant, cap) in [("fifo_4", 4), ("fifo_16", 16)] {
+            let fifo = move || StandaloneUnit::from_native(Box::new(FifoChannel::new("q", cap)));
+            records.push(flow_row("comm", variant, comm_runs, || {
+                through(&fifo, "put", "get")
+            }));
+        }
+        let mailbox = || StandaloneUnit::from_native(Box::new(Mailbox::new("mb", 4)));
+        records.push(flow_row("comm", "mailbox_4", comm_runs, || {
+            through(&mailbox, "send_a", "recv_b")
+        }));
     }
 
     // Sanity gate for CI: parked consumers must contribute ~zero

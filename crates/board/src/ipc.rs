@@ -70,17 +70,11 @@ struct IpcEnv<'a> {
 }
 
 impl ReadEnv for IpcEnv<'_> {
-    fn read_var(&self, v: VarId) -> Result<Value, EvalError> {
-        self.vars
-            .get(v.index())
-            .cloned()
-            .ok_or(EvalError::NoSuchVar(v))
+    fn read_var(&self, v: VarId) -> Option<&Value> {
+        self.vars.get(v.index())
     }
-    fn read_port(&self, p: PortId) -> Result<Value, EvalError> {
-        self.ports
-            .get(p.index())
-            .cloned()
-            .ok_or(EvalError::NoSuchPort(p))
+    fn read_port(&self, p: PortId) -> Option<&Value> {
+        self.ports.get(p.index())
     }
 }
 

@@ -133,6 +133,14 @@ fn wire_word(v: &Value) -> Value {
         .expect("INT16 bus words decode infallibly")
 }
 
+/// Whether wire `w` carries `'1'`; an unknown id is an error.
+fn is_high(wires: &dyn WireStore, w: PortId) -> Result<bool, EvalError> {
+    match wires.read_wire(w) {
+        Some(v) => Ok(*v == Value::Bit(Bit::One)),
+        None => Err(EvalError::NoSuchPort(w)),
+    }
+}
+
 /// A burst-capable channel: vec-backed payload queues on both ends of a
 /// single wire-level handshake that is run once per *batch*.
 ///
@@ -569,7 +577,7 @@ impl BatchedLink {
         }
         self.last_call_stable = false;
         self.outgoing.push(self.data_ty.clamp(v));
-        if wires.read_wire(self.pending_wire)? != Value::Bit(Bit::One) {
+        if !is_high(wires, self.pending_wire)? {
             wires.write_wire(self.pending_wire, Value::Bit(Bit::One))?;
         }
         Ok(ServiceOutcome::done())
@@ -692,7 +700,7 @@ impl BatchedLink {
                 // writes: drive this cycle's beat by hand.
                 let word = wire_word(&self.in_flight[self.beat]);
                 wires.write_wire(self.data_wire, word)?;
-                if wires.read_wire(self.valid_wire)? != Value::Bit(Bit::One) {
+                if !is_high(wires, self.valid_wire)? {
                     wires.write_wire(self.valid_wire, Value::Bit(Bit::One))?;
                 }
                 if self.beat + 1 >= self.in_flight.len() {
@@ -758,7 +766,7 @@ impl BatchedLink {
             }
         }
         if !streamed && !self.scheduled && self.timing == BusTiming::PayloadBeats {
-            if wires.read_wire(self.valid_wire)? == Value::Bit(Bit::One) {
+            if is_high(wires, self.valid_wire)? {
                 // First beat-free cycle after a batch's last beat: the
                 // bus is back to (or about to carry) an arbitration
                 // length word, so the beat marker drops. The last
@@ -768,14 +776,14 @@ impl BatchedLink {
                 wires.write_wire(self.valid_wire, Value::Bit(Bit::Zero))?;
                 active = true;
             }
-            if wires.read_wire(self.last_wire)? == Value::Bit(Bit::One) {
+            if is_high(wires, self.last_wire)? {
                 wires.write_wire(self.last_wire, Value::Bit(Bit::Zero))?;
                 active = true;
             }
         }
         if self.outgoing.is_empty()
             && self.in_flight.is_empty()
-            && wires.read_wire(self.pending_wire)? == Value::Bit(Bit::One)
+            && is_high(wires, self.pending_wire)?
         {
             wires.write_wire(self.pending_wire, Value::Bit(Bit::Zero))?;
             active = true;

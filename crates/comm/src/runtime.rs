@@ -13,7 +13,8 @@
 use cosma_core::comm::{CommUnitSpec, ServiceSpec, SERVICE_DONE_VAR, SERVICE_RESULT_VAR};
 use cosma_core::ids::{PortId, VarId};
 use cosma_core::{
-    Env, EvalError, Fsm, FsmExec, ReadEnv, ServiceCall, ServiceOutcome, Value, Variable,
+    Env, EvalError, Fsm, FsmExec, ReadEnv, ServiceCall, ServiceOutcome, StepEffects, Value,
+    Variable,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -26,12 +27,11 @@ pub struct CallerId(pub u64);
 
 /// External wire state of a unit instance.
 pub trait WireStore {
-    /// Reads a wire.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown wire ids.
-    fn read_wire(&self, w: PortId) -> Result<Value, EvalError>;
+    /// Lends a wire's value from the store's own storage (an in-memory
+    /// slot, a kernel signal); `None` means only that the id is unknown.
+    /// A protocol FSM reads wires as ports, so [`cosma_core::Expr::eval`]
+    /// builds the [`EvalError::NoSuchPort`] for a missing one.
+    fn read_wire(&self, w: PortId) -> Option<&Value>;
 
     /// Writes a wire. Implementations decide whether the write is
     /// immediate (standalone) or delta-delayed (kernel signals).
@@ -121,11 +121,8 @@ impl LocalWires {
 }
 
 impl WireStore for LocalWires {
-    fn read_wire(&self, w: PortId) -> Result<Value, EvalError> {
-        self.values
-            .get(w.index())
-            .cloned()
-            .ok_or(EvalError::NoSuchPort(w))
+    fn read_wire(&self, w: PortId) -> Option<&Value> {
+        self.values.get(w.index())
     }
     fn write_wire(&mut self, w: PortId, v: Value) -> Result<(), EvalError> {
         match self.values.get_mut(w.index()) {
@@ -138,20 +135,30 @@ impl WireStore for LocalWires {
     }
 }
 
-/// Live state of one service session: protocol executor + locals.
+/// Live state of one service session: its caller and index into
+/// `spec.services()`, protocol executor and locals.
 #[derive(Debug, Clone, PartialEq)]
 struct Session {
+    caller: CallerId,
+    service: usize,
     exec: FsmExec,
     locals: Vec<Value>,
+}
+
+impl Session {
+    fn key(&self) -> (CallerId, usize) {
+        (self.caller, self.service)
+    }
 }
 
 /// A point-in-time capture of all mutable [`FsmUnitRuntime`] state,
 /// produced by [`FsmUnitRuntime::capture_state`] and consumed by
 /// [`FsmUnitRuntime::restore_state`].
 ///
-/// The capture is canonical: sessions are stored sorted by `(caller,
-/// service index)`, so two captures of identical logical states compare
-/// equal (`PartialEq`) regardless of hash-map iteration order, and the
+/// The capture is canonical: the runtime keeps its sessions sorted by
+/// `(caller, service index)` and the capture copies them in that order,
+/// so two captures of identical logical states compare equal
+/// (`PartialEq`) whatever order the callers first called in, and the
 /// statistics are held in their public, name-keyed form
 /// ([`FsmUnitRuntime::stats`]). The unit *spec* is immutable and
 /// deliberately not part of the state — a capture restores into any
@@ -159,8 +166,8 @@ struct Session {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FsmUnitState {
     controller: Option<(FsmExec, Vec<Value>)>,
-    /// `(caller, service index, protocol executor, locals)`, sorted.
-    sessions: Vec<(CallerId, usize, FsmExec, Vec<Value>)>,
+    /// Sorted by `(caller, service index)`.
+    sessions: Vec<Session>,
     stats: UnitStats,
     ctrl_stable: bool,
     last_call_stable: bool,
@@ -180,32 +187,29 @@ impl FsmUnitState {
     }
 }
 
-/// One protocol-FSM activation of a service session against `wires`.
-/// Returns the outcome plus whether the step was a provable no-op (no
-/// wire writes, no local writes, same protocol state). Does **not**
-/// reset completed sessions or touch statistics — that is
-/// [`FsmUnitRuntime::call`]'s business.
+/// One protocol-FSM activation of a service session against `wires`,
+/// through the runtime's recycled `effects` arena. Returns the outcome
+/// plus whether the step was a provable no-op (no wire writes, no local
+/// writes, same protocol state). Does **not** reset completed sessions
+/// or touch statistics — that is [`FsmUnitRuntime::call`]'s business.
 fn step_session(
     svc: &ServiceSpec,
     session: &mut Session,
     args: &[Value],
     wires: &mut dyn WireStore,
+    effects: &mut StepEffects,
 ) -> Result<(ServiceOutcome, bool), EvalError> {
     let state_before = session.exec.current();
-    let mut counting = CountingWires {
-        inner: wires,
-        writes: 0,
-    };
     let mut env = SessionEnv {
         locals: &mut session.locals,
         var_specs: svc.locals(),
-        wires: &mut counting,
+        wires,
         args,
-        var_writes: 0,
+        writes: 0,
     };
-    session.exec.step(svc.fsm(), &mut env)?;
-    let var_writes = env.var_writes;
-    let stable = counting.writes == 0 && var_writes == 0 && session.exec.current() == state_before;
+    effects.recycle();
+    session.exec.step_with(svc.fsm(), &mut env, effects)?;
+    let stable = env.writes == 0 && session.exec.current() == state_before;
     let done = session
         .locals
         .get(SERVICE_DONE_VAR.index())
@@ -340,23 +344,6 @@ impl UnitStats {
     }
 }
 
-/// Wire-store wrapper counting writes, so a controller step can prove
-/// itself a no-op.
-struct CountingWires<'a> {
-    inner: &'a mut dyn WireStore,
-    writes: u32,
-}
-
-impl WireStore for CountingWires<'_> {
-    fn read_wire(&self, w: PortId) -> Result<Value, EvalError> {
-        self.inner.read_wire(w)
-    }
-    fn write_wire(&mut self, w: PortId, v: Value) -> Result<(), EvalError> {
-        self.writes += 1;
-        self.inner.write_wire(w, v)
-    }
-}
-
 /// Environment adapter: locals as vars, wires as ports, call args as args.
 struct SessionEnv<'a> {
     locals: &'a mut Vec<Value>,
@@ -365,32 +352,27 @@ struct SessionEnv<'a> {
     var_specs: &'a [Variable],
     wires: &'a mut dyn WireStore,
     args: &'a [Value],
-    /// Local-variable writes performed during the step (no-op detection
-    /// for controller gating; conservative — equal-value writes count).
-    var_writes: u32,
+    /// Local-variable and wire writes performed during the step, so a
+    /// session or controller step can prove itself a no-op
+    /// (conservative: equal-value writes count).
+    writes: u32,
 }
 
 impl ReadEnv for SessionEnv<'_> {
-    fn read_var(&self, v: VarId) -> Result<Value, EvalError> {
-        self.locals
-            .get(v.index())
-            .cloned()
-            .ok_or(EvalError::NoSuchVar(v))
+    fn read_var(&self, v: VarId) -> Option<&Value> {
+        self.locals.get(v.index())
     }
-    fn read_port(&self, p: PortId) -> Result<Value, EvalError> {
+    fn read_port(&self, p: PortId) -> Option<&Value> {
         self.wires.read_wire(p)
     }
-    fn read_arg(&self, i: u32) -> Result<Value, EvalError> {
-        self.args
-            .get(i as usize)
-            .cloned()
-            .ok_or(EvalError::NoSuchArg(i))
+    fn read_arg(&self, i: u32) -> Option<&Value> {
+        self.args.get(i as usize)
     }
 }
 
 impl Env for SessionEnv<'_> {
     fn write_var(&mut self, v: VarId, value: Value) -> Result<(), EvalError> {
-        self.var_writes += 1;
+        self.writes += 1;
         let ty = self
             .var_specs
             .get(v.index())
@@ -404,6 +386,7 @@ impl Env for SessionEnv<'_> {
         Ok(())
     }
     fn drive_port(&mut self, p: PortId, value: Value) -> Result<(), EvalError> {
+        self.writes += 1;
         self.wires.write_wire(p, value)
     }
     fn call_service(
@@ -448,8 +431,13 @@ impl Env for SessionEnv<'_> {
 pub struct FsmUnitRuntime {
     spec: Arc<CommUnitSpec>,
     controller: Option<(FsmExec, Vec<Value>)>,
-    /// Live sessions keyed by caller and index into `spec.services()`.
-    sessions: HashMap<(CallerId, usize), Session>,
+    /// Live sessions sorted by `(caller, service index)`: a call finds
+    /// its session by binary search, and a capture copies them in
+    /// canonical order.
+    sessions: Vec<Session>,
+    /// Step-effects arena every session and controller step goes
+    /// through ([`FsmExec::step_with`]), recycled before each step.
+    effects: StepEffects,
     calls: ServiceCounts,
     /// Controller activations ([`UnitStats::controller_steps`]).
     pub(crate) controller_steps: u64,
@@ -491,7 +479,8 @@ impl FsmUnitRuntime {
             calls: ServiceCounts::new(&spec),
             spec,
             controller,
-            sessions: HashMap::new(),
+            sessions: Vec::new(),
+            effects: StepEffects::default(),
             controller_steps: 0,
             controller_skips: 0,
             ctrl_stable: false,
@@ -562,14 +551,21 @@ impl FsmUnitRuntime {
                 args.len()
             )));
         }
-        let session = self
-            .sessions
-            .entry((caller, idx))
-            .or_insert_with(|| Session {
-                exec: FsmExec::new(svc.fsm()),
-                locals: svc.locals().iter().map(|v| v.init().clone()).collect(),
-            });
-        let (outcome, stable) = step_session(svc, session, args, wires)?;
+        let pos = match self.find_session(caller, idx) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                let session = Session {
+                    caller,
+                    service: idx,
+                    exec: FsmExec::new(svc.fsm()),
+                    locals: svc.locals().iter().map(|v| v.init().clone()).collect(),
+                };
+                self.sessions.insert(pos, session);
+                pos
+            }
+        };
+        let session = &mut self.sessions[pos];
+        let (outcome, stable) = step_session(svc, session, args, wires, &mut self.effects)?;
         self.last_call_stable = stable;
         self.calls.bump(idx, outcome.done);
         if outcome.done {
@@ -582,6 +578,13 @@ impl FsmUnitRuntime {
                 .extend(svc.locals().iter().map(|v| v.init().clone()));
         }
         Ok(outcome)
+    }
+
+    /// The position of `caller`'s session of service `idx`, or where it
+    /// would be inserted.
+    fn find_session(&self, caller: CallerId, idx: usize) -> Result<usize, usize> {
+        self.sessions
+            .binary_search_by_key(&(caller, idx), Session::key)
     }
 
     /// Runs one controller activation (no-op for controller-less units).
@@ -632,21 +635,16 @@ impl FsmUnitRuntime {
             ))
         })?;
         let state_before = exec.current();
-        let mut counting = CountingWires {
-            inner: wires,
-            writes: 0,
-        };
         let mut env = SessionEnv {
             locals: vars,
             var_specs: &ctrl_spec.vars,
-            wires: &mut counting,
+            wires,
             args: &[],
-            var_writes: 0,
+            writes: 0,
         };
-        exec.step(&ctrl_spec.fsm, &mut env)?;
-        let var_writes = env.var_writes;
-        self.ctrl_stable =
-            counting.writes == 0 && var_writes == 0 && exec.current() == state_before;
+        self.effects.recycle();
+        exec.step_with(&ctrl_spec.fsm, &mut env, &mut self.effects)?;
+        self.ctrl_stable = env.writes == 0 && exec.current() == state_before;
         self.controller_steps += 1;
         Ok(true)
     }
@@ -711,25 +709,22 @@ impl FsmUnitRuntime {
     /// Drops a caller's session for a service (e.g. on module reset).
     pub fn reset_session(&mut self, caller: CallerId, service: &str) {
         if let Some(idx) = self.spec.service_index(service) {
-            self.sessions.remove(&(caller, idx));
+            if let Ok(pos) = self.find_session(caller, idx) {
+                self.sessions.remove(pos);
+            }
         }
     }
 
     /// Captures all mutable runtime state into a canonical
     /// [`FsmUnitState`]: controller executor + vars, every live session
-    /// (sorted by caller and service), statistics, and the two
-    /// stability flags. The immutable spec is not captured.
+    /// (in the runtime's order, sorted by caller and service),
+    /// statistics, and the two stability flags. The immutable spec is
+    /// not captured.
     #[must_use]
     pub fn capture_state(&self) -> FsmUnitState {
-        let mut sessions: Vec<(CallerId, usize, FsmExec, Vec<Value>)> = self
-            .sessions
-            .iter()
-            .map(|(&(caller, idx), s)| (caller, idx, s.exec.clone(), s.locals.clone()))
-            .collect();
-        sessions.sort_by_key(|s| (s.0, s.1));
         FsmUnitState {
             controller: self.controller.clone(),
-            sessions,
+            sessions: self.sessions.clone(),
             stats: self.stats(),
             ctrl_stable: self.ctrl_stable,
             last_call_stable: self.last_call_stable,
@@ -766,10 +761,10 @@ impl FsmUnitRuntime {
             (Some((exec, vars)), Some(ctrl)) if fits(exec, &ctrl.fsm, vars, &ctrl.vars) => {}
             _ => return Err(misfit("controller".to_string())),
         }
-        for (_, idx, exec, locals) in &state.sessions {
-            match self.spec.services().get(*idx) {
-                Some(svc) if fits(exec, svc.fsm(), locals, svc.locals()) => {}
-                _ => return Err(misfit(format!("session of service #{idx}"))),
+        for s in &state.sessions {
+            match self.spec.services().get(s.service) {
+                Some(svc) if fits(&s.exec, svc.fsm(), &s.locals, svc.locals()) => {}
+                _ => return Err(misfit(format!("session of service #{}", s.service))),
             }
         }
         ServiceCounts::from_rows(&self.spec, &state.stats.services).map_err(misfit)
@@ -786,17 +781,7 @@ impl FsmUnitRuntime {
     /// when [`FsmUnitRuntime::check_state`] rejects the capture.
     pub fn restore_state(&mut self, state: &FsmUnitState) -> Result<(), EvalError> {
         self.calls = self.checked_counts(state)?;
-        self.sessions = state
-            .sessions
-            .iter()
-            .map(|(caller, idx, exec, locals)| {
-                let session = Session {
-                    exec: exec.clone(),
-                    locals: locals.clone(),
-                };
-                ((*caller, *idx), session)
-            })
-            .collect();
+        self.sessions.clone_from(&state.sessions);
         self.controller.clone_from(&state.controller);
         self.controller_steps = state.stats.controller_steps;
         self.controller_skips = state.stats.controller_skips;
@@ -1109,6 +1094,28 @@ mod tests {
         let second = run(&mut twin, &mut twin_wires);
         assert_eq!(second, first, "replay is outcome-identical");
         assert_eq!(twin.stats(), end_stats);
+
+        // Callers that first call in the opposite order (the consumer,
+        // the higher CallerId, first) hold the same sessions, and a
+        // capture lists them in (caller, service) order either way.
+        let capture_after = |calls: [(CallerId, &str); 3]| {
+            let mut unit = FsmUnitRuntime::new(spec.clone());
+            let mut wires = LocalWires::new(&spec);
+            for (caller, service) in calls {
+                let args: &[Value] = if service == "put" {
+                    &[Value::Int(7)]
+                } else {
+                    &[]
+                };
+                unit.call(caller, service, args, &mut wires).unwrap();
+            }
+            unit.step_controller(&mut wires).unwrap();
+            unit.capture_state()
+        };
+        let forward = capture_after([(p, "put"), (c, "get"), (p, "put")]);
+        let reversed = capture_after([(c, "get"), (p, "put"), (p, "put")]);
+        assert_eq!(forward.session_count(), 2);
+        assert_eq!(reversed, forward, "call order does not show in a capture");
 
         // A spec that doesn't declare the captured services refuses the
         // snapshot and is left untouched.

@@ -177,7 +177,10 @@ impl StandaloneUnit {
                     .spec()
                     .wire_id(name)
                     .ok_or_else(|| EvalError::Service(format!("no wire {name}")))?;
-                f.wires.read_wire(id)
+                f.wires
+                    .read_wire(id)
+                    .cloned()
+                    .ok_or(EvalError::NoSuchPort(id))
             }
             Inner::Native(_) => Err(EvalError::Service("native units have no wires".to_string())),
         }

@@ -471,23 +471,14 @@ impl MapEnv {
 }
 
 impl ReadEnv for MapEnv {
-    fn read_var(&self, v: VarId) -> Result<Value, EvalError> {
-        self.vars
-            .get(v.index())
-            .map(|(_, v)| v.clone())
-            .ok_or(EvalError::NoSuchVar(v))
+    fn read_var(&self, v: VarId) -> Option<&Value> {
+        self.vars.get(v.index()).map(|(_, v)| v)
     }
-    fn read_port(&self, p: PortId) -> Result<Value, EvalError> {
-        self.ports
-            .get(p.index())
-            .map(|(_, v)| v.clone())
-            .ok_or(EvalError::NoSuchPort(p))
+    fn read_port(&self, p: PortId) -> Option<&Value> {
+        self.ports.get(p.index()).map(|(_, v)| v)
     }
-    fn read_arg(&self, i: u32) -> Result<Value, EvalError> {
-        self.args
-            .get(i as usize)
-            .cloned()
-            .ok_or(EvalError::NoSuchArg(i))
+    fn read_arg(&self, i: u32) -> Option<&Value> {
+        self.args.get(i as usize)
     }
 }
 
@@ -532,11 +523,11 @@ impl Env for MapEnv {
 pub fn eval_const(e: &Expr) -> Result<Value, EvalError> {
     struct NoEnv;
     impl ReadEnv for NoEnv {
-        fn read_var(&self, v: VarId) -> Result<Value, EvalError> {
-            Err(EvalError::NoSuchVar(v))
+        fn read_var(&self, _v: VarId) -> Option<&Value> {
+            None
         }
-        fn read_port(&self, p: PortId) -> Result<Value, EvalError> {
-            Err(EvalError::NoSuchPort(p))
+        fn read_port(&self, _p: PortId) -> Option<&Value> {
+            None
         }
     }
     e.eval(&NoEnv)
@@ -708,7 +699,7 @@ mod tests {
         let mut exec = FsmExec::new(&fsm);
         let n = exec
             .run_until(&fsm, &mut env, 100, |_, e| {
-                e.read_var(x).unwrap() == Value::Int(10)
+                e.read_var(x) == Some(&Value::Int(10))
             })
             .unwrap();
         assert_eq!(n, Some(10));
@@ -766,10 +757,10 @@ mod tests {
         // park the FSM on the unit's completion wires.
         struct PendingEnv(MapEnv);
         impl ReadEnv for PendingEnv {
-            fn read_var(&self, v: VarId) -> Result<Value, EvalError> {
+            fn read_var(&self, v: VarId) -> Option<&Value> {
                 self.0.read_var(v)
             }
-            fn read_port(&self, p: PortId) -> Result<Value, EvalError> {
+            fn read_port(&self, p: PortId) -> Option<&Value> {
                 self.0.read_port(p)
             }
         }
@@ -834,10 +825,10 @@ mod tests {
             seen: Vec<Vec<Value>>,
         }
         impl ReadEnv for RecordingEnv {
-            fn read_var(&self, v: VarId) -> Result<Value, EvalError> {
+            fn read_var(&self, v: VarId) -> Option<&Value> {
                 self.inner.read_var(v)
             }
-            fn read_port(&self, p: PortId) -> Result<Value, EvalError> {
+            fn read_port(&self, p: PortId) -> Option<&Value> {
                 self.inner.read_port(p)
             }
         }

@@ -230,18 +230,44 @@ impl Expr {
 
     /// Evaluates the expression against an environment.
     ///
+    /// The leaf operands of a unary or binary node (`Const`, `Var`,
+    /// `Port`, `Arg`) are read in place, lent by the environment
+    /// ([`ReadEnv`]); a value is cloned only when a leaf is the whole
+    /// expression. Operands are evaluated left to right and nothing
+    /// short-circuits: `false and (x / 0)` fails with
+    /// [`EvalError::DivisionByZero`].
+    ///
     /// # Errors
     ///
     /// Returns [`EvalError`] on type mismatches, division by zero, or
     /// out-of-range variable/port/argument references.
     pub fn eval(&self, env: &dyn ReadEnv) -> Result<Value, EvalError> {
         match self {
-            Expr::Const(v) => Ok(v.clone()),
-            Expr::Var(v) => env.read_var(*v),
-            Expr::Port(p) => env.read_port(*p),
-            Expr::Arg(i) => env.read_arg(*i),
-            Expr::Unary(op, e) => eval_unary(*op, e.eval(env)?),
-            Expr::Binary(op, a, b) => eval_binary(*op, a.eval(env)?, b.eval(env)?),
+            Expr::Unary(op, e) => eval_unary(*op, e.operand(env, &mut None)?),
+            Expr::Binary(op, a, b) => {
+                let (mut held_a, mut held_b) = (None, None);
+                let a = a.operand(env, &mut held_a)?;
+                eval_binary(*op, a, b.operand(env, &mut held_b)?)
+            }
+            Expr::Const(_) | Expr::Var(_) | Expr::Port(_) | Expr::Arg(_) => {
+                self.operand(env, &mut None).cloned()
+            }
+        }
+    }
+
+    /// The value of an operand: a leaf read in place, or an interior
+    /// node evaluated into `held`.
+    fn operand<'a>(
+        &'a self,
+        env: &'a dyn ReadEnv,
+        held: &'a mut Option<Value>,
+    ) -> Result<&'a Value, EvalError> {
+        match self {
+            Expr::Const(v) => Ok(v),
+            Expr::Var(v) => env.read_var(*v).ok_or(EvalError::NoSuchVar(*v)),
+            Expr::Port(p) => env.read_port(*p).ok_or(EvalError::NoSuchPort(*p)),
+            Expr::Arg(i) => env.read_arg(*i).ok_or(EvalError::NoSuchArg(*i)),
+            Expr::Unary(..) | Expr::Binary(..) => Ok(held.insert(self.eval(env)?)),
         }
     }
 
@@ -290,10 +316,10 @@ fn wrap16(i: i64) -> i64 {
     i as i16 as i64
 }
 
-fn eval_unary(op: UnOp, v: Value) -> Result<Value, EvalError> {
+fn eval_unary(op: UnOp, v: &Value) -> Result<Value, EvalError> {
     match (op, v) {
         (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(wrap16(i.wrapping_neg()))),
-        (UnOp::Not, Value::Bit(b)) => Ok(Value::Bit(!b)),
+        (UnOp::Not, Value::Bit(b)) => Ok(Value::Bit(!*b)),
         (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
         (UnOp::Not, Value::Int(i)) => Ok(Value::Int(!i)),
         (op, v) => Err(EvalError::BadOperand {
@@ -303,11 +329,11 @@ fn eval_unary(op: UnOp, v: Value) -> Result<Value, EvalError> {
     }
 }
 
-fn eval_binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
+fn eval_binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, EvalError> {
     use BinOp::*;
     // Equality works across all same-kind values.
     if matches!(op, Eq | Ne) {
-        let same = match (&a, &b) {
+        let same = match (a, b) {
             (Value::Bit(x), Value::Bit(y)) => x == y,
             (Value::Bool(x), Value::Bool(y)) => x == y,
             (Value::Int(x), Value::Int(y)) => x == y,
@@ -321,7 +347,7 @@ fn eval_binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
         };
         return Ok(Value::Bool(if op == Eq { same } else { !same }));
     }
-    match (&a, &b) {
+    match (a, b) {
         (Value::Int(x), Value::Int(y)) => {
             let (x, y) = (*x, *y);
             let v = match op {
@@ -393,29 +419,25 @@ fn eval_binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
 /// Read access to the evaluation environment: variables, ports and service
 /// arguments. Implemented by the interpreter contexts in `cosma-cosim`, by
 /// the synthesis-time constant folder, and by test fixtures.
+///
+/// Reads *lend*: each method returns a reference into storage the
+/// environment already owns (its variable table, a kernel signal, the
+/// call's argument slice), and `None` means only that the id does not
+/// exist here. [`Expr::eval`] turns `None` into
+/// [`EvalError::NoSuchVar`], [`EvalError::NoSuchPort`] or
+/// [`EvalError::NoSuchArg`], and copies a value only when a leaf is the
+/// whole expression.
 pub trait ReadEnv {
-    /// Reads a variable.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the id is unknown in this environment.
-    fn read_var(&self, v: VarId) -> Result<Value, EvalError>;
+    /// Lends a variable's value; `None` when the id is unknown.
+    fn read_var(&self, v: VarId) -> Option<&Value>;
 
-    /// Reads a port or wire.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the id is unknown in this environment.
-    fn read_port(&self, p: PortId) -> Result<Value, EvalError>;
+    /// Lends a port's or wire's value; `None` when the id is unknown.
+    fn read_port(&self, p: PortId) -> Option<&Value>;
 
-    /// Reads a service call argument.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when evaluated outside a service activation or the
-    /// index is out of range.
-    fn read_arg(&self, index: u32) -> Result<Value, EvalError> {
-        Err(EvalError::NoSuchArg(index))
+    /// Lends a service call argument; `None` outside a service
+    /// activation or past the argument list (the default).
+    fn read_arg(&self, _index: u32) -> Option<&Value> {
+        None
     }
 }
 
@@ -443,6 +465,11 @@ pub enum EvalError {
     Value(ValueError),
     /// A service call failed (unbound unit, unknown service, arity).
     Service(String),
+    /// A drive of a value that the driven signal's type does not admit,
+    /// even after clamping (an integer onto a bit port, an enum onto an
+    /// integer wire). The message names the signal, its type and the
+    /// value.
+    IncompatibleDrive(String),
 }
 
 impl fmt::Display for EvalError {
@@ -458,6 +485,7 @@ impl fmt::Display for EvalError {
             EvalError::UnknownCondition => write!(f, "condition evaluated to X/Z"),
             EvalError::Value(e) => write!(f, "{e}"),
             EvalError::Service(msg) => write!(f, "service call failed: {msg}"),
+            EvalError::IncompatibleDrive(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -481,23 +509,14 @@ mod tests {
     }
 
     impl ReadEnv for FixedEnv {
-        fn read_var(&self, v: VarId) -> Result<Value, EvalError> {
-            self.vars
-                .get(v.index())
-                .cloned()
-                .ok_or(EvalError::NoSuchVar(v))
+        fn read_var(&self, v: VarId) -> Option<&Value> {
+            self.vars.get(v.index())
         }
-        fn read_port(&self, p: PortId) -> Result<Value, EvalError> {
-            self.ports
-                .get(p.index())
-                .cloned()
-                .ok_or(EvalError::NoSuchPort(p))
+        fn read_port(&self, p: PortId) -> Option<&Value> {
+            self.ports.get(p.index())
         }
-        fn read_arg(&self, i: u32) -> Result<Value, EvalError> {
-            self.args
-                .get(i as usize)
-                .cloned()
-                .ok_or(EvalError::NoSuchArg(i))
+        fn read_arg(&self, i: u32) -> Option<&Value> {
+            self.args.get(i as usize)
         }
     }
 
@@ -637,5 +656,127 @@ mod tests {
     fn max_arg_detection() {
         assert_eq!(Expr::int(1).max_arg(), None);
         assert_eq!(Expr::arg(2).add(Expr::arg(5)).max_arg(), Some(5));
+    }
+
+    /// The by-value tree walker `Expr::eval` replaced: every node,
+    /// leaves included, yields an owned value, left operand first.
+    fn eval_by_value(e: &Expr, env: &dyn ReadEnv) -> Result<Value, EvalError> {
+        match e {
+            Expr::Const(v) => Ok(v.clone()),
+            Expr::Var(v) => env.read_var(*v).cloned().ok_or(EvalError::NoSuchVar(*v)),
+            Expr::Port(p) => env.read_port(*p).cloned().ok_or(EvalError::NoSuchPort(*p)),
+            Expr::Arg(i) => env.read_arg(*i).cloned().ok_or(EvalError::NoSuchArg(*i)),
+            Expr::Unary(op, e) => eval_unary(*op, &eval_by_value(e, env)?),
+            Expr::Binary(op, a, b) => {
+                let a = eval_by_value(a, env)?;
+                let b = eval_by_value(b, env)?;
+                eval_binary(*op, &a, &b)
+            }
+        }
+    }
+
+    const UN_OPS: [UnOp; 2] = [UnOp::Neg, UnOp::Not];
+    const BIN_OPS: [BinOp; 18] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::Shr,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::Min,
+        BinOp::Max,
+    ];
+
+    /// Leaf values: every bit level, both bools, integers including
+    /// zero divisors and values past 16 bits, and the variants of two
+    /// enum types.
+    fn leaf_values() -> Vec<Value> {
+        use crate::value::{EnumType, EnumValue};
+        let mut values: Vec<Value> = [Bit::Zero, Bit::One, Bit::X, Bit::Z]
+            .into_iter()
+            .map(Value::Bit)
+            .collect();
+        values.extend([Value::Bool(false), Value::Bool(true)]);
+        values.extend(
+            [0, 1, -1, 3, 16, 65, 32767, -32768, 70000, -70000]
+                .into_iter()
+                .map(Value::Int),
+        );
+        for (name, variants) in [("ST", ["IDLE", "BUSY"]), ("MODE", ["IDLE", "RUN"])] {
+            let ty = EnumType::new(name, variants.map(String::from).to_vec());
+            for v in variants {
+                values.push(Value::Enum(EnumValue::new(ty.clone(), v).unwrap()));
+            }
+        }
+        values
+    }
+
+    /// Random expression trees up to depth 4 whose leaves read present
+    /// and missing var, port and arg ids of [`differential_env`].
+    fn arb_expr() -> proptest::prelude::BoxedStrategy<Expr> {
+        use proptest::prelude::*;
+        let values = leaf_values();
+        let leaf = prop_oneof![
+            (0..values.len()).prop_map(move |i| Expr::Const(values[i].clone())),
+            (0u32..4).prop_map(|i| Expr::var(VarId::new(i))),
+            (0u32..4).prop_map(|i| Expr::port(PortId::new(i))),
+            (0u32..4).prop_map(Expr::arg),
+        ];
+        leaf.prop_recursive(4, 32, 2, |inner| {
+            prop_oneof![
+                (0..UN_OPS.len(), inner.clone())
+                    .prop_map(|(op, e)| Expr::Unary(UN_OPS[op], Box::new(e))),
+                (0..BIN_OPS.len(), inner.clone(), inner)
+                    .prop_map(|(op, a, b)| { Expr::Binary(BIN_OPS[op], Box::new(a), Box::new(b)) }),
+            ]
+            .boxed()
+        })
+    }
+
+    /// Three vars, three ports and two args, so id 3 of each (and arg 2)
+    /// is missing.
+    fn differential_env() -> FixedEnv {
+        let values = leaf_values();
+        FixedEnv {
+            vars: vec![Value::Int(10), Value::Bool(false), values[16].clone()],
+            ports: vec![Value::Bit(Bit::X), Value::Int(0), Value::Bool(true)],
+            args: vec![Value::Int(70000), values[19].clone()],
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10_000))]
+        #[test]
+        fn eval_matches_the_by_value_walker(e in arb_expr()) {
+            let env = differential_env();
+            let text = |r: Result<Value, EvalError>| r.map_err(|err| err.to_string());
+            proptest::prelude::prop_assert_eq!(
+                text(e.eval(&env)),
+                text(eval_by_value(&e, &env)),
+                "{:?}",
+                e
+            );
+        }
+    }
+
+    #[test]
+    fn operands_evaluate_left_to_right_without_short_circuit() {
+        let e = Expr::bool(false).and(Expr::int(1).div(Expr::int(0)));
+        assert_eq!(e.eval(&env()).unwrap_err(), EvalError::DivisionByZero);
+        let e = Expr::var(VarId::new(9)).add(Expr::port(PortId::new(9)));
+        assert_eq!(
+            e.eval(&env()).unwrap_err(),
+            EvalError::NoSuchVar(VarId::new(9))
+        );
     }
 }

@@ -2254,6 +2254,59 @@ mod tests {
     }
 
     #[test]
+    fn out_of_width_port_drives_park_like_in_range_ones() {
+        // A module blocked on `get` from an empty link that also drives
+        // a constant onto its INT16 port. 70000 stores as 4464, so from
+        // the second activation on the drive changes nothing, exactly
+        // like a drive of 7: both must park after as many activations.
+        fn blocked_driver(constant: i64) -> Module {
+            use cosma_core::PortDir;
+            let mut b = ModuleBuilder::new("driver", ModuleKind::Hardware);
+            let out = b.port("OUT", PortDir::Out, Type::INT16);
+            let done = b.var("D", Type::Bool, Value::Bool(false));
+            let bind = b.binding("iface", "hs");
+            let get = b.state("GET");
+            let end = b.state("END");
+            b.actions(
+                get,
+                vec![
+                    Stmt::drive(out, Expr::int(constant)),
+                    Stmt::Call(ServiceCall {
+                        binding: bind,
+                        service: "get".into(),
+                        args: vec![],
+                        done: Some(done),
+                        result: None,
+                    }),
+                ],
+            );
+            b.transition(get, Some(Expr::var(done)), end);
+            b.transition(end, None, end);
+            b.initial(get);
+            b.build().unwrap()
+        }
+        for cfg in [
+            SchedulingConfig::sharded(),
+            SchedulingConfig {
+                park_blocked: true,
+                ..SchedulingConfig::legacy()
+            },
+        ] {
+            let activations = [7, 70_000].map(|constant| {
+                let mut cosim = Cosim::new(CosimConfig::default());
+                cosim.set_scheduling(cfg).unwrap();
+                let link = cosim.add_fsm_unit("link", handshake_unit("hs", Type::INT16));
+                let m = blocked_driver(constant);
+                let id = cosim.add_module(&m, &[("iface", link)]).unwrap();
+                cosim.run_for(Duration::from_us(10)).unwrap();
+                cosim.module_status(id).activations
+            });
+            assert_eq!(activations[0], activations[1], "{cfg:?}");
+            assert!(activations[0] <= 3, "{cfg:?}: {activations:?}");
+        }
+    }
+
+    #[test]
     fn parking_agrees_across_module_schedulings() {
         // The driver and per-module processes park identically: same
         // states, same SUMs, same ACTIVATION COUNTS, same traces.

@@ -469,7 +469,9 @@ impl TraceHints {
 }
 
 /// Bridges a unit's wire table onto kernel signals through the running
-/// process context.
+/// process context. Reads lend the committed signal values; a write
+/// whose value the signal's type does not admit is refused with an
+/// error ([`ProcCtx::admit`]) instead of panicking the run.
 struct CtxWires<'a, 'b> {
     ctx: &'a mut ProcCtx<'b>,
     map: &'a [SignalId],
@@ -481,33 +483,33 @@ struct CtxWires<'a, 'b> {
     cycle: Duration,
 }
 
+impl CtxWires<'_, '_> {
+    fn signal(&self, w: PortId) -> Result<SignalId, EvalError> {
+        self.map
+            .get(w.index())
+            .copied()
+            .ok_or(EvalError::NoSuchPort(w))
+    }
+}
+
 impl WireStore for CtxWires<'_, '_> {
-    fn read_wire(&self, w: PortId) -> Result<Value, EvalError> {
-        match self.map.get(w.index()) {
-            Some(&sig) => Ok(self.ctx.read(sig).clone()),
-            None => Err(EvalError::NoSuchPort(w)),
-        }
+    fn read_wire(&self, w: PortId) -> Option<&Value> {
+        self.map.get(w.index()).map(|&sig| self.ctx.read(sig))
     }
     fn write_wire(&mut self, w: PortId, v: Value) -> Result<(), EvalError> {
-        match self.map.get(w.index()) {
-            Some(&sig) => {
-                self.ctx.drive(sig, v);
-                Ok(())
-            }
-            None => Err(EvalError::NoSuchPort(w)),
-        }
+        let sig = self.signal(w)?;
+        let v = self.ctx.admit(sig, v)?;
+        self.ctx.drive(sig, v);
+        Ok(())
     }
     fn write_wire_after(&mut self, w: PortId, v: Value, cycles: u64) -> Result<bool, EvalError> {
         if self.cycle == Duration::ZERO {
             return Ok(false);
         }
-        match self.map.get(w.index()) {
-            Some(&sig) => {
-                self.ctx.drive_after(sig, v, self.cycle.times(cycles));
-                Ok(true)
-            }
-            None => Err(EvalError::NoSuchPort(w)),
-        }
+        let sig = self.signal(w)?;
+        let v = self.ctx.admit(sig, v)?;
+        self.ctx.drive_after(sig, v, self.cycle.times(cycles));
+        Ok(true)
     }
     fn write_wire_train(
         &mut self,
@@ -519,18 +521,17 @@ impl WireStore for CtxWires<'_, '_> {
         if self.cycle == Duration::ZERO {
             return Ok(false);
         }
-        match self.map.get(w.index()) {
-            Some(&sig) => {
-                self.ctx.drive_train(
-                    sig,
-                    self.cycle.times(start_cycles),
-                    self.cycle.times(stride_cycles),
-                    values,
-                );
-                Ok(true)
-            }
-            None => Err(EvalError::NoSuchPort(w)),
+        let sig = self.signal(w)?;
+        for v in values {
+            self.ctx.admit(sig, v.clone())?;
         }
+        self.ctx.drive_train(
+            sig,
+            self.cycle.times(start_cycles),
+            self.cycle.times(stride_cycles),
+            values,
+        );
+        Ok(true)
     }
 }
 
@@ -624,10 +625,11 @@ struct CosimEnv<'a, 'b> {
     /// This activation's trace records, kept for a possible echo.
     records: &'a mut TraceRecords,
     /// Effective changes this activation: variable writes that changed
-    /// a value, port drives that differ from the signal's current
-    /// value, trace records, completed service calls. Zero means the
-    /// activation was (conservatively) a no-op; as many as `records`
-    /// holds means it was one apart from its trace records.
+    /// a value, port drives whose stored (clamped) value differs from
+    /// the signal's current value, trace records, completed service
+    /// calls. Zero means the activation was (conservatively) a no-op;
+    /// as many as `records` holds means it was one apart from its trace
+    /// records.
     changes: u32,
     /// Whether every pending service call this activation was a
     /// provable no-op on the unit side *with* non-empty completion
@@ -655,17 +657,11 @@ impl CosimEnv<'_, '_> {
 }
 
 impl ReadEnv for CosimEnv<'_, '_> {
-    fn read_var(&self, v: VarId) -> Result<Value, EvalError> {
-        self.vars
-            .get(v.index())
-            .cloned()
-            .ok_or(EvalError::NoSuchVar(v))
+    fn read_var(&self, v: VarId) -> Option<&Value> {
+        self.vars.get(v.index())
     }
-    fn read_port(&self, p: PortId) -> Result<Value, EvalError> {
-        match self.ports.get(p.index()) {
-            Some(&sig) => Ok(self.ctx.read(sig).clone()),
-            None => Err(EvalError::NoSuchPort(p)),
-        }
+    fn read_port(&self, p: PortId) -> Option<&Value> {
+        self.ports.get(p.index()).map(|&sig| self.ctx.read(sig))
     }
 }
 
@@ -685,16 +681,15 @@ impl Env for CosimEnv<'_, '_> {
         Ok(())
     }
     fn drive_port(&mut self, p: PortId, value: Value) -> Result<(), EvalError> {
-        match self.ports.get(p.index()) {
-            Some(&sig) => {
-                if self.ctx.read(sig) != &value {
-                    self.changes += 1;
-                }
-                self.ctx.drive(sig, value);
-                Ok(())
-            }
-            None => Err(EvalError::NoSuchPort(p)),
+        let &sig = self.ports.get(p.index()).ok_or(EvalError::NoSuchPort(p))?;
+        // Compare the value the signal will store, not the drive: an
+        // out-of-width constant stores clamped and then changes nothing.
+        let value = self.ctx.admit(sig, value)?;
+        if self.ctx.read(sig) != &value {
+            self.changes += 1;
         }
+        self.ctx.drive(sig, value);
+        Ok(())
     }
     fn call_service(
         &mut self,

@@ -70,7 +70,7 @@ use crate::queue::{EntryKind, QueueEntry, TimeQueues};
 use crate::signal::{Signal, SignalId, SignalInfo};
 use crate::time::{Duration, SimTime};
 use crate::vcd::VcdRecorder;
-use cosma_core::{Bit, Type, Value};
+use cosma_core::{Bit, EvalError, Type, Value};
 use std::fmt;
 
 /// Identifies a process within a [`Simulator`].
@@ -434,12 +434,40 @@ impl<'a> ProcCtx<'a> {
         }
     }
 
+    /// The value signal `s` stores when driven with `v`: `v` clamped to
+    /// the signal's type. Interpreters check drives that come from
+    /// source text here, so that a mistyped one becomes an error instead
+    /// of a panic in [`ProcCtx::drive`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvalError::IncompatibleDrive`], naming the signal, its
+    /// type and the value, when the type does not admit the value (an
+    /// integer onto a bit signal, an enum onto an integer one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this simulator.
+    pub fn admit(&self, s: SignalId, v: Value) -> Result<Value, EvalError> {
+        let sig = &self.signals[s.index()];
+        let v = sig.ty.clamp(v);
+        if sig.ty.admits(&v) {
+            Ok(v)
+        } else {
+            Err(EvalError::IncompatibleDrive(format!(
+                "drive of signal {} ({}) with incompatible value {v:?}",
+                sig.name, sig.ty
+            )))
+        }
+    }
+
     /// Schedules a drive for the next delta cycle (`sig <= v;`).
     ///
     /// # Panics
     ///
-    /// Panics if the value's kind does not match the signal's type — a
-    /// wiring bug equivalent to a VHDL type error.
+    /// Panics if the value's kind does not match the signal's type
+    /// ([`ProcCtx::admit`] refuses it) — a wiring bug equivalent to a
+    /// VHDL type error.
     pub fn drive(&mut self, s: SignalId, v: Value) {
         self.drive_after(s, v, Duration::ZERO);
     }
@@ -450,15 +478,10 @@ impl<'a> ProcCtx<'a> {
     ///
     /// Panics on type mismatch (see [`ProcCtx::drive`]).
     pub fn drive_after(&mut self, s: SignalId, v: Value, d: Duration) {
-        let sig = &self.signals[s.index()];
-        let v = sig.ty.clamp(v);
-        assert!(
-            sig.ty.admits(&v),
-            "drive of signal {} ({}) with incompatible value {v:?}",
-            sig.name,
-            sig.ty
-        );
-        self.drives.push((s, v, d));
+        match self.admit(s, v) {
+            Ok(v) => self.drives.push((s, v, d)),
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Schedules a whole drive train in one call: `values[k]` lands on
@@ -487,19 +510,14 @@ impl<'a> ProcCtx<'a> {
         if values.is_empty() {
             return;
         }
-        let sig = &self.signals[s.index()];
         let mut buf = self.train_shells.pop().unwrap_or_default();
         debug_assert!(buf.is_empty());
         buf.reserve(values.len());
         for v in values {
-            let v = sig.ty.clamp(v.clone());
-            assert!(
-                sig.ty.admits(&v),
-                "drive train on signal {} ({}) with incompatible value {v:?}",
-                sig.name,
-                sig.ty
-            );
-            buf.push(v);
+            match self.admit(s, v.clone()) {
+                Ok(v) => buf.push(v),
+                Err(e) => panic!("drive train: {e}"),
+            }
         }
         self.trains.push(DriveTrain {
             sig: s,

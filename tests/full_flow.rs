@@ -4,7 +4,7 @@
 use cosma::cfront;
 use cosma::comm::handshake_unit;
 use cosma::core::{ModuleKind, Type, Value};
-use cosma::cosim::{Cosim, CosimConfig};
+use cosma::cosim::{Cosim, CosimConfig, SchedulingConfig};
 use cosma::sim::Duration;
 use cosma::vhdl;
 
@@ -169,4 +169,82 @@ fn same_description_both_flows_from_source() {
     assert!(prog.image.len_words() > 50, "non-trivial program generated");
     assert!(prog.asm.contains("IN r0"), "bus polling code present");
     assert!(prog.asm.contains("OUT 0x03"), "bus drive code present");
+}
+
+/// A process that drives an integer onto its `std_logic` port.
+const VHDL_BAD_DRIVE: &str = r#"
+entity BAD is
+  port ( FLAG : out std_logic );
+end entity;
+
+architecture fsm of BAD is
+begin
+  MAIN : process
+  begin
+    FLAG <= 5;
+    wait for CYCLE;
+  end process;
+end architecture;
+"#;
+
+/// A sender that passes its enum state variable to an INT16 link's
+/// `put`, whose protocol drives it onto the `DATA` wire.
+const C_BAD_PUT: &str = r#"
+typedef enum { Send, Idle } ST;
+ST S = Send;
+
+int SENDER()
+{
+    switch (S) {
+    case Send: { if (put(S)) { S = Idle; } } break;
+    case Idle: { } break;
+    }
+    return 1;
+}
+"#;
+
+/// Runs `module` for 1 µs under both schedulers, bound to a fresh INT16
+/// handshake `link` if it has a binding, and checks that the mistyped
+/// drive halts it with an error naming `signal`, `ty` and `value`
+/// instead of panicking the run.
+fn assert_mistyped_drive_halts(module: &cosma::core::Module, signal: &str, ty: &str, value: &str) {
+    for cfg in [SchedulingConfig::sharded(), SchedulingConfig::legacy()] {
+        let mut cosim = Cosim::new(CosimConfig::default());
+        cosim.set_scheduling(cfg).unwrap();
+        let link = cosim.add_fsm_unit("link", handshake_unit("hs", Type::INT16));
+        let bindings: &[(&str, _)] = if module.bindings().is_empty() {
+            &[]
+        } else {
+            &[("iface", link)]
+        };
+        let id = cosim.add_module(module, bindings).expect("module installs");
+        let err = cosim.run_for(Duration::from_us(1)).unwrap_err();
+        let status = cosim.module_status(id);
+        let msg = status.error.expect("the error is recorded on the module");
+        assert_eq!(msg, err.to_string(), "{cfg:?}");
+        let want = format!("drive of signal {signal} ({ty}) with incompatible value {value}");
+        assert!(msg.contains(&want), "{cfg:?}: {msg}");
+    }
+}
+
+#[test]
+fn a_vhdl_drive_of_the_wrong_kind_halts_its_module() {
+    let hw = vhdl::compile_entity(VHDL_BAD_DRIVE, "BAD", &vhdl::ElabOptions::default())
+        .expect("VHDL entity elaborates");
+    let name = format!("{}.FLAG", hw.modules[0].name());
+    assert_mistyped_drive_halts(&hw.modules[0], &name, "bit", "Int(5)");
+}
+
+#[test]
+fn a_c_put_of_the_wrong_kind_halts_its_module() {
+    let sender = cfront::compile_module(
+        C_BAD_PUT,
+        "SENDER",
+        ModuleKind::Software,
+        &cfront::ElabOptions {
+            bindings: vec![cfront::ServiceBinding::new("iface", "hs", &["put"])],
+        },
+    )
+    .expect("C module elaborates");
+    assert_mistyped_drive_halts(&sender, "link.DATA", "int16", "Enum(");
 }

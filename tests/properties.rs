@@ -405,8 +405,8 @@ struct SigWires<'a, 'b> {
 }
 
 impl cosma::comm::WireStore for SigWires<'_, '_> {
-    fn read_wire(&self, w: cosma::core::ids::PortId) -> Result<Value, cosma::core::EvalError> {
-        Ok(self.ctx.read(self.map[w.index()]).clone())
+    fn read_wire(&self, w: cosma::core::ids::PortId) -> Option<&Value> {
+        self.map.get(w.index()).map(|&sig| self.ctx.read(sig))
     }
     fn write_wire(
         &mut self,
