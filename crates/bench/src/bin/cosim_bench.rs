@@ -52,6 +52,15 @@
 //! `shared_reg`. `handshake` and `shared_reg` time FSM interpretation
 //! alone: protocol sessions and a unit controller.
 //!
+//! The `poll` rows time register-style interface traffic: `n` modules
+//! (16 and 64) each poll one `shared_reg_unit`'s pure `read` the way the
+//! motor's Core polls `ReadSampledData` (read, then drive the value onto
+//! a port), while one writer module rewrites the register every 16
+//! cycles, for 200 µs; `bus_timing` is `none`. Before timing, the run
+//! fails unless the pollers park between writes (each stepped at most
+//! twice per write plus twice) and every poller's final port value and
+//! state equal those of a `park_blocked: false` run.
+//!
 //! Before the first timed row the binary builds and runs the first
 //! row's scenario, untimed, for about half a second, so the first row
 //! measures the code and not CPU ramp-up after process start.
@@ -67,13 +76,19 @@
 //! `--quick` shrinks the size sweep and sample count for CI smoke runs;
 //! the default sweep matches the criterion bench (N = 16/64/256).
 
-use cosma_cosim::scenario::{build_scenario, LinkKind, Scenario, ScenarioSpec, Topology};
+use cosma_cosim::scenario::{
+    build_poll, build_scenario, LinkKind, PollScenario, Scenario, ScenarioSpec, Topology,
+};
 use cosma_cosim::{BusTiming, CosimConfig, Dispatch, SchedulingConfig};
 use cosma_sim::Duration;
 use std::time::Instant;
 
 /// Bump when row fields change meaning or shape.
 const SCHEMA_VERSION: u32 = 5;
+
+/// Cycles between two writes of the register the `poll` rows' modules
+/// poll.
+const POLL_PERIOD: i64 = 16;
 
 struct Record {
     scenario: &'static str,
@@ -617,6 +632,81 @@ fn main() {
                 s
             },
         ));
+    }
+
+    // Register polling: `n` modules poll one shared register's pure
+    // `read` the way the motor's Core polls `ReadSampledData` (read,
+    // then drive the value onto a port) while one writer rewrites the
+    // register every 16 cycles. Before timing, the run fails unless the
+    // pollers park between writes — each stepped at most twice per
+    // write (one step takes the value, the next proves the fixed point)
+    // plus twice — and end with the port values and states of an
+    // unparked run.
+    for n in [16, 64] {
+        let build = move |scheduling| {
+            build_poll(n, POLL_PERIOD, 10_000, scheduling).expect("poll system builds")
+        };
+        let run = |scheduling| {
+            let mut s = build(scheduling);
+            s.cosim.run_for(Duration::from_us(200)).expect("runs");
+            s
+        };
+        let parked = run(SchedulingConfig::sharded());
+        let unparked = run(SchedulingConfig {
+            park_blocked: false,
+            ..SchedulingConfig::sharded()
+        });
+        let writes = match parked.cosim.module_var(parked.writer, "N") {
+            Some(cosma_core::Value::Int(w)) if w > 0 => w as u64,
+            other => panic!("poll: the writer wrote nothing ({other:?})"),
+        };
+        let out = |s: &PollScenario, i: usize| {
+            let sig = s.cosim.sim().find_signal(&format!("poller{i}.OUT"));
+            s.cosim
+                .sim()
+                .value(sig.expect("pollers have an OUT port"))
+                .clone()
+        };
+        for (i, (&p, &u)) in parked.pollers.iter().zip(&unparked.pollers).enumerate() {
+            let (ps, us) = (
+                parked.cosim.module_status(p),
+                unparked.cosim.module_status(u),
+            );
+            assert!(
+                ps.activations <= 2 * writes + 2,
+                "poll: poller {i} stepped {} times for {writes} writes",
+                ps.activations
+            );
+            assert_eq!(
+                ps.state, us.state,
+                "poll: poller {i} ends elsewhere unparked"
+            );
+            assert_eq!(out(&parked, i), out(&unparked, i), "poll: poller {i} port");
+        }
+        let samples: Vec<u128> = (0..runs)
+            .map(|_| {
+                let mut s = build(SchedulingConfig::sharded());
+                let start = Instant::now();
+                s.cosim.run_for(Duration::from_us(200)).expect("runs");
+                start.elapsed().as_nanos()
+            })
+            .collect();
+        let (mean, p50, p99) = summarize3(samples);
+        println!(
+            "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  p50={p50} p99={p99}  ({runs} runs)",
+            "poll", "none"
+        );
+        records.push(Record {
+            scenario: "poll",
+            n,
+            bus_timing: "none",
+            queue: None,
+            variant: None,
+            ns_per_run: mean,
+            p50_ns: p50,
+            p99_ns: p99,
+            runs,
+        });
     }
 
     // Step scaling: a wide pipeline with parking off, so the module

@@ -23,6 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Assemble against the real units and motor plant; drive the SW side
     // of the swhw unit by hand (the testbench plays Distribution).
     let mut cosim = Cosim::new(CosimConfig::default());
+    // The plant below is clocked outside the backplane's clock demand:
+    // keep the edges running while every process is parked.
+    cosim.pin_clock_domains();
     let swhw = cosim.add_fsm_unit("swhw", swhw_link_unit());
     let mlink = cosim.add_fsm_unit("mlink", motor_link_unit());
     let nets: Vec<_> = hw

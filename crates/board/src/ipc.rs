@@ -11,7 +11,7 @@
 use cosma_comm::{CallerId, StandaloneUnit};
 use cosma_core::ids::{PortId, VarId};
 use cosma_core::{
-    Env, EvalError, FsmExec, Module, ReadEnv, ServiceCall, ServiceOutcome, Type, Value,
+    Env, EvalError, FsmExec, Module, Port, ReadEnv, ServiceCall, ServiceOutcome, Type, Value,
 };
 use cosma_cosim::TraceLog;
 use std::fmt;
@@ -32,7 +32,6 @@ struct IpcModule {
     vars: Vec<Value>,
     var_tys: Vec<Type>,
     ports: Vec<Value>,
-    port_tys: Vec<Type>,
     /// Unit index per binding.
     bindings: Vec<usize>,
 }
@@ -60,7 +59,7 @@ struct IpcEnv<'a> {
     vars: &'a mut [Value],
     var_tys: &'a [Type],
     ports: &'a mut [Value],
-    port_tys: &'a [Type],
+    port_decls: &'a [Port],
     units: &'a mut [StandaloneUnit],
     bindings: &'a [usize],
     caller_base: u64,
@@ -88,16 +87,24 @@ impl Env for IpcEnv<'_> {
         *slot = ty.clamp(value);
         Ok(())
     }
+    /// Stores `value` clamped to the port's type, as a kernel signal
+    /// would ([`Type::admit`]); a value the type does not admit is
+    /// refused, naming the port as `<module>.<PORT>`.
     fn drive_port(&mut self, p: PortId, value: Value) -> Result<(), EvalError> {
-        let ty = self
-            .port_tys
-            .get(p.index())
-            .ok_or(EvalError::NoSuchPort(p))?;
-        let slot = self
-            .ports
-            .get_mut(p.index())
-            .ok_or(EvalError::NoSuchPort(p))?;
-        *slot = ty.clamp(value);
+        let (Some(decl), Some(slot)) = (
+            self.port_decls.get(p.index()),
+            self.ports.get_mut(p.index()),
+        ) else {
+            return Err(EvalError::NoSuchPort(p));
+        };
+        let module = self.source;
+        *slot = decl.ty().admit(value).map_err(|v| {
+            EvalError::incompatible_drive(
+                &format_args!("port {module}.{}", decl.name()),
+                decl.ty(),
+                &v,
+            )
+        })?;
         Ok(())
     }
     fn call_service(
@@ -206,7 +213,6 @@ impl IpcPlatform {
                 .iter()
                 .map(|p| p.ty().default_value())
                 .collect(),
-            port_tys: module.ports().iter().map(|p| p.ty().clone()).collect(),
             bindings: resolved,
             module: module.clone(),
         });
@@ -226,7 +232,7 @@ impl IpcPlatform {
                 vars: &mut m.vars,
                 var_tys: &m.var_tys,
                 ports: &mut m.ports,
-                port_tys: &m.port_tys,
+                port_decls: m.module.ports(),
                 units: &mut self.units,
                 bindings: &m.bindings,
                 caller_base: mi as u64,

@@ -90,13 +90,21 @@ pub trait NativeUnit: fmt::Debug + Send {
         None
     }
 
-    /// Whether the most recent [`NativeUnit::call`] was a provable no-op
-    /// (pending outcome, no state change). Mirrors
-    /// [`crate::FsmUnitRuntime::last_call_stable`]: while true, repeating
-    /// the call against unchanged unit state yields the identical no-op,
-    /// so a scheduler may park the blocked caller — provided the unit
-    /// also exposes a wake-up wire ([`NativeUnit::occupancy`]). The
-    /// conservative default is `false` (callers always poll).
+    /// Whether the most recent [`NativeUnit::call`] was *stable*, under
+    /// the contract of [`crate::FsmUnitRuntime::last_call_stable`]:
+    /// re-calling with the same arguments and unchanged completion wires
+    /// (here the [`NativeUnit::occupancy`] mirror) repeats this outcome
+    /// and leaves the unit as it is now. A scheduler may then park the
+    /// caller until the mirror events — provided the unit exposes one —
+    /// and parking reduces the unit's call and completion counts, since
+    /// the repeats are never made. The conservative default is `false`
+    /// (callers always poll).
+    ///
+    /// In practice only a pending call that changed nothing qualifies:
+    /// the library units' completions push or pop a value. A completion
+    /// that reads state the mirror does not follow must never claim it —
+    /// [`SharedMemory`]'s `load` reads cells that no wire shows, so a
+    /// `store` would not wake a parked loader.
     fn last_call_stable(&self) -> bool {
         false
     }

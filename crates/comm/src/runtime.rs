@@ -94,18 +94,22 @@ pub trait WireStore {
 }
 
 /// Plain in-memory wires initialized from a unit spec; writes are
-/// immediate.
+/// immediate, and each stores what a kernel signal of the wire's type
+/// would ([`Type::admit`](cosma_core::Type::admit)).
 #[derive(Debug, Clone)]
 pub struct LocalWires {
+    /// The spec whose wire table (names and types) the values follow.
+    spec: Arc<CommUnitSpec>,
     values: Vec<Value>,
 }
 
 impl LocalWires {
     /// Creates wire storage matching `spec`'s wire table.
     #[must_use]
-    pub fn new(spec: &CommUnitSpec) -> Self {
+    pub fn new(spec: &Arc<CommUnitSpec>) -> Self {
         LocalWires {
             values: spec.wires().iter().map(|w| w.init().clone()).collect(),
+            spec: Arc::clone(spec),
         }
     }
 
@@ -124,14 +128,29 @@ impl WireStore for LocalWires {
     fn read_wire(&self, w: PortId) -> Option<&Value> {
         self.values.get(w.index())
     }
+    /// Stores `v` clamped to the wire's type.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvalError::IncompatibleDrive`], naming the wire as
+    /// `<unit>.<WIRE>`, when the wire's type does not admit `v`, and
+    /// [`EvalError::NoSuchPort`] for an unknown id.
     fn write_wire(&mut self, w: PortId, v: Value) -> Result<(), EvalError> {
-        match self.values.get_mut(w.index()) {
-            Some(slot) => {
-                *slot = v;
-                Ok(())
-            }
-            None => Err(EvalError::NoSuchPort(w)),
-        }
+        let (Some(decl), Some(slot)) = (
+            self.spec.wires().get(w.index()),
+            self.values.get_mut(w.index()),
+        ) else {
+            return Err(EvalError::NoSuchPort(w));
+        };
+        let unit = self.spec.name();
+        *slot = decl.ty().admit(v).map_err(|v| {
+            EvalError::incompatible_drive(
+                &format_args!("wire {unit}.{}", decl.name()),
+                decl.ty(),
+                &v,
+            )
+        })?;
+        Ok(())
     }
 }
 
@@ -189,9 +208,12 @@ impl FsmUnitState {
 
 /// One protocol-FSM activation of a service session against `wires`,
 /// through the runtime's recycled `effects` arena. Returns the outcome
-/// plus whether the step was a provable no-op (no wire writes, no local
-/// writes, same protocol state). Does **not** reset completed sessions
-/// or touch statistics — that is [`FsmUnitRuntime::call`]'s business.
+/// plus whether the step was stable ([`FsmUnitRuntime::last_call_stable`]):
+/// a pending step that wrote no wire and no local and kept its protocol
+/// state, or a completing step that wrote no wire from a session that
+/// was fresh before it (the protocol's initial state, with its declared
+/// initial locals). Does **not** reset completed sessions or touch
+/// statistics — that is [`FsmUnitRuntime::call`]'s business.
 fn step_session(
     svc: &ServiceSpec,
     session: &mut Session,
@@ -200,16 +222,24 @@ fn step_session(
     effects: &mut StepEffects,
 ) -> Result<(ServiceOutcome, bool), EvalError> {
     let state_before = session.exec.current();
+    let fresh = state_before == svc.fsm().initial()
+        && session
+            .locals
+            .iter()
+            .zip(svc.locals())
+            .all(|(v, decl)| v == decl.init());
     let mut env = SessionEnv {
         locals: &mut session.locals,
         var_specs: svc.locals(),
         wires,
         args,
-        writes: 0,
+        local_writes: 0,
+        wire_writes: 0,
     };
     effects.recycle();
     session.exec.step_with(svc.fsm(), &mut env, effects)?;
-    let stable = env.writes == 0 && session.exec.current() == state_before;
+    let (local_writes, wire_writes) = (env.local_writes, env.wire_writes);
+    let no_op = local_writes == 0 && wire_writes == 0 && session.exec.current() == state_before;
     let done = session
         .locals
         .get(SERVICE_DONE_VAR.index())
@@ -227,9 +257,12 @@ fn step_session(
             ),
             None => None,
         };
-        Ok((ServiceOutcome { done: true, result }, stable))
+        Ok((
+            ServiceOutcome { done: true, result },
+            fresh && wire_writes == 0,
+        ))
     } else {
-        Ok((ServiceOutcome::pending(), stable))
+        Ok((ServiceOutcome::pending(), no_op))
     }
 }
 
@@ -352,10 +385,14 @@ struct SessionEnv<'a> {
     var_specs: &'a [Variable],
     wires: &'a mut dyn WireStore,
     args: &'a [Value],
-    /// Local-variable and wire writes performed during the step, so a
-    /// session or controller step can prove itself a no-op
-    /// (conservative: equal-value writes count).
-    writes: u32,
+    /// Local-variable writes performed during the step (conservative:
+    /// equal-value writes count).
+    local_writes: u32,
+    /// Wire writes performed during the step, counted like
+    /// `local_writes`. A step with neither proves itself a no-op when it
+    /// also kept its state; a completing session step from a fresh
+    /// session needs only no wire write to prove itself repeatable.
+    wire_writes: u32,
 }
 
 impl ReadEnv for SessionEnv<'_> {
@@ -372,7 +409,7 @@ impl ReadEnv for SessionEnv<'_> {
 
 impl Env for SessionEnv<'_> {
     fn write_var(&mut self, v: VarId, value: Value) -> Result<(), EvalError> {
-        self.writes += 1;
+        self.local_writes += 1;
         let ty = self
             .var_specs
             .get(v.index())
@@ -386,7 +423,7 @@ impl Env for SessionEnv<'_> {
         Ok(())
     }
     fn drive_port(&mut self, p: PortId, value: Value) -> Result<(), EvalError> {
-        self.writes += 1;
+        self.wire_writes += 1;
         self.wires.write_wire(p, value)
     }
     fn call_service(
@@ -448,11 +485,9 @@ pub struct FsmUnitRuntime {
     /// unchanged wire inputs must produce the same no-op, so the step
     /// can be skipped.
     ctrl_stable: bool,
-    /// Whether the last [`FsmUnitRuntime::call`] was a provable no-op:
-    /// pending outcome, same session state, no locals written, no wires
-    /// written. While true, re-calling with unchanged wires repeats the
-    /// identical no-op, so the *caller* can be parked until one of the
-    /// service's completion wires events.
+    /// Whether the last [`FsmUnitRuntime::call`] was stable
+    /// ([`FsmUnitRuntime::last_call_stable`]), so the *caller* can be
+    /// parked until one of the service's completion wires events.
     last_call_stable: bool,
 }
 
@@ -640,11 +675,13 @@ impl FsmUnitRuntime {
             var_specs: &ctrl_spec.vars,
             wires,
             args: &[],
-            writes: 0,
+            local_writes: 0,
+            wire_writes: 0,
         };
         self.effects.recycle();
         exec.step_with(&ctrl_spec.fsm, &mut env, &mut self.effects)?;
-        self.ctrl_stable = env.writes == 0 && exec.current() == state_before;
+        self.ctrl_stable =
+            env.local_writes == 0 && env.wire_writes == 0 && exec.current() == state_before;
         self.controller_steps += 1;
         Ok(true)
     }
@@ -671,21 +708,37 @@ impl FsmUnitRuntime {
         self.ctrl_stable
     }
 
-    /// Whether the last [`FsmUnitRuntime::call`] was a provable no-op
-    /// (pending outcome, session state unchanged, no locals written, no
-    /// wires written). While true, re-calling with unchanged wires is
-    /// guaranteed to repeat the no-op — schedulers can park the blocked
-    /// caller until one of [`FsmUnitRuntime::completion_signals`] events.
+    /// Whether the last [`FsmUnitRuntime::call`] was *stable*: re-calling
+    /// with the same arguments and unchanged completion wires
+    /// ([`FsmUnitRuntime::completion_signals`]) repeats this outcome and
+    /// leaves the unit as it is now.
+    ///
+    /// * A pending call is stable when it was a no-op: session state
+    ///   unchanged, no local and no wire written.
+    /// * A completed call is stable when its session was fresh before
+    ///   the step (the protocol's initial state, with its declared
+    ///   initial locals) and the step wrote no wire: a pure read, such as
+    ///   [`shared_reg_unit`](crate::shared_reg_unit)'s `read` or
+    ///   [`register_bank_unit`](crate::register_bank_unit)'s
+    ///   `get_<reg>`. The session resets to fresh on completion, so the
+    ///   re-call starts where this one did.
+    ///
+    /// Schedulers park a caller whose calls are all stable until one of
+    /// those wires events (`SchedulingConfig::park_blocked` in
+    /// `cosma-cosim`); the repeats are then never made, so parking
+    /// reduces the unit's call and completion counts.
     #[must_use]
     pub fn last_call_stable(&self) -> bool {
         self.last_call_stable
     }
 
-    /// The wires whose events can unblock a caller of `service`: the
-    /// read-set of the service's protocol FSM. A blocked session's next
-    /// step depends only on its locals (frozen while the caller sleeps)
-    /// and these wires, so a parked caller re-armed by any event on them
-    /// observes exactly the behaviour of re-calling every cycle.
+    /// The wires whose events can unblock a caller of `service`, or
+    /// change what a stable completed call returns: the read-set of the
+    /// service's protocol FSM. A blocked session's next step depends
+    /// only on its locals (frozen while the caller sleeps), its
+    /// arguments and these wires, so a parked caller re-armed by any
+    /// event on them observes exactly the behaviour of re-calling every
+    /// cycle.
     ///
     /// Returns an empty set for unknown services (callers must then stay
     /// awake).

@@ -6,7 +6,7 @@
 
 use crate::bit::Bit;
 use crate::ids::{PortId, VarId};
-use crate::value::{Value, ValueError};
+use crate::value::{Type, Value, ValueError};
 use std::fmt;
 
 /// Unary operators.
@@ -470,6 +470,20 @@ pub enum EvalError {
     /// integer wire). The message names the signal, its type and the
     /// value.
     IncompatibleDrive(String),
+}
+
+impl EvalError {
+    /// The refusal of a drive whose value the driven signal, wire or
+    /// port's type does not admit ([`Type::admit`]): the message names
+    /// `target` (for example `signal link.DATA`), the type and the
+    /// value.
+    #[cold]
+    #[must_use]
+    pub fn incompatible_drive(target: &dyn fmt::Display, ty: &Type, v: &Value) -> Self {
+        EvalError::IncompatibleDrive(format!(
+            "drive of {target} ({ty}) with incompatible value {v:?}"
+        ))
+    }
 }
 
 impl fmt::Display for EvalError {

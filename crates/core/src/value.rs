@@ -145,6 +145,7 @@ impl Type {
     /// Clamps an integer to this type's width/signedness. Non-integer
     /// types return the input unchanged.
     #[must_use]
+    #[inline]
     pub fn clamp(&self, v: Value) -> Value {
         match (self, v) {
             (Type::Int { width, signed }, Value::Int(i)) => {
@@ -156,6 +157,7 @@ impl Type {
 
     /// Whether `v` is a value of this type (after clamping).
     #[must_use]
+    #[inline]
     pub fn admits(&self, v: &Value) -> bool {
         match (self, v) {
             (Type::Bit, Value::Bit(_))
@@ -163,6 +165,26 @@ impl Type {
             | (Type::Int { .. }, Value::Int(_)) => true,
             (Type::Enum(e), Value::Enum(ev)) => Arc::ptr_eq(e, &ev.ty) || **e == *ev.ty,
             _ => false,
+        }
+    }
+
+    /// The clamp-and-admit rule of a drive, the same on every platform:
+    /// the value a signal, wire or port of this type stores when driven
+    /// with `v`, which is `v` clamped to the type ([`Type::clamp`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the clamped value back when the type does not admit it
+    /// ([`Type::admits`]: an integer onto a bit, an enum onto an
+    /// integer); the caller refuses the drive with
+    /// [`EvalError::incompatible_drive`](crate::EvalError::incompatible_drive).
+    #[inline]
+    pub fn admit(&self, v: Value) -> Result<Value, Value> {
+        let v = self.clamp(v);
+        if self.admits(&v) {
+            Ok(v)
+        } else {
+            Err(v)
         }
     }
 }
@@ -186,6 +208,7 @@ impl fmt::Display for Type {
 }
 
 /// Wraps `i` into the representable range of a `width`-bit integer.
+#[inline]
 fn clamp_int(i: i64, width: u32, signed: bool) -> i64 {
     let mask: u64 = if width >= 64 {
         u64::MAX
@@ -576,6 +599,19 @@ mod tests {
         assert!(!Type::INT16.admits(&v));
         assert!(Type::INT16.admits(&Value::Int(5)));
         assert!(!Type::Bit.admits(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn admit_clamps_or_refuses() {
+        assert_eq!(Type::INT16.admit(Value::Int(70_000)), Ok(Value::Int(4464)));
+        let v = Value::Enum(EnumValue::new(state_table(), "INIT").unwrap());
+        assert_eq!(Type::INT16.admit(v.clone()), Err(v.clone()));
+        let err = crate::EvalError::incompatible_drive(&"wire hs.DATA", &Type::INT16, &v);
+        assert!(
+            err.to_string()
+                .starts_with("drive of wire hs.DATA (int16) with incompatible value Enum("),
+            "{err}"
+        );
     }
 
     #[test]

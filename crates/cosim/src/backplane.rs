@@ -26,7 +26,10 @@
 //! * A module whose FSM is blocked on a pending service call parks on
 //!   the bound unit's **completion wires** (the read-set of the blocked
 //!   protocol): a consumer blocked on `get` against an empty link costs
-//!   zero activations until the producer's `put` lands. A blocked
+//!   zero activations until the producer's `put` lands. A module that
+//!   polls a pure read (a completed call from a fresh protocol session
+//!   that writes no wire, such as `shared_reg_unit`'s `read`) parks the
+//!   same way until the read wires change. A blocked
 //!   module that records trace entries never parks; the driver *echoes*
 //!   it instead, appending its records on each edge without stepping
 //!   its FSM or calling its units until the same wires event.

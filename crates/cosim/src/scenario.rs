@@ -27,15 +27,22 @@
 //!
 //! Module kinds alternate between hardware and software so both
 //! activation clocks are exercised.
+//!
+//! [`build_poll`] elaborates register-style interface traffic instead:
+//! [`poller_module`]s polling one shared register's pure `read` while a
+//! [`writer_module`] rewrites it, the regime in which pollers park
+//! between writes.
 
 use crate::backplane::{
     BoundaryQueue, Cosim, CosimConfig, CosimError, CosimModuleId, DomainId, ModuleStatus,
     SchedulingConfig, UnitId,
 };
 use crate::partition::{BoundarySpec, Orchestrator, PartitionId};
-use cosma_comm::{handshake_unit, BusTiming};
+use cosma_comm::{handshake_unit, shared_reg_unit, BusTiming};
 use cosma_core::comm::CommUnitSpec;
-use cosma_core::{Expr, Module, ModuleBuilder, ModuleKind, ServiceCall, Stmt, Type, Value};
+use cosma_core::{
+    Expr, Module, ModuleBuilder, ModuleKind, PortDir, ServiceCall, Stmt, Type, Value,
+};
 use cosma_sim::Duration;
 use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
@@ -1081,6 +1088,139 @@ pub fn build_collapsed(
         modules,
         links,
         checkers: plan.checkers,
+    })
+}
+
+/// A module that polls a pure read on every activation, the way the
+/// paper's Speed Control CORE process polls `ReadSampledData`: it calls
+/// `service` through its `reg` binding, drives the result onto its `OUT`
+/// port once the call completes, and records a `seen` trace entry of the
+/// value whenever it differs from the last one seen (`LAST`). Between
+/// changes of the polled wire its activations are fixed points, so it
+/// parks two activations after each change.
+#[must_use]
+pub fn poller_module(name: &str, service: &str) -> Module {
+    let mut b = ModuleBuilder::new(name, ModuleKind::Hardware);
+    let out = b.port("OUT", PortDir::Out, Type::INT16);
+    let done = b.var("D", Type::Bool, Value::Bool(false));
+    let value = b.var("V", Type::INT16, Value::Int(0));
+    let last = b.var("LAST", Type::INT16, Value::Int(0));
+    let reg = b.binding("reg", "register");
+    let poll = b.state("POLL");
+    let seen = vec![
+        Stmt::Trace("seen".into(), vec![Expr::var(value)]),
+        Stmt::assign(last, Expr::var(value)),
+    ];
+    b.actions(
+        poll,
+        vec![
+            Stmt::Call(ServiceCall {
+                binding: reg,
+                service: service.into(),
+                args: vec![],
+                done: Some(done),
+                result: Some(value),
+            }),
+            Stmt::if_then(
+                Expr::var(done),
+                vec![
+                    Stmt::drive(out, Expr::var(value)),
+                    Stmt::if_then(Expr::var(value).ne(Expr::var(last)), seen),
+                ],
+            ),
+        ],
+    );
+    b.transition(poll, None, poll);
+    b.initial(poll);
+    b.build().expect("poller module is well-formed")
+}
+
+/// A module that writes `1, 2, 3, …` (its variable `N`) through
+/// `service(VAL)` on its `reg` binding, one write every `period`
+/// activations (a write that takes more than one activation stretches
+/// the period), `writes` times, then idles in `END`.
+#[must_use]
+pub fn writer_module(name: &str, service: &str, period: i64, writes: i64) -> Module {
+    let mut b = ModuleBuilder::new(name, ModuleKind::Software);
+    let done = b.var("D", Type::Bool, Value::Bool(false));
+    let count = b.var("C", Type::INT16, Value::Int(0));
+    let n = b.var("N", Type::INT16, Value::Int(0));
+    let reg = b.binding("reg", "register");
+    let wait = b.state("COUNT");
+    let write = b.state("WRITE");
+    let end = b.state("END");
+    b.actions(
+        wait,
+        vec![Stmt::assign(count, Expr::var(count).add(Expr::int(1)))],
+    );
+    b.transition_with(
+        wait,
+        Some(Expr::var(count).ge(Expr::int(period - 1))),
+        vec![
+            Stmt::assign(count, Expr::int(0)),
+            Stmt::assign(n, Expr::var(n).add(Expr::int(1))),
+        ],
+        write,
+    );
+    b.actions(
+        write,
+        vec![Stmt::Call(ServiceCall {
+            binding: reg,
+            service: service.into(),
+            args: vec![Expr::var(n)],
+            done: Some(done),
+            result: None,
+        })],
+    );
+    let last = Expr::var(n).ge(Expr::int(writes));
+    b.transition(write, Some(Expr::var(done).and(last)), end);
+    b.transition(write, Some(Expr::var(done)), wait);
+    b.transition(end, None, end);
+    b.initial(wait);
+    b.build().expect("writer module is well-formed")
+}
+
+/// An elaborated polling system ([`build_poll`]).
+pub struct PollScenario {
+    /// The assembled backplane, ready to run.
+    pub cosim: Cosim,
+    /// The pollers, in creation order.
+    pub pollers: Vec<CosimModuleId>,
+    /// The writer, created after the pollers.
+    pub writer: CosimModuleId,
+}
+
+/// Register-style interface traffic: `pollers` [`poller_module`]s poll
+/// one [`shared_reg_unit`]'s `read`, which one [`writer_module`]
+/// rewrites every `period` cycles, `writes` times. With parking on, the
+/// pollers park between writes.
+///
+/// # Errors
+///
+/// Propagates backplane setup errors.
+pub fn build_poll(
+    pollers: usize,
+    period: i64,
+    writes: i64,
+    scheduling: SchedulingConfig,
+) -> Result<PollScenario, CosimError> {
+    let mut cosim = Cosim::new(CosimConfig::default());
+    cosim.set_scheduling(scheduling)?;
+    let reg = cosim.add_fsm_unit("reg", shared_reg_unit("reg", Type::INT16));
+    let pollers = (0..pollers)
+        .map(|i| {
+            cosim.add_module(
+                &poller_module(&format!("poller{i}"), "read"),
+                &[("reg", reg)],
+            )
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let writer = writer_module("writer", "write", period, writes);
+    let writer = cosim.add_module(&writer, &[("reg", reg)])?;
+    Ok(PollScenario {
+        cosim,
+        pollers,
+        writer,
     })
 }
 

@@ -51,18 +51,29 @@ pub struct SchedulingConfig {
     /// Whether to park provably-stable modules (default `true`). A
     /// module activation that changed nothing — same state, no
     /// effective variable writes or port drives, every service call
-    /// pending *and* a provable no-op on the unit side — would repeat
-    /// identically every cycle; with parking on, the module instead
-    /// sleeps until an event on its ports or on the blocked services'
-    /// completion wires. (Under [`Dispatch::Driver`] a provably-idle
-    /// unit parks on its gating wires either way.)
+    /// *stable* on the unit side — would repeat identically every
+    /// cycle; with parking on, the module instead sleeps until an event
+    /// on its ports or on the called services' completion wires.
+    ///
+    /// A call is stable under one contract
+    /// ([`FsmUnitRuntime::last_call_stable`](cosma_comm::FsmUnitRuntime::last_call_stable),
+    /// [`NativeUnit::last_call_stable`](cosma_comm::NativeUnit::last_call_stable)):
+    /// re-made with the same arguments and unchanged completion wires,
+    /// it repeats its outcome and leaves its unit as it is. A pending
+    /// call qualifies when it was a no-op; a completed one when it ran
+    /// from a fresh protocol session and wrote no wire — a pure read,
+    /// such as a module polling `shared_reg_unit`'s `read` the way the
+    /// motor's Core polls `ReadSampledData`. (Under [`Dispatch::Driver`]
+    /// a provably-idle unit parks on its gating wires either way.)
     ///
     /// Parking is invisible to signal traces, trace logs, final states
     /// and `ModuleStatus.activations` *across dispatch modes* (the
     /// driver and the per-module processes park identically). It does
     /// suppress the no-op activations themselves, so activation counts
     /// differ from a `park_blocked: false` run while a module is
-    /// blocked.
+    /// parked, and so do unit call and completion counts
+    /// ([`UnitStats`](cosma_comm::UnitStats)): the repeated calls are
+    /// never made.
     ///
     /// The same switch turns on *echoing*, which only
     /// [`Dispatch::Driver`] does. A blocked module that records trace

@@ -97,9 +97,9 @@ pub(crate) struct UnitEntry {
     /// them through [`resolve_service`].
     services: Vec<String>,
     /// Completion wires per service index: the wires whose events can
-    /// unblock a pending caller (the blocked protocol's read-set mapped
-    /// onto kernel signals; a native unit's `OCC` mirror). Empty means
-    /// a blocked caller must poll.
+    /// unblock a pending caller or change what a pure read returns (the
+    /// protocol's read-set mapped onto kernel signals; a native unit's
+    /// `OCC` mirror). Empty means a blocked caller must poll.
     completion: Vec<Vec<SignalId>>,
     /// One HW clock cycle of the unit's domain — the scheduling unit for
     /// a batched link's pre-scheduled payload bursts
@@ -200,8 +200,8 @@ impl UnitEntry {
 
     /// One activation of service `si` (an index from
     /// [`UnitEntry::resolve`]) on behalf of `caller`. Returns the
-    /// outcome and whether the call was a provable no-op on the unit
-    /// side.
+    /// outcome and whether the call was stable on the unit side
+    /// ([`FsmUnitRuntime::last_call_stable`]).
     pub(crate) fn call(
         &mut self,
         caller: CallerId,
@@ -497,18 +497,16 @@ impl WireStore for CtxWires<'_, '_> {
         self.map.get(w.index()).map(|&sig| self.ctx.read(sig))
     }
     fn write_wire(&mut self, w: PortId, v: Value) -> Result<(), EvalError> {
-        let sig = self.signal(w)?;
-        let v = self.ctx.admit(sig, v)?;
-        self.ctx.drive(sig, v);
+        let a = self.ctx.admit(self.signal(w)?, v)?;
+        self.ctx.drive_admitted(a, Duration::ZERO);
         Ok(())
     }
     fn write_wire_after(&mut self, w: PortId, v: Value, cycles: u64) -> Result<bool, EvalError> {
         if self.cycle == Duration::ZERO {
             return Ok(false);
         }
-        let sig = self.signal(w)?;
-        let v = self.ctx.admit(sig, v)?;
-        self.ctx.drive_after(sig, v, self.cycle.times(cycles));
+        let a = self.ctx.admit(self.signal(w)?, v)?;
+        self.ctx.drive_admitted(a, self.cycle.times(cycles));
         Ok(true)
     }
     fn write_wire_train(
@@ -521,16 +519,12 @@ impl WireStore for CtxWires<'_, '_> {
         if self.cycle == Duration::ZERO {
             return Ok(false);
         }
-        let sig = self.signal(w)?;
-        for v in values {
-            self.ctx.admit(sig, v.clone())?;
-        }
-        self.ctx.drive_train(
-            sig,
+        self.ctx.try_drive_train(
+            self.signal(w)?,
             self.cycle.times(start_cycles),
             self.cycle.times(stride_cycles),
             values,
-        );
+        )?;
         Ok(true)
     }
 }
@@ -626,32 +620,31 @@ struct CosimEnv<'a, 'b> {
     records: &'a mut TraceRecords,
     /// Effective changes this activation: variable writes that changed
     /// a value, port drives whose stored (clamped) value differs from
-    /// the signal's current value, trace records, completed service
-    /// calls. Zero means the activation was (conservatively) a no-op;
-    /// as many as `records` holds means it was one apart from its trace
-    /// records.
+    /// the signal's current value, trace records. Zero means the
+    /// activation was (conservatively) a no-op; as many as `records`
+    /// holds means it was one apart from its trace records.
     changes: u32,
-    /// Whether every pending service call this activation was a
-    /// provable no-op on the unit side *with* non-empty completion
-    /// wires — i.e. safe to wait on wires instead of polling.
-    pending_stable: bool,
-    /// Completion wires of the pending calls (what to watch if parked
-    /// or echoing).
-    pending_watch: Vec<SignalId>,
+    /// Whether every service call this activation was stable on the
+    /// unit side ([`FsmUnitRuntime::last_call_stable`]) with wires that
+    /// can end it: re-made with unchanged completion wires, each would
+    /// repeat its outcome and leave its unit as it is.
+    calls_stable: bool,
+    /// Completion wires of the stable calls (what to watch if parked or
+    /// echoing).
+    call_watch: Vec<SignalId>,
 }
 
 impl CosimEnv<'_, '_> {
-    /// Post-call bookkeeping: a completed call is an effective change;
-    /// a pending one contributes to the park verdict (parkable
-    /// only if the unit proved the call a no-op AND names completion
-    /// wires that can wake the caller).
+    /// Post-call bookkeeping for the park verdict: a stable call's
+    /// completion wires join the watch set. A pending call needs some
+    /// (with none, nothing could wake its parked caller); a completed
+    /// one may have none, as its outcome is then constant. Any other
+    /// call keeps the caller awake.
     fn note_outcome(&mut self, done: bool, stable: bool, completion: &[SignalId]) {
-        if done {
-            self.changes += 1;
-        } else if stable && !completion.is_empty() {
-            self.pending_watch.extend_from_slice(completion);
+        if stable && (done || !completion.is_empty()) {
+            self.call_watch.extend_from_slice(completion);
         } else {
-            self.pending_stable = false;
+            self.calls_stable = false;
         }
     }
 }
@@ -684,11 +677,11 @@ impl Env for CosimEnv<'_, '_> {
         let &sig = self.ports.get(p.index()).ok_or(EvalError::NoSuchPort(p))?;
         // Compare the value the signal will store, not the drive: an
         // out-of-width constant stores clamped and then changes nothing.
-        let value = self.ctx.admit(sig, value)?;
-        if self.ctx.read(sig) != &value {
+        let a = self.ctx.admit(sig, value)?;
+        if self.ctx.read(sig) != a.value() {
             self.changes += 1;
         }
-        self.ctx.drive(sig, value);
+        self.ctx.drive_admitted(a, Duration::ZERO);
         Ok(())
     }
     fn call_service(
@@ -779,14 +772,14 @@ pub(crate) fn step_module(
         source: name,
         records: &mut scratch.records,
         changes: 0,
-        pending_stable: true,
-        pending_watch: std::mem::take(&mut scratch.watch),
+        calls_stable: true,
+        call_watch: std::mem::take(&mut scratch.watch),
     };
     match exec.step_with(fsm, &mut env, &mut scratch.effects) {
         Ok(meta) => {
             let changes = env.changes;
-            let pending_stable = env.pending_stable;
-            let mut watch = env.pending_watch;
+            let calls_stable = env.calls_stable;
+            let mut watch = env.call_watch;
             if meta.from != meta.to {
                 // The state name only changes on a real transition —
                 // skip the per-activation render for self-loops, and
@@ -797,18 +790,17 @@ pub(crate) fn step_module(
             status.activations += 1;
             park.modules_stepped.set(park.modules_stepped.get() + 1);
             // The activation is a fixed point when it kept its state
-            // (self-loops included) and every service call is pending
-            // as a unit-side no-op with completion wires to wait on.
-            // Re-running it with unchanged ports and wires is then
-            // guaranteed to repeat it identically, trace records
-            // included (they read only variables and ports). With no
-            // effective change at all the module parks until one of
-            // its ports or completion wires events; with trace records
-            // its only changes it echoes them until then.
-            let fixed = park_blocked
-                && meta.from == meta.to
-                && pending_stable
-                && scratch.effects.pending_calls == scratch.effects.service_calls;
+            // (self-loops included) and every service call was stable:
+            // pending as a unit-side no-op with completion wires to
+            // wait on, or completed from a fresh session without
+            // writing a wire (a pure read). Re-running it with
+            // unchanged ports and wires is then guaranteed to repeat it
+            // identically, trace records included (they read only
+            // variables and ports). With no effective change at all the
+            // module parks until one of its ports or completion wires
+            // events; with trace records its only changes it echoes
+            // them until then.
+            let fixed = park_blocked && meta.from == meta.to && calls_stable;
             let records = scratch.records.labels.len();
             if fixed && changes as usize == records {
                 watch.extend_from_slice(ports);
@@ -825,7 +817,7 @@ pub(crate) fn step_module(
             }
         }
         Err(e) => {
-            let watch = env.pending_watch;
+            let watch = env.call_watch;
             scratch.return_watch(watch);
             // Record the halting state and the error on the module
             // itself, not just in the backplane's global error slot.

@@ -78,6 +78,11 @@ impl CosimMotorSystem {
 /// Returns backplane setup errors.
 pub fn build_cosim(cfg: &MotorConfig, ccfg: CosimConfig) -> Result<CosimMotorSystem, CosimError> {
     let mut cosim = Cosim::new(ccfg);
+    // The plant is a kernel clocked process outside the backplane's
+    // clock-demand ledger: once Core parks between samples, every module
+    // can be parked at once (after `Done`), and idle clock generators
+    // would stop the plant. Pinned, the edge grid runs for the whole run.
+    cosim.pin_clock_domains();
     let swhw = cosim.add_fsm_unit("swhw", swhw_link_unit());
     let mlink = cosim.add_fsm_unit("mlink", motor_link_unit());
 
@@ -274,6 +279,23 @@ mod tests {
         assert_eq!(
             stats.services["ReadMotorState"].completions,
             cfg.segments as u64
+        );
+    }
+
+    #[test]
+    fn the_plant_ticks_on_every_hw_edge_through_the_last_chunk() {
+        // Core parks between samples, so every module can be parked at
+        // once; the pinned clock domains keep the plant on the HW edge
+        // grid anyway: one tick per rising edge, t = 0 included.
+        let cfg = MotorConfig::default();
+        let mut sys = build_cosim(&cfg, CosimConfig::default()).unwrap();
+        assert!(sys.run_to_completion(Duration::from_us(100), 200).unwrap());
+        let edges = sys.cosim.sim().now().as_fs() / CosimConfig::default().hw_cycle.as_fs() + 1;
+        assert_eq!(sys.motor.borrow().ticks(), edges);
+        let core = sys.cosim.module_status(sys.core).activations;
+        assert!(
+            2 * core < edges,
+            "Core parks between samples: {core} of {edges}"
         );
     }
 

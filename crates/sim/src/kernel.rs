@@ -328,6 +328,24 @@ pub(crate) struct DriveTrain {
     pub(crate) values: Vec<Value>,
 }
 
+/// A drive that its signal's type admits, holding the value as the
+/// signal will store it. Only [`ProcCtx::admit`] builds one, so nothing
+/// unadmitted reaches the drive queue through
+/// [`ProcCtx::drive_admitted`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Admitted {
+    sig: SignalId,
+    value: Value,
+}
+
+impl Admitted {
+    /// The value the signal stores (the drive clamped to its type).
+    #[must_use]
+    pub fn value(&self) -> &Value {
+        &self.value
+    }
+}
+
 /// Execution context passed to processes: read signals, schedule drives,
 /// query time and events.
 #[derive(Debug)]
@@ -434,10 +452,12 @@ impl<'a> ProcCtx<'a> {
         }
     }
 
-    /// The value signal `s` stores when driven with `v`: `v` clamped to
-    /// the signal's type. Interpreters check drives that come from
-    /// source text here, so that a mistyped one becomes an error instead
-    /// of a panic in [`ProcCtx::drive`].
+    /// The drive of signal `s` with `v` as the signal will store it: `v`
+    /// clamped to the signal's type ([`Type::admit`](cosma_core::Type::admit)).
+    /// Interpreters check drives that come from source text here, so
+    /// that a mistyped one becomes an error instead of a panic in
+    /// [`ProcCtx::drive`], and hand what this returns to
+    /// [`ProcCtx::drive_admitted`].
     ///
     /// # Errors
     ///
@@ -448,17 +468,19 @@ impl<'a> ProcCtx<'a> {
     /// # Panics
     ///
     /// Panics if the id does not belong to this simulator.
-    pub fn admit(&self, s: SignalId, v: Value) -> Result<Value, EvalError> {
-        let sig = &self.signals[s.index()];
-        let v = sig.ty.clamp(v);
-        if sig.ty.admits(&v) {
-            Ok(v)
-        } else {
-            Err(EvalError::IncompatibleDrive(format!(
-                "drive of signal {} ({}) with incompatible value {v:?}",
-                sig.name, sig.ty
-            )))
-        }
+    #[inline]
+    pub fn admit(&self, s: SignalId, v: Value) -> Result<Admitted, EvalError> {
+        let value = self.signals[s.index()].admit(v)?;
+        Ok(Admitted { sig: s, value })
+    }
+
+    /// Schedules an admitted drive after `d` (`Duration::ZERO`: the next
+    /// delta cycle). Every drive of a process takes this path, and only
+    /// [`ProcCtx::admit`] builds what it takes, so each value is checked
+    /// once.
+    #[inline]
+    pub fn drive_admitted(&mut self, a: Admitted, d: Duration) {
+        self.drives.push((a.sig, a.value, d));
     }
 
     /// Schedules a drive for the next delta cycle (`sig <= v;`).
@@ -479,7 +501,7 @@ impl<'a> ProcCtx<'a> {
     /// Panics on type mismatch (see [`ProcCtx::drive`]).
     pub fn drive_after(&mut self, s: SignalId, v: Value, d: Duration) {
         match self.admit(s, v) {
-            Ok(v) => self.drives.push((s, v, d)),
+            Ok(a) => self.drive_admitted(a, d),
             Err(e) => panic!("{e}"),
         }
     }
@@ -507,16 +529,45 @@ impl<'a> ProcCtx<'a> {
         stride: Duration,
         values: &[Value],
     ) {
-        if values.is_empty() {
-            return;
+        if let Err(e) = self.try_drive_train(s, start, stride, values) {
+            panic!("drive train: {e}");
         }
+    }
+
+    /// [`ProcCtx::drive_train`] for values from source text: each beat
+    /// is copied into the train once and admitted there, as
+    /// [`ProcCtx::admit`] admits a single drive.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first beat's [`EvalError::IncompatibleDrive`]; the
+    /// train is then not scheduled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this simulator.
+    pub fn try_drive_train(
+        &mut self,
+        s: SignalId,
+        start: Duration,
+        stride: Duration,
+        values: &[Value],
+    ) -> Result<(), EvalError> {
+        if values.is_empty() {
+            return Ok(());
+        }
+        let sig = &self.signals[s.index()];
         let mut buf = self.train_shells.pop().unwrap_or_default();
         debug_assert!(buf.is_empty());
         buf.reserve(values.len());
         for v in values {
-            match self.admit(s, v.clone()) {
+            match sig.admit(v.clone()) {
                 Ok(v) => buf.push(v),
-                Err(e) => panic!("drive train: {e}"),
+                Err(e) => {
+                    buf.clear();
+                    self.train_shells.push(buf);
+                    return Err(e);
+                }
             }
         }
         self.trains.push(DriveTrain {
@@ -525,6 +576,7 @@ impl<'a> ProcCtx<'a> {
             stride,
             values: buf,
         });
+        Ok(())
     }
 
     /// Whether the signal had an event in the delta that woke this run.
@@ -1031,13 +1083,10 @@ impl Simulator {
     /// Panics on type mismatch.
     pub fn poke(&mut self, s: SignalId, v: Value) {
         let sig = &self.signals[s.index()];
-        let v = sig.ty.clamp(v);
-        assert!(
-            sig.ty.admits(&v),
-            "poke of {} with incompatible {v:?}",
-            sig.name
-        );
-        self.delta_drives.push((s, v));
+        match sig.admit(v) {
+            Ok(v) => self.delta_drives.push((s, v)),
+            Err(e) => panic!("poke: {e}"),
+        }
     }
 
     /// Whether any activity is scheduled: elaboration still owed to
@@ -1465,13 +1514,10 @@ impl Simulator {
         debug_assert!(buf.is_empty());
         buf.reserve(values.len());
         for v in values {
-            let v = sig.ty.clamp(v.clone());
-            assert!(
-                sig.ty.admits(&v),
-                "drive train on {} with incompatible {v:?}",
-                sig.name
-            );
-            buf.push(v);
+            match sig.admit(v.clone()) {
+                Ok(v) => buf.push(v),
+                Err(e) => panic!("drive train: {e}"),
+            }
         }
         self.insert_train(DriveTrain {
             sig: s,

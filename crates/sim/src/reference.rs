@@ -189,13 +189,10 @@ impl RefSimulator {
     /// Panics on type mismatch.
     pub fn poke(&mut self, s: SignalId, v: Value) {
         let sig = &self.signals[s.index()];
-        let v = sig.ty.clamp(v);
-        assert!(
-            sig.ty.admits(&v),
-            "poke of {} with incompatible {v:?}",
-            sig.name
-        );
-        self.delta_drives.push((s, v));
+        match sig.admit(v) {
+            Ok(v) => self.delta_drives.push((s, v)),
+            Err(e) => panic!("poke: {e}"),
+        }
     }
 
     /// Runs until `deadline` (inclusive).

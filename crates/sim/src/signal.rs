@@ -1,7 +1,7 @@
 //! Signals: the typed, delta-cycle-updated state of the simulation.
 
 use crate::time::SimTime;
-use cosma_core::{Type, Value};
+use cosma_core::{EvalError, Type, Value};
 use std::fmt;
 
 /// Identifies a signal within a [`crate::Simulator`].
@@ -51,6 +51,15 @@ impl Signal {
             event_now: false,
             event_count: 0,
         }
+    }
+
+    /// The value this signal stores when driven with `v`
+    /// ([`Type::admit`]), or the refusal naming it.
+    #[inline]
+    pub(crate) fn admit(&self, v: Value) -> Result<Value, EvalError> {
+        self.ty.admit(v).map_err(|v| {
+            EvalError::incompatible_drive(&format_args!("signal {}", self.name), &self.ty, &v)
+        })
     }
 }
 

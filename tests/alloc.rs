@@ -12,7 +12,8 @@
 //! records, and the columnar log's tail segment and spill encoder are
 //! exercised each cycle. Further gates pin
 //! echoed trace records (a traced starved fleet whose blocked consumers
-//! the driver echoes), streaming payload beats (the timer wheel's burst
+//! the driver echoes), pollers of a pure read that park and resume on
+//! every write, streaming payload beats (the timer wheel's burst
 //! trains), a multi-rate ring (per-domain clocks and parking), calls on
 //! a native FIFO and the board's warm FPGA fabric (the motor's Speed
 //! Control netlists and its peripheral).
@@ -31,7 +32,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use cosma::cosim::scenario::{build_scenario, DomainsSpec, LinkKind, ScenarioSpec, Topology};
+use cosma::cosim::scenario::{
+    build_poll, build_scenario, DomainsSpec, LinkKind, ScenarioSpec, Topology,
+};
 use cosma::cosim::{BusTiming, SchedulingConfig};
 use cosma::sim::Duration;
 
@@ -169,6 +172,42 @@ fn warm_echoed_trace_records_do_not_allocate() {
     assert_eq!(
         grew, 0,
         "warm echoed trace records must not allocate, saw {grew} allocations"
+    );
+}
+
+#[test]
+fn warm_parking_pollers_do_not_allocate() {
+    // Sixteen modules poll a shared register's pure `read` while a
+    // writer rewrites it every 16 cycles: each write re-arms every
+    // poller, which takes the value, records it, proves the fixed point
+    // on the next edge and parks again. The log spills, so its tail
+    // segment empties in place.
+    let mut s = build_poll(16, 16, 10_000, SchedulingConfig::default()).expect("system builds");
+    s.cosim
+        .trace_handle()
+        .borrow_mut()
+        .set_spill(Box::new(std::io::sink()));
+    s.cosim
+        .run_for(Duration::from_us(150))
+        .expect("warm-up runs");
+    assert!(
+        s.cosim.trace_handle().borrow().spilled() > 0,
+        "warm-up must already spill trace segments"
+    );
+    let warm = s.cosim.shard_stats();
+    let before = allocs();
+    s.cosim.run_for(Duration::from_us(60)).expect("window runs");
+    let grew = allocs() - before;
+    let stats = s.cosim.shard_stats();
+    let parked = stats.members_parked - warm.members_parked;
+    let resumed = stats.members_resumed - warm.members_resumed;
+    assert!(
+        parked >= 16 * 30 && resumed >= 16 * 30,
+        "every write parks and resumes every poller: {parked} parks, {resumed} resumes"
+    );
+    assert_eq!(
+        grew, 0,
+        "warm parking pollers must not allocate, saw {grew} allocations"
     );
 }
 

@@ -1,10 +1,16 @@
 //! Integration: the multiprocessor target (the paper's closing remark —
 //! "the target architecture may be a complex multiprocessor
-//! architecture") and failure-injection checks.
+//! architecture"), failure-injection checks, and the drive rule every
+//! platform shares.
 
-use cosma::board::{Board, BoardConfig};
-use cosma::comm::handshake_unit;
-use cosma::core::{Expr, Module, ModuleBuilder, ModuleKind, ServiceCall, Stmt, Type, Value};
+use cosma::board::{Board, BoardConfig, IpcError, IpcPlatform};
+use cosma::comm::{handshake_unit, CallerId, StandaloneUnit};
+use cosma::core::{
+    EnumType, EnumValue, EvalError, Expr, Module, ModuleBuilder, ModuleKind, PortDir, ServiceCall,
+    Stmt, Type, Value,
+};
+use cosma::cosim::{Cosim, CosimConfig};
+use cosma::sim::Duration;
 use cosma::synth::{compile_sw, controller_module, flatten_module, synthesize_hw, Encoding, IoMap};
 use std::collections::HashMap;
 
@@ -272,4 +278,122 @@ fn system_level_synthesis_runs_on_the_board() {
         cosim.module_var(ids[1], "SUM"),
         Some(Value::Int(30 + 31 + 32))
     );
+}
+
+/// A module that puts `put` into its `iface` link (when given), then
+/// drives `out` onto its INT16 port `OUT`, reads the port back into `W`
+/// and idles.
+fn sender(put: Option<Value>, out: Value) -> Module {
+    let mut b = ModuleBuilder::new("SENDER", ModuleKind::Software);
+    let port = b.port("OUT", PortDir::Out, Type::INT16);
+    let done = b.var("D", Type::Bool, Value::Bool(false));
+    let w = b.var("W", Type::INT16, Value::Int(0));
+    let iface = b.binding("iface", "hs");
+    let put_state = b.state("PUT");
+    let drive = b.state("DRIVE");
+    let read = b.state("READ");
+    let end = b.state("END");
+    if let Some(v) = put {
+        b.actions(
+            put_state,
+            vec![Stmt::Call(ServiceCall {
+                binding: iface,
+                service: "put".into(),
+                args: vec![Expr::Const(v)],
+                done: Some(done),
+                result: None,
+            })],
+        );
+        b.transition(put_state, Some(Expr::var(done)), drive);
+        b.initial(put_state);
+    } else {
+        b.transition(put_state, None, drive);
+        b.initial(drive);
+    }
+    b.actions(drive, vec![Stmt::drive(port, Expr::Const(out))]);
+    b.transition(drive, None, read);
+    b.actions(read, vec![Stmt::assign(w, Expr::port(port))]);
+    b.transition(read, None, end);
+    b.transition(end, None, end);
+    b.build().expect("sender is well-formed")
+}
+
+/// What a platform made of a [`sender`]: the link's `DATA` wire and the
+/// sender's `W`, or the refusal that halted it.
+type Outcome = Result<(Value, Option<Value>), String>;
+
+fn on_standalone(put: &Value) -> Outcome {
+    let mut unit = StandaloneUnit::from_spec(handshake_unit("hs", Type::INT16));
+    match unit.call(CallerId(1), "put", std::slice::from_ref(put)) {
+        Ok(_) => Ok((unit.wire("DATA").unwrap(), None)),
+        Err(e) => {
+            assert!(matches!(e, EvalError::IncompatibleDrive(_)), "{e:?}");
+            Err(refusal(&e))
+        }
+    }
+}
+
+fn on_ipc(m: &Module) -> Outcome {
+    let mut ipc = IpcPlatform::new();
+    let link = ipc.add_unit(StandaloneUnit::from_spec(handshake_unit("hs", Type::INT16)));
+    let id = ipc.add_module(m, &[("iface", link)]).unwrap();
+    match ipc.run(20) {
+        Ok(()) => Ok((
+            ipc.unit(link).wire("DATA").unwrap(),
+            ipc.module_var(id, "W"),
+        )),
+        Err(IpcError::Runtime(msg)) => Err(msg),
+        Err(e) => panic!("setup: {e}"),
+    }
+}
+
+fn on_backplane(m: &Module) -> Outcome {
+    let mut cosim = Cosim::new(CosimConfig::default());
+    let link = cosim.add_fsm_unit("hs", handshake_unit("hs", Type::INT16));
+    let id = cosim.add_module(m, &[("iface", link)]).unwrap();
+    match cosim.run_for(Duration::from_us(2)) {
+        Ok(()) => {
+            let data = cosim.sim().find_signal("hs.DATA").unwrap();
+            Ok((cosim.sim().value(data).clone(), cosim.module_var(id, "W")))
+        }
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// The platform-independent part of a refusal: what was driven where.
+fn refusal(e: &dyn std::fmt::Display) -> String {
+    let msg = e.to_string();
+    let at = msg.find(" hs.DATA ").or_else(|| msg.find(" SENDER.OUT "));
+    msg[at.unwrap_or_else(|| panic!("the refusal names the wire or port: {msg}"))..].to_string()
+}
+
+#[test]
+fn every_platform_clamps_and_refuses_drives_alike() {
+    let state = EnumType::new("ST", vec!["Send".into(), "Idle".into()]);
+    let enum_value = Value::Enum(EnumValue::new(state, "Send").unwrap());
+    // Out of width: INT16 stores 70000 as 4464, on the wire and on the
+    // port, everywhere.
+    let wide = Value::Int(70_000);
+    let m = sender(Some(wide.clone()), wide.clone());
+    let stored = Value::Int(4464);
+    assert_eq!(on_standalone(&wide), Ok((stored.clone(), None)));
+    for outcome in [on_ipc(&m), on_backplane(&m)] {
+        assert_eq!(outcome, Ok((stored.clone(), Some(stored.clone()))));
+    }
+    // Mistyped: an enum onto the INT16 `DATA` wire (through `put`) and
+    // onto the INT16 port is refused with the same words everywhere.
+    let data = " hs.DATA (int16) with incompatible value Enum(";
+    let port = " SENDER.OUT (int16) with incompatible value Enum(";
+    let put = on_standalone(&enum_value).unwrap_err();
+    assert!(put.starts_with(data), "standalone: {put}");
+    let ok = Value::Int(1);
+    for (m, want) in [
+        (sender(Some(enum_value.clone()), ok), data),
+        (sender(None, enum_value.clone()), port),
+    ] {
+        for outcome in [on_ipc(&m), on_backplane(&m)] {
+            let msg = outcome.expect_err("the drive is refused");
+            assert!(refusal(&msg).starts_with(want), "{msg}");
+        }
+    }
 }
