@@ -61,6 +61,16 @@
 //! twice per write plus twice) and every poller's final port value and
 //! state equal those of a `park_blocked: false` run.
 //!
+//! The `kernel` rows time the discrete-event kernel alone, on a
+//! `Simulator` with no backplane (setup and teardown excluded; `n` is
+//! the case's size and `bus_timing` is `none`): variant `counters`
+//! runs N rising-edge counters on one 100 ns clock for 100 µs,
+//! `sparse_wakeup` one such counter beside N processes waiting on
+//! signals that never change (its cost must not grow with N),
+//! `timer_storm` N `wait for` tickers with periods from 7 to 43 ns for
+//! 10 µs, and `delta_chain` an N-deep inverter chain rippling through
+//! N deltas on every edge of a 100 ns clock for 10 µs.
+//!
 //! Before the first timed row the binary builds and runs the first
 //! row's scenario, untimed, for about half a second, so the first row
 //! measures the code and not CPU ramp-up after process start.
@@ -283,6 +293,132 @@ fn beat_storm(n: usize, heap: bool) -> u128 {
     let start = Instant::now();
     sim.run_until(SimTime::from_ns(100_000)).expect("runs");
     start.elapsed().as_nanos()
+}
+
+/// Times `runs` runs of `span` on fresh kernels from `build`, after one
+/// untimed run; setup and teardown are outside the timed span. One
+/// `kernel` row.
+fn kernel_row(
+    variant: &'static str,
+    n: usize,
+    runs: u32,
+    span: Duration,
+    build: impl Fn(usize) -> cosma_sim::Simulator,
+) -> Record {
+    build(n).run_for(span).expect("kernel runs");
+    let samples: Vec<u128> = (0..runs)
+        .map(|_| {
+            let mut sim = build(n);
+            let start = Instant::now();
+            sim.run_for(span).expect("kernel runs");
+            start.elapsed().as_nanos()
+        })
+        .collect();
+    let (mean, p50, p99) = summarize3(samples);
+    println!(
+        "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
+         p50={p50} p99={p99}  ({runs} runs, {variant})",
+        "kernel", "none"
+    );
+    Record {
+        scenario: "kernel",
+        n,
+        bus_timing: "none",
+        queue: None,
+        variant: Some(variant),
+        ns_per_run: mean,
+        p50_ns: p50,
+        p99_ns: p99,
+        runs,
+    }
+}
+
+/// Registers a process counting the rising edges of `clk` on a fresh
+/// `Q<i>` signal.
+fn add_counter(sim: &mut cosma_sim::Simulator, i: usize, clk: cosma_sim::SignalId) {
+    use cosma_core::{Type, Value};
+    use cosma_sim::{FnProcess, Wait};
+    let q = sim.add_signal(format!("Q{i}"), Type::INT16, Value::Int(0));
+    sim.add_process(
+        format!("ctr{i}"),
+        FnProcess::new(move |ctx| {
+            if ctx.rose(clk) {
+                let v = ctx.read_int(q);
+                ctx.drive(q, Value::Int(v + 1));
+            }
+            Wait::Event(vec![clk])
+        }),
+    );
+}
+
+/// `n` rising-edge counters on one 100 ns clock.
+fn kernel_counters(n: usize) -> cosma_sim::Simulator {
+    let mut sim = cosma_sim::Simulator::new();
+    let clk = sim.add_bit("CLK");
+    sim.add_clock("gen", clk, Duration::from_ns(100));
+    for i in 0..n {
+        add_counter(&mut sim, i, clk);
+    }
+    sim
+}
+
+/// One counter on a 100 ns clock beside `n` processes that wait on
+/// signals nothing drives.
+fn kernel_sparse_wakeup(n: usize) -> cosma_sim::Simulator {
+    use cosma_sim::{FnProcess, Wait};
+    let mut sim = cosma_sim::Simulator::new();
+    let clk = sim.add_bit("CLK");
+    sim.add_clock("gen", clk, Duration::from_ns(100));
+    add_counter(&mut sim, 0, clk);
+    for i in 0..n {
+        let quiet = sim.add_bit(format!("QUIET{i}"));
+        sim.add_process(
+            format!("idle{i}"),
+            FnProcess::new(move |_ctx| Wait::Event(vec![quiet])),
+        );
+    }
+    sim
+}
+
+/// `n` independent `wait for` tickers with periods from 7 to 43 ns.
+fn kernel_timer_storm(n: usize) -> cosma_sim::Simulator {
+    use cosma_core::{Type, Value};
+    use cosma_sim::{FnProcess, Wait};
+    let mut sim = cosma_sim::Simulator::new();
+    for i in 0..n {
+        let t = sim.add_signal(format!("T{i}"), Type::INT16, Value::Int(0));
+        let period = Duration::from_ns(7 + (i as u64 % 13) * 3);
+        sim.add_process(
+            format!("tick{i}"),
+            FnProcess::new(move |ctx| {
+                let v = ctx.read_int(t);
+                ctx.drive(t, Value::Int(v + 1));
+                Wait::Timeout(period)
+            }),
+        );
+    }
+    sim
+}
+
+/// An inverter chain `n` deep, its head toggled by a 100 ns clock.
+fn kernel_delta_chain(n: usize) -> cosma_sim::Simulator {
+    use cosma_core::Value;
+    use cosma_sim::{FnProcess, Wait};
+    let mut sim = cosma_sim::Simulator::new();
+    let sigs: Vec<_> = (0..=n).map(|i| sim.add_bit(format!("S{i}"))).collect();
+    for i in 0..n {
+        let (a, z) = (sigs[i], sigs[i + 1]);
+        sim.add_process(
+            format!("inv{i}"),
+            FnProcess::new(move |ctx| {
+                let v = ctx.read_bit(a);
+                ctx.drive(z, Value::Bit(!v));
+                Wait::Event(vec![a])
+            }),
+        );
+    }
+    sim.add_clock("gen", sigs[0], Duration::from_ns(100));
+    sim
 }
 
 /// Pushes `n` messages through a unit with a `put`-like and a
@@ -1157,6 +1293,43 @@ fn main() {
         records.push(flow_row("comm", "mailbox_4", comm_runs, || {
             through(&mailbox, "send_a", "recv_b")
         }));
+    }
+
+    // The kernel alone: clocked counters, sparse wakeups among idle
+    // processes, timer storms and delta chains.
+    {
+        let long = Duration::from_us(100);
+        let short = Duration::from_us(10);
+        for n in [4, 16, 64] {
+            records.push(kernel_row("counters", n, runs, long, kernel_counters));
+        }
+        for n in [256, 1024, 4096] {
+            records.push(kernel_row(
+                "sparse_wakeup",
+                n,
+                runs,
+                long,
+                kernel_sparse_wakeup,
+            ));
+        }
+        for n in [64, 512] {
+            records.push(kernel_row(
+                "timer_storm",
+                n,
+                runs,
+                short,
+                kernel_timer_storm,
+            ));
+        }
+        for n in [8, 64] {
+            records.push(kernel_row(
+                "delta_chain",
+                n,
+                runs,
+                short,
+                kernel_delta_chain,
+            ));
+        }
     }
 
     // Sanity gate for CI: parked consumers must contribute ~zero

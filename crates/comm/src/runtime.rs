@@ -162,11 +162,49 @@ struct Session {
     service: usize,
     exec: FsmExec,
     locals: Vec<Value>,
+    /// Whether the session is fresh: in its protocol's initial state,
+    /// with its declared initial locals. Set when the session starts
+    /// or restarts after a completion, kept by a no-op step and
+    /// recomputed after any other step, so a call reads it in constant
+    /// time.
+    fresh: bool,
 }
 
 impl Session {
+    /// A fresh session of service `svc`.
+    fn new(caller: CallerId, service: usize, svc: &ServiceSpec) -> Self {
+        Session {
+            caller,
+            service,
+            exec: FsmExec::new(svc.fsm()),
+            locals: svc.locals().iter().map(|v| v.init().clone()).collect(),
+            fresh: true,
+        }
+    }
+
     fn key(&self) -> (CallerId, usize) {
         (self.caller, self.service)
+    }
+
+    /// Restarts the session for its next transaction, reusing the
+    /// locals buffer in place.
+    fn restart(&mut self, svc: &ServiceSpec) {
+        self.exec = FsmExec::new(svc.fsm());
+        self.locals.clear();
+        self.locals
+            .extend(svc.locals().iter().map(|v| v.init().clone()));
+        self.fresh = true;
+    }
+
+    /// Whether the session's protocol state and locals are the
+    /// declared initial ones (what `fresh` caches).
+    fn is_initial(&self, svc: &ServiceSpec) -> bool {
+        self.exec.current() == svc.fsm().initial()
+            && self
+                .locals
+                .iter()
+                .zip(svc.locals())
+                .all(|(v, decl)| v == decl.init())
     }
 }
 
@@ -212,7 +250,8 @@ impl FsmUnitState {
 /// a pending step that wrote no wire and no local and kept its protocol
 /// state, or a completing step that wrote no wire from a session that
 /// was fresh before it (the protocol's initial state, with its declared
-/// initial locals). Does **not** reset completed sessions or touch
+/// initial locals). Keeps the `fresh` flag of a session it leaves
+/// pending exact, but does **not** restart completed sessions or touch
 /// statistics — that is [`FsmUnitRuntime::call`]'s business.
 fn step_session(
     svc: &ServiceSpec,
@@ -222,12 +261,8 @@ fn step_session(
     effects: &mut StepEffects,
 ) -> Result<(ServiceOutcome, bool), EvalError> {
     let state_before = session.exec.current();
-    let fresh = state_before == svc.fsm().initial()
-        && session
-            .locals
-            .iter()
-            .zip(svc.locals())
-            .all(|(v, decl)| v == decl.init());
+    let fresh = session.fresh;
+    debug_assert_eq!(fresh, session.is_initial(svc), "stale session freshness");
     let mut env = SessionEnv {
         locals: &mut session.locals,
         var_specs: svc.locals(),
@@ -237,16 +272,23 @@ fn step_session(
         wire_writes: 0,
     };
     effects.recycle();
-    session.exec.step_with(svc.fsm(), &mut env, effects)?;
+    let stepped = session.exec.step_with(svc.fsm(), &mut env, effects);
     let (local_writes, wire_writes) = (env.local_writes, env.wire_writes);
     let no_op = local_writes == 0 && wire_writes == 0 && session.exec.current() == state_before;
-    let done = session
-        .locals
-        .get(SERVICE_DONE_VAR.index())
-        .ok_or(EvalError::NoSuchVar(SERVICE_DONE_VAR))?
-        .truthy()
-        .ok_or(EvalError::UnknownCondition)?;
-    if done {
+    let done = stepped.and_then(|_| {
+        session
+            .locals
+            .get(SERVICE_DONE_VAR.index())
+            .ok_or(EvalError::NoSuchVar(SERVICE_DONE_VAR))?
+            .truthy()
+            .ok_or(EvalError::UnknownCondition)
+    });
+    // A no-op step left state and locals as they were; a completed
+    // session is restarted (fresh) by the caller.
+    if !no_op && !matches!(done, Ok(true)) {
+        session.fresh = session.is_initial(svc);
+    }
+    if done? {
         let result = match svc.returns() {
             Some(_) => Some(
                 session
@@ -589,13 +631,7 @@ impl FsmUnitRuntime {
         let pos = match self.find_session(caller, idx) {
             Ok(pos) => pos,
             Err(pos) => {
-                let session = Session {
-                    caller,
-                    service: idx,
-                    exec: FsmExec::new(svc.fsm()),
-                    locals: svc.locals().iter().map(|v| v.init().clone()).collect(),
-                };
-                self.sessions.insert(pos, session);
+                self.sessions.insert(pos, Session::new(caller, idx, svc));
                 pos
             }
         };
@@ -604,13 +640,7 @@ impl FsmUnitRuntime {
         self.last_call_stable = stable;
         self.calls.bump(idx, outcome.done);
         if outcome.done {
-            // Reset the session for the next transaction, reusing the
-            // locals buffer in place.
-            session.exec = FsmExec::new(svc.fsm());
-            session.locals.clear();
-            session
-                .locals
-                .extend(svc.locals().iter().map(|v| v.init().clone()));
+            session.restart(svc);
         }
         Ok(outcome)
     }

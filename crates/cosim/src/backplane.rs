@@ -169,7 +169,7 @@ impl ClockDomainEntry {
         };
         let kick = sim.add_bit(format!("{prefix}CLK_KICK"));
         let demand = Rc::new(ClockDemand {
-            demand: Cell::new(0),
+            demand: Rc::new(Cell::new(0)),
             kick,
         });
         install_clock_generators(

@@ -47,7 +47,8 @@
 //! * `sched` — [`SchedulingConfig`] and the activation scheduler: the
 //!   driver with one watcher process per member, parking, echoing and
 //!   clock demand, the `legacy()` oracle's per-unit and per-module
-//!   processes, and the activation clock generators.
+//!   processes, and the demand-gated activation clocks, which the
+//!   kernel owns and runs.
 //! * `snapshot` — [`Snapshot`], [`Cosim::snapshot`] /
 //!   [`Cosim::restore`] with the checks that refuse a foreign snapshot
 //!   before any mutation, and [`Cosim::fork`], which rebuilds a

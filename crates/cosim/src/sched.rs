@@ -3,8 +3,8 @@
 //! one driver process stepping every due unit and module in creation
 //! order, with one watcher process per member re-arming it while it is
 //! parked, in production; one process per unit and per module in the
-//! `legacy()` oracle — plus the demand-gated activation clock
-//! generators.
+//! `legacy()` oracle — plus the demand-gated activation clocks, which
+//! the kernel owns and runs.
 
 use crate::backplane::UnitId;
 use crate::trace::TraceLog;
@@ -172,19 +172,21 @@ pub(crate) struct ParkCounters {
 /// Clock-edge demand: how many clocked bodies (module activations, unit
 /// controllers, native steps) currently need clock edges. Parked and
 /// halted bodies count zero, so a *fully parked* backplane stops its
-/// activation clock generators entirely — simulated time stops
-/// advancing and [`Cosim::run_to_quiescence`] can return early on
-/// deadlocked or finished systems. A parked body that is re-armed by a
-/// wire event bumps the demand back up and *kicks* the generators awake
-/// through the `CLK_KICK` signal.
+/// activation clocks entirely — simulated time stops advancing and
+/// [`Cosim::run_to_quiescence`] can return early on deadlocked or
+/// finished systems. A parked body that is re-armed by a wire event
+/// bumps the demand back up and *kicks* the clocks awake through the
+/// `CLK_KICK` signal. The counter is shared with the kernel, which
+/// reads it at each of the domain's clock edges
+/// ([`Simulator::add_gated_clock`]).
 #[derive(Debug)]
 pub(crate) struct ClockDemand {
-    pub(crate) demand: Cell<i64>,
+    pub(crate) demand: Rc<Cell<i64>>,
     pub(crate) kick: SignalId,
 }
 
 impl ClockDemand {
-    /// A new unparked clocked body exists. If the generators had gone
+    /// A new unparked clocked body exists. If the clocks had gone
     /// idle (everything previously registered is parked or halted —
     /// possible when bodies are added after a run reached quiescence),
     /// kick them awake so the new body actually sees clock edges.
@@ -205,9 +207,9 @@ impl ClockDemand {
         self.demand.set(self.demand.get() - 1);
     }
 
-    /// A parked body was re-armed; restart the clock generators if they
-    /// had gone idle. The kick is an ordinary signal toggle: generators
-    /// parked on it wake through the sensitivity index.
+    /// A parked body was re-armed; restart the clocks if they had gone
+    /// idle. The kick is an ordinary signal toggle: clocks idling on it
+    /// wake through the sensitivity index.
     fn resume(&self, ctx: &mut ProcCtx<'_>) {
         if self.demand.get() <= 0 {
             toggle(ctx, self.kick);
@@ -887,48 +889,36 @@ impl ActivationScheduler {
     }
 }
 
-/// Installs one clock domain's demand-gated activation-clock
-/// generators: `hw_clkgen` for the HW clock and, when the SW clock is a
-/// signal of its own, `sw_clkgen` for it. A SW clock that *is* the HW
-/// clock (equal periods) gets no generator of its own, so a clock
-/// period costs one generator run per edge. Like `Simulator::add_clock`,
-/// but each generator idles while no clocked body of its domain demands
-/// edges (all halted OR all parked) and is re-armed through the
-/// domain's kick signal when a parked body resumes.
+/// Installs one clock domain's demand-gated activation clocks:
+/// `hw_clkgen` for the HW clock and, when the SW clock is a signal of
+/// its own, `sw_clkgen` for it. A SW clock that *is* the HW clock
+/// (equal periods) gets no clock of its own, so a clock period costs
+/// one clock run per edge. Each is a kernel-owned clock
+/// ([`Simulator::add_gated_clock`]) that idles while no clocked body of
+/// its domain demands edges (all halted or all parked) and is re-armed
+/// through the domain's kick signal when a parked body resumes.
 ///
-/// Edges stay per-run *process* drives on purpose: a pre-scheduled
-/// timed-drive train would make clock events visible in delta 0 of
-/// their instant (a process drive lands in delta 1), merging
-/// same-instant clock/completion interactions that the scheduler
-/// variants resolve through different wake paths — which breaks their
-/// delta-level equivalence.
+/// An edge still lands one delta after its clock wakes, as the drive of
+/// a process would, because the clock keeps its process slot: a
+/// pre-scheduled timed-drive train would make clock events visible in
+/// delta 0 of their instant, merging same-instant clock/completion
+/// interactions that the scheduler variants resolve through different
+/// wake paths — which breaks their delta-level equivalence.
 pub(crate) fn install_clock_generators(
     sim: &mut Simulator,
     prefix: &str,
     hw: (SignalId, Duration),
     sw: (SignalId, Duration),
-    demand: &Rc<ClockDemand>,
+    demand: &ClockDemand,
 ) {
     let sw = (sw.0 != hw.0).then_some(("sw_clkgen", sw.0, sw.1));
     for (name, clk, period) in std::iter::once(("hw_clkgen", hw.0, hw.1)).chain(sw) {
-        let name = format!("{prefix}{name}");
-        let demand = Rc::clone(demand);
-        let half = period.halved();
-        sim.add_process(
-            name,
-            FnProcess::new(move |ctx| {
-                if demand.demand.get() <= 0 {
-                    let mut sens = ctx.wait_buf();
-                    sens.push(demand.kick);
-                    return Wait::Event(sens);
-                }
-                let next = match ctx.read(clk) {
-                    cosma_core::Value::Bit(cosma_core::Bit::One) => cosma_core::Bit::Zero,
-                    _ => cosma_core::Bit::One,
-                };
-                ctx.drive(clk, cosma_core::Value::Bit(next));
-                Wait::Timeout(half)
-            }),
+        sim.add_gated_clock(
+            format!("{prefix}{name}"),
+            clk,
+            period,
+            Rc::clone(&demand.demand),
+            demand.kick,
         );
     }
 }

@@ -50,6 +50,18 @@
 //!   order, so pop order is bit-identical to the retired binary-heap
 //!   queues (which survive privately as a differential test oracle and
 //!   the benchmark ablation behind [`Simulator::use_heap_queues`]).
+//! * **Kernel-owned clocks** — a clock ([`Simulator::add_clock`],
+//!   [`Simulator::add_gated_clock`]) keeps a process slot of its own
+//!   (its [`ProcessId`], name, run count and place in process-id
+//!   order), but the kernel runs it: an edge pushes the toggled [`Bit`]
+//!   onto the next delta's drive list and re-arms the clock with the
+//!   next half period's instant and `seq` in its slot, not in the timer
+//!   wheel. An edge thus costs no boxed-process call, no [`ProcCtx`],
+//!   no type admission and no wheel insert, cascade or drain, yet lands
+//!   in the same delta, takes the same `seq` and is captured in the
+//!   same canonical timer list as the generator process it replaced
+//!   (the reference kernel's
+//!   [`ClockProcess`](crate::reference::ClockProcess)).
 //! * **Bulk burst insertion** — a pre-computed beat train (the payload
 //!   beats of a batched bus transaction) lands in the wheel in one pass
 //!   through [`Simulator::schedule_drive_train`] / [`ProcCtx::drive_train`]
@@ -71,7 +83,9 @@ use crate::signal::{Signal, SignalId, SignalInfo};
 use crate::time::{Duration, SimTime};
 use crate::vcd::VcdRecorder;
 use cosma_core::{Bit, EvalError, Type, Value};
+use std::cell::Cell;
 use std::fmt;
+use std::rc::Rc;
 
 /// Identifies a process within a [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -247,36 +261,6 @@ impl<F: FnMut(&mut ProcCtx<'_>) -> ClockControl> Process for ClockedProcess<F> {
     }
 }
 
-/// A free-running clock generator toggling a bit signal.
-#[derive(Debug)]
-pub struct ClockProcess {
-    signal: SignalId,
-    half_period: Duration,
-}
-
-impl ClockProcess {
-    /// Creates a clock driving `signal` with the given full `period`.
-    #[must_use]
-    pub fn new(signal: SignalId, period: Duration) -> Self {
-        ClockProcess {
-            signal,
-            half_period: period.halved(),
-        }
-    }
-}
-
-impl Process for ClockProcess {
-    fn run(&mut self, ctx: &mut ProcCtx<'_>) -> Wait {
-        let cur = ctx.read(self.signal).clone();
-        let next = match cur {
-            Value::Bit(Bit::One) => Bit::Zero,
-            _ => Bit::One,
-        };
-        ctx.drive(self.signal, Value::Bit(next));
-        Wait::Timeout(self.half_period)
-    }
-}
-
 /// One entry in a signal's watcher list. Valid while the watching
 /// process's epoch still equals the recorded one.
 type Watcher = (ProcessId, u64);
@@ -290,9 +274,31 @@ struct WatchList {
     stale: u32,
 }
 
+/// What a process slot runs.
+enum Body {
+    /// A process body; `None` while it runs.
+    Process(Option<Box<dyn Process>>),
+    /// A clock the kernel toggles itself.
+    Clock(Clock),
+}
+
+/// A kernel-owned clock. While it is armed, the instant of its next
+/// edge is its slot's `wake_at` and `seq` the key a timer-wheel entry
+/// would carry; the wheel never holds it.
+struct Clock {
+    signal: SignalId,
+    half_period: Duration,
+    /// The demand gate of [`Simulator::add_gated_clock`]: while the
+    /// counter reads ≤ 0, an edge toggles nothing and waits for an
+    /// event on `kick`.
+    gate: Option<(Rc<Cell<i64>>, SignalId)>,
+    /// Sequence number of the armed edge.
+    seq: u64,
+}
+
 struct ProcSlot {
     name: String,
-    body: Option<Box<dyn Process>>,
+    body: Body,
     /// Current event sensitivity (mirrored in the watcher lists).
     sensitivity: Vec<SignalId>,
     /// Whether `sensitivity` is rising-edge filtered ([`Wait::Rising`]):
@@ -672,7 +678,9 @@ pub struct SimStats {
     pub instants: u64,
     /// Processes woken through the inverted sensitivity index.
     pub event_wakeups: u64,
-    /// Processes woken by an expiring `wait for` timeout.
+    /// Processes woken by an expiring `wait for` timeout, and clock
+    /// edges ([`Simulator::add_clock`]), which wake their clock as a
+    /// timeout would.
     pub timer_wakeups: u64,
     /// Process inspections a full-scan kernel would have performed that
     /// the sensitivity index skipped (per event delta: process count
@@ -692,15 +700,16 @@ pub struct SimStats {
     /// removes cancelled timers eagerly, so this stays 0 on the
     /// shipping path.
     pub stale_timers_skipped: u64,
-    /// High-water mark of live armed timeouts (the *timer* structure
-    /// only; timed drives are counted by
+    /// High-water mark of live armed timeouts, armed clock edges
+    /// included (timed drives are counted by
     /// [`drive_queue_peak`](Self::drive_queue_peak)).
     pub timer_queue_peak: u64,
     /// High-water mark of live future timed drives (the *drive*
     /// structure only).
     pub drive_queue_peak: u64,
     /// Wheel entries re-filed into a finer level (or re-ingested from
-    /// the overflow list) as time advanced.
+    /// the overflow list) as time advanced. Clock edges never enter the
+    /// wheel, so they never cascade.
     pub wheel_cascades: u64,
     /// High-water mark of entries sharing one wheel slot.
     pub wheel_slot_peak: u64,
@@ -756,7 +765,8 @@ pub struct SimState {
     delta_drives: Vec<(SignalId, Value)>,
     /// Future timed drives as `(at, seq, signal, value)`, sorted.
     timed_drives: Vec<(SimTime, u64, SignalId, Value)>,
-    /// Live timeouts as `(at, seq, process, token)`, sorted.
+    /// Live timeouts and armed clock edges as `(at, seq, process,
+    /// token)`, sorted.
     timers: Vec<(SimTime, u64, ProcessId, u64)>,
     fresh_events: Vec<SignalId>,
     seq: u64,
@@ -791,6 +801,14 @@ impl SimState {
     pub fn process_count(&self) -> usize {
         self.procs.len()
     }
+
+    /// The captured live timeouts and armed clock edges as `(at, seq,
+    /// process, token)`, sorted by `(at, seq)`: the canonical form a
+    /// restore re-files from.
+    #[must_use]
+    pub fn timers(&self) -> &[(SimTime, u64, ProcessId, u64)] {
+        &self.timers
+    }
 }
 
 /// The discrete-event simulator.
@@ -800,7 +818,7 @@ impl SimState {
 /// A 10 MHz clock observed for one microsecond:
 ///
 /// ```
-/// use cosma_sim::{Simulator, ClockProcess, Duration};
+/// use cosma_sim::{Simulator, Duration};
 /// use cosma_core::{Type, Value, Bit};
 ///
 /// let mut sim = Simulator::new();
@@ -816,6 +834,8 @@ pub struct Simulator {
     /// Inverted sensitivity index, parallel to `signals`.
     watchers: Vec<WatchList>,
     processes: Vec<ProcSlot>,
+    /// The kernel-owned clocks' slots, ascending.
+    clocks: Vec<ProcessId>,
     /// Drives awaiting the next delta at the current instant.
     delta_drives: Vec<(SignalId, Value)>,
     /// Timed drives and `wait for` timeouts, keyed `(at, seq)`. The
@@ -828,7 +848,8 @@ pub struct Simulator {
     /// Number of live future timed drives (backend-independent; backs
     /// [`Simulator::pending_activity`] exactly).
     live_drives: usize,
-    /// Number of *live* (non-cancelled) timer entries.
+    /// Number of *live* (non-cancelled) timer entries plus armed clock
+    /// edges.
     armed_timers: usize,
     /// Delta-global wake-dedup stamp.
     stamp: u64,
@@ -889,6 +910,7 @@ impl Simulator {
             signals: vec![],
             watchers: vec![],
             processes: vec![],
+            clocks: vec![],
             delta_drives: vec![],
             queues: TimeQueues::new_wheel(),
             seq: 0,
@@ -932,10 +954,14 @@ impl Simulator {
 
     /// Registers a process.
     pub fn add_process(&mut self, name: impl Into<String>, p: impl Process + 'static) -> ProcessId {
+        self.add_slot(name.into(), Body::Process(Some(Box::new(p))))
+    }
+
+    fn add_slot(&mut self, name: String, body: Body) -> ProcessId {
         let id = ProcessId(self.processes.len() as u32);
         self.processes.push(ProcSlot {
-            name: name.into(),
-            body: Some(Box::new(p)),
+            name,
+            body,
             sensitivity: vec![],
             rising: false,
             epoch: 0,
@@ -985,14 +1011,75 @@ impl Simulator {
         self.add_process(name, ClockedProcess::new(clk, edge, body))
     }
 
-    /// Convenience: registers a [`ClockProcess`].
+    /// Registers a free-running clock on a bit signal: a kernel-owned
+    /// process slot that, at elaboration and then every half `period`,
+    /// toggles `signal` (to `'1'` unless it reads `'1'`) in the next
+    /// delta, exactly as a generator process waiting out each half
+    /// period with [`Wait::Timeout`] would (the reference kernel's
+    /// [`ClockProcess`](crate::reference::ClockProcess)), but without
+    /// running a process body or touching the timer wheel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the signal is not [`Type::Bit`]-typed — a wiring bug,
+    /// refused here because the kernel does not admit the edges one by
+    /// one — or does not belong to this simulator.
     pub fn add_clock(
         &mut self,
         name: impl Into<String>,
         signal: SignalId,
         period: Duration,
     ) -> ProcessId {
-        self.add_process(name, ClockProcess::new(signal, period))
+        self.add_clock_slot(name.into(), signal, period, None)
+    }
+
+    /// [`Simulator::add_clock`] gated by a demand counter shared with
+    /// the caller: a run that finds `demand` ≤ 0 toggles nothing and
+    /// leaves the clock waiting for an event on `kick`; the run that
+    /// event causes edges (and re-arms the period from there) if the
+    /// demand is positive by then, and waits again otherwise. A
+    /// scheduler thus stops a clock while nothing needs its edges and
+    /// restarts it by raising the counter and toggling `kick`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulator::add_clock`].
+    pub fn add_gated_clock(
+        &mut self,
+        name: impl Into<String>,
+        signal: SignalId,
+        period: Duration,
+        demand: Rc<Cell<i64>>,
+        kick: SignalId,
+    ) -> ProcessId {
+        self.add_clock_slot(name.into(), signal, period, Some((demand, kick)))
+    }
+
+    fn add_clock_slot(
+        &mut self,
+        name: String,
+        signal: SignalId,
+        period: Duration,
+        gate: Option<(Rc<Cell<i64>>, SignalId)>,
+    ) -> ProcessId {
+        let sig = &self.signals[signal.index()];
+        assert!(
+            sig.ty == Type::Bit,
+            "clock {name}: signal {} is {}, not bit",
+            sig.name,
+            sig.ty
+        );
+        let id = self.add_slot(
+            name,
+            Body::Clock(Clock {
+                signal,
+                half_period: period.halved(),
+                gate,
+                seq: 0,
+            }),
+        );
+        self.clocks.push(id);
+        id
     }
 
     /// Enables VCD recording of all currently declared signals.
@@ -1141,19 +1228,26 @@ impl Simulator {
         self.run_until(deadline)
     }
 
-    /// The next instant with scheduled activity, if any. On the wheel
-    /// this reads per-level occupancy bitmaps and cached slot minima;
-    /// on the heap oracle it is the classic peek that discards lazily
-    /// cancelled timer entries from the top as a side effect.
+    /// The next instant with scheduled activity, if any: the earlier
+    /// of the time queues' next entry and the clocks' next edge. On the
+    /// wheel this reads per-level occupancy bitmaps and cached slot
+    /// minima; on the heap oracle it is the classic peek that discards
+    /// lazily cancelled timer entries from the top as a side effect.
     pub fn next_instant(&mut self) -> Option<SimTime> {
         let processes = &self.processes;
-        self.queues.next_at(
+        let queued = self.queues.next_at(
             |pid, token, at| {
                 let slot = &processes[pid.index()];
                 slot.timer_token == token && slot.wake_at == Some(at)
             },
             &mut self.stats,
-        )
+        );
+        let edge = self
+            .clocks
+            .iter()
+            .filter_map(|p| processes[p.index()].wake_at)
+            .min();
+        queued.into_iter().chain(edge).min()
     }
 
     /// Elaboration: every process runs once at time zero.
@@ -1165,9 +1259,10 @@ impl Simulator {
     }
 
     /// At a new instant: move due timed drives into the delta queue and
-    /// collect timer-woken processes in schedule order. Due entries pop
-    /// from the active queue backend and are re-sorted by `(at, seq)`,
-    /// reproducing the heaps' exact ascending pop order.
+    /// collect timer-woken processes and the clocks whose edge is due.
+    /// Due entries pop from the active queue backend and are re-sorted
+    /// by `(at, seq)`, reproducing the heaps' exact ascending pop order
+    /// of the drives (the woken processes run in process-id order).
     fn begin_instant(&mut self) -> Vec<ProcessId> {
         let mut due = std::mem::take(&mut self.due_buf);
         debug_assert!(due.is_empty());
@@ -1207,6 +1302,16 @@ impl Simulator {
             }
         }
         self.due_buf = due;
+        for &pid in &self.clocks {
+            let slot = &mut self.processes[pid.index()];
+            if slot.wake_at == Some(self.now) {
+                slot.wake_at = None;
+                slot.timer_token += 1;
+                self.armed_timers -= 1;
+                self.stats.timer_wakeups += 1;
+                woken.push(pid);
+            }
+        }
         woken
     }
 
@@ -1326,9 +1431,15 @@ impl Simulator {
         let mut drives = std::mem::take(&mut self.proc_drives_pool);
         let mut trains = std::mem::take(&mut self.proc_trains_pool);
         for &pid in list {
-            let mut body = match self.processes[pid.index()].body.take() {
-                Some(b) => b,
-                None => continue,
+            let mut body = match &mut self.processes[pid.index()].body {
+                Body::Process(b) => match b.take() {
+                    Some(b) => b,
+                    None => continue,
+                },
+                Body::Clock(_) => {
+                    self.run_clock(pid);
+                    continue;
+                }
             };
             drives.clear();
             trains.clear();
@@ -1385,10 +1496,58 @@ impl Simulator {
                 Wait::Forever => self.set_sensitivity(pid, vec![], false),
                 Wait::Same => {}
             }
-            self.processes[pid.index()].body = Some(body);
+            self.processes[pid.index()].body = Body::Process(Some(body));
         }
         self.proc_drives_pool = drives;
         self.proc_trains_pool = trains;
+    }
+
+    /// One run of a kernel-owned clock, in its process-id place within
+    /// the delta: the toggled bit joins the next delta's drives and the
+    /// next edge is armed half a period ahead (one `seq`, one armed
+    /// timeout) — or, when a gate's demand reads ≤ 0, the clock waits
+    /// for an event on the gate's kick signal instead.
+    fn run_clock(&mut self, pid: ProcessId) {
+        self.stats.process_runs += 1;
+        let slot = &mut self.processes[pid.index()];
+        slot.runs += 1;
+        let Body::Clock(clock) = &mut slot.body else {
+            unreachable!("run_clock on a process slot");
+        };
+        if let Some((demand, kick)) = &clock.gate {
+            if demand.get() <= 0 {
+                let mut sens = self.sens_pool.pop().unwrap_or_default();
+                sens.push(*kick);
+                self.set_sensitivity(pid, sens, false);
+                return;
+            }
+        }
+        let next = match self.signals[clock.signal.index()].value {
+            Value::Bit(Bit::One) => Bit::Zero,
+            _ => Bit::One,
+        };
+        self.delta_drives.push((clock.signal, Value::Bit(next)));
+        self.seq += 1;
+        clock.seq = self.seq;
+        debug_assert!(slot.wake_at.is_none(), "re-arming a live clock edge");
+        slot.wake_at = Some(self.now + clock.half_period);
+        slot.timer_token += 1;
+        self.armed_timers += 1;
+        self.stats.timer_queue_peak = self.stats.timer_queue_peak.max(self.armed_timers as u64);
+        if !slot.sensitivity.is_empty() {
+            self.set_sensitivity(pid, Vec::new(), false);
+        }
+    }
+
+    /// Armed clock edges, as `(at, seq, process, token)`.
+    fn clock_edges(&self) -> impl Iterator<Item = (SimTime, u64, ProcessId, u64)> + '_ {
+        self.clocks.iter().filter_map(|&pid| {
+            let slot = &self.processes[pid.index()];
+            match (&slot.body, slot.wake_at) {
+                (Body::Clock(c), Some(at)) => Some((at, c.seq, pid, slot.timer_token)),
+                _ => None,
+            }
+        })
     }
 
     /// Lands a whole pre-computed drive train in one pass: beat `k`
@@ -1555,7 +1714,7 @@ impl Simulator {
             slot.timer_token == token && slot.wake_at == Some(at)
         });
         debug_assert_eq!(drives.len(), self.live_drives);
-        debug_assert_eq!(timers.len(), self.armed_timers);
+        debug_assert_eq!(timers.len() + self.clock_edges().count(), self.armed_timers);
         // Migration inserts must not perturb the observable counters:
         // stash and restore stats around the rebuild.
         let stats = self.stats;
@@ -1611,11 +1770,17 @@ impl Simulator {
             .collect();
         // Canonical queue capture: live entries only, each kind sorted
         // by `(at, seq)` — dead heap-oracle timers are purged here, and
-        // the wheel never holds any.
-        let (timed_drives, timers) = self.queues.canonical(|pid, token, at| {
+        // the wheel never holds any. Armed clock edges join the timers
+        // in their `(at, seq)` place, as the wheel entries they replace.
+        let (timed_drives, mut timers) = self.queues.canonical(|pid, token, at| {
             let slot = &self.processes[pid.index()];
             slot.timer_token == token && slot.wake_at == Some(at)
         });
+        let queued = timers.len();
+        timers.extend(self.clock_edges());
+        if timers.len() > queued {
+            timers.sort_unstable_by_key(|&(at, seq, ..)| (at, seq));
+        }
         debug_assert_eq!(timed_drives.len(), self.live_drives);
         debug_assert_eq!(timers.len(), self.armed_timers);
         SimState {
@@ -1706,7 +1871,11 @@ impl Simulator {
     /// (paying cascades on the way down) may file directly at a fine
     /// level relative to the restore-time cursor — so those three
     /// counters may diverge from an uninterrupted run even though
-    /// every observable event does not.
+    /// every observable event does not. So may the index traversal
+    /// telemetry ([`SimStats::scans_avoided`],
+    /// [`SimStats::stale_watchers_purged`]): the uninterrupted run
+    /// still traverses stale watcher entries that the rebuilt index
+    /// never holds.
     ///
     /// # Errors
     ///
@@ -1747,12 +1916,23 @@ impl Simulator {
         self.fresh_events.clone_from(&state.fresh_events);
         // Rebuild the active queue backend from the canonical capture
         // (the wheel re-bases its origin at the restored time; every
-        // captured entry satisfies `at >= now`). The stats overwrite
-        // below erases the rebuild's insert side effects.
+        // captured entry satisfies `at >= now`), except the clock edges,
+        // which go back to their clocks (their instants and tokens came
+        // back with the process states). The stats overwrite below
+        // erases the rebuild's insert side effects.
+        for &(_, seq, pid, _) in &state.timers {
+            if let Body::Clock(clock) = &mut self.processes[pid.index()].body {
+                clock.seq = seq;
+            }
+        }
+        let processes = &self.processes;
         self.queues.rebuild(
             state.now,
             &state.timed_drives,
-            &state.timers,
+            state
+                .timers
+                .iter()
+                .filter(|t| matches!(processes[t.2.index()].body, Body::Process(_))),
             &mut self.stats,
         );
         self.live_drives = state.timed_drives.len();
@@ -1782,6 +1962,85 @@ mod tests {
         let info = sim.signal_info(clk);
         assert_eq!(info.event_count, 5);
         assert_eq!(info.value, Value::Bit(Bit::One));
+    }
+
+    #[test]
+    #[should_panic(expected = "clock gen: signal N is int16, not bit")]
+    fn clock_on_a_non_bit_signal_is_refused_at_registration() {
+        let mut sim = Simulator::new();
+        let n = sim.add_signal("N", Type::INT16, Value::Int(0));
+        sim.add_clock("gen", n, Duration::from_ns(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "clock gated: signal B is bool, not bit")]
+    fn gated_clock_on_a_non_bit_signal_is_refused_at_registration() {
+        let mut sim = Simulator::new();
+        let b = sim.add_signal("B", Type::Bool, Value::Bool(false));
+        let kick = sim.add_bit("KICK");
+        sim.add_gated_clock(
+            "gated",
+            b,
+            Duration::from_ns(10),
+            Rc::new(Cell::new(1)),
+            kick,
+        );
+    }
+
+    #[test]
+    fn clock_edges_stay_out_of_the_wheel() {
+        // A 2 ms period files each half-period timeout three wheel
+        // levels up, so a generator process would cascade every edge;
+        // the kernel's clock keeps its edge in its slot instead.
+        let mut sim = Simulator::new();
+        let clk = sim.add_bit("CLK");
+        let gen = sim.add_clock("gen", clk, Duration::from_ms(2));
+        sim.run_until(SimTime::from_ns(9_500_000)).unwrap();
+        // Edges at 0, 1, ..., 9 ms.
+        assert_eq!(sim.signal_info(clk).event_count, 10);
+        assert_eq!(sim.process_runs(gen), 10);
+        let st = sim.stats();
+        assert_eq!(st.timer_wakeups, 9, "every edge after elaboration");
+        assert_eq!(st.wheel_cascades, 0);
+        assert_eq!(st.wheel_slot_peak, 0, "nothing was filed");
+        assert_eq!(st.timer_queue_peak, 1, "one armed edge at a time");
+        let next = SimTime::from_ns(10_000_000);
+        assert_eq!(sim.next_instant(), Some(next));
+        assert!(sim.pending_activity(), "the next edge is armed");
+        // The armed edge is captured as the timeout it replaces: its
+        // instant, its `seq` (one per edge) and its token.
+        let timers = sim.save_state().timers().to_vec();
+        assert_eq!(timers, vec![(next, 10, gen, 19)]);
+    }
+
+    #[test]
+    fn gated_clock_idles_on_its_kick_until_demanded() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_bit("CLK");
+        let kick = sim.add_bit("KICK");
+        let demand = Rc::new(Cell::new(0));
+        let gen = sim.add_gated_clock("gen", clk, Duration::from_ns(10), Rc::clone(&demand), kick);
+        sim.run_until(SimTime::from_ns(100)).unwrap();
+        assert_eq!(sim.signal_info(clk).event_count, 0, "no demand, no edge");
+        assert_eq!(sim.process_runs(gen), 1, "elaboration only");
+        assert!(!sim.pending_activity(), "an idle clock arms nothing");
+        // Demand without a kick leaves it asleep; the kick wakes it in
+        // the kick's delta and the period restarts there.
+        demand.set(1);
+        sim.run_until(SimTime::from_ns(150)).unwrap();
+        assert_eq!(sim.signal_info(clk).event_count, 0);
+        sim.poke(kick, Value::Bit(Bit::One));
+        sim.run_until(SimTime::from_ns(172)).unwrap();
+        // Edges at 150, 155, 160, 165, 170.
+        assert_eq!(sim.signal_info(clk).event_count, 5);
+        assert_eq!(sim.signal_info(clk).last_event, Some(SimTime::from_ns(170)));
+        // Withdrawn demand stops it at its next edge without a toggle.
+        demand.set(0);
+        sim.run_until(SimTime::from_ns(300)).unwrap();
+        assert_eq!(sim.signal_info(clk).event_count, 5);
+        assert_eq!(sim.process_runs(gen), 7, "elaboration, 5 edges, idle");
+        assert!(!sim.pending_activity());
+        assert!(sim.save_state().timers().is_empty());
     }
 
     #[test]
@@ -1954,10 +2213,7 @@ mod tests {
         assert!(st.events >= 20);
         assert!(st.deltas >= 20);
         assert!(st.instants >= 20);
-        assert!(
-            st.timer_wakeups >= 20,
-            "clock reschedules via the timer queue"
-        );
+        assert!(st.timer_wakeups >= 20, "clock edges count as timer wakeups");
         assert!(st.timer_queue_peak >= 1);
     }
 

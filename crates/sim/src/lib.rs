@@ -56,8 +56,8 @@ mod time;
 mod vcd;
 
 pub use kernel::{
-    Admitted, ClockControl, ClockProcess, ClockedProcess, Edge, FnProcess, ProcCtx, Process,
-    ProcessId, SimError, SimState, SimStats, Simulator, Wait,
+    Admitted, ClockControl, ClockedProcess, Edge, FnProcess, ProcCtx, Process, ProcessId, SimError,
+    SimState, SimStats, Simulator, Wait,
 };
 pub use signal::{SignalId, SignalInfo};
 pub use time::{ClockRatio, Duration, SimTime};

@@ -825,11 +825,11 @@ impl TimeQueues {
     /// wheel origin at `now` (every captured entry satisfies
     /// `at >= now`). Stats side effects of the rebuild inserts are
     /// written to `stats`; a state restore overwrites them afterwards.
-    pub(crate) fn rebuild(
+    pub(crate) fn rebuild<'a>(
         &mut self,
         now: SimTime,
         drives: &[(SimTime, u64, SignalId, Value)],
-        timers: &[(SimTime, u64, ProcessId, u64)],
+        timers: impl IntoIterator<Item = &'a (SimTime, u64, ProcessId, u64)>,
         stats: &mut SimStats,
     ) {
         match self {

@@ -12,13 +12,48 @@
 //! `tests/properties.rs` run randomized clock/process mixes through both
 //! kernels and require identical signal traces, event counts and delta
 //! counts.
+//!
+//! Its clocks are [`ClockProcess`]es: ordinary processes that toggle
+//! their signal and wait out a half period on the timer queue, the
+//! generator the production kernel's own clocks
+//! ([`Simulator::add_clock`](crate::Simulator::add_clock)) are held to.
 
-use crate::kernel::{Process, SimError, SimStats, Wait};
+use crate::kernel::{ProcCtx, Process, SimError, SimStats, Wait};
 use crate::signal::{Signal, SignalId, SignalInfo};
 use crate::time::{Duration, SimTime};
 use cosma_core::{Bit, Type, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+
+/// A free-running clock generator process toggling a bit signal every
+/// half period: the reference semantics of a kernel-owned clock.
+#[derive(Debug)]
+pub struct ClockProcess {
+    signal: SignalId,
+    half_period: Duration,
+}
+
+impl ClockProcess {
+    /// Creates a clock driving `signal` with the given full `period`.
+    #[must_use]
+    pub fn new(signal: SignalId, period: Duration) -> Self {
+        ClockProcess {
+            signal,
+            half_period: period.halved(),
+        }
+    }
+}
+
+impl Process for ClockProcess {
+    fn run(&mut self, ctx: &mut ProcCtx<'_>) -> Wait {
+        let next = match ctx.read(self.signal) {
+            Value::Bit(Bit::One) => Bit::Zero,
+            _ => Bit::One,
+        };
+        ctx.drive(self.signal, Value::Bit(next));
+        Wait::Timeout(self.half_period)
+    }
+}
 
 /// Process handle within a [`RefSimulator`]. Distinct from
 /// [`ProcessId`](crate::ProcessId) so the two kernels cannot be mixed up.
@@ -128,9 +163,9 @@ impl RefSimulator {
         id
     }
 
-    /// Registers a free-running clock.
+    /// Registers a free-running clock ([`ClockProcess`]).
     pub fn add_clock(&mut self, signal: SignalId, period: Duration) -> RefProcessId {
-        self.add_process(crate::kernel::ClockProcess::new(signal, period))
+        self.add_process(ClockProcess::new(signal, period))
     }
 
     /// Current simulated time.
@@ -344,8 +379,7 @@ impl RefSimulator {
                 Some(b) => b,
                 None => continue,
             };
-            let mut ctx =
-                crate::kernel::ProcCtx::new(&self.signals, &self.event_bits, self.now, delta);
+            let mut ctx = ProcCtx::new(&self.signals, &self.event_bits, self.now, delta);
             let wait = body.run(&mut ctx);
             let (drives, trains) = ctx.into_parts();
             self.processes[pid.index()].runs += 1;

@@ -136,7 +136,7 @@ impl VcdRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClockProcess, Duration, Simulator};
+    use crate::{Duration, Simulator};
 
     #[test]
     fn id_codes_are_compact_and_unique() {
@@ -181,7 +181,7 @@ mod tests {
     fn simulator_integration_produces_vcd() {
         let mut sim = Simulator::new();
         let clk = sim.add_bit("CLK");
-        sim.add_process("gen", ClockProcess::new(clk, Duration::from_ns(10)));
+        sim.add_clock("gen", clk, Duration::from_ns(10));
         sim.record_vcd();
         sim.run_for(Duration::from_ns(50)).unwrap();
         let vcd = sim.take_vcd().expect("recording enabled");

@@ -14,9 +14,10 @@
 //! echoed trace records (a traced starved fleet whose blocked consumers
 //! the driver echoes), pollers of a pure read that park and resume on
 //! every write, streaming payload beats (the timer wheel's burst
-//! trains), a multi-rate ring (per-domain clocks and parking), calls on
-//! a native FIFO and the board's warm FPGA fabric (the motor's Speed
-//! Control netlists and its peripheral).
+//! trains), a multi-rate ring (per-domain clocks and parking), a gated
+//! activation clock idling while every member is parked and kicked
+//! awake by each write, calls on a native FIFO and the board's warm
+//! FPGA fabric (the motor's Speed Control netlists and its peripheral).
 //!
 //! The elaboration gate bounds the cost of one instance (48
 //! allocations per batched link, 25 per single-binding module): every
@@ -291,6 +292,78 @@ fn warm_multi_rate_ring_cycles_do_not_allocate() {
     assert_eq!(
         grew, 0,
         "warm multi-rate ring cycles must not allocate, saw {grew} allocations"
+    );
+}
+
+#[test]
+fn warm_idling_and_kicked_clock_does_not_allocate() {
+    use cosma::core::{Expr, Module, ModuleBuilder, ModuleKind, PortDir, Stmt, Type, Value};
+    use cosma::cosim::{Cosim, CosimConfig};
+    use cosma::sim::{FnProcess, Wait};
+
+    // Four modules copy an input port to an output port and park on
+    // their ports once the copy has settled, so between writes every
+    // member is parked and the domain's gated clock idles on its kick.
+    // A kernel process outside the backplane rewrites every input once
+    // per microsecond: the members' watchers re-arm them, the first
+    // resume kicks the clock, and the members step, settle and park
+    // again until the clock idles once more.
+    fn follower(name: &str) -> Module {
+        let mut b = ModuleBuilder::new(name, ModuleKind::Hardware);
+        let input = b.port("IN", PortDir::In, Type::INT16);
+        let out = b.port("OUT", PortDir::Out, Type::INT16);
+        let s = b.state("S");
+        b.actions(s, vec![Stmt::drive(out, Expr::port(input))]);
+        b.transition(s, None, s);
+        b.initial(s);
+        b.build().expect("module builds")
+    }
+    let mut cosim = Cosim::new(CosimConfig::default());
+    let mut inputs = vec![];
+    for i in 0..4 {
+        let name = format!("follow{i}");
+        cosim
+            .add_module(&follower(&name), &[])
+            .expect("module installs");
+        let input = cosim.sim().find_signal(&format!("{name}.IN"));
+        inputs.push(input.expect("input port signal"));
+    }
+    cosim.sim_mut().add_process(
+        "writer",
+        FnProcess::new(move |ctx| {
+            let v = ctx.read_int(inputs[0]);
+            for &s in &inputs {
+                ctx.drive(s, Value::Int((v + 1) & 0xFF));
+            }
+            Wait::Timeout(Duration::from_us(1))
+        }),
+    );
+    // The window ends half-way between two writes.
+    cosim
+        .run_for(Duration::from_ns(20_500))
+        .expect("warm-up runs");
+    let clk = cosim.hw_clk();
+    let edges = |c: &Cosim| c.sim().signal_info(clk).event_count;
+    let (warm, warm_edges) = (cosim.shard_stats(), edges(&cosim));
+    let before = allocs();
+    cosim.run_for(Duration::from_us(40)).expect("window runs");
+    let grew = allocs() - before;
+    let stats = cosim.shard_stats();
+    let parked = stats.members_parked - warm.members_parked;
+    let resumed = stats.members_resumed - warm.members_resumed;
+    assert!(
+        parked >= 4 * 40 && resumed >= 4 * 40,
+        "every write re-arms and parks every member: {parked} parks, {resumed} resumes"
+    );
+    assert_eq!(stats.parked_now, 4, "every member parked between writes");
+    let window_edges = edges(&cosim) - warm_edges;
+    assert!(
+        window_edges <= 40 * 8,
+        "the clock idles between writes: {window_edges} edges in 400 periods"
+    );
+    assert_eq!(
+        grew, 0,
+        "a warm idling and kicked clock must not allocate, saw {grew} allocations"
     );
 }
 

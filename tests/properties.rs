@@ -627,6 +627,266 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Kernel-owned gated clocks: `Simulator::add_gated_clock` is held, edge
+// for edge, to the demand-gated generator process it replaced (kept
+// here as the oracle), while processes whose ids lie below and above
+// the clock's raise and lower its demand and toggle its kick, in the
+// edge's own delta and between edges.
+// ---------------------------------------------------------------------
+
+/// One step of a gate actor: wait `wait_ns` (or, when `on_clock`, until
+/// a clock event if one comes first), then add `demand` to the clock's
+/// demand counter and, when `kick`, toggle the kick signal.
+#[derive(Debug, Clone, Copy)]
+struct GateStep {
+    wait_ns: u64,
+    on_clock: bool,
+    demand: i64,
+    kick: bool,
+}
+
+/// A gated clock, one actor registered before it and one after, and a
+/// rising-edge counter, run in chunks.
+#[derive(Debug, Clone)]
+struct GateMix {
+    half_ns: u64,
+    low: Vec<GateStep>,
+    high: Vec<GateStep>,
+    /// Run chunk lengths in ns.
+    chunks: Vec<u64>,
+}
+
+fn arb_gate_mix() -> impl Strategy<Value = GateMix> {
+    let step = || {
+        (1u64..8, any::<bool>(), -1i64..2, any::<bool>()).prop_map(
+            |(wait_ns, on_clock, demand, kick)| GateStep {
+                wait_ns,
+                on_clock,
+                demand,
+                kick,
+            },
+        )
+    };
+    (
+        1u64..6,
+        proptest::collection::vec(step(), 1..30),
+        proptest::collection::vec(step(), 0..30),
+        proptest::collection::vec(1u64..12, 1..40),
+    )
+        .prop_map(|(half_ns, low, high, chunks)| GateMix {
+            half_ns,
+            low,
+            high,
+            chunks,
+        })
+}
+
+/// The demand-gated clock generator process that the kernel's gated
+/// clocks replaced: while the demand reads ≤ 0 it waits for a kick
+/// event, otherwise it toggles the clock and waits out half a period.
+fn gated_generator(
+    clk: cosma::sim::SignalId,
+    period: cosma::sim::Duration,
+    demand: std::rc::Rc<std::cell::Cell<i64>>,
+    kick: cosma::sim::SignalId,
+) -> impl cosma::sim::Process {
+    use cosma::core::Bit;
+    use cosma::sim::{FnProcess, Wait};
+    let half = period.halved();
+    FnProcess::new(move |ctx: &mut cosma::sim::ProcCtx<'_>| {
+        if demand.get() <= 0 {
+            let mut sens = ctx.wait_buf();
+            sens.push(kick);
+            return Wait::Event(sens);
+        }
+        let next = match ctx.read(clk) {
+            Value::Bit(Bit::One) => Bit::Zero,
+            _ => Bit::One,
+        };
+        ctx.drive(clk, Value::Bit(next));
+        Wait::Timeout(half)
+    })
+}
+
+/// A gate actor: its step count lives in signal `at` (so a kernel
+/// snapshot carries it), and each wake performs the previous step's
+/// action and waits as the next step says.
+fn gate_actor(
+    steps: Vec<GateStep>,
+    at: cosma::sim::SignalId,
+    clk: cosma::sim::SignalId,
+    kick: cosma::sim::SignalId,
+    demand: std::rc::Rc<std::cell::Cell<i64>>,
+) -> impl cosma::sim::Process {
+    use cosma::sim::{Duration, FnProcess, Wait};
+    FnProcess::new(move |ctx: &mut cosma::sim::ProcCtx<'_>| {
+        let k = ctx.read_int(at) as usize;
+        if let Some(done) = k.checked_sub(1).map(|i| steps[i]) {
+            demand.set(demand.get() + done.demand);
+            if done.kick {
+                let v = ctx.read_bit(kick);
+                ctx.drive(kick, Value::Bit(!v));
+            }
+        }
+        ctx.drive(at, Value::Int(k as i64 + 1));
+        match steps.get(k) {
+            Some(s) if s.on_clock => Wait::EventOrTimeout(vec![clk], Duration::from_ns(s.wait_ns)),
+            Some(s) => Wait::Timeout(Duration::from_ns(s.wait_ns)),
+            None => Wait::Forever,
+        }
+    })
+}
+
+/// A built gate mix: the kernel, its demand counter, the observable
+/// signals, every process id and the clock's.
+struct GateSim {
+    sim: cosma::sim::Simulator,
+    demand: std::rc::Rc<std::cell::Cell<i64>>,
+    sigs: Vec<cosma::sim::SignalId>,
+    procs: Vec<cosma::sim::ProcessId>,
+    clock: cosma::sim::ProcessId,
+}
+
+/// Builds `mix` with the kernel's gated clock, or with the generator
+/// process in the clock's slot when `kernel_clock` is false.
+fn build_gate_mix(mix: &GateMix, kernel_clock: bool) -> GateSim {
+    use cosma::sim::{ClockControl, Duration, Edge, Simulator};
+    use std::cell::Cell;
+    use std::rc::Rc;
+    let mut sim = Simulator::new();
+    let clk = sim.add_bit("CLK");
+    let kick = sim.add_bit("KICK");
+    let low_at = sim.add_signal("LOW.STEP", Type::INT16, Value::Int(0));
+    let high_at = sim.add_signal("HIGH.STEP", Type::INT16, Value::Int(0));
+    let q = sim.add_signal("Q", Type::INT16, Value::Int(0));
+    let demand = Rc::new(Cell::new(0));
+    let low = sim.add_process(
+        "low",
+        gate_actor(mix.low.clone(), low_at, clk, kick, Rc::clone(&demand)),
+    );
+    let period = Duration::from_ns(2 * mix.half_ns);
+    let clock = if kernel_clock {
+        sim.add_gated_clock("gen", clk, period, Rc::clone(&demand), kick)
+    } else {
+        sim.add_process(
+            "gen",
+            gated_generator(clk, period, Rc::clone(&demand), kick),
+        )
+    };
+    let high = sim.add_process(
+        "high",
+        gate_actor(mix.high.clone(), high_at, clk, kick, Rc::clone(&demand)),
+    );
+    let count = sim.add_clocked("count", clk, Edge::Rising, move |ctx| {
+        let v = ctx.read_int(q);
+        ctx.drive(q, Value::Int((v + 1) & 0x3FFF));
+        ClockControl::Continue
+    });
+    GateSim {
+        sim,
+        demand,
+        sigs: vec![clk, kick, low_at, high_at, q],
+        procs: vec![low, clock, high, count],
+        clock,
+    }
+}
+
+/// Requires two gate mixes to agree on everything the kernel shows but
+/// its wheel filing counters: signals, run counts, statistics, pending
+/// activity, armed timeouts and clock edges, time and demand. With
+/// `restored`, `b` continues from a snapshot, whose restore rebuilds
+/// the sensitivity index without the stale entries the uninterrupted
+/// run still traverses, so the index telemetry (`scans_avoided`,
+/// `stale_watchers_purged`) is left out too.
+fn assert_same_gate_state(a: &GateSim, b: &GateSim, restored: bool) -> Result<(), TestCaseError> {
+    for &s in &a.sigs {
+        let (x, y) = (a.sim.signal_info(s), b.sim.signal_info(s));
+        prop_assert_eq!(&x.value, &y.value, "value of {}", x.name);
+        prop_assert_eq!(x.event_count, y.event_count, "events of {}", x.name);
+        prop_assert_eq!(x.last_event, y.last_event, "last event of {}", x.name);
+    }
+    for &p in &a.procs {
+        prop_assert_eq!(
+            a.sim.process_runs(p),
+            b.sim.process_runs(p),
+            "runs of {}",
+            p
+        );
+    }
+    let unfiled = |mut st: cosma::sim::SimStats| {
+        st.wheel_cascades = 0;
+        st.wheel_slot_peak = 0;
+        st.overflow_parked = 0;
+        if restored {
+            st.scans_avoided = 0;
+            st.stale_watchers_purged = 0;
+        }
+        st
+    };
+    prop_assert_eq!(unfiled(a.sim.stats()), unfiled(b.sim.stats()));
+    prop_assert_eq!(a.sim.pending_activity(), b.sim.pending_activity());
+    let (sa, sb) = (a.sim.save_state(), b.sim.save_state());
+    prop_assert_eq!(sa.timers(), sb.timers());
+    prop_assert_eq!(a.sim.now(), b.sim.now());
+    prop_assert_eq!(a.demand.get(), b.demand.get());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn gated_kernel_clock_matches_generator_process(mix in arb_gate_mix()) {
+        use cosma::sim::{Duration, SimTime};
+
+        let mut kern = build_gate_mix(&mix, true);
+        let mut oracle = build_gate_mix(&mix, false);
+        kern.sim.record_vcd();
+        oracle.sim.record_vcd();
+        kern.sim.run_until(SimTime::ZERO).unwrap();
+        oracle.sim.run_until(SimTime::ZERO).unwrap();
+        assert_same_gate_state(&kern, &oracle, false)?;
+        // Snapshots of the kernel clock while it idles (preferably
+        // after it has edged) and while an edge is armed mid-period,
+        // each with the demand it was taken under.
+        let clk = kern.sigs[0];
+        let mut idle = None;
+        let mut mid = None;
+        let mut idle_edged = false;
+        for &c in &mix.chunks {
+            kern.sim.run_for(Duration::from_ns(c)).unwrap();
+            oracle.sim.run_for(Duration::from_ns(c)).unwrap();
+            assert_same_gate_state(&kern, &oracle, false)?;
+            let state = kern.sim.save_state();
+            let armed = state.timers().iter().any(|t| t.2 == kern.clock);
+            let edged = kern.sim.signal_info(clk).event_count > 0;
+            if armed {
+                if mid.is_none() {
+                    prop_assert!(state.timers().iter().all(|t| t.0 > kern.sim.now()));
+                    mid = Some((state, kern.demand.get()));
+                }
+            } else if idle.is_none() || (edged && !idle_edged) {
+                idle_edged = edged;
+                idle = Some((state, kern.demand.get()));
+            }
+        }
+        // Identical event histories, change by change.
+        prop_assert_eq!(kern.sim.take_vcd(), oracle.sim.take_vcd());
+        // A fresh twin restored from either snapshot continues to the
+        // uninterrupted run's state.
+        let end = kern.sim.now();
+        for (state, demand) in [idle, mid].into_iter().flatten() {
+            let mut twin = build_gate_mix(&mix, true);
+            twin.sim.load_state(&state).unwrap();
+            twin.demand.set(demand);
+            let restored = twin.sim.save_state();
+            prop_assert_eq!(restored.timers(), state.timers());
+            twin.sim.run_until(end).unwrap();
+            assert_same_gate_state(&kern, &twin, true)?;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Backplane scheduling: the production scheduler (one driver stepping
 // units and modules in creation order) is observationally equivalent to
 // the per-unit/per-module oracle: same module states, SUMs, traces AND
