@@ -1,13 +1,14 @@
 //! `cosim_bench` — the machine-readable co-simulation benchmark runner.
 //!
-//! Runs the `cosim_step` many-unit scenarios (pipeline and starved
-//! topologies, the legacy oracle vs the production sharded scheduler,
-//! length-only vs payload-beat bus timing) and writes per-scenario
-//! timings to `BENCH_cosim.json` as a flat array of `{scenario, n,
-//! bus_timing, ns_per_run, p50_ns, p99_ns, runs}` records, so CI can
-//! track the backplane's performance trajectory across PRs. The
-//! `step_scaling` row runs a wide unparked pipeline, so the module
-//! driver steps every module on every cycle.
+//! Runs the many-unit scenarios (`many_units_per_unit`,
+//! `many_units_sharded`, `blocked_per_unit`, `blocked_sharded`: pipeline
+//! and starved topologies, the legacy oracle vs the production sharded
+//! scheduler, length-only vs payload-beat bus timing) and writes
+//! per-scenario timings to `BENCH_cosim.json` as a flat array of
+//! `{scenario, n, bus_timing, ns_per_run, p50_ns, p99_ns, runs}`
+//! records, so CI can track the backplane's performance trajectory
+//! across commits. The `step_scaling` row runs a wide unparked
+//! pipeline, so the module driver steps every module on every cycle.
 //!
 //! The `bus_timing` column tracks the cost of cycle-accurate payload
 //! beats (`payload_beats` rows) against the length-only fast path, and
@@ -16,12 +17,8 @@
 //!
 //! The `beat_storm` rows are the timer-wheel stress case: every unit of
 //! a ring streams `PayloadBeats` bursts concurrently, so the kernel's
-//! time queues absorb one pre-scheduled beat train per link per
-//! transaction. Each size is measured twice — `queue = "wheel"` (the
-//! shipping hierarchical timer wheel) and `queue = "heap"` (the retired
-//! binary-heap backend, swapped in via the kernel's ablation hook) —
-//! and the full (non-quick) run asserts the wheel beats the heap
-//! baseline at the largest N.
+//! time wheel absorbs one pre-scheduled beat train per link per
+//! transaction.
 //!
 //! The `multi_rate` rows compare a uniform-clock batched ring against
 //! the same ring with half its links (and their modules) in a 1:4
@@ -83,8 +80,8 @@
 //!
 //! Usage: `cosim_bench [--quick] [--out PATH] [--timestamp TS]`
 //!
-//! `--quick` shrinks the size sweep and sample count for CI smoke runs;
-//! the default sweep matches the criterion bench (N = 16/64/256).
+//! `--quick` shrinks the size sweep (N = 16/64) and sample count for CI
+//! smoke runs; the default sweep is N = 16/64/256.
 
 use cosma_cosim::scenario::{
     build_poll, build_scenario, LinkKind, PollScenario, Scenario, ScenarioSpec, Topology,
@@ -94,7 +91,7 @@ use cosma_sim::Duration;
 use std::time::Instant;
 
 /// Bump when row fields change meaning or shape.
-const SCHEMA_VERSION: u32 = 5;
+const SCHEMA_VERSION: u32 = 6;
 
 /// Cycles between two writes of the register the `poll` rows' modules
 /// poll.
@@ -104,10 +101,6 @@ struct Record {
     scenario: &'static str,
     n: usize,
     bus_timing: &'static str,
-    /// Time-queue backend under test: `Some("wheel" | "heap")` for the
-    /// `beat_storm` ablation rows, `None` elsewhere (implicitly the
-    /// shipping wheel).
-    queue: Option<&'static str>,
     /// Within-scenario variant for the `multi_rate` (uniform vs
     /// quarter-rate domain) and `partitioned` (collapsed vs split)
     /// comparison rows, the `frontends` language, the `motor` platform
@@ -208,7 +201,6 @@ fn measure(
         scenario: name,
         n,
         bus_timing,
-        queue: None,
         variant: None,
         ns_per_run,
         p50_ns,
@@ -253,7 +245,6 @@ fn flow_row(
         scenario,
         n: n as usize,
         bus_timing: "none",
-        queue: None,
         variant: Some(variant),
         ns_per_run: mean,
         p50_ns: p50,
@@ -267,14 +258,11 @@ fn flow_row(
 /// 64 ns beat stride) and re-arm on drain — the kernel-level
 /// distillation of `n` PayloadBeats links streaming concurrently.
 /// Returns wall-clock nanoseconds for the run, setup excluded.
-fn beat_storm(n: usize, heap: bool) -> u128 {
+fn beat_storm(n: usize) -> u128 {
     use cosma_core::{Bit, Value};
     use cosma_sim::{FnProcess, SimTime, Simulator, Wait};
     const BEATS: usize = 63;
     let mut sim = Simulator::new();
-    if heap {
-        sim.use_heap_queues();
-    }
     let stride = Duration::from_ns(64);
     for i in 0..n {
         let sig = sim.add_bit(format!("beat{i}"));
@@ -324,7 +312,6 @@ fn kernel_row(
         scenario: "kernel",
         n,
         bus_timing: "none",
-        queue: None,
         variant: Some(variant),
         ns_per_run: mean,
         p50_ns: p50,
@@ -645,63 +632,28 @@ fn main() {
     // keeps a full pre-scheduled DATA beat train in flight (exactly the
     // timed drives `complete_stream` lands per winning batch) and
     // re-arms the moment it drains. The steady state holds N × 63 live
-    // entries, the worst case for the retired binary heaps (O(log H)
-    // sifts over a spilled-out-of-cache arena) and the timer wheel's
-    // target regime (O(1) slot filings, whole-slot drains). Module
-    // bodies are deliberately trivial so queue operations dominate the
-    // wall clock and the backend ablation is signal, not noise. Each
-    // size runs on both queue backends; the ablation swaps the kernel's
-    // backend through the canonical-capture migration hook, so the two
-    // rows simulate the identical schedule.
+    // entries, the timer wheel's target regime (O(1) slot filings,
+    // whole-slot drains). Module bodies are deliberately trivial so
+    // queue operations dominate the wall clock.
     for &n in sizes {
-        let mut largest: Option<(u128, u128)> = None;
-        let mut pair = vec![];
-        for queue in ["wheel", "heap"] {
-            let heap = queue == "heap";
-            // Warm-up.
-            beat_storm(n, heap);
-            let mut samples: Vec<u128> = (0..runs).map(|_| beat_storm(n, heap)).collect();
-            samples.sort_unstable();
-            let ns_per_run = samples.iter().sum::<u128>() / u128::from(runs.max(1));
-            let p50_ns = samples[samples.len() / 2];
-            let p99_ns = samples[(samples.len() * 99 / 100).min(samples.len() - 1)];
-            println!(
-                "{:<24} N={n:<4} bus={:<13} {ns_per_run:>12} ns/run  \
-                 p50={p50_ns} p99={p99_ns}  ({runs} runs, {queue})",
-                "beat_storm", "payload_beats",
-            );
-            pair.push(p50_ns);
-            records.push(Record {
-                scenario: "beat_storm",
-                n,
-                bus_timing: "payload_beats",
-                queue: Some(queue),
-                variant: None,
-                ns_per_run,
-                p50_ns,
-                p99_ns,
-                runs,
-            });
-        }
-        if n == sizes[sizes.len() - 1] {
-            largest = Some((pair[0], pair[1]));
-        }
-        if let Some((wheel_p50, heap_p50)) = largest {
-            println!(
-                "beat_storm N={n}: wheel p50 {wheel_p50} ns vs heap p50 {heap_p50} ns ({:+.1}%)",
-                (wheel_p50 as f64 / heap_p50 as f64 - 1.0) * 100.0
-            );
-            // Quick CI smoke runs on tiny sizes where noise can
-            // dominate; the full sweep gates the wheel's win at the
-            // largest N.
-            if !quick {
-                assert!(
-                    wheel_p50 < heap_p50,
-                    "the timer wheel must beat the heap baseline at the largest beat_storm \
-                     size: wheel p50 {wheel_p50} ns vs heap p50 {heap_p50} ns"
-                );
-            }
-        }
+        beat_storm(n);
+        let samples: Vec<u128> = (0..runs).map(|_| beat_storm(n)).collect();
+        let (ns_per_run, p50_ns, p99_ns) = summarize3(samples);
+        println!(
+            "{:<24} N={n:<4} bus={:<13} {ns_per_run:>12} ns/run  \
+             p50={p50_ns} p99={p99_ns}  ({runs} runs)",
+            "beat_storm", "payload_beats",
+        );
+        records.push(Record {
+            scenario: "beat_storm",
+            n,
+            bus_timing: "payload_beats",
+            variant: None,
+            ns_per_run,
+            p50_ns,
+            p99_ns,
+            runs,
+        });
     }
 
     // Trace-heavy ring: every module records an interned trace entry
@@ -836,7 +788,6 @@ fn main() {
             scenario: "poll",
             n,
             bus_timing: "none",
-            queue: None,
             variant: None,
             ns_per_run: mean,
             p50_ns: p50,
@@ -928,7 +879,6 @@ fn main() {
                 scenario: name,
                 n,
                 bus_timing: timing_label(&batched),
-                queue: None,
                 variant: None,
                 ns_per_run: mean,
                 p50_ns: p50,
@@ -998,7 +948,6 @@ fn main() {
                 scenario: "multi_rate",
                 n,
                 bus_timing: timing_label(&batched),
-                queue: None,
                 variant: Some(variant),
                 ns_per_run: mean,
                 p50_ns: p50,
@@ -1093,7 +1042,6 @@ fn main() {
                 scenario: "partitioned",
                 n,
                 bus_timing: timing_label(&batched),
-                queue: None,
                 variant: Some(variant),
                 ns_per_run: mean,
                 p50_ns: p50,
@@ -1133,7 +1081,6 @@ fn main() {
                 scenario: "elaborate",
                 n,
                 bus_timing: timing_label(&batched),
-                queue: None,
                 variant: None,
                 ns_per_run: mean,
                 p50_ns: p50,
@@ -1193,7 +1140,6 @@ fn main() {
                 scenario: "frontends",
                 n,
                 bus_timing: "none",
-                queue: None,
                 variant: Some(variant),
                 ns_per_run: mean,
                 p50_ns: p50,
@@ -1356,22 +1302,18 @@ fn main() {
         .as_deref()
         .map_or_else(|| "null".to_string(), |t| format!("\"{t}\""));
     for (i, r) in records.iter().enumerate() {
-        let queue = r
-            .queue
-            .map_or_else(|| "null".to_string(), |q| format!("\"{q}\""));
         let variant = r
             .variant
             .map_or_else(|| "null".to_string(), |v| format!("\"{v}\""));
         json.push_str(&format!(
             "  {{\"schema\": {}, \"scenario\": \"{}\", \"n\": {}, \
-             \"bus_timing\": \"{}\", \"queue\": {}, \"variant\": {}, \
+             \"bus_timing\": \"{}\", \"variant\": {}, \
              \"ns_per_run\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"runs\": {}, \
              \"git_rev\": \"{}\", \"cpus\": {}, \"timestamp\": {}}}{}\n",
             SCHEMA_VERSION,
             r.scenario,
             r.n,
             r.bus_timing,
-            queue,
             variant,
             r.ns_per_run,
             r.p50_ns,

@@ -332,6 +332,12 @@ impl fmt::Debug for Cosim {
 impl Cosim {
     /// Creates a backplane with HW and SW activation clocks (one clock
     /// when [`CosimConfig::sw_cycle`] equals the HW cycle).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either cycle is shorter than 2 fs: a clock toggles every
+    /// half period, and a half period of 0 fs would never advance time
+    /// ([`Simulator::add_clock`] refuses it).
     #[must_use]
     pub fn new(config: CosimConfig) -> Self {
         let mut sim = Simulator::new();
@@ -365,9 +371,9 @@ impl Cosim {
     /// # Errors
     ///
     /// Returns [`CosimError::Setup`] when units or modules were already
-    /// added, when either ratio component is zero, when the scaled
-    /// period would truncate to zero, or when `name` is empty or already
-    /// taken.
+    /// added, when either ratio component is zero, when a scaled period
+    /// would truncate to a half period of zero or does not fit in `u64`
+    /// femtoseconds, or when `name` is empty or already taken.
     pub fn add_clock_domain(
         &mut self,
         name: &str,
@@ -384,12 +390,18 @@ impl Cosim {
                 "clock domain {name}: rate ratio components must be nonzero (got {num}:{den})"
             )));
         };
-        let hw_cycle = ratio.scale(self.config.hw_cycle);
-        let sw_cycle = ratio.scale(self.config.sw_cycle);
-        if hw_cycle.halved() == Duration::ZERO || sw_cycle.halved() == Duration::ZERO {
-            return Err(CosimError::Setup(format!(
-                "clock domain {name}: ratio {ratio} scales the activation period to zero"
-            )));
+        for cycle in [self.config.hw_cycle, self.config.sw_cycle] {
+            let Some(scaled) = ratio.checked_scale(cycle) else {
+                return Err(CosimError::Setup(format!(
+                    "clock domain {name}: ratio {ratio} scales the activation period {cycle} \
+                     past u64::MAX femtoseconds"
+                )));
+            };
+            if scaled.halved() == Duration::ZERO {
+                return Err(CosimError::Setup(format!(
+                    "clock domain {name}: ratio {ratio} scales the activation period to zero"
+                )));
+            }
         }
         if name.is_empty() {
             return Err(CosimError::Setup(
@@ -1592,9 +1604,9 @@ mod tests {
 
     #[test]
     fn quiescence_reached_after_last_timer_cancelled() {
-        // Regression: a lazily-cancelled timer (dead heap entry) must not
-        // stall run_to_quiescence. A testbench process holds the only
-        // live timer; an event wake cancels it and the process parks.
+        // Regression: a cancelled timer must not stall
+        // run_to_quiescence. A testbench process holds the only live
+        // timer; an event wake cancels it and the process parks.
         let mut cosim = Cosim::new(CosimConfig::default());
         let kick = cosim.sim_mut().add_bit("KICK");
         let mut woken = false;
@@ -1617,7 +1629,7 @@ mod tests {
         let quiesced = cosim.run_to_quiescence(SimTime::from_ns(10_000)).unwrap();
         assert!(
             quiesced,
-            "dead timer entry at 500us must not report phantom pending work"
+            "the cancelled 500us timer must not report phantom pending work"
         );
         assert!(!cosim.pending_activity());
         assert_eq!(
@@ -2701,6 +2713,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "hw_clkgen: period 1fs is shorter than 2fs")]
+    fn femtosecond_hw_cycle_is_refused_at_construction() {
+        // A 1 fs cycle halves to 0 fs: every edge would re-arm at the
+        // current instant and the first `run_for` would never return.
+        let one = Duration::from_fs(1);
+        let _ = Cosim::new(CosimConfig {
+            hw_cycle: one,
+            sw_cycle: one,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "sw_clkgen: period 1fs is shorter than 2fs")]
+    fn femtosecond_sw_cycle_is_refused_at_construction() {
+        let _ = Cosim::new(CosimConfig {
+            hw_cycle: Duration::from_ns(100),
+            sw_cycle: Duration::from_fs(1),
+        });
+    }
+
+    #[test]
     fn invalid_clock_domain_configs_rejected() {
         // Zero ratio components.
         let mut cosim = Cosim::new(CosimConfig::default());
@@ -2717,6 +2750,16 @@ mod tests {
             cosim.add_clock_domain("z", 1, u64::MAX),
             Err(CosimError::Setup(_))
         ));
+        // A ratio whose scaled period does not fit in u64 femtoseconds:
+        // 100 ns times 2e11 is 2e19 fs, which truncated to 64 bits
+        // would read about 1.55e18 fs.
+        let err = cosim
+            .add_clock_domain("big", 200_000_000_000, 1)
+            .unwrap_err();
+        assert!(
+            matches!(&err, CosimError::Setup(m) if m.contains("past u64::MAX")),
+            "{err}"
+        );
         // Empty and duplicate names.
         assert!(matches!(
             cosim.add_clock_domain("", 2, 1),

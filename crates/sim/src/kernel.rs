@@ -35,21 +35,21 @@
 //!   therefore costs `O(watchers of signals with events)`, not
 //!   `O(processes)`. Clocked processes that return [`Wait::Same`] (or an
 //!   equal wait set) never touch the index at all.
-//! * **Hierarchical timer-wheel time queues** — timed drives (`sig <= v
-//!   after d`) and process timeouts (`wait for d`) live in one unified
-//!   hierarchical timer wheel: 4 levels of 64 power-of-two slots each
-//!   (level-0 slot width 2^23 fs ≈ 8.4 ns, each level 64× coarser, a
-//!   wheel horizon of ≈ 141 ms), with a far-future overflow list beyond
-//!   the horizon. Insertion and timeout cancellation are `O(1)` (the
-//!   wheel records each timer's slot index, so cancellation removes the
-//!   entry eagerly — no tombstones, no lazy purges), the next-activity
-//!   query reads per-level occupancy bitmaps and cached slot minima,
-//!   and advancing time cascades at most one coarse slot per level into
-//!   finer slots — amortized `O(1)` per entry. Entries stay keyed by
-//!   `(time, sequence)` and due entries are drained per instant in that
-//!   order, so pop order is bit-identical to the retired binary-heap
-//!   queues (which survive privately as a differential test oracle and
-//!   the benchmark ablation behind [`Simulator::use_heap_queues`]).
+//! * **One time queue, a hierarchical timer wheel** — timed drives
+//!   (`sig <= v after d`) and process timeouts (`wait for d`) live in
+//!   one hierarchical timer wheel: 4 levels of 64 power-of-two slots
+//!   each (level-0 slot width 2^23 fs ≈ 8.4 ns, each level 64× coarser,
+//!   a wheel horizon of ≈ 141 ms), with a far-future overflow list
+//!   beyond the horizon. Insertion and timeout cancellation are `O(1)`
+//!   (the wheel records each timer's slot index, so cancellation removes
+//!   the entry eagerly — no tombstones, no lazy purges — and an armed
+//!   timeout is its process's wake instant plus that one entry), the
+//!   next-activity query reads per-level occupancy bitmaps and cached
+//!   slot minima, and advancing time cascades at most one coarse slot
+//!   per level into finer slots — amortized `O(1)` per entry. Entries
+//!   stay keyed by `(time, sequence)` and due entries are drained per
+//!   instant in that order, so time advances to the least key of one
+//!   event queue.
 //! * **Kernel-owned clocks** — a clock ([`Simulator::add_clock`],
 //!   [`Simulator::add_gated_clock`]) keeps a process slot of its own
 //!   (its [`ProcessId`], name, run count and place in process-id
@@ -74,10 +74,11 @@
 //! scans avoided versus a full-scan kernel, per-structure queue
 //! high-water marks, wheel cascades and bulk-insert volumes — so
 //! scheduler regressions are measurable. The pre-index full-scan kernel
-//! survives as [`reference::RefSimulator`](crate::reference::RefSimulator)
-//! and the two are held equivalent by randomized property tests.
+//! survives as [`reference::RefSimulator`](crate::reference::RefSimulator),
+//! the kernel's one oracle, and the two are held equivalent by
+//! randomized property tests.
 
-use crate::queue::{EntryKind, QueueEntry, TimeQueues};
+use crate::queue::{EntryKind, QueueEntry, TimeWheel};
 
 use crate::signal::{Signal, SignalId, SignalInfo};
 use crate::time::{Duration, SimTime};
@@ -309,11 +310,8 @@ struct ProcSlot {
     /// recorded under older epochs are dead. `u64` so it cannot wrap
     /// into a stale entry's epoch within any realistic run.
     epoch: u64,
-    /// Pending timeout instant, if armed.
+    /// Pending timeout instant (or next clock edge), if armed.
     wake_at: Option<SimTime>,
-    /// Bumped on every timer arm/cancel/fire; timer-heap entries with an
-    /// older token are dead.
-    timer_token: u64,
     /// Wake-dedup stamp for the current delta.
     wake_stamp: u64,
     runs: u64,
@@ -690,16 +688,9 @@ pub struct SimStats {
     /// compaction.
     pub stale_watchers_purged: u64,
     /// Timeouts cancelled before firing (event wake of a
-    /// [`Wait::EventOrTimeout`] process). On the shipping wheel path
-    /// each cancellation removes its entry in O(1) via the recorded
-    /// slot index.
+    /// [`Wait::EventOrTimeout`] process). Each cancellation removes its
+    /// wheel entry in O(1) via the recorded slot index.
     pub timers_cancelled: u64,
-    /// Stale (lazily cancelled) entries discarded from the *timer*
-    /// structure. Only the retired heap backend
-    /// ([`Simulator::use_heap_queues`]) produces these; the wheel
-    /// removes cancelled timers eagerly, so this stays 0 on the
-    /// shipping path.
-    pub stale_timers_skipped: u64,
     /// High-water mark of live armed timeouts, armed clock edges
     /// included (timed drives are counted by
     /// [`drive_queue_peak`](Self::drive_queue_peak)).
@@ -735,7 +726,6 @@ struct ProcState {
     rising: bool,
     epoch: u64,
     wake_at: Option<SimTime>,
-    timer_token: u64,
     wake_stamp: u64,
     runs: u64,
 }
@@ -743,17 +733,17 @@ struct ProcState {
 /// A point-in-time capture of all kernel-owned simulator state, produced
 /// by [`Simulator::save_state`] and consumed by [`Simulator::load_state`].
 ///
-/// The capture is *canonical*: the timed-drive heap is stored sorted by
-/// `(time, sequence)` and lazily-cancelled timer entries are purged, so
+/// The capture is *canonical*: the time wheel's timed drives and
+/// timeouts are stored as two lists sorted by `(time, sequence)`, so
 /// two captures of identical logical states compare and restore
-/// identically regardless of internal heap layout or how many dead
-/// entries each heap happened to carry.
+/// identically regardless of which wheel slots held the entries.
 ///
 /// What is **in** the state: signal values (with previous values, event
-/// marks and event counts), per-process sensitivity sets, epochs, timer
-/// tokens, wake stamps and run counts, pending same-instant drives,
-/// future timed drives, live timeouts, the sequence/stamp counters, the
-/// current time, the elaboration flag, the delta bound, and [`SimStats`].
+/// marks and event counts), per-process sensitivity sets, epochs, wake
+/// instants, wake stamps and run counts, pending same-instant drives,
+/// future timed drives, armed timeouts and clock edges, the
+/// sequence/stamp counters, the current time, the elaboration flag, the
+/// delta bound, and [`SimStats`].
 ///
 /// What is **out**: process bodies (restored into the same simulator or
 /// a structurally identical clone, whose bodies stand in for the
@@ -765,9 +755,8 @@ pub struct SimState {
     delta_drives: Vec<(SignalId, Value)>,
     /// Future timed drives as `(at, seq, signal, value)`, sorted.
     timed_drives: Vec<(SimTime, u64, SignalId, Value)>,
-    /// Live timeouts and armed clock edges as `(at, seq, process,
-    /// token)`, sorted.
-    timers: Vec<(SimTime, u64, ProcessId, u64)>,
+    /// Armed timeouts and clock edges as `(at, seq, process)`, sorted.
+    timers: Vec<(SimTime, u64, ProcessId)>,
     fresh_events: Vec<SignalId>,
     seq: u64,
     stamp: u64,
@@ -802,11 +791,11 @@ impl SimState {
         self.procs.len()
     }
 
-    /// The captured live timeouts and armed clock edges as `(at, seq,
-    /// process, token)`, sorted by `(at, seq)`: the canonical form a
-    /// restore re-files from.
+    /// The captured armed timeouts and clock edges as `(at, seq,
+    /// process)`, sorted by `(at, seq)`: the canonical form a restore
+    /// re-files from.
     #[must_use]
-    pub fn timers(&self) -> &[(SimTime, u64, ProcessId, u64)] {
+    pub fn timers(&self) -> &[(SimTime, u64, ProcessId)] {
         &self.timers
     }
 }
@@ -838,18 +827,15 @@ pub struct Simulator {
     clocks: Vec<ProcessId>,
     /// Drives awaiting the next delta at the current instant.
     delta_drives: Vec<(SignalId, Value)>,
-    /// Timed drives and `wait for` timeouts, keyed `(at, seq)`. The
-    /// shipping backend is the hierarchical timer wheel; the retired
-    /// heaps remain selectable as a test oracle / ablation baseline.
-    queues: TimeQueues,
+    /// Timed drives and `wait for` timeouts, keyed `(at, seq)`.
+    wheel: TimeWheel,
     /// Monotone sequence for `(at, seq)` tie-breaking (FIFO within an
     /// instant).
     seq: u64,
-    /// Number of live future timed drives (backend-independent; backs
+    /// Number of future timed drives (backs
     /// [`Simulator::pending_activity`] exactly).
     live_drives: usize,
-    /// Number of *live* (non-cancelled) timer entries plus armed clock
-    /// edges.
+    /// Number of armed timeouts plus armed clock edges.
     armed_timers: usize,
     /// Delta-global wake-dedup stamp.
     stamp: u64,
@@ -912,7 +898,7 @@ impl Simulator {
             processes: vec![],
             clocks: vec![],
             delta_drives: vec![],
-            queues: TimeQueues::new_wheel(),
+            wheel: TimeWheel::new(),
             seq: 0,
             live_drives: 0,
             armed_timers: 0,
@@ -966,7 +952,6 @@ impl Simulator {
             rising: false,
             epoch: 0,
             wake_at: None,
-            timer_token: 0,
             wake_stamp: 0,
             runs: 0,
         });
@@ -1023,7 +1008,10 @@ impl Simulator {
     ///
     /// Panics if the signal is not [`Type::Bit`]-typed — a wiring bug,
     /// refused here because the kernel does not admit the edges one by
-    /// one — or does not belong to this simulator.
+    /// one — or does not belong to this simulator, and if `period` is
+    /// shorter than 2 fs: its half period would round to 0 fs, so every
+    /// edge would re-arm at the current instant and time would never
+    /// advance.
     pub fn add_clock(
         &mut self,
         name: impl Into<String>,
@@ -1069,11 +1057,16 @@ impl Simulator {
             sig.name,
             sig.ty
         );
+        let half_period = period.halved();
+        assert!(
+            half_period > Duration::ZERO,
+            "clock {name}: period {period} is shorter than 2fs, so its half period is 0fs"
+        );
         let id = self.add_slot(
             name,
             Body::Clock(Clock {
                 signal,
-                half_period: period.halved(),
+                half_period,
                 gate,
                 seq: 0,
             }),
@@ -1179,7 +1172,7 @@ impl Simulator {
     /// Whether any activity is scheduled: elaboration still owed to
     /// registered processes, pending same-instant drives, future timed
     /// drives, or armed timeouts. `O(1)` and exact (the kernel counts
-    /// live entries per structure, independent of queue backend).
+    /// the entries it files).
     ///
     /// A `false` answer means further [`Simulator::run_for`] calls can
     /// never change any signal — used by run-to-quiescence loops.
@@ -1229,23 +1222,14 @@ impl Simulator {
     }
 
     /// The next instant with scheduled activity, if any: the earlier
-    /// of the time queues' next entry and the clocks' next edge. On the
-    /// wheel this reads per-level occupancy bitmaps and cached slot
-    /// minima; on the heap oracle it is the classic peek that discards
-    /// lazily cancelled timer entries from the top as a side effect.
+    /// of the time wheel's next entry (read from per-level occupancy
+    /// bitmaps and cached slot minima) and the clocks' next edge.
     pub fn next_instant(&mut self) -> Option<SimTime> {
-        let processes = &self.processes;
-        let queued = self.queues.next_at(
-            |pid, token, at| {
-                let slot = &processes[pid.index()];
-                slot.timer_token == token && slot.wake_at == Some(at)
-            },
-            &mut self.stats,
-        );
+        let queued = self.wheel.next_at();
         let edge = self
             .clocks
             .iter()
-            .filter_map(|p| processes[p.index()].wake_at)
+            .filter_map(|p| self.processes[p.index()].wake_at)
             .min();
         queued.into_iter().chain(edge).min()
     }
@@ -1260,25 +1244,14 @@ impl Simulator {
 
     /// At a new instant: move due timed drives into the delta queue and
     /// collect timer-woken processes and the clocks whose edge is due.
-    /// Due entries pop from the active queue backend and are re-sorted
-    /// by `(at, seq)`, reproducing the heaps' exact ascending pop order
-    /// of the drives (the woken processes run in process-id order).
+    /// Due entries drain from the wheel and are sorted by `(at, seq)`,
+    /// so drives apply in schedule order (the woken processes run in
+    /// process-id order).
     fn begin_instant(&mut self) -> Vec<ProcessId> {
         let mut due = std::mem::take(&mut self.due_buf);
         debug_assert!(due.is_empty());
-        self.queues.advance(self.now, &mut self.stats);
-        {
-            let processes = &self.processes;
-            self.queues.take_due(
-                self.now,
-                &mut due,
-                |pid, token, at| {
-                    let slot = &processes[pid.index()];
-                    slot.timer_token == token && slot.wake_at == Some(at)
-                },
-                &mut self.stats,
-            );
-        }
+        self.wheel.advance(self.now, &mut self.stats);
+        self.wheel.take_due(self.now, &mut due);
         due.sort_unstable_by_key(|e| (e.at, e.seq));
         let mut woken = std::mem::take(&mut self.run_queue_pool);
         woken.clear();
@@ -1289,12 +1262,10 @@ impl Simulator {
                     self.live_drives -= 1;
                     self.delta_drives.push((sig, value));
                 }
-                EntryKind::Timer { pid, .. } => {
-                    // `take_due` already validated liveness; dead
-                    // entries never reach this loop on either backend.
+                EntryKind::Timer { pid } => {
                     let slot = &mut self.processes[pid.index()];
+                    debug_assert_eq!(slot.wake_at, Some(self.now));
                     slot.wake_at = None;
-                    slot.timer_token += 1;
                     self.armed_timers -= 1;
                     self.stats.timer_wakeups += 1;
                     woken.push(pid);
@@ -1306,7 +1277,6 @@ impl Simulator {
             let slot = &mut self.processes[pid.index()];
             if slot.wake_at == Some(self.now) {
                 slot.wake_at = None;
-                slot.timer_token += 1;
                 self.armed_timers -= 1;
                 self.stats.timer_wakeups += 1;
                 woken.push(pid);
@@ -1401,15 +1371,13 @@ impl Simulator {
             // same order the reference full-scan kernel produces.
             to_run.sort_unstable();
             // Cancel pending timeouts of woken processes. The wheel
-            // removes the entry in O(1) via its recorded slot location;
-            // the heap oracle's entry dies lazily by token.
+            // removes the entry in O(1) via its recorded slot location.
             for &p in &to_run {
-                let slot = &mut self.processes[p.index()];
-                if slot.wake_at.take().is_some() {
-                    slot.timer_token += 1;
+                if self.processes[p.index()].wake_at.take().is_some() {
                     self.armed_timers -= 1;
                     self.stats.timers_cancelled += 1;
-                    self.queues.cancel_timer(p);
+                    let removed = self.wheel.remove_timer(p);
+                    debug_assert!(removed, "cancel of a timer the wheel does not hold");
                 }
             }
             self.stats.deltas += 1;
@@ -1468,7 +1436,7 @@ impl Simulator {
                     self.delta_drives.push((sid, v));
                 } else {
                     self.seq += 1;
-                    self.queues
+                    self.wheel
                         .insert_drive(self.now + d, self.seq, sid, v, &mut self.stats);
                     self.live_drives += 1;
                     self.stats.drive_queue_peak =
@@ -1531,7 +1499,6 @@ impl Simulator {
         clock.seq = self.seq;
         debug_assert!(slot.wake_at.is_none(), "re-arming a live clock edge");
         slot.wake_at = Some(self.now + clock.half_period);
-        slot.timer_token += 1;
         self.armed_timers += 1;
         self.stats.timer_queue_peak = self.stats.timer_queue_peak.max(self.armed_timers as u64);
         if !slot.sensitivity.is_empty() {
@@ -1539,12 +1506,12 @@ impl Simulator {
         }
     }
 
-    /// Armed clock edges, as `(at, seq, process, token)`.
-    fn clock_edges(&self) -> impl Iterator<Item = (SimTime, u64, ProcessId, u64)> + '_ {
+    /// Armed clock edges, as `(at, seq, process)`.
+    fn clock_edges(&self) -> impl Iterator<Item = (SimTime, u64, ProcessId)> + '_ {
         self.clocks.iter().filter_map(|&pid| {
             let slot = &self.processes[pid.index()];
             match (&slot.body, slot.wake_at) {
-                (Body::Clock(c), Some(at)) => Some((at, c.seq, pid, slot.timer_token)),
+                (Body::Clock(c), Some(at)) => Some((at, c.seq, pid)),
                 _ => None,
             }
         })
@@ -1553,11 +1520,11 @@ impl Simulator {
     /// Lands a whole pre-computed drive train in one pass: beat `k`
     /// (0-based) schedules at `now + start + k·stride`, each beat taking
     /// the next `seq`, so the expansion is observationally identical to
-    /// scheduling the beats one by one — at amortized O(1) per beat on
-    /// the wheel instead of O(log n) heap sifts. A `start` of zero
-    /// schedules the first beat at the current instant's boundary (it
-    /// applies on a same-time queue iteration, not in the current
-    /// delta — unlike a zero-delay [`ProcCtx::drive`]).
+    /// scheduling the beats one by one, at amortized O(1) per beat on
+    /// the wheel. A `start` of zero schedules the first beat at the
+    /// current instant's boundary (it applies on a same-time queue
+    /// iteration, not in the current delta — unlike a zero-delay
+    /// [`ProcCtx::drive`]).
     fn insert_train(&mut self, train: DriveTrain) {
         let DriveTrain {
             sig,
@@ -1570,7 +1537,7 @@ impl Simulator {
         let mut at = self.now + start;
         for v in values.drain(..) {
             self.seq += 1;
-            self.queues
+            self.wheel
                 .insert_drive(at, self.seq, sig, v, &mut self.stats);
             self.live_drives += 1;
             at += stride;
@@ -1638,12 +1605,9 @@ impl Simulator {
         // and the settle cancel path both clear `wake_at` (and remove
         // the queue entry) before the process runs again.
         debug_assert!(slot.wake_at.is_none(), "re-arming a live timer");
-        slot.timer_token += 1;
         slot.wake_at = Some(at);
-        let token = slot.timer_token;
         self.seq += 1;
-        self.queues
-            .insert_timer(at, self.seq, pid, token, &mut self.stats);
+        self.wheel.insert_timer(at, self.seq, pid, &mut self.stats);
         self.armed_timers += 1;
         self.stats.timer_queue_peak = self.stats.timer_queue_peak.max(self.armed_timers as u64);
     }
@@ -1686,43 +1650,6 @@ impl Simulator {
         });
     }
 
-    /// Swaps the time-queue backend to the retired binary heaps,
-    /// migrating all live entries through the canonical capture form.
-    /// Test/benchmark ablation only — the wheel is the shipping path.
-    #[doc(hidden)]
-    pub fn use_heap_queues(&mut self) {
-        if !self.queues.is_wheel() {
-            return;
-        }
-        self.swap_backend(TimeQueues::new_heaps());
-    }
-
-    /// Swaps the time-queue backend back to the hierarchical timer
-    /// wheel (see [`Simulator::use_heap_queues`]).
-    #[doc(hidden)]
-    pub fn use_wheel_queues(&mut self) {
-        if self.queues.is_wheel() {
-            return;
-        }
-        self.swap_backend(TimeQueues::new_wheel());
-    }
-
-    fn swap_backend(&mut self, mut next: TimeQueues) {
-        let processes = &self.processes;
-        let (drives, timers) = self.queues.canonical(|pid, token, at| {
-            let slot = &processes[pid.index()];
-            slot.timer_token == token && slot.wake_at == Some(at)
-        });
-        debug_assert_eq!(drives.len(), self.live_drives);
-        debug_assert_eq!(timers.len() + self.clock_edges().count(), self.armed_timers);
-        // Migration inserts must not perturb the observable counters:
-        // stash and restore stats around the rebuild.
-        let stats = self.stats;
-        next.rebuild(self.now, &drives, &timers, &mut self.stats);
-        self.stats = stats;
-        self.queues = next;
-    }
-
     /// Name of a process (for reports).
     ///
     /// # Panics
@@ -1739,13 +1666,13 @@ impl Simulator {
     ///
     /// The kernel owns and captures everything needed to resume the
     /// event schedule bit-identically: signals, per-process scheduling
-    /// state (sensitivity, epoch, timer token, wake stamp, run count),
-    /// the time queues (canonicalized — drives and timers each sorted by
-    /// `(at, seq)`, dead timer entries purged — so the serialized form
-    /// is identical whichever queue backend produced it and the wheel is
-    /// simply rebuilt on load), pending delta drives, fresh-event marks, the
-    /// `seq`/`stamp` counters, time, the elaboration flag, the delta
-    /// bound, and statistics. It does **not** own process bodies:
+    /// state (sensitivity, epoch, wake instant, wake stamp, run count),
+    /// the time wheel (canonicalized — drives and timers each sorted by
+    /// `(at, seq)` — so the serialized form does not depend on which
+    /// slots held the entries, and the wheel is rebuilt on load),
+    /// pending delta drives, fresh-event marks, the `seq`/`stamp`
+    /// counters, time, the elaboration flag, the delta bound, and
+    /// statistics. It does **not** own process bodies:
     /// any state a body keeps inside its closure is invisible here and
     /// must be captured by whoever registered the process (the
     /// backplane externalizes all such state for exactly this reason).
@@ -1763,19 +1690,14 @@ impl Simulator {
                 rising: p.rising,
                 epoch: p.epoch,
                 wake_at: p.wake_at,
-                timer_token: p.timer_token,
                 wake_stamp: p.wake_stamp,
                 runs: p.runs,
             })
             .collect();
-        // Canonical queue capture: live entries only, each kind sorted
-        // by `(at, seq)` — dead heap-oracle timers are purged here, and
-        // the wheel never holds any. Armed clock edges join the timers
-        // in their `(at, seq)` place, as the wheel entries they replace.
-        let (timed_drives, mut timers) = self.queues.canonical(|pid, token, at| {
-            let slot = &self.processes[pid.index()];
-            slot.timer_token == token && slot.wake_at == Some(at)
-        });
+        // Canonical wheel capture, each kind sorted by `(at, seq)`.
+        // Armed clock edges join the timers in their `(at, seq)` place,
+        // as the wheel entries they replace.
+        let (timed_drives, mut timers) = self.wheel.canonical();
         let queued = timers.len();
         timers.extend(self.clock_edges());
         if timers.len() > queued {
@@ -1861,10 +1783,9 @@ impl Simulator {
     /// processes (by name, in order). Signal *values* may differ — that
     /// is the point.
     ///
-    /// The snapshot is backend-portable: the canonical `(at, seq)`
-    /// capture re-files into whichever queue backend this simulator
-    /// uses (wheel or heap oracle), and the replay is bit-identical
-    /// either way. One caveat follows from the re-filing: the wheel's
+    /// The canonical `(at, seq)` capture re-files into this simulator's
+    /// time wheel relative to the restored time, and the replay is
+    /// bit-identical. One caveat follows from the re-filing: the wheel's
     /// *filing* telemetry ([`SimStats::wheel_cascades`],
     /// [`SimStats::wheel_slot_peak`], [`SimStats::overflow_parked`])
     /// is path-dependent — an entry originally filed at a coarse level
@@ -1896,7 +1817,6 @@ impl Simulator {
             slot.rising = ps.rising;
             slot.epoch = ps.epoch;
             slot.wake_at = ps.wake_at;
-            slot.timer_token = ps.timer_token;
             slot.wake_stamp = ps.wake_stamp;
             slot.runs = ps.runs;
         }
@@ -1914,19 +1834,18 @@ impl Simulator {
         }
         self.delta_drives.clone_from(&state.delta_drives);
         self.fresh_events.clone_from(&state.fresh_events);
-        // Rebuild the active queue backend from the canonical capture
-        // (the wheel re-bases its origin at the restored time; every
-        // captured entry satisfies `at >= now`), except the clock edges,
-        // which go back to their clocks (their instants and tokens came
-        // back with the process states). The stats overwrite below
-        // erases the rebuild's insert side effects.
-        for &(_, seq, pid, _) in &state.timers {
+        // Rebuild the wheel from the canonical capture (it re-bases its
+        // origin at the restored time; every captured entry satisfies
+        // `at >= now`), except the clock edges, which go back to their
+        // clocks (their instants came back with the process states). The
+        // stats overwrite below erases the rebuild's insert side effects.
+        for &(_, seq, pid) in &state.timers {
             if let Body::Clock(clock) = &mut self.processes[pid.index()].body {
                 clock.seq = seq;
             }
         }
         let processes = &self.processes;
-        self.queues.rebuild(
+        self.wheel.rebuild(
             state.now,
             &state.timed_drives,
             state
@@ -1988,6 +1907,41 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "clock gen: period 1fs is shorter than 2fs")]
+    fn clock_with_a_zero_half_period_is_refused_at_registration() {
+        // A 1 fs period halves to 0 fs: every edge would re-arm at the
+        // current instant and `run_for` would never return.
+        let mut sim = Simulator::new();
+        let clk = sim.add_bit("CLK");
+        sim.add_clock("gen", clk, Duration::from_fs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "clock gated: period 1fs is shorter than 2fs")]
+    fn gated_clock_with_a_zero_half_period_is_refused_at_registration() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_bit("CLK");
+        let kick = sim.add_bit("KICK");
+        sim.add_gated_clock(
+            "gated",
+            clk,
+            Duration::from_fs(1),
+            Rc::new(Cell::new(1)),
+            kick,
+        );
+    }
+
+    #[test]
+    fn two_femtosecond_clock_advances_time() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_bit("CLK");
+        sim.add_clock("gen", clk, Duration::from_fs(2));
+        sim.run_until(SimTime::from_fs(9)).unwrap();
+        // Edges at 0, 1, ..., 9 fs.
+        assert_eq!(sim.signal_info(clk).event_count, 10);
+    }
+
+    #[test]
     fn clock_edges_stay_out_of_the_wheel() {
         // A 2 ms period files each half-period timeout three wheel
         // levels up, so a generator process would cascade every edge;
@@ -2008,9 +1962,9 @@ mod tests {
         assert_eq!(sim.next_instant(), Some(next));
         assert!(sim.pending_activity(), "the next edge is armed");
         // The armed edge is captured as the timeout it replaces: its
-        // instant, its `seq` (one per edge) and its token.
+        // instant and its `seq` (one per edge).
         let timers = sim.save_state().timers().to_vec();
-        assert_eq!(timers, vec![(next, 10, gen, 19)]);
+        assert_eq!(timers, vec![(next, 10, gen)]);
     }
 
     #[test]
@@ -2185,11 +2139,6 @@ mod tests {
         assert_eq!(sim.value(n), &Value::Int(2), "woken once more by timeout");
         // The cancelled entry was removed from the wheel in O(1).
         assert!(sim.stats().timers_cancelled >= 1);
-        assert_eq!(
-            sim.stats().stale_timers_skipped,
-            0,
-            "the wheel never holds tombstones"
-        );
     }
 
     #[test]
@@ -2709,8 +2658,8 @@ mod tests {
         let mut sim = Simulator::new();
         let (clk, n, d, count) = checkpoint_netlist(&mut sim);
         // Stop between the clock edge at 400 and the pulse timer at 420,
-        // so the saved state carries live heaps: an armed clock timer, an
-        // armed pulse timer, and an in-flight timed drive.
+        // so the saved state carries an armed clock edge, an armed pulse
+        // timer and an in-flight timed drive.
         sim.run_until(SimTime::from_ns(415)).unwrap();
         let saved = sim.save_state();
         let mid = (

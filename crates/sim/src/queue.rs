@@ -1,7 +1,7 @@
-//! Time-ordered event queues behind the kernel's scheduling core.
+//! The kernel's time queue: timed drives and `wait for` timeouts in one
+//! hierarchical timer wheel, [`TimeWheel`].
 //!
-//! The shipping structure is [`TimeWheel`], a hierarchical timer wheel:
-//! near-future entries live in a bucketed wheel of power-of-two slots
+//! Near-future entries live in a bucketed wheel of power-of-two slots
 //! (64 slots per level, 2^23 fs ≈ 8.4 ns level-0 slot width), each
 //! coarser level covering 64× the span of the one below, and entries
 //! beyond the whole wheel horizon (≈ 141 ms of simulated time ahead of
@@ -11,22 +11,16 @@
 //! levels, which amortizes to O(1) per entry because every entry
 //! cascades at most once per level.
 //!
-//! Determinism contract: entries are keyed `(at, seq)` exactly like the
-//! binary heaps this module replaces, due entries are drained per
-//! instant and sorted by that key, so pop order — and therefore every
-//! downstream observable — is bit-identical to the heap kernel.
-//!
-//! [`HeapQueues`] is the retired binary-heap implementation (lazy timer
-//! cancellation, tombstone purges at the top). It is kept only as a
-//! differential oracle for tests and as the ablation baseline for the
-//! `beat_storm` benchmark; the wheel is the one shipping path.
+//! Determinism contract: entries are keyed `(at, seq)`, and due entries
+//! are drained per instant and sorted by that key, so pop order is the
+//! ascending `(at, seq)` order of a single priority queue, and a
+//! snapshot ([`TimeWheel::canonical`]) is that order whatever slots the
+//! entries sit in.
 
 use crate::kernel::{ProcessId, SimStats};
 use crate::signal::SignalId;
 use crate::time::SimTime;
 use cosma_core::Value;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Level-0 slot width: `2^SLOT_SHIFT` femtoseconds (≈ 8.4 ns).
 const SLOT_SHIFT: u32 = 23;
@@ -44,7 +38,7 @@ const OVERFLOW_LEVEL: u8 = LEVELS as u8;
 const MIN_SLOT_CAP: usize = 32;
 
 /// What a scheduled entry does when its instant arrives.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum EntryKind {
     /// Apply `value` to `sig` (a timed drive, `sig <= v after d`).
     Drive {
@@ -53,19 +47,16 @@ pub(crate) enum EntryKind {
         /// Value to apply.
         value: Value,
     },
-    /// Wake a process (`wait for d`), valid while its token matches.
+    /// Wake a process (`wait for d`). A process has at most one armed
+    /// timer, and cancelling it removes the entry.
     Timer {
         /// Process to wake.
         pid: ProcessId,
-        /// Arm token recorded at insert; the heap backend validates it
-        /// lazily, the wheel removes entries eagerly so it always
-        /// matches there.
-        token: u64,
     },
 }
 
 /// One scheduled entry, totally ordered by `(at, seq)`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct QueueEntry {
     pub(crate) at: SimTime,
     pub(crate) seq: u64,
@@ -150,8 +141,6 @@ pub(crate) struct TimeWheel {
     timer_loc: Vec<Option<TimerLoc>>,
     /// Recycled scratch for cascade drains and overflow re-ingest.
     cascade_buf: Vec<QueueEntry>,
-    /// Total stored entries.
-    len: usize,
 }
 
 impl TimeWheel {
@@ -163,7 +152,6 @@ impl TimeWheel {
             pos: 0,
             timer_loc: vec![],
             cascade_buf: vec![],
-            len: 0,
         }
     }
 
@@ -191,17 +179,37 @@ impl TimeWheel {
         self.timer_loc[i] = Some(loc);
     }
 
-    pub(crate) fn insert(&mut self, e: QueueEntry, stats: &mut SimStats) {
-        self.insert_inner(e, stats, true);
+    /// Files a timed drive of `value` onto `sig`.
+    pub(crate) fn insert_drive(
+        &mut self,
+        at: SimTime,
+        seq: u64,
+        sig: SignalId,
+        value: Value,
+        stats: &mut SimStats,
+    ) {
+        let kind = EntryKind::Drive { sig, value };
+        self.insert(QueueEntry { at, seq, kind }, stats, true);
     }
 
-    fn insert_inner(&mut self, e: QueueEntry, stats: &mut SimStats, count_overflow: bool) {
+    /// Files the timeout of `pid`, which must have no other armed timer.
+    pub(crate) fn insert_timer(
+        &mut self,
+        at: SimTime,
+        seq: u64,
+        pid: ProcessId,
+        stats: &mut SimStats,
+    ) {
+        let kind = EntryKind::Timer { pid };
+        self.insert(QueueEntry { at, seq, kind }, stats, true);
+    }
+
+    fn insert(&mut self, e: QueueEntry, stats: &mut SimStats, count_overflow: bool) {
         let at_fs = e.at.as_fs();
         debug_assert!(at_fs >= self.pos, "insert behind the wheel origin");
-        self.len += 1;
         let key = (e.at, e.seq);
         let timer_pid = match e.kind {
-            EntryKind::Timer { pid, .. } => Some(pid),
+            EntryKind::Timer { pid } => Some(pid),
             EntryKind::Drive { .. } => None,
         };
         match self.level_and_slot(at_fs) {
@@ -275,13 +283,12 @@ impl TimeWheel {
         let Some(loc) = self.timer_loc.get_mut(pid.index()).and_then(Option::take) else {
             return false;
         };
-        self.len -= 1;
         let idx = loc.idx as usize;
         if loc.level == OVERFLOW_LEVEL {
             let removed = self.overflow.swap_remove(idx);
             debug_assert!(matches!(removed.kind, EntryKind::Timer { .. }));
             if let Some(moved) = self.overflow.get(idx) {
-                if let EntryKind::Timer { pid: mp, .. } = moved.kind {
+                if let EntryKind::Timer { pid: mp } = moved.kind {
                     self.timer_loc[mp.index()] = Some(TimerLoc {
                         level: OVERFLOW_LEVEL,
                         slot: 0,
@@ -305,7 +312,7 @@ impl TimeWheel {
             slot.min = None;
             self.levels[lvl].occupied &= !(1u64 << si);
         } else if let Some(moved) = self.levels[lvl].slots[si].entries.get(idx) {
-            if let EntryKind::Timer { pid: mp, .. } = moved.kind {
+            if let EntryKind::Timer { pid: mp } = moved.kind {
                 self.timer_loc[mp.index()] = Some(TimerLoc {
                     level: loc.level,
                     slot: loc.slot,
@@ -359,8 +366,7 @@ impl TimeWheel {
             let mut buf = std::mem::take(&mut self.cascade_buf);
             for e in buf.drain(..) {
                 debug_assert!(e.at.as_fs() >= to_fs, "cascade past a due entry");
-                self.len -= 1;
-                self.insert_inner(e, stats, false);
+                self.insert(e, stats, false);
             }
             self.cascade_buf = buf;
         }
@@ -385,8 +391,7 @@ impl TimeWheel {
         stats.wheel_cascades += self.cascade_buf.len() as u64;
         let mut buf = std::mem::take(&mut self.cascade_buf);
         for e in buf.drain(..) {
-            self.len -= 1;
-            self.insert_inner(e, stats, false);
+            self.insert(e, stats, false);
         }
         self.cascade_buf = buf;
     }
@@ -465,7 +470,6 @@ impl TimeWheel {
         if self.levels[0].occupied & (1 << si) == 0 {
             return;
         }
-        let before = due.len();
         // Split borrows: the slot vector is iterated mutably while the
         // timer back-pointer table updates alongside it.
         let Self {
@@ -478,12 +482,11 @@ impl TimeWheel {
         // working set it never reallocates again (the zero-allocation
         // steady-state contract pins this).
         for e in slot.entries.extract_if(.., |e| e.at == now) {
-            if let EntryKind::Timer { pid, .. } = e.kind {
+            if let EntryKind::Timer { pid } = e.kind {
                 timer_loc[pid.index()] = None;
             }
             due.push(e);
         }
-        self.len -= due.len() - before;
         if slot.entries.is_empty() {
             slot.min = None;
             self.levels[0].occupied &= !(1u64 << si);
@@ -499,7 +502,7 @@ impl TimeWheel {
                 if min.is_none_or(|m| key < m) {
                     min = Some(key);
                 }
-                if let EntryKind::Timer { pid, .. } = e.kind {
+                if let EntryKind::Timer { pid } = e.kind {
                     timer_loc[pid.index()] = Some(TimerLoc {
                         level: 0,
                         slot: si as u8,
@@ -511,22 +514,42 @@ impl TimeWheel {
         }
     }
 
-    /// Visits every stored entry in arbitrary order.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(&QueueEntry)) {
-        for level in &self.levels {
-            for slot in &level.slots {
-                for e in &slot.entries {
-                    f(e);
-                }
+    /// Canonical capture: every entry, split by kind, each sorted by
+    /// `(at, seq)`. This is the form a snapshot stores, so two captures
+    /// of the same schedule are equal whatever slots their entries sat
+    /// in.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn canonical(
+        &self,
+    ) -> (
+        Vec<(SimTime, u64, SignalId, Value)>,
+        Vec<(SimTime, u64, ProcessId)>,
+    ) {
+        let mut drives = vec![];
+        let mut timers = vec![];
+        let slots = self.levels.iter().flat_map(|l| &l.slots);
+        for e in slots.flat_map(|s| &s.entries).chain(&self.overflow) {
+            match &e.kind {
+                EntryKind::Drive { sig, value } => drives.push((e.at, e.seq, *sig, value.clone())),
+                EntryKind::Timer { pid } => timers.push((e.at, e.seq, *pid)),
             }
         }
-        for e in &self.overflow {
-            f(e);
-        }
+        drives.sort_unstable_by_key(|&(at, seq, ..)| (at, seq));
+        timers.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+        (drives, timers)
     }
 
-    /// Clears all entries and re-bases the origin (state restore).
-    pub(crate) fn reset(&mut self, pos: SimTime) {
+    /// Clears the wheel and re-files a canonical capture, re-basing the
+    /// origin at `now` (every captured entry satisfies `at >= now`).
+    /// The inserts count in `stats`; a state restore overwrites them
+    /// afterwards.
+    pub(crate) fn rebuild<'a>(
+        &mut self,
+        now: SimTime,
+        drives: &[(SimTime, u64, SignalId, Value)],
+        timers: impl IntoIterator<Item = &'a (SimTime, u64, ProcessId)>,
+        stats: &mut SimStats,
+    ) {
         for level in &mut self.levels {
             level.occupied = 0;
             for slot in &mut level.slots {
@@ -537,313 +560,12 @@ impl TimeWheel {
         self.overflow.clear();
         self.overflow_min = None;
         self.timer_loc.iter_mut().for_each(|l| *l = None);
-        self.len = 0;
-        self.pos = pos.as_fs();
-    }
-}
-
-/// A future drive in the retired heap backend, ordered by `(at, seq)`.
-#[derive(Debug, Clone)]
-struct HeapDrive {
-    at: SimTime,
-    seq: u64,
-    sig: SignalId,
-    value: Value,
-}
-
-impl PartialEq for HeapDrive {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for HeapDrive {}
-
-impl PartialOrd for HeapDrive {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapDrive {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// A pending timeout in the retired heap backend. Stale entries (token
-/// mismatch) are discarded lazily when they reach the top.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct HeapTimer {
-    at: SimTime,
-    seq: u64,
-    pid: ProcessId,
-    token: u64,
-}
-
-/// The retired binary-heap backend: two min-heaps on `(at, seq)` with
-/// lazy timer cancellation. Kept verbatim as the differential oracle
-/// and the benchmark ablation baseline.
-#[derive(Debug, Default)]
-pub(crate) struct HeapQueues {
-    drive_heap: BinaryHeap<Reverse<HeapDrive>>,
-    timer_heap: BinaryHeap<Reverse<HeapTimer>>,
-}
-
-/// The kernel's time-queue backend. [`TimeQueues::Wheel`] is the one
-/// shipping path; [`TimeQueues::Heaps`] exists for differential tests
-/// and the benchmark's heap-baseline ablation
-/// ([`Simulator::use_heap_queues`](crate::Simulator::use_heap_queues)).
-///
-/// `live` closures passed below answer "is this timer entry the one its
-/// process is actually waiting on" — the heap backend needs it to skip
-/// lazily cancelled tombstones; the wheel never stores dead entries.
-#[derive(Debug)]
-pub(crate) enum TimeQueues {
-    Wheel(TimeWheel),
-    Heaps(HeapQueues),
-}
-
-impl TimeQueues {
-    pub(crate) fn new_wheel() -> Self {
-        TimeQueues::Wheel(TimeWheel::new())
-    }
-
-    pub(crate) fn new_heaps() -> Self {
-        TimeQueues::Heaps(HeapQueues::default())
-    }
-
-    pub(crate) fn is_wheel(&self) -> bool {
-        matches!(self, TimeQueues::Wheel(_))
-    }
-
-    pub(crate) fn insert_drive(
-        &mut self,
-        at: SimTime,
-        seq: u64,
-        sig: SignalId,
-        value: Value,
-        stats: &mut SimStats,
-    ) {
-        match self {
-            TimeQueues::Wheel(w) => w.insert(
-                QueueEntry {
-                    at,
-                    seq,
-                    kind: EntryKind::Drive { sig, value },
-                },
-                stats,
-            ),
-            TimeQueues::Heaps(h) => h.drive_heap.push(Reverse(HeapDrive {
-                at,
-                seq,
-                sig,
-                value,
-            })),
-        }
-    }
-
-    pub(crate) fn insert_timer(
-        &mut self,
-        at: SimTime,
-        seq: u64,
-        pid: ProcessId,
-        token: u64,
-        stats: &mut SimStats,
-    ) {
-        match self {
-            TimeQueues::Wheel(w) => w.insert(
-                QueueEntry {
-                    at,
-                    seq,
-                    kind: EntryKind::Timer { pid, token },
-                },
-                stats,
-            ),
-            TimeQueues::Heaps(h) => h.timer_heap.push(Reverse(HeapTimer {
-                at,
-                seq,
-                pid,
-                token,
-            })),
-        }
-    }
-
-    /// Removes a process's armed timer entry. O(1) in the wheel; a
-    /// no-op in the heap backend, whose entry dies lazily by token.
-    pub(crate) fn cancel_timer(&mut self, pid: ProcessId) {
-        match self {
-            TimeQueues::Wheel(w) => {
-                let removed = w.remove_timer(pid);
-                debug_assert!(removed, "cancel of a timer the wheel does not hold");
-            }
-            TimeQueues::Heaps(_) => {}
-        }
-    }
-
-    /// Moves the queue origin to `to` (wheel cascade; heap no-op).
-    pub(crate) fn advance(&mut self, to: SimTime, stats: &mut SimStats) {
-        match self {
-            TimeQueues::Wheel(w) => w.advance(to, stats),
-            TimeQueues::Heaps(_) => {}
-        }
-    }
-
-    /// The earliest scheduled live instant. The heap backend discards
-    /// lazily cancelled timer tombstones from the top as a side effect,
-    /// counting them in [`SimStats::stale_timers_skipped`].
-    pub(crate) fn next_at(
-        &mut self,
-        live: impl Fn(ProcessId, u64, SimTime) -> bool,
-        stats: &mut SimStats,
-    ) -> Option<SimTime> {
-        match self {
-            TimeQueues::Wheel(w) => w.next_at(),
-            TimeQueues::Heaps(h) => {
-                while let Some(Reverse(e)) = h.timer_heap.peek() {
-                    if live(e.pid, e.token, e.at) {
-                        break;
-                    }
-                    h.timer_heap.pop();
-                    stats.stale_timers_skipped += 1;
-                }
-                let a = h.drive_heap.peek().map(|Reverse(d)| d.at);
-                let b = h.timer_heap.peek().map(|Reverse(t)| t.at);
-                match (a, b) {
-                    (Some(x), Some(y)) => Some(x.min(y)),
-                    (x, None) => x,
-                    (None, y) => y,
-                }
-            }
-        }
-    }
-
-    /// Drains every live entry due at or before `now` into `due`
-    /// (arbitrary order; the caller sorts by `(at, seq)`). Stale heap
-    /// timers are dropped and counted; the wheel holds none.
-    pub(crate) fn take_due(
-        &mut self,
-        now: SimTime,
-        due: &mut Vec<QueueEntry>,
-        live: impl Fn(ProcessId, u64, SimTime) -> bool,
-        stats: &mut SimStats,
-    ) {
-        match self {
-            TimeQueues::Wheel(w) => w.take_due(now, due),
-            TimeQueues::Heaps(h) => {
-                while let Some(Reverse(td)) = h.drive_heap.peek() {
-                    if td.at > now {
-                        break;
-                    }
-                    let Reverse(td) = h.drive_heap.pop().expect("peeked entry exists");
-                    due.push(QueueEntry {
-                        at: td.at,
-                        seq: td.seq,
-                        kind: EntryKind::Drive {
-                            sig: td.sig,
-                            value: td.value,
-                        },
-                    });
-                }
-                while let Some(Reverse(te)) = h.timer_heap.peek() {
-                    if te.at > now {
-                        break;
-                    }
-                    let Reverse(te) = h.timer_heap.pop().expect("peeked entry exists");
-                    if live(te.pid, te.token, te.at) {
-                        due.push(QueueEntry {
-                            at: te.at,
-                            seq: te.seq,
-                            kind: EntryKind::Timer {
-                                pid: te.pid,
-                                token: te.token,
-                            },
-                        });
-                    } else {
-                        stats.stale_timers_skipped += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Canonical capture: all live entries split by kind, each sorted by
-    /// `(at, seq)`. This is the serialized form shared by both backends
-    /// (and the cross-backend migration path), so captures compare and
-    /// restore identically regardless of internal layout.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn canonical(
-        &self,
-        live: impl Fn(ProcessId, u64, SimTime) -> bool,
-    ) -> (
-        Vec<(SimTime, u64, SignalId, Value)>,
-        Vec<(SimTime, u64, ProcessId, u64)>,
-    ) {
-        let mut drives = vec![];
-        let mut timers = vec![];
-        let mut visit = |e: &QueueEntry| match &e.kind {
-            EntryKind::Drive { sig, value } => drives.push((e.at, e.seq, *sig, value.clone())),
-            EntryKind::Timer { pid, token } => {
-                if live(*pid, *token, e.at) {
-                    timers.push((e.at, e.seq, *pid, *token));
-                } else {
-                    debug_assert!(!self.is_wheel(), "the wheel must not hold cancelled timers");
-                }
-            }
-        };
-        match self {
-            TimeQueues::Wheel(w) => w.for_each(&mut visit),
-            TimeQueues::Heaps(h) => {
-                for Reverse(d) in &h.drive_heap {
-                    visit(&QueueEntry {
-                        at: d.at,
-                        seq: d.seq,
-                        kind: EntryKind::Drive {
-                            sig: d.sig,
-                            value: d.value.clone(),
-                        },
-                    });
-                }
-                for Reverse(t) in &h.timer_heap {
-                    visit(&QueueEntry {
-                        at: t.at,
-                        seq: t.seq,
-                        kind: EntryKind::Timer {
-                            pid: t.pid,
-                            token: t.token,
-                        },
-                    });
-                }
-            }
-        }
-        drives.sort_unstable_by_key(|&(at, seq, ..)| (at, seq));
-        timers.sort_unstable_by_key(|&(at, seq, ..)| (at, seq));
-        (drives, timers)
-    }
-
-    /// Rebuilds the backend from a canonical capture, re-basing the
-    /// wheel origin at `now` (every captured entry satisfies
-    /// `at >= now`). Stats side effects of the rebuild inserts are
-    /// written to `stats`; a state restore overwrites them afterwards.
-    pub(crate) fn rebuild<'a>(
-        &mut self,
-        now: SimTime,
-        drives: &[(SimTime, u64, SignalId, Value)],
-        timers: impl IntoIterator<Item = &'a (SimTime, u64, ProcessId, u64)>,
-        stats: &mut SimStats,
-    ) {
-        match self {
-            TimeQueues::Wheel(w) => w.reset(now),
-            TimeQueues::Heaps(h) => {
-                h.drive_heap.clear();
-                h.timer_heap.clear();
-            }
-        }
+        self.pos = now.as_fs();
         for (at, seq, sig, value) in drives {
             self.insert_drive(*at, *seq, *sig, value.clone(), stats);
         }
-        for &(at, seq, pid, token) in timers {
-            self.insert_timer(at, seq, pid, token, stats);
+        for &(at, seq, pid) in timers {
+            self.insert_timer(at, seq, pid, stats);
         }
     }
 }

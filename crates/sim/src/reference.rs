@@ -164,7 +164,18 @@ impl RefSimulator {
     }
 
     /// Registers a free-running clock ([`ClockProcess`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is shorter than 2 fs, as
+    /// [`Simulator::add_clock`](crate::Simulator::add_clock) does: the
+    /// half period would be 0 fs and time would never advance.
     pub fn add_clock(&mut self, signal: SignalId, period: Duration) -> RefProcessId {
+        assert!(
+            period.halved() > Duration::ZERO,
+            "clock on {}: period {period} is shorter than 2fs, so its half period is 0fs",
+            self.signals[signal.index()].name
+        );
         self.add_process(ClockProcess::new(signal, period))
     }
 
@@ -453,6 +464,14 @@ mod tests {
         let info = sim.signal_info(clk);
         assert_eq!(info.event_count, 5);
         assert_eq!(info.value, Value::Bit(Bit::One));
+    }
+
+    #[test]
+    #[should_panic(expected = "clock on CLK: period 1fs is shorter than 2fs")]
+    fn oracle_refuses_a_clock_with_a_zero_half_period() {
+        let mut sim = RefSimulator::new();
+        let clk = sim.add_bit("CLK");
+        sim.add_clock(clk, Duration::from_fs(1));
     }
 
     #[test]

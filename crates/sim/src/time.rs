@@ -167,11 +167,30 @@ impl ClockRatio {
     }
 
     /// Scales a base-domain span into this domain: `d * num / den`,
-    /// computed in 128-bit so large femtosecond counts cannot overflow
-    /// mid-product.
+    /// truncated to whole femtoseconds. The product is exact (128-bit).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scaled span does not fit in `u64` femtoseconds; use
+    /// [`ClockRatio::checked_scale`] for ratios from outside the program.
     #[must_use]
     pub const fn scale(self, d: Duration) -> Duration {
-        Duration(((d.0 as u128 * self.num as u128) / self.den as u128) as u64)
+        match self.checked_scale(d) {
+            Some(scaled) => scaled,
+            None => panic!("scaled clock period does not fit in u64 femtoseconds"),
+        }
+    }
+
+    /// [`ClockRatio::scale`], or `None` when the scaled span does not
+    /// fit in `u64` femtoseconds.
+    #[must_use]
+    pub const fn checked_scale(self, d: Duration) -> Option<Duration> {
+        let fs = d.0 as u128 * self.num as u128 / self.den as u128;
+        if fs > u64::MAX as u128 {
+            None
+        } else {
+            Some(Duration(fs as u64))
+        }
     }
 }
 
@@ -391,5 +410,29 @@ mod tests {
             ClockRatio::new(2, 1).scale(big),
             Duration::from_fs(u64::MAX - 1)
         );
+    }
+
+    #[test]
+    fn clock_ratio_checked_scale_refuses_what_u64_cannot_hold() {
+        // 100 ns times 2e11 is 2e19 fs, past u64::MAX (about 1.8e19);
+        // truncated to 64 bits it would read 1,553,255,926,290,448,384.
+        let base = Duration::from_ns(100);
+        assert_eq!(
+            ClockRatio::new(200_000_000_000, 1).checked_scale(base),
+            None
+        );
+        let max = Duration::from_fs(u64::MAX);
+        assert_eq!(ClockRatio::new(2, 2).checked_scale(max), Some(max));
+        assert_eq!(ClockRatio::new(3, 2).checked_scale(max), None);
+        assert_eq!(
+            ClockRatio::new(1, 4).checked_scale(base),
+            Some(Duration::from_ns(25))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in u64 femtoseconds")]
+    fn clock_ratio_scale_panics_past_u64() {
+        let _ = ClockRatio::new(200_000_000_000, 1).scale(Duration::from_ns(100));
     }
 }

@@ -341,7 +341,7 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Kernel scheduling core: the production kernel (inverted sensitivity
-// index + heap-based event queues) is observationally equivalent to the
+// index + timer-wheel time queue) is observationally equivalent to the
 // full-scan reference kernel on randomized clock/process mixes — same
 // signal traces, same event counts, same delta counts.
 // ---------------------------------------------------------------------
@@ -1424,14 +1424,16 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Timer wheel: the hierarchical wheel, the binary-heap oracle and the
-// full-scan reference kernel are observationally equivalent on
-// randomized schedules whose entries live across every wheel level —
+// Timer wheel: the kernel's hierarchical wheel and the full-scan
+// reference kernel are observationally equivalent on randomized
+// schedules whose entries live across every wheel level —
 // single delayed drives from nanoseconds to beyond the 141 ms horizon
 // (overflow), burst trains whose strides walk entries over the
 // 2^29/2^35/2^41 fs level boundaries, periodic tickers, and
 // event-or-timeout waiters whose timers are cancelled by clock events
-// (exercising O(1) wheel cancellation at every level).
+// (exercising O(1) wheel cancellation at every level). The first
+// property runs up to 4 ms behind a fast clock; the second runs about
+// 900 ms with no clock, so overflow entries come back and fire.
 // ---------------------------------------------------------------------
 
 /// A randomized wheel-stressing design. Delay classes are chosen so the
@@ -1439,16 +1441,17 @@ proptest! {
 /// level 2 (< 2.2 ms), level 3 (< 141 ms) and the overflow list.
 #[derive(Debug, Clone)]
 struct WheelMix {
-    /// Fast clock period in ns (events + canceller wakeups).
-    clock_ns: u64,
+    /// Fast clock period in ns (events + canceller wakeups). Without a
+    /// clock the cancellers watch the first ticker's signal instead.
+    clock_ns: Option<u64>,
     /// Looping burst trains: (start_ns, stride_ns, beats). A process
     /// re-issues its train whenever the previous one drains, so trains
     /// are in flight (and crossing level boundaries) for the whole run.
     trains: Vec<(u64, u64, usize)>,
     /// One-shot `drive_after` delays in ns, spanning all levels.
     drives: Vec<u64>,
-    /// Event-or-timeout waiters: timeout in ns. Whenever the clock
-    /// event arrives first the pending timer is cancelled.
+    /// Event-or-timeout waiters: timeout in ns. Whenever the clock (or
+    /// first ticker) event arrives first the pending timer is cancelled.
     cancellers: Vec<u64>,
     /// Periodic `wait for` tickers in ns.
     tickers: Vec<u64>,
@@ -1479,7 +1482,7 @@ fn arb_wheel_mix() -> impl Strategy<Value = WheelMix> {
     )
         .prop_map(
             |(clock_ns, trains, drives, cancellers, tickers, run_ns)| WheelMix {
-                clock_ns,
+                clock_ns: Some(clock_ns),
                 trains,
                 drives,
                 cancellers,
@@ -1500,9 +1503,12 @@ fn build_wheel_mix(
     use cosma::core::Bit;
     use cosma::sim::{Duration, FnProcess, Wait};
     let mut observed = vec![];
-    let clk = add_sig("CLK", Type::Bit, Value::Bit(Bit::Zero));
-    add_clock(clk, Duration::from_ns(mix.clock_ns));
-    observed.push(clk);
+    let clk = mix.clock_ns.map(|ns| {
+        let clk = add_sig("CLK", Type::Bit, Value::Bit(Bit::Zero));
+        add_clock(clk, Duration::from_ns(ns));
+        observed.push(clk);
+        clk
+    });
     // Looping burst trains: one signal each, re-armed on drain.
     for (j, &(start, stride, beats)) in mix.trains.iter().enumerate() {
         let sig = add_sig(&format!("TR{j}"), Type::Bit, Value::Bit(Bit::Zero));
@@ -1538,22 +1544,11 @@ fn build_wheel_mix(
             },
         )));
     }
-    // Cancellers: the clock edge usually lands before the timeout, so
-    // every wakeup cancels a pending timer parked at a random level.
-    for (m, &tmo) in mix.cancellers.iter().enumerate() {
-        let c = add_sig(&format!("CAN{m}"), Type::INT16, Value::Int(0));
-        observed.push(c);
-        add_proc(Box::new(FnProcess::new(
-            move |ctx: &mut cosma::sim::ProcCtx<'_>| {
-                let v = ctx.read_int(c);
-                ctx.drive(c, Value::Int((v + 1) & 0x3FFF));
-                Wait::EventOrTimeout(vec![clk], Duration::from_ns(tmo))
-            },
-        )));
-    }
+    let mut first_ticker = None;
     for (k, &p) in mix.tickers.iter().enumerate() {
         let t = add_sig(&format!("TK{k}"), Type::INT16, Value::Int(0));
         observed.push(t);
+        first_ticker = first_ticker.or(Some(t));
         add_proc(Box::new(FnProcess::new(
             move |ctx: &mut cosma::sim::ProcCtx<'_>| {
                 let v = ctx.read_int(t);
@@ -1562,82 +1557,147 @@ fn build_wheel_mix(
             },
         )));
     }
+    // Cancellers: the watched edge usually lands before the timeout, so
+    // every wakeup cancels a pending timer parked at a random level.
+    let watched = clk.or(first_ticker);
+    for (m, &tmo) in mix.cancellers.iter().enumerate() {
+        let c = add_sig(&format!("CAN{m}"), Type::INT16, Value::Int(0));
+        observed.push(c);
+        let watched = watched.expect("cancellers watch a clock or a ticker");
+        add_proc(Box::new(FnProcess::new(
+            move |ctx: &mut cosma::sim::ProcCtx<'_>| {
+                let v = ctx.read_int(c);
+                ctx.drive(c, Value::Int((v + 1) & 0x3FFF));
+                Wait::EventOrTimeout(vec![watched], Duration::from_ns(tmo))
+            },
+        )));
+    }
     observed
+}
+
+/// Runs a wheel mix on the kernel and on the reference kernel, requires
+/// them to agree (see [`assert_wheel_matches_reference`]) and returns
+/// the kernel's statistics.
+fn run_wheel_mix(mix: &WheelMix) -> Result<cosma::sim::SimStats, TestCaseError> {
+    use cosma::sim::reference::RefSimulator;
+    use cosma::sim::{Duration, Simulator};
+
+    let mut wheel = Simulator::new();
+    let wheel_sigs;
+    {
+        let cell = std::cell::RefCell::new(&mut wheel);
+        wheel_sigs = build_wheel_mix(
+            mix,
+            |n, ty, v| cell.borrow_mut().add_signal(n, ty, v),
+            |s, p| {
+                cell.borrow_mut().add_clock("clk", s, p);
+            },
+            |p| {
+                cell.borrow_mut().add_process("p", p);
+            },
+        );
+    }
+    let mut oracle = RefSimulator::new();
+    let oracle_sigs;
+    {
+        let cell = std::cell::RefCell::new(&mut oracle);
+        oracle_sigs = build_wheel_mix(
+            mix,
+            |n, ty, v| cell.borrow_mut().add_signal(n, ty, v),
+            |s, p| {
+                cell.borrow_mut().add_clock(s, p);
+            },
+            |p| {
+                cell.borrow_mut().add_process(p);
+            },
+        );
+    }
+    wheel.run_for(Duration::from_ns(mix.run_ns)).unwrap();
+    oracle.run_for(Duration::from_ns(mix.run_ns)).unwrap();
+    assert_wheel_matches_reference(&wheel, &wheel_sigs, &oracle, &oracle_sigs)?;
+    Ok(wheel.stats())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
-    fn wheel_matches_heap_and_reference_across_levels(mix in arb_wheel_mix()) {
-        use cosma::sim::reference::RefSimulator;
-        use cosma::sim::{Duration, Simulator};
-
-        let build_fast = |heap: bool| {
-            let mut sim = Simulator::new();
-            if heap {
-                sim.use_heap_queues();
-            }
-            let sigs;
-            {
-                let cell = std::cell::RefCell::new(&mut sim);
-                sigs = build_wheel_mix(
-                    &mix,
-                    |n, ty, v| cell.borrow_mut().add_signal(n, ty, v),
-                    |s, p| { cell.borrow_mut().add_clock("clk", s, p); },
-                    |p| { cell.borrow_mut().add_process("p", p); },
-                );
-            }
-            (sim, sigs)
-        };
-        let (mut wheel, wheel_sigs) = build_fast(false);
-        let (mut heap, heap_sigs) = build_fast(true);
-        let mut oracle = RefSimulator::new();
-        let oracle_sigs;
-        {
-            let cell = std::cell::RefCell::new(&mut oracle);
-            oracle_sigs = build_wheel_mix(
-                &mix,
-                |n, ty, v| cell.borrow_mut().add_signal(n, ty, v),
-                |s, p| { cell.borrow_mut().add_clock(s, p); },
-                |p| { cell.borrow_mut().add_process(p); },
-            );
-        }
-        wheel.run_for(Duration::from_ns(mix.run_ns)).unwrap();
-        heap.run_for(Duration::from_ns(mix.run_ns)).unwrap();
-        oracle.run_for(Duration::from_ns(mix.run_ns)).unwrap();
-
-        for (&w, (&h, &o)) in wheel_sigs.iter().zip(heap_sigs.iter().zip(&oracle_sigs)) {
-            let wi = wheel.signal_info(w);
-            let hi = heap.signal_info(h);
-            let oi = oracle.signal_info(o);
-            prop_assert_eq!(&wi.value, &hi.value, "wheel vs heap: value of {}", wi.name);
-            prop_assert_eq!(&wi.value, &oi.value, "wheel vs ref: value of {}", wi.name);
-            prop_assert_eq!(wi.event_count, hi.event_count, "wheel vs heap: events of {}", wi.name);
-            prop_assert_eq!(wi.event_count, oi.event_count, "wheel vs ref: events of {}", wi.name);
-            prop_assert_eq!(wi.last_event, hi.last_event, "wheel vs heap: last event of {}", wi.name);
-            prop_assert_eq!(wi.last_event, oi.last_event, "wheel vs ref: last event of {}", wi.name);
-        }
-        // Identical schedule shape across all three queue disciplines.
-        let ws = wheel.stats();
-        let hs = heap.stats();
-        let os = oracle.stats();
-        for (name, w, h, o) in [
-            ("process_runs", ws.process_runs, hs.process_runs, os.process_runs),
-            ("events", ws.events, hs.events, os.events),
-            ("deltas", ws.deltas, hs.deltas, os.deltas),
-            ("instants", ws.instants, hs.instants, os.instants),
-        ] {
-            prop_assert_eq!(w, h, "wheel vs heap: {}", name);
-            prop_assert_eq!(w, o, "wheel vs ref: {}", name);
-        }
-        // Wakeup accounting is backend-independent (cancellation
-        // bookkeeping differs: the wheel removes eagerly, the heap
-        // skips stale entries lazily — but who woke and why must not).
-        prop_assert_eq!(ws.timer_wakeups, hs.timer_wakeups);
-        prop_assert_eq!(ws.event_wakeups, hs.event_wakeups);
-        prop_assert_eq!(wheel.now(), heap.now());
-        prop_assert_eq!(wheel.now(), oracle.now());
+    fn wheel_matches_reference_across_levels(mix in arb_wheel_mix()) {
+        run_wheel_mix(&mix)?;
     }
+}
+
+/// A wheel mix that lives past the ≈ 141 ms horizon, run for about
+/// 900 ms with no clock, so instants jump: one-shot drives 150–850 ms
+/// out, a looping train whose first beat files inside the horizon and
+/// whose last lies beyond it, a ticker whose period exceeds the horizon
+/// (plus up to two more at any period up to 400 ms), and cancellers
+/// watching that ticker with timeouts past the horizon, so its events
+/// cancel overflow-parked and re-ingested timers.
+fn arb_far_wheel_mix() -> impl Strategy<Value = WheelMix> {
+    (
+        (
+            90_000_000u64..110_000_000,
+            10_000_000u64..30_000_000,
+            6usize..16,
+        ),
+        proptest::collection::vec(150_000_000u64..850_000_000, 1..8),
+        proptest::collection::vec(150_000_000u64..600_000_000, 1..4),
+        150_000_000u64..400_000_000,
+        proptest::collection::vec(1_000_000u64..400_000_000, 0..3),
+        850_000_000u64..950_000_000,
+    )
+        .prop_map(
+            |(train, drives, cancellers, far_ticker, tickers, run_ns)| WheelMix {
+                clock_ns: None,
+                trains: vec![train],
+                drives,
+                cancellers,
+                tickers: std::iter::once(far_ticker).chain(tickers).collect(),
+                run_ns,
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn wheel_matches_reference_past_the_horizon(mix in arb_far_wheel_mix()) {
+        let st = run_wheel_mix(&mix)?;
+        // The far entries really did park, come back and get cancelled.
+        prop_assert!(st.overflow_parked > 0, "entries must park past the horizon");
+        prop_assert!(st.wheel_cascades > 0, "overflow must be re-ingested");
+        prop_assert!(st.timers_cancelled > 0, "far timeouts must be cancelled");
+    }
+}
+
+/// Requires the kernel and the reference kernel to agree on every
+/// observed signal's value, event count and last event, on the
+/// schedule's shape (`process_runs`, `events`, `deltas`, `instants`)
+/// and on the final time.
+fn assert_wheel_matches_reference(
+    wheel: &cosma::sim::Simulator,
+    wheel_sigs: &[cosma::sim::SignalId],
+    oracle: &cosma::sim::reference::RefSimulator,
+    oracle_sigs: &[cosma::sim::SignalId],
+) -> Result<(), TestCaseError> {
+    for (&w, &o) in wheel_sigs.iter().zip(oracle_sigs) {
+        let wi = wheel.signal_info(w);
+        let oi = oracle.signal_info(o);
+        prop_assert_eq!(&wi.value, &oi.value, "value of {}", wi.name);
+        prop_assert_eq!(wi.event_count, oi.event_count, "events of {}", wi.name);
+        prop_assert_eq!(wi.last_event, oi.last_event, "last event of {}", wi.name);
+    }
+    let (ws, os) = (wheel.stats(), oracle.stats());
+    for (name, w, o) in [
+        ("process_runs", ws.process_runs, os.process_runs),
+        ("events", ws.events, os.events),
+        ("deltas", ws.deltas, os.deltas),
+        ("instants", ws.instants, os.instants),
+    ] {
+        prop_assert_eq!(w, o, "{}", name);
+    }
+    prop_assert_eq!(wheel.now(), oracle.now());
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1666,11 +1726,8 @@ proptest! {
         // train keeps beats in flight (the raw-ns cut lands between
         // them), and the clock cancels an EventOrTimeout timer parked
         // out at level 2 on every edge.
-        let build = |heap: bool| {
+        let build = || {
             let mut sim = Simulator::new();
-            if heap {
-                sim.use_heap_queues();
-            }
             let clk = sim.add_bit("CLK");
             sim.add_clock("gen", clk, Duration::from_ns(clock_ns));
             let tr = sim.add_bit("TR");
@@ -1720,7 +1777,7 @@ proptest! {
         };
 
         let tail = Duration::from_ns(1_500_000);
-        let (mut a, a_sigs) = build(false);
+        let (mut a, a_sigs) = build();
         a.run_until(cosma::sim::SimTime::from_ns(cut_ns)).unwrap();
         let snap = a.save_state();
         a.run_for(tail).unwrap();
@@ -1734,7 +1791,7 @@ proptest! {
         prop_assert!(want_stats.timers_cancelled > 0, "cancellation must hit the wheel");
 
         // Restore into a FRESH simulator (structural twin, never run).
-        let (mut b, b_sigs) = build(false);
+        let (mut b, b_sigs) = build();
         b.load_state(&snap).unwrap();
         b.run_for(tail).unwrap();
         for (&bs, w) in b_sigs.iter().zip(&want) {
@@ -1774,19 +1831,6 @@ proptest! {
         }
         prop_assert_eq!(a.now(), want_now);
         prop_assert_eq!(scrub(a.stats()), scrub(want_stats));
-
-        // And the canonical snapshot is backend-portable: a HEAP twin
-        // restored from the wheel's snapshot replays the same tail (the
-        // `(at, seq)` pop-order contract, end to end).
-        let (mut h, h_sigs) = build(true);
-        h.load_state(&snap).unwrap();
-        h.run_for(tail).unwrap();
-        for (&s, w) in h_sigs.iter().zip(&want) {
-            let hi = h.signal_info(s);
-            prop_assert_eq!(&hi.value, &w.value, "heap-restored value of {}", w.name);
-            prop_assert_eq!(hi.event_count, w.event_count, "heap-restored events of {}", w.name);
-        }
-        prop_assert_eq!(h.now(), want_now);
     }
 }
 
