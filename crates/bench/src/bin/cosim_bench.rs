@@ -1,4 +1,5 @@
-//! `cosim_bench` — the machine-readable co-simulation benchmark runner.
+//! `cosim_bench` — the machine-readable co-simulation and co-synthesis
+//! benchmark runner.
 //!
 //! Runs the many-unit scenarios (`many_units_per_unit`,
 //! `many_units_sharded`, `blocked_per_unit`, `blocked_sharded`: pipeline
@@ -9,6 +10,13 @@
 //! records, so CI can track the backplane's performance trajectory
 //! across commits. The `step_scaling` row runs a wide unparked
 //! pipeline, so the module driver steps every module on every cycle.
+//!
+//! Every row goes through one sampler ([`row`]): one untimed call of the
+//! row's closure, then `runs` timed calls. Each call returns the work it
+//! covered (`n`, which must be the same on every call) and the
+//! nanoseconds of its own timed span, so building, checking and dropping
+//! stay outside the span; the row records the mean, p50 and p99 of
+//! those spans.
 //!
 //! The `bus_timing` column tracks the cost of cycle-accurate payload
 //! beats (`payload_beats` rows) against the length-only fast path, and
@@ -40,14 +48,30 @@
 //! Figure 1 flow's two platforms on an 8-segment motor trajectory, each
 //! from assembly to completion: variant `cosim` is the co-simulation
 //! backplane (`n` counts HW cycles), variant `board` the synthesized
-//! board (`n` counts fabric ticks). The `comm` rows time the library's
-//! communication units interpreted without a kernel, over
-//! `StandaloneUnit` or a `BatchedLink` on `LocalWires`: 100 messages
-//! from a producer to a consumer (`n` counts messages) through each of
-//! variant `handshake`, `batched_4`, `batched_16`, `fifo_4`, `fifo_16`
-//! and `mailbox_4`, and 100 acquire/write/read/release rounds for
-//! `shared_reg`. `handshake` and `shared_reg` time FSM interpretation
-//! alone: protocol sessions and a unit controller.
+//! board (`n` counts fabric ticks).
+//!
+//! The `synthesis` rows time the co-synthesis steps on the motor
+//! controller's modules (`n` is the flattened module's FSM state
+//! count, `bus_timing` is `none`): variant `flatten_distribution`
+//! inlines the Distribution module's service calls, `hw_synth_position`
+//! synthesizes the flattened Position module to a binary-encoded
+//! netlist, `sw_synth_distribution` compiles the flattened Distribution
+//! module to MC16 code, and `timer_binary`, `timer_onehot` and
+//! `timer_gray` synthesize the flattened Timer module under each state
+//! encoding. The `isa` rows time the MC16 instruction-set simulator on
+//! three loops run to `HLT` (`n` is `Cpu::retired()`): `alu_loop`
+//! (1000 rounds of register arithmetic), `mem_loop` (500 rounds of a
+//! load, add and store) and `io_loop` (300 rounds of a port read and
+//! write, the synthesized communication pattern).
+//!
+//! The `comm` rows time the library's communication units interpreted
+//! without a kernel, over `StandaloneUnit` or a `BatchedLink` on
+//! `LocalWires`: 100 messages from a producer to a consumer (`n`
+//! counts messages) through each of variant `handshake`, `batched_4`,
+//! `batched_16`, `fifo_4`, `fifo_16` and `mailbox_4`, and 100
+//! acquire/write/read/release rounds for `shared_reg`. `handshake` and
+//! `shared_reg` time FSM interpretation alone: protocol sessions and a
+//! unit controller.
 //!
 //! The `poll` rows time register-style interface traffic: `n` modules
 //! (16 and 64) each poll one `shared_reg_unit`'s pure `read` the way the
@@ -87,7 +111,7 @@ use cosma_cosim::scenario::{
     build_poll, build_scenario, LinkKind, PollScenario, Scenario, ScenarioSpec, Topology,
 };
 use cosma_cosim::{BusTiming, CosimConfig, Dispatch, SchedulingConfig};
-use cosma_sim::Duration;
+use cosma_sim::{Duration, Simulator};
 use std::time::Instant;
 
 /// Bump when row fields change meaning or shape.
@@ -103,8 +127,9 @@ struct Record {
     bus_timing: &'static str,
     /// Within-scenario variant for the `multi_rate` (uniform vs
     /// quarter-rate domain) and `partitioned` (collapsed vs split)
-    /// comparison rows, the `frontends` language, the `motor` platform
-    /// and the `comm` unit; `None` elsewhere.
+    /// comparison rows, the `frontends` language, the `motor` platform,
+    /// the `synthesis` step, the `isa` program, the `comm` unit and the
+    /// `kernel` case; `None` elsewhere.
     variant: Option<&'static str>,
     ns_per_run: u128,
     p50_ns: u128,
@@ -158,50 +183,54 @@ fn scenario(
     build_scenario(&ScenarioSpec {
         units: n,
         topology,
-        values_per_link: 4,
         link,
-        config: CosimConfig::default(),
         scheduling,
-        trace: false,
-        domains: Default::default(),
+        ..ScenarioSpec::default()
     })
     .expect("scenario builds")
 }
 
-/// Times `runs` fresh builds of one scenario, excluding setup, and
-/// returns the mean/p50/p99 wall-clock nanoseconds per `sim_us` µs
-/// simulated run.
-fn measure(
-    name: &'static str,
-    n: usize,
+/// Runs `f`, returning its result and the nanoseconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, u128) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_nanos())
+}
+
+/// The row sampler. Calls `run` once untimed, then `runs` times; each
+/// call returns the work it covered (`n`: units, cycles, messages,
+/// states, instructions), which every call must repeat, and the
+/// nanoseconds of its own timed span. Prints the row and returns it
+/// with the spans' mean, p50 and p99.
+fn row(
+    scenario: &'static str,
     bus_timing: &'static str,
+    variant: Option<&'static str>,
     runs: u32,
-    sim_us: u64,
-    build: impl Fn() -> Scenario,
+    mut run: impl FnMut() -> (usize, u128),
 ) -> Record {
-    // Warm-up.
-    let mut s = build();
-    s.cosim.run_for(Duration::from_us(sim_us)).expect("runs");
-    let mut samples: Vec<u128> = Vec::with_capacity(runs as usize);
-    for _ in 0..runs {
-        let mut s = build();
-        let start = Instant::now();
-        s.cosim.run_for(Duration::from_us(sim_us)).expect("runs");
-        samples.push(start.elapsed().as_nanos());
-    }
+    let (n, _) = run();
+    let mut samples: Vec<u128> = (0..runs)
+        .map(|_| {
+            let (got, ns) = run();
+            assert_eq!(got, n, "{scenario} {variant:?}: every run covers as much");
+            ns
+        })
+        .collect();
     samples.sort_unstable();
-    let ns_per_run = samples.iter().sum::<u128>() / u128::from(runs.max(1));
+    let ns_per_run = samples.iter().sum::<u128>() / samples.len() as u128;
     let p50_ns = samples[samples.len() / 2];
     let p99_ns = samples[(samples.len() * 99 / 100).min(samples.len() - 1)];
+    let tag = variant.map_or_else(String::new, |v| format!(", {v}"));
     println!(
-        "{name:<24} N={n:<4} bus={bus_timing:<13} {ns_per_run:>12} ns/run  \
-         p50={p50_ns} p99={p99_ns}  ({runs} runs)"
+        "{scenario:<24} N={n:<4} bus={bus_timing:<13} {ns_per_run:>12} ns/run  \
+         p50={p50_ns} p99={p99_ns}  ({runs} runs{tag})"
     );
     Record {
-        scenario: name,
+        scenario,
         n,
         bus_timing,
-        variant: None,
+        variant,
         ns_per_run,
         p50_ns,
         p99_ns,
@@ -209,58 +238,32 @@ fn measure(
     }
 }
 
-/// Mean/p50/p99 of sorted-in-place samples.
-fn summarize3(mut samples: Vec<u128>) -> (u128, u128, u128) {
-    samples.sort_unstable();
-    let mean = samples.iter().sum::<u128>() / samples.len() as u128;
-    let p50 = samples[samples.len() / 2];
-    let p99 = samples[(samples.len() * 99 / 100).min(samples.len() - 1)];
-    (mean, p50, p99)
-}
-
-/// Times `runs` calls of `run`, which returns the work it covered (`n`:
-/// simulated cycles, messages) and the nanoseconds it took, after one
-/// untimed call; every call must cover the same `n`.
-fn flow_row(
-    scenario: &'static str,
-    variant: &'static str,
-    runs: u32,
-    run: impl Fn() -> (u64, u128),
-) -> Record {
-    let (n, _) = run();
-    let samples: Vec<u128> = (0..runs)
-        .map(|_| {
-            let (got, ns) = run();
-            assert_eq!(got, n, "{scenario} {variant}: every run covers as much");
-            ns
-        })
-        .collect();
-    let (mean, p50, p99) = summarize3(samples);
-    println!(
-        "{scenario:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
-         p50={p50} p99={p99}  ({runs} runs, {variant})",
-        "none"
-    );
-    Record {
-        scenario,
-        n: n as usize,
-        bus_timing: "none",
-        variant: Some(variant),
-        ns_per_run: mean,
-        p50_ns: p50,
-        p99_ns: p99,
-        runs,
+/// A [`row`] closure of size `n`: each call builds afresh and times
+/// `run` alone on what it built.
+fn build_then_time<T>(
+    n: usize,
+    build: impl Fn() -> T,
+    mut run: impl FnMut(&mut T),
+) -> impl FnMut() -> (usize, u128) {
+    move || {
+        let mut built = build();
+        let ((), ns) = timed(|| run(&mut built));
+        (n, ns)
     }
 }
 
-/// One 100 µs beat-storm run: `n` generator processes each keep a
-/// 63-beat drive train in flight on a private signal (8 phase groups,
-/// 64 ns beat stride) and re-arm on drain — the kernel-level
-/// distillation of `n` PayloadBeats links streaming concurrently.
-/// Returns wall-clock nanoseconds for the run, setup excluded.
-fn beat_storm(n: usize) -> u128 {
+/// 200 µs of a scenario's co-simulation.
+fn run_200us(s: &mut Scenario) {
+    s.cosim.run_for(Duration::from_us(200)).expect("runs");
+}
+
+/// `n` generator processes each keeping a 63-beat drive train in
+/// flight on a private signal (8 phase groups, 64 ns beat stride) and
+/// re-arming on drain — the kernel-level distillation of `n`
+/// PayloadBeats links streaming concurrently.
+fn beat_storm(n: usize) -> Simulator {
     use cosma_core::{Bit, Value};
-    use cosma_sim::{FnProcess, SimTime, Simulator, Wait};
+    use cosma_sim::{FnProcess, Wait};
     const BEATS: usize = 63;
     let mut sim = Simulator::new();
     let stride = Duration::from_ns(64);
@@ -278,51 +281,12 @@ fn beat_storm(n: usize) -> u128 {
             }),
         );
     }
-    let start = Instant::now();
-    sim.run_until(SimTime::from_ns(100_000)).expect("runs");
-    start.elapsed().as_nanos()
-}
-
-/// Times `runs` runs of `span` on fresh kernels from `build`, after one
-/// untimed run; setup and teardown are outside the timed span. One
-/// `kernel` row.
-fn kernel_row(
-    variant: &'static str,
-    n: usize,
-    runs: u32,
-    span: Duration,
-    build: impl Fn(usize) -> cosma_sim::Simulator,
-) -> Record {
-    build(n).run_for(span).expect("kernel runs");
-    let samples: Vec<u128> = (0..runs)
-        .map(|_| {
-            let mut sim = build(n);
-            let start = Instant::now();
-            sim.run_for(span).expect("kernel runs");
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    let (mean, p50, p99) = summarize3(samples);
-    println!(
-        "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
-         p50={p50} p99={p99}  ({runs} runs, {variant})",
-        "kernel", "none"
-    );
-    Record {
-        scenario: "kernel",
-        n,
-        bus_timing: "none",
-        variant: Some(variant),
-        ns_per_run: mean,
-        p50_ns: p50,
-        p99_ns: p99,
-        runs,
-    }
+    sim
 }
 
 /// Registers a process counting the rising edges of `clk` on a fresh
 /// `Q<i>` signal.
-fn add_counter(sim: &mut cosma_sim::Simulator, i: usize, clk: cosma_sim::SignalId) {
+fn add_counter(sim: &mut Simulator, i: usize, clk: cosma_sim::SignalId) {
     use cosma_core::{Type, Value};
     use cosma_sim::{FnProcess, Wait};
     let q = sim.add_signal(format!("Q{i}"), Type::INT16, Value::Int(0));
@@ -339,8 +303,8 @@ fn add_counter(sim: &mut cosma_sim::Simulator, i: usize, clk: cosma_sim::SignalI
 }
 
 /// `n` rising-edge counters on one 100 ns clock.
-fn kernel_counters(n: usize) -> cosma_sim::Simulator {
-    let mut sim = cosma_sim::Simulator::new();
+fn kernel_counters(n: usize) -> Simulator {
+    let mut sim = Simulator::new();
     let clk = sim.add_bit("CLK");
     sim.add_clock("gen", clk, Duration::from_ns(100));
     for i in 0..n {
@@ -351,9 +315,9 @@ fn kernel_counters(n: usize) -> cosma_sim::Simulator {
 
 /// One counter on a 100 ns clock beside `n` processes that wait on
 /// signals nothing drives.
-fn kernel_sparse_wakeup(n: usize) -> cosma_sim::Simulator {
+fn kernel_sparse_wakeup(n: usize) -> Simulator {
     use cosma_sim::{FnProcess, Wait};
-    let mut sim = cosma_sim::Simulator::new();
+    let mut sim = Simulator::new();
     let clk = sim.add_bit("CLK");
     sim.add_clock("gen", clk, Duration::from_ns(100));
     add_counter(&mut sim, 0, clk);
@@ -368,10 +332,10 @@ fn kernel_sparse_wakeup(n: usize) -> cosma_sim::Simulator {
 }
 
 /// `n` independent `wait for` tickers with periods from 7 to 43 ns.
-fn kernel_timer_storm(n: usize) -> cosma_sim::Simulator {
+fn kernel_timer_storm(n: usize) -> Simulator {
     use cosma_core::{Type, Value};
     use cosma_sim::{FnProcess, Wait};
-    let mut sim = cosma_sim::Simulator::new();
+    let mut sim = Simulator::new();
     for i in 0..n {
         let t = sim.add_signal(format!("T{i}"), Type::INT16, Value::Int(0));
         let period = Duration::from_ns(7 + (i as u64 % 13) * 3);
@@ -388,10 +352,10 @@ fn kernel_timer_storm(n: usize) -> cosma_sim::Simulator {
 }
 
 /// An inverter chain `n` deep, its head toggled by a 100 ns clock.
-fn kernel_delta_chain(n: usize) -> cosma_sim::Simulator {
+fn kernel_delta_chain(n: usize) -> Simulator {
     use cosma_core::Value;
     use cosma_sim::{FnProcess, Wait};
-    let mut sim = cosma_sim::Simulator::new();
+    let mut sim = Simulator::new();
     let sigs: Vec<_> = (0..=n).map(|i| sim.add_bit(format!("S{i}"))).collect();
     for i in 0..n {
         let (a, z) = (sigs[i], sigs[i + 1]);
@@ -406,6 +370,16 @@ fn kernel_delta_chain(n: usize) -> cosma_sim::Simulator {
     }
     sim.add_clock("gen", sigs[0], Duration::from_ns(100));
     sim
+}
+
+/// A [`row`] closure: `span` of a fresh `build(n)` kernel.
+fn kernel_run(
+    n: usize,
+    span: Duration,
+    build: fn(usize) -> Simulator,
+) -> impl FnMut() -> (usize, u128) {
+    let run = move |sim: &mut Simulator| sim.run_for(span).expect("kernel runs");
+    build_then_time(n, move || build(n), run)
 }
 
 /// Pushes `n` messages through a unit with a `put`-like and a
@@ -507,6 +481,10 @@ fn main() {
     } else {
         (&[16, 64, 256], 10)
     };
+    // Size of the star and ring scenarios, and the run count of the
+    // rows whose single run takes microseconds.
+    let small = if quick { 8 } else { 16 };
+    let fast_runs: u32 = if quick { 20 } else { 200 };
 
     let batched = LinkKind::Batched {
         max_batch: 8,
@@ -518,81 +496,56 @@ fn main() {
         capacity: 32,
         timing: BusTiming::PayloadBeats,
     };
+    let bus = timing_label(&batched);
+    let (hs, legacy, sharded) = (
+        LinkKind::Handshake,
+        SchedulingConfig::legacy(),
+        SchedulingConfig::sharded(),
+    );
+    let no_parking = SchedulingConfig {
+        park_blocked: false,
+        ..sharded
+    };
+    // The batched ring the trace_heavy, multi_rate and partitioned rows
+    // run.
+    let ring = ScenarioSpec {
+        units: small,
+        topology: Topology::Ring,
+        values_per_link: 1_000_000,
+        link: batched,
+        scheduling: sharded,
+        ..ScenarioSpec::default()
+    };
     println!("host available parallelism: {cpus} (rev {rev})");
     // Untimed warm-up: about half a second of builds and runs of the
     // first row's scenario, so CPU ramp-up and cold caches after
     // process start land here rather than in the first row's samples.
     let warm_until = Instant::now() + std::time::Duration::from_millis(500);
     while Instant::now() < warm_until {
-        let (n, hs) = (sizes[0], LinkKind::Handshake);
-        let mut s = scenario(n, Topology::Pipeline, SchedulingConfig::legacy(), hs);
-        s.cosim.run_for(Duration::from_us(200)).expect("runs");
+        run_200us(&mut scenario(sizes[0], Topology::Pipeline, legacy, hs));
     }
     let mut records = vec![];
     for &n in sizes {
-        records.push(measure(
-            "many_units_per_unit",
-            n,
-            timing_label(&LinkKind::Handshake),
-            runs,
-            200,
-            || {
-                scenario(
-                    n,
-                    Topology::Pipeline,
-                    SchedulingConfig::legacy(),
-                    LinkKind::Handshake,
-                )
-            },
-        ));
-        records.push(measure(
-            "many_units_sharded",
-            n,
-            timing_label(&batched),
-            runs,
-            200,
-            || scenario(n, Topology::Pipeline, SchedulingConfig::sharded(), batched),
-        ));
-        // Cycle-accurate payload beats on the same scenario: the cost
-        // of timing fidelity, trackable against the length-only row.
-        records.push(measure(
-            "many_units_sharded",
-            n,
-            timing_label(&beats),
-            runs,
-            200,
-            || scenario(n, Topology::Pipeline, SchedulingConfig::sharded(), beats),
-        ));
-        records.push(measure(
-            "blocked_per_unit",
-            n,
-            timing_label(&LinkKind::Handshake),
-            runs,
-            200,
-            || {
-                scenario(
-                    n,
-                    Topology::Starved,
-                    SchedulingConfig::legacy(),
-                    LinkKind::Handshake,
-                )
-            },
-        ));
-        records.push(measure(
-            "blocked_sharded",
-            n,
-            timing_label(&LinkKind::Handshake),
-            runs,
-            200,
-            || {
-                scenario(
-                    n,
-                    Topology::Starved,
-                    SchedulingConfig::sharded(),
-                    LinkKind::Handshake,
-                )
-            },
-        ));
+        use Topology::{Pipeline, Starved};
+        for (name, topology, scheduling, link) in [
+            ("many_units_per_unit", Pipeline, legacy, hs),
+            ("many_units_sharded", Pipeline, sharded, batched),
+            // Cycle-accurate payload beats on the same scenario: the
+            // cost of timing fidelity, trackable against the
+            // length-only row.
+            ("many_units_sharded", Pipeline, sharded, beats),
+            ("blocked_per_unit", Starved, legacy, hs),
+            ("blocked_sharded", Starved, sharded, hs),
+        ] {
+            let build = move || scenario(n, topology, scheduling, link);
+            records.push(row(
+                name,
+                timing_label(&link),
+                None,
+                runs,
+                build_then_time(n, build, run_200us),
+            ));
+        }
     }
 
     // Batched-heavy: a star of producers funneling a deep value stream
@@ -604,26 +557,21 @@ fn main() {
             capacity: 64,
             timing: BusTiming::LengthOnly,
         };
-        let n = if quick { 8 } else { 16 };
-        records.push(measure(
+        let spec = ScenarioSpec {
+            units: small,
+            topology: Topology::Star,
+            values_per_link: 16,
+            link: heavy,
+            scheduling: sharded,
+            ..ScenarioSpec::default()
+        };
+        let build = move || build_scenario(&spec).expect("scenario builds");
+        records.push(row(
             "batched_heavy",
-            n,
             timing_label(&heavy),
+            None,
             runs,
-            200,
-            move || {
-                build_scenario(&ScenarioSpec {
-                    units: n,
-                    topology: Topology::Star,
-                    values_per_link: 16,
-                    link: heavy,
-                    config: CosimConfig::default(),
-                    scheduling: SchedulingConfig::sharded(),
-                    trace: false,
-                    domains: Default::default(),
-                })
-                .expect("scenario builds")
-            },
+            build_then_time(small, build, run_200us),
         ));
     }
 
@@ -636,24 +584,8 @@ fn main() {
     // whole-slot drains). Module bodies are deliberately trivial so
     // queue operations dominate the wall clock.
     for &n in sizes {
-        beat_storm(n);
-        let samples: Vec<u128> = (0..runs).map(|_| beat_storm(n)).collect();
-        let (ns_per_run, p50_ns, p99_ns) = summarize3(samples);
-        println!(
-            "{:<24} N={n:<4} bus={:<13} {ns_per_run:>12} ns/run  \
-             p50={p50_ns} p99={p99_ns}  ({runs} runs)",
-            "beat_storm", "payload_beats",
-        );
-        records.push(Record {
-            scenario: "beat_storm",
-            n,
-            bus_timing: "payload_beats",
-            variant: None,
-            ns_per_run,
-            p50_ns,
-            p99_ns,
-            runs,
-        });
+        let storm = kernel_run(n, Duration::from_us(100), beat_storm);
+        records.push(row("beat_storm", "payload_beats", None, runs, storm));
     }
 
     // Trace-heavy ring: every module records an interned trace entry
@@ -664,17 +596,11 @@ fn main() {
     // scenario (`tests/alloc.rs`), which pins the same regime to zero
     // heap allocations per warm cycle.
     {
-        let n = if quick { 8 } else { 16 };
-        let ring = move |scheduling| {
+        let traced = move |scheduling| {
             build_scenario(&ScenarioSpec {
-                units: n,
-                topology: Topology::Ring,
-                values_per_link: 1_000_000,
-                link: batched,
-                config: CosimConfig::default(),
                 scheduling,
                 trace: true,
-                domains: Default::default(),
+                ..ring
             })
             .expect("scenario builds")
         };
@@ -682,8 +608,8 @@ fn main() {
         // echoes must reproduce the per-process oracle's trace and
         // statuses, and must engage at all.
         let run = |scheduling| {
-            let mut s = ring(scheduling);
-            s.cosim.run_for(Duration::from_us(200)).expect("runs");
+            let mut s = traced(scheduling);
+            run_200us(&mut s);
             let status: Vec<_> = s
                 .modules
                 .iter()
@@ -695,7 +621,7 @@ fn main() {
                 s.cosim.shard_stats().modules_echoed,
             )
         };
-        let driver = run(SchedulingConfig::sharded());
+        let driver = run(sharded);
         let oracle = run(SchedulingConfig {
             dispatch: Dispatch::PerProcess,
             park_blocked: true,
@@ -705,20 +631,20 @@ fn main() {
             "trace_heavy: the driver's trace or statuses diverge from the per-process oracle"
         );
         assert!(driver.2 > 0, "trace_heavy: the driver echoed no activation");
-        records.push(measure(
+        let build = move || {
+            let s = traced(sharded);
+            s.cosim
+                .trace_handle()
+                .borrow_mut()
+                .set_spill(Box::new(std::io::sink()));
+            s
+        };
+        records.push(row(
             "trace_heavy",
-            n,
-            timing_label(&batched),
+            bus,
+            None,
             runs,
-            200,
-            move || {
-                let s = ring(SchedulingConfig::sharded());
-                s.cosim
-                    .trace_handle()
-                    .borrow_mut()
-                    .set_spill(Box::new(std::io::sink()));
-                s
-            },
+            build_then_time(small, build, run_200us),
         ));
     }
 
@@ -734,16 +660,10 @@ fn main() {
         let build = move |scheduling| {
             build_poll(n, POLL_PERIOD, 10_000, scheduling).expect("poll system builds")
         };
-        let run = |scheduling| {
-            let mut s = build(scheduling);
-            s.cosim.run_for(Duration::from_us(200)).expect("runs");
-            s
-        };
-        let parked = run(SchedulingConfig::sharded());
-        let unparked = run(SchedulingConfig {
-            park_blocked: false,
-            ..SchedulingConfig::sharded()
-        });
+        let run = |s: &mut PollScenario| s.cosim.run_for(Duration::from_us(200)).expect("runs");
+        let (mut parked, mut unparked) = (build(sharded), build(no_parking));
+        run(&mut parked);
+        run(&mut unparked);
         let writes = match parked.cosim.module_var(parked.writer, "N") {
             Some(cosma_core::Value::Int(w)) if w > 0 => w as u64,
             other => panic!("poll: the writer wrote nothing ({other:?})"),
@@ -771,29 +691,8 @@ fn main() {
             );
             assert_eq!(out(&parked, i), out(&unparked, i), "poll: poller {i} port");
         }
-        let samples: Vec<u128> = (0..runs)
-            .map(|_| {
-                let mut s = build(SchedulingConfig::sharded());
-                let start = Instant::now();
-                s.cosim.run_for(Duration::from_us(200)).expect("runs");
-                start.elapsed().as_nanos()
-            })
-            .collect();
-        let (mean, p50, p99) = summarize3(samples);
-        println!(
-            "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  p50={p50} p99={p99}  ({runs} runs)",
-            "poll", "none"
-        );
-        records.push(Record {
-            scenario: "poll",
-            n,
-            bus_timing: "none",
-            variant: None,
-            ns_per_run: mean,
-            p50_ns: p50,
-            p99_ns: p99,
-            runs,
-        });
+        let poll = build_then_time(n, move || build(sharded), run);
+        records.push(row("poll", "none", None, runs, poll));
     }
 
     // Step scaling: a wide pipeline with parking off, so the module
@@ -801,17 +700,14 @@ fn main() {
     // per-activation cost at scale.
     {
         let (sn, sruns): (usize, u32) = if quick { (256, 2) } else { (1024, 3) };
-        let cfg = SchedulingConfig {
-            park_blocked: false,
-            ..SchedulingConfig::sharded()
-        };
-        records.push(measure(
+        let build = move || scenario(sn, Topology::Pipeline, no_parking, batched);
+        let run = |s: &mut Scenario| s.cosim.run_for(Duration::from_us(50)).expect("runs");
+        records.push(row(
             "step_scaling",
-            sn,
-            timing_label(&batched),
+            bus,
+            None,
             sruns,
-            50,
-            move || scenario(sn, Topology::Pipeline, cfg, batched),
+            build_then_time(sn, build, run),
         ));
     }
 
@@ -824,74 +720,46 @@ fn main() {
     // speed-up is of a *bit-identical* replay, not an approximation.
     {
         let n = if quick { 64 } else { 256 };
-        let (mid_us, tail_us) = (150u64, 50u64);
-        let build = move || scenario(n, Topology::Pipeline, SchedulingConfig::sharded(), batched);
+        let (mid, tail) = (Duration::from_us(150), Duration::from_us(50));
+        let build = move || scenario(n, Topology::Pipeline, sharded, batched);
         let mut warm = build();
-        warm.cosim.run_for(Duration::from_us(mid_us)).expect("runs");
-        let capture_start = Instant::now();
-        let snap = warm.cosim.snapshot();
-        let capture_ns = capture_start.elapsed().as_nanos();
-        warm.cosim
-            .run_for(Duration::from_us(tail_us))
-            .expect("runs");
+        warm.cosim.run_for(mid).expect("runs");
+        let (snap, capture_ns) = timed(|| warm.cosim.snapshot());
+        warm.cosim.run_for(tail).expect("runs");
         let want_trace = warm.cosim.trace_log();
         println!(
             "snapshot capture: {capture_ns} ns for {} modules at t={:?}",
             snap.module_count(),
             snap.at()
         );
-
-        let mut restore_samples = Vec::with_capacity(runs as usize);
-        for _ in 0..runs {
-            let start = Instant::now();
-            warm.cosim.restore(&snap).expect("restore");
-            warm.cosim
-                .run_for(Duration::from_us(tail_us))
-                .expect("runs");
-            restore_samples.push(start.elapsed().as_nanos());
+        let restore = row("snapshot_restore", bus, None, runs, || {
+            let ((), ns) = timed(|| {
+                warm.cosim.restore(&snap).expect("restore");
+                warm.cosim.run_for(tail).expect("runs");
+            });
             assert_eq!(
                 warm.cosim.trace_log(),
                 want_trace,
                 "restored replay must be bit-identical to the original run"
             );
-        }
-        let mut rerun_samples = Vec::with_capacity(runs as usize);
-        for _ in 0..runs {
-            let mut s = build();
-            let start = Instant::now();
-            s.cosim
-                .run_for(Duration::from_us(mid_us + tail_us))
-                .expect("runs");
-            rerun_samples.push(start.elapsed().as_nanos());
-        }
-        let (restore_mean, restore_p50, restore_p99) = summarize3(restore_samples);
-        let (rerun_mean, rerun_p50, rerun_p99) = summarize3(rerun_samples);
-        for (name, mean, p50, p99) in [
-            ("snapshot_restore", restore_mean, restore_p50, restore_p99),
-            ("snapshot_rerun", rerun_mean, rerun_p50, rerun_p99),
-        ] {
-            println!(
-                "{name:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
-                 p50={p50} p99={p99}  ({runs} runs)",
-                timing_label(&batched)
-            );
-            records.push(Record {
-                scenario: name,
-                n,
-                bus_timing: timing_label(&batched),
-                variant: None,
-                ns_per_run: mean,
-                p50_ns: p50,
-                p99_ns: p99,
-                runs,
-            });
-        }
-        assert!(
-            restore_p50 < rerun_p50,
-            "restore + {tail_us}us tail ({restore_p50} ns p50) must beat re-running \
-             {}us from zero ({rerun_p50} ns p50)",
-            mid_us + tail_us
+            (n, ns)
+        });
+        let replay = |s: &mut Scenario| s.cosim.run_for(mid + tail).expect("runs");
+        let rerun = row(
+            "snapshot_rerun",
+            bus,
+            None,
+            runs,
+            build_then_time(n, build, replay),
         );
+        assert!(
+            restore.p50_ns < rerun.p50_ns,
+            "restore + {tail} tail ({} ns p50) must beat re-running {} from zero ({} ns p50)",
+            restore.p50_ns,
+            mid + tail,
+            rerun.p50_ns
+        );
+        records.extend([restore, rerun]);
     }
 
     // Multi-rate clock domains: the same batched ring, uniform vs half
@@ -901,63 +769,24 @@ fn main() {
     // than the uniform run — the whole point of domain-aware clocking.
     {
         use cosma_cosim::scenario::DomainsSpec;
-        let n = if quick { 8 } else { 16 };
-        let build = move |domains| {
-            build_scenario(&ScenarioSpec {
-                units: n,
-                topology: Topology::Ring,
-                values_per_link: 1_000_000,
-                link: batched,
-                config: CosimConfig::default(),
-                scheduling: SchedulingConfig::sharded(),
-                trace: false,
-                domains,
-            })
-            .expect("scenario builds")
-        };
-        let mut pair = vec![];
-        for (variant, domains) in [
+        let [uniform, slow] = [
             ("uniform", DomainsSpec::default()),
             (
                 "slow_1_4",
                 DomainsSpec {
                     ratio: (4, 1),
-                    slow_links: n / 2,
+                    slow_links: small / 2,
                 },
             ),
-        ] {
-            let mut warm = build(domains);
-            warm.cosim.run_for(Duration::from_us(200)).expect("runs");
-            let samples: Vec<u128> = (0..runs)
-                .map(|_| {
-                    let mut s = build(domains);
-                    let start = Instant::now();
-                    s.cosim.run_for(Duration::from_us(200)).expect("runs");
-                    start.elapsed().as_nanos()
-                })
-                .collect();
-            let (mean, p50, p99) = summarize3(samples);
-            println!(
-                "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
-                 p50={p50} p99={p99}  ({runs} runs, {variant})",
-                "multi_rate",
-                timing_label(&batched)
-            );
-            pair.push(p50);
-            records.push(Record {
-                scenario: "multi_rate",
-                n,
-                bus_timing: timing_label(&batched),
-                variant: Some(variant),
-                ns_per_run: mean,
-                p50_ns: p50,
-                p99_ns: p99,
-                runs,
-            });
-        }
-        let (uniform_p50, slow_p50) = (pair[0], pair[1]);
+        ]
+        .map(|(variant, domains)| {
+            let build = move || build_scenario(&ScenarioSpec { domains, ..ring }).expect("builds");
+            let run = build_then_time(small, build, run_200us);
+            row("multi_rate", bus, Some(variant), runs, run)
+        });
+        let (uniform_p50, slow_p50) = (uniform.p50_ns, slow.p50_ns);
         println!(
-            "multi_rate N={n}: uniform p50 {uniform_p50} ns vs slow_1_4 p50 {slow_p50} ns \
+            "multi_rate N={small}: uniform p50 {uniform_p50} ns vs slow_1_4 p50 {slow_p50} ns \
              ({:+.1}%)",
             (slow_p50 as f64 / uniform_p50 as f64 - 1.0) * 100.0
         );
@@ -970,6 +799,7 @@ fn main() {
                  uniform run: slow p50 {slow_p50} ns vs uniform p50 {uniform_p50} ns"
             );
         }
+        records.extend([uniform, slow]);
     }
 
     // Partitioned co-simulation: the same scenario run collapsed in one
@@ -979,29 +809,19 @@ fn main() {
     // anything is timed.
     {
         use cosma_cosim::scenario::{build_collapsed, build_partitioned, PartitionsSpec};
-        let n = if quick { 8 } else { 16 };
-        let spec = ScenarioSpec {
-            units: n,
-            topology: Topology::Ring,
-            values_per_link: 1_000_000,
-            link: batched,
-            config: CosimConfig::default(),
-            scheduling: SchedulingConfig::sharded(),
-            trace: false,
-            domains: Default::default(),
-        };
         let pspec = PartitionsSpec {
             count: 2,
             latency: Duration::from_ns(200),
         };
-        let sim_us = 200u64;
-        let mut warm_collapsed = build_collapsed(&spec, &pspec).expect("collapsed builds");
-        warm_collapsed
-            .cosim
-            .run_for(Duration::from_us(sim_us))
-            .expect("runs");
-        let mut warm_split = build_partitioned(&spec, &pspec).expect("partitioned builds");
-        warm_split.run_for(Duration::from_us(sim_us)).expect("runs");
+        let collapsed = || build_collapsed(&ring, &pspec).expect("collapsed builds");
+        let split = || build_partitioned(&ring, &pspec).expect("partitioned builds");
+        let run_split = |s: &mut cosma_cosim::scenario::PartitionedScenario| {
+            s.run_for(Duration::from_us(200)).expect("runs");
+        };
+        let mut warm_collapsed = collapsed();
+        run_200us(&mut warm_collapsed);
+        let mut warm_split = split();
+        run_split(&mut warm_split);
         for (j, &m) in warm_collapsed.modules.iter().enumerate() {
             assert_eq!(
                 warm_split.module_status(j),
@@ -1014,41 +834,10 @@ fn main() {
             warm_collapsed.verify(),
             "partitioned: checker verdicts diverged from the collapsed run"
         );
-        let collapsed: Vec<u128> = (0..runs)
-            .map(|_| {
-                let mut s = build_collapsed(&spec, &pspec).expect("collapsed builds");
-                let start = Instant::now();
-                s.cosim.run_for(Duration::from_us(sim_us)).expect("runs");
-                start.elapsed().as_nanos()
-            })
-            .collect();
-        let split: Vec<u128> = (0..runs)
-            .map(|_| {
-                let mut s = build_partitioned(&spec, &pspec).expect("partitioned builds");
-                let start = Instant::now();
-                s.run_for(Duration::from_us(sim_us)).expect("runs");
-                start.elapsed().as_nanos()
-            })
-            .collect();
-        for (variant, samples) in [("collapsed", collapsed), ("split_2", split)] {
-            let (mean, p50, p99) = summarize3(samples);
-            println!(
-                "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
-                 p50={p50} p99={p99}  ({runs} runs, {variant})",
-                "partitioned",
-                timing_label(&batched)
-            );
-            records.push(Record {
-                scenario: "partitioned",
-                n,
-                bus_timing: timing_label(&batched),
-                variant: Some(variant),
-                ns_per_run: mean,
-                p50_ns: p50,
-                p99_ns: p99,
-                runs,
-            });
-        }
+        let collapsed = build_then_time(small, collapsed, run_200us);
+        records.push(row("partitioned", bus, Some("collapsed"), runs, collapsed));
+        let split = build_then_time(small, split, run_split);
+        records.push(row("partitioned", bus, Some("split_2"), runs, split));
     }
 
     // Elaboration: build and drop a length-only batched pipeline — the
@@ -1061,32 +850,11 @@ fn main() {
             (&[64, 256], 100)
         };
         for &n in elab_sizes {
-            let build = || scenario(n, Topology::Pipeline, SchedulingConfig::sharded(), batched);
-            drop(build());
-            let samples: Vec<u128> = (0..elab_runs)
-                .map(|_| {
-                    let start = Instant::now();
-                    drop(build());
-                    start.elapsed().as_nanos()
-                })
-                .collect();
-            let (mean, p50, p99) = summarize3(samples);
-            println!(
-                "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
-                 p50={p50} p99={p99}  ({elab_runs} runs)",
-                "elaborate",
-                timing_label(&batched)
-            );
-            records.push(Record {
-                scenario: "elaborate",
-                n,
-                bus_timing: timing_label(&batched),
-                variant: None,
-                ns_per_run: mean,
-                p50_ns: p50,
-                p99_ns: p99,
-                runs: elab_runs,
-            });
+            let build = || scenario(n, Topology::Pipeline, sharded, batched);
+            records.push(row("elaborate", bus, None, elab_runs, || {
+                let ((), ns) = timed(|| drop(build()));
+                (n, ns)
+            }));
         }
     }
 
@@ -1099,7 +867,6 @@ fn main() {
             distribution_options, speed_control_options, DISTRIBUTION_SRC, SPEED_CONTROL_SRC,
         };
         use cosma_core::{Module, ModuleKind};
-        let fe_runs: u32 = if quick { 20 } else { 200 };
         let (c_opts, vhdl_opts) = (distribution_options(), speed_control_options());
         let c = || {
             let module = cosma_frontend::c::compile_module(
@@ -1120,32 +887,10 @@ fn main() {
         };
         let variants: [(&str, &dyn Fn() -> Vec<Module>); 2] = [("c", &c), ("vhdl", &vhdl)];
         for (variant, compile) in variants {
-            let n = compile().len();
-            let samples: Vec<u128> = (0..fe_runs)
-                .map(|_| {
-                    let start = Instant::now();
-                    let modules = std::hint::black_box(compile());
-                    let ns = start.elapsed().as_nanos();
-                    drop(modules);
-                    ns
-                })
-                .collect();
-            let (mean, p50, p99) = summarize3(samples);
-            println!(
-                "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
-                 p50={p50} p99={p99}  ({fe_runs} runs, {variant})",
-                "frontends", "none"
-            );
-            records.push(Record {
-                scenario: "frontends",
-                n,
-                bus_timing: "none",
-                variant: Some(variant),
-                ns_per_run: mean,
-                p50_ns: p50,
-                p99_ns: p99,
-                runs: fe_runs,
-            });
+            records.push(row("frontends", "none", Some(variant), fast_runs, || {
+                let (modules, ns) = timed(|| std::hint::black_box(compile()));
+                (modules.len(), ns)
+            }));
         }
     }
 
@@ -1166,28 +911,125 @@ fn main() {
             ..MotorConfig::default()
         };
         let want = cfg.total_distance();
-        let cosim = || {
-            let start = Instant::now();
-            let mut sys = build_cosim(&cfg, CosimConfig::default()).expect("motor assembles");
-            let done = sys.run_to_completion(Duration::from_us(20), 20_000);
-            let ns = start.elapsed().as_nanos();
+        records.push(row("motor", "none", Some("cosim"), motor_runs, || {
+            let ((sys, done), ns) = timed(|| {
+                let mut sys = build_cosim(&cfg, CosimConfig::default()).expect("motor assembles");
+                let done = sys.run_to_completion(Duration::from_us(20), 20_000);
+                (sys, done)
+            });
             assert!(done.expect("co-simulation runs"), "co-simulation completes");
             assert_eq!(sys.motor.borrow().position(), want);
             let hw_cycle = CosimConfig::default().hw_cycle.as_fs();
-            (sys.cosim.sim().now().as_fs() / hw_cycle, ns)
-        };
-        let board = || {
-            let start = Instant::now();
-            let mut sys = build_board(&cfg, BoardConfig::default(), Encoding::Binary)
-                .expect("motor synthesizes");
-            let done = sys.run_to_completion(20_000, 20_000);
-            let ns = start.elapsed().as_nanos();
+            ((sys.cosim.sim().now().as_fs() / hw_cycle) as usize, ns)
+        }));
+        records.push(row("motor", "none", Some("board"), motor_runs, || {
+            let ((sys, done), ns) = timed(|| {
+                let mut sys = build_board(&cfg, BoardConfig::default(), Encoding::Binary)
+                    .expect("motor synthesizes");
+                let done = sys.run_to_completion(20_000, 20_000);
+                (sys, done)
+            });
             assert!(done.expect("board runs"), "board run completes");
             assert_eq!(sys.motor.borrow().position(), want);
-            (sys.board.fabric_ticks(), ns)
+            (sys.board.fabric_ticks() as usize, ns)
+        }));
+    }
+
+    // The co-synthesis steps of the Figure 1 flow on the motor
+    // controller's modules: flattening, hardware synthesis under each
+    // state encoding, and software compilation to MC16.
+    {
+        use cosma_motor::{
+            distribution_module, motor_link_unit, position_module, swhw_link_unit, timer_module,
+            MotorConfig,
         };
-        records.push(flow_row("motor", "cosim", motor_runs, cosim));
-        records.push(flow_row("motor", "board", motor_runs, board));
+        use cosma_synth::{compile_sw, flatten_module, synthesize_hw, Encoding, IoMap};
+        let cfg = MotorConfig::default();
+        let units = [("swhw", swhw_link_unit()), ("mlink", motor_link_unit())]
+            .map(|(name, unit)| (name.to_string(), unit))
+            .into();
+        let flat = |m: &cosma_core::Module| flatten_module(m, &units).expect("flattens");
+        let distribution = distribution_module(&cfg);
+        let (flat_distribution, position, timer) = (
+            flat(&distribution),
+            flat(&position_module(&cfg)),
+            flat(&timer_module(&cfg)),
+        );
+        let states = |m: &cosma_core::Module| m.fsm().state_count();
+        records.push(row(
+            "synthesis",
+            "none",
+            Some("flatten_distribution"),
+            fast_runs,
+            || {
+                let (m, ns) = timed(|| flat(&distribution));
+                (states(&m), ns)
+            },
+        ));
+        records.push(row(
+            "synthesis",
+            "none",
+            Some("hw_synth_position"),
+            fast_runs,
+            || {
+                let (_, ns) = timed(|| synthesize_hw(&position, Encoding::Binary).expect("synth"));
+                (states(&position), ns)
+            },
+        ));
+        let io = IoMap::for_module(0x300, &flat_distribution);
+        records.push(row(
+            "synthesis",
+            "none",
+            Some("sw_synth_distribution"),
+            fast_runs,
+            || {
+                let (_, ns) = timed(|| compile_sw(&flat_distribution, &io).expect("compiles"));
+                (states(&flat_distribution), ns)
+            },
+        ));
+        for (variant, encoding) in [
+            ("timer_binary", Encoding::Binary),
+            ("timer_onehot", Encoding::OneHot),
+            ("timer_gray", Encoding::Gray),
+        ] {
+            records.push(row("synthesis", "none", Some(variant), fast_runs, || {
+                let (_, ns) = timed(|| synthesize_hw(&timer, encoding).expect("synthesizes"));
+                (states(&timer), ns)
+            }));
+        }
+    }
+
+    // The MC16 instruction-set simulator, the software side of the
+    // synthesized board, on three loops run to `HLT`.
+    {
+        use cosma_isa::{assemble, Cpu, NullBus};
+        const BUDGET: u64 = 1_000_000;
+        for (variant, src) in [
+            (
+                "alu_loop",
+                "LDI r0, 0\nLDI r1, 1000\nloop: ADD r0, r1\nXOR r0, r1\nADDI r1, -1\n\
+                 CMPI r1, 0\nJNZ loop\nHLT\n",
+            ),
+            (
+                "mem_loop",
+                "LDI r2, 0x4000\nLDI r1, 500\nloop: LD r0, [0x4000]\nADDI r0, 1\n\
+                 ST [0x4000], r0\nADDI r1, -1\nCMPI r1, 0\nJNZ loop\nHLT\n",
+            ),
+            (
+                "io_loop",
+                "LDI r1, 300\nloop: IN r0, 0x300\nOUT 0x301, r0\nADDI r1, -1\nCMPI r1, 0\n\
+                 JNZ loop\nHLT\n",
+            ),
+        ] {
+            let image = assemble(src).expect("assembles");
+            records.push(row("isa", "none", Some(variant), fast_runs, || {
+                let mut cpu = Cpu::new();
+                cpu.load_image(&image);
+                let (cycles, ns) = timed(|| cpu.run(&mut NullBus, BUDGET).expect("runs"));
+                assert!(cycles < BUDGET, "isa {variant}: no HLT");
+                (cpu.retired() as usize, ns)
+            }));
+        }
     }
 
     // The library's communication units interpreted without a kernel:
@@ -1203,40 +1045,36 @@ fn main() {
         };
         use cosma_core::Type;
         const MESSAGES: i64 = 100;
-        let comm_runs: u32 = if quick { 20 } else { 200 };
         let through = |make: &dyn Fn() -> StandaloneUnit, put: &'static str, get: &'static str| {
             let mut unit = make();
-            let start = Instant::now();
-            transfer(&mut unit, put, get, MESSAGES);
-            (MESSAGES as u64, start.elapsed().as_nanos())
+            let ((), ns) = timed(|| transfer(&mut unit, put, get, MESSAGES));
+            (MESSAGES as usize, ns)
         };
         let handshake = || StandaloneUnit::from_spec(handshake_unit("hs", Type::INT16));
-        records.push(flow_row("comm", "handshake", comm_runs, || {
+        records.push(row("comm", "none", Some("handshake"), fast_runs, || {
             through(&handshake, "put", "get")
         }));
-        records.push(flow_row("comm", "shared_reg", comm_runs, || {
+        records.push(row("comm", "none", Some("shared_reg"), fast_runs, || {
             let mut unit = StandaloneUnit::from_spec(shared_reg_unit("mem", Type::INT16));
-            let start = Instant::now();
-            shared_reg_rounds(&mut unit, MESSAGES);
-            (MESSAGES as u64, start.elapsed().as_nanos())
+            let ((), ns) = timed(|| shared_reg_rounds(&mut unit, MESSAGES));
+            (MESSAGES as usize, ns)
         }));
         for (variant, max_batch) in [("batched_4", 4), ("batched_16", 16)] {
-            records.push(flow_row("comm", variant, comm_runs, || {
+            records.push(row("comm", "none", Some(variant), fast_runs, || {
                 let mut link = BatchedLink::new("bus", Type::INT16, max_batch, 256);
                 let mut wires = LocalWires::new(link.spec());
-                let start = Instant::now();
-                transfer_batched(&mut link, &mut wires, MESSAGES);
-                (MESSAGES as u64, start.elapsed().as_nanos())
+                let ((), ns) = timed(|| transfer_batched(&mut link, &mut wires, MESSAGES));
+                (MESSAGES as usize, ns)
             }));
         }
         for (variant, cap) in [("fifo_4", 4), ("fifo_16", 16)] {
             let fifo = move || StandaloneUnit::from_native(Box::new(FifoChannel::new("q", cap)));
-            records.push(flow_row("comm", variant, comm_runs, || {
+            records.push(row("comm", "none", Some(variant), fast_runs, || {
                 through(&fifo, "put", "get")
             }));
         }
         let mailbox = || StandaloneUnit::from_native(Box::new(Mailbox::new("mb", 4)));
-        records.push(flow_row("comm", "mailbox_4", comm_runs, || {
+        records.push(row("comm", "none", Some("mailbox_4"), fast_runs, || {
             through(&mailbox, "send_a", "recv_b")
         }));
     }
@@ -1244,49 +1082,28 @@ fn main() {
     // The kernel alone: clocked counters, sparse wakeups among idle
     // processes, timer storms and delta chains.
     {
-        let long = Duration::from_us(100);
-        let short = Duration::from_us(10);
-        for n in [4, 16, 64] {
-            records.push(kernel_row("counters", n, runs, long, kernel_counters));
-        }
-        for n in [256, 1024, 4096] {
-            records.push(kernel_row(
-                "sparse_wakeup",
-                n,
-                runs,
-                long,
-                kernel_sparse_wakeup,
-            ));
-        }
-        for n in [64, 512] {
-            records.push(kernel_row(
-                "timer_storm",
-                n,
-                runs,
-                short,
-                kernel_timer_storm,
-            ));
-        }
-        for n in [8, 64] {
-            records.push(kernel_row(
-                "delta_chain",
-                n,
-                runs,
-                short,
-                kernel_delta_chain,
-            ));
-        }
+        let (long, short) = (Duration::from_us(100), Duration::from_us(10));
+        let mut kernel = |variant, sizes: &[usize], span, build| {
+            for &n in sizes {
+                let run = kernel_run(n, span, build);
+                records.push(row("kernel", "none", Some(variant), runs, run));
+            }
+        };
+        kernel("counters", &[4, 16, 64], long, kernel_counters);
+        kernel(
+            "sparse_wakeup",
+            &[256, 1024, 4096],
+            long,
+            kernel_sparse_wakeup,
+        );
+        kernel("timer_storm", &[64, 512], short, kernel_timer_storm);
+        kernel("delta_chain", &[8, 64], short, kernel_delta_chain);
     }
 
     // Sanity gate for CI: parked consumers must contribute ~zero
     // activations in the starved scenario.
-    let mut s = scenario(
-        sizes[sizes.len() - 1],
-        Topology::Starved,
-        SchedulingConfig::sharded(),
-        LinkKind::Handshake,
-    );
-    s.cosim.run_for(Duration::from_us(200)).expect("runs");
+    let mut s = scenario(sizes[sizes.len() - 1], Topology::Starved, sharded, hs);
+    run_200us(&mut s);
     let stats = s.cosim.shard_stats();
     assert!(
         stats.members_parked as usize >= s.modules.len() - 3,

@@ -245,7 +245,7 @@ impl FsmUnitState {
 }
 
 /// One protocol-FSM activation of a service session against `wires`,
-/// through the runtime's recycled `effects` arena. Returns the outcome
+/// through the runtime's `effects` arena. Returns the outcome
 /// plus whether the step was stable ([`FsmUnitRuntime::last_call_stable`]):
 /// a pending step that wrote no wire and no local and kept its protocol
 /// state, or a completing step that wrote no wire from a session that
@@ -271,7 +271,6 @@ fn step_session(
         local_writes: 0,
         wire_writes: 0,
     };
-    effects.recycle();
     let stepped = session.exec.step_with(svc.fsm(), &mut env, effects);
     let (local_writes, wire_writes) = (env.local_writes, env.wire_writes);
     let no_op = local_writes == 0 && wire_writes == 0 && session.exec.current() == state_before;
@@ -515,7 +514,7 @@ pub struct FsmUnitRuntime {
     /// canonical order.
     sessions: Vec<Session>,
     /// Step-effects arena every session and controller step goes
-    /// through ([`FsmExec::step_with`]), recycled before each step.
+    /// through ([`FsmExec::step_with`]).
     effects: StepEffects,
     calls: ServiceCounts,
     /// Controller activations ([`UnitStats::controller_steps`]).
@@ -708,7 +707,6 @@ impl FsmUnitRuntime {
             local_writes: 0,
             wire_writes: 0,
         };
-        self.effects.recycle();
         exec.step_with(&ctrl_spec.fsm, &mut env, &mut self.effects)?;
         self.ctrl_stable =
             env.local_writes == 0 && env.wire_writes == 0 && exec.current() == state_before;

@@ -88,25 +88,13 @@ pub trait Env: ReadEnv {
     fn trace(&mut self, _label: &std::sync::Arc<str>, _values: &[Value]) {}
 }
 
-/// Side effects of executing statements ([`exec_stmt`]), accumulated
-/// across one activation: how many service calls ran and how many of
-/// them were left pending.
-///
-/// The struct doubles as a reusable scratch arena: a scheduler that
-/// keeps one `StepEffects` and steps through [`FsmExec::step_with`]
-/// pays zero steady-state heap allocation for call arguments and trace
-/// values — [`exec_stmt`] evaluates them into reusable buffers, and
-/// [`StepEffects::recycle`] clears the effects while keeping the
-/// buffers. Equality ignores the buffers.
+/// Scratch arena for executing statements ([`exec_stmt`]): a
+/// scheduler that keeps one `StepEffects` and steps through
+/// [`FsmExec::step_with`] pays zero steady-state heap allocation for
+/// call arguments and trace values, which [`exec_stmt`] evaluates into
+/// these reusable buffers.
 #[derive(Debug, Clone, Default)]
 pub struct StepEffects {
-    /// Number of service-call statements executed.
-    pub service_calls: u32,
-    /// How many of those calls returned a pending outcome. Schedulers
-    /// use it to *park* a blocked FSM: when every call of an activation
-    /// is pending, the FSM can wait on the bound units' completion wires
-    /// instead of re-activating every cycle to watch the calls spin.
-    pub pending_calls: u32,
     /// Reusable evaluation buffer for call arguments. One suffices:
     /// argument expressions only read the environment, so no call can
     /// start while another call's arguments are being evaluated.
@@ -116,38 +104,9 @@ pub struct StepEffects {
     trace_vals: Vec<Value>,
 }
 
-impl PartialEq for StepEffects {
-    fn eq(&self, other: &Self) -> bool {
-        self.service_calls == other.service_calls && self.pending_calls == other.pending_calls
-    }
-}
-
-impl StepEffects {
-    /// Clears the activation-visible effects while *keeping* the heap
-    /// buffers, so the next activation through [`FsmExec::step_with`]
-    /// reuses them instead of allocating.
-    pub fn recycle(&mut self) {
-        self.service_calls = 0;
-        self.pending_calls = 0;
-    }
-}
-
-/// The state-transition outcome of one activation through
-/// [`FsmExec::step_with`] — the [`StepReport`] minus the effects, which
-/// stay in the caller's [`StepEffects`] arena.
+/// The state-transition outcome of one activation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepMeta {
-    /// State at the start of the activation.
-    pub from: StateId,
-    /// State after the activation.
-    pub to: StateId,
-    /// Whether a transition fired (self-loop transitions count).
-    pub transitioned: bool,
-}
-
-/// Report of a single FSM activation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepReport {
     /// State at the start of the activation.
     pub from: StateId,
     /// State after the activation.
@@ -155,11 +114,6 @@ pub struct StepReport {
     /// Whether a transition fired (`from != to` is *not* equivalent:
     /// self-loop transitions count as fired).
     pub transitioned: bool,
-    /// Number of service-call statements executed during the activation.
-    pub service_calls: u32,
-    /// How many of those calls were left pending — nonzero when the FSM
-    /// is blocked on a unit.
-    pub pending_calls: u32,
 }
 
 /// Execution state of one FSM instance: just the current state, as all
@@ -229,25 +183,14 @@ impl FsmExec {
     ///
     /// Propagates [`EvalError`] from expression evaluation, statement
     /// execution, or an `X`/`Z` guard ([`EvalError::UnknownCondition`]).
-    pub fn step(&mut self, fsm: &Fsm, env: &mut dyn Env) -> Result<StepReport, EvalError> {
-        let mut effects = StepEffects::default();
-        let meta = self.step_with(fsm, env, &mut effects)?;
-        Ok(StepReport {
-            from: meta.from,
-            to: meta.to,
-            transitioned: meta.transitioned,
-            service_calls: effects.service_calls,
-            pending_calls: effects.pending_calls,
-        })
+    pub fn step(&mut self, fsm: &Fsm, env: &mut dyn Env) -> Result<StepMeta, EvalError> {
+        self.step_with(fsm, env, &mut StepEffects::default())
     }
 
-    /// Allocation-free variant of [`FsmExec::step`]: accumulates the
-    /// effects into a caller-owned [`StepEffects`] arena instead of
-    /// building a fresh [`StepReport`]. A scheduler that recycles the
-    /// arena between activations ([`StepEffects::recycle`]) pays no
-    /// steady-state heap allocation for the effects bookkeeping.
-    ///
-    /// The effects are *appended to* — pass a recycled (or fresh) arena.
+    /// Allocation-free variant of [`FsmExec::step`]: evaluates call
+    /// arguments and trace values into a caller-owned [`StepEffects`]
+    /// arena, so a scheduler that keeps one arena across activations
+    /// pays no steady-state heap allocation for them.
     ///
     /// # Errors
     ///
@@ -316,8 +259,8 @@ impl FsmExec {
     }
 }
 
-/// Executes a single statement against the environment, accumulating
-/// call and pending-call counts into `effects`.
+/// Executes a single statement against the environment, evaluating
+/// call arguments and trace values into `effects`' buffers.
 ///
 /// # Errors
 ///
@@ -352,7 +295,6 @@ pub fn exec_stmt(
             Ok(())
         }
         Stmt::Call(call) => {
-            effects.service_calls += 1;
             effects.args.clear();
             for a in &call.args {
                 let v = a.eval(env)?;
@@ -366,8 +308,6 @@ pub fn exec_stmt(
                 if let (Some(result_var), Some(v)) = (call.result, outcome.result.clone()) {
                     env.write_var(result_var, v)?;
                 }
-            } else {
-                effects.pending_calls += 1;
             }
             Ok(())
         }
@@ -747,14 +687,13 @@ mod tests {
             exec_stmt(&stmt, &mut env, &mut effects),
             Err(EvalError::Service(_))
         ));
-        assert_eq!(effects.service_calls, 1);
     }
 
     #[test]
     fn pending_calls_are_reported() {
         // An environment whose service always answers "pending": the
-        // step report must count the blocked call so a scheduler can
-        // park the FSM on the unit's completion wires.
+        // call must report it through its done variable, so the FSM
+        // stays where it is.
         struct PendingEnv(MapEnv);
         impl ReadEnv for PendingEnv {
             fn read_var(&self, v: VarId) -> Option<&Value> {
@@ -781,7 +720,7 @@ mod tests {
         }
 
         let mut env = PendingEnv(MapEnv::new());
-        let done = env.0.add_var(Type::Bool, Value::Bool(false));
+        let done = env.0.add_var(Type::Bool, Value::Bool(true));
         let mut b = FsmBuilder::new();
         let get = b.state("GET");
         let end = b.state("END");
@@ -801,17 +740,8 @@ mod tests {
         let mut exec = FsmExec::new(&fsm);
         let r = exec.step(&fsm, &mut env).unwrap();
         assert!(!r.transitioned);
-        assert_eq!(r.service_calls, 1);
-        assert_eq!(r.pending_calls, 1);
-        // A completing activation reports no pending calls.
-        let mut b = FsmBuilder::new();
-        let s = b.state("S");
-        b.transition(s, None, s);
-        b.initial(s);
-        let fsm = b.build().unwrap();
-        let mut exec = FsmExec::new(&fsm);
-        let r = exec.step(&fsm, &mut env).unwrap();
-        assert_eq!(r.pending_calls, 0);
+        assert_eq!((r.from, r.to), (get, get));
+        assert_eq!(env.0.var(done), &Value::Bool(false));
     }
 
     #[test]
@@ -878,8 +808,6 @@ mod tests {
                 vec![Value::Int(4)]
             ]
         );
-        assert_eq!(effects.service_calls, 3);
-        assert_eq!(effects.pending_calls, 0);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod view;
 
 pub use bit::{Bit, ParseBitError};
 pub use exec::{
-    eval_const, exec_stmt, Env, FsmExec, MapEnv, ServiceOutcome, StepEffects, StepMeta, StepReport,
+    eval_const, exec_stmt, Env, FsmExec, MapEnv, ServiceOutcome, StepEffects, StepMeta,
 };
 pub use expr::{BinOp, EvalError, Expr, ReadEnv, UnOp};
 pub use fsm::{Fsm, FsmBuildError, FsmBuilder, State, Transition};

@@ -476,10 +476,7 @@ struct CtxWires<'a, 'b> {
     ctx: &'a mut ProcCtx<'b>,
     map: &'a [SignalId],
     /// One clock cycle of the owning unit's clock, the unit of
-    /// [`WireStore::write_wire_after`] scheduling. With
-    /// `Duration::ZERO` timed writes report unsupported, which keeps a
-    /// mis-plumbed unit on the cycle-by-cycle fallback instead of
-    /// silently collapsing a burst into one instant.
+    /// [`WireStore::write_wire_after`] scheduling.
     cycle: Duration,
 }
 
@@ -502,9 +499,6 @@ impl WireStore for CtxWires<'_, '_> {
         Ok(())
     }
     fn write_wire_after(&mut self, w: PortId, v: Value, cycles: u64) -> Result<bool, EvalError> {
-        if self.cycle == Duration::ZERO {
-            return Ok(false);
-        }
         let a = self.ctx.admit(self.signal(w)?, v)?;
         self.ctx.drive_admitted(a, self.cycle.times(cycles));
         Ok(true)
@@ -516,9 +510,6 @@ impl WireStore for CtxWires<'_, '_> {
         stride_cycles: u64,
         values: &[Value],
     ) -> Result<bool, EvalError> {
-        if self.cycle == Duration::ZERO {
-            return Ok(false);
-        }
         self.ctx.try_drive_train(
             self.signal(w)?,
             self.cycle.times(start_cycles),
@@ -568,8 +559,7 @@ impl TraceRecords {
 #[derive(Default)]
 pub(crate) struct ModuleScratch {
     /// Step-effects arena handed to
-    /// [`FsmExec::step_with`](cosma_core::FsmExec::step_with);
-    /// recycled at the start of every activation.
+    /// [`FsmExec::step_with`](cosma_core::FsmExec::step_with).
     effects: cosma_core::StepEffects,
     /// Pooled completion-wire watch list lent to the activation's
     /// [`CosimEnv`]; returned cleared unless the module parks or
@@ -757,7 +747,6 @@ pub(crate) fn step_module(
         ..
     } = &mut modules[idx];
     let fsm = module.fsm();
-    scratch.effects.recycle();
     scratch.records.clear();
     let mut env = CosimEnv {
         ctx,

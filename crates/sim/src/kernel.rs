@@ -1187,23 +1187,35 @@ impl Simulator {
     /// Runs until `deadline` (inclusive of activity at the deadline
     /// instant).
     ///
+    /// Every pass at one instant draws on that instant's delta budget
+    /// ([`Simulator::set_max_deltas`]), including passes for timeouts
+    /// and timed drives that land on the instant already reached, so a
+    /// process that keeps waiting zero time overflows the budget
+    /// instead of stalling simulated time.
+    ///
     /// # Errors
     ///
-    /// Returns [`SimError::DeltaOverflow`] on combinational oscillation.
+    /// Returns [`SimError::DeltaOverflow`] on combinational oscillation
+    /// or zero-time waits that exhaust an instant's budget.
     pub fn run_until(&mut self, deadline: SimTime) -> Result<(), SimError> {
-        if !self.initialized {
-            self.initialize()?;
-        }
+        let spent = if self.initialized {
+            0
+        } else {
+            self.initialize()?
+        };
         // Settle any externally poked activity at the current instant.
-        self.settle(vec![])?;
+        let mut spent = self.settle(vec![], spent)?;
         while let Some(t) = self.next_instant() {
             if t > deadline {
                 break;
             }
+            if t > self.now {
+                spent = 0;
+            }
             self.now = t;
             self.stats.instants += 1;
             let woken = self.begin_instant();
-            self.settle(woken)?;
+            spent = self.settle(woken, spent)?;
         }
         if self.now < deadline {
             self.now = deadline;
@@ -1234,12 +1246,13 @@ impl Simulator {
         queued.into_iter().chain(edge).min()
     }
 
-    /// Elaboration: every process runs once at time zero.
-    fn initialize(&mut self) -> Result<(), SimError> {
+    /// Elaboration: every process runs once at time zero. Returns the
+    /// deltas the settle after it spent.
+    fn initialize(&mut self) -> Result<u32, SimError> {
         self.initialized = true;
         let all: Vec<ProcessId> = (0..self.processes.len() as u32).map(ProcessId).collect();
         self.run_processes_delta(&all, 0);
-        self.settle(vec![])
+        self.settle(vec![], 0)
     }
 
     /// At a new instant: move due timed drives into the delta queue and
@@ -1286,8 +1299,10 @@ impl Simulator {
     }
 
     /// Delta loop at the current instant until quiescent. `pending` are
-    /// the timer-woken processes to run in the first delta.
-    fn settle(&mut self, mut pending: Vec<ProcessId>) -> Result<(), SimError> {
+    /// the timer-woken processes to run in the first delta; `spent` is
+    /// what earlier passes at this instant took of its delta budget.
+    /// Returns the budget spent with this pass's deltas added.
+    fn settle(&mut self, mut pending: Vec<ProcessId>, spent: u32) -> Result<u32, SimError> {
         // Callers that have no first-delta wake list pass `vec![]`; adopt
         // the pooled buffer so the loop below runs allocation-free.
         if pending.capacity() == 0 {
@@ -1365,7 +1380,7 @@ impl Simulator {
             }
             if to_run.is_empty() {
                 self.run_queue_pool = to_run;
-                return Ok(());
+                return Ok(spent.saturating_add(delta));
             }
             // Deterministic activation order: ascending process id, the
             // same order the reference full-scan kernel produces.
@@ -1382,7 +1397,7 @@ impl Simulator {
             }
             self.stats.deltas += 1;
             delta += 1;
-            if delta > self.max_deltas {
+            if spent.saturating_add(delta) > self.max_deltas {
                 return Err(SimError::DeltaOverflow {
                     time: self.now,
                     limit: self.max_deltas,
@@ -2760,5 +2775,86 @@ mod tests {
         short.add_signal("D", Type::INT16, Value::Int(0));
         let err = short.load_state(&saved).unwrap_err();
         assert!(matches!(err, SimError::StateMismatch { .. }));
+    }
+
+    /// One process on each kernel that bumps `N` on every run and then
+    /// returns `wait(QUIET)`, `QUIET` being a signal nothing drives;
+    /// what 1 ns of each run returns, kernel first, oracle second.
+    fn run_zero_waiter(wait: fn(SignalId) -> Wait) -> [Result<(), SimError>; 2] {
+        let body = move |n, quiet| {
+            move |ctx: &mut ProcCtx<'_>| {
+                let v = ctx.read_int(n);
+                ctx.drive(n, Value::Int(v + 1));
+                wait(quiet)
+            }
+        };
+        let mut sim = Simulator::new();
+        let n = sim.add_signal("N", Type::INT16, Value::Int(0));
+        let quiet = sim.add_bit("QUIET");
+        sim.add_process("spin", FnProcess::new(body(n, quiet)));
+        let mut oracle = RefSimulator::new();
+        let n = oracle.add_signal("N", Type::INT16, Value::Int(0));
+        let quiet = oracle.add_bit("QUIET");
+        oracle.add_process(FnProcess::new(body(n, quiet)));
+        let span = Duration::from_ns(1);
+        [sim.run_for(span), oracle.run_for(span)]
+    }
+
+    fn overflows_at_zero(run: &Result<(), SimError>) -> bool {
+        matches!(run, Err(SimError::DeltaOverflow { time, limit: 1000 }) if *time == SimTime::ZERO)
+    }
+
+    #[test]
+    fn endless_zero_timeouts_spend_the_instants_delta_budget() {
+        for run in run_zero_waiter(|_| Wait::Timeout(Duration::ZERO)) {
+            assert!(overflows_at_zero(&run), "{run:?}");
+        }
+    }
+
+    #[test]
+    fn endless_zero_event_or_timeouts_spend_the_instants_delta_budget() {
+        for run in run_zero_waiter(|quiet| Wait::EventOrTimeout(vec![quiet], Duration::ZERO)) {
+            assert!(overflows_at_zero(&run), "{run:?}");
+        }
+    }
+
+    #[test]
+    fn femtosecond_clock_process_spends_the_instants_delta_budget() {
+        use crate::reference::ClockProcess;
+        let mut sim = Simulator::new();
+        let clk = sim.add_bit("CLK");
+        sim.add_process("gen", ClockProcess::new(clk, Duration::from_fs(1)));
+        let mut oracle = RefSimulator::new();
+        let clk = oracle.add_bit("CLK");
+        oracle.add_process(ClockProcess::new(clk, Duration::from_fs(1)));
+        let span = Duration::from_ns(1);
+        for run in [sim.run_for(span), oracle.run_for(span)] {
+            assert!(overflows_at_zero(&run), "{run:?}");
+        }
+    }
+
+    #[test]
+    fn one_zero_wait_resumes_at_the_same_instant() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        // Runs at elaboration, waits zero, then waits 10 ns every time.
+        let waiter = |seen: Rc<RefCell<Vec<SimTime>>>| {
+            FnProcess::new(move |ctx| {
+                seen.borrow_mut().push(ctx.now());
+                let zero = seen.borrow().len() == 1;
+                Wait::Timeout(Duration::from_ns(if zero { 0 } else { 10 }))
+            })
+        };
+        let want = [0, 0, 10, 20].map(SimTime::from_ns);
+        let seen = Rc::new(RefCell::new(vec![]));
+        let mut sim = Simulator::new();
+        sim.add_process("waiter", waiter(seen.clone()));
+        sim.run_until(SimTime::from_ns(25)).unwrap();
+        assert_eq!(*seen.borrow(), want);
+        let seen = Rc::new(RefCell::new(vec![]));
+        let mut oracle = RefSimulator::new();
+        oracle.add_process(waiter(seen.clone()));
+        oracle.run_until(SimTime::from_ns(25)).unwrap();
+        assert_eq!(*seen.borrow(), want);
     }
 }

@@ -241,24 +241,31 @@ impl RefSimulator {
         }
     }
 
-    /// Runs until `deadline` (inclusive).
+    /// Runs until `deadline` (inclusive). Passes at one instant share
+    /// its delta budget, as in [`Simulator::run_until`](crate::Simulator::run_until).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::DeltaOverflow`] on combinational oscillation.
+    /// Returns [`SimError::DeltaOverflow`] on combinational oscillation
+    /// or zero-time waits that exhaust an instant's budget.
     pub fn run_until(&mut self, deadline: SimTime) -> Result<(), SimError> {
-        if !self.initialized {
-            self.initialize()?;
-        }
-        self.settle(vec![])?;
+        let spent = if self.initialized {
+            0
+        } else {
+            self.initialize()?
+        };
+        let mut spent = self.settle(vec![], spent)?;
         while let Some(t) = self.next_instant() {
             if t > deadline {
                 break;
             }
+            if t > self.now {
+                spent = 0;
+            }
             self.now = t;
             self.stats.instants += 1;
             let woken = self.begin_instant();
-            self.settle(woken)?;
+            spent = self.settle(woken, spent)?;
         }
         if self.now < deadline {
             self.now = deadline;
@@ -286,11 +293,11 @@ impl RefSimulator {
         }
     }
 
-    fn initialize(&mut self) -> Result<(), SimError> {
+    fn initialize(&mut self) -> Result<u32, SimError> {
         self.initialized = true;
         let all: Vec<RefProcessId> = (0..self.processes.len() as u32).map(RefProcessId).collect();
         self.run_processes_delta(&all, 0);
-        self.settle(vec![])
+        self.settle(vec![], 0)
     }
 
     fn begin_instant(&mut self) -> Vec<RefProcessId> {
@@ -316,8 +323,9 @@ impl RefSimulator {
     }
 
     /// The original full-scan delta loop: every process is inspected on
-    /// every delta with events.
-    fn settle(&mut self, mut woken: Vec<RefProcessId>) -> Result<(), SimError> {
+    /// every delta with events. `spent` and the result count the
+    /// instant's delta budget, as in the fast kernel.
+    fn settle(&mut self, mut woken: Vec<RefProcessId>, spent: u32) -> Result<u32, SimError> {
         let mut delta: u32 = 0;
         loop {
             for s in self.fresh_events.drain(..) {
@@ -359,7 +367,7 @@ impl RefSimulator {
                 }
             }
             if to_run.is_empty() {
-                return Ok(());
+                return Ok(spent.saturating_add(delta));
             }
             let run_list: Vec<RefProcessId> = to_run.into_iter().collect();
             for &p in &run_list {
@@ -374,7 +382,7 @@ impl RefSimulator {
             }
             self.stats.deltas += 1;
             delta += 1;
-            if delta > self.max_deltas {
+            if spent.saturating_add(delta) > self.max_deltas {
                 return Err(SimError::DeltaOverflow {
                     time: self.now,
                     limit: self.max_deltas,

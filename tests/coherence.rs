@@ -76,27 +76,33 @@ fn coherence_holds_for_every_encoding() {
 #[test]
 fn cosim_timing_change_preserves_events() {
     // Slowing the SW activation clock must not change the event sequence
-    // (only its timing) — the protocols synchronize, not the clocks.
+    // (only its timing) — the protocols synchronize, not the clocks. The
+    // 1:1 run (100 ns HW and SW cycles) is the reference; the slower SW
+    // cycles cover activation ratios 2, 4, 7, 8 and 16.
     let cfg = small_cfg();
     let mut fast = build_cosim(&cfg, CosimConfig::default()).expect("assembles");
     assert!(fast
         .run_to_completion(Duration::from_us(100), 300)
         .expect("runs"));
-    let slow_cfg = CosimConfig {
-        sw_cycle: Duration::from_ns(700),
-        ..CosimConfig::default()
-    };
-    let mut slow = build_cosim(&cfg, slow_cfg).expect("assembles");
-    assert!(slow
-        .run_to_completion(Duration::from_us(100), 300)
-        .expect("runs"));
-    for label in ["send_pos", "motor_state", "done"] {
-        let a = fast.cosim.trace_log().filtered(|e| e.label == label);
-        let b = slow.cosim.trace_log().filtered(|e| e.label == label);
+    for sw_ns in [200, 400, 700, 800, 1600] {
+        let slow_cfg = CosimConfig {
+            sw_cycle: Duration::from_ns(sw_ns),
+            ..CosimConfig::default()
+        };
+        let mut slow = build_cosim(&cfg, slow_cfg).expect("assembles");
         assert!(
-            a.compare(&b).is_match(),
-            "label {label} diverged under clock change"
+            slow.run_to_completion(Duration::from_us(100), 300)
+                .expect("runs"),
+            "the trajectory completes with a {sw_ns} ns SW cycle"
         );
+        for label in ["send_pos", "motor_state", "done"] {
+            let a = fast.cosim.trace_log().filtered(|e| e.label == label);
+            let b = slow.cosim.trace_log().filtered(|e| e.label == label);
+            assert!(
+                a.compare(&b).is_match(),
+                "label {label} diverged with a {sw_ns} ns SW cycle"
+            );
+        }
     }
 }
 
